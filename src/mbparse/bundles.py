@@ -8,6 +8,7 @@ extensionally the same as the originals.
 from __future__ import annotations
 
 import configparser
+import functools
 import os
 
 from .errors import DomainError
@@ -36,6 +37,22 @@ def _new_manifest() -> configparser.ConfigParser:
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     return parser
+
+
+def _manifest_errors(load):
+    """Report a manifest with a missing or malformed entry as a DomainError."""
+
+    @functools.wraps(load)
+    def checked(path):
+        try:
+            return load(path)
+        except KeyError as exc:
+            raise DomainError(f"{path}: manifest lacks {exc}") from None
+        except (ValueError, configparser.Error) as exc:
+            detail = " ".join(str(exc).split())  # parser errors span lines
+            raise DomainError(f"{path}: malformed bundle: {detail}") from None
+
+    return checked
 
 
 def _read_manifest(path) -> configparser.ConfigParser:
@@ -138,48 +155,60 @@ def save_chunker(chunker: Chunker, path) -> None:
     _write_manifest(manifest, path)
 
 
+@_manifest_errors
 def load_chunker(path) -> Chunker:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "chunker")
     return _load_chunker_from(path, "", manifest)
 
 
-def save_typed_chunker(chunker: TypedChunker, path) -> None:
-    manifest = _start_bundle(path, "typed-chunker")
+def _save_typed_into(chunker: TypedChunker, path, manifest) -> None:
+    bundle = manifest["bundle"]
     if isinstance(chunker, SinglePhaseChunker):
-        manifest["bundle"]["strategy"] = "single_phase"
+        bundle["strategy"] = "single_phase"
         _save_chunker_into(chunker.chunker, path, "typed", manifest)
     elif isinstance(chunker, DoublePhaseChunker):
-        manifest["bundle"]["strategy"] = "double_phase"
+        bundle["strategy"] = "double_phase"
         _save_chunker_into(chunker.boundary, path, "boundary", manifest)
-        manifest["bundle"]["type_model"] = "type.model"
+        bundle["type_model"] = "type.model"
         save_model(chunker.type_model, os.path.join(path, "type.model"))
     elif isinstance(chunker, NPhaseChunker):
-        manifest["bundle"]["strategy"] = "n_phase"
-        manifest["bundle"]["types"] = " ".join(chunker.type_order)
+        bundle["strategy"] = "n_phase"
+        bundle["types"] = " ".join(chunker.type_order)
         for typ in chunker.type_order:
             _save_chunker_into(chunker.per_type[typ], path, f"type-{typ}", manifest)
     else:
         raise DomainError(f"unknown typed chunker {type(chunker).__name__}")
-    _write_manifest(manifest, path)
 
 
-def load_typed_chunker(path) -> TypedChunker:
-    manifest = _read_manifest(path)
-    _check_kind(manifest, path, "typed-chunker")
-    strategy = manifest["bundle"]["strategy"]
+def _load_typed_from(path, manifest) -> TypedChunker:
+    bundle = manifest["bundle"]
+    strategy = bundle["strategy"]
     if strategy == "single_phase":
         return SinglePhaseChunker(_load_chunker_from(path, "typed", manifest))
     if strategy == "double_phase":
         return DoublePhaseChunker(
             boundary=_load_chunker_from(path, "boundary", manifest),
-            type_model=load_model(os.path.join(path, manifest["bundle"]["type_model"])),
+            type_model=load_model(os.path.join(path, bundle["type_model"])),
         )
-    order = tuple(manifest["bundle"]["types"].split())
+    order = tuple(bundle["types"].split())
     per_type = {
         typ: _load_chunker_from(path, f"type-{typ}", manifest) for typ in order
     }
     return NPhaseChunker(per_type=per_type, type_order=order)
+
+
+def save_typed_chunker(chunker: TypedChunker, path) -> None:
+    manifest = _start_bundle(path, "typed-chunker")
+    _save_typed_into(chunker, path, manifest)
+    _write_manifest(manifest, path)
+
+
+@_manifest_errors
+def load_typed_chunker(path) -> TypedChunker:
+    manifest = _read_manifest(path)
+    _check_kind(manifest, path, "typed-chunker")
+    return _load_typed_from(path, manifest)
 
 
 def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
@@ -201,6 +230,7 @@ def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
     _write_manifest(manifest, path)
 
 
+@_manifest_errors
 def load_clause_bracketer(path) -> ClauseBracketer:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "clauses")
@@ -262,6 +292,7 @@ def save_np_parser(parser: NpParser, path) -> None:
     _write_manifest(manifest, path)
 
 
+@_manifest_errors
 def load_np_parser(path) -> NpParser:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "np-parser")
@@ -278,50 +309,17 @@ def save_full_parser(parser: FullParser, path) -> None:
     manifest["bundle"]["head_rule"] = parser.head_rule
     manifest["bundle"]["match_mode"] = parser.match_mode.value
     manifest["bundle"]["wrap_label"] = parser.wrap_label
-    # reuse the typed-chunker layout for the base
-    if isinstance(parser.base, SinglePhaseChunker):
-        manifest["bundle"]["strategy"] = "single_phase"
-        _save_chunker_into(parser.base.chunker, path, "typed", manifest)
-    elif isinstance(parser.base, DoublePhaseChunker):
-        manifest["bundle"]["strategy"] = "double_phase"
-        _save_chunker_into(parser.base.boundary, path, "boundary", manifest)
-        manifest["bundle"]["type_model"] = "type.model"
-        save_model(parser.base.type_model, os.path.join(path, "type.model"))
-    elif isinstance(parser.base, NPhaseChunker):
-        manifest["bundle"]["strategy"] = "n_phase"
-        manifest["bundle"]["types"] = " ".join(parser.base.type_order)
-        for typ in parser.base.type_order:
-            _save_chunker_into(parser.base.per_type[typ], path, f"type-{typ}", manifest)
-    else:
-        raise DomainError(f"unknown base chunker {type(parser.base).__name__}")
+    _save_typed_into(parser.base, path, manifest)
     _save_levels(parser.levels, path, manifest)
     _write_manifest(manifest, path)
 
 
+@_manifest_errors
 def load_full_parser(path) -> FullParser:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "full-parser")
-    strategy = manifest["bundle"]["strategy"]
-    if strategy == "single_phase":
-        base: TypedChunker = SinglePhaseChunker(
-            _load_chunker_from(path, "typed", manifest)
-        )
-    elif strategy == "double_phase":
-        base = DoublePhaseChunker(
-            boundary=_load_chunker_from(path, "boundary", manifest),
-            type_model=load_model(os.path.join(path, manifest["bundle"]["type_model"])),
-        )
-    else:
-        order = tuple(manifest["bundle"]["types"].split())
-        base = NPhaseChunker(
-            per_type={
-                typ: _load_chunker_from(path, f"type-{typ}", manifest)
-                for typ in order
-            },
-            type_order=order,
-        )
     return FullParser(
-        base=base,
+        base=_load_typed_from(path, manifest),
         levels=_load_levels(path, manifest),
         head_rule=manifest["bundle"]["head_rule"],
         match_mode=MatchMode(manifest["bundle"]["match_mode"]),

@@ -43,6 +43,7 @@ from .pipeline import (
     identify_clauses,
     parse_full,
     parse_np,
+    tag_sentences,
     train_chunker,
     train_clause_bracketer,
     train_full_parser,
@@ -217,10 +218,6 @@ def _read_spans(path, column: str, scheme: str):
     return tokens, spans
 
 
-def _read_training(path, column: str, scheme: str):
-    return _read_spans(path, column, scheme)
-
-
 def _workers(args, cfg) -> int:
     if args.workers > 0:
         return args.workers
@@ -271,11 +268,11 @@ def _cmd_train(args, cfg) -> int:
     pcfg = _pipeline_config(cfg)
     lcfg = _learner_config(cfg)
     if args.task == "np-chunk":
-        sentences, gold = _read_training(args.train, "chunk", "IOB1")
+        sentences, gold = _read_spans(args.train, "chunk", "IOB1")
         chunker = train_chunker(sentences, gold, pcfg, lcfg)
         bundles.save_chunker(chunker, args.model)
     elif args.task == "typed-chunk":
-        sentences, gold = _read_training(args.train, "chunk", "IOB1")
+        sentences, gold = _read_spans(args.train, "chunk", "IOB1")
         chunker = train_typed_chunker(sentences, gold, pcfg.type_strategy, pcfg, lcfg)
         bundles.save_typed_chunker(chunker, args.model)
     elif args.task == "clauses":
@@ -286,11 +283,11 @@ def _cmd_train(args, cfg) -> int:
         bracketer = train_clause_bracketer(sentences, forests, learner_config=lcfg)
         bundles.save_clause_bracketer(bracketer, args.model)
     elif args.task == "np-parse":
-        sentences, gold = _read_training(args.train, "tree", "IOB1")
+        sentences, gold = _read_spans(args.train, "tree", "IOB1")
         parser = train_np_parser(sentences, gold, pcfg)
         bundles.save_np_parser(parser, args.model)
     else:  # full-parse
-        sentences, gold = _read_training(args.train, "tree", "IOB1")
+        sentences, gold = _read_spans(args.train, "tree", "IOB1")
         parser = train_full_parser(sentences, gold, pcfg)
         bundles.save_full_parser(parser, args.model)
     print(f"saved {args.task} bundle to {args.model}")
@@ -386,7 +383,7 @@ def _cmd_bootstrap(args, cfg) -> int:
 
 
 def _cmd_select(args, cfg) -> int:
-    sentences, gold = _read_training(args.train, "chunk", args.scheme)
+    sentences, gold = _read_spans(args.train, "chunk", args.scheme)
     scheme = Scheme(args.scheme)
     folds = args.folds
 
@@ -405,13 +402,8 @@ def _cmd_select(args, cfg) -> int:
                     for j in range(len(sentences[i]))
                 )
             model = train_model(inst, _learner_config(cfg))
-            found = []
-            for i in test_idx:
-                feats = [
-                    extract(sentences[i], j, template)
-                    for j in range(len(sentences[i]))
-                ]
-                found.append(decode(classify_labels(model, feats), scheme))
+            tags = tag_sentences(model, template, [sentences[i] for i in test_idx])
+            found = [decode(t, scheme) for t in tags]
             total_f += score(found, [gold[i] for i in test_idx]).f
         return total_f / folds
 
@@ -540,3 +532,7 @@ def main() -> None:
         print(f"i/o error: {exc}", file=sys.stderr)
         status = 2
     sys.exit(status)
+
+
+if __name__ == "__main__":
+    main()

@@ -147,12 +147,6 @@ def extract(
     return tuple(values)
 
 
-def extract_sentence(
-    sentence: Sequence[Token], template: FeatureTemplate
-) -> list[tuple[str, ...]]:
-    return [extract(sentence, i, template) for i in range(len(sentence))]
-
-
 # ---------------------------------------------------------------------------
 # Head words and sentence compression.
 

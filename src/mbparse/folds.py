@@ -22,7 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
 from .features import FeatureTemplate, Token, extract
-from .learner import Instance, LearnerConfig, classify_labels, train
+from .learner import Instance, LearnerConfig, train
+from .pipeline import tag_sentences
 from .schemes import ChunkSpan, Scheme, encode
 
 
@@ -112,19 +113,6 @@ def _pass2_instances(sentences, gold, context_tags, scheme: Scheme, template):
     return out
 
 
-def _tag(model, sentences, template, context=None):
-    feats, bounds = [], []
-    for si, s in enumerate(sentences):
-        lo = len(feats)
-        view = s
-        if context is not None:
-            view = [replace(t, chunk_tag=c) for t, c in zip(s, context[si])]
-        feats.extend(extract(view, i, template) for i in range(len(view)))
-        bounds.append((lo, len(feats)))
-    labels = classify_labels(model, feats)
-    return [tuple(labels[a:b]) for a, b in bounds]
-
-
 def run_two_phase_cv(
     sections: Sequence[Sequence[list[Token]]],
     gold: Sequence[Sequence[list[ChunkSpan]]],
@@ -178,17 +166,17 @@ def run_two_phase_cv(
                     _pass1_instances(inner_sents, inner_gold, scheme, pass1_template),
                     learner_config,
                 )
-                ctx = _tag(inner_model, sections[y], pass1_template)
+                ctx = tag_sentences(inner_model, pass1_template, sections[y])
                 train_prov.update(fold.inner[y])
                 inst2.extend(
                     _pass2_instances(sections[y], gold[y], ctx, scheme, pass2_template)
                 )
         model2 = train(inst2, learner_config)
 
-        test_ctx = _tag(model1, sections[x], pass1_template)
-        tags = _tag(model2, sections[x], pass2_template, context=test_ctx)
+        test_ctx = tag_sentences(model1, pass1_template, sections[x])
+        tags = tag_sentences(model2, pass2_template, sections[x], test_ctx)
         provenance = frozenset(train_prov) | model1_prov
         if x in provenance:
             raise AssertionError(f"gold tags of section {x} leaked into its training")
-        results[x] = SectionResult(tags=tuple(tags), provenance=provenance)
+        results[x] = SectionResult(tags=tuple(map(tuple, tags)), provenance=provenance)
     return results

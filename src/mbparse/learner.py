@@ -63,11 +63,13 @@ class WeightTable:
 
     ``conditionals[i]`` maps each observed value of feature i to the pair
     (value probability, class entropy of the instances carrying the value).
+    Only ``train`` fills the entropy terms; a model read by ``load_model``
+    carries its stored weights alone, since classification reads nothing else.
     """
 
     weights: tuple[float, ...]
-    class_entropy: float
-    feature_value_entropies: tuple[float, ...]
+    class_entropy: float | None = None
+    feature_value_entropies: tuple[float, ...] = ()
     conditionals: tuple[Mapping[str, tuple[float, float]], ...] = ()
 
 
@@ -183,17 +185,14 @@ class _ModelIndex:
 
     @staticmethod
     def build(model: "Model") -> "_ModelIndex":
-        arity = model.arity
-        codes: list[dict[str, int]] = [{} for _ in range(arity)]
+        # codes count up in order of first occurrence down each column
         n = len(model.instances)
-        matrix = np.empty((n, arity), dtype=np.int32)
-        for r, inst in enumerate(model.instances):
-            for i, v in enumerate(inst.features):
-                table = codes[i]
-                code = table.get(v)
-                if code is None:
-                    code = table[v] = len(table)
-                matrix[r, i] = code
+        matrix = np.empty((n, model.arity), dtype=np.int32)
+        codes: list[dict[str, int]] = []
+        for i, column in enumerate(zip(*(inst.features for inst in model.instances))):
+            table = {v: code for code, v in enumerate(dict.fromkeys(column))}
+            matrix[:, i] = [table[v] for v in column]
+            codes.append(table)
 
         if model.config.tie_policy is TiePolicy.GLOBAL_CLASS_FREQUENCY:
             pref = sorted(
@@ -213,9 +212,8 @@ class _ModelIndex:
 
     def encode_queries(self, queries: Sequence[Sequence[str]]) -> np.ndarray:
         q = np.full((len(queries), self.matrix.shape[1]), -1, dtype=np.int32)
-        for r, query in enumerate(queries):
-            for i, v in enumerate(query):
-                q[r, i] = self.codes[i].get(v, -1)  # unseen value matches nothing
+        for i, (column, table) in enumerate(zip(zip(*queries), self.codes)):
+            q[:, i] = [table.get(v, -1) for v in column]  # unseen value matches nothing
         return q
 
 
@@ -351,6 +349,8 @@ def _escape(symbol: str) -> str:
 
 
 def _unescape(text: str) -> str:
+    if "\\" not in text:
+        return text
     out = []
     i = 0
     while i < len(text):
@@ -402,29 +402,33 @@ def load_model(path) -> Model:
         header[key] = rest
     body = 1 + len(fields)
 
-    arity = int(header["arity"])
-    config = LearnerConfig(
-        k=int(header["k"]),
-        tie_policy=TiePolicy(header["tie-policy"]),
-        degenerate_weight_fallback=bool(int(header["fallback"])),
-    )
-    weights = tuple(float(w) for w in header["weights"].split())
-    if len(weights) != arity:
-        raise DomainError(f"{path}: weight line does not match arity")
-
     class_fields = header["classes"].split("\t")
     if len(class_fields) % 2 != 0:
         raise DomainError(f"{path}: malformed class-frequency line")
-    freqs = {
-        _unescape(class_fields[i]): int(class_fields[i + 1])
-        for i in range(0, len(class_fields), 2)
-    }
+    try:
+        arity = int(header["arity"])
+        config = LearnerConfig(
+            k=int(header["k"]),
+            tie_policy=TiePolicy(header["tie-policy"]),
+            degenerate_weight_fallback=bool(int(header["fallback"])),
+        )
+        weights = tuple(float(w) for w in header["weights"].split())
+        freqs = {
+            _unescape(class_fields[i]): int(class_fields[i + 1])
+            for i in range(0, len(class_fields), 2)
+        }
+    except ValueError as exc:
+        raise DomainError(f"{path}: bad header value: {exc}") from None
+    if len(weights) != arity:
+        raise DomainError(f"{path}: weight line does not match arity")
 
     instances = []
     for line in lines[body:]:
         if not line:
             continue
-        fields = [_unescape(f) for f in line.split("\t")]
+        fields = line.split("\t")
+        if "\\" in line:
+            fields = [_unescape(f) for f in fields]
         if len(fields) != arity + 1:
             raise DomainError(f"{path}: instance line has {len(fields)} fields")
         instances.append(Instance(tuple(fields[:arity]), fields[arity]))
@@ -433,16 +437,9 @@ def load_model(path) -> Model:
     if sum(freqs.values()) != len(instances):
         raise DomainError(f"{path}: class frequencies do not sum to instance count")
 
-    table = gain_ratio_weights(instances)
-    table = WeightTable(
-        weights=weights,  # stored weights are authoritative (fallback applied)
-        class_entropy=table.class_entropy,
-        feature_value_entropies=table.feature_value_entropies,
-        conditionals=table.conditionals,
-    )
     return Model(
         instances=tuple(instances),
-        weight_table=table,
+        weight_table=WeightTable(weights),  # stored weights include any fallback
         config=config,
         class_frequencies=freqs,
     )

@@ -113,6 +113,27 @@ def _chunk_learner(config: PipelineConfig) -> LearnerConfig:
 # Two-pass per-representation taggers.
 
 
+def tag_sentences(
+    model: Model,
+    template: FeatureTemplate,
+    sentences: Sequence[Sentence],
+    context: Sequence[Sequence[str]] | None = None,
+) -> list[list[str]]:
+    """One label per token, from a single batched classification of all
+    sentences.  ``context`` gives per-sentence chunk tags that the template's
+    chunk channel reads in place of the tokens' own."""
+    feats: list[tuple[str, ...]] = []
+    bounds = []
+    for si, s in enumerate(sentences):
+        lo = len(feats)
+        if context is not None:
+            s = [replace(t, chunk_tag=c) for t, c in zip(s, context[si])]
+        feats.extend(extract(s, i, template) for i in range(len(s)))
+        bounds.append((lo, len(feats)))
+    labels = classify_labels(model, feats)
+    return [labels[a:b] for a, b in bounds]
+
+
 @dataclass
 class TwoPassStream:
     """One data representation's tagger: a first pass over words and POS tags
@@ -125,22 +146,10 @@ class TwoPassStream:
     pass2_model: Model | None = None
 
     def tag_corpus(self, sentences: Sequence[Sentence]) -> list[list[str]]:
-        bounds = []
-        feats: list[tuple[str, ...]] = []
-        for s in sentences:
-            lo = len(feats)
-            feats.extend(extract(s, i, self.pass1_template) for i in range(len(s)))
-            bounds.append((lo, len(feats)))
-        labels = classify_labels(self.pass1_model, feats)
-        tags = [labels[a:b] for a, b in bounds]
+        tags = tag_sentences(self.pass1_model, self.pass1_template, sentences)
         if self.pass2_model is None:
             return tags
-        feats2: list[tuple[str, ...]] = []
-        for s, stags in zip(sentences, tags):
-            ctx = [replace(t, chunk_tag=tag) for t, tag in zip(s, stags)]
-            feats2.extend(extract(ctx, i, self.pass2_template) for i in range(len(ctx)))
-        labels2 = classify_labels(self.pass2_model, feats2)
-        return [labels2[a:b] for a, b in bounds]
+        return tag_sentences(self.pass2_model, self.pass2_template, sentences, tags)
 
 
 @dataclass
@@ -236,37 +245,9 @@ def train_chunker(
     return Chunker(streams=streams, config=config)
 
 
-def _rep_bracket_streams(chunker: Chunker, sentences, rep: Scheme):
-    """This representation's output as (open tags, close tags) per sentence."""
-    cfg = chunker.config
-    if rep is Scheme.OC:
-        o = chunker.streams[Scheme.O].tag_corpus(sentences)
-        c = chunker.streams[Scheme.C].tag_corpus(sentences)
-        return o, c
-    tags = chunker.streams[rep].tag_corpus(sentences)
-    opens = [convert(t, rep, Scheme.O, cfg.default_type) for t in tags]
-    closes = [convert(t, rep, Scheme.C, cfg.default_type) for t in tags]
-    return opens, closes
-
-
-def _spans_of_rep(chunker: Chunker, sentences, rep: Scheme):
-    cfg = chunker.config
-    if rep is Scheme.OC:
-        opens, closes = _rep_bracket_streams(chunker, sentences, rep)
-        return [
-            balance_brackets(
-                [mark_type(t, cfg.default_type) for t in o],
-                [mark_type(t, cfg.default_type) for t in c],
-                cfg.match_mode,
-            )
-            for o, c in zip(opens, closes)
-        ]
-    tags = chunker.streams[rep].tag_corpus(sentences)
-    return [decode(t, rep, cfg.default_type) for t in tags]
-
-
-def chunk_corpus_detail(chunker: Chunker, sentences: Sequence[Sentence]):
-    """Combined spans plus each representation's own spans (for comparison)."""
+def _tag_streams(chunker: Chunker, sentences) -> dict[Scheme, list[list[str]]]:
+    """Tags per sentence of every stream the representations need, each
+    stream tagged once."""
     cfg = chunker.config
     if cfg.combiner is not CombineMethod.MAJORITY:
         # weighted combiners need tuning outputs; they live in the combine
@@ -275,40 +256,59 @@ def chunk_corpus_detail(chunker: Chunker, sentences: Sequence[Sentence]):
             f"bracket-stream combination supports majority voting only, "
             f"not {cfg.combiner.value}"
         )
-    for rep in cfg.representations:
-        for scheme in _streams_for(rep):
-            if scheme not in chunker.streams:
-                raise ConfigError(f"no model for configured representation {scheme.value}")
+    needed = dict.fromkeys(s for rep in cfg.representations for s in _streams_for(rep))
+    for scheme in needed:
+        if scheme not in chunker.streams:
+            raise ConfigError(f"no model for configured representation {scheme.value}")
+    return {scheme: chunker.streams[scheme].tag_corpus(sentences) for scheme in needed}
 
-    per_rep_brackets = {
-        rep: _rep_bracket_streams(chunker, sentences, rep)
-        for rep in cfg.representations
-    }
+
+def _balance(cfg: PipelineConfig, opens, closes) -> list[ChunkSpan]:
+    return balance_brackets(
+        [mark_type(t, cfg.default_type) for t in opens],
+        [mark_type(t, cfg.default_type) for t in closes],
+        cfg.match_mode,
+    )
+
+
+def _voted_spans(cfg: PipelineConfig, tags) -> list[list[ChunkSpan]]:
+    """Vote the representations' open streams and close streams separately,
+    then repair each sentence's winners into a span set."""
+    brackets = []  # per representation: (open tags, close tags) per sentence
+    for rep in cfg.representations:
+        if rep is Scheme.OC:
+            brackets.append((tags[Scheme.O], tags[Scheme.C]))
+            continue
+        brackets.append((
+            [convert(t, rep, Scheme.O, cfg.default_type) for t in tags[rep]],
+            [convert(t, rep, Scheme.C, cfg.default_type) for t in tags[rep]],
+        ))
     combined = []
-    for si, sentence in enumerate(sentences):
-        n = len(sentence)
-        voted_o, voted_c = [], []
-        for i in range(n):
-            o_votes = [per_rep_brackets[rep][0][si][i] for rep in cfg.representations]
-            c_votes = [per_rep_brackets[rep][1][si][i] for rep in cfg.representations]
-            voted_o.append(majority_vote(o_votes))
-            voted_c.append(majority_vote(c_votes))
-        combined.append(
-            balance_brackets(
-                [mark_type(t, cfg.default_type) for t in voted_o],
-                [mark_type(t, cfg.default_type) for t in voted_c],
-                cfg.match_mode,
-            )
-        )
-    individual = {
-        rep: _spans_of_rep(chunker, sentences, rep) for rep in cfg.representations
-    }
-    return combined, individual
+    for si in range(len(brackets[0][0])):
+        voted_o = [majority_vote(v) for v in zip(*(opens[si] for opens, _ in brackets))]
+        voted_c = [majority_vote(v) for v in zip(*(closes[si] for _, closes in brackets))]
+        combined.append(_balance(cfg, voted_o, voted_c))
+    return combined
+
+
+def chunk_corpus_detail(chunker: Chunker, sentences: Sequence[Sentence]):
+    """Combined spans plus each representation's own spans (for comparison)."""
+    cfg = chunker.config
+    tags = _tag_streams(chunker, sentences)
+    individual = {}
+    for rep in cfg.representations:
+        if rep is Scheme.OC:
+            individual[rep] = [
+                _balance(cfg, o, c) for o, c in zip(tags[Scheme.O], tags[Scheme.C])
+            ]
+        else:
+            individual[rep] = [decode(t, rep, cfg.default_type) for t in tags[rep]]
+    return _voted_spans(cfg, tags), individual
 
 
 def chunk_np(sentences: Sequence[Sentence], chunker: Chunker):
     """Noun-phrase chunk spans per sentence via the five-step voting recipe."""
-    return chunk_corpus_detail(chunker, sentences)[0]
+    return _voted_spans(chunker.config, _tag_streams(chunker, sentences))
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +324,6 @@ class SinglePhaseChunker:
 class DoublePhaseChunker:
     boundary: Chunker  # untyped
     type_model: Model
-    head_rule: str = "default"
 
 
 @dataclass
@@ -476,41 +475,26 @@ class ClauseBracketer:
     close_model: Model
 
     def predict_opens(self, sentences: Sequence[Sentence]) -> list[list[int]]:
-        votes_per_model = []
-        bounds = []
-        feats_all: list[list[tuple[str, ...]]] = [[] for _ in self.open_models]
-        for s in sentences:
-            lo = len(feats_all[0])
-            for m, template in enumerate(self.config.open_templates):
-                feats_all[m].extend(extract(s, i, template) for i in range(len(s)))
-            bounds.append((lo, lo + len(s)))
-        for model, feats in zip(self.open_models, feats_all):
-            votes_per_model.append(classify_labels(model, feats))
-        out = []
-        for a, b in bounds:
-            opens = []
-            for i in range(a, b):
-                tag = majority_vote([votes[i] for votes in votes_per_model])
-                if tag == "(":
-                    opens.append(i - a)
-            out.append(opens)
-        return out
+        per_model = [
+            tag_sentences(model, template, sentences)
+            for model, template in zip(self.open_models, self.config.open_templates)
+        ]
+        return [
+            [i for i, votes in enumerate(zip(*per_sentence)) if majority_vote(votes) == "("]
+            for per_sentence in zip(*per_model)
+        ]
 
     def predict_closes(self, sentences: Sequence[Sentence]) -> list[list[int]]:
-        feats = []
-        meta = []  # (sentence index, origin end) per compressed token
-        for si, s in enumerate(sentences):
-            chunks = _chunk_spans_of(s)
-            compressed, origins = compress_mapped(s, chunks, self.config.head_rule)
-            for i in range(len(compressed)):
-                feats.append(extract(compressed, i, self.config.close_template))
-                meta.append((si, origins[i][1]))
-        labels = classify_labels(self.close_model, feats)
-        out: list[list[int]] = [[] for _ in sentences]
-        for (si, end), tag in zip(meta, labels):
-            if tag == ")":
-                out[si].append(end)
-        return out
+        views = [
+            compress_mapped(s, _chunk_spans_of(s), self.config.head_rule) for s in sentences
+        ]
+        tags = tag_sentences(
+            self.close_model, self.config.close_template, [c for c, _ in views]
+        )
+        return [
+            [origins[i][1] for i, tag in enumerate(stags) if tag == ")"]
+            for (_, origins), stags in zip(views, tags)
+        ]
 
 
 @dataclass
@@ -588,23 +572,16 @@ class BracketLevel:
     default_type: str = "NP"
 
     def predict(self, batch):
-        feats_o, feats_c, bounds = [], [], []
-        for tokens, _origin, _si in batch:
-            lo = len(feats_o)
-            feats_o.extend(extract(tokens, i, self.open_template) for i in range(len(tokens)))
-            feats_c.extend(extract(tokens, i, self.close_template) for i in range(len(tokens)))
-            bounds.append((lo, len(feats_o)))
-        otags = classify_labels(self.open_model, feats_o)
-        ctags = classify_labels(self.close_model, feats_c)
-        out = []
-        for a, b in bounds:
-            out.append(
-                (
-                    [mark_type(t, self.default_type) for t in otags[a:b]],
-                    [mark_type(t, self.default_type) for t in ctags[a:b]],
-                )
+        tokens = [t for t, _origin, _si in batch]
+        otags = tag_sentences(self.open_model, self.open_template, tokens)
+        ctags = tag_sentences(self.close_model, self.close_template, tokens)
+        return [
+            (
+                [mark_type(t, self.default_type) for t in o],
+                [mark_type(t, self.default_type) for t in c],
             )
-        return out
+            for o, c in zip(otags, ctags)
+        ]
 
 
 @dataclass

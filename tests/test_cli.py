@@ -1,5 +1,12 @@
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mbparse
 from mbparse.cli import main, run_command
 from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.errors import ConfigError
@@ -282,3 +289,84 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             main()
         assert err.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def small_bundle(tmp_path_factory):
+    d = tmp_path_factory.mktemp("bundle")
+    tr_s, tr_g = np_chunk_corpus(15, seed=60)
+    dump_chunk_file(d / "train.txt", tr_s, tr_g)
+    assert run_command(
+        ["train", "--task", "np-chunk", "--train", str(d / "train.txt"),
+         "--model", str(d / "model"), "--workers", "1"]
+    ) == 0
+    return d
+
+
+def _edit_line(path, prefix, replacement):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(replacement if l.startswith(prefix) else l for l in lines) + "\n")
+
+
+class TestBadBundles:
+    """A damaged bundle ends with exit status 1 and one ``error:`` line."""
+
+    def _chunk_exit(self, bundle, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(
+            sys, "argv",
+            ["mbparse", "chunk", "--model", str(bundle), "--input",
+             str(tmp_path / "train.txt"), "--output", str(tmp_path / "out.txt"),
+             "--workers", "1"],
+        )
+        with pytest.raises(SystemExit) as err:
+            main()
+        lines = capsys.readouterr().err.splitlines()
+        assert err.value.code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "prefix, replacement",
+        [
+            ("arity ", "arity two"),
+            ("k ", "k three"),
+            ("fallback ", "fallback yes"),
+            ("tie-policy ", "tie-policy coin_flip"),
+            ("weights ", "weights 0.5 heavy"),
+            ("classes ", "classes B\tmany"),
+        ],
+    )
+    def test_bad_model_header(self, small_bundle, tmp_path, monkeypatch, capsys,
+                              prefix, replacement):
+        bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
+        shutil.copy(small_bundle / "train.txt", tmp_path / "train.txt")
+        _edit_line(bundle / "IOB1.pass1.model", prefix, replacement)
+        self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize(
+        "prefix, replacement",
+        [
+            ("kind ", ""),
+            ("streams ", ""),
+            ("[stream O]", "[stream X]"),
+            ("representations ", "representations = IOB7"),
+            ("representations ", "representations IOB1"),
+        ],
+    )
+    def test_bad_manifest(self, small_bundle, tmp_path, monkeypatch, capsys,
+                          prefix, replacement):
+        bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
+        shutil.copy(small_bundle / "train.txt", tmp_path / "train.txt")
+        _edit_line(bundle / "manifest", prefix, replacement)
+        self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
+
+
+def test_module_entry_point_prints_usage():
+    src = str(Path(mbparse.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-m", "mbparse.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: mbparse")

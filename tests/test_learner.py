@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,9 @@ from mbparse.learner import (
     Model,
     TiePolicy,
     WeightTable,
+    _escape,
+    _ModelIndex,
+    _unescape,
     classify,
     classify_batch,
     entropy,
@@ -465,3 +469,89 @@ class TestPersistence:
         path.write_text(text)
         with pytest.raises(DomainError):
             load_model(path)
+
+    def test_loaded_table_carries_stored_weights_only(self, tmp_path):
+        data = [Instance(("a", "b"), "X"), Instance(("a", "c"), "Y")]
+        model = train(data, LearnerConfig(k=1))
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert load_model(path).weight_table == WeightTable(model.weight_table.weights)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("arity", "two"),
+            ("k", "three"),
+            ("k", "0"),
+            ("tie-policy", "coin_flip"),
+            ("fallback", "yes"),
+            ("weights", "0.5 heavy"),
+            ("classes", "X\tmany"),
+        ],
+    )
+    def test_bad_header_value_is_domain_error(self, tmp_path, field, bad):
+        model = train([Instance(("a", "b"), "X")], LearnerConfig(k=1))
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        lines = path.read_text().splitlines()
+        lines = [f"{field} {bad}" if l.split(" ", 1)[0] == field else l for l in lines]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DomainError):
+            load_model(path)
+
+
+def char_loop_unescape(text):
+    """Reference: walk every character, as the format's reader once did."""
+    out = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\\" and i + 1 < len(text):
+            nxt = text[i + 1]
+            out.append({"\\": "\\", "t": "\t", "n": "\n"}.get(nxt, nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab\\tn\t\n", max_size=12))
+def test_unescape_matches_char_loop(text):
+    assert _unescape(text) == char_loop_unescape(text)
+    assert _unescape(_escape(text)) == text
+
+
+def per_cell_index(instances, queries):
+    """Reference: integer-code one cell at a time, in row order."""
+    arity = len(instances[0].features)
+    codes = [{} for _ in range(arity)]
+    matrix = np.empty((len(instances), arity), dtype=np.int32)
+    for r, inst in enumerate(instances):
+        for i, v in enumerate(inst.features):
+            matrix[r, i] = codes[i].setdefault(v, len(codes[i]))
+    encoded = np.full((len(queries), arity), -1, dtype=np.int32)
+    for r, query in enumerate(queries):
+        for i, v in enumerate(query):
+            encoded[r, i] = codes[i].get(v, -1)
+    return codes, matrix, encoded
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_index_matches_per_cell_coding(data):
+    arity = data.draw(st.integers(1, 4))
+    row = st.tuples(*[st.sampled_from("abcd") for _ in range(arity)])
+    rows = data.draw(st.lists(row, min_size=1, max_size=30))
+    # "e" and "f" never occur in training, so they must code as -1
+    queries = data.draw(
+        st.lists(st.tuples(*[st.sampled_from("abcdef") for _ in range(arity)]), max_size=10)
+    )
+    instances = [Instance(feats, "X") for feats in rows]
+    index = _ModelIndex.build(uniform_model(instances))
+    codes, matrix, encoded = per_cell_index(instances, queries)
+    assert [list(c.items()) for c in index.codes] == [list(c.items()) for c in codes]
+    assert index.matrix.dtype == matrix.dtype and np.array_equal(index.matrix, matrix)
+    got = index.encode_queries(queries)
+    assert got.dtype == encoded.dtype and np.array_equal(got, encoded)

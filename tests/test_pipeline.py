@@ -1,7 +1,11 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mbparse import pipeline
+from mbparse.combine import majority_vote
 from mbparse.errors import ConfigError, DomainError
 from mbparse.evaluate import score
 from mbparse.features import Token, parse_template
@@ -38,7 +42,16 @@ from mbparse.pipeline import (
     train_np_parser,
     train_typed_chunker,
 )
-from mbparse.schemes import ChunkSpan, Scheme, clause_spans
+from mbparse.schemes import (
+    ChunkSpan,
+    MatchMode,
+    Scheme,
+    balance_brackets,
+    clause_spans,
+    convert,
+    decode,
+    mark_type,
+)
 from mbparse.synth import (
     clause_corpus,
     corpus_sections,
@@ -108,6 +121,120 @@ class TestChunkNp:
         combined, per_rep = chunk_corpus_detail(chunker, tr_s[:10])
         assert set(per_rep) == {Scheme.IOB1, Scheme.IOE2, Scheme.OC}
         assert len(combined) == 10
+
+    def test_each_stream_tagged_once(self, monkeypatch):
+        tr_s, tr_g = np_chunk_corpus(30, seed=6)
+        chunker = train_chunker(tr_s, tr_g)
+        calls = []
+        original = pipeline.classify_labels
+
+        def counting(model, queries):
+            calls.append(len(queries))
+            return original(model, queries)
+
+        monkeypatch.setattr(pipeline, "classify_labels", counting)
+        te_s, _ = np_chunk_corpus(5, seed=7)
+        chunk_np(te_s, chunker)
+        # IOB1, IOE2, O and C streams, two passes each
+        assert len(calls) == 8
+        assert set(calls) == {sum(len(s) for s in te_s)}
+
+
+def tag_twice_detail(chunker, sentences):
+    """Reference: the chunker as it was before tagging each stream once.  It
+    tags every stream for the vote and again for per-representation spans."""
+    cfg = chunker.config
+
+    def bracket_streams(rep):
+        if rep is Scheme.OC:
+            o = chunker.streams[Scheme.O].tag_corpus(sentences)
+            c = chunker.streams[Scheme.C].tag_corpus(sentences)
+            return o, c
+        tags = chunker.streams[rep].tag_corpus(sentences)
+        opens = [convert(t, rep, Scheme.O, cfg.default_type) for t in tags]
+        closes = [convert(t, rep, Scheme.C, cfg.default_type) for t in tags]
+        return opens, closes
+
+    def balance(o, c):
+        return balance_brackets(
+            [mark_type(t, cfg.default_type) for t in o],
+            [mark_type(t, cfg.default_type) for t in c],
+            cfg.match_mode,
+        )
+
+    def spans_of_rep(rep):
+        if rep is Scheme.OC:
+            opens, closes = bracket_streams(rep)
+            return [balance(o, c) for o, c in zip(opens, closes)]
+        tags = chunker.streams[rep].tag_corpus(sentences)
+        return [decode(t, rep, cfg.default_type) for t in tags]
+
+    per_rep = {rep: bracket_streams(rep) for rep in cfg.representations}
+    combined = []
+    for si, sentence in enumerate(sentences):
+        voted_o, voted_c = [], []
+        for i in range(len(sentence)):
+            voted_o.append(majority_vote([per_rep[r][0][si][i] for r in cfg.representations]))
+            voted_c.append(majority_vote([per_rep[r][1][si][i] for r in cfg.representations]))
+        combined.append(balance(voted_o, voted_c))
+    individual = {rep: spans_of_rep(rep) for rep in cfg.representations}
+    return combined, individual
+
+
+class FixedStream:
+    """Replays fixed tags, well-formed or not, and counts its calls."""
+
+    def __init__(self, tags):
+        self.tags = tags
+        self.calls = 0
+
+    def tag_corpus(self, sentences):
+        self.calls += 1
+        return [list(t) for t in self.tags]
+
+
+_KINDS = {
+    Scheme.IOB1: "IOB", Scheme.IOB2: "IOB", Scheme.IOE1: "IOE", Scheme.IOE2: "IOE",
+    Scheme.O: "(.", Scheme.C: ").",
+}
+_ALL_REPS = (Scheme.IOB1, Scheme.IOB2, Scheme.IOE1, Scheme.IOE2, Scheme.OC)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_detail_matches_tag_twice_reference(data):
+    reps = tuple(
+        data.draw(st.lists(st.sampled_from(_ALL_REPS), min_size=1, max_size=5, unique=True))
+    )
+    typed = data.draw(st.booleans())
+    match_mode = data.draw(st.sampled_from(list(MatchMode)))
+    lengths = data.draw(st.lists(st.integers(0, 7), max_size=5))
+    suffixes = ("-NP", "-VP") if typed else ("",)
+
+    def stream_tags(scheme):
+        tag = st.tuples(st.sampled_from(_KINDS[scheme]), st.sampled_from(suffixes)).map(
+            lambda kt: kt[0] if kt[0] in "O." else kt[0] + kt[1]
+        )
+        return [data.draw(st.lists(tag, min_size=n, max_size=n)) for n in lengths]
+
+    schemes = [Scheme.O, Scheme.C] if Scheme.OC in reps else []
+    tags = {s: stream_tags(s) for s in [r for r in reps if r is not Scheme.OC] + schemes}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cfg = PipelineConfig(
+            representations=reps,
+            default_type=data.draw(st.sampled_from(("NP", "CH"))),
+            match_mode=match_mode,
+        )
+    sentences = [[Token(f"w{i}", "NN") for i in range(n)] for n in lengths]
+
+    def chunker():
+        return Chunker(streams={s: FixedStream(t) for s, t in tags.items()}, config=cfg)
+
+    fresh = chunker()
+    assert chunk_corpus_detail(fresh, sentences) == tag_twice_detail(chunker(), sentences)
+    assert all(stream.calls == 1 for stream in fresh.streams.values())
+    assert chunk_np(sentences, chunker()) == tag_twice_detail(chunker(), sentences)[0]
 
 
 class TestChunkTyped:
