@@ -18,7 +18,6 @@ from .pipeline import (
     BracketLevel,
     Chunker,
     ClauseBracketer,
-    ClauseConfig,
     DoublePhaseChunker,
     FullParser,
     NpParser,
@@ -214,12 +213,9 @@ def load_typed_chunker(path) -> TypedChunker:
 def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
     manifest = _start_bundle(path, "clauses")
     manifest["bundle"]["open_templates"] = " | ".join(
-        format_template(t) for t in bracketer.config.open_templates
+        format_template(t) for t in bracketer.open_templates
     )
-    manifest["bundle"]["close_template"] = format_template(
-        bracketer.config.close_template
-    )
-    manifest["bundle"]["head_rule"] = bracketer.config.head_rule
+    manifest["bundle"]["close_template"] = format_template(bracketer.close_template)
     manifest["bundle"]["open_models"] = " ".join(
         f"open{i}.model" for i in range(len(bracketer.open_models))
     )
@@ -234,21 +230,19 @@ def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
 def load_clause_bracketer(path) -> ClauseBracketer:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "clauses")
-    config = ClauseConfig(
-        open_templates=tuple(
-            parse_template(t)
-            for t in manifest["bundle"]["open_templates"].split(" | ")
-        ),
-        close_template=parse_template(manifest["bundle"]["close_template"]),
-        head_rule=manifest["bundle"]["head_rule"],
-    )
     open_models = tuple(
         load_model(os.path.join(path, name))
         for name in manifest["bundle"]["open_models"].split()
     )
     close_model = load_model(os.path.join(path, manifest["bundle"]["close_model"]))
     return ClauseBracketer(
-        config=config, open_models=open_models, close_model=close_model
+        open_models=open_models,
+        close_model=close_model,
+        open_templates=tuple(
+            parse_template(t)
+            for t in manifest["bundle"]["open_templates"].split(" | ")
+        ),
+        close_template=parse_template(manifest["bundle"]["close_template"]),
     )
 
 
@@ -257,8 +251,7 @@ def _save_levels(levels, path, manifest) -> None:
     for i, level in enumerate(levels, 1):
         section = f"level {i}"
         manifest.add_section(section)
-        manifest[section]["open_template"] = format_template(level.open_template)
-        manifest[section]["close_template"] = format_template(level.close_template)
+        manifest[section]["template"] = format_template(level.template)
         manifest[section]["default_type"] = level.default_type
         manifest[section]["open_model"] = f"level{i:02d}.open.model"
         manifest[section]["close_model"] = f"level{i:02d}.close.model"
@@ -273,9 +266,8 @@ def _load_levels(path, manifest) -> list[BracketLevel]:
         section = manifest[f"level {i}"]
         levels.append(
             BracketLevel(
-                open_template=parse_template(section["open_template"]),
+                template=parse_template(section["template"]),
                 open_model=load_model(os.path.join(path, section["open_model"])),
-                close_template=parse_template(section["close_template"]),
                 close_model=load_model(os.path.join(path, section["close_model"])),
                 default_type=section["default_type"],
             )
@@ -285,7 +277,6 @@ def _load_levels(path, manifest) -> list[BracketLevel]:
 
 def save_np_parser(parser: NpParser, path) -> None:
     manifest = _start_bundle(path, "np-parser")
-    manifest["bundle"]["head_rule"] = parser.head_rule
     manifest["bundle"]["match_mode"] = parser.match_mode.value
     _save_chunker_into(parser.base, path, "base", manifest)
     _save_levels(parser.levels, path, manifest)
@@ -299,16 +290,13 @@ def load_np_parser(path) -> NpParser:
     return NpParser(
         base=_load_chunker_from(path, "base", manifest),
         levels=_load_levels(path, manifest),
-        head_rule=manifest["bundle"]["head_rule"],
         match_mode=MatchMode(manifest["bundle"]["match_mode"]),
     )
 
 
 def save_full_parser(parser: FullParser, path) -> None:
     manifest = _start_bundle(path, "full-parser")
-    manifest["bundle"]["head_rule"] = parser.head_rule
     manifest["bundle"]["match_mode"] = parser.match_mode.value
-    manifest["bundle"]["wrap_label"] = parser.wrap_label
     _save_typed_into(parser.base, path, manifest)
     _save_levels(parser.levels, path, manifest)
     _write_manifest(manifest, path)
@@ -321,7 +309,5 @@ def load_full_parser(path) -> FullParser:
     return FullParser(
         base=_load_typed_from(path, manifest),
         levels=_load_levels(path, manifest),
-        head_rule=manifest["bundle"]["head_rule"],
         match_mode=MatchMode(manifest["bundle"]["match_mode"]),
-        wrap_label=manifest["bundle"]["wrap_label"],
     )

@@ -54,6 +54,7 @@ from .schemes import Scheme, decode, encode
 from .xor import xor_experiment
 
 _TASKS = ("np-chunk", "typed-chunk", "clauses", "np-parse", "full-parse")
+_SCHEMES = [s.value for s in Scheme]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,7 +105,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--found", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--column", default="chunk", choices=["chunk", "tree", "clause"])
-    p.add_argument("--scheme", default="IOB1")
+    p.add_argument("--scheme", default="IOB1", choices=_SCHEMES)
     p.add_argument("--per-type", action="store_true")
     p.add_argument("--machine", action="store_true", help="line-format output")
 
@@ -113,7 +114,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--found", required=True)
     p.add_argument("--gold", required=True)
     p.add_argument("--column", default="chunk", choices=["chunk", "tree", "clause"])
-    p.add_argument("--scheme", default="IOB1")
+    p.add_argument("--scheme", default="IOB1", choices=_SCHEMES)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--tail", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
@@ -121,7 +122,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("select-features", help="wrapper feature selection")
     common(p)
     p.add_argument("--train", required=True)
-    p.add_argument("--scheme", default="IOB1")
+    p.add_argument("--scheme", default="IOB1", choices=_SCHEMES)
     p.add_argument("--candidates", default="w[-2..2] p[-2..2]")
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--folds", type=int, default=5)
@@ -159,8 +160,10 @@ def _load_cfg(args) -> cfgmod.Config:
 def _learner_config(cfg) -> LearnerConfig:
     return LearnerConfig(
         k=cfgmod.get_int(cfg, "learner", "k", 3),
-        tie_policy=TiePolicy(
-            cfgmod.get(cfg, "learner", "tie_policy", "global_class_frequency")
+        tie_policy=cfgmod.to_enum(
+            TiePolicy,
+            cfgmod.get(cfg, "learner", "tie_policy", "global_class_frequency"),
+            "learner.tie_policy",
         ),
         degenerate_weight_fallback=cfgmod.get_bool(cfg, "learner", "fallback", True),
     )
@@ -170,10 +173,14 @@ def _pipeline_config(cfg) -> PipelineConfig:
     kwargs = {}
     reps = cfgmod.get(cfg, "chunker", "representations")
     if reps:
-        kwargs["representations"] = tuple(Scheme(r) for r in reps.split())
+        kwargs["representations"] = tuple(
+            cfgmod.to_enum(Scheme, r, "chunker.representations") for r in reps.split()
+        )
     strategy = cfgmod.get(cfg, "chunker", "type_strategy")
     if strategy:
-        kwargs["type_strategy"] = TypeStrategy(strategy)
+        kwargs["type_strategy"] = cfgmod.to_enum(
+            TypeStrategy, strategy, "chunker.type_strategy"
+        )
     default_type = cfgmod.get(cfg, "chunker", "default_type")
     if default_type:
         kwargs["default_type"] = default_type
@@ -194,7 +201,6 @@ def _pipeline_config(cfg) -> PipelineConfig:
     if changed:
         kwargs["pass1_templates"] = pass1
         kwargs["pass2_templates"] = pass2
-    kwargs["k_chunk"] = cfgmod.get_int(cfg, "learner", "k", 3)
     kwargs["k_parse"] = cfgmod.get_int(cfg, "parser", "k", 1)
     kwargs["max_parse_levels"] = cfgmod.get_int(cfg, "parser", "max_levels", 19)
     kwargs["np_parse_levels"] = cfgmod.get_int(cfg, "parser", "np_levels", 6)
@@ -284,11 +290,11 @@ def _cmd_train(args, cfg) -> int:
         bundles.save_clause_bracketer(bracketer, args.model)
     elif args.task == "np-parse":
         sentences, gold = _read_spans(args.train, "tree", "IOB1")
-        parser = train_np_parser(sentences, gold, pcfg)
+        parser = train_np_parser(sentences, gold, pcfg, lcfg)
         bundles.save_np_parser(parser, args.model)
     else:  # full-parse
         sentences, gold = _read_spans(args.train, "tree", "IOB1")
-        parser = train_full_parser(sentences, gold, pcfg)
+        parser = train_full_parser(sentences, gold, pcfg, lcfg)
         bundles.save_full_parser(parser, args.model)
     print(f"saved {args.task} bundle to {args.model}")
     return 0
@@ -476,12 +482,13 @@ def _cmd_combine(args, cfg) -> int:
 
 
 def _parse_extra(text: str) -> list[int]:
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    if "," in text:
+    try:
+        if ".." in text:
+            lo, _, hi = text.partition("..")
+            return list(range(int(lo), int(hi) + 1))
         return [int(x) for x in text.split(",")]
-    return [int(text)]
+    except ValueError:
+        raise ConfigError(f"--extra {text!r} is not N, N..M or a comma list") from None
 
 
 def _cmd_xor(args, cfg) -> int:

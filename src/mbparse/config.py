@@ -7,15 +7,15 @@ from typing import Mapping
 
 from .errors import ConfigError
 
-# Known keys per section.  Unknown sections or keys are rejected so that a
-# typo cannot silently fall back to a default.
+# Known keys per section, each one read by the command line.  Unknown
+# sections or keys are rejected so that a typo cannot silently fall back to a
+# default.
 SCHEMA: dict[str, set[str]] = {
-    "run": {"seed", "workers"},
+    "run": {"workers"},
     "learner": {"k", "tie_policy", "fallback"},
     "chunker": {
         "representations",
         "default_type",
-        "typed",
         "pass1.IOB1",
         "pass2.IOB1",
         "pass1.IOB2",
@@ -29,20 +29,9 @@ SCHEMA: dict[str, set[str]] = {
         "pass1.C",
         "pass2.C",
         "type_strategy",
-        "combiner",
     },
-    "clauses": {"open_templates", "close_template", "k"},
-    "parser": {
-        "max_levels",
-        "np_levels",
-        "level_template",
-        "k",
-        "match_mode",
-    },
-    "eval": {"beta", "bootstrap_samples", "tail", "scheme"},
-    "selection": {"beam", "folds", "candidates", "scheme"},
-    "combine": {"method"},
-    "xor": {"runs", "extra", "k"},
+    "parser": {"max_levels", "np_levels", "level_template", "k"},
+    "eval": {"beta"},
 }
 
 Config = dict[str, dict[str, str]]
@@ -54,7 +43,7 @@ def load_config(path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     cfg = {section: dict(parser[section]) for section in parser.sections()}
     validate_config(cfg)
@@ -64,12 +53,10 @@ def load_config(path) -> Config:
 def validate_config(cfg: Config) -> None:
     problems = []
     for section, values in cfg.items():
-        if section not in SCHEMA:
+        if section not in SCHEMA and not values:
             problems.append(f"unknown section [{section}]")
-            continue
-        for key in values:
-            if key not in SCHEMA[section]:
-                problems.append(f"unknown key {section}.{key}")
+        known = SCHEMA.get(section, ())
+        problems.extend(f"unknown key {section}.{key}" for key in values if key not in known)
     if problems:
         raise ConfigError("invalid configuration: " + ", ".join(problems))
 
@@ -108,6 +95,15 @@ def get_float(cfg: Config, section: str, key: str, default: float) -> float:
         return float(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key} must be a number, got {raw!r}") from None
+
+
+def to_enum(enum, raw: str, name: str):
+    """``enum(raw)``, or a ConfigError naming the key or flag ``name``."""
+    try:
+        return enum(raw)
+    except ValueError:
+        choices = ", ".join(m.value for m in enum)
+        raise ConfigError(f"{name} must be one of {choices}, got {raw!r}") from None
 
 
 def get_bool(cfg: Config, section: str, key: str, default: bool) -> bool:

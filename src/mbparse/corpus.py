@@ -26,8 +26,11 @@ def read_corpus(path, columns: Sequence[str] | None = None):
     Returns (sentences, columns).  A ``#columns: word pos chunk`` header
     declares roles; otherwise ``columns`` (or the default) applies.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
 
     start = 0
     if lines and lines[0].startswith("#columns:"):

@@ -167,25 +167,12 @@ def np_head(chunk: Sequence[Token]) -> int:
     return last if last is not None else len(chunk) - 1
 
 
-def _default_head(chunk: Sequence[Token], chunk_type: str) -> int:
-    return np_head(chunk) if chunk_type == "NP" else len(chunk) - 1
-
-
-HEAD_RULES: dict[str, Callable[[Sequence[Token], str], int]] = {
-    "default": _default_head,
-    "final": lambda chunk, _type: len(chunk) - 1,
-}
-
-
 def compress_mapped(
-    sentence: Sequence[Token],
-    chunks: Iterable[ChunkSpan],
-    head_rule: str | Callable[[Sequence[Token], str], int] = "default",
+    sentence: Sequence[Token], chunks: Iterable[ChunkSpan]
 ) -> tuple[list[Token], list[tuple[int, int]]]:
     """Compress chunks to their head words; the head's POS becomes the chunk
     type.  Also returns, per output token, the original (start, end) range it
     stands for."""
-    rule = HEAD_RULES[head_rule] if isinstance(head_rule, str) else head_rule
     ordered = sorted(chunks)
     prev_end = -1
     for s in ordered:
@@ -203,7 +190,9 @@ def compress_mapped(
             out.append(sentence[i])
             origins.append((i, i))
             i += 1
-        head = sentence[s.start + rule(sentence[s.start : s.end + 1], s.type)]
+        chunk = sentence[s.start : s.end + 1]
+        # noun phrases keep their noun head, other chunks their final token
+        head = chunk[np_head(chunk) if s.type == "NP" else len(chunk) - 1]
         out.append(Token(word=head.word, pos=s.type))
         origins.append((s.start, s.end))
         i = s.end + 1
@@ -214,12 +203,8 @@ def compress_mapped(
     return out, origins
 
 
-def compress(
-    sentence: Sequence[Token],
-    chunks: Iterable[ChunkSpan],
-    head_rule: str | Callable[[Sequence[Token], str], int] = "default",
-) -> list[Token]:
-    return compress_mapped(sentence, chunks, head_rule)[0]
+def compress(sentence: Sequence[Token], chunks: Iterable[ChunkSpan]) -> list[Token]:
+    return compress_mapped(sentence, chunks)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .combine import CombineMethod, majority_vote
+from .combine import majority_vote
 from .errors import ConfigError, DomainError
 from .features import (
     FeatureTemplate,
@@ -78,8 +78,6 @@ class PipelineConfig:
         default_factory=lambda: dict(DEFAULT_PASS2)
     )
     type_strategy: TypeStrategy = TypeStrategy.DOUBLE_PHASE
-    combiner: CombineMethod = CombineMethod.MAJORITY
-    k_chunk: int = 3
     k_parse: int = 1
     max_parse_levels: int = 19
     np_parse_levels: int = 6
@@ -89,7 +87,6 @@ class PipelineConfig:
     level_template: FeatureTemplate = field(
         default_factory=lambda: parse_template("w[-2..2] p[-2..2]")
     )
-    head_rule: str = "default"
 
     def __post_init__(self):
         if not self.representations:
@@ -105,12 +102,22 @@ def _streams_for(rep: Scheme) -> tuple[Scheme, ...]:
     return (Scheme.O, Scheme.C) if rep is Scheme.OC else (rep,)
 
 
-def _chunk_learner(config: PipelineConfig) -> LearnerConfig:
-    return LearnerConfig(k=config.k_chunk)
-
-
 # ---------------------------------------------------------------------------
 # Two-pass per-representation taggers.
+
+
+def _extract_all(template: FeatureTemplate, sentences: Sequence[Sentence], context=None):
+    """Feature vectors of every token of every sentence, plus each sentence's
+    (start, end) range in that list."""
+    feats: list[tuple[str, ...]] = []
+    bounds = []
+    for si, s in enumerate(sentences):
+        lo = len(feats)
+        if context is not None:
+            s = [replace(t, chunk_tag=c) for t, c in zip(s, context[si])]
+        feats.extend(extract(s, i, template) for i in range(len(s)))
+        bounds.append((lo, len(feats)))
+    return feats, bounds
 
 
 def tag_sentences(
@@ -122,14 +129,7 @@ def tag_sentences(
     """One label per token, from a single batched classification of all
     sentences.  ``context`` gives per-sentence chunk tags that the template's
     chunk channel reads in place of the tokens' own."""
-    feats: list[tuple[str, ...]] = []
-    bounds = []
-    for si, s in enumerate(sentences):
-        lo = len(feats)
-        if context is not None:
-            s = [replace(t, chunk_tag=c) for t, c in zip(s, context[si])]
-        feats.extend(extract(s, i, template) for i in range(len(s)))
-        bounds.append((lo, len(feats)))
+    feats, bounds = _extract_all(template, sentences, context)
     labels = classify_labels(model, feats)
     return [labels[a:b] for a, b in bounds]
 
@@ -227,7 +227,7 @@ def train_chunker(
     learner_config: LearnerConfig | None = None,
 ) -> Chunker:
     config = config or PipelineConfig()
-    learner_config = learner_config or _chunk_learner(config)
+    learner_config = learner_config or LearnerConfig()
     streams: dict[Scheme, object] = {}
     for rep in config.representations:
         for scheme in _streams_for(rep):
@@ -249,13 +249,6 @@ def _tag_streams(chunker: Chunker, sentences) -> dict[Scheme, list[list[str]]]:
     """Tags per sentence of every stream the representations need, each
     stream tagged once."""
     cfg = chunker.config
-    if cfg.combiner is not CombineMethod.MAJORITY:
-        # weighted combiners need tuning outputs; they live in the combine
-        # module and the `combine` command
-        raise ConfigError(
-            f"bracket-stream combination supports majority voting only, "
-            f"not {cfg.combiner.value}"
-        )
     needed = dict.fromkeys(s for rep in cfg.representations for s in _streams_for(rep))
     for scheme in needed:
         if scheme not in chunker.streams:
@@ -361,7 +354,7 @@ def train_typed_chunker(
     learner_config: LearnerConfig | None = None,
 ) -> TypedChunker:
     config = config or PipelineConfig()
-    learner_config = learner_config or _chunk_learner(config)
+    learner_config = learner_config or LearnerConfig()
     gold = [sorted(g) for g in gold]
 
     if strategy is TypeStrategy.SINGLE_PHASE:
@@ -436,24 +429,13 @@ def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
 # Clause identification.
 
 
-def _default_open_templates() -> tuple[FeatureTemplate, ...]:
-    # three information-pair learners, context one
-    return (
-        parse_template("w[-1..1] p[-1..1]"),
-        parse_template("w[-1..1] c[-1,1]"),
-        parse_template("p[-1..1] c[-1,1]"),
-    )
-
-
-@dataclass(frozen=True)
-class ClauseConfig:
-    open_templates: tuple[FeatureTemplate, ...] = field(
-        default_factory=_default_open_templates
-    )
-    close_template: FeatureTemplate = field(
-        default_factory=lambda: parse_template("w[-3..3] p[-3..3]")
-    )
-    head_rule: str = "default"
+# three information-pair learners, context one
+CLAUSE_OPEN_TEMPLATES = (
+    parse_template("w[-1..1] p[-1..1]"),
+    parse_template("w[-1..1] c[-1,1]"),
+    parse_template("p[-1..1] c[-1,1]"),
+)
+CLAUSE_CLOSE_TEMPLATE = parse_template("w[-3..3] p[-3..3]")
 
 
 def _chunk_spans_of(sentence: Sentence) -> list[ChunkSpan]:
@@ -470,14 +452,15 @@ class ClauseBracketer:
     """Open brackets from a majority of three taggers over the raw tokens;
     close brackets from one tagger over the chunk-compressed sentence."""
 
-    config: ClauseConfig
     open_models: tuple[Model, ...]
     close_model: Model
+    open_templates: tuple[FeatureTemplate, ...] = CLAUSE_OPEN_TEMPLATES
+    close_template: FeatureTemplate = CLAUSE_CLOSE_TEMPLATE
 
     def predict_opens(self, sentences: Sequence[Sentence]) -> list[list[int]]:
         per_model = [
             tag_sentences(model, template, sentences)
-            for model, template in zip(self.open_models, self.config.open_templates)
+            for model, template in zip(self.open_models, self.open_templates)
         ]
         return [
             [i for i, votes in enumerate(zip(*per_sentence)) if majority_vote(votes) == "("]
@@ -485,12 +468,8 @@ class ClauseBracketer:
         ]
 
     def predict_closes(self, sentences: Sequence[Sentence]) -> list[list[int]]:
-        views = [
-            compress_mapped(s, _chunk_spans_of(s), self.config.head_rule) for s in sentences
-        ]
-        tags = tag_sentences(
-            self.close_model, self.config.close_template, [c for c, _ in views]
-        )
+        views = [compress_mapped(s, _chunk_spans_of(s)) for s in sentences]
+        tags = tag_sentences(self.close_model, self.close_template, [c for c, _ in views])
         return [
             [origins[i][1] for i, tag in enumerate(stags) if tag == ")"]
             for (_, origins), stags in zip(views, tags)
@@ -515,15 +494,13 @@ class OracleClauseBracketer:
 def train_clause_bracketer(
     sentences: Sequence[Sentence],
     forests: Sequence[Sequence[ClauseNode]],
-    config: ClauseConfig | None = None,
     learner_config: LearnerConfig | None = None,
 ) -> ClauseBracketer:
-    config = config or ClauseConfig()
-    learner_config = learner_config or LearnerConfig(k=3)
+    learner_config = learner_config or LearnerConfig()
 
     open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
     open_models = []
-    for template in config.open_templates:
+    for template in CLAUSE_OPEN_TEMPLATES:
         inst = [
             Instance(
                 extract(s, i, template), "(" if i in open_sets[si] else "."
@@ -537,15 +514,12 @@ def train_clause_bracketer(
     for si, s in enumerate(sentences):
         ends = {e for _, e in clause_spans(forests[si])}
         chunks = _chunk_spans_of(s)
-        compressed, origins = compress_mapped(s, chunks, config.head_rule)
+        compressed, origins = compress_mapped(s, chunks)
         for i in range(len(compressed)):
             a, b = origins[i]
             label = ")" if any(a <= e <= b for e in ends) else "."
-            close_inst.append(Instance(extract(compressed, i, config.close_template), label))
-    close_model = train(close_inst, learner_config)
-    return ClauseBracketer(
-        config=config, open_models=tuple(open_models), close_model=close_model
-    )
+            close_inst.append(Instance(extract(compressed, i, CLAUSE_CLOSE_TEMPLATE), label))
+    return ClauseBracketer(tuple(open_models), train(close_inst, learner_config))
 
 
 def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[ClauseNode]]:
@@ -563,24 +537,24 @@ def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[Clau
 
 @dataclass
 class BracketLevel:
-    """Open/close mark predictors for one nesting level."""
+    """Open/close mark predictors for one nesting level; both read the same
+    features, extracted once per token."""
 
-    open_template: FeatureTemplate
+    template: FeatureTemplate
     open_model: Model
-    close_template: FeatureTemplate
     close_model: Model
     default_type: str = "NP"
 
     def predict(self, batch):
-        tokens = [t for t, _origin, _si in batch]
-        otags = tag_sentences(self.open_model, self.open_template, tokens)
-        ctags = tag_sentences(self.close_model, self.close_template, tokens)
+        feats, bounds = _extract_all(self.template, [t for t, _origin, _si in batch])
+        otags = classify_labels(self.open_model, feats)
+        ctags = classify_labels(self.close_model, feats)
         return [
             (
-                [mark_type(t, self.default_type) for t in o],
-                [mark_type(t, self.default_type) for t in c],
+                [mark_type(t, self.default_type) for t in otags[a:b]],
+                [mark_type(t, self.default_type) for t in ctags[a:b]],
             )
-            for o, c in zip(otags, ctags)
+            for a, b in bounds
         ]
 
 
@@ -635,7 +609,6 @@ def _run_cascade(
     sentences: Sequence[Sentence],
     base_spans: Sequence[Iterable[ChunkSpan]],
     levels: Sequence,
-    head_rule: str,
     match_mode: MatchMode,
     early_stop: bool,
 ):
@@ -658,7 +631,7 @@ def _run_cascade(
         if active:
             for i in active:
                 st = states[i]
-                new_tokens, rel = compress_mapped(st.tokens, st.top, head_rule)
+                new_tokens, rel = compress_mapped(st.tokens, st.top)
                 st.origin = [
                     (st.origin[a][0], st.origin[b][1]) for a, b in rel
                 ]
@@ -687,16 +660,13 @@ def _run_cascade(
 class NpParser:
     base: Chunker
     levels: list[BracketLevel | OracleBracketLevel | None]
-    head_rule: str = "default"
     match_mode: MatchMode = MatchMode.SAME_TYPE
 
 
 def parse_np(sentences: Sequence[Sentence], parser: NpParser):
     """Nested noun-phrase span sets found by repeated chunking."""
     base = chunk_np(sentences, parser.base)
-    states, _ = _run_cascade(
-        sentences, base, parser.levels, parser.head_rule, parser.match_mode, True
-    )
+    states, _ = _run_cascade(sentences, base, parser.levels, parser.match_mode, True)
     return [sorted(st.spans) for st in states]
 
 
@@ -704,20 +674,16 @@ def parse_np(sentences: Sequence[Sentence], parser: NpParser):
 class FullParser:
     base: TypedChunker
     levels: list[BracketLevel | OracleBracketLevel | None]
-    head_rule: str = "default"
     match_mode: MatchMode = MatchMode.SAME_TYPE
-    wrap_label: str = "S"
 
 
-def _wrap_roots(states: list[_CascadeState], label: str):
+def _wrap_roots(states: list[_CascadeState]):
+    """Add an "S" span over each non-empty sentence that lacks one."""
     out = []
     for st in states:
         spans = set(st.spans)
-        root = ChunkSpan(0, st.length - 1, label)
-        if st.length and not any(
-            s.start == 0 and s.end == st.length - 1 and s.type == label for s in spans
-        ):
-            spans.add(root)
+        if st.length:
+            spans.add(ChunkSpan(0, st.length - 1, "S"))
         out.append(sorted(spans))
     return out
 
@@ -732,10 +698,8 @@ def parse_full_levels(sentences: Sequence[Sentence], parser: FullParser):
     """Like ``parse_full`` but also returns the per-level cumulative span sets
     (base first, final wrapped result last)."""
     base = chunk_typed(sentences, parser.base)
-    states, snapshots = _run_cascade(
-        sentences, base, parser.levels, parser.head_rule, parser.match_mode, False
-    )
-    wrapped = _wrap_roots(states, parser.wrap_label)
+    states, snapshots = _run_cascade(sentences, base, parser.levels, parser.match_mode, False)
+    wrapped = _wrap_roots(states)
     snapshots.append(wrapped)
     return wrapped, snapshots
 
@@ -762,7 +726,7 @@ def stratify_levels(spans: Iterable[ChunkSpan]) -> dict[int, list[ChunkSpan]]:
     return {lvl: sorted(group) for lvl, group in out.items()}
 
 
-def _level_views(sentence: Sentence, by_level: dict[int, list[ChunkSpan]], level: int, head_rule: str):
+def _level_views(sentence: Sentence, by_level: dict[int, list[ChunkSpan]], level: int):
     """Tokens compressed by all structure below ``level`` plus the position
     map from original indices into the compressed sentence."""
     tokens = list(sentence)
@@ -772,7 +736,7 @@ def _level_views(sentence: Sentence, by_level: dict[int, list[ChunkSpan]], level
         cur_spans = [
             ChunkSpan(orig2cur[s.start], orig2cur[s.end], s.type) for s in here
         ]
-        tokens, rel = compress_mapped(tokens, cur_spans, head_rule)
+        tokens, rel = compress_mapped(tokens, cur_spans)
         back = {}
         for j, (a, b) in enumerate(rel):
             for c in range(a, b + 1):
@@ -788,7 +752,6 @@ def train_bracket_level(
     template: FeatureTemplate,
     learner_config: LearnerConfig,
     typed: bool,
-    head_rule: str = "default",
     default_type: str = "NP",
 ) -> BracketLevel | None:
     """Train one level's open/close predictors on brackets of that level only,
@@ -796,7 +759,7 @@ def train_bracket_level(
     inst_o, inst_c = [], []
     seen_any = False
     for s, by_level in zip(sentences, stratified):
-        tokens, orig2cur = _level_views(s, by_level, level, head_rule)
+        tokens, orig2cur = _level_views(s, by_level, level)
         spans = by_level.get(level, [])
         if spans:
             seen_any = True
@@ -814,12 +777,32 @@ def train_bracket_level(
     if not seen_any:
         return None
     return BracketLevel(
-        open_template=template,
+        template=template,
         open_model=train(inst_o, learner_config),
-        close_template=template,
         close_model=train(inst_c, learner_config),
         default_type=default_type,
     )
+
+
+def _train_levels(sentences, stratified, config, learner_config, count, typed):
+    """Bracket levels 1..count at k = ``config.k_parse``, up to the first
+    level with no gold spans."""
+    level_cfg = replace(learner_config, k=config.k_parse)
+    levels = []
+    for level in range(1, count + 1):
+        lm = train_bracket_level(
+            sentences,
+            stratified,
+            level,
+            config.level_template,
+            level_cfg,
+            typed=typed,
+            default_type=config.default_type,
+        )
+        if lm is None:
+            break
+        levels.append(lm)
+    return levels
 
 
 def train_np_parser(
@@ -831,29 +814,14 @@ def train_np_parser(
     """Base chunker on the lowest noun phrases plus one bracket-predictor pair
     per nesting level, each trained on its own level's brackets only."""
     config = config or PipelineConfig()
+    learner_config = learner_config or LearnerConfig()
     stratified = [stratify_levels(g) for g in gold]
     base_gold = [by.get(0, []) for by in stratified]
-    base = train_chunker(
-        sentences, base_gold, replace(config, typed=False), learner_config or _chunk_learner(config)
+    base = train_chunker(sentences, base_gold, replace(config, typed=False), learner_config)
+    levels = _train_levels(
+        sentences, stratified, config, learner_config, config.np_parse_levels, typed=False
     )
-    level_cfg = learner_config or LearnerConfig(k=config.k_parse)
-    levels = []
-    for level in range(1, config.np_parse_levels + 1):
-        lm = train_bracket_level(
-            sentences,
-            stratified,
-            level,
-            config.level_template,
-            level_cfg,
-            typed=False,
-            head_rule=config.head_rule,
-            default_type=config.default_type,
-        )
-        if lm is None:
-            break
-        levels.append(lm)
-    return NpParser(base=base, levels=levels, head_rule=config.head_rule,
-                    match_mode=config.match_mode)
+    return NpParser(base=base, levels=levels, match_mode=config.match_mode)
 
 
 def train_full_parser(
@@ -863,30 +831,13 @@ def train_full_parser(
     learner_config: LearnerConfig | None = None,
 ) -> FullParser:
     config = config or PipelineConfig()
+    learner_config = learner_config or LearnerConfig()
     stratified = [stratify_levels(g) for g in gold]
     base_gold = [by.get(0, []) for by in stratified]
     base = train_typed_chunker(
-        sentences,
-        base_gold,
-        config.type_strategy,
-        config,
-        learner_config or _chunk_learner(config),
+        sentences, base_gold, config.type_strategy, config, learner_config
     )
-    level_cfg = learner_config or LearnerConfig(k=config.k_parse)
-    levels = []
-    for level in range(1, config.max_parse_levels + 1):
-        lm = train_bracket_level(
-            sentences,
-            stratified,
-            level,
-            config.level_template,
-            level_cfg,
-            typed=True,
-            head_rule=config.head_rule,
-            default_type=config.default_type,
-        )
-        if lm is None:
-            break
-        levels.append(lm)
-    return FullParser(base=base, levels=levels, head_rule=config.head_rule,
-                      match_mode=config.match_mode)
+    levels = _train_levels(
+        sentences, stratified, config, learner_config, config.max_parse_levels, typed=True
+    )
+    return FullParser(base=base, levels=levels, match_mode=config.match_mode)

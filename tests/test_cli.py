@@ -1,3 +1,4 @@
+import argparse
 import os
 import shutil
 import subprocess
@@ -7,11 +8,18 @@ from pathlib import Path
 import pytest
 
 import mbparse
+from mbparse import cli, config as cfgmod
 from mbparse.cli import main, run_command
 from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.errors import ConfigError
 from mbparse.schemes import Scheme, encode
-from mbparse.synth import clause_corpus, np_chunk_corpus, parse_corpus, typed_chunk_corpus
+from mbparse.synth import (
+    clause_corpus,
+    nested_np_corpus,
+    np_chunk_corpus,
+    parse_corpus,
+    typed_chunk_corpus,
+)
 
 
 def dump_chunk_file(path, sentences, gold, typed=False):
@@ -289,6 +297,107 @@ class TestErrors:
         with pytest.raises(SystemExit) as err:
             main()
         assert err.value.code == 2
+
+
+def _main_exit(argv, monkeypatch, capsys):
+    """Exit status and standard-error lines of ``main`` run on ``argv``."""
+    monkeypatch.setattr(sys, "argv", ["mbparse", *argv])
+    with pytest.raises(SystemExit) as err:
+        main()
+    return err.value.code, capsys.readouterr().err.splitlines()
+
+
+class TestStrictValues:
+    """A bad value ends in one ``error:`` line that names the key or flag."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["train", "--task", "np-chunk", "--set", "learner.tie_policy=bogus"],
+             "learner.tie_policy"),
+            (["train", "--task", "np-chunk", "--set", "chunker.representations=XYZ"],
+             "chunker.representations"),
+            (["train", "--task", "typed-chunk", "--set", "chunker.type_strategy=bogus"],
+             "chunker.type_strategy"),
+            (["evaluate", "--scheme", "bogus"], "--scheme"),
+            (["bootstrap", "--scheme", "bogus"], "--scheme"),
+            (["select-features", "--scheme", "bogus"], "--scheme"),
+            (["xor-experiment", "--extra", "a..b"], "--extra"),
+            (["xor-experiment", "--set", "run.seed=1"], "unknown key run.seed"),
+            (["xor-experiment", "--set", "xor.k=1"], "unknown key xor.k"),
+        ],
+    )
+    def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a\tNN\tB-NP\n")
+        paths = {"train": ["--train", str(corpus), "--model", str(tmp_path / "m")],
+                 "evaluate": ["--found", str(corpus), "--gold", str(corpus)],
+                 "bootstrap": ["--found", str(corpus), "--gold", str(corpus)],
+                 "select-features": ["--train", str(corpus)],
+                 "xor-experiment": ["--runs", "1"]}
+        code, lines = _main_exit(argv + paths[argv[0]], monkeypatch, capsys)
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert name in lines[0]
+
+    def test_non_utf8_corpus_is_io_error(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"caf\xe9\tNN\tB-NP\n")
+        code, lines = _main_exit(
+            ["evaluate", "--found", str(bad), "--gold", str(bad)], monkeypatch, capsys
+        )
+        assert code == 2
+        assert len(lines) == 1 and lines[0].startswith("i/o error: ")
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.ini"
+        bad.write_bytes(b"[learner]\nk = \xe9\n")
+        code, lines = _main_exit(
+            ["xor-experiment", "--extra", "0", "--runs", "1", "--config", str(bad)],
+            monkeypatch, capsys,
+        )
+        assert code == 1
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def test_every_schema_key_is_read(tmp_path, monkeypatch, capsys):
+    """The command line reads every key the schema accepts, so no accepted
+    key can silently do nothing."""
+    seen = set()
+    original = cfgmod.get
+
+    def recording(cfg, section, key, default=None):
+        seen.add((section, key))
+        return original(cfg, section, key, default)
+
+    monkeypatch.setattr(cfgmod, "get", recording)
+    cli._learner_config({})
+    cli._pipeline_config({})
+    cli._workers(argparse.Namespace(workers=0), {})
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a\tNN\tB-NP\n")
+    assert run_command(["evaluate", "--found", str(corpus), "--gold", str(corpus)]) == 0
+    assert seen == {(s, k) for s, keys in cfgmod.SCHEMA.items() for k in keys}
+
+
+@pytest.mark.parametrize(
+    "task, generate", [("np-parse", nested_np_corpus), ("full-parse", parse_corpus)]
+)
+def test_parsers_honour_learner_section(task, generate, tmp_path):
+    sentences, gold = generate(30, seed=47)
+    dump_tree_file(tmp_path / "train.txt", sentences, gold)
+    assert run_command(
+        ["train", "--task", task, "--train", str(tmp_path / "train.txt"),
+         "--model", str(tmp_path / "m"), "--workers", "1",
+         "--set", "learner.tie_policy=lexicographic", "--set", "learner.fallback=false"]
+    ) == 0
+    models = sorted((tmp_path / "m").glob("*.model"))
+    assert any(p.name.startswith("level") for p in models)
+    for path in models:
+        header = path.read_text(encoding="utf-8").splitlines()[:5]
+        assert "tie-policy lexicographic" in header, path.name
+        assert "fallback 0" in header, path.name
+        assert ("k 1" if path.name.startswith("level") else "k 3") in header, path.name
 
 
 @pytest.fixture(scope="module")

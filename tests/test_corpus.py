@@ -136,7 +136,7 @@ k = 5
 fallback = yes
 
 [run]
-seed = 11
+workers = 11
 """
 
 
@@ -147,7 +147,7 @@ class TestConfig:
         cfg = load_config(path)
         assert get_int(cfg, "learner", "k", 3) == 5
         assert get_bool(cfg, "learner", "fallback", False) is True
-        assert get_int(cfg, "run", "seed", 0) == 11
+        assert get_int(cfg, "run", "workers", 0) == 11
         assert get_float(cfg, "eval", "beta", 1.0) == 1.0  # default
 
     def test_unknown_keys_listed(self, tmp_path):

@@ -36,6 +36,7 @@ from mbparse.pipeline import (
     parse_full_levels,
     parse_np,
     stratify_levels,
+    tag_sentences,
     train_chunker,
     train_clause_bracketer,
     train_full_parser,
@@ -455,6 +456,65 @@ class TestParseFull:
         parser = FullParser(base=base, levels=[OracleBracketLevel(gold)] * 8)
         out = parse_full(sents, parser)
         assert [sorted(set(o)) for o in out] == [sorted(set(g)) for g in gold]
+
+
+def predict_per_model(level, batch):
+    """Reference: ``BracketLevel.predict`` as it was with a template per
+    model, extracting every token's features once for each of its two
+    models."""
+    tokens = [t for t, _origin, _si in batch]
+    otags = tag_sentences(level.open_model, level.template, tokens)
+    ctags = tag_sentences(level.close_model, level.template, tokens)
+    return [
+        (
+            [mark_type(t, level.default_type) for t in o],
+            [mark_type(t, level.default_type) for t in c],
+        )
+        for o, c in zip(otags, ctags)
+    ]
+
+
+@pytest.fixture(scope="module")
+def trained_levels():
+    """Levels 1-3 trained on ``parse_corpus``, plus each level's test batch:
+    test sentences compressed by the gold structure below that level."""
+    tr_s, tr_g = parse_corpus(60, seed=35)
+    te_s, te_g = parse_corpus(20, seed=36)
+    tr_by = [stratify_levels(g) for g in tr_g]
+    te_by = [stratify_levels(g) for g in te_g]
+    out = []
+    for level in (1, 2, 3):
+        lm = pipeline.train_bracket_level(
+            tr_s, tr_by, level, parse_template("w[-2..2] p[-2..2]"),
+            LearnerConfig(k=1), typed=True,
+        )
+        batch = [
+            (pipeline._level_views(s, by, level)[0], None, si)
+            for si, (s, by) in enumerate(zip(te_s, te_by))
+        ]
+        batch.insert(1, ([], None, len(batch)))  # an empty sentence
+        out.append((lm, batch))
+    return out
+
+
+class TestBracketLevel:
+    def test_predict_matches_per_model_reference(self, trained_levels):
+        for lm, batch in trained_levels:
+            assert lm.predict(batch) == predict_per_model(lm, batch)
+
+    def test_features_extracted_once_per_token(self, trained_levels, monkeypatch):
+        calls = []
+        original = pipeline.extract
+
+        def counting(sentence, index, template):
+            calls.append(index)
+            return original(sentence, index, template)
+
+        monkeypatch.setattr(pipeline, "extract", counting)
+        for lm, batch in trained_levels:
+            calls.clear()
+            lm.predict(batch)
+            assert len(calls) == sum(len(tokens) for tokens, _, _ in batch)
 
 
 class TestStratify:
