@@ -8,33 +8,29 @@ test: for each representation stream, forward-select word/POS offsets by
 
 import argparse
 
-from mbparse.features import FeatureTemplate, extract, format_template
-from mbparse.learner import Instance, LearnerConfig, classify_labels, train
+from mbparse.features import FeatureTemplate, format_template
+from mbparse.learner import LearnerConfig
+from mbparse.pipeline import tag_sentences, train_tagger
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import np_chunk_corpus
 
 
 def cv_accuracy(sentences, gold, scheme, template, k, folds=3):
+    tags = [encode(g, scheme, len(s), typed=False) for s, g in zip(sentences, gold)]
     correct = total = 0
     for f in range(folds):
         train_idx = [i for i in range(len(sentences)) if i % folds != f]
         test_idx = [i for i in range(len(sentences)) if i % folds == f]
-
-        def instances(idxs):
-            out = []
-            for i in idxs:
-                tags = encode(gold[i], scheme, len(sentences[i]), typed=False)
-                out.extend(
-                    Instance(extract(sentences[i], j, template), tags[j])
-                    for j in range(len(sentences[i]))
-                )
-            return out
-
-        model = train(instances(train_idx), LearnerConfig(k=k))
-        test = instances(test_idx)
-        predicted = classify_labels(model, [x.features for x in test])
-        correct += sum(p == x.label for p, x in zip(predicted, test))
-        total += len(test)
+        model = train_tagger(
+            template,
+            [sentences[i] for i in train_idx],
+            [tags[i] for i in train_idx],
+            LearnerConfig(k=k),
+        )
+        predicted = tag_sentences(model, template, [sentences[i] for i in test_idx])
+        for i, found in zip(test_idx, predicted):
+            correct += sum(p == t for p, t in zip(found, tags[i]))
+            total += len(found)
     return correct / total
 
 

@@ -7,7 +7,6 @@ win).  Exit codes: 0 success, 1 domain or configuration error, 2 I/O error.
 from __future__ import annotations
 
 import argparse
-import functools
 import multiprocessing
 import os
 import sys
@@ -17,6 +16,7 @@ from .combine import (
     CombineMethod,
     CombinerWeights,
     SystemOutputs,
+    build_stacked_instances,
     fit_weights,
     save_weights,
     vote_sequence,
@@ -33,8 +33,8 @@ from .corpus import (
 )
 from .errors import ConfigError, CorpusError, DomainError
 from .evaluate import EvalConfig, bootstrap, format_report, report_lines, score
-from .features import extract, format_template, parse_template, select_features
-from .learner import Instance, LearnerConfig, TiePolicy, classify_labels, train as train_model
+from .features import format_template, parse_template, select_features
+from .learner import LearnerConfig, TiePolicy, classify_labels, train as train_model
 from .pipeline import (
     PipelineConfig,
     TypeStrategy,
@@ -48,6 +48,7 @@ from .pipeline import (
     train_clause_bracketer,
     train_full_parser,
     train_np_parser,
+    train_tagger,
     train_typed_chunker,
 )
 from .schemes import Scheme, decode, encode
@@ -230,36 +231,29 @@ def _workers(args, cfg) -> int:
     return cfgmod.get_int(cfg, "run", "workers", os.cpu_count() or 1)
 
 
-def _chunk_block(chunker, block):
-    return chunk_np(block, chunker)
+_block_tagger = None  # set in each forked worker by _map_blocks
 
 
-def _chunk_typed_block(chunker, block):
-    return chunk_typed(block, chunker)
+def _set_block_tagger(fn) -> None:
+    global _block_tagger
+    _block_tagger = fn
 
 
-def _clauses_block(bracketer, block):
-    return identify_clauses(block, bracketer)
-
-
-def _parse_np_block(parser, block):
-    return parse_np(block, parser)
-
-
-def _parse_full_block(parser, block):
-    return parse_full(block, parser)
+def _tag_block(block):
+    return _block_tagger(block)
 
 
 def _map_blocks(fn, sentences, workers: int):
     """Apply fn to contiguous sentence blocks, optionally in processes.
-    Output order equals input order either way."""
+    Output order equals input order either way.  Forked workers inherit fn,
+    so the model it holds is never pickled; only blocks and results are."""
     if workers <= 1 or len(sentences) < 4 * workers:
         return fn(sentences)
     size = (len(sentences) + workers - 1) // workers
     blocks = [sentences[i : i + size] for i in range(0, len(sentences), size)]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(len(blocks)) as pool:
-        parts = pool.map(fn, blocks)
+    with ctx.Pool(len(blocks), initializer=_set_block_tagger, initargs=(fn,)) as pool:
+        parts = pool.map(_tag_block, blocks)
     out = []
     for part in parts:
         out.extend(part)
@@ -305,10 +299,10 @@ def _cmd_chunk(args, cfg, typed: bool) -> int:
     sentences = [to_tokens(s, columns, with_chunks=False) for s in raw]
     if typed:
         chunker = bundles.load_typed_chunker(args.model)
-        tagger = functools.partial(_chunk_typed_block, chunker)
+        tagger = lambda block: chunk_typed(block, chunker)
     else:
         chunker = bundles.load_chunker(args.model)
-        tagger = functools.partial(_chunk_block, chunker)
+        tagger = lambda block: chunk_np(block, chunker)
     spans = _map_blocks(tagger, sentences, _workers(args, cfg))
     scheme = Scheme(args.scheme)
     out = []
@@ -324,7 +318,7 @@ def _cmd_clauses(args, cfg) -> int:
     sentences = [to_tokens(s, columns) for s in raw]
     bracketer = bundles.load_clause_bracketer(args.model)
     forests = _map_blocks(
-        functools.partial(_clauses_block, bracketer), sentences, _workers(args, cfg)
+        lambda block: identify_clauses(block, bracketer), sentences, _workers(args, cfg)
     )
     out = []
     for sent, forest in zip(sentences, forests):
@@ -344,10 +338,10 @@ def _cmd_parse(args, cfg, full: bool) -> int:
     sentences = [to_tokens(s, columns, with_chunks=False) for s in raw]
     if full:
         parser = bundles.load_full_parser(args.model)
-        runner = functools.partial(_parse_full_block, parser)
+        runner = lambda block: parse_full(block, parser)
     else:
         parser = bundles.load_np_parser(args.model)
-        runner = functools.partial(_parse_np_block, parser)
+        runner = lambda block: parse_np(block, parser)
     spans = _map_blocks(runner, sentences, _workers(args, cfg))
     out = []
     for sent, found in zip(sentences, spans):
@@ -389,9 +383,13 @@ def _cmd_bootstrap(args, cfg) -> int:
 
 
 def _cmd_select(args, cfg) -> int:
+    folds = args.folds
+    if folds < 2:
+        raise ConfigError(f"--folds must be at least 2, got {folds}")
     sentences, gold = _read_spans(args.train, "chunk", args.scheme)
     scheme = Scheme(args.scheme)
-    folds = args.folds
+    tags = [encode(g, scheme, len(s), typed=False) for s, g in zip(sentences, gold)]
+    lcfg = _learner_config(cfg)
 
     def evaluate(template) -> float:
         if template.arity == 0:
@@ -400,16 +398,14 @@ def _cmd_select(args, cfg) -> int:
         for f in range(folds):
             train_idx = [i for i in range(len(sentences)) if i % folds != f]
             test_idx = [i for i in range(len(sentences)) if i % folds == f]
-            inst = []
-            for i in train_idx:
-                tags = encode(gold[i], scheme, len(sentences[i]), typed=False)
-                inst.extend(
-                    Instance(extract(sentences[i], j, template), tags[j])
-                    for j in range(len(sentences[i]))
-                )
-            model = train_model(inst, _learner_config(cfg))
-            tags = tag_sentences(model, template, [sentences[i] for i in test_idx])
-            found = [decode(t, scheme) for t in tags]
+            model = train_tagger(
+                template,
+                [sentences[i] for i in train_idx],
+                [tags[i] for i in train_idx],
+                lcfg,
+            )
+            found_tags = tag_sentences(model, template, [sentences[i] for i in test_idx])
+            found = [decode(t, scheme) for t in found_tags]
             total_f += score(found, [gold[i] for i in test_idx]).f
         return total_f / folds
 
@@ -434,17 +430,18 @@ def _cmd_combine(args, cfg) -> int:
         raise DomainError("input tag files are not aligned")
     flat = [tuple(t for s in sys_tags for t in s) for sys_tags in per_system]
 
-    if args.method == "mbl":
+    tuning = None
+    if args.method != CombineMethod.MAJORITY.value:
         if not args.tuning_inputs or not args.tuning_gold:
-            raise DomainError("mbl combination needs --tuning-inputs and --tuning-gold")
+            raise DomainError(f"{args.method} needs --tuning-inputs and --tuning-gold")
         tune_sys = [_read_tag_column(p) for p in args.tuning_inputs]
         tune_gold = _read_tag_column(args.tuning_gold)
-        from .combine import build_stacked_instances
-
         tuning = SystemOutputs(
             systems=tuple(tuple(t for s in st for t in s) for st in tune_sys),
             gold=tuple(t for s in tune_gold for t in s),
         )
+
+    if args.method == "mbl":
         model = train_model(build_stacked_instances(tuning), _learner_config(cfg))
         queries = SystemOutputs(systems=tuple(flat))
         voted = classify_labels(model, build_stacked_instances(queries))
@@ -453,16 +450,6 @@ def _cmd_combine(args, cfg) -> int:
         if method is CombineMethod.MAJORITY:
             weights = CombinerWeights(method=method)
         else:
-            if not args.tuning_inputs or not args.tuning_gold:
-                raise DomainError(
-                    f"{method.value} needs --tuning-inputs and --tuning-gold"
-                )
-            tune_sys = [_read_tag_column(p) for p in args.tuning_inputs]
-            tune_gold = _read_tag_column(args.tuning_gold)
-            tuning = SystemOutputs(
-                systems=tuple(tuple(t for s in st for t in s) for st in tune_sys),
-                gold=tuple(t for s in tune_gold for t in s),
-            )
             weights = fit_weights(tuning, method)
             if args.weights_out:
                 save_weights(weights, args.weights_out)

@@ -16,14 +16,14 @@ influenced it, so leak-freedom is a checkable assertion, not a convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .features import FeatureTemplate, Token, extract
-from .learner import Instance, LearnerConfig, train
-from .pipeline import tag_sentences
+from .features import FeatureTemplate, Token
+from .learner import LearnerConfig
+from .pipeline import tag_sentences, train_tagger
 from .schemes import ChunkSpan, Scheme, encode
 
 
@@ -93,26 +93,6 @@ class SectionResult:
     provenance: frozenset[int]  # sections whose gold shaped these predictions
 
 
-def _pass1_instances(sentences, gold, scheme: Scheme, template):
-    out = []
-    for s, spans in zip(sentences, gold):
-        tags = encode(spans, scheme, len(s), typed=False)
-        out.extend(Instance(extract(s, i, template), tags[i]) for i in range(len(s)))
-    return out
-
-
-def _pass2_instances(sentences, gold, context_tags, scheme: Scheme, template):
-    out = []
-    for s, spans, ctx in zip(sentences, gold, context_tags):
-        gold_tags = encode(spans, scheme, len(s), typed=False)
-        ctx_sent = [replace(t, chunk_tag=c) for t, c in zip(s, ctx)]
-        out.extend(
-            Instance(extract(ctx_sent, i, template), gold_tags[i])
-            for i in range(len(s))
-        )
-    return out
-
-
 def run_two_phase_cv(
     sections: Sequence[Sequence[list[Token]]],
     gold: Sequence[Sequence[list[ChunkSpan]]],
@@ -131,47 +111,37 @@ def run_two_phase_cv(
         raise DomainError("plan size does not match section count")
 
     def concat(idx: Iterable[int]):
-        sents, spans = [], []
+        sents, tags = [], []
         for s in idx:
             sents.extend(sections[s])
-            spans.extend(gold[s])
-        return sents, spans
+            tags.extend(
+                encode(spans, scheme, len(sent), typed=False)
+                for sent, spans in zip(sections[s], gold[s])
+            )
+        return sents, tags
 
     results: dict[int, SectionResult] = {}
     for fold in plan.folds:
         x = fold.test_section
-        p1_sents, p1_gold = concat(fold.phase1_train)
-        model1 = train(
-            _pass1_instances(p1_sents, p1_gold, scheme, pass1_template),
-            learner_config,
-        )
+        p1_sents, p1_tags = concat(fold.phase1_train)
+        model1 = train_tagger(pass1_template, p1_sents, p1_tags, learner_config)
         model1_prov = frozenset(fold.phase1_train)
 
-        # phase-2 training rows with context tags
-        inst2 = []
+        # context tags of the phase-2 training rows
         train_prov: set[int] = set(fold.phase1_train)
         if plan.leak_mode is LeakMode.GOLD_IN_TRAIN:
-            for y in fold.phase1_train:
-                ctx = [
-                    encode(spans, scheme, len(s), typed=False)
-                    for s, spans in zip(sections[y], gold[y])
-                ]
-                inst2.extend(
-                    _pass2_instances(sections[y], gold[y], ctx, scheme, pass2_template)
-                )
+            context = p1_tags
         else:
+            context = []
             for y in fold.phase1_train:
-                inner_sents, inner_gold = concat(fold.inner[y])
-                inner_model = train(
-                    _pass1_instances(inner_sents, inner_gold, scheme, pass1_template),
-                    learner_config,
+                inner_model = train_tagger(
+                    pass1_template, *concat(fold.inner[y]), learner_config
                 )
-                ctx = tag_sentences(inner_model, pass1_template, sections[y])
+                context.extend(tag_sentences(inner_model, pass1_template, sections[y]))
                 train_prov.update(fold.inner[y])
-                inst2.extend(
-                    _pass2_instances(sections[y], gold[y], ctx, scheme, pass2_template)
-                )
-        model2 = train(inst2, learner_config)
+        model2 = train_tagger(
+            pass2_template, p1_sents, p1_tags, learner_config, context=context
+        )
 
         test_ctx = tag_sentences(model1, pass1_template, sections[x])
         tags = tag_sentences(model2, pass2_template, sections[x], test_ctx)

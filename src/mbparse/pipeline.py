@@ -134,6 +134,32 @@ def tag_sentences(
     return [labels[a:b] for a, b in bounds]
 
 
+def _train_rows(feats, bounds, tags: Sequence[Sequence[str]], learner_config) -> Model:
+    """Train on one instance per feature vector, labelled with the matching
+    entry of ``tags`` (one tag list per (start, end) range in ``bounds``)."""
+    if len(tags) != len(bounds) or any(
+        len(t) != b - a for t, (a, b) in zip(tags, bounds)
+    ):
+        raise DomainError("training tags do not line up with the tokens")
+    labels = [label for t in tags for label in t]
+    return train([Instance(f, y) for f, y in zip(feats, labels)], learner_config)
+
+
+def train_tagger(
+    template: FeatureTemplate,
+    sentences: Sequence[Sentence],
+    tags: Sequence[Sequence[str]],
+    learner_config: LearnerConfig,
+    context: Sequence[Sequence[str]] | None = None,
+) -> Model:
+    """The training twin of ``tag_sentences``: one instance per token, with
+    the features ``tag_sentences`` would extract and that token's entry in
+    ``tags`` as its label.  Raises ``DomainError`` when ``tags`` (or a short
+    ``context``) does not line up with the tokens."""
+    feats, bounds = _extract_all(template, sentences, context)
+    return _train_rows(feats, bounds, tags, learner_config)
+
+
 @dataclass
 class TwoPassStream:
     """One data representation's tagger: a first pass over words and POS tags
@@ -183,22 +209,12 @@ def train_two_pass_stream(
     gold_tags = [
         encode(spans, scheme, len(s), typed=typed) for s, spans in zip(sentences, gold)
     ]
-    inst1 = [
-        Instance(extract(s, i, pass1_template), tags[i])
-        for s, tags in zip(sentences, gold_tags)
-        for i in range(len(s))
-    ]
-    model1 = train(inst1, learner_config)
+    model1 = train_tagger(pass1_template, sentences, gold_tags, learner_config)
     model2 = None
     if pass2_template is not None and pass2_template.chunks:
-        inst2 = []
-        for s, tags in zip(sentences, gold_tags):
-            ctx = [replace(t, chunk_tag=tag) for t, tag in zip(s, tags)]
-            inst2.extend(
-                Instance(extract(ctx, i, pass2_template), tags[i])
-                for i in range(len(ctx))
-            )
-        model2 = train(inst2, learner_config)
+        model2 = train_tagger(
+            pass2_template, sentences, gold_tags, learner_config, context=gold_tags
+        )
     return TwoPassStream(
         scheme=scheme,
         pass1_template=pass1_template,
@@ -499,27 +515,26 @@ def train_clause_bracketer(
     learner_config = learner_config or LearnerConfig()
 
     open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
-    open_models = []
-    for template in CLAUSE_OPEN_TEMPLATES:
-        inst = [
-            Instance(
-                extract(s, i, template), "(" if i in open_sets[si] else "."
-            )
-            for si, s in enumerate(sentences)
-            for i in range(len(s))
-        ]
-        open_models.append(train(inst, learner_config))
+    open_tags = [
+        ["(" if i in opens else "." for i in range(len(s))]
+        for s, opens in zip(sentences, open_sets)
+    ]
+    open_models = tuple(
+        train_tagger(template, sentences, open_tags, learner_config)
+        for template in CLAUSE_OPEN_TEMPLATES
+    )
 
-    close_inst = []
-    for si, s in enumerate(sentences):
-        ends = {e for _, e in clause_spans(forests[si])}
-        chunks = _chunk_spans_of(s)
-        compressed, origins = compress_mapped(s, chunks)
-        for i in range(len(compressed)):
-            a, b = origins[i]
-            label = ")" if any(a <= e <= b for e in ends) else "."
-            close_inst.append(Instance(extract(compressed, i, CLAUSE_CLOSE_TEMPLATE), label))
-    return ClauseBracketer(tuple(open_models), train(close_inst, learner_config))
+    views = [compress_mapped(s, _chunk_spans_of(s)) for s in sentences]
+    close_tags = []
+    for (_, origins), forest in zip(views, forests):
+        ends = {e for _, e in clause_spans(forest)}
+        close_tags.append(
+            [")" if any(a <= e <= b for e in ends) else "." for a, b in origins]
+        )
+    close_model = train_tagger(
+        CLAUSE_CLOSE_TEMPLATE, [c for c, _ in views], close_tags, learner_config
+    )
+    return ClauseBracketer(open_models, close_model)
 
 
 def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[ClauseNode]]:
@@ -756,30 +771,23 @@ def train_bracket_level(
 ) -> BracketLevel | None:
     """Train one level's open/close predictors on brackets of that level only,
     over sentences compressed by the gold structure below it."""
-    inst_o, inst_c = [], []
-    seen_any = False
+    if not any(by_level.get(level) for by_level in stratified):
+        return None
+    views, open_tags, close_tags = [], [], []
     for s, by_level in zip(sentences, stratified):
         tokens, orig2cur = _level_views(s, by_level, level)
-        spans = by_level.get(level, [])
-        if spans:
-            seen_any = True
-        opens = {orig2cur[sp.start]: sp.type for sp in spans}
-        closes = {orig2cur[sp.end]: sp.type for sp in spans}
-        for i in range(len(tokens)):
-            feats = extract(tokens, i, template)
-            otag = ctag = "."
-            if i in opens:
-                otag = f"(-{opens[i]}" if typed else "("
-            if i in closes:
-                ctag = f")-{closes[i]}" if typed else ")"
-            inst_o.append(Instance(feats, otag))
-            inst_c.append(Instance(feats, ctag))
-    if not seen_any:
-        return None
+        otags, ctags = ["."] * len(tokens), ["."] * len(tokens)
+        for sp in by_level.get(level, []):
+            otags[orig2cur[sp.start]] = f"(-{sp.type}" if typed else "("
+            ctags[orig2cur[sp.end]] = f")-{sp.type}" if typed else ")"
+        views.append(tokens)
+        open_tags.append(otags)
+        close_tags.append(ctags)
+    feats, bounds = _extract_all(template, views)
     return BracketLevel(
         template=template,
-        open_model=train(inst_o, learner_config),
-        close_model=train(inst_c, learner_config),
+        open_model=_train_rows(feats, bounds, open_tags, learner_config),
+        close_model=_train_rows(feats, bounds, close_tags, learner_config),
         default_type=default_type,
     )
 

@@ -12,6 +12,7 @@ from mbparse import cli, config as cfgmod
 from mbparse.cli import main, run_command
 from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.errors import ConfigError
+from mbparse.learner import Model
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import (
     clause_corpus,
@@ -107,6 +108,63 @@ class TestChunkFlow:
         assert "stddev 0.00" in out
 
 
+def dump_clause_file(path, sentences, forests):
+    rows = []
+    for s, f in zip(sentences, forests):
+        cells = encode_clause_column(f, len(s))
+        rows.append([(t.word, t.pos, t.chunk_tag, c) for t, c in zip(s, cells)])
+    write_corpus(rows, path, columns=("word", "pos", "chunk", "clause"))
+
+
+@pytest.fixture(scope="module")
+def tag_bundles(tmp_path_factory):
+    """Per tag command: a small trained bundle and a 16-sentence input."""
+    d = tmp_path_factory.mktemp("bundles")
+    setups = {  # command: (task, corpus generator, writer of one generated corpus)
+        "chunk": ("np-chunk", np_chunk_corpus,
+                  lambda path, c: dump_chunk_file(path, c[0], c[1])),
+        "chunk-typed": ("typed-chunk", typed_chunk_corpus,
+                        lambda path, c: dump_chunk_file(path, c[0], c[1], typed=True)),
+        "clauses": ("clauses", clause_corpus,
+                    lambda path, c: dump_clause_file(path, c[0], c[2])),
+        "parse-np": ("np-parse", nested_np_corpus,
+                     lambda path, c: dump_tree_file(path, c[0], c[1])),
+        "parse": ("full-parse", parse_corpus,
+                  lambda path, c: dump_tree_file(path, c[0], c[1])),
+    }
+    out = {}
+    for command, (task, generate, dump) in setups.items():
+        dump(d / f"{task}.train", generate(30, seed=80))
+        dump(d / f"{task}.test", generate(16, seed=81))
+        assert run_command(
+            ["train", "--task", task, "--train", str(d / f"{task}.train"),
+             "--model", str(d / task), "--workers", "1"]
+        ) == 0
+        out[command] = (d / task, d / f"{task}.test")
+    return out
+
+
+@pytest.mark.parametrize("command", ["chunk", "chunk-typed", "clauses", "parse-np", "parse"])
+def test_workers_inherit_the_bundle(command, tag_bundles, tmp_path, monkeypatch):
+    """Forked workers tag with the bundle the parent loaded: with models that
+    refuse to pickle, ``--workers 3`` still writes what ``--workers 1`` does."""
+
+    def refuse(self, protocol):
+        raise TypeError("a Model must not be pickled")
+
+    monkeypatch.setattr(Model, "__reduce_ex__", refuse)
+    model, corpus = tag_bundles[command]
+    written = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"workers{workers}.txt"
+        assert run_command(
+            [command, "--model", str(model), "--input", str(corpus),
+             "--output", str(out), "--workers", workers]
+        ) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 class TestTypedAndParsers:
     def test_typed_chunk_flow(self, tmp_path, capsys):
         tr_s, tr_g = typed_chunk_corpus(50, seed=43)
@@ -169,18 +227,8 @@ class TestTypedAndParsers:
     def test_clauses_flow(self, tmp_path):
         tr_s, tr_c, tr_f = clause_corpus(40, seed=47)
         te_s, te_c, te_f = clause_corpus(10, seed=48)
-
-        def dump(path, sents, forests):
-            rows = []
-            for s, f in zip(sents, forests):
-                cells = encode_clause_column(f, len(s))
-                rows.append(
-                    [(t.word, t.pos, t.chunk_tag, c) for t, c in zip(s, cells)]
-                )
-            write_corpus(rows, path, columns=("word", "pos", "chunk", "clause"))
-
-        dump(tmp_path / "train.txt", tr_s, tr_f)
-        dump(tmp_path / "gold.txt", te_s, te_f)
+        dump_clause_file(tmp_path / "train.txt", tr_s, tr_f)
+        dump_clause_file(tmp_path / "gold.txt", te_s, te_f)
         assert run_command(
             ["train", "--task", "clauses", "--train", str(tmp_path / "train.txt"),
              "--model", str(tmp_path / "m"), "--workers", "1"]
@@ -325,6 +373,8 @@ class TestStrictValues:
             (["xor-experiment", "--extra", "a..b"], "--extra"),
             (["xor-experiment", "--set", "run.seed=1"], "unknown key run.seed"),
             (["xor-experiment", "--set", "xor.k=1"], "unknown key xor.k"),
+            (["select-features", "--folds", "0"], "--folds"),
+            (["select-features", "--folds", "-1"], "--folds"),
         ],
     )
     def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):

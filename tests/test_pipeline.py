@@ -1,11 +1,14 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbparse import pipeline
+from mbparse import bundles, pipeline
 from mbparse.combine import majority_vote
+from mbparse.corpus import encode_bracket_column, encode_clause_column
 from mbparse.errors import ConfigError, DomainError
 from mbparse.evaluate import score
 from mbparse.features import Token, parse_template
@@ -51,6 +54,7 @@ from mbparse.schemes import (
     clause_spans,
     convert,
     decode,
+    encode,
     mark_type,
 )
 from mbparse.synth import (
@@ -656,3 +660,57 @@ class TestBundles:
         save_chunker(train_chunker(tr_s, tr_g), tmp_path / "b")
         with pytest.raises(DomainError):
             load_np_parser(tmp_path / "b")
+
+
+def _chunk_cells(spans, sentence, typed):
+    return encode(spans, Scheme.IOB1, len(sentence), typed=typed)
+
+
+# kind: (corpus generator, trainer, tagger, saver, loader, one sentence's output cells)
+_BUNDLE_KINDS = {
+    "chunker": (np_chunk_corpus, train_chunker, chunk_np,
+                bundles.save_chunker, bundles.load_chunker,
+                lambda out, s: _chunk_cells(out, s, typed=False)),
+    **{
+        f"typed-{strategy.value}": (
+            typed_chunk_corpus,
+            lambda s, g, strategy=strategy: train_typed_chunker(s, g, strategy),
+            chunk_typed, bundles.save_typed_chunker, bundles.load_typed_chunker,
+            lambda out, s: _chunk_cells(out, s, typed=True),
+        )
+        for strategy in TypeStrategy
+    },
+    "clauses": (lambda n, seed: clause_corpus(n, seed)[::2], train_clause_bracketer,
+                identify_clauses, bundles.save_clause_bracketer,
+                bundles.load_clause_bracketer,
+                lambda out, s: encode_clause_column(out, len(s))),
+    "np-parser": (nested_np_corpus, train_np_parser, parse_np, bundles.save_np_parser,
+                  bundles.load_np_parser,
+                  lambda out, s: encode_bracket_column(out, len(s))),
+    "full-parser": (parse_corpus, train_full_parser, parse_full, bundles.save_full_parser,
+                    bundles.load_full_parser,
+                    lambda out, s: encode_bracket_column(out, len(s))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_BUNDLE_KINDS))
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_saved_bundle_tags_like_the_trained_one(kind, seed):
+    """save -> load -> tag writes the same bytes as tagging with the model
+    still in memory, for every bundle kind."""
+    generate, fit, tag, save, load, cells = _BUNDLE_KINDS[kind]
+    model = fit(*generate(20, seed))
+    test_sentences = generate(8, seed + 1)[0]
+
+    def render(m):
+        lines = []
+        for sentence, out in zip(test_sentences, tag(test_sentences, m)):
+            lines.extend(cells(out, sentence))
+            lines.append("")
+        return "\n".join(lines).encode("utf-8")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        save(model, Path(tmp) / "bundle")
+        loaded = load(Path(tmp) / "bundle")
+    assert render(loaded) == render(model)

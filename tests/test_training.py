@@ -1,0 +1,265 @@
+"""``pipeline.train_tagger`` and the trainers built on it, checked against the
+hand-rolled instance loops they replaced.  The loops are kept here as the
+reference: every trained model must hold exactly the instances, in the same
+order, that the loop would have built."""
+
+from dataclasses import replace
+
+import pytest
+
+from mbparse import folds, pipeline
+from mbparse.errors import DomainError
+from mbparse.features import compress_mapped, extract, parse_template
+from mbparse.folds import LeakMode, build_fold_plan, run_two_phase_cv
+from mbparse.learner import Instance, LearnerConfig, TiePolicy, train
+from mbparse.pipeline import (
+    CLAUSE_CLOSE_TEMPLATE,
+    CLAUSE_OPEN_TEMPLATES,
+    DEFAULT_PASS1,
+    DEFAULT_PASS2,
+    stratify_levels,
+    tag_sentences,
+    train_clause_bracketer,
+    train_tagger,
+    train_two_pass_stream,
+)
+from mbparse.schemes import Scheme, clause_spans, encode
+from mbparse.synth import (
+    clause_corpus,
+    corpus_sections,
+    nested_np_corpus,
+    np_chunk_corpus,
+    parse_corpus,
+    typed_chunk_corpus,
+)
+
+LCFG = LearnerConfig(k=1)
+
+
+def two_pass_reference(sentences, gold, scheme, pass1_template, pass2_template, typed):
+    """Pass-1 and pass-2 training instances as ``train_two_pass_stream`` built
+    them by hand."""
+    gold_tags = [
+        encode(spans, scheme, len(s), typed=typed) for s, spans in zip(sentences, gold)
+    ]
+    inst1 = [
+        Instance(extract(s, i, pass1_template), tags[i])
+        for s, tags in zip(sentences, gold_tags)
+        for i in range(len(s))
+    ]
+    inst2 = []
+    for s, tags in zip(sentences, gold_tags):
+        ctx = [replace(t, chunk_tag=tag) for t, tag in zip(s, tags)]
+        inst2.extend(
+            Instance(extract(ctx, i, pass2_template), tags[i]) for i in range(len(ctx))
+        )
+    return tuple(inst1), tuple(inst2)
+
+
+def clause_reference(sentences, forests):
+    """Instances of the three open models and the close model, as
+    ``train_clause_bracketer`` built them by hand."""
+    open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
+    opens = [
+        tuple(
+            Instance(extract(s, i, template), "(" if i in open_sets[si] else ".")
+            for si, s in enumerate(sentences)
+            for i in range(len(s))
+        )
+        for template in CLAUSE_OPEN_TEMPLATES
+    ]
+    close_inst = []
+    for si, s in enumerate(sentences):
+        ends = {e for _, e in clause_spans(forests[si])}
+        chunks = pipeline._chunk_spans_of(s)
+        compressed, origins = compress_mapped(s, chunks)
+        for i in range(len(compressed)):
+            a, b = origins[i]
+            label = ")" if any(a <= e <= b for e in ends) else "."
+            close_inst.append(Instance(extract(compressed, i, CLAUSE_CLOSE_TEMPLATE), label))
+    return opens, tuple(close_inst)
+
+
+def bracket_level_reference(sentences, stratified, level, template, typed):
+    """Open and close instances of one cascade level as
+    ``train_bracket_level`` built them by hand; None for a level without
+    gold spans."""
+    inst_o, inst_c = [], []
+    seen_any = False
+    for s, by_level in zip(sentences, stratified):
+        tokens, orig2cur = pipeline._level_views(s, by_level, level)
+        spans = by_level.get(level, [])
+        if spans:
+            seen_any = True
+        opens = {orig2cur[sp.start]: sp.type for sp in spans}
+        closes = {orig2cur[sp.end]: sp.type for sp in spans}
+        for i in range(len(tokens)):
+            feats = extract(tokens, i, template)
+            otag = ctag = "."
+            if i in opens:
+                otag = f"(-{opens[i]}" if typed else "("
+            if i in closes:
+                ctag = f")-{closes[i]}" if typed else ")"
+            inst_o.append(Instance(feats, otag))
+            inst_c.append(Instance(feats, ctag))
+    if not seen_any:
+        return None
+    return tuple(inst_o), tuple(inst_c)
+
+
+def two_phase_cv_reference(sections, gold, scheme, t1, t2, learner_config, plan):
+    """``run_two_phase_cv`` with its former per-phase instance builders.
+    Returns the results and every dataset it trained on, in order."""
+    datasets = []
+
+    def train_recorded(inst):
+        datasets.append(tuple(inst))
+        return train(inst, learner_config)
+
+    def pass1_instances(sentences, spans_per_sentence):
+        out = []
+        for s, spans in zip(sentences, spans_per_sentence):
+            tags = encode(spans, scheme, len(s), typed=False)
+            out.extend(Instance(extract(s, i, t1), tags[i]) for i in range(len(s)))
+        return out
+
+    def pass2_instances(sentences, spans_per_sentence, context_tags):
+        out = []
+        for s, spans, ctx in zip(sentences, spans_per_sentence, context_tags):
+            gold_tags = encode(spans, scheme, len(s), typed=False)
+            ctx_sent = [replace(t, chunk_tag=c) for t, c in zip(s, ctx)]
+            out.extend(
+                Instance(extract(ctx_sent, i, t2), gold_tags[i]) for i in range(len(s))
+            )
+        return out
+
+    def concat(idx):
+        sents, spans = [], []
+        for s in idx:
+            sents.extend(sections[s])
+            spans.extend(gold[s])
+        return sents, spans
+
+    results = {}
+    for fold in plan.folds:
+        x = fold.test_section
+        model1 = train_recorded(pass1_instances(*concat(fold.phase1_train)))
+        inst2 = []
+        train_prov = set(fold.phase1_train)
+        for y in fold.phase1_train:
+            if plan.leak_mode is LeakMode.GOLD_IN_TRAIN:
+                ctx = [
+                    encode(spans, scheme, len(s), typed=False)
+                    for s, spans in zip(sections[y], gold[y])
+                ]
+            else:
+                inner_model = train_recorded(pass1_instances(*concat(fold.inner[y])))
+                ctx = tag_sentences(inner_model, t1, sections[y])
+                train_prov.update(fold.inner[y])
+            inst2.extend(pass2_instances(sections[y], gold[y], ctx))
+        model2 = train_recorded(inst2)
+        test_ctx = tag_sentences(model1, t1, sections[x])
+        tags = tag_sentences(model2, t2, sections[x], test_ctx)
+        provenance = frozenset(train_prov) | frozenset(fold.phase1_train)
+        results[x] = folds.SectionResult(tags=tuple(map(tuple, tags)), provenance=provenance)
+    return results, datasets
+
+
+class TestTrainTagger:
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda tags: tags[:-1],  # a sentence without tags
+            lambda tags: tags + [["O"]],  # tags for a sentence that is not there
+            lambda tags: [tags[0][:-1]] + tags[1:],  # one tag short
+            lambda tags: tags[:2] + [tags[2] + ["O"]] + tags[3:],  # one tag over
+        ],
+    )
+    def test_misaligned_tags_raise(self, edit):
+        sents, gold = np_chunk_corpus(5, seed=61)
+        tags = [encode(g, Scheme.IOB1, len(s)) for s, g in zip(sents, gold)]
+        with pytest.raises(DomainError, match="line up"):
+            train_tagger(parse_template("w[0]"), sents, edit(tags), LCFG)
+
+    def test_short_context_raises(self):
+        sents, gold = np_chunk_corpus(5, seed=62)
+        tags = [encode(g, Scheme.IOB1, len(s)) for s, g in zip(sents, gold)]
+        context = [t[:-1] for t in tags]
+        with pytest.raises(DomainError, match="line up"):
+            train_tagger(parse_template("w[0] c[-1]"), sents, tags, LCFG, context=context)
+
+
+@pytest.mark.parametrize(
+    "corpus, scheme, typed",
+    [
+        (np_chunk_corpus(30, seed=63), Scheme.IOB1, False),
+        (np_chunk_corpus(30, seed=64), Scheme.IOE2, False),
+        (np_chunk_corpus(30, seed=65), Scheme.O, False),
+        (typed_chunk_corpus(30, seed=66), Scheme.C, True),
+        (typed_chunk_corpus(30, seed=67), Scheme.IOB2, True),
+    ],
+)
+def test_two_pass_stream_matches_reference(corpus, scheme, typed):
+    sents, gold = corpus
+    stream = train_two_pass_stream(
+        sents, gold, scheme, DEFAULT_PASS1[scheme], DEFAULT_PASS2[scheme], LCFG, typed=typed
+    )
+    inst1, inst2 = two_pass_reference(
+        sents, gold, scheme, DEFAULT_PASS1[scheme], DEFAULT_PASS2[scheme], typed
+    )
+    assert stream.pass1_model.instances == inst1
+    assert stream.pass2_model.instances == inst2
+
+
+def test_clause_bracketer_matches_reference():
+    sents, _, forests = clause_corpus(30, seed=68)
+    bracketer = train_clause_bracketer(sents, forests, LCFG)
+    opens, close = clause_reference(sents, forests)
+    assert [m.instances for m in bracketer.open_models] == opens
+    assert bracketer.close_model.instances == close
+
+
+@pytest.mark.parametrize(
+    "corpus, typed",
+    [(parse_corpus(30, seed=69), True), (nested_np_corpus(30, seed=70), False)],
+)
+def test_bracket_levels_match_reference(corpus, typed):
+    sents, gold = corpus[0], corpus[1]
+    stratified = [stratify_levels(g) for g in gold]
+    template = parse_template("w[-2..2] p[-2..2]")
+    top = max(max(by) for by in stratified)
+    for level in range(1, top + 2):  # the last level has no gold spans
+        lm = pipeline.train_bracket_level(sents, stratified, level, template, LCFG, typed)
+        expected = bracket_level_reference(sents, stratified, level, template, typed)
+        if expected is None:
+            assert lm is None
+            continue
+        assert (lm.open_model.instances, lm.close_model.instances) == expected
+
+
+@pytest.mark.parametrize("mode", list(LeakMode))
+def test_two_phase_cv_matches_reference(mode, monkeypatch):
+    secs = corpus_sections(4, 5, seed=71)
+    sections = [s for s, _ in secs]
+    gold = [g for _, g in secs]
+    lcfg = LearnerConfig(k=3, tie_policy=TiePolicy.LEXICOGRAPHIC)
+    args = (
+        sections,
+        gold,
+        Scheme.IOE1,
+        parse_template("w[-1..1] p[-1..1]"),
+        parse_template("w[0] p[-1..1] c[-2,-1,1]"),
+        lcfg,
+        build_fold_plan(4, mode),
+    )
+    expected, expected_sets = two_phase_cv_reference(*args)
+
+    datasets = []
+
+    def recording(dataset, config=None):
+        datasets.append(tuple(dataset))
+        return train(dataset, config)
+
+    monkeypatch.setattr(pipeline, "train", recording)
+    assert run_two_phase_cv(*args) == expected
+    assert datasets == expected_sets
