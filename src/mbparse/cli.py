@@ -1,12 +1,14 @@
 """Batch command line: train, tag, parse, evaluate, combine, experiment.
 
 Every command is driven by an optional configuration file plus flags (flags
-win).  Exit codes: 0 success, 1 domain or configuration error, 2 I/O error.
+win).  Exit codes: 0 success, 1 domain or configuration error or out of
+memory, 2 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -34,7 +36,7 @@ from .corpus import (
 from .errors import ConfigError, CorpusError, DomainError
 from .evaluate import EvalConfig, bootstrap, format_report, report_lines, score
 from .features import format_template, parse_template, select_features
-from .learner import LearnerConfig, TiePolicy, classify_labels, train as train_model
+from .learner import LearnerConfig, Model, TiePolicy, classify_labels, train as train_model
 from .pipeline import (
     PipelineConfig,
     TypeStrategy,
@@ -231,28 +233,50 @@ def _workers(args, cfg) -> int:
     return cfgmod.get_int(cfg, "run", "workers", os.cpu_count() or 1)
 
 
-_block_tagger = None  # set in each forked worker by _map_blocks
+_block_tagger = None  # (tag, bundle), set in each forked worker by _map_blocks
 
 
-def _set_block_tagger(fn) -> None:
+def _set_block_tagger(tag, bundle) -> None:
     global _block_tagger
-    _block_tagger = fn
+    _block_tagger = (tag, bundle)
 
 
 def _tag_block(block):
-    return _block_tagger(block)
+    tag, bundle = _block_tagger
+    return tag(block, bundle)
 
 
-def _map_blocks(fn, sentences, workers: int):
-    """Apply fn to contiguous sentence blocks, optionally in processes.
-    Output order equals input order either way.  Forked workers inherit fn,
-    so the model it holds is never pickled; only blocks and results are."""
+def _models_in(obj):
+    """Every learner model reachable from a loaded bundle."""
+    if isinstance(obj, Model):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _models_in(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _models_in(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _models_in(value)
+
+
+def _map_blocks(tag, bundle, sentences, workers: int):
+    """Apply ``tag(block, bundle)`` to contiguous sentence blocks, optionally
+    in processes.  Output order equals input order either way.  Forked
+    workers inherit the bundle, so it is never pickled; only blocks and
+    results are.  Before forking, every model in the bundle builds its query
+    index, so the workers share one copy instead of each building its own."""
     if workers <= 1 or len(sentences) < 4 * workers:
-        return fn(sentences)
+        return tag(sentences, bundle)
+    for model in _models_in(bundle):
+        model._index
     size = (len(sentences) + workers - 1) // workers
     blocks = [sentences[i : i + size] for i in range(0, len(sentences), size)]
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(len(blocks), initializer=_set_block_tagger, initargs=(fn,)) as pool:
+    with ctx.Pool(
+        len(blocks), initializer=_set_block_tagger, initargs=(tag, bundle)
+    ) as pool:
         parts = pool.map(_tag_block, blocks)
     out = []
     for part in parts:
@@ -299,11 +323,10 @@ def _cmd_chunk(args, cfg, typed: bool) -> int:
     sentences = [to_tokens(s, columns, with_chunks=False) for s in raw]
     if typed:
         chunker = bundles.load_typed_chunker(args.model)
-        tagger = lambda block: chunk_typed(block, chunker)
+        spans = _map_blocks(chunk_typed, chunker, sentences, _workers(args, cfg))
     else:
         chunker = bundles.load_chunker(args.model)
-        tagger = lambda block: chunk_np(block, chunker)
-    spans = _map_blocks(tagger, sentences, _workers(args, cfg))
+        spans = _map_blocks(chunk_np, chunker, sentences, _workers(args, cfg))
     scheme = Scheme(args.scheme)
     out = []
     for sent, found in zip(sentences, spans):
@@ -317,9 +340,7 @@ def _cmd_clauses(args, cfg) -> int:
     raw, columns = read_corpus(args.input)
     sentences = [to_tokens(s, columns) for s in raw]
     bracketer = bundles.load_clause_bracketer(args.model)
-    forests = _map_blocks(
-        lambda block: identify_clauses(block, bracketer), sentences, _workers(args, cfg)
-    )
+    forests = _map_blocks(identify_clauses, bracketer, sentences, _workers(args, cfg))
     out = []
     for sent, forest in zip(sentences, forests):
         cells = encode_clause_column(forest, len(sent))
@@ -338,11 +359,10 @@ def _cmd_parse(args, cfg, full: bool) -> int:
     sentences = [to_tokens(s, columns, with_chunks=False) for s in raw]
     if full:
         parser = bundles.load_full_parser(args.model)
-        runner = lambda block: parse_full(block, parser)
+        spans = _map_blocks(parse_full, parser, sentences, _workers(args, cfg))
     else:
         parser = bundles.load_np_parser(args.model)
-        runner = lambda block: parse_np(block, parser)
-    spans = _map_blocks(runner, sentences, _workers(args, cfg))
+        spans = _map_blocks(parse_np, parser, sentences, _workers(args, cfg))
     out = []
     for sent, found in zip(sentences, spans):
         cells = encode_bracket_column(found, len(sent))
@@ -525,6 +545,10 @@ def main() -> None:
     except (OSError, CorpusError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         status = 2
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())
+        print(f"error: out of memory{': ' + detail if detail else ''}", file=sys.stderr)
+        status = 1
     sys.exit(status)
 
 

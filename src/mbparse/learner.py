@@ -4,6 +4,16 @@ Learning stores the training instances verbatim.  A query is compared to
 every stored instance with the weighted overlap metric (sum of per-feature
 weights over mismatching positions) and labeled by majority vote over the
 instances falling in the k nearest *distinct* distance values.
+
+The query kernel codes which of the first 16 weighted features mismatch as
+one uint16 per (query, instance) pair and reads the distance from a table
+of every subset's weight sum, built in feature order so that each entry is
+the left-to-right sum a plain loop over the features would make.  Weighted
+features past the 16th are added one column at a time.  The k nearest
+distinct distances are found by k row-minimum passes instead of a sort, and
+the votes are one exact matrix product of the in-range mask with the
+labels' one-hot matrix.  Queries run in blocks sized so that the kernel's
+scratch arrays stay within a fixed memory budget.
 """
 
 from __future__ import annotations
@@ -27,6 +37,18 @@ DEGENERATE_WEIGHT_EPS = 1e-12
 
 # Distances equal after rounding to this many decimals share a distance set.
 _DISTANCE_DECIMALS = 9
+
+# Weighted features whose mismatches are coded into one uint16 per pair and
+# summed by table lookup; any further weighted feature is added column-wise.
+_TABLE_FEATURES = 16
+
+# Scratch bytes the kernel holds per (query, instance) pair of a block: the
+# uint16 mismatch code, the float64 distance and one bool work array.
+_PAIR_SCRATCH_BYTES = 2 + 8 + 1
+
+# Scratch memory one block of queries may take; a block holds as many
+# queries as fit, and at least one.
+_SCRATCH_BUDGET = 64 * 2**20
 
 
 class TiePolicy(Enum):
@@ -173,26 +195,37 @@ class Model:
 
 
 class _ModelIndex:
-    """Integer-coded view of a model for vectorized distance computation."""
+    """Integer-coded view of a model for the distance kernel."""
 
-    def __init__(self, codes, matrix, weights, label_ids, labels_in_pref, onehot):
+    def __init__(self, codes, matrix, head, table, tail, labels_in_pref, onehot):
         self.codes = codes              # per feature: symbol -> int
-        self.matrix = matrix            # n x arity int32
-        self.weights = weights          # float64 per feature
-        self.label_ids = label_ids      # n int32, ids into labels_in_pref
+        self.matrix = matrix            # n x arity int32, column-major
+        self.head = head                # features coded into the mismatch table
+        self.table = table              # 2**len(head) float64 distances by code
+        self.tail = tail                # (feature, weight) added past the table
         self.labels_in_pref = labels_in_pref  # labels, tie-preference order
-        self.onehot = onehot            # n x n_labels int32
+        self.onehot = onehot            # n x n_labels 0/1 float vote matrix
 
     @staticmethod
     def build(model: "Model") -> "_ModelIndex":
         # codes count up in order of first occurrence down each column
         n = len(model.instances)
-        matrix = np.empty((n, model.arity), dtype=np.int32)
+        matrix = np.empty((n, model.arity), dtype=np.int32, order="F")
         codes: list[dict[str, int]] = []
         for i, column in enumerate(zip(*(inst.features for inst in model.instances))):
             table = {v: code for code, v in enumerate(dict.fromkeys(column))}
             matrix[:, i] = [table[v] for v in column]
             codes.append(table)
+
+        weights = model.weight_table.weights
+        weighted = [i for i, w in enumerate(weights) if w != 0.0]
+        head = weighted[:_TABLE_FEATURES]
+        # bit j of a code is head feature j, so doubling in feature order
+        # sums every subset's weights left to right
+        table = np.zeros(1)
+        for i in head:
+            table = np.concatenate([table, table + weights[i]])
+        tail = [(i, weights[i]) for i in weighted[_TABLE_FEATURES:]]
 
         if model.config.tie_policy is TiePolicy.GLOBAL_CLASS_FREQUENCY:
             pref = sorted(
@@ -202,13 +235,11 @@ class _ModelIndex:
         else:
             pref = sorted(model.class_frequencies)
         label_pos = {c: i for i, c in enumerate(pref)}
-        label_ids = np.array(
-            [label_pos[inst.label] for inst in model.instances], dtype=np.int32
-        )
-        onehot = np.zeros((n, len(pref)), dtype=np.int32)
-        onehot[np.arange(n), label_ids] = 1
-        weights = np.asarray(model.weight_table.weights, dtype=np.float64)
-        return _ModelIndex(codes, matrix, weights, label_ids, pref, onehot)
+        # float32 sums of 0/1 products are exact integers below 2**24
+        dtype = np.float32 if n < 2**24 else np.float64
+        onehot = np.zeros((n, len(pref)), dtype=dtype)
+        onehot[np.arange(n), [label_pos[inst.label] for inst in model.instances]] = 1
+        return _ModelIndex(codes, matrix, head, table, tail, pref, onehot)
 
     def encode_queries(self, queries: Sequence[Sequence[str]]) -> np.ndarray:
         q = np.full((len(queries), self.matrix.shape[1]), -1, dtype=np.int32)
@@ -254,7 +285,7 @@ def _check_query(model: Model, query: Sequence[str], index: int | None = None):
         )
 
 
-def _batch_winner_ids(model: Model, encoded: np.ndarray, block: int = 512):
+def _batch_winner_ids(model: Model, encoded: np.ndarray):
     """Vectorized nearest-distance-set majority vote.
 
     Yields (winner ids, nearest distances, vote count matrix) per block of
@@ -263,31 +294,33 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray, block: int = 512):
     """
     idx = model._index
     k = model.config.k
-    n = idx.matrix.shape[0]
-    arity = idx.matrix.shape[1]
+    columns = idx.matrix.T  # arity x n, each feature's column contiguous
+    n = columns.shape[1]
+    block = max(1, _SCRATCH_BUDGET // (_PAIR_SCRATCH_BYTES * n))
     for lo in range(0, encoded.shape[0], block):
         q = encoded[lo : lo + block]
-        b = q.shape[0]
-        dist = np.zeros((b, n), dtype=np.float64)
-        for i in range(arity):
-            w = idx.weights[i]
-            if w != 0.0:
-                dist += w * (q[:, i : i + 1] != idx.matrix[None, :, i])
-        rounded = np.round(dist, _DISTANCE_DECIMALS)
-        order = np.sort(rounded, axis=1)
-        if n > 1:
-            ranks = np.zeros((b, n), dtype=np.int64)
-            np.cumsum(order[:, 1:] != order[:, :-1], axis=1, out=ranks[:, 1:])
-        else:
-            ranks = np.zeros((b, 1), dtype=np.int64)
-        n_distinct = ranks[:, -1] + 1
-        kk = np.minimum(k, n_distinct)
-        cutoff = (ranks < kk[:, None]).sum(axis=1)
-        threshold = order[np.arange(b), cutoff - 1]
-        mask = rounded <= threshold[:, None]
-        votes = mask.astype(np.int32) @ idx.onehot
-        winners = np.argmax(votes, axis=1)  # columns are in tie-preference order
-        yield winners, dist.min(axis=1), votes
+        ne = np.empty((q.shape[0], n), dtype=bool)
+        code = np.zeros((q.shape[0], n), dtype=np.uint16)
+        for i in reversed(idx.head):  # code = 2 * code + mismatch
+            np.not_equal(q[:, i, None], columns[i], out=ne)
+            np.left_shift(code, 1, out=code)
+            np.add(code, ne, out=code)
+        dist = idx.table[code]
+        for i, w in idx.tail:
+            np.not_equal(q[:, i, None], columns[i], out=ne)
+            np.add(dist, w, out=dist, where=ne)
+        nearest = dist.min(axis=1)
+        np.round(dist, _DISTANCE_DECIMALS, out=dist)
+        # k-th smallest distinct distance; inf once a row runs out of them,
+        # which admits the same instances as its largest distance would
+        threshold = dist.min(axis=1)
+        for _ in range(k - 1):
+            np.greater(dist, threshold[:, None], out=ne)
+            threshold = dist.min(axis=1, initial=np.inf, where=ne)
+        np.less_equal(dist, threshold[:, None], out=ne)
+        del dist  # the mask's float copy below takes its place in the budget
+        votes = ne.astype(idx.onehot.dtype) @ idx.onehot
+        yield votes.argmax(axis=1), nearest, votes  # columns in tie-preference order
 
 
 def classify_batch(
@@ -421,6 +454,8 @@ def load_model(path) -> Model:
         raise DomainError(f"{path}: bad header value: {exc}") from None
     if len(weights) != arity:
         raise DomainError(f"{path}: weight line does not match arity")
+    if not all(math.isfinite(w) for w in weights):
+        raise DomainError(f"{path}: weights must be finite")
 
     instances = []
     for line in lines[body:]:

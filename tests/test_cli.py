@@ -12,7 +12,7 @@ from mbparse import cli, config as cfgmod
 from mbparse.cli import main, run_command
 from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.errors import ConfigError
-from mbparse.learner import Model
+from mbparse.learner import Model, _ModelIndex
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import (
     clause_corpus,
@@ -146,13 +146,24 @@ def tag_bundles(tmp_path_factory):
 
 @pytest.mark.parametrize("command", ["chunk", "chunk-typed", "clauses", "parse-np", "parse"])
 def test_workers_inherit_the_bundle(command, tag_bundles, tmp_path, monkeypatch):
-    """Forked workers tag with the bundle the parent loaded: with models that
-    refuse to pickle, ``--workers 3`` still writes what ``--workers 1`` does."""
+    """Forked workers tag with the bundle the parent loaded and the query
+    indexes it built before the fork: with models that refuse to pickle and
+    index builds that refuse to run in any other process, ``--workers 3``
+    still writes what ``--workers 1`` does."""
 
     def refuse(self, protocol):
         raise TypeError("a Model must not be pickled")
 
+    parent = os.getpid()
+    build = _ModelIndex.build
+
+    def parent_only(model):
+        if os.getpid() != parent:
+            raise RuntimeError("a query index was built after the fork")
+        return build(model)
+
     monkeypatch.setattr(Model, "__reduce_ex__", refuse)
+    monkeypatch.setattr(_ModelIndex, "build", staticmethod(parent_only))
     model, corpus = tag_bundles[command]
     written = []
     for workers in ("1", "3"):
@@ -332,6 +343,26 @@ class TestErrors:
         with pytest.raises(SystemExit) as exit2:
             main()
         assert exit2.value.code == 2
+
+    def test_out_of_memory_is_one_error_line(self, tag_bundles, tmp_path, monkeypatch,
+                                             capsys):
+        def exhausted(model, queries):
+            raise MemoryError(
+                "Unable to allocate 4.00 GiB for an array\nwith shape (512, 200000)"
+            )
+
+        monkeypatch.setattr(mbparse.pipeline, "classify_labels", exhausted)
+        model, corpus = tag_bundles["chunk"]
+        code, lines = _main_exit(
+            ["chunk", "--model", str(model), "--input", str(corpus),
+             "--output", str(tmp_path / "out.txt"), "--workers", "1"],
+            monkeypatch, capsys,
+        )
+        assert code == 1
+        assert lines == [
+            "error: out of memory: Unable to allocate 4.00 GiB for an array "
+            "with shape (512, 200000)"
+        ]
 
     def test_ragged_corpus_gives_io_exit(self, tmp_path, monkeypatch):
         import sys

@@ -486,6 +486,8 @@ class TestPersistence:
             ("tie-policy", "coin_flip"),
             ("fallback", "yes"),
             ("weights", "0.5 heavy"),
+            ("weights", "0.5 nan"),
+            ("weights", "inf 0.5"),
             ("classes", "X\tmany"),
         ],
     )
