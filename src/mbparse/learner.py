@@ -5,15 +5,22 @@ every stored instance with the weighted overlap metric (sum of per-feature
 weights over mismatching positions) and labeled by majority vote over the
 instances falling in the k nearest *distinct* distance values.
 
+A model keeps its instances integer-coded column by column from the moment
+it is trained or loaded (``InstanceBase``); symbols are strings only when
+queries are encoded and when a model is saved or decoded.
+
 The query kernel codes which of the first 16 weighted features mismatch as
-one uint16 per (query, instance) pair and reads the distance from a table
-of every subset's weight sum, built in feature order so that each entry is
-the left-to-right sum a plain loop over the features would make.  Weighted
-features past the 16th are added one column at a time.  The k nearest
-distinct distances are found by k row-minimum passes instead of a sort, and
-the votes are one exact matrix product of the in-range mask with the
-labels' one-hot matrix.  Queries run in blocks sized so that the kernel's
-scratch arrays stay within a fixed memory budget.
+one uint16 per (query, instance) pair, a byte at a time.  A table holds
+every subset's weight sum, built in feature order so that each entry is the
+left-to-right sum a plain loop over the features would make.  When no
+weighted feature falls past the table, the kernel gathers each pair's rank
+among the table's distinct rounded distances, a uint16, and selects on
+ranks; otherwise it gathers float64 distances, adds the further features
+one column at a time and rounds.  The k nearest distinct distances are
+found by k row-minimum passes instead of a sort, and the votes are one
+exact matrix product of the in-range mask with the labels' one-hot matrix.
+Queries run in blocks whose scratch arrays fit a 2 MiB budget, about the
+size of a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -42,13 +50,17 @@ _DISTANCE_DECIMALS = 9
 # summed by table lookup; any further weighted feature is added column-wise.
 _TABLE_FEATURES = 16
 
-# Scratch bytes the kernel holds per (query, instance) pair of a block: the
-# uint16 mismatch code, the float64 distance and one bool work array.
-_PAIR_SCRATCH_BYTES = 2 + 8 + 1
+# Most scratch bytes the kernel holds at once per (query, instance) pair of a
+# block: the bool mismatch mask, the uint16 code, and np.take's intp copy of
+# the code with the uint16 ranks it gathers.  Building the code (mask, code
+# and one uint8 byte of bits: 1 + 2 + 1), the float64 distances of the other
+# path (1 + 2 + 8) and the float32 copy of the vote mask (1 + 4) take less.
+_PAIR_SCRATCH_BYTES = 1 + 2 + 8 + 2
 
-# Scratch memory one block of queries may take; a block holds as many
-# queries as fit, and at least one.
-_SCRATCH_BUDGET = 64 * 2**20
+# Scratch memory one block of queries may take, about a core's L2 cache: the
+# kernel streams over its block several times per feature.  A block holds as
+# many queries as fit, and at least one.
+_SCRATCH_BUDGET = 2 * 2**20
 
 
 class TiePolicy(Enum):
@@ -176,14 +188,69 @@ def gain_ratio_weights(dataset: Sequence[Instance]) -> WeightTable:
     )
 
 
+@dataclass(frozen=True, eq=False)
+class InstanceBase:
+    """Training instances stored column by column, integer-coded.
+
+    ``codes[i]`` maps each value of feature i to its code, numbered in order
+    of first occurrence down the column; ``matrix`` holds every row's codes,
+    n x arity int32 and column-major; ``labels`` holds every row's class.  As
+    a sequence it decodes to the ``Instance`` rows in their stored order, and
+    it equals any sequence of the same instances.
+    """
+
+    codes: tuple[dict[str, int], ...]
+    matrix: np.ndarray
+    labels: tuple[str, ...]
+
+    @staticmethod
+    def from_columns(
+        columns: Sequence[Sequence[str]], labels: Sequence[str]
+    ) -> "InstanceBase":
+        n = len(labels)
+        matrix = np.empty((n, len(columns)), dtype=np.int32, order="F")
+        codes = []
+        for i, column in enumerate(columns):
+            table = {v: code for code, v in enumerate(dict.fromkeys(column))}
+            matrix[:, i] = np.fromiter(map(table.__getitem__, column), np.int32, n)
+            codes.append(table)
+        return InstanceBase(tuple(codes), matrix, tuple(labels))
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self):
+        columns = [
+            map(list(table).__getitem__, self.matrix[:, i].tolist())
+            for i, table in enumerate(self.codes)
+        ]
+        return map(Instance, zip(*columns), self.labels)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (InstanceBase, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
 @dataclass(frozen=True)
 class Model:
-    """An immutable trained classifier; safe to share across workers."""
+    """An immutable trained classifier; safe to share across workers.
 
-    instances: tuple[Instance, ...]
+    ``instances`` may be given as any sequence of ``Instance``; the model
+    keeps it as an ``InstanceBase``.
+    """
+
+    instances: InstanceBase
     weight_table: WeightTable
     config: LearnerConfig
     class_frequencies: Mapping[str, int]
+
+    def __post_init__(self):
+        if not isinstance(self.instances, InstanceBase):
+            rows = tuple(self.instances)
+            columns = list(zip(*(inst.features for inst in rows)))
+            base = InstanceBase.from_columns(columns, [inst.label for inst in rows])
+            object.__setattr__(self, "instances", base)
 
     @property
     def arity(self) -> int:
@@ -195,28 +262,22 @@ class Model:
 
 
 class _ModelIndex:
-    """Integer-coded view of a model for the distance kernel."""
+    """The distance kernel's view of a model: its coded instances and what
+    the kernel derives from the weights and labels."""
 
-    def __init__(self, codes, matrix, head, table, tail, labels_in_pref, onehot):
+    def __init__(self, codes, matrix, head, table, tail, ranks, labels_in_pref, onehot):
         self.codes = codes              # per feature: symbol -> int
         self.matrix = matrix            # n x arity int32, column-major
         self.head = head                # features coded into the mismatch table
         self.table = table              # 2**len(head) float64 distances by code
         self.tail = tail                # (feature, weight) added past the table
+        self.ranks = ranks              # uint16 rank of each rounded table entry
         self.labels_in_pref = labels_in_pref  # labels, tie-preference order
         self.onehot = onehot            # n x n_labels 0/1 float vote matrix
 
     @staticmethod
     def build(model: "Model") -> "_ModelIndex":
-        # codes count up in order of first occurrence down each column
-        n = len(model.instances)
-        matrix = np.empty((n, model.arity), dtype=np.int32, order="F")
-        codes: list[dict[str, int]] = []
-        for i, column in enumerate(zip(*(inst.features for inst in model.instances))):
-            table = {v: code for code, v in enumerate(dict.fromkeys(column))}
-            matrix[:, i] = [table[v] for v in column]
-            codes.append(table)
-
+        base = model.instances
         weights = model.weight_table.weights
         weighted = [i for i, w in enumerate(weights) if w != 0.0]
         head = weighted[:_TABLE_FEATURES]
@@ -226,6 +287,11 @@ class _ModelIndex:
         for i in head:
             table = np.concatenate([table, table + weights[i]])
         tail = [(i, weights[i]) for i in weighted[_TABLE_FEATURES:]]
+        # equal rounded distances share a rank, and ranks keep their order
+        ranks = None
+        if not tail:
+            rounded = np.round(table, _DISTANCE_DECIMALS)
+            ranks = np.unique(rounded, return_inverse=True)[1].astype(np.uint16)
 
         if model.config.tie_policy is TiePolicy.GLOBAL_CLASS_FREQUENCY:
             pref = sorted(
@@ -235,11 +301,14 @@ class _ModelIndex:
         else:
             pref = sorted(model.class_frequencies)
         label_pos = {c: i for i, c in enumerate(pref)}
+        n = len(base)
         # float32 sums of 0/1 products are exact integers below 2**24
         dtype = np.float32 if n < 2**24 else np.float64
         onehot = np.zeros((n, len(pref)), dtype=dtype)
-        onehot[np.arange(n), [label_pos[inst.label] for inst in model.instances]] = 1
-        return _ModelIndex(codes, matrix, head, table, tail, pref, onehot)
+        onehot[np.arange(n), [label_pos[c] for c in base.labels]] = 1
+        return _ModelIndex(
+            base.codes, base.matrix, head, table, tail, ranks, pref, onehot
+        )
 
     def encode_queries(self, queries: Sequence[Sequence[str]]) -> np.ndarray:
         q = np.full((len(queries), self.matrix.shape[1]), -1, dtype=np.int32)
@@ -270,7 +339,7 @@ def train(dataset: Sequence[Instance], config: LearnerConfig | None = None) -> M
         )
     freqs = Counter(inst.label for inst in dataset)
     return Model(
-        instances=tuple(dataset),
+        instances=dataset,
         weight_table=table,
         config=config,
         class_frequencies=dict(freqs),
@@ -285,12 +354,13 @@ def _check_query(model: Model, query: Sequence[str], index: int | None = None):
         )
 
 
-def _batch_winner_ids(model: Model, encoded: np.ndarray):
+def _batch_winner_ids(model: Model, encoded: np.ndarray, nearest: bool = True):
     """Vectorized nearest-distance-set majority vote.
 
     Yields (winner ids, nearest distances, vote count matrix) per block of
-    queries.  Queries are read-only with respect to the model, so callers may
-    evaluate them concurrently.
+    queries; the nearest distances are None unless ``nearest`` is set.
+    Queries are read-only with respect to the model, so callers may evaluate
+    them concurrently.
     """
     idx = model._index
     k = model.config.k
@@ -300,27 +370,45 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray):
     for lo in range(0, encoded.shape[0], block):
         q = encoded[lo : lo + block]
         ne = np.empty((q.shape[0], n), dtype=bool)
+        # mismatch code, one byte of head features at a time, high byte
+        # first: bits = 2 * bits + mismatch stays in uint8 with no casting
         code = np.zeros((q.shape[0], n), dtype=np.uint16)
-        for i in reversed(idx.head):  # code = 2 * code + mismatch
-            np.not_equal(q[:, i, None], columns[i], out=ne)
-            np.left_shift(code, 1, out=code)
-            np.add(code, ne, out=code)
-        dist = idx.table[code]
-        for i, w in idx.tail:
-            np.not_equal(q[:, i, None], columns[i], out=ne)
-            np.add(dist, w, out=dist, where=ne)
-        nearest = dist.min(axis=1)
-        np.round(dist, _DISTANCE_DECIMALS, out=dist)
-        # k-th smallest distinct distance; inf once a row runs out of them,
-        # which admits the same instances as its largest distance would
+        bits = np.empty((q.shape[0], n), dtype=np.uint8)
+        for byte in (idx.head[8:], idx.head[:8]):
+            bits.fill(0)
+            for i in reversed(byte):
+                np.not_equal(q[:, i, None], columns[i], out=ne)
+                np.add(bits, bits, out=bits)
+                np.add(bits, ne.view(np.uint8), out=bits)
+            np.left_shift(code, 8, out=code)
+            np.bitwise_or(code, bits, out=code)
+        del bits
+        if idx.ranks is None:
+            dist = idx.table[code]
+            del code
+            for i, w in idx.tail:
+                np.not_equal(q[:, i, None], columns[i], out=ne)
+                np.add(dist, w, out=dist, where=ne)
+            near = dist.min(axis=1) if nearest else None
+            np.round(dist, _DISTANCE_DECIMALS, out=dist)
+            top = np.inf
+        else:  # every distance is in the table: select on its rank instead
+            near = idx.table[code].min(axis=1) if nearest else None
+            # np.take is faster than indexing; no code exceeds the table, so
+            # clipping only skips the bounds check
+            dist = np.take(idx.ranks, code, mode="clip")
+            del code
+            top = np.iinfo(np.uint16).max
+        # k-th smallest distinct distance; the top value once a row runs out
+        # of them, which admits the same instances as its largest would
         threshold = dist.min(axis=1)
         for _ in range(k - 1):
             np.greater(dist, threshold[:, None], out=ne)
-            threshold = dist.min(axis=1, initial=np.inf, where=ne)
+            threshold = dist.min(axis=1, initial=top, where=ne)
         np.less_equal(dist, threshold[:, None], out=ne)
-        del dist  # the mask's float copy below takes its place in the budget
+        del dist
         votes = ne.astype(idx.onehot.dtype) @ idx.onehot
-        yield votes.argmax(axis=1), nearest, votes  # columns in tie-preference order
+        yield votes.argmax(axis=1), near, votes  # columns in tie-preference order
 
 
 def classify_batch(
@@ -366,7 +454,7 @@ def classify_labels(model: Model, queries: Sequence[Sequence[str]]) -> list[str]
     idx = model._index
     encoded = idx.encode_queries(queries)
     labels: list[str] = []
-    for winners, _, _ in _batch_winner_ids(model, encoded):
+    for winners, _, _ in _batch_winner_ids(model, encoded, nearest=False):
         labels.extend(idx.labels_in_pref[w] for w in winners)
     return labels
 
@@ -399,6 +487,7 @@ def _unescape(text: str) -> str:
 
 
 def save_model(model: Model, path) -> None:
+    base = model.instances
     lines = [
         _FORMAT,
         f"arity {model.arity}",
@@ -411,20 +500,29 @@ def save_model(model: Model, path) -> None:
             f"{_escape(c)}\t{n}" for c, n in sorted(model.class_frequencies.items())
         ),
     ]
-    for inst in model.instances:
-        lines.append("\t".join(_escape(v) for v in (*inst.features, inst.label)))
-    with open(path, "w", encoding="utf-8") as fh:
+    # escape each distinct symbol once, then write the rows from their codes
+    cells = np.empty((len(base), len(base.codes) + 1), dtype=object)
+    for i, table in enumerate(base.codes):
+        symbols = np.array([_escape(v) for v in table], dtype=object)
+        cells[:, i] = symbols[base.matrix[:, i]]
+    labels = {c: _escape(c) for c in dict.fromkeys(base.labels)}
+    cells[:, -1] = list(map(labels.__getitem__, base.labels))
+    lines.extend(map("\t".join, cells.tolist()))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _FORMAT:
-        raise DomainError(f"{path}: not a {_FORMAT!r} file")
-
+    # only "\n" ends a line: "\r" and the other breaks str.splitlines knows
+    # may occur inside symbols, which save_model writes unescaped
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()
     # fixed header: one line per field, in save order, then instance lines
     fields = ("arity", "k", "tie-policy", "fallback", "weights", "classes")
+    lines = text.removesuffix("\n").split("\n", len(fields) + 1)
+    body = lines.pop() if len(lines) > 1 + len(fields) else ""
+    if lines[0] != _FORMAT:
+        raise DomainError(f"{path}: not a {_FORMAT!r} file")
     if len(lines) < 1 + len(fields):
         raise DomainError(f"{path}: truncated header")
     header: dict[str, str] = {}
@@ -433,7 +531,6 @@ def load_model(path) -> Model:
         if got != key:
             raise DomainError(f"{path}: expected header field {key!r}, got {got!r}")
         header[key] = rest
-    body = 1 + len(fields)
 
     class_fields = header["classes"].split("\t")
     if len(class_fields) % 2 != 0:
@@ -457,23 +554,25 @@ def load_model(path) -> Model:
     if not all(math.isfinite(w) for w in weights):
         raise DomainError(f"{path}: weights must be finite")
 
-    instances = []
-    for line in lines[body:]:
-        if not line:
-            continue
-        fields = line.split("\t")
-        if "\\" in line:
-            fields = [_unescape(f) for f in fields]
-        if len(fields) != arity + 1:
-            raise DomainError(f"{path}: instance line has {len(fields)} fields")
-        instances.append(Instance(tuple(fields[:arity]), fields[arity]))
-    if not instances:
+    rows = list(filter(None, body.split("\n")))  # blank lines are skipped
+    tabs = list(map(str.count, rows, repeat("\t")))
+    if arity == 0 and rows and tabs[0] == 0:  # a first row with a label alone
+        raise DomainError("instance needs at least one feature")
+    if tabs.count(arity) != len(tabs):
+        bad = next(t for t in tabs if t != arity)
+        raise DomainError(f"{path}: instance line has {bad + 1} fields")
+    if not rows:
         raise DomainError(f"{path}: model stores no instances")
-    if sum(freqs.values()) != len(instances):
+    if sum(freqs.values()) != len(rows):
         raise DomainError(f"{path}: class frequencies do not sum to instance count")
 
+    cells = "\t".join(rows).split("\t")
+    if "\\" in body:
+        cells = list(map(_unescape, cells))
+    width = arity + 1
+    columns = [cells[i::width] for i in range(arity)]
     return Model(
-        instances=tuple(instances),
+        instances=InstanceBase.from_columns(columns, cells[arity::width]),
         weight_table=WeightTable(weights),  # stored weights include any fallback
         config=config,
         class_frequencies=freqs,

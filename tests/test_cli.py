@@ -550,13 +550,63 @@ class TestBadBundles:
         self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
 
 
-def test_module_entry_point_prints_usage():
+def _child_env():
+    """The environment of a child ``python -m mbparse.cli``: this package on
+    the path, and one BLAS thread so that the child starts no thread pool."""
     src = str(Path(mbparse.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_module_entry_point_prints_usage():
     done = subprocess.run(
         [sys.executable, "-m", "mbparse.cli", "--help"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=_child_env(), timeout=60,
     )
     assert done.returncode == 0
     assert done.stdout.startswith("usage: mbparse")
+
+
+@pytest.fixture(scope="module")
+def import_peak_bytes():
+    """Peak address space of a child that has imported the command line."""
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import mbparse.cli\n"
+         "print(*[l.split()[1] for l in open('/proc/self/status') if l.startswith('VmPeak:')])"],
+        capture_output=True, text=True, env=_child_env(), timeout=60,
+    )
+    if done.returncode != 0 or not done.stdout.strip():
+        pytest.skip("no /proc/self/status to read the address space from")
+    return int(done.stdout) * 1024
+
+
+@pytest.mark.parametrize("headroom_mib", [2, 8, 32, 256])
+def test_chunk_under_an_address_space_limit(tag_bundles, import_peak_bytes, tmp_path,
+                                            headroom_mib):
+    """A tag command whose memory runs out ends in one error line, never a
+    traceback or a kill; with enough memory it writes what it writes
+    without a limit.  The limit leaves the child room to import itself."""
+    resource = pytest.importorskip("resource")
+    model, corpus = tag_bundles["chunk"]
+
+    def chunk(output, limit=None):
+        def set_limit():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        return subprocess.run(
+            [sys.executable, "-m", "mbparse.cli", "chunk", "--model", str(model),
+             "--input", str(corpus), "--output", str(output), "--workers", "1"],
+            capture_output=True, text=True, env=_child_env(), timeout=120,
+            preexec_fn=None if limit is None else set_limit,
+        )
+
+    free = chunk(tmp_path / "free.txt")
+    assert free.returncode == 0, free.stderr
+    limited = chunk(tmp_path / "limited.txt", import_peak_bytes + headroom_mib * 2**20)
+    if limited.returncode == 0:
+        assert (tmp_path / "limited.txt").read_bytes() == (tmp_path / "free.txt").read_bytes()
+    else:
+        assert limited.returncode == 1
+        lines = limited.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: out of memory"), limited.stderr

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+import tempfile
 from collections import Counter
 
 import numpy as np
@@ -438,6 +440,7 @@ class TestPersistence:
             Instance(("has\ttab", "has\nnewline"), "back\\slash"),
             Instance(("arity 3", "weights 1.0"), "classes L"),  # header look-alikes
             Instance(("plain", "x"), "L"),
+            Instance(("y\rz", "\x0bv\x0c"), "A\u2028"),  # breaks str.splitlines knows
         ]
         model = train(data, LearnerConfig(k=1))
         path = tmp_path / "weird.model"
@@ -518,11 +521,34 @@ def char_loop_unescape(text):
     return "".join(out)
 
 
+# Escapes, the separators they stand for, and every other character that
+# str.splitlines treats as a line boundary.
+SYMBOL_ALPHABET = "ab\\tn\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="ab\\tn\t\n", max_size=12))
+@given(st.text(alphabet=SYMBOL_ALPHABET, max_size=12))
 def test_unescape_matches_char_loop(text):
     assert _unescape(text) == char_loop_unescape(text)
     assert _unescape(_escape(text)) == text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(*[st.text(alphabet=SYMBOL_ALPHABET, max_size=5)] * 3),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_any_symbol_survives_save_and_load(rows):
+    model = train([Instance((a, b), label) for a, b, label in rows], LearnerConfig(k=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.model")
+        save_model(model, path)
+        loaded = load_model(path)
+    assert loaded.instances == model.instances
+    assert loaded.class_frequencies == model.class_frequencies
 
 
 def per_cell_index(instances, queries):
