@@ -5,8 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
-from .learner import PAD
+from .learner import PAD, FeatureColumns
 from .schemes import ChunkSpan
 
 # Widest window offset any template may use.
@@ -145,6 +147,69 @@ def extract(
         else:
             values.append(PAD)
     return tuple(values)
+
+
+def _channel_cells(channel: str, sentence: Sequence[Token], context) -> list[str]:
+    if channel == "w":
+        return [t.word for t in sentence]
+    if channel == "p":
+        return [t.pos for t in sentence]
+    tags = [t.chunk_tag for t in sentence] if context is None else context
+    return [PAD if c is None else c for c in tags]
+
+
+def extract_columns(
+    template: FeatureTemplate,
+    sentences: Sequence[Sequence[Token]],
+    context: Sequence[Sequence[str | None]] | None = None,
+) -> tuple[FeatureColumns, list[tuple[int, int]]]:
+    """Feature vectors of every token of every sentence, coded column by
+    column, plus each sentence's (start, end) range of rows.
+
+    Row r decodes to what ``extract`` gives for token r, with ``context``
+    (per-sentence chunk tags) read in place of the tokens' own chunk tags.
+    Each channel is coded once, over all sentences laid end to end with
+    ``MAX_OFFSET`` PAD cells around each; a feature column is then the
+    channel's codes at the token positions shifted by its offset, recoded in
+    order of first occurrence.
+    """
+    lengths = [len(s) for s in sentences]
+    if context is not None and (
+        len(context) != len(sentences)
+        or any(len(c) != n for c, n in zip(context, lengths))
+    ):
+        raise DomainError("context does not line up with the tokens")
+    rows = np.arange(sum(lengths))
+    # the cell of row r: every sentence up to r's own adds a run of pad cells
+    runs = np.repeat(np.arange(1, len(lengths) + 1), np.array(lengths, dtype=np.intp))
+    positions = rows + MAX_OFFSET * runs
+    pad = [PAD] * MAX_OFFSET
+    codes = []
+    matrix = np.empty((len(rows), template.arity), dtype=np.int32, order="F")
+    offsets_of = (template.words, template.pos, template.chunks)
+    for channel, offsets in zip(_CHANNELS, offsets_of):
+        if not offsets:
+            continue
+        cells = list(pad)
+        for si, s in enumerate(sentences):
+            tags = None if context is None else context[si]
+            cells.extend(_channel_cells(channel, s, tags))
+            cells.extend(pad)
+        table = {v: code for code, v in enumerate(dict.fromkeys(cells))}
+        symbols = list(table)
+        stream = np.fromiter(map(table.__getitem__, cells), np.int32, len(cells))
+        for off in offsets:
+            column = stream[positions + off]
+            first = np.full(len(symbols), len(rows))
+            np.minimum.at(first, column, rows)
+            found = np.flatnonzero(first < len(rows))
+            found = found[np.argsort(first[found])]  # in order of first occurrence
+            recode = np.empty(len(symbols), dtype=np.int32)
+            recode[found] = np.arange(len(found), dtype=np.int32)
+            matrix[:, len(codes)] = recode[column]
+            codes.append({symbols[v]: code for code, v in enumerate(found.tolist())})
+    ends = np.cumsum(lengths).tolist()
+    return FeatureColumns(tuple(codes), matrix), list(zip([0] + ends[:-1], ends))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,14 @@ weights over mismatching positions) and labeled by majority vote over the
 instances falling in the k nearest *distinct* distance values.
 
 A model keeps its instances integer-coded column by column from the moment
-it is trained or loaded (``InstanceBase``); symbols are strings only when
-queries are encoded and when a model is saved or decoded.
+it is trained or loaded (``InstanceBase``).  Training takes an
+``InstanceBase`` as it is, or codes a sequence of ``Instance`` once,
+checking their arity on the way; the gain-ratio weights are tabulated from
+the codes (value and (value, class) counts), with every entropy summing its
+terms in the order a walk down the rows would.  Queries come as feature
+tuples or as ``FeatureColumns``, whose distinct values are translated into
+the model's codes; symbols are strings only there and when a model is saved
+or decoded.
 
 The query kernel codes which of the first 16 weighted features mismatch as
 one uint16 per (query, instance) pair, a byte at a time.  A table holds
@@ -93,18 +99,9 @@ class LearnerConfig:
 
 @dataclass(frozen=True)
 class WeightTable:
-    """Per-feature weights plus the entropy terms they were derived from.
-
-    ``conditionals[i]`` maps each observed value of feature i to the pair
-    (value probability, class entropy of the instances carrying the value).
-    Only ``train`` fills the entropy terms; a model read by ``load_model``
-    carries its stored weights alone, since classification reads nothing else.
-    """
+    """Per-feature weights, in feature order."""
 
     weights: tuple[float, ...]
-    class_entropy: float | None = None
-    feature_value_entropies: tuple[float, ...] = ()
-    conditionals: tuple[Mapping[str, tuple[float, float]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -123,84 +120,60 @@ def entropy(counts: Mapping[str, float]) -> float:
         total += c
     if total <= 0:
         raise DomainError("entropy of an empty distribution is undefined")
+    return _entropy(counts.values(), total)
+
+
+def _entropy(counts, total) -> float:
+    """Entropy of counts summing to ``total``, its terms summed in order.
+
+    ``total`` may be an int or the float of one: both give the same
+    correctly rounded quotient for every count.
+    """
     h = 0.0
-    for c in counts.values():
+    for c in counts:
         if c > 0:
             p = c / total
             h -= p * math.log2(p)
     return h
 
 
-def _check_dataset(dataset: Sequence[Instance]) -> int:
-    if not dataset:
-        raise DomainError("empty dataset")
-    arity = len(dataset[0].features)
-    for inst in dataset:
-        if len(inst.features) != arity:
-            raise DomainError(
-                f"mixed arity: expected {arity}, got {len(inst.features)}"
-            )
-    return arity
-
-
-def gain_ratio_weights(dataset: Sequence[Instance]) -> WeightTable:
-    """Information gain of each feature about the class, normalized by the
-    feature's own value entropy.  Constant features get weight 0.
-    """
-    arity = _check_dataset(dataset)
-    n = len(dataset)
-    labels = [inst.label for inst in dataset]
-    h_class = entropy(Counter(labels))
-    columns = list(zip(*(inst.features for inst in dataset)))
-    weights = []
-    value_entropies = []
-    conditionals = []
-    for i in range(arity):
-        # (value, label) pairs first occur in the same order as their values
-        # and, per value, their labels, so every entropy sums its terms in
-        # row order of first occurrence.
-        value_counts: Counter[str] = Counter()
-        class_by_value: dict[str, dict[str, int]] = {}
-        for (v, label), count in Counter(zip(columns[i], labels)).items():
-            value_counts[v] += count
-            class_by_value.setdefault(v, {})[label] = count
-        h_value = entropy(value_counts)
-        cond: dict[str, tuple[float, float]] = {}
-        expected = 0.0
-        for v, nv in value_counts.items():
-            p_v = nv / n
-            h_cv = entropy(class_by_value[v])
-            cond[v] = (p_v, h_cv)
-            expected += p_v * h_cv
-        if h_value == 0.0:
-            w = 0.0  # constant feature carries no information
-        else:
-            w = max(0.0, (h_class - expected) / h_value)
-        weights.append(w)
-        value_entropies.append(h_value)
-        conditionals.append(cond)
-
-    return WeightTable(
-        weights=tuple(weights),
-        class_entropy=h_class,
-        feature_value_entropies=tuple(value_entropies),
-        conditionals=tuple(conditionals),
-    )
-
-
 @dataclass(frozen=True, eq=False)
-class InstanceBase:
-    """Training instances stored column by column, integer-coded.
+class FeatureColumns:
+    """Feature vectors stored column by column, integer-coded.
 
     ``codes[i]`` maps each value of feature i to its code, numbered in order
     of first occurrence down the column; ``matrix`` holds every row's codes,
-    n x arity int32 and column-major; ``labels`` holds every row's class.  As
-    a sequence it decodes to the ``Instance`` rows in their stored order, and
-    it equals any sequence of the same instances.
+    n x arity int32 and column-major.  As a sequence it decodes to the rows'
+    feature tuples.
     """
 
     codes: tuple[dict[str, int], ...]
     matrix: np.ndarray
+
+    @property
+    def arity(self) -> int:
+        return self.matrix.shape[1]
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __iter__(self):
+        if not self.codes:
+            return iter([()] * len(self))
+        return zip(*(
+            map(list(table).__getitem__, self.matrix[:, i].tolist())
+            for i, table in enumerate(self.codes)
+        ))
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceBase(FeatureColumns):
+    """Training instances: coded feature columns plus every row's class.
+
+    As a sequence it decodes to the ``Instance`` rows in their stored order,
+    and it equals any sequence of the same instances.
+    """
+
     labels: tuple[str, ...]
 
     @staticmethod
@@ -216,20 +189,82 @@ class InstanceBase:
             codes.append(table)
         return InstanceBase(tuple(codes), matrix, tuple(labels))
 
-    def __len__(self) -> int:
-        return len(self.labels)
+    @staticmethod
+    def from_rows(dataset: Sequence[Instance]) -> "InstanceBase":
+        """Code a sequence of ``Instance``, checking their arity on the way."""
+        if not dataset:
+            raise DomainError("empty dataset")
+        arity = len(dataset[0].features)
+        features, labels = [], []
+        for inst in dataset:
+            if len(inst.features) != arity:
+                raise DomainError(
+                    f"mixed arity: expected {arity}, got {len(inst.features)}"
+                )
+            features.append(inst.features)
+            labels.append(inst.label)
+        return InstanceBase.from_columns(list(zip(*features)), labels)
 
     def __iter__(self):
-        columns = [
-            map(list(table).__getitem__, self.matrix[:, i].tolist())
-            for i, table in enumerate(self.codes)
-        ]
-        return map(Instance, zip(*columns), self.labels)
+        return map(Instance, super().__iter__(), self.labels)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (InstanceBase, tuple, list)):
             return NotImplemented
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _instance_base(dataset: InstanceBase | Sequence[Instance]) -> InstanceBase:
+    """The dataset as a non-empty ``InstanceBase`` with at least one feature."""
+    if not isinstance(dataset, InstanceBase):
+        return InstanceBase.from_rows(dataset)
+    if not len(dataset):
+        raise DomainError("empty dataset")
+    if not dataset.arity:
+        raise DomainError("instance needs at least one feature")
+    return dataset
+
+
+def gain_ratio_weights(dataset: InstanceBase | Sequence[Instance]) -> WeightTable:
+    """Information gain of each feature about the class, normalized by the
+    feature's own value entropy.  Constant features get weight 0.
+
+    Counts come from the codes.  Values are coded in order of first
+    occurrence (as ``FeatureColumns`` requires), and each value's classes
+    are taken in order of the first occurrence of the (value, class) pair,
+    so every entropy sums its terms in the order a walk down the rows meets
+    them and the weights equal those of that walk to the last bit.
+    """
+    base = _instance_base(dataset)
+    n = len(base)
+    label_code = {c: i for i, c in enumerate(dict.fromkeys(base.labels))}
+    y = np.fromiter(map(label_code.__getitem__, base.labels), np.int64, n)
+    h_class = _entropy(np.bincount(y).tolist(), n)
+    weights = []
+    for i in range(base.arity):
+        column = base.matrix[:, i]
+        value_counts = np.bincount(column).tolist()
+        h_value = _entropy(value_counts, n)
+        if h_value == 0.0:
+            weights.append(0.0)  # constant feature carries no information
+            continue
+        keys = column * np.int64(len(label_code)) + y
+        pairs, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        values = pairs // len(label_code)
+        counts = counts[np.lexsort((first, values))].tolist()
+        # each value's class counts are a run, values in code order; a value
+        # seen with one class has class entropy 0 and adds nothing
+        classes = np.bincount(values)
+        ends = np.cumsum(classes)
+        mixed = np.flatnonzero(classes > 1)
+        expected = 0.0
+        for v, a, b in zip(
+            mixed.tolist(), (ends - classes)[mixed].tolist(), ends[mixed].tolist()
+        ):
+            nv = value_counts[v]
+            expected += (nv / n) * _entropy(counts[a:b], nv)
+        weights.append(max(0.0, (h_class - expected) / h_value))
+    return WeightTable(tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -247,9 +282,7 @@ class Model:
 
     def __post_init__(self):
         if not isinstance(self.instances, InstanceBase):
-            rows = tuple(self.instances)
-            columns = list(zip(*(inst.features for inst in rows)))
-            base = InstanceBase.from_columns(columns, [inst.label for inst in rows])
+            base = InstanceBase.from_rows(self.instances)
             object.__setattr__(self, "instances", base)
 
     @property
@@ -310,48 +343,68 @@ class _ModelIndex:
             base.codes, base.matrix, head, table, tail, ranks, pref, onehot
         )
 
-    def encode_queries(self, queries: Sequence[Sequence[str]]) -> np.ndarray:
+    def encode_queries(
+        self, queries: Sequence[Sequence[str]] | FeatureColumns
+    ) -> np.ndarray:
+        """Queries in the model's codes; a value unseen in training is -1,
+        which matches nothing.  Coded columns are translated one distinct
+        value at a time."""
         q = np.full((len(queries), self.matrix.shape[1]), -1, dtype=np.int32)
+        if isinstance(queries, FeatureColumns):
+            for i, (own, table) in enumerate(zip(queries.codes, self.codes)):
+                lookup = [table.get(v, -1) for v in own]
+                q[:, i] = np.array(lookup, dtype=np.int32)[queries.matrix[:, i]]
+            return q
         for i, (column, table) in enumerate(zip(zip(*queries), self.codes)):
-            q[:, i] = [table.get(v, -1) for v in column]  # unseen value matches nothing
+            q[:, i] = [table.get(v, -1) for v in column]
         return q
 
 
-def train(dataset: Sequence[Instance], config: LearnerConfig | None = None) -> Model:
+def train(
+    dataset: InstanceBase | Sequence[Instance], config: LearnerConfig | None = None
+) -> Model:
     """Store the dataset and compute its feature weights.
 
-    With ``degenerate_weight_fallback`` on, an all-zero weight table (every
-    weight below 1e-12) is replaced by uniform weights so that the overlap
-    metric still discriminates.
+    A sequence of ``Instance`` is coded into an ``InstanceBase`` once; an
+    ``InstanceBase`` is stored as it is.  With ``degenerate_weight_fallback``
+    on, an all-zero weight table (every weight below 1e-12) is replaced by
+    uniform weights so that the overlap metric still discriminates.
     """
     if config is None:
         config = LearnerConfig()
-    _check_dataset(dataset)
-    table = gain_ratio_weights(dataset)
+    base = _instance_base(dataset)
+    table = gain_ratio_weights(base)
     if config.degenerate_weight_fallback and all(
         w < DEGENERATE_WEIGHT_EPS for w in table.weights
     ):
-        table = WeightTable(
-            weights=tuple(1.0 for _ in table.weights),
-            class_entropy=table.class_entropy,
-            feature_value_entropies=table.feature_value_entropies,
-            conditionals=table.conditionals,
-        )
-    freqs = Counter(inst.label for inst in dataset)
+        table = WeightTable(tuple(1.0 for _ in table.weights))
     return Model(
-        instances=dataset,
+        instances=base,
         weight_table=table,
         config=config,
-        class_frequencies=dict(freqs),
+        class_frequencies=dict(Counter(base.labels)),
     )
 
 
-def _check_query(model: Model, query: Sequence[str], index: int | None = None):
-    if len(query) != model.arity:
+def _check_arity(model: Model, arity: int, index: int | None = None):
+    if arity != model.arity:
         where = "" if index is None else f" at index {index}"
         raise DomainError(
-            f"query arity {len(query)}{where} does not match model arity {model.arity}"
+            f"query arity {arity}{where} does not match model arity {model.arity}"
         )
+
+
+def _encode(model: Model, queries) -> np.ndarray | None:
+    """Checked queries coded against the model, or None when there are none."""
+    if isinstance(queries, FeatureColumns):
+        if len(queries):
+            _check_arity(model, queries.arity, 0)
+    else:
+        for i, q in enumerate(queries):
+            _check_arity(model, len(q), i)
+    if not len(queries):
+        return None
+    return model._index.encode_queries(queries)
 
 
 def _batch_winner_ids(model: Model, encoded: np.ndarray, nearest: bool = True):
@@ -412,15 +465,13 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray, nearest: bool = True):
 
 
 def classify_batch(
-    model: Model, queries: Sequence[Sequence[str]]
+    model: Model, queries: Sequence[Sequence[str]] | FeatureColumns
 ) -> list[Classification]:
     """Classify queries in order; elementwise identical to ``classify``."""
-    for i, q in enumerate(queries):
-        _check_query(model, q, i)
-    if not queries:
+    encoded = _encode(model, queries)
+    if encoded is None:
         return []
     idx = model._index
-    encoded = idx.encode_queries(queries)
     out: list[Classification] = []
     for winners, nearest, votes in _batch_winner_ids(model, encoded):
         for r in range(len(winners)):
@@ -441,21 +492,20 @@ def classify_batch(
 
 def classify(model: Model, query: Sequence[str]) -> Classification:
     """Label a single query by majority over the k nearest distance sets."""
-    _check_query(model, query)
+    _check_arity(model, len(query))
     return classify_batch(model, [query])[0]
 
 
-def classify_labels(model: Model, queries: Sequence[Sequence[str]]) -> list[str]:
+def classify_labels(
+    model: Model, queries: Sequence[Sequence[str]] | FeatureColumns
+) -> list[str]:
     """Labels only; cheaper than ``classify_batch`` for bulk tagging."""
-    for i, q in enumerate(queries):
-        _check_query(model, q, i)
-    if not queries:
+    encoded = _encode(model, queries)
+    if encoded is None:
         return []
-    idx = model._index
-    encoded = idx.encode_queries(queries)
     labels: list[str] = []
     for winners, _, _ in _batch_winner_ids(model, encoded, nearest=False):
-        labels.extend(idx.labels_in_pref[w] for w in winners)
+        labels.extend(model._index.labels_in_pref[w] for w in winners)
     return labels
 
 

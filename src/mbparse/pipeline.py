@@ -6,6 +6,12 @@ as context), convert every output to open- and close-bracket streams, vote
 the open streams and the close streams separately, and repair the winners
 into a span set.  Parsers repeat chunking on head-compressed sentences,
 one bracket-predictor pair per nesting level.
+
+Every template model is trained and applied on the same coded feature
+columns (``features.extract_columns``): ``train_tagger`` labels them and
+hands them to the learner as its instance base, ``tag_sentences`` classifies
+them in one batch, and a bracket level's open and close models share one
+extraction, in training and in prediction.
 """
 
 from __future__ import annotations
@@ -21,11 +27,19 @@ from .features import (
     FeatureTemplate,
     Token,
     compress_mapped,
-    extract,
+    extract_columns,
     np_head,
     parse_template,
 )
-from .learner import Instance, LearnerConfig, Model, PAD, classify_labels, train
+from .learner import (
+    Instance,
+    InstanceBase,
+    LearnerConfig,
+    Model,
+    PAD,
+    classify_labels,
+    train,
+)
 from .schemes import (
     ChunkSpan,
     ClauseNode,
@@ -106,20 +120,6 @@ def _streams_for(rep: Scheme) -> tuple[Scheme, ...]:
 # Two-pass per-representation taggers.
 
 
-def _extract_all(template: FeatureTemplate, sentences: Sequence[Sentence], context=None):
-    """Feature vectors of every token of every sentence, plus each sentence's
-    (start, end) range in that list."""
-    feats: list[tuple[str, ...]] = []
-    bounds = []
-    for si, s in enumerate(sentences):
-        lo = len(feats)
-        if context is not None:
-            s = [replace(t, chunk_tag=c) for t, c in zip(s, context[si])]
-        feats.extend(extract(s, i, template) for i in range(len(s)))
-        bounds.append((lo, len(feats)))
-    return feats, bounds
-
-
 def tag_sentences(
     model: Model,
     template: FeatureTemplate,
@@ -128,21 +128,22 @@ def tag_sentences(
 ) -> list[list[str]]:
     """One label per token, from a single batched classification of all
     sentences.  ``context`` gives per-sentence chunk tags that the template's
-    chunk channel reads in place of the tokens' own."""
-    feats, bounds = _extract_all(template, sentences, context)
-    labels = classify_labels(model, feats)
+    chunk channel reads in place of the tokens' own; raises ``DomainError``
+    when it does not line up with the tokens."""
+    columns, bounds = extract_columns(template, sentences, context)
+    labels = classify_labels(model, columns)
     return [labels[a:b] for a, b in bounds]
 
 
-def _train_rows(feats, bounds, tags: Sequence[Sequence[str]], learner_config) -> Model:
-    """Train on one instance per feature vector, labelled with the matching
-    entry of ``tags`` (one tag list per (start, end) range in ``bounds``)."""
+def _train_rows(columns, bounds, tags, learner_config) -> Model:
+    """Train on the coded feature rows, each labelled with the matching entry
+    of ``tags`` (one tag list per (start, end) range in ``bounds``)."""
     if len(tags) != len(bounds) or any(
         len(t) != b - a for t, (a, b) in zip(tags, bounds)
     ):
         raise DomainError("training tags do not line up with the tokens")
-    labels = [label for t in tags for label in t]
-    return train([Instance(f, y) for f, y in zip(feats, labels)], learner_config)
+    labels = tuple(label for t in tags for label in t)
+    return train(InstanceBase(columns.codes, columns.matrix, labels), learner_config)
 
 
 def train_tagger(
@@ -154,10 +155,10 @@ def train_tagger(
 ) -> Model:
     """The training twin of ``tag_sentences``: one instance per token, with
     the features ``tag_sentences`` would extract and that token's entry in
-    ``tags`` as its label.  Raises ``DomainError`` when ``tags`` (or a short
-    ``context``) does not line up with the tokens."""
-    feats, bounds = _extract_all(template, sentences, context)
-    return _train_rows(feats, bounds, tags, learner_config)
+    ``tags`` as its label.  Raises ``DomainError`` when ``tags`` or
+    ``context`` does not line up with the tokens."""
+    columns, bounds = extract_columns(template, sentences, context)
+    return _train_rows(columns, bounds, tags, learner_config)
 
 
 @dataclass
@@ -553,7 +554,7 @@ def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[Clau
 @dataclass
 class BracketLevel:
     """Open/close mark predictors for one nesting level; both read the same
-    features, extracted once per token."""
+    feature columns, extracted once per batch."""
 
     template: FeatureTemplate
     open_model: Model
@@ -561,9 +562,10 @@ class BracketLevel:
     default_type: str = "NP"
 
     def predict(self, batch):
-        feats, bounds = _extract_all(self.template, [t for t, _origin, _si in batch])
-        otags = classify_labels(self.open_model, feats)
-        ctags = classify_labels(self.close_model, feats)
+        tokens = [t for t, _origin, _si in batch]
+        columns, bounds = extract_columns(self.template, tokens)
+        otags = classify_labels(self.open_model, columns)
+        ctags = classify_labels(self.close_model, columns)
         return [
             (
                 [mark_type(t, self.default_type) for t in otags[a:b]],
@@ -783,11 +785,11 @@ def train_bracket_level(
         views.append(tokens)
         open_tags.append(otags)
         close_tags.append(ctags)
-    feats, bounds = _extract_all(template, views)
+    columns, bounds = extract_columns(template, views)  # shared by both models
     return BracketLevel(
         template=template,
-        open_model=_train_rows(feats, bounds, open_tags, learner_config),
-        close_model=_train_rows(feats, bounds, close_tags, learner_config),
+        open_model=_train_rows(columns, bounds, open_tags, learner_config),
+        close_model=_train_rows(columns, bounds, close_tags, learner_config),
         default_type=default_type,
     )
 

@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,20 @@ from mbparse.features import (
     compress,
     compress_mapped,
     extract,
+    extract_columns,
     format_template,
     np_head,
     parse_template,
     select_features,
 )
-from mbparse.learner import PAD, Instance, LearnerConfig, classify_labels, train
+from mbparse.learner import (
+    PAD,
+    Instance,
+    InstanceBase,
+    LearnerConfig,
+    classify_labels,
+    train,
+)
 from mbparse.schemes import ChunkSpan
 
 
@@ -109,6 +120,55 @@ class TestExtract:
         )
         t = FeatureTemplate.from_atoms(atoms)
         assert len(extract(SENT, index, t)) == t.arity
+
+
+# The PAD symbol itself, and characters the model file format escapes or
+# must carry through unescaped.
+SYMBOLS = st.sampled_from(["a", "b", "c", PAD, "t\tt", "b\\s", "r\rr", "\\"])
+ATOMS = st.sets(
+    st.tuples(st.sampled_from("wpc"), st.integers(-4, 4)).filter(
+        lambda a: not (a[0] == "c" and a[1] == 0)
+    ),
+    max_size=12,
+)
+
+
+def extract_per_token(template, sentences, context):
+    """Reference: ``extract`` on every token, with the context tags put on
+    the tokens; returns the rows and each sentence's (start, end) range."""
+    rows, bounds = [], []
+    for si, s in enumerate(sentences):
+        if context is not None:
+            s = [replace(t, chunk_tag=c) for t, c in zip(s, context[si])]
+        lo = len(rows)
+        rows.extend(extract(s, i, template) for i in range(len(s)))
+        bounds.append((lo, len(rows)))
+    return rows, bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_extract_columns_matches_extract(data):
+    template = FeatureTemplate.from_atoms(data.draw(ATOMS))
+    token = st.builds(Token, SYMBOLS, SYMBOLS, st.none() | SYMBOLS)
+    sentences = data.draw(st.lists(st.lists(token, max_size=7), max_size=5))
+    context = None
+    if data.draw(st.booleans()):
+        context = [
+            data.draw(st.lists(st.none() | SYMBOLS, min_size=len(s), max_size=len(s)))
+            for s in sentences
+        ]
+    columns, bounds = extract_columns(template, sentences, context)
+    rows, expected_bounds = extract_per_token(template, sentences, context)
+    assert list(columns) == rows
+    assert bounds == expected_bounds
+    # coded exactly as the instance base of those rows would be
+    base = InstanceBase.from_columns(
+        [[r[i] for r in rows] for i in range(template.arity)], ["X"] * len(rows)
+    )
+    assert [list(c.items()) for c in columns.codes] == [list(c.items()) for c in base.codes]
+    assert columns.matrix.dtype == np.int32 and columns.matrix.flags.f_contiguous
+    assert np.array_equal(columns.matrix, base.matrix)
 
 
 class TestNpHead:

@@ -1,0 +1,67 @@
+"""Golden digests: the bytes that ``train`` and ``xor-experiment`` write for
+seeded tiny ``synth`` inputs.
+
+A change that should leave every model file and table byte-identical (a
+speed-up, a refactor) must keep these digests.  A change that means to alter
+the output updates them and says why.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from mbparse.cli import run_command
+from mbparse.corpus import encode_bracket_column, write_corpus
+from mbparse.schemes import Scheme, encode
+from mbparse.synth import np_chunk_corpus, parse_corpus
+
+BUNDLE_DIGESTS = {
+    "np-chunk": "2714657772f72aad9bd60dd8a713fb48b5345539179fd9bc79ed198c003c361f",
+    "full-parse": "05f9fdccf011357639231393c8598455811a887390994b55bac9f0345473f7b5",
+}
+XOR_DIGEST = "c2f912c7e522ae54b85cd85b1392aa2ee4c177bd6d5ae77c471c7fd7caeb8068"
+
+
+def digest(path: Path) -> str:
+    """SHA-256 of a file, or of a directory's file names and contents."""
+    if path.is_file():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    for p in sorted(path.iterdir()):
+        h.update(p.name.encode() + b"\0" + p.read_bytes())
+    return h.hexdigest()
+
+
+def write_train_corpus(task: str, path: Path) -> None:
+    rows = []
+    if task == "np-chunk":
+        sentences, gold = np_chunk_corpus(80, seed=1)
+        for s, spans in zip(sentences, gold):
+            tags = encode(spans, Scheme.IOB1, len(s), typed=False)
+            rows.append([(t.word, t.pos, tag) for t, tag in zip(s, tags)])
+        write_corpus(rows, path, columns=("word", "pos", "chunk"))
+    else:
+        sentences, gold = parse_corpus(80, seed=1)
+        for s, spans in zip(sentences, gold):
+            cells = encode_bracket_column(spans, len(s))
+            rows.append([(t.word, t.pos, c) for t, c in zip(s, cells)])
+        write_corpus(rows, path, columns=("word", "pos", "tree"))
+
+
+@pytest.mark.parametrize("task", sorted(BUNDLE_DIGESTS))
+def test_train_bundle_digest(task, tmp_path):
+    write_train_corpus(task, tmp_path / "train.txt")
+    model = tmp_path / "model"
+    argv = ["train", "--task", task, "--train", str(tmp_path / "train.txt"),
+            "--model", str(model), "--workers", "1"]
+    assert run_command(argv) == 0
+    assert digest(model) == BUNDLE_DIGESTS[task]
+
+
+def test_xor_table_digest(capsys):
+    argv = ["xor-experiment", "--extra", "0..10", "--runs", "2", "--seed", "1",
+            "--workers", "1"]
+    assert run_command(argv) == 0
+    table = capsys.readouterr().out
+    assert hashlib.sha256(table.encode()).hexdigest() == XOR_DIGEST

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from mbparse.errors import DomainError
 from mbparse.learner import (
     Instance,
+    InstanceBase,
     LearnerConfig,
     Model,
     TiePolicy,
@@ -21,6 +22,7 @@ from mbparse.learner import (
     _unescape,
     classify,
     classify_batch,
+    classify_labels,
     entropy,
     gain_ratio_weights,
     load_model,
@@ -35,11 +37,7 @@ def uniform_model(instances, k=1, tie=TiePolicy.GLOBAL_CLASS_FREQUENCY):
     freqs = {}
     for inst in instances:
         freqs[inst.label] = freqs.get(inst.label, 0) + 1
-    table = WeightTable(
-        weights=(1.0,) * arity,
-        class_entropy=0.0,
-        feature_value_entropies=(0.0,) * arity,
-    )
+    table = WeightTable(weights=(1.0,) * arity)
     return Model(
         instances=tuple(instances),
         weight_table=table,
@@ -108,9 +106,11 @@ class TestGainRatio:
             gain_ratio_weights([Instance(("a",), "x"), Instance(("a", "b"), "x")])
 
     def test_conditional_terms_recorded(self):
-        table = gain_ratio_weights([TRAIN1, TRAIN2])
-        assert table.class_entropy == 1.0
-        p, h = table.conditionals[1]["saw"]
+        # the entropy terms behind the weights, as the row-order reference
+        # tabulates them
+        _, h_class, _, conditionals = row_order_gain_ratio([TRAIN1, TRAIN2])
+        assert h_class == 1.0
+        p, h = conditionals[1]["saw"]
         assert p == 1.0 and h == 1.0
 
 
@@ -190,25 +190,22 @@ def row_order_gain_ratio(dataset):
 @given(st.data())
 def test_gain_ratio_bit_identical_to_row_order_reference(data):
     arity = data.draw(st.integers(1, 4))
+    # enough classes per value that summing their terms in another order
+    # changes the last bit of some weights
     rows = data.draw(
         st.lists(
             st.tuples(
                 st.tuples(*[st.sampled_from("abcde") for _ in range(arity)]),
-                st.sampled_from("xyz"),
+                st.sampled_from("stuvwxyz"),
             ),
             min_size=1,
-            max_size=40,
+            max_size=80,
         )
     )
     dataset = [Instance(feats, label) for feats, label in rows]
-    table = gain_ratio_weights(dataset)
-    weights, h_class, value_entropies, conditionals = row_order_gain_ratio(dataset)
-    assert table.weights == weights
-    assert table.class_entropy == h_class
-    assert table.feature_value_entropies == value_entropies
-    assert [list(c.items()) for c in table.conditionals] == [
-        list(c.items()) for c in conditionals
-    ]
+    weights = row_order_gain_ratio(dataset)[0]
+    assert gain_ratio_weights(dataset).weights == weights
+    assert gain_ratio_weights(InstanceBase.from_rows(dataset)).weights == weights
 
 
 class TestTrain:
@@ -583,3 +580,16 @@ def test_index_matches_per_cell_coding(data):
     assert index.matrix.dtype == matrix.dtype and np.array_equal(index.matrix, matrix)
     got = index.encode_queries(queries)
     assert got.dtype == encoded.dtype and np.array_equal(got, encoded)
+    # coded queries translate to the same codes as their strings
+    if queries:
+        coded = InstanceBase.from_columns(list(zip(*queries)), ["X"] * len(queries))
+        got = index.encode_queries(coded)
+        assert got.dtype == encoded.dtype and np.array_equal(got, encoded)
+
+
+def test_coded_queries_check_arity():
+    model = train([Instance(("a", "b"), "X"), Instance(("b", "a"), "Y")])
+    queries = InstanceBase.from_columns([["a"]], ["X"])
+    with pytest.raises(DomainError, match="query arity 1 at index 0"):
+        classify_labels(model, queries)
+    assert classify_labels(model, InstanceBase.from_columns([[], []], [])) == []

@@ -506,19 +506,26 @@ class TestBracketLevel:
         for lm, batch in trained_levels:
             assert lm.predict(batch) == predict_per_model(lm, batch)
 
-    def test_features_extracted_once_per_token(self, trained_levels, monkeypatch):
-        calls = []
-        original = pipeline.extract
+    def test_feature_columns_built_once_per_predict(self, trained_levels, monkeypatch):
+        built, read = [], []
+        extract_columns, classify_labels = pipeline.extract_columns, pipeline.classify_labels
 
-        def counting(sentence, index, template):
-            calls.append(index)
-            return original(sentence, index, template)
+        def counting_extract(*args, **kwargs):
+            built.append(extract_columns(*args, **kwargs))
+            return built[-1]
 
-        monkeypatch.setattr(pipeline, "extract", counting)
+        def recording_classify(model, queries):
+            read.append(queries)
+            return classify_labels(model, queries)
+
+        monkeypatch.setattr(pipeline, "extract_columns", counting_extract)
+        monkeypatch.setattr(pipeline, "classify_labels", recording_classify)
         for lm, batch in trained_levels:
-            calls.clear()
+            built.clear()
+            read.clear()
             lm.predict(batch)
-            assert len(calls) == sum(len(tokens) for tokens, _, _ in batch)
+            assert len(built) == 1
+            assert len(read) == 2 and all(q is built[0][0] for q in read)
 
 
 class TestStratify:

@@ -189,6 +189,37 @@ class TestTrainTagger:
             train_tagger(parse_template("w[0] c[-1]"), sents, tags, LCFG, context=context)
 
 
+CONTEXT_EDITS = [
+    lambda ctx: ctx[:-1],  # too few context lists
+    lambda ctx: ctx + [["O"]],  # one for a sentence that is not there
+    lambda ctx: [ctx[0][:-1]] + ctx[1:],  # one tag short
+    lambda ctx: ctx[:2] + [ctx[2] + ["O"]] + ctx[3:],  # one tag over
+]
+
+
+@pytest.mark.parametrize(
+    "edit", CONTEXT_EDITS, ids=["few-lists", "extra-list", "short-list", "long-list"]
+)
+class TestContextMismatch:
+    """A context that does not line up with the sentences is an error for
+    training and tagging alike, not a silently shorter tag list."""
+
+    template = parse_template("w[0] c[-1,1]")
+
+    def setup_method(self):
+        self.sents, gold = np_chunk_corpus(5, seed=62)
+        self.tags = [encode(g, Scheme.IOB1, len(s)) for s, g in zip(self.sents, gold)]
+
+    def test_train_tagger(self, edit):
+        with pytest.raises(DomainError, match="context does not line up"):
+            train_tagger(self.template, self.sents, self.tags, LCFG, context=edit(self.tags))
+
+    def test_tag_sentences(self, edit):
+        model = train_tagger(self.template, self.sents, self.tags, LCFG, context=self.tags)
+        with pytest.raises(DomainError, match="context does not line up"):
+            tag_sentences(model, self.template, self.sents, edit(self.tags))
+
+
 @pytest.mark.parametrize(
     "corpus, scheme, typed",
     [
