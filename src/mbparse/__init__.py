@@ -9,7 +9,15 @@ __version__ = "0.1.0"
 
 from .errors import ConfigError, CorpusError, DomainError
 from .evaluate import EvalConfig, ScoreReport, bootstrap, f_beta, score, score_per_type
-from .features import FeatureTemplate, Token, compress, extract, np_head, select_features
+from .features import (
+    FeatureTemplate,
+    Token,
+    compress,
+    extract,
+    extract_token,
+    np_head,
+    select_features,
+)
 from .learner import (
     PAD,
     Classification,
@@ -69,6 +77,7 @@ __all__ = [
     "encode",
     "entropy",
     "extract",
+    "extract_token",
     "f_beta",
     "gain_ratio_weights",
     "load_model",

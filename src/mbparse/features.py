@@ -126,7 +126,7 @@ def parse_template(text: str) -> FeatureTemplate:
     )
 
 
-def extract(
+def extract_token(
     sentence: Sequence[Token], index: int, template: FeatureTemplate
 ) -> tuple[str, ...]:
     """Feature vector for one focus token; out-of-sentence positions give PAD."""
@@ -158,7 +158,7 @@ def _channel_cells(channel: str, sentence: Sequence[Token], context) -> list[str
     return [PAD if c is None else c for c in tags]
 
 
-def extract_columns(
+def extract(
     template: FeatureTemplate,
     sentences: Sequence[Sequence[Token]],
     context: Sequence[Sequence[str | None]] | None = None,
@@ -166,7 +166,7 @@ def extract_columns(
     """Feature vectors of every token of every sentence, coded column by
     column, plus each sentence's (start, end) range of rows.
 
-    Row r decodes to what ``extract`` gives for token r, with ``context``
+    Row r decodes to what ``extract_token`` gives for token r, with ``context``
     (per-sentence chunk tags) read in place of the tokens' own chunk tags.
     Each channel is coded once, over all sentences laid end to end with
     ``MAX_OFFSET`` PAD cells around each; a feature column is then the

@@ -8,7 +8,7 @@ into a span set.  Parsers repeat chunking on head-compressed sentences,
 one bracket-predictor pair per nesting level.
 
 Every template model is trained and applied on the same coded feature
-columns (``features.extract_columns``): ``train_tagger`` labels them and
+columns (``features.extract``): ``train_tagger`` labels them and
 hands them to the learner as its instance base, ``tag_sentences`` classifies
 them in one batch, and a bracket level's open and close models share one
 extraction, in training and in prediction.
@@ -27,7 +27,7 @@ from .features import (
     FeatureTemplate,
     Token,
     compress_mapped,
-    extract_columns,
+    extract,
     np_head,
     parse_template,
 )
@@ -130,7 +130,7 @@ def tag_sentences(
     sentences.  ``context`` gives per-sentence chunk tags that the template's
     chunk channel reads in place of the tokens' own; raises ``DomainError``
     when it does not line up with the tokens."""
-    columns, bounds = extract_columns(template, sentences, context)
+    columns, bounds = extract(template, sentences, context)
     labels = classify_labels(model, columns)
     return [labels[a:b] for a, b in bounds]
 
@@ -157,7 +157,7 @@ def train_tagger(
     the features ``tag_sentences`` would extract and that token's entry in
     ``tags`` as its label.  Raises ``DomainError`` when ``tags`` or
     ``context`` does not line up with the tokens."""
-    columns, bounds = extract_columns(template, sentences, context)
+    columns, bounds = extract(template, sentences, context)
     return _train_rows(columns, bounds, tags, learner_config)
 
 
@@ -563,7 +563,7 @@ class BracketLevel:
 
     def predict(self, batch):
         tokens = [t for t, _origin, _si in batch]
-        columns, bounds = extract_columns(self.template, tokens)
+        columns, bounds = extract(self.template, tokens)
         otags = classify_labels(self.open_model, columns)
         ctags = classify_labels(self.close_model, columns)
         return [
@@ -785,7 +785,7 @@ def train_bracket_level(
         views.append(tokens)
         open_tags.append(otags)
         close_tags.append(ctags)
-    columns, bounds = extract_columns(template, views)  # shared by both models
+    columns, bounds = extract(template, views)  # shared by both models
     return BracketLevel(
         template=template,
         open_model=_train_rows(columns, bounds, open_tags, learner_config),

@@ -12,7 +12,7 @@ from mbparse.features import (
     compress,
     compress_mapped,
     extract,
-    extract_columns,
+    extract_token,
     format_template,
     np_head,
     parse_template,
@@ -81,7 +81,7 @@ SENT = toks(("In", "IN"), ("early", "JJ"), ("trading", "NN"))
 class TestExtract:
     def test_boundary_padding(self):
         t = FeatureTemplate(words=(-1, 0, 1))
-        assert extract(SENT, 0, t) == (PAD, "In", "early")
+        assert extract_token(SENT, 0, t) == (PAD, "In", "early")
 
     def test_eight_feature_channel_order(self):
         sent = [
@@ -91,21 +91,21 @@ class TestExtract:
             Token("her", "PRP", "I"),
         ]
         t = parse_template("w[-1..1] p[-1..1] c[-1,1]")
-        assert extract(sent, 2, t) == (
+        assert extract_token(sent, 2, t) == (
             "man", "saw", "her", "NN", "VBD", "PRP", "I", "I",
         )
 
     def test_pos_singleton(self):
         t = FeatureTemplate(pos=(0,))
-        assert extract(SENT, 2, t) == ("NN",)
+        assert extract_token(SENT, 2, t) == ("NN",)
 
     def test_missing_chunk_tag_pads(self):
         t = FeatureTemplate(chunks=(-1,))
-        assert extract(SENT, 1, t) == (PAD,)
+        assert extract_token(SENT, 1, t) == (PAD,)
 
     def test_index_out_of_range(self):
         with pytest.raises(DomainError):
-            extract(SENT, 3, FeatureTemplate(words=(0,)))
+            extract_token(SENT, 3, FeatureTemplate(words=(0,)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2), st.data())
@@ -119,7 +119,7 @@ class TestExtract:
             )
         )
         t = FeatureTemplate.from_atoms(atoms)
-        assert len(extract(SENT, index, t)) == t.arity
+        assert len(extract_token(SENT, index, t)) == t.arity
 
 
 # The PAD symbol itself, and characters the model file format escapes or
@@ -134,21 +134,21 @@ ATOMS = st.sets(
 
 
 def extract_per_token(template, sentences, context):
-    """Reference: ``extract`` on every token, with the context tags put on
+    """Reference: ``extract_token`` on every token, with the context tags put on
     the tokens; returns the rows and each sentence's (start, end) range."""
     rows, bounds = [], []
     for si, s in enumerate(sentences):
         if context is not None:
             s = [replace(t, chunk_tag=c) for t, c in zip(s, context[si])]
         lo = len(rows)
-        rows.extend(extract(s, i, template) for i in range(len(s)))
+        rows.extend(extract_token(s, i, template) for i in range(len(s)))
         bounds.append((lo, len(rows)))
     return rows, bounds
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_extract_columns_matches_extract(data):
+def test_extract_matches_extract_token(data):
     template = FeatureTemplate.from_atoms(data.draw(ATOMS))
     token = st.builds(Token, SYMBOLS, SYMBOLS, st.none() | SYMBOLS)
     sentences = data.draw(st.lists(st.lists(token, max_size=7), max_size=5))
@@ -158,7 +158,7 @@ def test_extract_columns_matches_extract(data):
             data.draw(st.lists(st.none() | SYMBOLS, min_size=len(s), max_size=len(s)))
             for s in sentences
         ]
-    columns, bounds = extract_columns(template, sentences, context)
+    columns, bounds = extract(template, sentences, context)
     rows, expected_bounds = extract_per_token(template, sentences, context)
     assert list(columns) == rows
     assert bounds == expected_bounds
@@ -260,11 +260,11 @@ def accuracy_evaluator(sentences, labels, folds=2):
             tr = [i for i in range(len(sentences)) if i % folds != f]
             te = [i for i in range(len(sentences)) if i % folds == f]
             inst = [
-                Instance(extract(sentences[i], 0, template), labels[i]) for i in tr
+                Instance(extract_token(sentences[i], 0, template), labels[i]) for i in tr
             ]
             model = train(inst, LearnerConfig(k=1))
             preds = classify_labels(
-                model, [extract(sentences[i], 0, template) for i in te]
+                model, [extract_token(sentences[i], 0, template) for i in te]
             )
             correct += sum(p == labels[i] for p, i in zip(preds, te))
             total += len(te)

@@ -508,17 +508,17 @@ class TestBracketLevel:
 
     def test_feature_columns_built_once_per_predict(self, trained_levels, monkeypatch):
         built, read = [], []
-        extract_columns, classify_labels = pipeline.extract_columns, pipeline.classify_labels
+        extract, classify_labels = pipeline.extract, pipeline.classify_labels
 
         def counting_extract(*args, **kwargs):
-            built.append(extract_columns(*args, **kwargs))
+            built.append(extract(*args, **kwargs))
             return built[-1]
 
         def recording_classify(model, queries):
             read.append(queries)
             return classify_labels(model, queries)
 
-        monkeypatch.setattr(pipeline, "extract_columns", counting_extract)
+        monkeypatch.setattr(pipeline, "extract", counting_extract)
         monkeypatch.setattr(pipeline, "classify_labels", recording_classify)
         for lm, batch in trained_levels:
             built.clear()

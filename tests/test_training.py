@@ -9,7 +9,7 @@ import pytest
 
 from mbparse import folds, pipeline
 from mbparse.errors import DomainError
-from mbparse.features import compress_mapped, extract, parse_template
+from mbparse.features import compress_mapped, extract_token, parse_template
 from mbparse.folds import LeakMode, build_fold_plan, run_two_phase_cv
 from mbparse.learner import Instance, LearnerConfig, TiePolicy, train
 from mbparse.pipeline import (
@@ -43,7 +43,7 @@ def two_pass_reference(sentences, gold, scheme, pass1_template, pass2_template, 
         encode(spans, scheme, len(s), typed=typed) for s, spans in zip(sentences, gold)
     ]
     inst1 = [
-        Instance(extract(s, i, pass1_template), tags[i])
+        Instance(extract_token(s, i, pass1_template), tags[i])
         for s, tags in zip(sentences, gold_tags)
         for i in range(len(s))
     ]
@@ -51,7 +51,7 @@ def two_pass_reference(sentences, gold, scheme, pass1_template, pass2_template, 
     for s, tags in zip(sentences, gold_tags):
         ctx = [replace(t, chunk_tag=tag) for t, tag in zip(s, tags)]
         inst2.extend(
-            Instance(extract(ctx, i, pass2_template), tags[i]) for i in range(len(ctx))
+            Instance(extract_token(ctx, i, pass2_template), tags[i]) for i in range(len(ctx))
         )
     return tuple(inst1), tuple(inst2)
 
@@ -62,7 +62,7 @@ def clause_reference(sentences, forests):
     open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
     opens = [
         tuple(
-            Instance(extract(s, i, template), "(" if i in open_sets[si] else ".")
+            Instance(extract_token(s, i, template), "(" if i in open_sets[si] else ".")
             for si, s in enumerate(sentences)
             for i in range(len(s))
         )
@@ -76,7 +76,7 @@ def clause_reference(sentences, forests):
         for i in range(len(compressed)):
             a, b = origins[i]
             label = ")" if any(a <= e <= b for e in ends) else "."
-            close_inst.append(Instance(extract(compressed, i, CLAUSE_CLOSE_TEMPLATE), label))
+            close_inst.append(Instance(extract_token(compressed, i, CLAUSE_CLOSE_TEMPLATE), label))
     return opens, tuple(close_inst)
 
 
@@ -94,7 +94,7 @@ def bracket_level_reference(sentences, stratified, level, template, typed):
         opens = {orig2cur[sp.start]: sp.type for sp in spans}
         closes = {orig2cur[sp.end]: sp.type for sp in spans}
         for i in range(len(tokens)):
-            feats = extract(tokens, i, template)
+            feats = extract_token(tokens, i, template)
             otag = ctag = "."
             if i in opens:
                 otag = f"(-{opens[i]}" if typed else "("
@@ -120,7 +120,7 @@ def two_phase_cv_reference(sections, gold, scheme, t1, t2, learner_config, plan)
         out = []
         for s, spans in zip(sentences, spans_per_sentence):
             tags = encode(spans, scheme, len(s), typed=False)
-            out.extend(Instance(extract(s, i, t1), tags[i]) for i in range(len(s)))
+            out.extend(Instance(extract_token(s, i, t1), tags[i]) for i in range(len(s)))
         return out
 
     def pass2_instances(sentences, spans_per_sentence, context_tags):
@@ -129,7 +129,7 @@ def two_phase_cv_reference(sections, gold, scheme, t1, t2, learner_config, plan)
             gold_tags = encode(spans, scheme, len(s), typed=False)
             ctx_sent = [replace(t, chunk_tag=c) for t, c in zip(s, ctx)]
             out.extend(
-                Instance(extract(ctx_sent, i, t2), gold_tags[i]) for i in range(len(s))
+                Instance(extract_token(ctx_sent, i, t2), gold_tags[i]) for i in range(len(s))
             )
         return out
 
