@@ -7,21 +7,37 @@ without licensed treebank data:
     np.train / np.test            word pos chunk     (noun phrase chunks)
     typed.train / typed.test      word pos chunk     (typed chunks)
     clauses.train / clauses.test  word pos chunk clause
+    nested.train / nested.test    word pos tree      (nested noun phrases)
     trees.train / trees.test      word pos tree      (full bracketings)
 """
 
 import argparse
 import os
 
-from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
+from mbparse.corpus import (
+    encode_bracket_column,
+    encode_clause_column,
+    from_tokens,
+    write_corpus,
+)
 from mbparse.schemes import Scheme, encode
-from mbparse.synth import clause_corpus, np_chunk_corpus, parse_corpus, typed_chunk_corpus
+from mbparse.synth import (
+    clause_corpus,
+    nested_np_corpus,
+    np_chunk_corpus,
+    parse_corpus,
+    typed_chunk_corpus,
+)
 
 
 def chunk_rows(sentences, gold, typed):
     for s, g in zip(sentences, gold):
-        tags = encode(g, Scheme.IOB1, len(s), typed=typed)
-        yield [(t.word, t.pos, tag) for t, tag in zip(s, tags)]
+        yield from_tokens(s, [encode(g, Scheme.IOB1, len(s), typed=typed)])
+
+
+def tree_rows(sentences, gold):
+    for s, g in zip(sentences, gold):
+        yield from_tokens(s, [encode_bracket_column(g, len(s))])
 
 
 def main():
@@ -50,19 +66,18 @@ def main():
                      columns=("word", "pos", "chunk"))
 
         s, chunks, forests = clause_corpus(size, seed=seed)
-        rows = []
-        for sent, forest in zip(s, forests):
-            cells = encode_clause_column(forest, len(sent))
-            rows.append([(t.word, t.pos, t.chunk_tag, c) for t, c in zip(sent, cells)])
+        rows = [
+            from_tokens(sent, [[t.chunk_tag for t in sent],
+                               encode_clause_column(forest, len(sent))])
+            for sent, forest in zip(s, forests)
+        ]
         write_corpus(rows, path(f"clauses.{part}"),
                      columns=("word", "pos", "chunk", "clause"))
 
-        s, g = parse_corpus(size, seed=seed)
-        rows = []
-        for sent, spans in zip(s, g):
-            cells = encode_bracket_column(spans, len(sent))
-            rows.append([(t.word, t.pos, c) for t, c in zip(sent, cells)])
-        write_corpus(rows, path(f"trees.{part}"), columns=("word", "pos", "tree"))
+        write_corpus(tree_rows(*nested_np_corpus(size, seed=seed)),
+                     path(f"nested.{part}"), columns=("word", "pos", "tree"))
+        write_corpus(tree_rows(*parse_corpus(size, seed=seed)),
+                     path(f"trees.{part}"), columns=("word", "pos", "tree"))
 
     print(f"wrote toy corpora to {args.out}/")
 

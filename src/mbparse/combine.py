@@ -227,31 +227,3 @@ def save_weights(weights: CombinerWeights, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
-
-def load_weights(path) -> CombinerWeights:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _FORMAT:
-        raise DomainError(f"{path}: not a {_FORMAT!r} file")
-    if len(lines) < 2 or not lines[1].startswith("method "):
-        raise DomainError(f"{path}: missing method line")
-    weights = CombinerWeights(method=CombineMethod(lines[1].split(" ", 1)[1]))
-    for line in lines[2:]:
-        if not line:
-            continue
-        fields = line.split("\t")
-        kind = fields[0]
-        if kind == "acc":
-            weights.accuracy[int(fields[1])] = float(fields[2])
-        elif kind == "prec":
-            weights.precision[(int(fields[1]), fields[2])] = float(fields[3])
-        elif kind == "rec":
-            weights.recall[(int(fields[1]), fields[2])] = float(fields[3])
-        elif kind == "pair":
-            key = (int(fields[1]), int(fields[2]), fields[3], fields[4])
-            weights.pair_cond.setdefault(key, {})[fields[5]] = float(fields[6])
-        elif kind == "freq":
-            weights.base_freq[fields[1]] = float(fields[2])
-        else:
-            raise DomainError(f"{path}: unknown record {kind!r}")
-    return weights

@@ -44,7 +44,8 @@ def load_config(path) -> Config:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        detail = " ".join(str(exc).split())  # parser errors span lines
+        raise ConfigError(f"{path}: {detail}") from exc
     cfg = {section: dict(parser[section]) for section in parser.sections()}
     validate_config(cfg)
     return cfg

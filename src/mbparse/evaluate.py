@@ -97,14 +97,6 @@ def score(
     return report
 
 
-def score_per_type(
-    found: Sequence[Iterable[ChunkSpan]],
-    gold: Sequence[Iterable[ChunkSpan]],
-    config: EvalConfig = EvalConfig(),
-) -> dict[str, ScoreReport]:
-    return score(found, gold, config).per_type
-
-
 @dataclass(frozen=True)
 class BootstrapReport:
     mean: float

@@ -126,29 +126,6 @@ def parse_template(text: str) -> FeatureTemplate:
     )
 
 
-def extract_token(
-    sentence: Sequence[Token], index: int, template: FeatureTemplate
-) -> tuple[str, ...]:
-    """Feature vector for one focus token; out-of-sentence positions give PAD."""
-    if index < 0 or index >= len(sentence):
-        raise DomainError(f"index {index} out of range for length {len(sentence)}")
-    n = len(sentence)
-    values: list[str] = []
-    for off in template.words:
-        j = index + off
-        values.append(sentence[j].word if 0 <= j < n else PAD)
-    for off in template.pos:
-        j = index + off
-        values.append(sentence[j].pos if 0 <= j < n else PAD)
-    for off in template.chunks:
-        j = index + off
-        if 0 <= j < n:
-            values.append(sentence[j].chunk_tag if sentence[j].chunk_tag is not None else PAD)
-        else:
-            values.append(PAD)
-    return tuple(values)
-
-
 def _channel_cells(channel: str, sentence: Sequence[Token], context) -> list[str]:
     if channel == "w":
         return [t.word for t in sentence]
@@ -166,8 +143,11 @@ def extract(
     """Feature vectors of every token of every sentence, coded column by
     column, plus each sentence's (start, end) range of rows.
 
-    Row r decodes to what ``extract_token`` gives for token r, with ``context``
-    (per-sentence chunk tags) read in place of the tokens' own chunk tags.
+    Row r holds, for token r, the word at each of the template's word
+    offsets, then the POS tag at each POS offset, then the chunk tag at each
+    chunk offset; PAD where an offset falls outside the sentence or a chunk
+    tag is None.  ``context`` (per-sentence chunk tags) is read in place of
+    the tokens' own chunk tags.
     Each channel is coded once, over all sentences laid end to end with
     ``MAX_OFFSET`` PAD cells around each; a feature column is then the
     channel's codes at the token positions shifted by its offset, recoded in
@@ -266,10 +246,6 @@ def compress_mapped(
         origins.append((i, i))
         i += 1
     return out, origins
-
-
-def compress(sentence: Sequence[Token], chunks: Iterable[ChunkSpan]) -> list[Token]:
-    return compress_mapped(sentence, chunks)[0]
 
 
 # ---------------------------------------------------------------------------

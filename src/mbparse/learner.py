@@ -10,10 +10,11 @@ it is trained or loaded (``InstanceBase``).  Training takes an
 ``InstanceBase`` as it is, or codes a sequence of ``Instance`` once,
 checking their arity on the way; the gain-ratio weights are tabulated from
 the codes (value and (value, class) counts), with every entropy summing its
-terms in the order a walk down the rows would.  Queries come as feature
-tuples or as ``FeatureColumns``, whose distinct values are translated into
-the model's codes; symbols are strings only there and when a model is saved
-or decoded.
+terms in the order a walk down the rows would.  ``classify_labels`` is the
+one batch entry point, and ``classify`` labels a single query through it.
+Queries come as feature tuples or as ``FeatureColumns``, whose distinct
+values are translated into the model's codes; symbols are strings only
+there and when a model is saved or decoded.
 
 The query kernel codes which of the first 16 weighted features mismatch as
 one uint16 per (query, instance) pair, a byte at a time.  A table holds
@@ -24,7 +25,8 @@ among the table's distinct rounded distances, a uint16, and selects on
 ranks; otherwise it gathers float64 distances, adds the further features
 one column at a time and rounds.  The k nearest distinct distances are
 found by k row-minimum passes instead of a sort, and the votes are one
-exact matrix product of the in-range mask with the labels' one-hot matrix.
+exact matrix product of the in-range mask with the labels' one-hot matrix;
+the kernel yields each block's winning label ids and vote counts.
 Queries run in blocks whose scratch arrays fit a 2 MiB budget, about the
 size of a core's L2 cache.
 """
@@ -102,25 +104,6 @@ class WeightTable:
     """Per-feature weights, in feature order."""
 
     weights: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class Classification:
-    label: str
-    nearest_distance: float
-    votes: Mapping[str, int]
-
-
-def entropy(counts: Mapping[str, float]) -> float:
-    """Shannon entropy in bits of a count distribution."""
-    total = 0.0
-    for c in counts.values():
-        if c < 0:
-            raise DomainError(f"negative count {c!r}")
-        total += c
-    if total <= 0:
-        raise DomainError("entropy of an empty distribution is undefined")
-    return _entropy(counts.values(), total)
 
 
 def _entropy(counts, total) -> float:
@@ -386,11 +369,11 @@ def train(
     )
 
 
-def _check_arity(model: Model, arity: int, index: int | None = None):
+def _check_arity(model: Model, arity: int, index: int):
     if arity != model.arity:
-        where = "" if index is None else f" at index {index}"
         raise DomainError(
-            f"query arity {arity}{where} does not match model arity {model.arity}"
+            f"query arity {arity} at index {index} does not match model arity "
+            f"{model.arity}"
         )
 
 
@@ -407,13 +390,12 @@ def _encode(model: Model, queries) -> np.ndarray | None:
     return model._index.encode_queries(queries)
 
 
-def _batch_winner_ids(model: Model, encoded: np.ndarray, nearest: bool = True):
+def _batch_winner_ids(model: Model, encoded: np.ndarray):
     """Vectorized nearest-distance-set majority vote.
 
-    Yields (winner ids, nearest distances, vote count matrix) per block of
-    queries; the nearest distances are None unless ``nearest`` is set.
-    Queries are read-only with respect to the model, so callers may evaluate
-    them concurrently.
+    Yields (winner ids, vote count matrix) per block of queries, the vote
+    columns in tie-preference order.  Queries are read-only with respect to
+    the model, so callers may evaluate them concurrently.
     """
     idx = model._index
     k = model.config.k
@@ -442,11 +424,9 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray, nearest: bool = True):
             for i, w in idx.tail:
                 np.not_equal(q[:, i, None], columns[i], out=ne)
                 np.add(dist, w, out=dist, where=ne)
-            near = dist.min(axis=1) if nearest else None
             np.round(dist, _DISTANCE_DECIMALS, out=dist)
             top = np.inf
         else:  # every distance is in the table: select on its rank instead
-            near = idx.table[code].min(axis=1) if nearest else None
             # np.take is faster than indexing; no code exceeds the table, so
             # clipping only skips the bounds check
             dist = np.take(idx.ranks, code, mode="clip")
@@ -458,55 +438,31 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray, nearest: bool = True):
         for _ in range(k - 1):
             np.greater(dist, threshold[:, None], out=ne)
             threshold = dist.min(axis=1, initial=top, where=ne)
+            if threshold.min() == top:  # every row is out of distances
+                break
         np.less_equal(dist, threshold[:, None], out=ne)
         del dist
         votes = ne.astype(idx.onehot.dtype) @ idx.onehot
-        yield votes.argmax(axis=1), near, votes  # columns in tie-preference order
-
-
-def classify_batch(
-    model: Model, queries: Sequence[Sequence[str]] | FeatureColumns
-) -> list[Classification]:
-    """Classify queries in order; elementwise identical to ``classify``."""
-    encoded = _encode(model, queries)
-    if encoded is None:
-        return []
-    idx = model._index
-    out: list[Classification] = []
-    for winners, nearest, votes in _batch_winner_ids(model, encoded):
-        for r in range(len(winners)):
-            counts = {
-                idx.labels_in_pref[c]: int(votes[r, c])
-                for c in range(votes.shape[1])
-                if votes[r, c] > 0
-            }
-            out.append(
-                Classification(
-                    label=idx.labels_in_pref[winners[r]],
-                    nearest_distance=float(nearest[r]),
-                    votes=counts,
-                )
-            )
-    return out
-
-
-def classify(model: Model, query: Sequence[str]) -> Classification:
-    """Label a single query by majority over the k nearest distance sets."""
-    _check_arity(model, len(query))
-    return classify_batch(model, [query])[0]
+        yield votes.argmax(axis=1), votes
 
 
 def classify_labels(
     model: Model, queries: Sequence[Sequence[str]] | FeatureColumns
 ) -> list[str]:
-    """Labels only; cheaper than ``classify_batch`` for bulk tagging."""
+    """The label of each query, in order, by majority over its k nearest
+    distance sets."""
     encoded = _encode(model, queries)
     if encoded is None:
         return []
     labels: list[str] = []
-    for winners, _, _ in _batch_winner_ids(model, encoded, nearest=False):
+    for winners, _ in _batch_winner_ids(model, encoded):
         labels.extend(model._index.labels_in_pref[w] for w in winners)
     return labels
+
+
+def classify(model: Model, query: Sequence[str]) -> str:
+    """The label of a single query."""
+    return classify_labels(model, [query])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -613,16 +569,17 @@ def load_model(path) -> Model:
         raise DomainError(f"{path}: instance line has {bad + 1} fields")
     if not rows:
         raise DomainError(f"{path}: model stores no instances")
-    if sum(freqs.values()) != len(rows):
-        raise DomainError(f"{path}: class frequencies do not sum to instance count")
 
     cells = "\t".join(rows).split("\t")
     if "\\" in body:
         cells = list(map(_unescape, cells))
     width = arity + 1
+    labels = cells[arity::width]
+    if Counter(labels) != freqs:
+        raise DomainError(f"{path}: class frequencies do not match the instance labels")
     columns = [cells[i::width] for i in range(arity)]
     return Model(
-        instances=InstanceBase.from_columns(columns, cells[arity::width]),
+        instances=InstanceBase.from_columns(columns, labels),
         weight_table=WeightTable(weights),  # stored weights include any fallback
         config=config,
         class_frequencies=freqs,

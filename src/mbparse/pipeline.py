@@ -179,23 +179,6 @@ class TwoPassStream:
         return tag_sentences(self.pass2_model, self.pass2_template, sentences, tags)
 
 
-@dataclass
-class OracleStream:
-    """Replays gold tags; stands in for a trained stream in plumbing tests."""
-
-    scheme: Scheme
-    gold: Sequence[Sequence[ChunkSpan]]
-    typed: bool = False
-
-    def tag_corpus(self, sentences: Sequence[Sentence]) -> list[list[str]]:
-        if len(sentences) != len(self.gold):
-            raise DomainError("oracle gold not aligned with corpus")
-        return [
-            encode(spans, self.scheme, len(s), typed=self.typed)
-            for s, spans in zip(sentences, self.gold)
-        ]
-
-
 def train_two_pass_stream(
     sentences: Sequence[Sentence],
     gold: Sequence[Iterable[ChunkSpan]],
@@ -493,21 +476,6 @@ class ClauseBracketer:
         ]
 
 
-@dataclass
-class OracleClauseBracketer:
-    """Replays gold clause bracket positions (closes keep multiplicity)."""
-
-    forests: Sequence[Sequence[ClauseNode]]
-
-    def predict_opens(self, sentences):
-        return [
-            sorted({s for s, _ in clause_spans(f)}) for f in self.forests
-        ]
-
-    def predict_closes(self, sentences):
-        return [sorted(e for _, e in clause_spans(f)) for f in self.forests]
-
-
 def train_clause_bracketer(
     sentences: Sequence[Sentence],
     forests: Sequence[Sequence[ClauseNode]],
@@ -576,43 +544,6 @@ class BracketLevel:
 
 
 @dataclass
-class OracleBracketLevel:
-    """Emits the innermost gold spans representable in the current tokens."""
-
-    gold: Sequence[Iterable[ChunkSpan]]
-
-    def predict(self, batch):
-        out = []
-        for tokens, origin, si in batch:
-            start_at = {origin[j][0]: j for j in range(len(origin))}
-            end_at = {origin[j][1]: j for j in range(len(origin))}
-            current = {
-                (origin[j][0], origin[j][1]) for j in range(len(origin))
-            }
-            candidates = []
-            for span in self.gold[si]:
-                if (span.start, span.end) in current:
-                    continue  # already a single token
-                if span.start in start_at and span.end in end_at:
-                    candidates.append(span)
-            innermost = [
-                s
-                for s in candidates
-                if not any(
-                    t is not s and t.start >= s.start and t.end <= s.end
-                    for t in candidates
-                )
-            ]
-            opens: list[str | None] = [None] * len(tokens)
-            closes: list[str | None] = [None] * len(tokens)
-            for s in innermost:
-                opens[start_at[s.start]] = s.type
-                closes[end_at[s.end]] = s.type
-            out.append((opens, closes))
-        return out
-
-
-@dataclass
 class _CascadeState:
     tokens: list[Token]
     origin: list[tuple[int, int]]
@@ -628,7 +559,7 @@ def _run_cascade(
     levels: Sequence,
     match_mode: MatchMode,
     early_stop: bool,
-):
+) -> list[_CascadeState]:
     states = [
         _CascadeState(
             tokens=list(s),
@@ -639,11 +570,7 @@ def _run_cascade(
         )
         for s, spans in zip(sentences, base_spans)
     ]
-    snapshots = [[sorted(st.spans) for st in states]]
     for level in levels:
-        if level is None:
-            warnings.warn("missing level model; cascade stops early", stacklevel=2)
-            break
         active = [i for i, st in enumerate(states) if not st.done]
         if active:
             for i in active:
@@ -662,35 +589,32 @@ def _run_cascade(
                     for s in found
                 }
                 new = mapped - st.spans
+                st.top = found
                 if new:
                     st.spans |= new
-                    st.top = found
-                else:
-                    st.top = found
-                    if early_stop:
-                        st.done = True
-        snapshots.append([sorted(st.spans) for st in states])
-    return states, snapshots
+                elif early_stop:
+                    st.done = True
+    return states
 
 
 @dataclass
 class NpParser:
     base: Chunker
-    levels: list[BracketLevel | OracleBracketLevel | None]
+    levels: list[BracketLevel]
     match_mode: MatchMode = MatchMode.SAME_TYPE
 
 
 def parse_np(sentences: Sequence[Sentence], parser: NpParser):
     """Nested noun-phrase span sets found by repeated chunking."""
     base = chunk_np(sentences, parser.base)
-    states, _ = _run_cascade(sentences, base, parser.levels, parser.match_mode, True)
+    states = _run_cascade(sentences, base, parser.levels, parser.match_mode, True)
     return [sorted(st.spans) for st in states]
 
 
 @dataclass
 class FullParser:
     base: TypedChunker
-    levels: list[BracketLevel | OracleBracketLevel | None]
+    levels: list[BracketLevel]
     match_mode: MatchMode = MatchMode.SAME_TYPE
 
 
@@ -707,18 +631,9 @@ def _wrap_roots(states: list[_CascadeState]):
 
 def parse_full(sentences: Sequence[Sentence], parser: FullParser):
     """Typed parse span sets; every sentence ends up under a clause root."""
-    spans, _ = parse_full_levels(sentences, parser)
-    return spans
-
-
-def parse_full_levels(sentences: Sequence[Sentence], parser: FullParser):
-    """Like ``parse_full`` but also returns the per-level cumulative span sets
-    (base first, final wrapped result last)."""
     base = chunk_typed(sentences, parser.base)
-    states, snapshots = _run_cascade(sentences, base, parser.levels, parser.match_mode, False)
-    wrapped = _wrap_roots(states)
-    snapshots.append(wrapped)
-    return wrapped, snapshots
+    states = _run_cascade(sentences, base, parser.levels, parser.match_mode, False)
+    return _wrap_roots(states)
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,6 @@ class Scheme(Enum):
     OC = "O+C"  # composite: per-token (open tag, close tag) pairs
 
 
-IO_SCHEMES = (Scheme.IOB1, Scheme.IOB2, Scheme.IOE1, Scheme.IOE2)
-
-
 class MatchMode(Enum):
     SAME_TYPE = "same_type"
     ANY_OPEN = "any_open"    # close brackets accept opens of any type
@@ -200,8 +197,8 @@ def decode(tags: Sequence, scheme: Scheme, default_type: str = "NP") -> list[Chu
     """Span set for a tag sequence; total (permissive) over malformed input.
 
     ``Scheme.OC`` expects per-token (open tag, close tag) pairs.  A lone O or
-    C stream under-determines spans and is rejected; use ``mark_positions``
-    to read its bracket side.
+    C stream under-determines spans and is rejected; ``mark_type`` reads one
+    of its tags.
     """
     if scheme in (Scheme.O, Scheme.C):
         raise DomainError(
@@ -221,16 +218,6 @@ def mark_type(tag: str, default_type: str) -> str | None:
     if kind in ("(", ")"):
         return typ or default_type
     return None
-
-
-def mark_positions(tags: Sequence[str], default_type: str = "NP"):
-    """(position, type) pairs for the bracket marks of a single O or C stream."""
-    out = []
-    for i, tag in enumerate(tags):
-        typ = mark_type(tag, default_type)
-        if typ is not None:
-            out.append((i, typ))
-    return out
 
 
 def convert(tags: Sequence, src: Scheme, dst: Scheme, default_type: str = "NP"):

@@ -293,10 +293,3 @@ def clause_corpus(n_sentences: int, seed: int, embed: float = 0.7):
         out_forests.append(_nest(clauses))
     return out_sents, out_chunks, out_forests
 
-
-def corpus_sections(n_sections: int, sentences_per_section: int, seed: int):
-    """Disjoint sections of flat noun-phrase data, for cross-validation work."""
-    sections = []
-    for i in range(n_sections):
-        sections.append(np_chunk_corpus(sentences_per_section, seed + 1000 * i))
-    return sections

@@ -11,22 +11,21 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .learner import Instance, LearnerConfig, classify_labels, train
+from .learner import FeatureColumns, InstanceBase, LearnerConfig, classify_labels, train
 
-_PATTERNS = (("0", "0", "0"), ("0", "1", "1"), ("1", "0", "1"), ("1", "1", "0"))
+# the two exclusive-or inputs and their label
+_PATTERNS = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
 _COPIES = 100
+_SYMBOLS = np.array(["0", "1"])
 
 
-def _build_rows(rng: np.random.Generator, num_random_features: int):
-    random_bits = [()] * (4 * _COPIES)
-    if num_random_features:
-        bits = rng.integers(0, 2, size=(4 * _COPIES, num_random_features))
-        random_bits = np.array(["0", "1"])[bits].tolist()
-    return [
-        Instance((a, b, *random_bits[p * _COPIES + c]), label)
-        for p, (a, b, label) in enumerate(_PATTERNS)
-        for c in range(_COPIES)
-    ]
+def _build_rows(rng: np.random.Generator, num_random_features: int) -> InstanceBase:
+    """One round's 400 rows: 100 copies of each pattern in turn, each
+    followed by ``num_random_features`` uniform random bits."""
+    rows = np.repeat(_PATTERNS, _COPIES, axis=0)
+    bits = rng.integers(0, 2, size=(len(rows), num_random_features))
+    features = _SYMBOLS[np.hstack([rows[:, :2], bits])]
+    return InstanceBase.from_columns(features.T.tolist(), _SYMBOLS[rows[:, 2]].tolist())
 
 
 def xor_run(
@@ -40,9 +39,9 @@ def xor_run(
     train_set = _build_rows(rng, num_random_features)
     test_set = _build_rows(rng, num_random_features)
     model = train(train_set, LearnerConfig(k=k, degenerate_weight_fallback=True))
-    distinct = list(dict.fromkeys(inst.features for inst in test_set))
-    label_of = dict(zip(distinct, classify_labels(model, distinct)))
-    return sum(label_of[inst.features] == inst.label for inst in test_set)
+    distinct, row_of = np.unique(test_set.matrix, axis=0, return_inverse=True)
+    labels = np.array(classify_labels(model, FeatureColumns(test_set.codes, distinct)))
+    return int(np.sum(labels[row_of] == np.array(test_set.labels)))
 
 
 def xor_experiment(

@@ -144,7 +144,10 @@ def tag_bundles(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("command", ["chunk", "chunk-typed", "clauses", "parse-np", "parse"])
+TAG_COMMANDS = ["chunk", "chunk-typed", "clauses", "parse-np", "parse"]
+
+
+@pytest.mark.parametrize("command", TAG_COMMANDS)
 def test_workers_inherit_the_bundle(command, tag_bundles, tmp_path, monkeypatch):
     """Forked workers tag with the bundle the parent loaded and the query
     indexes it built before the fork: with models that refuse to pickle and
@@ -582,31 +585,28 @@ def import_peak_bytes():
 
 
 @pytest.mark.parametrize("headroom_mib", [2, 8, 32, 256])
-def test_chunk_under_an_address_space_limit(tag_bundles, import_peak_bytes, tmp_path,
-                                            headroom_mib):
+@pytest.mark.parametrize("command", TAG_COMMANDS)
+def test_tag_command_under_an_address_space_limit(command, headroom_mib, tag_bundles,
+                                                  import_peak_bytes, tmp_path):
     """A tag command whose memory runs out ends in one error line, never a
     traceback or a kill; with enough memory it writes what it writes
     without a limit.  The limit leaves the child room to import itself."""
     resource = pytest.importorskip("resource")
-    model, corpus = tag_bundles["chunk"]
+    model, corpus = tag_bundles[command]
+    argv = [command, "--model", str(model), "--input", str(corpus), "--workers", "1"]
+    assert run_command(argv + ["--output", str(tmp_path / "free.txt")]) == 0
+    limit = import_peak_bytes + headroom_mib * 2**20
 
-    def chunk(output, limit=None):
-        def set_limit():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    def set_limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        return subprocess.run(
-            [sys.executable, "-m", "mbparse.cli", "chunk", "--model", str(model),
-             "--input", str(corpus), "--output", str(output), "--workers", "1"],
-            capture_output=True, text=True, env=_child_env(), timeout=120,
-            preexec_fn=None if limit is None else set_limit,
-        )
-
-    free = chunk(tmp_path / "free.txt")
-    assert free.returncode == 0, free.stderr
-    limited = chunk(tmp_path / "limited.txt", import_peak_bytes + headroom_mib * 2**20)
+    limited = subprocess.run(
+        [sys.executable, "-m", "mbparse.cli", *argv, "--output", str(tmp_path / "limited.txt")],
+        capture_output=True, text=True, env=_child_env(), timeout=120, preexec_fn=set_limit,
+    )
     if limited.returncode == 0:
         assert (tmp_path / "limited.txt").read_bytes() == (tmp_path / "free.txt").read_bytes()
     else:
-        assert limited.returncode == 1
+        assert limited.returncode == 1, limited.stderr
         lines = limited.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out of memory"), limited.stderr

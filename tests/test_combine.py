@@ -8,7 +8,6 @@ from mbparse.combine import (
     SystemOutputs,
     build_stacked_instances,
     fit_weights,
-    load_weights,
     majority_vote,
     save_weights,
     vote,
@@ -16,6 +15,7 @@ from mbparse.combine import (
 )
 from mbparse.errors import DomainError
 from mbparse.learner import Instance
+from references import load_weights
 
 # Five binary classifiers over eight patterns; the majority of the five is
 # right everywhere although each measures one mistake.

@@ -14,7 +14,6 @@ from mbparse.evaluate import (
     format_report,
     report_lines,
     score,
-    score_per_type,
 )
 from mbparse.schemes import ChunkSpan
 
@@ -93,7 +92,7 @@ class TestScore:
         found = [spans((0, 1, "NP"), (3, 3, "VP"), (5, 6, "PP"))]
         gold = [spans((0, 1, "NP"), (3, 4, "VP"), (5, 6, "PP"))]
         r = score(found, gold)
-        per_type = score_per_type(found, gold)
+        per_type = score(found, gold).per_type
         assert per_type["NP"].f == 100.0
         assert per_type["VP"].f == 0.0
         assert sum(t.correct for t in per_type.values()) == r.correct
@@ -104,7 +103,7 @@ class TestScore:
         found = [spans((0, 1, "NP")), spans((2, 3, "NP"))]
         gold = [spans((0, 1, "NP")), spans((2, 4, "NP"))]
         r = score(found, gold)
-        row = score_per_type(found, gold)["NP"]
+        row = score(found, gold).per_type["NP"]
         assert (row.precision, row.recall, row.f) == (r.precision, r.recall, r.f)
 
 

@@ -9,10 +9,8 @@ from mbparse.errors import DomainError
 from mbparse.features import (
     FeatureTemplate,
     Token,
-    compress,
     compress_mapped,
     extract,
-    extract_token,
     format_template,
     np_head,
     parse_template,
@@ -27,6 +25,7 @@ from mbparse.learner import (
     train,
 )
 from mbparse.schemes import ChunkSpan
+from references import extract_token
 
 
 def toks(*pairs):
@@ -192,41 +191,41 @@ class TestNpHead:
 
 class TestCompress:
     def test_no_chunks_identity(self):
-        assert compress(SENT, []) == SENT
+        assert compress_mapped(SENT, [])[0] == SENT
 
     def test_np_head_word_keeps_chunk_type_as_pos(self):
         sent = toks(("the", "DT"), ("Exchequer", "NNP"))
-        out = compress(sent, [ChunkSpan(0, 1, "NP")])
+        out = compress_mapped(sent, [ChunkSpan(0, 1, "NP")])[0]
         assert [(t.word, t.pos) for t in out] == [("Exchequer", "NP")]
 
     def test_early_trading(self):
-        out = compress(SENT, [ChunkSpan(1, 2, "NP")])
+        out = compress_mapped(SENT, [ChunkSpan(1, 2, "NP")])[0]
         assert [(t.word, t.pos) for t in out] == [("In", "IN"), ("trading", "NP")]
 
     def test_non_np_takes_final_word(self):
         sent = toks(("has", "VBZ"), ("been", "VBN"), ("sold", "VBN"))
-        out = compress(sent, [ChunkSpan(0, 2, "VP")])
+        out = compress_mapped(sent, [ChunkSpan(0, 2, "VP")])[0]
         assert [(t.word, t.pos) for t in out] == [("sold", "VP")]
 
     def test_overlap_rejected(self):
         with pytest.raises(DomainError):
-            compress(SENT, [ChunkSpan(0, 1, "NP"), ChunkSpan(1, 2, "NP")])
+            compress_mapped(SENT, [ChunkSpan(0, 1, "NP"), ChunkSpan(1, 2, "NP")])
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(DomainError):
-            compress(SENT, [ChunkSpan(2, 3, "NP")])
+            compress_mapped(SENT, [ChunkSpan(2, 3, "NP")])
 
     def test_origins(self):
         out, origins = compress_mapped(SENT, [ChunkSpan(1, 2, "NP")])
         assert origins == [(0, 0), (1, 2)]
 
     def test_idempotent(self):
-        out = compress(SENT, [ChunkSpan(1, 2, "NP")])
-        again = compress(out, [ChunkSpan(1, 1, "NP")])
+        out = compress_mapped(SENT, [ChunkSpan(1, 2, "NP")])[0]
+        again = compress_mapped(out, [ChunkSpan(1, 1, "NP")])[0]
         assert again == out
 
     def test_never_longer(self):
-        out = compress(SENT, [ChunkSpan(0, 2, "NP")])
+        out = compress_mapped(SENT, [ChunkSpan(0, 2, "NP")])[0]
         assert len(out) <= len(SENT)
 
 

@@ -1,10 +1,9 @@
 """The k-NN query kernel against the dense kernel it replaced.
 
-``dense_winner_ids`` is the earlier kernel, kept verbatim as the reference:
-it adds one float64 b x n mismatch array per weighted feature, sorts every
-row and ranks the distinct distances.  The mismatch-code kernel must give
-the same winners, the same nearest distances bit for bit and the same vote
-counts.
+``references.dense_winner_ids`` is the earlier kernel, kept as the
+reference: it adds one float64 b x n mismatch array per weighted feature,
+sorts every row and ranks the distinct distances.  The mismatch-code kernel
+must give the same winners and the same vote counts.
 """
 
 import tracemalloc
@@ -22,85 +21,28 @@ from mbparse.learner import (
     TiePolicy,
     WeightTable,
     _batch_winner_ids,
-    classify_batch,
     classify_labels,
     train,
 )
-
-_DISTANCE_DECIMALS = 9
-
-
-def dense_winner_ids(model, queries, block=512):
-    """Reference: the dense sort-and-rank kernel, with its own index."""
-    n = len(model.instances)
-    arity = model.arity
-    matrix = np.empty((n, arity), dtype=np.int32)
-    codes = []
-    for i, column in enumerate(zip(*(inst.features for inst in model.instances))):
-        table = {v: code for code, v in enumerate(dict.fromkeys(column))}
-        matrix[:, i] = [table[v] for v in column]
-        codes.append(table)
-    encoded = np.full((len(queries), arity), -1, dtype=np.int32)
-    for i, (column, table) in enumerate(zip(zip(*queries), codes)):
-        encoded[:, i] = [table.get(v, -1) for v in column]
-    if model.config.tie_policy is TiePolicy.GLOBAL_CLASS_FREQUENCY:
-        pref = sorted(
-            model.class_frequencies, key=lambda c: (-model.class_frequencies[c], c)
-        )
-    else:
-        pref = sorted(model.class_frequencies)
-    label_pos = {c: i for i, c in enumerate(pref)}
-    label_ids = np.array([label_pos[inst.label] for inst in model.instances], dtype=np.int32)
-    onehot = np.zeros((n, len(pref)), dtype=np.int32)
-    onehot[np.arange(n), label_ids] = 1
-    weights = np.asarray(model.weight_table.weights, dtype=np.float64)
-
-    k = model.config.k
-    for lo in range(0, encoded.shape[0], block):
-        q = encoded[lo : lo + block]
-        b = q.shape[0]
-        dist = np.zeros((b, n), dtype=np.float64)
-        for i in range(arity):
-            w = weights[i]
-            if w != 0.0:
-                dist += w * (q[:, i : i + 1] != matrix[None, :, i])
-        rounded = np.round(dist, _DISTANCE_DECIMALS)
-        order = np.sort(rounded, axis=1)
-        if n > 1:
-            ranks = np.zeros((b, n), dtype=np.int64)
-            np.cumsum(order[:, 1:] != order[:, :-1], axis=1, out=ranks[:, 1:])
-        else:
-            ranks = np.zeros((b, 1), dtype=np.int64)
-        n_distinct = ranks[:, -1] + 1
-        kk = np.minimum(k, n_distinct)
-        cutoff = (ranks < kk[:, None]).sum(axis=1)
-        threshold = order[np.arange(b), cutoff - 1]
-        mask = rounded <= threshold[:, None]
-        votes = mask.astype(np.int32) @ onehot
-        winners = np.argmax(votes, axis=1)
-        yield [pref[w] for w in winners], dist.min(axis=1), votes
+from references import dense_winner_ids
 
 
 def kernel_outputs(model, queries):
-    """Winning labels, nearest distances and votes over all blocks."""
+    """Winning labels and votes over all blocks."""
     idx = model._index
-    labels, nearest, votes = [], [], []
-    for w, d, v in _batch_winner_ids(model, idx.encode_queries(queries)):
+    labels, votes = [], []
+    for w, v in _batch_winner_ids(model, idx.encode_queries(queries)):
         labels.extend(idx.labels_in_pref[i] for i in w)
-        nearest.append(d)
         votes.append(v)
-    return labels, np.concatenate(nearest), np.concatenate(votes)
+    return labels, np.concatenate(votes)
 
 
 def assert_same_as_dense(model, queries):
-    labels, nearest, votes = kernel_outputs(model, queries)
+    labels, votes = kernel_outputs(model, queries)
     parts = list(dense_winner_ids(model, queries))
     want_labels = [label for p in parts for label in p[0]]
-    want_nearest = np.concatenate([p[1] for p in parts])
     want_votes = np.concatenate([p[2] for p in parts])
     assert labels == want_labels
-    assert nearest.dtype == np.float64
-    assert [x.hex() for x in nearest.tolist()] == [x.hex() for x in want_nearest.tolist()]
     assert votes.shape == want_votes.shape and np.array_equal(votes, want_votes)
 
 
@@ -177,6 +119,10 @@ def test_k_beyond_distinct_distances_and_single_instance():
     rows = [("a", "b"), ("b", "b"), ("c", "a")]
     model = make_model(rows, ["X", "Y", "Y"], [0.3, 0.7], k=5)
     assert_same_as_dense(model, [("a", "b"), ("c", "c")])
+    # a k no loop could count to (a damaged model file may hold one) stops
+    # once every query is out of distances
+    model = make_model(rows, ["X", "Y", "Y"], [0.3, 0.7], k=2**62)
+    assert_same_as_dense(model, [("a", "b"), ("c", "c")])
 
 
 def test_features_past_the_table_match_dense_kernel():
@@ -204,13 +150,14 @@ def random_model(n, arity, seed, k=3):
 @pytest.mark.parametrize("per_block", [0, 1, 3, 7, 39, 40])
 def test_block_boundaries_do_not_change_outputs(per_block, monkeypatch):
     model, queries = random_model(300, 18, seed=5)
-    whole = classify_batch(model, queries)
+    whole_labels, whole_votes = kernel_outputs(model, queries)
     # a budget below one query's scratch still runs one query per block
     budget = per_block * learner._PAIR_SCRATCH_BYTES * len(model.instances)
     monkeypatch.setattr(learner, "_SCRATCH_BUDGET", budget)
     blocks = sum(1 for _ in _batch_winner_ids(model, model._index.encode_queries(queries)))
     assert blocks == -(-len(queries) // max(1, per_block))
-    assert classify_batch(model, queries) == whole
+    labels, votes = kernel_outputs(model, queries)
+    assert labels == whole_labels and np.array_equal(votes, whole_votes)
 
 
 def test_block_scratch_stays_within_budget():

@@ -21,14 +21,13 @@ from mbparse.learner import (
     _ModelIndex,
     _unescape,
     classify,
-    classify_batch,
     classify_labels,
-    entropy,
     gain_ratio_weights,
     load_model,
     save_model,
     train,
 )
+from references import dense_classify, entropy
 
 
 def uniform_model(instances, k=1, tie=TiePolicy.GLOBAL_CLASS_FREQUENCY):
@@ -223,8 +222,8 @@ class TestTrain:
 
     def test_single_instance_labels_everything(self):
         model = train([Instance(("a", "b"), "L")], LearnerConfig(k=1))
-        assert classify(model, ("x", "y")).label == "L"
-        assert classify(model, ("a", "b")).label == "L"
+        assert classify(model, ("x", "y")) == "L"
+        assert classify(model, ("a", "b")) == "L"
 
     def test_class_frequencies_sum(self):
         data = [TRAIN1, TRAIN2, Instance(("boy", "ran", "off"), "V")]
@@ -244,15 +243,15 @@ class TestTrain:
 class TestClassify:
     def test_overlap_prefers_closer_item(self):
         model = uniform_model([TRAIN1, TRAIN2], k=1)
-        result = classify(model, ("boy", "saw", "the"))
-        assert result.label == "V"
-        assert result.nearest_distance == 1.0
+        query = ("boy", "saw", "the")
+        assert classify(model, query) == "V"
+        assert dense_classify(model, query)[:2] == ("V", 1.0)
 
     def test_exact_match(self):
         model = uniform_model([TRAIN1, TRAIN2], k=1)
-        result = classify(model, ("man", "saw", "the"))
-        assert result.label == "V"
-        assert result.nearest_distance == 0.0
+        query = ("man", "saw", "the")
+        assert classify(model, query) == "V"
+        assert dense_classify(model, query)[:2] == ("V", 0.0)
 
     def test_two_distance_sets(self):
         instances = [
@@ -261,9 +260,8 @@ class TestClassify:
             Instance(("b", "a"), "B"),
         ]
         model = uniform_model(instances, k=2)
-        result = classify(model, ("a", "a"))
-        assert result.label == "B"
-        assert result.votes == {"A": 1, "B": 2}
+        assert classify(model, ("a", "a")) == "B"
+        assert dense_classify(model, ("a", "a"))[2] == {"A": 1, "B": 2}
 
     def test_arity_mismatch(self):
         model = uniform_model([TRAIN1], k=1)
@@ -278,10 +276,10 @@ class TestClassify:
         ]
         model = uniform_model(instances, k=1)
         # query at distance 1 from everything: all in one set, X:1 vs Y:2
-        assert classify(model, ("q",)).label == "Y"
+        assert classify(model, ("q",)) == "Y"
         # force a genuine tie: two singleton classes at equal distance
         model2 = uniform_model([Instance(("a",), "X"), Instance(("b",), "Y")], k=1)
-        assert classify(model2, ("q",)).label == "X"  # freq tie, lexicographic
+        assert classify(model2, ("q",)) == "X"  # freq tie, lexicographic
 
     def test_tie_lexicographic_policy(self):
         model = uniform_model(
@@ -289,18 +287,18 @@ class TestClassify:
             k=1,
             tie=TiePolicy.LEXICOGRAPHIC,
         )
-        assert classify(model, ("q",)).label == "A"
+        assert classify(model, ("q",)) == "A"
 
 
 class TestClassifyBatch:
     def test_empty(self):
         model = uniform_model([TRAIN1], k=1)
-        assert classify_batch(model, []) == []
+        assert classify_labels(model, []) == []
 
     def test_singleton_equals_classify(self):
         model = uniform_model([TRAIN1, TRAIN2], k=1)
         q = ("boy", "saw", "the")
-        assert classify_batch(model, [q])[0] == classify(model, q)
+        assert classify_labels(model, [q]) == [classify(model, q)]
 
     def test_batch_matches_elementwise(self):
         rng = random.Random(5)
@@ -310,14 +308,14 @@ class TestClassifyBatch:
         ]
         model = train(data, LearnerConfig(k=2))
         queries = [(rng.choice("abz"), rng.choice("abcz")) for _ in range(40)]
-        batch = classify_batch(model, queries)
+        batch = classify_labels(model, queries)
         single = [classify(model, q) for q in queries]
         assert batch == single
 
     def test_error_names_offending_index(self):
         model = uniform_model([TRAIN1], k=1)
         with pytest.raises(DomainError, match="index 1"):
-            classify_batch(model, [("a", "b", "c"), ("a", "b")])
+            classify_labels(model, [("a", "b", "c"), ("a", "b")])
 
 
 # -- spec invariants ---------------------------------------------------------
@@ -335,11 +333,11 @@ def test_distance_identity_symmetry_bounds(arity, data):
     y = tuple(data.draw(symbols) for _ in range(arity))
     mx = uniform_model([Instance(x, "L")], k=1)
     my = uniform_model([Instance(y, "L")], k=1)
-    dxy = classify(mx, y).nearest_distance
-    dyx = classify(my, x).nearest_distance
+    dxy = dense_classify(mx, y)[1]
+    dyx = dense_classify(my, x)[1]
     assert dxy == dyx
     assert 0 <= dxy <= arity
-    assert classify(mx, x).nearest_distance == 0.0
+    assert dense_classify(mx, x)[1] == 0.0
 
 
 def global_majority(model):
@@ -363,7 +361,7 @@ def test_large_k_degenerates_to_global_majority(data):
     ]
     model = train(dataset, LearnerConfig(k=10))  # k >= any distinct distance count
     query = (data.draw(symbols), data.draw(symbols))
-    got = classify(model, query).label
+    got = classify(model, query)
     counts = {}
     for inst in dataset:
         counts[inst.label] = counts.get(inst.label, 0) + 1
@@ -389,7 +387,7 @@ def test_constant_feature_never_changes_result(data):
         [Instance(inst.features + ("const",), inst.label) for inst in dataset],
         LearnerConfig(k=2),
     )
-    assert classify(model, query).label == classify(padded, query + ("const",)).label
+    assert classify(model, query) == classify(padded, query + ("const",))
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,8 +407,8 @@ def test_feature_permutation_invariance(data):
         LearnerConfig(k=2),
     )
     assert (
-        classify(model, query).label
-        == classify(permuted, tuple(query[p] for p in perm)).label
+        classify(model, query)
+        == classify(permuted, tuple(query[p] for p in perm))
     )
 
 
@@ -430,7 +428,7 @@ class TestPersistence:
         assert loaded.config == model.config
         assert loaded.class_frequencies == model.class_frequencies
         queries = [(rng.choice("abcz"), rng.choice("dez")) for _ in range(30)]
-        assert classify_batch(loaded, queries) == classify_batch(model, queries)
+        assert classify_labels(loaded, queries) == classify_labels(model, queries)
 
     def test_symbols_with_escapes(self, tmp_path):
         data = [

@@ -81,8 +81,8 @@ def line_by_line_load_model(path) -> Model:
         instances.append(Instance(tuple(fields[:arity]), fields[arity]))
     if not instances:
         raise DomainError(f"{path}: model stores no instances")
-    if sum(freqs.values()) != len(instances):
-        raise DomainError(f"{path}: class frequencies do not sum to instance count")
+    if Counter(inst.label for inst in instances) != freqs:
+        raise DomainError(f"{path}: class frequencies do not match the instance labels")
 
     return Model(
         instances=tuple(instances),
@@ -114,6 +114,7 @@ DEFECTS = (
     "weight count",
     "class line",
     "class count",
+    "class name",
     "missing header line",
     "misnamed header line",
 )
@@ -137,6 +138,10 @@ def model_files(draw):
     counts = Counter(row[-1] for row in rows) or Counter(a=0)
     if defect == "class count":
         counts[draw(st.sampled_from(sorted(counts)))] += draw(st.sampled_from([-1, 1]))
+    if defect == "class name":  # same total, but a class no row has
+        counts[draw(CELLS.filter(lambda c: c not in counts))] = counts.pop(
+            draw(st.sampled_from(sorted(counts)))
+        )
     if defect == "field count":
         i = draw(st.integers(0, len(rows) - 1))
         rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["x"]

@@ -25,9 +25,6 @@ from mbparse.pipeline import (
     FullParser,
     NPhaseChunker,
     NpParser,
-    OracleBracketLevel,
-    OracleClauseBracketer,
-    OracleStream,
     PipelineConfig,
     SinglePhaseChunker,
     TypeStrategy,
@@ -36,7 +33,6 @@ from mbparse.pipeline import (
     chunk_typed,
     identify_clauses,
     parse_full,
-    parse_full_levels,
     parse_np,
     stratify_levels,
     tag_sentences,
@@ -59,11 +55,17 @@ from mbparse.schemes import (
 )
 from mbparse.synth import (
     clause_corpus,
-    corpus_sections,
     nested_np_corpus,
     np_chunk_corpus,
     parse_corpus,
     typed_chunk_corpus,
+)
+from references import (
+    OracleBracketLevel,
+    OracleClauseBracketer,
+    OracleStream,
+    corpus_sections,
+    parse_full_levels,
 )
 
 
@@ -409,16 +411,6 @@ class TestParseNp:
                     assert disjoint or nested
         assert score(out, te_g).f > 80.0
 
-    def test_missing_level_model_stops_with_warning(self):
-        sents, gold = nested_np_corpus(10, seed=16)
-        base = oracle_chunker([leaves_of(g) for g in gold])
-        parser = NpParser(
-            base=base, levels=[None, OracleBracketLevel(gold)]
-        )
-        with pytest.warns(UserWarning):
-            out = parse_np(sents, parser)
-        assert [sorted(set(o)) for o in out] == [sorted(set(leaves_of(g))) for g in gold]
-
 
 class TestParseFull:
     def test_flat_corpus_is_base_plus_wrap(self):
@@ -447,7 +439,7 @@ class TestParseFull:
         tr = parse_corpus(100, seed=20)
         te = parse_corpus(40, seed=21)
         parser = train_full_parser(tr[0], tr[1])
-        _, snapshots = parse_full_levels(te[0], parser)
+        snapshots = parse_full_levels(te[0], parser)
         recalls = [score(snap, te[1]).recall for snap in snapshots]
         assert all(a <= b + 1e-9 for a, b in zip(recalls, recalls[1:]))
         assert recalls[-1] > recalls[0]  # the cascade adds something

@@ -8,7 +8,6 @@ from mbparse.errors import DomainError
 from mbparse.schemes import (
     ChunkSpan,
     ClauseNode,
-    IO_SCHEMES,
     MatchMode,
     Scheme,
     balance_brackets,
@@ -17,8 +16,8 @@ from mbparse.schemes import (
     convert,
     decode,
     encode,
-    mark_positions,
 )
+from references import IO_SCHEMES
 
 # The 17-token example sentence "In early trading in Hong Kong Monday ,
 # gold was quoted at $ 366.50 an ounce ." and its six noun chunks.
@@ -125,9 +124,6 @@ class TestDecodePermissive:
             decode(["(", "."], Scheme.O)
         with pytest.raises(DomainError):
             convert([".", ")"], Scheme.C, Scheme.IOB1)
-
-    def test_mark_positions(self):
-        assert mark_positions(["(", ".", "(-VP"]) == [(0, "NP"), (2, "VP")]
 
 
 def random_span_set(rng, length, typed=False):

@@ -1,12 +1,12 @@
 from mbparse.schemes import Scheme, clause_spans, decode
 from mbparse.synth import (
     clause_corpus,
-    corpus_sections,
     nested_np_corpus,
     np_chunk_corpus,
     parse_corpus,
     typed_chunk_corpus,
 )
+from references import corpus_sections
 
 
 def assert_flat(spans, length):

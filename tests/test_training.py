@@ -9,7 +9,7 @@ import pytest
 
 from mbparse import folds, pipeline
 from mbparse.errors import DomainError
-from mbparse.features import compress_mapped, extract_token, parse_template
+from mbparse.features import compress_mapped, parse_template
 from mbparse.folds import LeakMode, build_fold_plan, run_two_phase_cv
 from mbparse.learner import Instance, LearnerConfig, TiePolicy, train
 from mbparse.pipeline import (
@@ -26,12 +26,12 @@ from mbparse.pipeline import (
 from mbparse.schemes import Scheme, clause_spans, encode
 from mbparse.synth import (
     clause_corpus,
-    corpus_sections,
     nested_np_corpus,
     np_chunk_corpus,
     parse_corpus,
     typed_chunk_corpus,
 )
+from references import corpus_sections, extract_token
 
 LCFG = LearnerConfig(k=1)
 

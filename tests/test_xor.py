@@ -45,8 +45,8 @@ def test_run_matches_classifying_every_test_row(k):
     # reference: classify all 400 test rows, duplicates included
     fast, plain = np.random.default_rng(5), np.random.default_rng(5)
     for extra in (0, 1, 2, 6):
-        train_set = _build_rows(plain, extra)
-        test_set = _build_rows(plain, extra)
+        train_set = list(_build_rows(plain, extra))
+        test_set = list(_build_rows(plain, extra))
         model = train(train_set, LearnerConfig(k=k, degenerate_weight_fallback=True))
         labels = classify_labels(model, [inst.features for inst in test_set])
         expected = sum(p == inst.label for p, inst in zip(labels, test_set))
