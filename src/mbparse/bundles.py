@@ -3,6 +3,12 @@
 A bundle directory holds one ``manifest`` (INI) describing the composite
 plus one line-format model file per component.  Reloaded bundles behave
 extensionally the same as the originals.
+
+The components of a composite are trained on the same tokens, so their
+files repeat feature columns.  Each ``load_*`` call codes every distinct
+column once: it hands ``learner.load_model`` one record of the columns
+coded so far, which later files of the same load reuse, and drops the
+record when it returns.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import os
 
 from .errors import DomainError
 from .features import parse_template, format_template
-from .learner import load_model, save_model
+from .learner import Model, load_model, save_model
 from .pipeline import (
     BracketLevel,
     Chunker,
@@ -84,17 +90,21 @@ def _save_stream(stream: TwoPassStream, path, prefix: str, manifest) -> None:
         save_model(stream.pass2_model, os.path.join(path, f"{prefix}.pass2.model"))
 
 
-def _load_stream(path, prefix: str, manifest) -> TwoPassStream:
+def _load(path, name: str, seen: dict) -> Model:
+    return load_model(os.path.join(path, name), seen)
+
+
+def _load_stream(path, prefix: str, manifest, seen: dict) -> TwoPassStream:
     section = manifest[f"stream {prefix}"]
     pass2_model = None
     pass2_template = None
     if "pass2_model" in section:
-        pass2_model = load_model(os.path.join(path, section["pass2_model"]))
+        pass2_model = _load(path, section["pass2_model"], seen)
         pass2_template = parse_template(section["pass2_template"])
     return TwoPassStream(
         scheme=Scheme(section["scheme"]),
         pass1_template=parse_template(section["pass1_template"]),
-        pass1_model=load_model(os.path.join(path, section["pass1_model"])),
+        pass1_model=_load(path, section["pass1_model"], seen),
         pass2_template=pass2_template,
         pass2_model=pass2_model,
     )
@@ -116,7 +126,7 @@ def _save_chunker_into(chunker: Chunker, path, prefix: str, manifest) -> None:
         _save_stream(chunker.streams[scheme], path, name, manifest)
 
 
-def _load_chunker_from(path, prefix: str, manifest) -> Chunker:
+def _load_chunker_from(path, prefix: str, manifest, seen: dict) -> Chunker:
     section = manifest[f"chunker {prefix}" if prefix else "chunker"]
     reps = tuple(Scheme(v) for v in section["representations"].split())
     cfg = PipelineConfig(
@@ -129,7 +139,7 @@ def _load_chunker_from(path, prefix: str, manifest) -> Chunker:
     for value in section["streams"].split():
         scheme = Scheme(value)
         name = f"{prefix}.{value}" if prefix else value
-        streams[scheme] = _load_stream(path, name, manifest)
+        streams[scheme] = _load_stream(path, name, manifest, seen)
     return Chunker(streams=streams, config=cfg)
 
 
@@ -158,7 +168,7 @@ def save_chunker(chunker: Chunker, path) -> None:
 def load_chunker(path) -> Chunker:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "chunker")
-    return _load_chunker_from(path, "", manifest)
+    return _load_chunker_from(path, "", manifest, {})
 
 
 def _save_typed_into(chunker: TypedChunker, path, manifest) -> None:
@@ -180,19 +190,19 @@ def _save_typed_into(chunker: TypedChunker, path, manifest) -> None:
         raise DomainError(f"unknown typed chunker {type(chunker).__name__}")
 
 
-def _load_typed_from(path, manifest) -> TypedChunker:
+def _load_typed_from(path, manifest, seen: dict) -> TypedChunker:
     bundle = manifest["bundle"]
     strategy = bundle["strategy"]
     if strategy == "single_phase":
-        return SinglePhaseChunker(_load_chunker_from(path, "typed", manifest))
+        return SinglePhaseChunker(_load_chunker_from(path, "typed", manifest, seen))
     if strategy == "double_phase":
         return DoublePhaseChunker(
-            boundary=_load_chunker_from(path, "boundary", manifest),
-            type_model=load_model(os.path.join(path, bundle["type_model"])),
+            boundary=_load_chunker_from(path, "boundary", manifest, seen),
+            type_model=_load(path, bundle["type_model"], seen),
         )
     order = tuple(bundle["types"].split())
     per_type = {
-        typ: _load_chunker_from(path, f"type-{typ}", manifest) for typ in order
+        typ: _load_chunker_from(path, f"type-{typ}", manifest, seen) for typ in order
     }
     return NPhaseChunker(per_type=per_type, type_order=order)
 
@@ -207,7 +217,7 @@ def save_typed_chunker(chunker: TypedChunker, path) -> None:
 def load_typed_chunker(path) -> TypedChunker:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "typed-chunker")
-    return _load_typed_from(path, manifest)
+    return _load_typed_from(path, manifest, {})
 
 
 def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
@@ -230,11 +240,11 @@ def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
 def load_clause_bracketer(path) -> ClauseBracketer:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "clauses")
+    seen: dict = {}
     open_models = tuple(
-        load_model(os.path.join(path, name))
-        for name in manifest["bundle"]["open_models"].split()
+        _load(path, name, seen) for name in manifest["bundle"]["open_models"].split()
     )
-    close_model = load_model(os.path.join(path, manifest["bundle"]["close_model"]))
+    close_model = _load(path, manifest["bundle"]["close_model"], seen)
     return ClauseBracketer(
         open_models=open_models,
         close_model=close_model,
@@ -259,7 +269,7 @@ def _save_levels(levels, path, manifest) -> None:
         save_model(level.close_model, os.path.join(path, f"level{i:02d}.close.model"))
 
 
-def _load_levels(path, manifest) -> list[BracketLevel]:
+def _load_levels(path, manifest, seen: dict) -> list[BracketLevel]:
     count = int(manifest["bundle"]["levels"])
     levels = []
     for i in range(1, count + 1):
@@ -267,8 +277,8 @@ def _load_levels(path, manifest) -> list[BracketLevel]:
         levels.append(
             BracketLevel(
                 template=parse_template(section["template"]),
-                open_model=load_model(os.path.join(path, section["open_model"])),
-                close_model=load_model(os.path.join(path, section["close_model"])),
+                open_model=_load(path, section["open_model"], seen),
+                close_model=_load(path, section["close_model"], seen),
                 default_type=section["default_type"],
             )
         )
@@ -287,9 +297,10 @@ def save_np_parser(parser: NpParser, path) -> None:
 def load_np_parser(path) -> NpParser:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "np-parser")
+    seen: dict = {}
     return NpParser(
-        base=_load_chunker_from(path, "base", manifest),
-        levels=_load_levels(path, manifest),
+        base=_load_chunker_from(path, "base", manifest, seen),
+        levels=_load_levels(path, manifest, seen),
         match_mode=MatchMode(manifest["bundle"]["match_mode"]),
     )
 
@@ -306,8 +317,9 @@ def save_full_parser(parser: FullParser, path) -> None:
 def load_full_parser(path) -> FullParser:
     manifest = _read_manifest(path)
     _check_kind(manifest, path, "full-parser")
+    seen: dict = {}
     return FullParser(
-        base=_load_typed_from(path, manifest),
-        levels=_load_levels(path, manifest),
+        base=_load_typed_from(path, manifest, seen),
+        levels=_load_levels(path, manifest, seen),
         match_mode=MatchMode(manifest["bundle"]["match_mode"]),
     )

@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import multiprocessing
 import os
 import sys
+import warnings
 
 from . import bundles, config as cfgmod
 from .combine import (
@@ -506,39 +508,34 @@ def _cmd_xor(args, cfg) -> int:
     return 0
 
 
+_COMMANDS = {
+    "train": _cmd_train,
+    "chunk": functools.partial(_cmd_chunk, typed=False),
+    "chunk-typed": functools.partial(_cmd_chunk, typed=True),
+    "clauses": _cmd_clauses,
+    "parse-np": functools.partial(_cmd_parse, full=False),
+    "parse": functools.partial(_cmd_parse, full=True),
+    "evaluate": _cmd_evaluate,
+    "bootstrap": _cmd_bootstrap,
+    "select-features": _cmd_select,
+    "combine": _cmd_combine,
+    "xor-experiment": _cmd_xor,
+}
+
+
 def run_command(argv: list[str]) -> int:
     """Parse and execute one command; returns the exit status."""
     args = _build_parser().parse_args(argv)
-    cfg = _load_cfg(args)
-    command = args.command
-    if command == "train":
-        return _cmd_train(args, cfg)
-    if command == "chunk":
-        return _cmd_chunk(args, cfg, typed=False)
-    if command == "chunk-typed":
-        return _cmd_chunk(args, cfg, typed=True)
-    if command == "clauses":
-        return _cmd_clauses(args, cfg)
-    if command == "parse-np":
-        return _cmd_parse(args, cfg, full=False)
-    if command == "parse":
-        return _cmd_parse(args, cfg, full=True)
-    if command == "evaluate":
-        return _cmd_evaluate(args, cfg)
-    if command == "bootstrap":
-        return _cmd_bootstrap(args, cfg)
-    if command == "select-features":
-        return _cmd_select(args, cfg)
-    if command == "combine":
-        return _cmd_combine(args, cfg)
-    if command == "xor-experiment":
-        return _cmd_xor(args, cfg)
-    raise ConfigError(f"unknown command {command!r}")
+    return _COMMANDS[args.command](args, _load_cfg(args))
 
 
 def main() -> None:
     try:
-        status = run_command(sys.argv[1:])
+        with warnings.catch_warnings(record=True) as caught:
+            status = run_command(sys.argv[1:])
+        # a run that succeeds states each warning once, without source lines
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
     except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         status = 1

@@ -83,19 +83,11 @@ class FeatureTemplate:
 def format_template(template: FeatureTemplate) -> str:
     """Compact string form, e.g. "w[-2..0] p[-4..3] c[-2,-1,1,2]"."""
     parts = []
-    for channel, offs in (
-        ("w", template.words),
-        ("p", template.pos),
-        ("c", template.chunks),
-    ):
+    for channel, offs in zip(_CHANNELS, (template.words, template.pos, template.chunks)):
         if not offs:
             continue
         contiguous = len(offs) > 1 and offs[-1] - offs[0] == len(offs) - 1
-        body = (
-            f"{offs[0]}..{offs[-1]}"
-            if contiguous
-            else ",".join(str(o) for o in offs)
-        )
+        body = f"{offs[0]}..{offs[-1]}" if contiguous else ",".join(map(str, offs))
         parts.append(f"{channel}[{body}]")
     return " ".join(parts)
 

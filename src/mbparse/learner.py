@@ -6,11 +6,13 @@ weights over mismatching positions) and labeled by majority vote over the
 instances falling in the k nearest *distinct* distance values.
 
 A model keeps its instances integer-coded column by column from the moment
-it is trained or loaded (``InstanceBase``).  Training takes an
-``InstanceBase`` as it is, or codes a sequence of ``Instance`` once,
-checking their arity on the way; the gain-ratio weights are tabulated from
-the codes (value and (value, class) counts), with every entropy summing its
-terms in the order a walk down the rows would.  ``classify_labels`` is the
+it is trained or loaded (``InstanceBase``).  The model files of one bundle
+load can share a record of the columns coded so far, so that a column that
+several files store is coded once and its code table shared.  Training
+takes an ``InstanceBase`` as it is, or codes a sequence of ``Instance``
+once, checking their arity on the way; the gain-ratio weights are tabulated
+from the codes (value and (value, class) counts), with every entropy summing
+its terms in the order a walk down the rows would.  ``classify_labels`` is the
 one batch entry point, and ``classify`` labels a single query through it.
 Queries come as feature tuples or as ``FeatureColumns``, whose distinct
 values are translated into the model's codes; symbols are strings only
@@ -34,6 +36,7 @@ size of a core's L2 cache.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -126,8 +129,7 @@ class FeatureColumns:
 
     ``codes[i]`` maps each value of feature i to its code, numbered in order
     of first occurrence down the column; ``matrix`` holds every row's codes,
-    n x arity int32 and column-major.  As a sequence it decodes to the rows'
-    feature tuples.
+    n x arity int32 and column-major.
     """
 
     codes: tuple[dict[str, int], ...]
@@ -140,35 +142,42 @@ class FeatureColumns:
     def __len__(self) -> int:
         return self.matrix.shape[0]
 
-    def __iter__(self):
-        if not self.codes:
-            return iter([()] * len(self))
-        return zip(*(
-            map(list(table).__getitem__, self.matrix[:, i].tolist())
-            for i, table in enumerate(self.codes)
-        ))
-
 
 @dataclass(frozen=True, eq=False)
 class InstanceBase(FeatureColumns):
-    """Training instances: coded feature columns plus every row's class.
-
-    As a sequence it decodes to the ``Instance`` rows in their stored order,
-    and it equals any sequence of the same instances.
-    """
+    """Training instances: coded feature columns plus every row's class."""
 
     labels: tuple[str, ...]
 
     @staticmethod
     def from_columns(
-        columns: Sequence[Sequence[str]], labels: Sequence[str]
+        columns: Sequence[Sequence[str]], labels: Sequence[str], seen: dict | None = None
     ) -> "InstanceBase":
+        """Code each column in order of first occurrence.
+
+        ``seen`` records the list columns coded so far in one load: a column
+        equal cell for cell to a recorded one takes its table object and a
+        copy of its codes, and any other column is coded and recorded.  An
+        entry keeps the column as its table's keys, not the caller's strings.
+        """
         n = len(labels)
         matrix = np.empty((n, len(columns)), dtype=np.int32, order="F")
         codes = []
         for i, column in enumerate(columns):
-            table = {v: code for code, v in enumerate(dict.fromkeys(column))}
-            matrix[:, i] = np.fromiter(map(table.__getitem__, column), np.int32, n)
+            # a few cells spread down the column narrow the full comparisons
+            entries = [] if seen is None else seen.setdefault(
+                tuple(column[:: max(1, n // 16)]), []
+            )
+            for symbols, table, coded in entries:
+                if symbols == column:
+                    break
+            else:
+                table = {v: code for code, v in enumerate(dict.fromkeys(column))}
+                coded = np.fromiter(map(table.__getitem__, column), np.int32, n)
+                if seen is not None:
+                    symbols = np.array(list(table), dtype=object)[coded].tolist()
+                    entries.append((symbols, table, coded))
+            matrix[:, i] = coded
             codes.append(table)
         return InstanceBase(tuple(codes), matrix, tuple(labels))
 
@@ -187,14 +196,6 @@ class InstanceBase(FeatureColumns):
             features.append(inst.features)
             labels.append(inst.label)
         return InstanceBase.from_columns(list(zip(*features)), labels)
-
-    def __iter__(self):
-        return map(Instance, super().__iter__(), self.labels)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (InstanceBase, tuple, list)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 def _instance_base(dataset: InstanceBase | Sequence[Instance]) -> InstanceBase:
@@ -216,11 +217,14 @@ def gain_ratio_weights(dataset: InstanceBase | Sequence[Instance]) -> WeightTabl
     occurrence (as ``FeatureColumns`` requires), and each value's classes
     are taken in order of the first occurrence of the (value, class) pair,
     so every entropy sums its terms in the order a walk down the rows meets
-    them and the weights equal those of that walk to the last bit.
+    them and the weights equal those of that walk to the last bit.  The
+    (value, class) pairs are counted in a dense table when it has at most n
+    cells, and sorted out with ``np.unique`` only when it would be larger.
     """
     base = _instance_base(dataset)
     n = len(base)
     label_code = {c: i for i, c in enumerate(dict.fromkeys(base.labels))}
+    n_labels = len(label_code)
     y = np.fromiter(map(label_code.__getitem__, base.labels), np.int64, n)
     h_class = _entropy(np.bincount(y).tolist(), n)
     weights = []
@@ -231,9 +235,17 @@ def gain_ratio_weights(dataset: InstanceBase | Sequence[Instance]) -> WeightTabl
         if h_value == 0.0:
             weights.append(0.0)  # constant feature carries no information
             continue
-        keys = column * np.int64(len(label_code)) + y
-        pairs, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        values = pairs // len(label_code)
+        keys = column * np.int64(n_labels) + y
+        cells = len(value_counts) * n_labels
+        if cells <= n:
+            counts = np.bincount(keys, minlength=cells)
+            pairs = np.flatnonzero(counts)
+            first = np.full(cells, n)
+            np.minimum.at(first, keys, np.arange(n))
+            first, counts = first[pairs], counts[pairs]
+        else:
+            pairs, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        values = pairs // n_labels
         counts = counts[np.lexsort((first, values))].tolist()
         # each value's class counts are a run, values in code order; a value
         # seen with one class has class entropy 0 and adds nothing
@@ -252,21 +264,12 @@ def gain_ratio_weights(dataset: InstanceBase | Sequence[Instance]) -> WeightTabl
 
 @dataclass(frozen=True)
 class Model:
-    """An immutable trained classifier; safe to share across workers.
-
-    ``instances`` may be given as any sequence of ``Instance``; the model
-    keeps it as an ``InstanceBase``.
-    """
+    """An immutable trained classifier; safe to share across workers."""
 
     instances: InstanceBase
     weight_table: WeightTable
     config: LearnerConfig
     class_frequencies: Mapping[str, int]
-
-    def __post_init__(self):
-        if not isinstance(self.instances, InstanceBase):
-            base = InstanceBase.from_rows(self.instances)
-            object.__setattr__(self, "instances", base)
 
     @property
     def arity(self) -> int:
@@ -475,21 +478,14 @@ def _escape(symbol: str) -> str:
     return symbol.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
 
 
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
+
+
 def _unescape(text: str) -> str:
     if "\\" not in text:
         return text
-    out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            out.append({"\\": "\\", "t": "\t", "n": "\n"}.get(nxt, nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    # a backslash takes the next character, whatever it is; a last one stays
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), text, flags=re.S)
 
 
 def save_model(model: Model, path) -> None:
@@ -518,7 +514,9 @@ def save_model(model: Model, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_model(path) -> Model:
+def load_model(path, seen: dict | None = None) -> Model:
+    """Read a model file; ``seen`` shares coded columns across the files of
+    one load (see ``InstanceBase.from_columns``)."""
     # only "\n" ends a line: "\r" and the other breaks str.splitlines knows
     # may occur inside symbols, which save_model writes unescaped
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -559,6 +557,8 @@ def load_model(path) -> Model:
         raise DomainError(f"{path}: weight line does not match arity")
     if not all(math.isfinite(w) for w in weights):
         raise DomainError(f"{path}: weights must be finite")
+    if any(w < 0 for w in weights):
+        raise DomainError(f"{path}: weights must not be negative")
 
     rows = list(filter(None, body.split("\n")))  # blank lines are skipped
     tabs = list(map(str.count, rows, repeat("\t")))
@@ -579,7 +579,7 @@ def load_model(path) -> Model:
         raise DomainError(f"{path}: class frequencies do not match the instance labels")
     columns = [cells[i::width] for i in range(arity)]
     return Model(
-        instances=InstanceBase.from_columns(columns, labels),
+        instances=InstanceBase.from_columns(columns, labels, seen),
         weight_table=WeightTable(weights),  # stored weights include any fallback
         config=config,
         class_frequencies=freqs,

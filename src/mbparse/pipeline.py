@@ -17,6 +17,7 @@ extraction, in training and in prediction.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -106,9 +107,9 @@ class PipelineConfig:
         if not self.representations:
             raise ConfigError("need at least one representation")
         if len(self.representations) % 2 == 0:
-            warnings.warn(
+            warnings.warn(  # at the caller of the generated __init__
                 "even number of representations; majority voting prefers odd",
-                stacklevel=2,
+                stacklevel=3,
             )
 
 
@@ -329,21 +330,17 @@ TypedChunker = SinglePhaseChunker | DoublePhaseChunker | NPhaseChunker
 
 
 def _type_features(sentence: Sentence, spans: list[ChunkSpan], idx: int):
+    """The previous, own and next chunk's head words and the chunk's POS tags."""
+
+    def head(j: int) -> str:
+        if not 0 <= j < len(spans):
+            return PAD
+        chunk = sentence[spans[j].start : spans[j].end + 1]
+        return chunk[np_head(chunk)].word
+
     span = spans[idx]
-    chunk = sentence[span.start : span.end + 1]
-    head = chunk[np_head(chunk)].word
-    pos_seq = "+".join(t.pos for t in chunk)
-    prev_head = PAD
-    if idx > 0:
-        p = spans[idx - 1]
-        prev_chunk = sentence[p.start : p.end + 1]
-        prev_head = prev_chunk[np_head(prev_chunk)].word
-    next_head = PAD
-    if idx + 1 < len(spans):
-        nx = spans[idx + 1]
-        next_chunk = sentence[nx.start : nx.end + 1]
-        next_head = next_chunk[np_head(next_chunk)].word
-    return (prev_head, head, pos_seq, next_head)
+    pos_seq = "+".join(t.pos for t in sentence[span.start : span.end + 1])
+    return (head(idx - 1), head(idx), pos_seq, head(idx + 1))
 
 
 def train_typed_chunker(
@@ -373,10 +370,7 @@ def train_typed_chunker(
         return DoublePhaseChunker(boundary=boundary, type_model=type_model)
 
     # N-phase: one boundary chunker per chunk type.
-    freq: dict[str, int] = {}
-    for spans in gold:
-        for s in spans:
-            freq[s.type] = freq.get(s.type, 0) + 1
+    freq = Counter(s.type for spans in gold for s in spans)
     order = tuple(sorted(freq, key=lambda t: (-freq[t], t)))
     per_type: dict[str, Chunker] = {}
     for typ in order:
@@ -392,15 +386,13 @@ def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
         return chunk_np(sentences, chunker.chunker)
 
     if isinstance(chunker, DoublePhaseChunker):
-        boundaries = chunk_np(sentences, chunker.boundary)
+        boundaries = [sorted(spans) for spans in chunk_np(sentences, chunker.boundary)]
         queries = []
         for s, spans in zip(sentences, boundaries):
-            spans = sorted(spans)
             queries.extend(_type_features(s, spans, i) for i in range(len(spans)))
         labels = classify_labels(chunker.type_model, queries)
         out, pos = [], 0
         for spans in boundaries:
-            spans = sorted(spans)
             typed = [
                 ChunkSpan(s.start, s.end, labels[pos + i])
                 for i, s in enumerate(spans)

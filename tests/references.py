@@ -18,7 +18,7 @@ from mbparse.combine import _FORMAT as _WEIGHTS_FORMAT
 from mbparse.combine import CombineMethod, CombinerWeights
 from mbparse.errors import DomainError
 from mbparse.features import FeatureTemplate, Token
-from mbparse.learner import PAD, TiePolicy
+from mbparse.learner import PAD, Instance, TiePolicy
 from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
 from mbparse.schemes import ChunkSpan, ClauseNode, Scheme, clause_spans, encode
 from mbparse.synth import np_chunk_corpus
@@ -37,6 +37,21 @@ def corpus_sections(n_sections: int, sentences_per_section: int, seed: int):
 
 # ---------------------------------------------------------------------------
 # Learner.
+
+
+def decoded_rows(columns) -> list[tuple[str, ...]]:
+    """The feature tuples of ``FeatureColumns``, decoded row by row."""
+    if not columns.codes:
+        return [()] * len(columns)
+    return list(zip(*(
+        map(list(table).__getitem__, columns.matrix[:, i].tolist())
+        for i, table in enumerate(columns.codes)
+    )))
+
+
+def decoded_instances(base) -> list[Instance]:
+    """The ``Instance`` rows of an ``InstanceBase``, in their stored order."""
+    return list(map(Instance, decoded_rows(base), base.labels))
 
 
 def entropy(counts: Mapping[str, float]) -> float:
@@ -68,16 +83,35 @@ def preference_order(model) -> list[str]:
     return sorted(model.class_frequencies)
 
 
+def model_parts(model):
+    """What a model holds, in comparable form: each code table's items in
+    order, the matrix's dtype, shape, layout and bytes, the labels, weights,
+    config and class frequencies in order."""
+    base = model.instances
+    return (
+        [list(table.items()) for table in base.codes],
+        base.matrix.dtype,
+        base.matrix.shape,
+        base.matrix.flags.f_contiguous,
+        base.matrix.tobytes(order="F"),
+        base.labels,
+        model.weight_table,
+        model.config,
+        list(model.class_frequencies.items()),
+    )
+
+
 def dense_winner_ids(model, queries, block=512):
     """The dense sort-and-rank kernel, with its own index: it adds one float64
     b x n mismatch array per weighted feature, sorts every row and ranks the
     distinct distances.  Yields (labels, nearest distances, vote count
     matrix) per block, the vote columns in ``preference_order``."""
-    n = len(model.instances)
+    instances = decoded_instances(model.instances)
+    n = len(instances)
     arity = model.arity
     matrix = np.empty((n, arity), dtype=np.int32)
     codes = []
-    for i, column in enumerate(zip(*(inst.features for inst in model.instances))):
+    for i, column in enumerate(zip(*(inst.features for inst in instances))):
         table = {v: code for code, v in enumerate(dict.fromkeys(column))}
         matrix[:, i] = [table[v] for v in column]
         codes.append(table)
@@ -86,7 +120,7 @@ def dense_winner_ids(model, queries, block=512):
         encoded[:, i] = [table.get(v, -1) for v in column]
     pref = preference_order(model)
     label_pos = {c: i for i, c in enumerate(pref)}
-    label_ids = np.array([label_pos[inst.label] for inst in model.instances], dtype=np.int32)
+    label_ids = np.array([label_pos[inst.label] for inst in instances], dtype=np.int32)
     onehot = np.zeros((n, len(pref)), dtype=np.int32)
     onehot[np.arange(n), label_ids] = 1
     weights = np.asarray(model.weight_table.weights, dtype=np.float64)

@@ -570,6 +570,20 @@ def test_module_entry_point_prints_usage():
     assert done.stdout.startswith("usage: mbparse")
 
 
+def test_even_representation_count_is_one_warning_line(toy, tmp_path):
+    # the warning once came out as Python's "<string>:14: UserWarning: ..."
+    done = subprocess.run(
+        [sys.executable, "-m", "mbparse.cli", "train", "--task", "np-chunk",
+         "--train", str(toy / "train.txt"), "--model", str(tmp_path / "model"),
+         "--set", "chunker.representations=IOB1 IOE2", "--workers", "1"],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.splitlines() == [
+        "warning: even number of representations; majority voting prefers odd"
+    ]
+
+
 @pytest.fixture(scope="module")
 def import_peak_bytes():
     """Peak address space of a child that has imported the command line."""

@@ -25,7 +25,7 @@ from mbparse.learner import (
     train,
 )
 from mbparse.schemes import ChunkSpan
-from references import extract_token
+from references import decoded_rows, extract_token
 
 
 def toks(*pairs):
@@ -159,7 +159,7 @@ def test_extract_matches_extract_token(data):
         ]
     columns, bounds = extract(template, sentences, context)
     rows, expected_bounds = extract_per_token(template, sentences, context)
-    assert list(columns) == rows
+    assert decoded_rows(columns) == rows
     assert bounds == expected_bounds
     # coded exactly as the instance base of those rows would be
     base = InstanceBase.from_columns(

@@ -1,8 +1,8 @@
-"""Golden digests: the bytes that ``train`` and ``xor-experiment`` write for
-seeded tiny ``synth`` inputs.
+"""Golden digests: the bytes that ``train``, ``chunk``, ``parse`` and
+``xor-experiment`` write for seeded tiny ``synth`` inputs.
 
-A change that should leave every model file and table byte-identical (a
-speed-up, a refactor) must keep these digests.  A change that means to alter
+A change that should leave every model file, tag output and table
+byte-identical (a speed-up, a refactor) must keep these digests.  A change that means to alter
 the output updates them and says why.
 """
 
@@ -20,6 +20,11 @@ BUNDLE_DIGESTS = {
     "np-chunk": "2714657772f72aad9bd60dd8a713fb48b5345539179fd9bc79ed198c003c361f",
     "full-parse": "05f9fdccf011357639231393c8598455811a887390994b55bac9f0345473f7b5",
 }
+# ``chunk`` and ``parse`` outputs of the bundles above on 20 held-out sentences
+TAG_DIGESTS = {
+    "np-chunk": "1114e9856edabff8cb6e302a500f695b6ddb074ae192193072a22354fbeed749",
+    "full-parse": "99e283435377a021e5dcad132aba636506faa39365804a372e6e48d48c74e1a1",
+}
 XOR_DIGEST = "c2f912c7e522ae54b85cd85b1392aa2ee4c177bd6d5ae77c471c7fd7caeb8068"
 
 
@@ -33,30 +38,45 @@ def digest(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_train_corpus(task: str, path: Path) -> None:
+def write_train_corpus(task: str, path: Path, n: int = 80, seed: int = 1) -> None:
     rows = []
     if task == "np-chunk":
-        sentences, gold = np_chunk_corpus(80, seed=1)
+        sentences, gold = np_chunk_corpus(n, seed=seed)
         for s, spans in zip(sentences, gold):
             tags = encode(spans, Scheme.IOB1, len(s), typed=False)
             rows.append([(t.word, t.pos, tag) for t, tag in zip(s, tags)])
         write_corpus(rows, path, columns=("word", "pos", "chunk"))
     else:
-        sentences, gold = parse_corpus(80, seed=1)
+        sentences, gold = parse_corpus(n, seed=seed)
         for s, spans in zip(sentences, gold):
             cells = encode_bracket_column(spans, len(s))
             rows.append([(t.word, t.pos, c) for t, c in zip(s, cells)])
         write_corpus(rows, path, columns=("word", "pos", "tree"))
 
 
-@pytest.mark.parametrize("task", sorted(BUNDLE_DIGESTS))
-def test_train_bundle_digest(task, tmp_path):
+def train_bundle(task: str, tmp_path: Path) -> Path:
     write_train_corpus(task, tmp_path / "train.txt")
     model = tmp_path / "model"
     argv = ["train", "--task", task, "--train", str(tmp_path / "train.txt"),
             "--model", str(model), "--workers", "1"]
     assert run_command(argv) == 0
-    assert digest(model) == BUNDLE_DIGESTS[task]
+    return model
+
+
+@pytest.mark.parametrize("task", sorted(BUNDLE_DIGESTS))
+def test_train_bundle_digest(task, tmp_path):
+    assert digest(train_bundle(task, tmp_path)) == BUNDLE_DIGESTS[task]
+
+
+@pytest.mark.parametrize("task", sorted(TAG_DIGESTS))
+def test_tag_output_digest(task, tmp_path):
+    model = train_bundle(task, tmp_path)
+    write_train_corpus(task, tmp_path / "test.txt", n=20, seed=2)
+    verb = "chunk" if task == "np-chunk" else "parse"
+    argv = [verb, "--model", str(model), "--input", str(tmp_path / "test.txt"),
+            "--output", str(tmp_path / "out.txt"), "--workers", "1"]
+    assert run_command(argv) == 0
+    assert digest(tmp_path / "out.txt") == TAG_DIGESTS[task]
 
 
 def test_xor_table_digest(capsys):

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from mbparse import learner
 from mbparse.learner import (
     Instance,
+    InstanceBase,
     LearnerConfig,
     Model,
     TiePolicy,
@@ -48,7 +49,7 @@ def assert_same_as_dense(model, queries):
 
 def make_model(rows, labels, weights, k=3, tie_policy=TiePolicy.GLOBAL_CLASS_FREQUENCY):
     return Model(
-        instances=tuple(Instance(tuple(r), c) for r, c in zip(rows, labels)),
+        instances=InstanceBase.from_rows([Instance(tuple(r), c) for r, c in zip(rows, labels)]),
         weight_table=WeightTable(tuple(weights)),
         config=LearnerConfig(k=k, tie_policy=tie_policy),
         class_frequencies=dict(Counter(labels)),

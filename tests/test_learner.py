@@ -1,12 +1,13 @@
 import math
 import os
 import random
+import string
 import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from mbparse.errors import DomainError
@@ -27,7 +28,7 @@ from mbparse.learner import (
     save_model,
     train,
 )
-from references import dense_classify, entropy
+from references import decoded_instances, dense_classify, entropy
 
 
 def uniform_model(instances, k=1, tie=TiePolicy.GLOBAL_CLASS_FREQUENCY):
@@ -38,7 +39,7 @@ def uniform_model(instances, k=1, tie=TiePolicy.GLOBAL_CLASS_FREQUENCY):
         freqs[inst.label] = freqs.get(inst.label, 0) + 1
     table = WeightTable(weights=(1.0,) * arity)
     return Model(
-        instances=tuple(instances),
+        instances=InstanceBase.from_rows(instances),
         weight_table=table,
         config=LearnerConfig(k=k, tie_policy=tie),
         class_frequencies=freqs,
@@ -189,12 +190,18 @@ def row_order_gain_ratio(dataset):
 @given(st.data())
 def test_gain_ratio_bit_identical_to_row_order_reference(data):
     arity = data.draw(st.integers(1, 4))
-    # enough classes per value that summing their terms in another order
-    # changes the last bit of some weights
+    # each column draws from few or many values, so that its (value, class)
+    # table falls on either side of the n cells that gain_ratio_weights
+    # counts densely; enough classes per value that summing their terms in
+    # another order changes the last bit of some weights
+    alphabets = data.draw(
+        st.lists(st.sampled_from(["ab", "abcde", string.ascii_letters]),
+                 min_size=arity, max_size=arity)
+    )
     rows = data.draw(
         st.lists(
             st.tuples(
-                st.tuples(*[st.sampled_from("abcde") for _ in range(arity)]),
+                st.tuples(*map(st.sampled_from, alphabets)),
                 st.sampled_from("stuvwxyz"),
             ),
             min_size=1,
@@ -202,6 +209,9 @@ def test_gain_ratio_bit_identical_to_row_order_reference(data):
         )
     )
     dataset = [Instance(feats, label) for feats, label in rows]
+    labels = len({label for _, label in rows})
+    for column in zip(*(feats for feats, _ in rows)):
+        event("dense" if len(set(column)) * labels <= len(rows) else "sorted")
     weights = row_order_gain_ratio(dataset)[0]
     assert gain_ratio_weights(dataset).weights == weights
     assert gain_ratio_weights(InstanceBase.from_rows(dataset)).weights == weights
@@ -423,7 +433,7 @@ class TestPersistence:
         path = tmp_path / "m.model"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.instances == model.instances
+        assert decoded_instances(loaded.instances) == decoded_instances(model.instances)
         assert loaded.weight_table.weights == model.weight_table.weights
         assert loaded.config == model.config
         assert loaded.class_frequencies == model.class_frequencies
@@ -441,7 +451,7 @@ class TestPersistence:
         path = tmp_path / "weird.model"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.instances == model.instances
+        assert decoded_instances(loaded.instances) == decoded_instances(model.instances)
         assert loaded.class_frequencies == model.class_frequencies
 
     def test_fallback_weights_survive_round_trip(self, tmp_path):
@@ -542,7 +552,7 @@ def test_any_symbol_survives_save_and_load(rows):
         path = os.path.join(tmp, "m.model")
         save_model(model, path)
         loaded = load_model(path)
-    assert loaded.instances == model.instances
+    assert decoded_instances(loaded.instances) == decoded_instances(model.instances)
     assert loaded.class_frequencies == model.class_frequencies
 
 

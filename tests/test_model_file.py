@@ -1,8 +1,9 @@
 """``load_model`` against the line-by-line reader it replaced.
 
-``line_by_line_load_model`` is the earlier reader, kept verbatim as the
-reference: it splits the file into lines, splits each instance line and
-builds one ``Instance`` per line.  On any model file whose symbols hold no
+``line_by_line_load_model`` is the earlier reader, kept as the reference:
+it splits the file into lines, splits each instance line and builds one
+``Instance`` per line.  It has one rule the earlier reader lacked: a
+negative weight is rejected, as ``load_model`` now does.  On any model file whose symbols hold no
 line boundary other than "\\n" (the earlier reader also split on "\\r" and
 the other breaks ``str.splitlines`` knows, which ``save_model`` leaves
 unescaped), both readers must give the same instances, weights, config and
@@ -14,19 +15,24 @@ import os
 import tempfile
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from mbparse.errors import DomainError
 from mbparse.learner import (
     _FORMAT,
     Instance,
+    InstanceBase,
     LearnerConfig,
     Model,
     TiePolicy,
     WeightTable,
     _unescape,
     load_model,
+    save_model,
+    train,
 )
+from references import decoded_instances, model_parts
 
 
 def line_by_line_load_model(path) -> Model:
@@ -68,6 +74,8 @@ def line_by_line_load_model(path) -> Model:
         raise DomainError(f"{path}: weight line does not match arity")
     if not all(math.isfinite(w) for w in weights):
         raise DomainError(f"{path}: weights must be finite")
+    if any(w < 0 for w in weights):
+        raise DomainError(f"{path}: weights must not be negative")
 
     instances = []
     for line in lines[body:]:
@@ -85,7 +93,7 @@ def line_by_line_load_model(path) -> Model:
         raise DomainError(f"{path}: class frequencies do not match the instance labels")
 
     return Model(
-        instances=tuple(instances),
+        instances=InstanceBase.from_rows(instances),
         weight_table=WeightTable(weights),  # stored weights include any fallback
         config=config,
         class_frequencies=freqs,
@@ -111,6 +119,7 @@ DEFECTS = (
     "no rows",
     "field count",
     "weight value",
+    "negative weight",
     "weight count",
     "class line",
     "class count",
@@ -154,6 +163,8 @@ def model_files(draw):
         weights[draw(st.integers(0, arity - 1))] = draw(
             st.sampled_from(["nan", "inf", "-inf", "heavy"])
         )
+    if defect == "negative weight":
+        weights[draw(st.integers(0, arity - 1))] = draw(st.sampled_from(["-5.0", "-1e-300"]))
     if defect == "weight count":
         weights = weights[:-1] if draw(st.booleans()) else weights + ["0.5"]
     classes = "\t".join(f"{c}\t{n}" for c, n in sorted(counts.items()))
@@ -191,7 +202,7 @@ def outcome(load, path):
         return ("error", str(exc))
     return (
         "model",
-        list(model.instances),
+        decoded_instances(model.instances),
         model.weight_table,
         model.config,
         list(model.class_frequencies.items()),
@@ -206,3 +217,69 @@ def test_loader_matches_line_by_line_reader(text):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         assert outcome(load_model, path) == outcome(line_by_line_load_model, path)
+
+
+@st.composite
+def shared_files(draw):
+    """The feature columns of two model files.  Each column of the second
+    file equals one of the first's, agrees with it on a prefix and then
+    differs, or is drawn on its own; it may also be cut short."""
+    n = draw(st.integers(1, 64))
+    cells = st.sampled_from("abc")
+    first = draw(st.lists(st.lists(cells, min_size=n, max_size=n), min_size=1, max_size=3))
+    m = draw(st.sampled_from([n, draw(st.integers(1, n))]))
+    second = []
+    for _ in range(draw(st.integers(1, 3))):
+        column = draw(st.sampled_from(first))[:m]
+        how = draw(st.sampled_from(["equal", "differ", "fresh"]))
+        if how == "differ":
+            i = draw(st.integers(0, m - 1))
+            column = column[:i] + ["z"] + column[i + 1:]
+        elif how == "fresh":
+            column = draw(st.lists(cells, min_size=m, max_size=m))
+        second.append(column)
+    return first, second
+
+
+def write_model(path, columns):
+    labels = ["X", "Y"] * (len(columns[0]) // 2) + ["X"] * (len(columns[0]) % 2)
+    save_model(train(InstanceBase.from_columns(columns, labels)), path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_files())
+def test_shared_load_matches_solo_loads(files):
+    """Two files loaded with one record of coded columns equal their solo
+    loads, whatever columns they have in common."""
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, "a.model"), os.path.join(tmp, "b.model")]
+        for path, columns in zip(paths, files):
+            write_model(path, columns)
+        seen = {}
+        shared = [load_model(path, seen) for path in paths]
+        for model, path in zip(shared, paths):
+            assert model_parts(model) == model_parts(load_model(path))
+
+
+@pytest.mark.parametrize(
+    "line, text, message",
+    [
+        (5, "weights 0.5 -1.0", "weights must not be negative"),
+        (6, "classes X\t3", "class frequencies do not match the instance labels"),
+        (-1, "a\ta\tb\tX", "instance line has 4 fields"),
+    ],
+)
+def test_damaged_file_after_shared_columns_fails_as_alone(tmp_path, line, text, message):
+    columns = [list("abcabcab"), list("aabbccaa")]
+    write_model(tmp_path / "good.model", columns)
+    lines = (tmp_path / "good.model").read_text().split("\n")[:-1]
+    lines[line] = text
+    (tmp_path / "bad.model").write_text("\n".join(lines) + "\n")
+    seen = {}
+    load_model(tmp_path / "good.model", seen)
+    recorded = len(seen)
+    for record in ({}, seen, None):
+        with pytest.raises(DomainError) as exc:
+            load_model(tmp_path / "bad.model", record)
+        assert str(exc.value) == f"{tmp_path / 'bad.model'}: {message}"
+    assert len(seen) == recorded

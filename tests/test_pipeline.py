@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbparse import bundles, pipeline
+from mbparse import bundles, learner, pipeline
 from mbparse.combine import majority_vote
 from mbparse.corpus import encode_bracket_column, encode_clause_column
 from mbparse.errors import ConfigError, DomainError
@@ -65,6 +65,7 @@ from references import (
     OracleClauseBracketer,
     OracleStream,
     corpus_sections,
+    model_parts,
     parse_full_levels,
 )
 
@@ -119,8 +120,9 @@ class TestChunkNp:
         assert score(out, te_g).f > 80.0
 
     def test_even_representation_count_warns(self):
-        with pytest.warns(UserWarning):
+        with pytest.warns(UserWarning) as caught:
             PipelineConfig(representations=(Scheme.IOB1, Scheme.IOE2))
+        assert caught[0].filename == __file__  # the caller's line, not __init__'s
 
     def test_detail_returns_all_branches(self):
         tr_s, tr_g = np_chunk_corpus(40, seed=5)
@@ -713,3 +715,35 @@ def test_saved_bundle_tags_like_the_trained_one(kind, seed):
         save(model, Path(tmp) / "bundle")
         loaded = load(Path(tmp) / "bundle")
     assert render(loaded) == render(model)
+
+
+@pytest.mark.parametrize("kind", list(_BUNDLE_KINDS))
+def test_bundle_load_shares_columns_like_solo_loads(kind, tmp_path, monkeypatch):
+    """Every model a ``load_*`` call reaches, its columns coded once per
+    load, equals ``load_model`` of its file alone, and tags the same."""
+    generate, fit, tag, save, load, cells = _BUNDLE_KINDS[kind]
+    save(fit(*generate(20, 5)), tmp_path)
+    loads = []
+
+    def recording(path, seen=None):
+        model = learner.load_model(path, seen)
+        loads.append((path, model))
+        return model
+
+    monkeypatch.setattr(bundles, "load_model", recording)
+    shared = load(tmp_path)
+    files = sorted(Path(path).name for path, _ in loads)
+    assert files == sorted(p.name for p in tmp_path.glob("*.model"))
+    for path, model in loads:
+        assert model_parts(model) == model_parts(learner.load_model(path))
+    tables = [table for _, model in loads for table in model.instances.codes]
+    assert len({id(table) for table in tables}) < len(tables)  # some column is shared
+
+    monkeypatch.setattr(bundles, "load_model", lambda path, seen=None: learner.load_model(path))
+    alone = load(tmp_path)
+    test_sentences = generate(8, 6)[0]
+    rendered = [
+        [cells(out, sentence) for sentence, out in zip(test_sentences, tag(test_sentences, m))]
+        for m in (shared, alone)
+    ]
+    assert rendered[0] == rendered[1]

@@ -31,7 +31,7 @@ from mbparse.synth import (
     parse_corpus,
     typed_chunk_corpus,
 )
-from references import corpus_sections, extract_token
+from references import corpus_sections, decoded_instances, extract_token
 
 LCFG = LearnerConfig(k=1)
 
@@ -238,16 +238,16 @@ def test_two_pass_stream_matches_reference(corpus, scheme, typed):
     inst1, inst2 = two_pass_reference(
         sents, gold, scheme, DEFAULT_PASS1[scheme], DEFAULT_PASS2[scheme], typed
     )
-    assert stream.pass1_model.instances == inst1
-    assert stream.pass2_model.instances == inst2
+    assert decoded_instances(stream.pass1_model.instances) == list(inst1)
+    assert decoded_instances(stream.pass2_model.instances) == list(inst2)
 
 
 def test_clause_bracketer_matches_reference():
     sents, _, forests = clause_corpus(30, seed=68)
     bracketer = train_clause_bracketer(sents, forests, LCFG)
     opens, close = clause_reference(sents, forests)
-    assert [m.instances for m in bracketer.open_models] == opens
-    assert bracketer.close_model.instances == close
+    assert [tuple(decoded_instances(m.instances)) for m in bracketer.open_models] == opens
+    assert tuple(decoded_instances(bracketer.close_model.instances)) == close
 
 
 @pytest.mark.parametrize(
@@ -265,7 +265,8 @@ def test_bracket_levels_match_reference(corpus, typed):
         if expected is None:
             assert lm is None
             continue
-        assert (lm.open_model.instances, lm.close_model.instances) == expected
+        got = (lm.open_model.instances, lm.close_model.instances)
+        assert tuple(tuple(decoded_instances(base)) for base in got) == expected
 
 
 @pytest.mark.parametrize("mode", list(LeakMode))
@@ -288,7 +289,7 @@ def test_two_phase_cv_matches_reference(mode, monkeypatch):
     datasets = []
 
     def recording(dataset, config=None):
-        datasets.append(tuple(dataset))
+        datasets.append(tuple(decoded_instances(dataset)))
         return train(dataset, config)
 
     monkeypatch.setattr(pipeline, "train", recording)
