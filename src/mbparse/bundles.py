@@ -1,14 +1,15 @@
 """Saving and loading composite models as a directory of model files.
 
-A bundle directory holds one ``manifest`` (INI) describing the composite
-plus one line-format model file per component.  Reloaded bundles behave
-extensionally the same as the originals.
+A bundle directory holds one ``manifest`` (INI) describing the composite,
+one model header per component and the ``.npy`` arrays the headers name
+(see ``learner``), all at its top level.  Reloaded bundles behave
+extensionally the same as the originals.  Bundles of manifest format 1,
+whose models were text, no longer load: retrain them.
 
 The components of a composite are trained on the same tokens, so their
-files repeat feature columns.  Each ``load_*`` call codes every distinct
-column once: it hands ``learner.load_model`` one record of the columns
-coded so far, which later files of the same load reuse, and drops the
-record when it returns.
+headers repeat columns.  A ``save_*`` call writes each array once and deletes
+those of an earlier save that no header names; a ``load_*`` call reads each
+once, through one cache of files read that it hands ``learner.load_model``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,11 @@ from __future__ import annotations
 import configparser
 import functools
 import os
+import re
 
 from .errors import DomainError
 from .features import parse_template, format_template
-from .learner import Model, load_model, save_model
+from .learner import load_model, save_model
 from .pipeline import (
     BracketLevel,
     Chunker,
@@ -35,7 +37,7 @@ from .pipeline import (
 )
 from .schemes import MatchMode, Scheme
 
-_FORMAT = "1"
+_FORMAT = "2"
 
 
 def _new_manifest() -> configparser.ConfigParser:
@@ -51,6 +53,8 @@ def _manifest_errors(load):
     def checked(path):
         try:
             return load(path)
+        except DomainError:  # already names the file at fault
+            raise
         except KeyError as exc:
             raise DomainError(f"{path}: manifest lacks {exc}") from None
         except (ValueError, configparser.Error) as exc:
@@ -60,7 +64,7 @@ def _manifest_errors(load):
     return checked
 
 
-def _read_manifest(path) -> configparser.ConfigParser:
+def _read_manifest(path, kind: str) -> configparser.ConfigParser:
     parser = _new_manifest()
     manifest = os.path.join(path, "manifest")
     if not os.path.isfile(manifest):
@@ -69,48 +73,49 @@ def _read_manifest(path) -> configparser.ConfigParser:
         parser.read_file(fh)
     if parser.get("bundle", "format", fallback=None) != _FORMAT:
         raise DomainError(f"{path}: unsupported bundle format")
+    if parser["bundle"]["kind"] != kind:
+        raise DomainError(f"{path}: bundle holds a {parser['bundle']['kind']}, expected {kind}")
     return parser
 
 
-def _write_manifest(parser: configparser.ConfigParser, path) -> None:
+def _write_manifest(parser: configparser.ConfigParser, path, written: set[str]) -> None:
     with open(os.path.join(path, "manifest"), "w", encoding="utf-8") as fh:
         parser.write(fh)
+    for name in os.listdir(path):  # arrays of an earlier save that no header names
+        if re.fullmatch(r"[0-9a-f]{32}\.npy", name) and name[:-4] not in written:
+            os.remove(os.path.join(path, name))
 
 
-def _save_stream(stream: TwoPassStream, path, prefix: str, manifest) -> None:
+def _save_stream(stream: TwoPassStream, path, prefix: str, manifest, written) -> None:
     section = f"stream {prefix}"
     manifest.add_section(section)
     manifest[section]["scheme"] = stream.scheme.value
     manifest[section]["pass1_template"] = format_template(stream.pass1_template)
     manifest[section]["pass1_model"] = f"{prefix}.pass1.model"
-    save_model(stream.pass1_model, os.path.join(path, f"{prefix}.pass1.model"))
+    save_model(stream.pass1_model, os.path.join(path, f"{prefix}.pass1.model"), written)
     if stream.pass2_model is not None:
         manifest[section]["pass2_template"] = format_template(stream.pass2_template)
         manifest[section]["pass2_model"] = f"{prefix}.pass2.model"
-        save_model(stream.pass2_model, os.path.join(path, f"{prefix}.pass2.model"))
+        save_model(stream.pass2_model, os.path.join(path, f"{prefix}.pass2.model"), written)
 
 
-def _load(path, name: str, seen: dict) -> Model:
-    return load_model(os.path.join(path, name), seen)
-
-
-def _load_stream(path, prefix: str, manifest, seen: dict) -> TwoPassStream:
+def _load_stream(path, prefix: str, manifest, cache: dict) -> TwoPassStream:
     section = manifest[f"stream {prefix}"]
     pass2_model = None
     pass2_template = None
     if "pass2_model" in section:
-        pass2_model = _load(path, section["pass2_model"], seen)
+        pass2_model = load_model(os.path.join(path, section["pass2_model"]), cache)
         pass2_template = parse_template(section["pass2_template"])
     return TwoPassStream(
         scheme=Scheme(section["scheme"]),
         pass1_template=parse_template(section["pass1_template"]),
-        pass1_model=_load(path, section["pass1_model"], seen),
+        pass1_model=load_model(os.path.join(path, section["pass1_model"]), cache),
         pass2_template=pass2_template,
         pass2_model=pass2_model,
     )
 
 
-def _save_chunker_into(chunker: Chunker, path, prefix: str, manifest) -> None:
+def _save_chunker_into(chunker: Chunker, path, prefix: str, manifest, written) -> None:
     section = f"chunker {prefix}" if prefix else "chunker"
     manifest.add_section(section)
     cfg = chunker.config
@@ -123,10 +128,10 @@ def _save_chunker_into(chunker: Chunker, path, prefix: str, manifest) -> None:
     manifest[section]["streams"] = " ".join(s.value for s in chunker.streams)
     for scheme in chunker.streams:
         name = f"{prefix}.{scheme.value}" if prefix else scheme.value
-        _save_stream(chunker.streams[scheme], path, name, manifest)
+        _save_stream(chunker.streams[scheme], path, name, manifest, written)
 
 
-def _load_chunker_from(path, prefix: str, manifest, seen: dict) -> Chunker:
+def _load_chunker_from(path, prefix: str, manifest, cache: dict) -> Chunker:
     section = manifest[f"chunker {prefix}" if prefix else "chunker"]
     reps = tuple(Scheme(v) for v in section["representations"].split())
     cfg = PipelineConfig(
@@ -139,89 +144,81 @@ def _load_chunker_from(path, prefix: str, manifest, seen: dict) -> Chunker:
     for value in section["streams"].split():
         scheme = Scheme(value)
         name = f"{prefix}.{value}" if prefix else value
-        streams[scheme] = _load_stream(path, name, manifest, seen)
+        streams[scheme] = _load_stream(path, name, manifest, cache)
     return Chunker(streams=streams, config=cfg)
 
 
-def _start_bundle(path, kind: str) -> configparser.ConfigParser:
+def _start_bundle(path, kind: str) -> tuple[configparser.ConfigParser, set[str]]:
     os.makedirs(path, exist_ok=True)
     manifest = _new_manifest()
     manifest.add_section("bundle")
     manifest["bundle"]["format"] = _FORMAT
     manifest["bundle"]["kind"] = kind
-    return manifest
-
-
-def _check_kind(manifest, path, kind: str) -> None:
-    actual = manifest["bundle"]["kind"]
-    if actual != kind:
-        raise DomainError(f"{path}: bundle holds a {actual}, expected {kind}")
+    return manifest, set()
 
 
 def save_chunker(chunker: Chunker, path) -> None:
-    manifest = _start_bundle(path, "chunker")
-    _save_chunker_into(chunker, path, "", manifest)
-    _write_manifest(manifest, path)
+    manifest, written = _start_bundle(path, "chunker")
+    _save_chunker_into(chunker, path, "", manifest, written)
+    _write_manifest(manifest, path, written)
 
 
 @_manifest_errors
 def load_chunker(path) -> Chunker:
-    manifest = _read_manifest(path)
-    _check_kind(manifest, path, "chunker")
+    manifest = _read_manifest(path, "chunker")
     return _load_chunker_from(path, "", manifest, {})
 
 
-def _save_typed_into(chunker: TypedChunker, path, manifest) -> None:
+def _save_typed_into(chunker: TypedChunker, path, manifest, written) -> None:
     bundle = manifest["bundle"]
     if isinstance(chunker, SinglePhaseChunker):
         bundle["strategy"] = "single_phase"
-        _save_chunker_into(chunker.chunker, path, "typed", manifest)
+        _save_chunker_into(chunker.chunker, path, "typed", manifest, written)
     elif isinstance(chunker, DoublePhaseChunker):
         bundle["strategy"] = "double_phase"
-        _save_chunker_into(chunker.boundary, path, "boundary", manifest)
+        _save_chunker_into(chunker.boundary, path, "boundary", manifest, written)
         bundle["type_model"] = "type.model"
-        save_model(chunker.type_model, os.path.join(path, "type.model"))
+        save_model(chunker.type_model, os.path.join(path, "type.model"), written)
     elif isinstance(chunker, NPhaseChunker):
         bundle["strategy"] = "n_phase"
         bundle["types"] = " ".join(chunker.type_order)
         for typ in chunker.type_order:
-            _save_chunker_into(chunker.per_type[typ], path, f"type-{typ}", manifest)
+            _save_chunker_into(chunker.per_type[typ], path, f"type-{typ}", manifest, written)
     else:
         raise DomainError(f"unknown typed chunker {type(chunker).__name__}")
 
 
-def _load_typed_from(path, manifest, seen: dict) -> TypedChunker:
+def _load_typed_from(path, manifest, cache: dict) -> TypedChunker:
     bundle = manifest["bundle"]
     strategy = bundle["strategy"]
     if strategy == "single_phase":
-        return SinglePhaseChunker(_load_chunker_from(path, "typed", manifest, seen))
+        return SinglePhaseChunker(_load_chunker_from(path, "typed", manifest, cache))
     if strategy == "double_phase":
         return DoublePhaseChunker(
-            boundary=_load_chunker_from(path, "boundary", manifest, seen),
-            type_model=_load(path, bundle["type_model"], seen),
+            boundary=_load_chunker_from(path, "boundary", manifest, cache),
+            type_model=load_model(os.path.join(path, bundle["type_model"]), cache),
         )
     order = tuple(bundle["types"].split())
     per_type = {
-        typ: _load_chunker_from(path, f"type-{typ}", manifest, seen) for typ in order
+        typ: _load_chunker_from(path, f"type-{typ}", manifest, cache) for typ in order
     }
     return NPhaseChunker(per_type=per_type, type_order=order)
 
 
 def save_typed_chunker(chunker: TypedChunker, path) -> None:
-    manifest = _start_bundle(path, "typed-chunker")
-    _save_typed_into(chunker, path, manifest)
-    _write_manifest(manifest, path)
+    manifest, written = _start_bundle(path, "typed-chunker")
+    _save_typed_into(chunker, path, manifest, written)
+    _write_manifest(manifest, path, written)
 
 
 @_manifest_errors
 def load_typed_chunker(path) -> TypedChunker:
-    manifest = _read_manifest(path)
-    _check_kind(manifest, path, "typed-chunker")
+    manifest = _read_manifest(path, "typed-chunker")
     return _load_typed_from(path, manifest, {})
 
 
 def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
-    manifest = _start_bundle(path, "clauses")
+    manifest, written = _start_bundle(path, "clauses")
     manifest["bundle"]["open_templates"] = " | ".join(
         format_template(t) for t in bracketer.open_templates
     )
@@ -230,21 +227,21 @@ def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
         f"open{i}.model" for i in range(len(bracketer.open_models))
     )
     for i, model in enumerate(bracketer.open_models):
-        save_model(model, os.path.join(path, f"open{i}.model"))
+        save_model(model, os.path.join(path, f"open{i}.model"), written)
     manifest["bundle"]["close_model"] = "close.model"
-    save_model(bracketer.close_model, os.path.join(path, "close.model"))
-    _write_manifest(manifest, path)
+    save_model(bracketer.close_model, os.path.join(path, "close.model"), written)
+    _write_manifest(manifest, path, written)
 
 
 @_manifest_errors
 def load_clause_bracketer(path) -> ClauseBracketer:
-    manifest = _read_manifest(path)
-    _check_kind(manifest, path, "clauses")
-    seen: dict = {}
+    manifest = _read_manifest(path, "clauses")
+    cache: dict = {}
     open_models = tuple(
-        _load(path, name, seen) for name in manifest["bundle"]["open_models"].split()
+        load_model(os.path.join(path, name), cache)
+        for name in manifest["bundle"]["open_models"].split()
     )
-    close_model = _load(path, manifest["bundle"]["close_model"], seen)
+    close_model = load_model(os.path.join(path, manifest["bundle"]["close_model"]), cache)
     return ClauseBracketer(
         open_models=open_models,
         close_model=close_model,
@@ -256,7 +253,7 @@ def load_clause_bracketer(path) -> ClauseBracketer:
     )
 
 
-def _save_levels(levels, path, manifest) -> None:
+def _save_levels(levels, path, manifest, written) -> None:
     manifest["bundle"]["levels"] = str(len(levels))
     for i, level in enumerate(levels, 1):
         section = f"level {i}"
@@ -265,11 +262,11 @@ def _save_levels(levels, path, manifest) -> None:
         manifest[section]["default_type"] = level.default_type
         manifest[section]["open_model"] = f"level{i:02d}.open.model"
         manifest[section]["close_model"] = f"level{i:02d}.close.model"
-        save_model(level.open_model, os.path.join(path, f"level{i:02d}.open.model"))
-        save_model(level.close_model, os.path.join(path, f"level{i:02d}.close.model"))
+        save_model(level.open_model, os.path.join(path, f"level{i:02d}.open.model"), written)
+        save_model(level.close_model, os.path.join(path, f"level{i:02d}.close.model"), written)
 
 
-def _load_levels(path, manifest, seen: dict) -> list[BracketLevel]:
+def _load_levels(path, manifest, cache: dict) -> list[BracketLevel]:
     count = int(manifest["bundle"]["levels"])
     levels = []
     for i in range(1, count + 1):
@@ -277,8 +274,8 @@ def _load_levels(path, manifest, seen: dict) -> list[BracketLevel]:
         levels.append(
             BracketLevel(
                 template=parse_template(section["template"]),
-                open_model=_load(path, section["open_model"], seen),
-                close_model=_load(path, section["close_model"], seen),
+                open_model=load_model(os.path.join(path, section["open_model"]), cache),
+                close_model=load_model(os.path.join(path, section["close_model"]), cache),
                 default_type=section["default_type"],
             )
         )
@@ -286,40 +283,38 @@ def _load_levels(path, manifest, seen: dict) -> list[BracketLevel]:
 
 
 def save_np_parser(parser: NpParser, path) -> None:
-    manifest = _start_bundle(path, "np-parser")
+    manifest, written = _start_bundle(path, "np-parser")
     manifest["bundle"]["match_mode"] = parser.match_mode.value
-    _save_chunker_into(parser.base, path, "base", manifest)
-    _save_levels(parser.levels, path, manifest)
-    _write_manifest(manifest, path)
+    _save_chunker_into(parser.base, path, "base", manifest, written)
+    _save_levels(parser.levels, path, manifest, written)
+    _write_manifest(manifest, path, written)
 
 
 @_manifest_errors
 def load_np_parser(path) -> NpParser:
-    manifest = _read_manifest(path)
-    _check_kind(manifest, path, "np-parser")
-    seen: dict = {}
+    manifest = _read_manifest(path, "np-parser")
+    cache: dict = {}
     return NpParser(
-        base=_load_chunker_from(path, "base", manifest, seen),
-        levels=_load_levels(path, manifest, seen),
+        base=_load_chunker_from(path, "base", manifest, cache),
+        levels=_load_levels(path, manifest, cache),
         match_mode=MatchMode(manifest["bundle"]["match_mode"]),
     )
 
 
 def save_full_parser(parser: FullParser, path) -> None:
-    manifest = _start_bundle(path, "full-parser")
+    manifest, written = _start_bundle(path, "full-parser")
     manifest["bundle"]["match_mode"] = parser.match_mode.value
-    _save_typed_into(parser.base, path, manifest)
-    _save_levels(parser.levels, path, manifest)
-    _write_manifest(manifest, path)
+    _save_typed_into(parser.base, path, manifest, written)
+    _save_levels(parser.levels, path, manifest, written)
+    _write_manifest(manifest, path, written)
 
 
 @_manifest_errors
 def load_full_parser(path) -> FullParser:
-    manifest = _read_manifest(path)
-    _check_kind(manifest, path, "full-parser")
-    seen: dict = {}
+    manifest = _read_manifest(path, "full-parser")
+    cache: dict = {}
     return FullParser(
-        base=_load_typed_from(path, manifest, seen),
-        levels=_load_levels(path, manifest, seen),
+        base=_load_typed_from(path, manifest, cache),
+        levels=_load_levels(path, manifest, cache),
         match_mode=MatchMode(manifest["bundle"]["match_mode"]),
     )

@@ -22,7 +22,6 @@ from .combine import (
     SystemOutputs,
     build_stacked_instances,
     fit_weights,
-    save_weights,
     vote_sequence,
 )
 from .corpus import (
@@ -140,7 +139,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--tuning-inputs", nargs="*", default=[])
     p.add_argument("--tuning-gold")
     p.add_argument("--output", required=True)
-    p.add_argument("--weights-out")
 
     p = sub.add_parser("xor-experiment", help="random-feature tolerance table")
     common(p)
@@ -473,8 +471,6 @@ def _cmd_combine(args, cfg) -> int:
             weights = CombinerWeights(method=method)
         else:
             weights = fit_weights(tuning, method)
-            if args.weights_out:
-                save_weights(weights, args.weights_out)
         voted = vote_sequence(SystemOutputs(systems=tuple(flat)), weights, method)
 
     # re-split to sentences, attach to the first input's tokens
@@ -536,7 +532,7 @@ def main() -> None:
         # a run that succeeds states each warning once, without source lines
         for message in dict.fromkeys(str(w.message) for w in caught):
             print(f"warning: {message}", file=sys.stderr)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, Warning) as exc:  # -W error raises warnings
         print(f"error: {exc}", file=sys.stderr)
         status = 1
     except (OSError, CorpusError) as exc:

@@ -201,29 +201,3 @@ def build_stacked_instances(
         return vectors
     return [Instance(v, g) for v, g in zip(vectors, outputs.gold)]
 
-
-# ---------------------------------------------------------------------------
-# Persistence, same line-oriented family as the learner models.
-
-_FORMAT = "combiner-weights 1"
-
-
-def save_weights(weights: CombinerWeights, path) -> None:
-    lines = [_FORMAT, f"method {weights.method.value}"]
-    for s in sorted(weights.accuracy):
-        lines.append(f"acc\t{s}\t{weights.accuracy[s]!r}")
-    for (s, tag) in sorted(weights.precision):
-        lines.append(f"prec\t{s}\t{tag}\t{weights.precision[(s, tag)]!r}")
-    for (s, tag) in sorted(weights.recall):
-        lines.append(f"rec\t{s}\t{tag}\t{weights.recall[(s, tag)]!r}")
-    for key in sorted(weights.pair_cond):
-        i, j, vi, vj = key
-        for tag in sorted(weights.pair_cond[key]):
-            lines.append(
-                f"pair\t{i}\t{j}\t{vi}\t{vj}\t{tag}\t{weights.pair_cond[key][tag]!r}"
-            )
-    for tag in sorted(weights.base_freq):
-        lines.append(f"freq\t{tag}\t{weights.base_freq[tag]!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-

@@ -5,10 +5,8 @@ every stored instance with the weighted overlap metric (sum of per-feature
 weights over mismatching positions) and labeled by majority vote over the
 instances falling in the k nearest *distinct* distance values.
 
-A model keeps its instances integer-coded column by column from the moment
-it is trained or loaded (``InstanceBase``).  The model files of one bundle
-load can share a record of the columns coded so far, so that a column that
-several files store is coded once and its code table shared.  Training
+A model keeps its instances integer-coded column by column, its classes
+too, from the moment it is trained or loaded (``InstanceBase``).  Training
 takes an ``InstanceBase`` as it is, or codes a sequence of ``Instance``
 once, checking their arity on the way; the gain-ratio weights are tabulated
 from the codes (value and (value, class) counts), with every entropy summing
@@ -16,7 +14,15 @@ its terms in the order a walk down the rows would.  ``classify_labels`` is the
 one batch entry point, and ``classify`` labels a single query through it.
 Queries come as feature tuples or as ``FeatureColumns``, whose distinct
 values are translated into the model's codes; symbols are strings only
-there and when a model is saved or decoded.
+there and when a model is decoded.
+
+A saved model is a text header (config, the weights' reprs, the class
+counts in code order and its columns' files) plus 1-D little-endian int32
+``.npy`` arrays beside it, named by the digest of their contents: each
+column's codes, and each symbol table as its count, each symbol's length and
+every code point, so that any string round-trips.  A load checks each
+array's dtype, shape, length and code range and the class counts, and codes
+nothing again; the models of one bundle load share each file's contents.
 
 The query kernel codes which of the first 16 weighted features mismatch as
 one uint16 per (query, instance) pair, a byte at a time.  A table holds
@@ -36,12 +42,11 @@ size of a core's L2 cache.
 from __future__ import annotations
 
 import math
-import re
-from collections import Counter
+import os
+import tokenize
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -123,13 +128,19 @@ def _entropy(counts, total) -> float:
     return h
 
 
+def _code(column: Sequence[str]) -> tuple[dict[str, int], np.ndarray]:
+    """A column's symbols, coded in order of first occurrence, and its codes."""
+    table = {v: code for code, v in enumerate(dict.fromkeys(column))}
+    return table, np.fromiter(map(table.__getitem__, column), np.int32, len(column))
+
+
 @dataclass(frozen=True, eq=False)
 class FeatureColumns:
     """Feature vectors stored column by column, integer-coded.
 
     ``codes[i]`` maps each value of feature i to its code, numbered in order
-    of first occurrence down the column; ``matrix`` holds every row's codes,
-    n x arity int32 and column-major.
+    of first occurrence down the column and kept in code order; ``matrix``
+    holds every row's codes, n x arity int32 and column-major.
     """
 
     codes: tuple[dict[str, int], ...]
@@ -145,41 +156,27 @@ class FeatureColumns:
 
 @dataclass(frozen=True, eq=False)
 class InstanceBase(FeatureColumns):
-    """Training instances: coded feature columns plus every row's class."""
+    """Training instances: coded feature columns plus every row's class,
+    coded the same way: ``classes`` maps each class to its code and
+    ``label_codes`` holds each row's, int32."""
 
-    labels: tuple[str, ...]
+    classes: dict[str, int]
+    label_codes: np.ndarray
 
     @staticmethod
-    def from_columns(
-        columns: Sequence[Sequence[str]], labels: Sequence[str], seen: dict | None = None
-    ) -> "InstanceBase":
-        """Code each column in order of first occurrence.
+    def labelled(columns: FeatureColumns, labels: Sequence[str]) -> "InstanceBase":
+        """``columns`` with each row's class."""
+        return InstanceBase(columns.codes, columns.matrix, *_code(labels))
 
-        ``seen`` records the list columns coded so far in one load: a column
-        equal cell for cell to a recorded one takes its table object and a
-        copy of its codes, and any other column is coded and recorded.  An
-        entry keeps the column as its table's keys, not the caller's strings.
-        """
-        n = len(labels)
-        matrix = np.empty((n, len(columns)), dtype=np.int32, order="F")
+    @staticmethod
+    def from_columns(columns: Sequence[Sequence[str]], labels: Sequence[str]) -> "InstanceBase":
+        """Code each column in order of first occurrence."""
+        matrix = np.empty((len(labels), len(columns)), dtype=np.int32, order="F")
         codes = []
         for i, column in enumerate(columns):
-            # a few cells spread down the column narrow the full comparisons
-            entries = [] if seen is None else seen.setdefault(
-                tuple(column[:: max(1, n // 16)]), []
-            )
-            for symbols, table, coded in entries:
-                if symbols == column:
-                    break
-            else:
-                table = {v: code for code, v in enumerate(dict.fromkeys(column))}
-                coded = np.fromiter(map(table.__getitem__, column), np.int32, n)
-                if seen is not None:
-                    symbols = np.array(list(table), dtype=object)[coded].tolist()
-                    entries.append((symbols, table, coded))
-            matrix[:, i] = coded
+            table, matrix[:, i] = _code(column)
             codes.append(table)
-        return InstanceBase(tuple(codes), matrix, tuple(labels))
+        return InstanceBase.labelled(FeatureColumns(tuple(codes), matrix), labels)
 
     @staticmethod
     def from_rows(dataset: Sequence[Instance]) -> "InstanceBase":
@@ -223,9 +220,8 @@ def gain_ratio_weights(dataset: InstanceBase | Sequence[Instance]) -> WeightTabl
     """
     base = _instance_base(dataset)
     n = len(base)
-    label_code = {c: i for i, c in enumerate(dict.fromkeys(base.labels))}
-    n_labels = len(label_code)
-    y = np.fromiter(map(label_code.__getitem__, base.labels), np.int64, n)
+    n_labels = len(base.classes)
+    y = base.label_codes.astype(np.int64)
     h_class = _entropy(np.bincount(y).tolist(), n)
     weights = []
     for i in range(base.arity):
@@ -324,7 +320,8 @@ class _ModelIndex:
         # float32 sums of 0/1 products are exact integers below 2**24
         dtype = np.float32 if n < 2**24 else np.float64
         onehot = np.zeros((n, len(pref)), dtype=dtype)
-        onehot[np.arange(n), [label_pos[c] for c in base.labels]] = 1
+        pos = np.array([label_pos[c] for c in base.classes], dtype=np.intp)
+        onehot[np.arange(n), pos[base.label_codes]] = 1
         return _ModelIndex(
             base.codes, base.matrix, head, table, tail, ranks, pref, onehot
         )
@@ -364,12 +361,8 @@ def train(
         w < DEGENERATE_WEIGHT_EPS for w in table.weights
     ):
         table = WeightTable(tuple(1.0 for _ in table.weights))
-    return Model(
-        instances=base,
-        weight_table=table,
-        config=config,
-        class_frequencies=dict(Counter(base.labels)),
-    )
+    counts = np.bincount(base.label_codes, minlength=len(base.classes)).tolist()
+    return Model(base, table, config, dict(zip(base.classes, counts)))
 
 
 def _check_arity(model: Model, arity: int, index: int):
@@ -469,26 +462,40 @@ def classify(model: Model, query: Sequence[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: versioned line-oriented text format.
+# Persistence: a text header per model, its arrays in .npy files beside it.
 
-_FORMAT = "knn-model 1"
-
-
-def _escape(symbol: str) -> str:
-    return symbol.replace("\\", "\\\\").replace("\t", "\\t").replace("\n", "\\n")
+_FORMAT = "knn-model 2"
+_HEADER = ("arity", "k", "tie-policy", "fallback", "weights", "classes", "labels", "columns")
+_INT32 = np.dtype("<i4")
 
 
-_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n"}
+def _symbol_array(table: Mapping[str, int]) -> np.ndarray:
+    """A symbol table as int32: the symbol count, each symbol's length, then
+    every symbol's code points in code order, lone surrogates and NULs too."""
+    points = "".join(table).encode("utf-32-le", "surrogatepass")
+    head = np.array([len(table), *map(len, table)], dtype=_INT32)
+    return np.concatenate([head, np.frombuffer(points, dtype=_INT32)])
 
 
-def _unescape(text: str) -> str:
-    if "\\" not in text:
-        return text
-    # a backslash takes the next character, whatever it is; a last one stays
-    return re.sub(r"\\(.)", lambda m: _UNESCAPES.get(m[1], m[1]), text, flags=re.S)
+def save_model(model: Model, path, written: set[str] | None = None) -> None:
+    """Write the model's header to ``path`` and each of its arrays beside it,
+    named by the digest of its contents.  ``written`` holds the names one
+    bundle save has written so far, which later models skip."""
+    import hashlib  # only saving needs it, and importing it takes about 5 ms
 
+    directory = os.path.dirname(path)
+    written = set() if written is None else written
 
-def save_model(model: Model, path) -> None:
+    def put(array: np.ndarray) -> str:
+        name = hashlib.blake2b(array, digest_size=16).hexdigest()
+        if name not in written:
+            np.save(os.path.join(directory, name + ".npy"), array)
+            written.add(name)
+        return name
+
+    def column(table, codes) -> str:
+        return f"{put(np.ascontiguousarray(codes, _INT32))}:{put(_symbol_array(table))}"
+
     base = model.instances
     lines = [
         _FORMAT,
@@ -497,48 +504,82 @@ def save_model(model: Model, path) -> None:
         f"tie-policy {model.config.tie_policy.value}",
         f"fallback {int(model.config.degenerate_weight_fallback)}",
         "weights " + " ".join(repr(w) for w in model.weight_table.weights),
-        "classes "
-        + "\t".join(
-            f"{_escape(c)}\t{n}" for c, n in sorted(model.class_frequencies.items())
-        ),
+        "classes " + " ".join(str(model.class_frequencies[c]) for c in base.classes),
+        "labels " + column(base.classes, base.label_codes),
+        "columns " + " ".join(map(column, base.codes, base.matrix.T)),
     ]
-    # escape each distinct symbol once, then write the rows from their codes
-    cells = np.empty((len(base), len(base.codes) + 1), dtype=object)
-    for i, table in enumerate(base.codes):
-        symbols = np.array([_escape(v) for v in table], dtype=object)
-        cells[:, i] = symbols[base.matrix[:, i]]
-    labels = {c: _escape(c) for c in dict.fromkeys(base.labels)}
-    cells[:, -1] = list(map(labels.__getitem__, base.labels))
-    lines.extend(map("\t".join, cells.tolist()))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_model(path, seen: dict | None = None) -> Model:
-    """Read a model file; ``seen`` shares coded columns across the files of
-    one load (see ``InstanceBase.from_columns``)."""
-    # only "\n" ends a line: "\r" and the other breaks str.splitlines knows
-    # may occur inside symbols, which save_model writes unescaped
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    # fixed header: one line per field, in save order, then instance lines
-    fields = ("arity", "k", "tie-policy", "fallback", "weights", "classes")
-    lines = text.removesuffix("\n").split("\n", len(fields) + 1)
-    body = lines.pop() if len(lines) > 1 + len(fields) else ""
-    if lines[0] != _FORMAT:
-        raise DomainError(f"{path}: not a {_FORMAT!r} file")
-    if len(lines) < 1 + len(fields):
-        raise DomainError(f"{path}: truncated header")
+def _array(path: str, cache: dict) -> np.ndarray:
+    """The 1-D little-endian int32 array in ``path``, read once per cache."""
+    if path not in cache:
+        try:
+            array = np.load(path, allow_pickle=False)
+        except FileNotFoundError:
+            raise DomainError(f"{path}: no such array file") from None
+        # what numpy's reader raises on a damaged file or header
+        except (ValueError, EOFError, OverflowError, MemoryError, tokenize.TokenError) as exc:
+            raise DomainError(f"{path}: unreadable array: {' '.join(str(exc).split())}") from None
+        if not isinstance(array, np.ndarray) or array.dtype != _INT32 or array.ndim != 1:
+            raise DomainError(f"{path}: not a 1-D little-endian int32 array")
+        cache[path] = array
+    return cache[path]
+
+
+def _symbols(path: str, cache: dict) -> dict[str, int]:
+    """The symbol table in ``path`` (see ``_symbol_array``), decoded once per
+    cache."""
+    if (path, "symbols") not in cache:
+        array = _array(path, cache)
+        count = int(array[0]) if len(array) else -1
+        lengths, points = array[1 : count + 1], array[count + 1 :]
+        if count < 0 or len(lengths) < count or lengths.sum() != len(points) or (
+            min(lengths.min(initial=0), points.min(initial=0)) < 0
+            or points.max(initial=0) > 0x10FFFF
+        ):
+            raise DomainError(f"{path}: not a symbol table")
+        text = points.tobytes().decode("utf-32-le", "surrogatepass")
+        ends = np.cumsum(lengths).tolist()
+        table = {text[a:b]: code for code, (a, b) in enumerate(zip([0, *ends], ends))}
+        if len(table) != count:
+            raise DomainError(f"{path}: symbol table repeats a symbol")
+        cache[path, "symbols"] = table
+    return cache[path, "symbols"]
+
+
+def _column(path, entry: str, cache: dict, n: int | None = None):
+    """The symbol table and codes that a ``codes:symbols`` entry of the
+    header in ``path`` names, each code checked against the table."""
+    codes_name, _, symbols_name = entry.partition(":")
+    directory = os.path.dirname(path)
+    table = _symbols(os.path.join(directory, symbols_name + ".npy"), cache)
+    codes_path = os.path.join(directory, codes_name + ".npy")
+    codes = _array(codes_path, cache)
+    if n is not None and len(codes) != n:
+        raise DomainError(f"{codes_path}: holds {len(codes)} codes for {n} instances")
+    if len(codes) and (codes.min() < 0 or codes.max() >= len(table)):
+        raise DomainError(f"{codes_path}: code out of range of its symbol table")
+    return table, codes
+
+
+def load_model(path, cache: dict | None = None) -> Model:
+    """Read a model that ``save_model`` wrote.  ``cache`` holds the arrays
+    and symbol tables that one bundle load has read so far, keyed by file:
+    models that name the same file share what it holds."""
+    cache = {} if cache is None else cache
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    if lines[0] != _FORMAT or len(lines) != len(_HEADER) + 2 or lines[-1]:
+        raise DomainError(f"{path}: not a {_FORMAT!r} header of {len(_HEADER)} fields")
     header: dict[str, str] = {}
-    for key, line in zip(fields, lines[1:]):
+    for key, line in zip(_HEADER, lines[1:]):
         got, _, rest = line.partition(" ")
         if got != key:
             raise DomainError(f"{path}: expected header field {key!r}, got {got!r}")
         header[key] = rest
 
-    class_fields = header["classes"].split("\t")
-    if len(class_fields) % 2 != 0:
-        raise DomainError(f"{path}: malformed class-frequency line")
     try:
         arity = int(header["arity"])
         config = LearnerConfig(
@@ -547,40 +588,33 @@ def load_model(path, seen: dict | None = None) -> Model:
             degenerate_weight_fallback=bool(int(header["fallback"])),
         )
         weights = tuple(float(w) for w in header["weights"].split())
-        freqs = {
-            _unescape(class_fields[i]): int(class_fields[i + 1])
-            for i in range(0, len(class_fields), 2)
-        }
+        counts = [int(c) for c in header["classes"].split()]
     except ValueError as exc:
         raise DomainError(f"{path}: bad header value: {exc}") from None
-    if len(weights) != arity:
-        raise DomainError(f"{path}: weight line does not match arity")
+    entries = header["columns"].split()
+    if arity < 1:
+        raise DomainError(f"{path}: instance needs at least one feature")
+    if len(weights) != arity or len(entries) != arity:
+        raise DomainError(f"{path}: weights or columns do not match arity")
     if not all(math.isfinite(w) for w in weights):
         raise DomainError(f"{path}: weights must be finite")
     if any(w < 0 for w in weights):
         raise DomainError(f"{path}: weights must not be negative")
 
-    rows = list(filter(None, body.split("\n")))  # blank lines are skipped
-    tabs = list(map(str.count, rows, repeat("\t")))
-    if arity == 0 and rows and tabs[0] == 0:  # a first row with a label alone
-        raise DomainError("instance needs at least one feature")
-    if tabs.count(arity) != len(tabs):
-        bad = next(t for t in tabs if t != arity)
-        raise DomainError(f"{path}: instance line has {bad + 1} fields")
-    if not rows:
+    classes, label_codes = _column(path, header["labels"], cache)
+    n = len(label_codes)
+    if not n:
         raise DomainError(f"{path}: model stores no instances")
-
-    cells = "\t".join(rows).split("\t")
-    if "\\" in body:
-        cells = list(map(_unescape, cells))
-    width = arity + 1
-    labels = cells[arity::width]
-    if Counter(labels) != freqs:
+    if np.bincount(label_codes, minlength=len(classes)).tolist() != counts:
         raise DomainError(f"{path}: class frequencies do not match the instance labels")
-    columns = [cells[i::width] for i in range(arity)]
+    matrix = np.empty((n, arity), dtype=np.int32, order="F")
+    codes = []
+    for i, entry in enumerate(entries):
+        table, matrix[:, i] = _column(path, entry, cache, n)
+        codes.append(table)
     return Model(
-        instances=InstanceBase.from_columns(columns, labels, seen),
+        instances=InstanceBase(tuple(codes), matrix, classes, label_codes),
         weight_table=WeightTable(weights),  # stored weights include any fallback
         config=config,
-        class_frequencies=freqs,
+        class_frequencies=dict(zip(classes, counts)),
     )

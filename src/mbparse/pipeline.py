@@ -144,7 +144,7 @@ def _train_rows(columns, bounds, tags, learner_config) -> Model:
     ):
         raise DomainError("training tags do not line up with the tokens")
     labels = tuple(label for t in tags for label in t)
-    return train(InstanceBase(columns.codes, columns.matrix, labels), learner_config)
+    return train(InstanceBase.labelled(columns, labels), learner_config)
 
 
 def train_tagger(

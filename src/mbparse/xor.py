@@ -41,7 +41,8 @@ def xor_run(
     model = train(train_set, LearnerConfig(k=k, degenerate_weight_fallback=True))
     distinct, row_of = np.unique(test_set.matrix, axis=0, return_inverse=True)
     labels = np.array(classify_labels(model, FeatureColumns(test_set.codes, distinct)))
-    return int(np.sum(labels[row_of] == np.array(test_set.labels)))
+    expected = np.array(list(test_set.classes))[test_set.label_codes]
+    return int(np.sum(labels[row_of] == expected))
 
 
 def xor_experiment(

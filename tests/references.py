@@ -14,8 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mbparse.combine import _FORMAT as _WEIGHTS_FORMAT
-from mbparse.combine import CombineMethod, CombinerWeights
 from mbparse.errors import DomainError
 from mbparse.features import FeatureTemplate, Token
 from mbparse.learner import PAD, Instance, TiePolicy
@@ -49,9 +47,14 @@ def decoded_rows(columns) -> list[tuple[str, ...]]:
     )))
 
 
+def decoded_labels(base) -> list[str]:
+    """Each row's class of an ``InstanceBase``, decoded."""
+    return list(map(list(base.classes).__getitem__, base.label_codes.tolist()))
+
+
 def decoded_instances(base) -> list[Instance]:
     """The ``Instance`` rows of an ``InstanceBase``, in their stored order."""
-    return list(map(Instance, decoded_rows(base), base.labels))
+    return list(map(Instance, decoded_rows(base), decoded_labels(base)))
 
 
 def entropy(counts: Mapping[str, float]) -> float:
@@ -85,8 +88,9 @@ def preference_order(model) -> list[str]:
 
 def model_parts(model):
     """What a model holds, in comparable form: each code table's items in
-    order, the matrix's dtype, shape, layout and bytes, the labels, weights,
-    config and class frequencies in order."""
+    order, the matrix's dtype, shape, layout and bytes, the class table's
+    items in order, the label codes' dtype and bytes, the weights, config
+    and class frequencies in order."""
     base = model.instances
     return (
         [list(table.items()) for table in base.codes],
@@ -94,7 +98,9 @@ def model_parts(model):
         base.matrix.shape,
         base.matrix.flags.f_contiguous,
         base.matrix.tobytes(order="F"),
-        base.labels,
+        list(base.classes.items()),
+        base.label_codes.dtype,
+        base.label_codes.tobytes(),
         model.weight_table,
         model.config,
         list(model.class_frequencies.items()),
@@ -184,40 +190,6 @@ def extract_token(
         else:
             values.append(PAD)
     return tuple(values)
-
-
-# ---------------------------------------------------------------------------
-# Combination.
-
-
-def load_weights(path) -> CombinerWeights:
-    """Read back what ``combine.save_weights`` writes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _WEIGHTS_FORMAT:
-        raise DomainError(f"{path}: not a {_WEIGHTS_FORMAT!r} file")
-    if len(lines) < 2 or not lines[1].startswith("method "):
-        raise DomainError(f"{path}: missing method line")
-    weights = CombinerWeights(method=CombineMethod(lines[1].split(" ", 1)[1]))
-    for line in lines[2:]:
-        if not line:
-            continue
-        fields = line.split("\t")
-        kind = fields[0]
-        if kind == "acc":
-            weights.accuracy[int(fields[1])] = float(fields[2])
-        elif kind == "prec":
-            weights.precision[(int(fields[1]), fields[2])] = float(fields[3])
-        elif kind == "rec":
-            weights.recall[(int(fields[1]), fields[2])] = float(fields[3])
-        elif kind == "pair":
-            key = (int(fields[1]), int(fields[2]), fields[3], fields[4])
-            weights.pair_cond.setdefault(key, {})[fields[5]] = float(fields[6])
-        elif kind == "freq":
-            weights.base_freq[fields[1]] = float(fields[2])
-        else:
-            raise DomainError(f"{path}: unknown record {kind!r}")
-    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -584,6 +584,39 @@ def test_even_representation_count_is_one_warning_line(toy, tmp_path):
     ]
 
 
+def test_warning_made_an_error_is_one_error_line(toy, tmp_path):
+    # with -W error the warning is raised, and once ended in a traceback
+    done = subprocess.run(
+        [sys.executable, "-W", "error::UserWarning", "-m", "mbparse.cli", "train",
+         "--task", "np-chunk", "--train", str(toy / "train.txt"),
+         "--model", str(tmp_path / "model"),
+         "--set", "chunker.representations=IOB1 IOE2", "--workers", "1"],
+        capture_output=True, text=True, env=_child_env(), timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.splitlines() == [
+        "error: even number of representations; majority voting prefers odd"
+    ]
+
+
+def test_format_1_bundle_is_one_error_line(small_bundle, tmp_path, capsys, monkeypatch):
+    # bundles saved before the models stored codes must be retrained
+    bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
+    _edit_line(bundle / "manifest", "format = ", "format = 1")
+    monkeypatch.setattr(
+        sys, "argv",
+        ["mbparse", "chunk", "--model", str(bundle), "--input",
+         str(small_bundle / "train.txt"), "--output", str(tmp_path / "out.txt"),
+         "--workers", "1"],
+    )
+    with pytest.raises(SystemExit) as err:
+        main()
+    assert err.value.code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bundle}: unsupported bundle format"
+    ]
+
+
 @pytest.fixture(scope="module")
 def import_peak_bytes():
     """Peak address space of a child that has imported the command line."""

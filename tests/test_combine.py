@@ -9,13 +9,11 @@ from mbparse.combine import (
     build_stacked_instances,
     fit_weights,
     majority_vote,
-    save_weights,
     vote,
     vote_sequence,
 )
 from mbparse.errors import DomainError
 from mbparse.learner import Instance
-from references import load_weights
 
 # Five binary classifiers over eight patterns; the majority of the five is
 # right everywhere although each measures one mistake.
@@ -222,36 +220,3 @@ class TestStackedInstances:
     def test_misaligned_systems(self):
         with pytest.raises(DomainError):
             SystemOutputs(systems=(("a",), ("a", "b")))
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        import random
-
-        rng = random.Random(9)
-        n = 40
-        systems = tuple(tuple(rng.choice("abc") for _ in range(n)) for _ in range(3))
-        gold = tuple(rng.choice("abc") for _ in range(n))
-        tuning = SystemOutputs(systems=systems, gold=gold)
-        for method in (
-            CombineMethod.TOT_PRECISION,
-            CombineMethod.TAG_PRECISION,
-            CombineMethod.PRECISION_RECALL,
-            CombineMethod.TAG_PAIR,
-        ):
-            w = fit_weights(tuning, method)
-            path = tmp_path / f"{method.value}.weights"
-            save_weights(w, path)
-            loaded = load_weights(path)
-            assert loaded.method == w.method
-            assert loaded.accuracy == w.accuracy
-            assert loaded.precision == w.precision
-            assert loaded.recall == w.recall
-            assert loaded.pair_cond == w.pair_cond
-            assert loaded.base_freq == w.base_freq
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad"
-        path.write_text("nonsense\n")
-        with pytest.raises(DomainError):
-            load_weights(path)

@@ -1,8 +1,9 @@
 """Randomly damaged inputs end cleanly through ``main``'s error mapping.
 
 Each example copies a small trained bundle, its input corpus and a config
-file, damages one of them (a model file, the bundle manifest, the corpus or
-the config) and runs the command that reads it.  The damage is one of:
+file, damages one of them (any file of the bundle: the manifest, a model
+header or an ``.npy`` array; the manifest alone; the corpus or the config)
+and runs the command that reads it.  The damage is one of:
 truncation, deleting or duplicating a line, swapping two bytes, inserting a
 byte that is not UTF-8, or setting one field to an empty, huge or negative
 value.  The run must end with exit status 1 or 2 and exactly one line on
@@ -21,6 +22,7 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -118,13 +120,17 @@ def mutate(data: bytes, draw) -> bytes:
 
 def run_on_copy(originals, dest, name, damage):
     """Copy the inputs into ``dest``, apply ``damage`` to the bytes of
-    ``name`` and run the command that reads it: ``train`` for the config,
-    ``chunk`` for anything else."""
+    ``name`` (None deletes the file) and run the command that reads it:
+    ``train`` for the config, ``chunk`` for anything else."""
     shutil.copytree(originals / "model", dest / "model")
     for copied in ("train.txt", "test.txt", "run.ini"):
         shutil.copy(originals / copied, dest / copied)
     path = dest / name
-    path.write_bytes(damage(path.read_bytes()))
+    data = damage(path.read_bytes())
+    if data is None:
+        path.unlink()
+    else:
+        path.write_bytes(data)
     if name == "run.ini":
         return main_exit(["train", "--task", "np-chunk", "--train", str(dest / "train.txt"),
                           "--model", str(dest / "retrained"), "--config", str(path),
@@ -140,7 +146,7 @@ def run_on_copy(originals, dest, name, damage):
 @given(data=st.data())
 def test_damaged_input_ends_in_one_line(originals, target, data):
     if target == "model file":
-        models = sorted(p.name for p in (originals / "model").glob("*.model"))
+        models = sorted(p.name for p in (originals / "model").iterdir())
         name = "model/" + data.draw(st.sampled_from(models), label="file")
     else:
         name = {"manifest": "model/manifest", "corpus": "test.txt", "config": "run.ini"}[target]
@@ -166,11 +172,12 @@ def edited_run(originals, tmp_path, name, line, text):
 
 
 def test_label_missing_from_class_line_is_one_error_line(originals, tmp_path):
-    # an instance labelled with a class the frequency line lacks, at the
-    # same total, once ended in a KeyError traceback when the index was built
-    row = (originals / "model" / "IOB1.pass1.model").read_text().split("\n")[7]
-    code, lines = edited_run(originals, tmp_path, "model/IOB1.pass1.model", 7,
-                             row.rpartition("\t")[0] + "\tZZ")
+    # a class the counts line lacks, at the same total, once ended in a
+    # KeyError traceback when the index was built
+    counts = (originals / "model" / "IOB1.pass1.model").read_text().split("\n")[6].split()[1:]
+    moved = [int(counts[0]) + int(counts[-1])] + counts[1:-1]
+    code, lines = edited_run(originals, tmp_path, "model/IOB1.pass1.model", 6,
+                             "classes " + " ".join(map(str, moved)))
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert lines[0].endswith("IOB1.pass1.model: class frequencies do not match the instance labels")
@@ -197,3 +204,50 @@ def test_huge_k_in_model_file_still_tags(originals, tmp_path):
     # one selection pass per k once ran until k, whatever the distances
     code, lines = edited_run(originals, tmp_path, "model/IOB1.pass1.model", 2, "k " + "9" * 30)
     assert (code, lines) == (0, [])
+
+
+def npy(array, allow_pickle=False) -> bytes:
+    out = io.BytesIO()
+    np.save(out, array, allow_pickle=allow_pickle)
+    return out.getvalue()
+
+
+def replaced(data: bytes, change) -> bytes:
+    """An ``.npy`` file's bytes with its array changed."""
+    return npy(change(np.load(io.BytesIO(data)).copy()))
+
+
+def set_first(value):
+    def change(array):
+        array[0] = value
+        return array
+    return change
+
+
+ARRAY_DAMAGE = {
+    "truncated": ("codes", lambda data: data[: len(data) - 3]),
+    "int64": ("codes", partial(replaced, change=lambda a: a.astype(np.int64))),
+    "float32": ("symbols", partial(replaced, change=lambda a: a.astype(np.float32))),
+    "2-D": ("codes", partial(replaced, change=lambda a: a.reshape(1, -1))),
+    "wrong length": ("codes", partial(replaced, change=lambda a: a[:-1])),
+    "negative code": ("codes", partial(replaced, change=set_first(-1))),
+    "code out of range": ("codes", partial(replaced, change=set_first(2**30))),
+    "missing column": ("codes", lambda data: None),
+    "missing symbol table": ("symbols", lambda data: None),
+    "pickled object array": (
+        "codes", lambda data: npy(np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ARRAY_DAMAGE))
+def test_damaged_array_file_is_one_error_line_naming_it(originals, tmp_path, case):
+    # the first feature column of IOB1.pass1.model, its codes or its symbols
+    header = (originals / "model" / "IOB1.pass1.model").read_text().split("\n")
+    codes, symbols = header[8].split()[1].split(":")
+    kind, damage = ARRAY_DAMAGE[case]
+    name = f"{codes if kind == 'codes' else symbols}.npy"
+    code, lines = run_on_copy(originals, tmp_path, f"model/{name}", damage)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert name in lines[0], lines

@@ -16,9 +16,10 @@ from mbparse.corpus import encode_bracket_column, write_corpus
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import np_chunk_corpus, parse_corpus
 
+# bundle format 2: model headers plus int32 .npy arrays named by digest
 BUNDLE_DIGESTS = {
-    "np-chunk": "2714657772f72aad9bd60dd8a713fb48b5345539179fd9bc79ed198c003c361f",
-    "full-parse": "05f9fdccf011357639231393c8598455811a887390994b55bac9f0345473f7b5",
+    "np-chunk": "dd1ade2285ea25282d5f5800b12daee0df7a66b443b6499b14b1674907dedcf5",
+    "full-parse": "a3421cf3cae049d7502397d1528556f2b8e4744ba9cab01cf174bcf3256c54ae",
 }
 # ``chunk`` and ``parse`` outputs of the bundles above on 20 held-out sentences
 TAG_DIGESTS = {

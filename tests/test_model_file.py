@@ -1,222 +1,70 @@
-"""``load_model`` against the line-by-line reader it replaced.
+"""Model files: what ``save_model`` writes, ``load_model`` gives back exactly.
 
-``line_by_line_load_model`` is the earlier reader, kept as the reference:
-it splits the file into lines, splits each instance line and builds one
-``Instance`` per line.  It has one rule the earlier reader lacked: a
-negative weight is rejected, as ``load_model`` now does.  On any model file whose symbols hold no
-line boundary other than "\\n" (the earlier reader also split on "\\r" and
-the other breaks ``str.splitlines`` knows, which ``save_model`` leaves
-unescaped), both readers must give the same instances, weights, config and
-class frequencies, or fail with the same ``DomainError`` message.
+A saved model is a text header plus 1-D int32 ``.npy`` arrays beside it,
+named by the digest of their contents (see ``mbparse.learner``).  These
+tests compare a loaded model with the one in memory part by part, loads
+that share a cache with loads alone, and check that the models of one
+bundle load share each stored column and label array.
 """
 
-import math
 import os
 import tempfile
-from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mbparse.bundles import load_chunker, save_chunker
 from mbparse.errors import DomainError
 from mbparse.learner import (
-    _FORMAT,
-    Instance,
     InstanceBase,
     LearnerConfig,
-    Model,
     TiePolicy,
-    WeightTable,
-    _unescape,
+    classify_labels,
     load_model,
     save_model,
     train,
 )
-from references import decoded_instances, model_parts
+from mbparse.pipeline import train_chunker
+from mbparse.synth import np_chunk_corpus
+from references import model_parts
 
-
-def line_by_line_load_model(path) -> Model:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != _FORMAT:
-        raise DomainError(f"{path}: not a {_FORMAT!r} file")
-
-    # fixed header: one line per field, in save order, then instance lines
-    fields = ("arity", "k", "tie-policy", "fallback", "weights", "classes")
-    if len(lines) < 1 + len(fields):
-        raise DomainError(f"{path}: truncated header")
-    header: dict[str, str] = {}
-    for key, line in zip(fields, lines[1:]):
-        got, _, rest = line.partition(" ")
-        if got != key:
-            raise DomainError(f"{path}: expected header field {key!r}, got {got!r}")
-        header[key] = rest
-    body = 1 + len(fields)
-
-    class_fields = header["classes"].split("\t")
-    if len(class_fields) % 2 != 0:
-        raise DomainError(f"{path}: malformed class-frequency line")
-    try:
-        arity = int(header["arity"])
-        config = LearnerConfig(
-            k=int(header["k"]),
-            tie_policy=TiePolicy(header["tie-policy"]),
-            degenerate_weight_fallback=bool(int(header["fallback"])),
-        )
-        weights = tuple(float(w) for w in header["weights"].split())
-        freqs = {
-            _unescape(class_fields[i]): int(class_fields[i + 1])
-            for i in range(0, len(class_fields), 2)
-        }
-    except ValueError as exc:
-        raise DomainError(f"{path}: bad header value: {exc}") from None
-    if len(weights) != arity:
-        raise DomainError(f"{path}: weight line does not match arity")
-    if not all(math.isfinite(w) for w in weights):
-        raise DomainError(f"{path}: weights must be finite")
-    if any(w < 0 for w in weights):
-        raise DomainError(f"{path}: weights must not be negative")
-
-    instances = []
-    for line in lines[body:]:
-        if not line:
-            continue
-        fields = line.split("\t")
-        if "\\" in line:
-            fields = [_unescape(f) for f in fields]
-        if len(fields) != arity + 1:
-            raise DomainError(f"{path}: instance line has {len(fields)} fields")
-        instances.append(Instance(tuple(fields[:arity]), fields[arity]))
-    if not instances:
-        raise DomainError(f"{path}: model stores no instances")
-    if Counter(inst.label for inst in instances) != freqs:
-        raise DomainError(f"{path}: class frequencies do not match the instance labels")
-
-    return Model(
-        instances=InstanceBase.from_rows(instances),
-        weight_table=WeightTable(weights),  # stored weights include any fallback
-        config=config,
-        class_frequencies=freqs,
-    )
-
-
-# Cells mix plain letters, spaces and backslashes, so they hold the escapes
-# "\\\\", "\\t" and "\\n", unknown escapes such as "\\a" and a lone trailing "\\".
-CELLS = st.text(alphabet="ab tn\\", max_size=4)
-
-
-# Header values that must be rejected, per header field.
-BAD_VALUES = {
-    "format": ["knn-model 2", ""],
-    "arity": ["two", "-1"],
-    "k": ["0", "x"],
-    "tie-policy": ["coin_flip"],
-    "fallback": ["yes"],
-}
-DEFECTS = (
-    *BAD_VALUES,
-    "no features",
-    "no rows",
-    "field count",
-    "weight value",
-    "negative weight",
-    "weight count",
-    "class line",
-    "class count",
-    "class name",
-    "missing header line",
-    "misnamed header line",
-)
+# Separators a text format would have to escape, a trailing NUL (which numpy
+# "U" arrays drop) and a lone surrogate (which UTF-8 cannot encode).
+SYMBOLS = st.text(alphabet="ab \t\n\r\\\x00 \ud800é", max_size=4)
 
 
 @st.composite
-def model_files(draw):
-    """The text of a model file, well formed or with one defect from
-    ``DEFECTS``; blank lines may fall anywhere after the header."""
-    defect = draw(st.sampled_from((None,) * len(DEFECTS) + DEFECTS))
-    arity = 0 if defect == "no features" else draw(st.integers(1, 4))
-    rows = draw(
-        st.lists(
-            st.lists(CELLS, min_size=arity + 1, max_size=arity + 1),
-            min_size=1,
-            max_size=7,
-        )
+def models(draw):
+    arity = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 12))
+    columns = [draw(st.lists(SYMBOLS, min_size=n, max_size=n)) for _ in range(arity)]
+    labels = draw(st.lists(SYMBOLS, min_size=n, max_size=n))
+    config = LearnerConfig(
+        k=draw(st.integers(1, 4)),
+        tie_policy=draw(st.sampled_from(TiePolicy)),
+        degenerate_weight_fallback=draw(st.booleans()),
     )
-    if defect == "no rows":
-        rows = []
-    counts = Counter(row[-1] for row in rows) or Counter(a=0)
-    if defect == "class count":
-        counts[draw(st.sampled_from(sorted(counts)))] += draw(st.sampled_from([-1, 1]))
-    if defect == "class name":  # same total, but a class no row has
-        counts[draw(CELLS.filter(lambda c: c not in counts))] = counts.pop(
-            draw(st.sampled_from(sorted(counts)))
-        )
-    if defect == "field count":
-        i = draw(st.integers(0, len(rows) - 1))
-        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["x"]
-
-    weights = draw(
-        st.lists(st.sampled_from(["0.5", "1.0", "0.0", "0.25", "1e308"]),
-                 min_size=arity, max_size=arity)
-    )
-    if defect == "weight value":
-        weights[draw(st.integers(0, arity - 1))] = draw(
-            st.sampled_from(["nan", "inf", "-inf", "heavy"])
-        )
-    if defect == "negative weight":
-        weights[draw(st.integers(0, arity - 1))] = draw(st.sampled_from(["-5.0", "-1e-300"]))
-    if defect == "weight count":
-        weights = weights[:-1] if draw(st.booleans()) else weights + ["0.5"]
-    classes = "\t".join(f"{c}\t{n}" for c, n in sorted(counts.items()))
-    if defect == "class line":
-        classes = draw(st.sampled_from([classes + "\tX", classes + "\tX\tmany"]))
-    header = {
-        "format": _FORMAT,
-        "arity": str(arity),
-        "k": draw(st.sampled_from(["1", "3"])),
-        "tie-policy": draw(st.sampled_from([p.value for p in TiePolicy])),
-        "fallback": draw(st.sampled_from(["0", "1"])),
-        "weights": " ".join(weights),
-        "classes": classes,
-    }
-    if defect in BAD_VALUES:
-        header[defect] = draw(st.sampled_from(BAD_VALUES[defect]))
-    lines = [header.pop("format")] + [f"{key} {value}" for key, value in header.items()]
-    if defect == "missing header line":
-        del lines[draw(st.integers(1, len(lines) - 1))]
-        rows = rows if draw(st.booleans()) else []  # without rows, a truncated header
-    if defect == "misnamed header line":
-        i = draw(st.integers(1, len(lines) - 1))
-        lines[i] = "weight " + lines[i].partition(" ")[2]
-    end_of_header = len(lines)
-    lines += ["\t".join(row) for row in rows]
-    for _ in range(draw(st.integers(0, 2))):
-        lines.insert(draw(st.integers(end_of_header, len(lines))), "")
-    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return train(InstanceBase.from_columns(columns, labels), config), columns
 
 
-def outcome(load, path):
-    try:
-        model = load(path)
-    except DomainError as exc:
-        return ("error", str(exc))
-    return (
-        "model",
-        decoded_instances(model.instances),
-        model.weight_table,
-        model.config,
-        list(model.class_frequencies.items()),
-    )
-
-
-@settings(max_examples=600, deadline=None)
-@given(model_files())
-def test_loader_matches_line_by_line_reader(text):
+@settings(max_examples=200, deadline=None)
+@given(models())
+def test_load_of_save_equals_the_model(drawn):
+    """Codes, matrix, labels, weights, config and class counts come back
+    exactly, and every array file is a 1-D little-endian int32 array."""
+    model, columns = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.model")
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        assert outcome(load_model, path) == outcome(line_by_line_load_model, path)
+        save_model(model, path)
+        loaded = load_model(path)
+        for name in os.listdir(tmp):
+            if name.endswith(".npy"):
+                array = np.load(os.path.join(tmp, name), allow_pickle=False)
+                assert array.dtype == np.dtype("<i4") and array.ndim == 1
+    assert model_parts(loaded) == model_parts(model)
+    queries = list(zip(*columns))
+    assert classify_labels(loaded, queries) == classify_labels(model, queries)
 
 
 @st.composite
@@ -249,14 +97,14 @@ def write_model(path, columns):
 @settings(max_examples=200, deadline=None)
 @given(shared_files())
 def test_shared_load_matches_solo_loads(files):
-    """Two files loaded with one record of coded columns equal their solo
-    loads, whatever columns they have in common."""
+    """Two models saved alone into one directory and loaded with one cache
+    equal their loads alone, whatever columns they have in common."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, "a.model"), os.path.join(tmp, "b.model")]
         for path, columns in zip(paths, files):
             write_model(path, columns)
-        seen = {}
-        shared = [load_model(path, seen) for path in paths]
+        cache = {}
+        shared = [load_model(path, cache) for path in paths]
         for model, path in zip(shared, paths):
             assert model_parts(model) == model_parts(load_model(path))
 
@@ -265,8 +113,8 @@ def test_shared_load_matches_solo_loads(files):
     "line, text, message",
     [
         (5, "weights 0.5 -1.0", "weights must not be negative"),
-        (6, "classes X\t3", "class frequencies do not match the instance labels"),
-        (-1, "a\ta\tb\tX", "instance line has 4 fields"),
+        (6, "classes 3", "class frequencies do not match the instance labels"),
+        (8, "columns", "weights or columns do not match arity"),
     ],
 )
 def test_damaged_file_after_shared_columns_fails_as_alone(tmp_path, line, text, message):
@@ -275,11 +123,45 @@ def test_damaged_file_after_shared_columns_fails_as_alone(tmp_path, line, text, 
     lines = (tmp_path / "good.model").read_text().split("\n")[:-1]
     lines[line] = text
     (tmp_path / "bad.model").write_text("\n".join(lines) + "\n")
-    seen = {}
-    load_model(tmp_path / "good.model", seen)
-    recorded = len(seen)
-    for record in ({}, seen, None):
+    cache = {}
+    load_model(tmp_path / "good.model", cache)
+    cached = set(cache)
+    for record in ({}, cache, None):
         with pytest.raises(DomainError) as exc:
             load_model(tmp_path / "bad.model", record)
         assert str(exc.value) == f"{tmp_path / 'bad.model'}: {message}"
-    assert len(seen) == recorded
+    assert set(cache) == cached
+
+
+def test_bundle_models_share_columns_and_label_arrays(tmp_path):
+    """After ``load_chunker``, models that store the same column share one
+    code table object, and the two passes of each of the 4 streams share one
+    label array."""
+    save_chunker(train_chunker(*np_chunk_corpus(200, seed=1)), tmp_path)
+    chunker = load_chunker(tmp_path)
+    models = [m for s in chunker.streams.values() for m in (s.pass1_model, s.pass2_model)]
+    assert len(models) == 8
+    assert len({id(m.instances.label_codes) for m in models}) == 4
+    for stream in chunker.streams.values():
+        assert stream.pass1_model.instances.label_codes is stream.pass2_model.instances.label_codes
+    tables = {}
+    for m in models:
+        for table, column in zip(m.instances.codes, m.instances.matrix.T):
+            tables.setdefault((tuple(table), column.tobytes()), set()).add(id(table))
+    assert all(len(ids) == 1 for ids in tables.values())
+    assert len(tables) < sum(m.arity for m in models)  # some column is stored twice
+
+
+def test_resave_into_a_bundle_directory_keeps_only_named_arrays(tmp_path):
+    """A save over an earlier bundle deletes the earlier save's arrays that
+    no header names, and leaves files it did not write alone."""
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    save_chunker(train_chunker(*np_chunk_corpus(30, seed=2)), reused)
+    (reused / "notes.npy").write_bytes(b"kept")
+    chunker = train_chunker(*np_chunk_corpus(30, seed=3))
+    save_chunker(chunker, fresh)
+    save_chunker(chunker, reused)
+    assert sorted(p.name for p in reused.iterdir()) == sorted(
+        [p.name for p in fresh.iterdir()] + ["notes.npy"]
+    )
+    assert (reused / "notes.npy").read_bytes() == b"kept"

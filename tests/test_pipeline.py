@@ -719,14 +719,14 @@ def test_saved_bundle_tags_like_the_trained_one(kind, seed):
 
 @pytest.mark.parametrize("kind", list(_BUNDLE_KINDS))
 def test_bundle_load_shares_columns_like_solo_loads(kind, tmp_path, monkeypatch):
-    """Every model a ``load_*`` call reaches, its columns coded once per
-    load, equals ``load_model`` of its file alone, and tags the same."""
+    """Every model a ``load_*`` call reaches, each of its files read once per
+    load, equals ``load_model`` of its header alone, and tags the same."""
     generate, fit, tag, save, load, cells = _BUNDLE_KINDS[kind]
     save(fit(*generate(20, 5)), tmp_path)
     loads = []
 
-    def recording(path, seen=None):
-        model = learner.load_model(path, seen)
+    def recording(path, cache=None):
+        model = learner.load_model(path, cache)
         loads.append((path, model))
         return model
 
@@ -739,7 +739,7 @@ def test_bundle_load_shares_columns_like_solo_loads(kind, tmp_path, monkeypatch)
     tables = [table for _, model in loads for table in model.instances.codes]
     assert len({id(table) for table in tables}) < len(tables)  # some column is shared
 
-    monkeypatch.setattr(bundles, "load_model", lambda path, seen=None: learner.load_model(path))
+    monkeypatch.setattr(bundles, "load_model", lambda path, cache=None: learner.load_model(path))
     alone = load(tmp_path)
     test_sentences = generate(8, 6)[0]
     rendered = [
