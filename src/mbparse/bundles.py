@@ -1,15 +1,17 @@
 """Saving and loading composite models as a directory of model files.
 
 A bundle directory holds one ``manifest`` (INI) describing the composite,
-one model header per component and the ``.npy`` arrays the headers name
-(see ``learner``), all at its top level.  Reloaded bundles behave
-extensionally the same as the originals.  Bundles of manifest format 1,
-whose models were text, no longer load: retrain them.
+one model header per component and one array file, ``arrays.npy``, that the
+headers slice (see ``learner``), all at its top level.  Reloaded bundles
+behave extensionally the same as the originals.  Bundles of an earlier
+manifest format (1: models as text; 2: one ``.npy`` file per array) no
+longer load: retrain them.
 
 The components of a composite are trained on the same tokens, so their
-headers repeat columns.  A ``save_*`` call writes each array once and deletes
-those of an earlier save that no header names; a ``load_*`` call reads each
-once, through one cache of files read that it hands ``learner.load_model``.
+headers repeat columns.  A ``save_*`` call stores each distinct array once
+in the bundle's array file, which it writes whole; a ``load_*`` call reads
+that file's header once and each distinct array in it once, through one
+cache that it hands ``learner.load_model``.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from __future__ import annotations
 import configparser
 import functools
 import os
-import re
 
 from .errors import DomainError
 from .features import parse_template, format_template
-from .learner import load_model, save_model
+from .learner import ArrayFile, load_model, save_model
 from .pipeline import (
     BracketLevel,
     Chunker,
@@ -37,7 +38,7 @@ from .pipeline import (
 )
 from .schemes import MatchMode, Scheme
 
-_FORMAT = "2"
+_FORMAT = "3"
 
 
 def _new_manifest() -> configparser.ConfigParser:
@@ -78,25 +79,23 @@ def _read_manifest(path, kind: str) -> configparser.ConfigParser:
     return parser
 
 
-def _write_manifest(parser: configparser.ConfigParser, path, written: set[str]) -> None:
+def _finish_bundle(parser: configparser.ConfigParser, path, arrays: ArrayFile) -> None:
+    arrays.write(path)
     with open(os.path.join(path, "manifest"), "w", encoding="utf-8") as fh:
         parser.write(fh)
-    for name in os.listdir(path):  # arrays of an earlier save that no header names
-        if re.fullmatch(r"[0-9a-f]{32}\.npy", name) and name[:-4] not in written:
-            os.remove(os.path.join(path, name))
 
 
-def _save_stream(stream: TwoPassStream, path, prefix: str, manifest, written) -> None:
+def _save_stream(stream: TwoPassStream, path, prefix: str, manifest, arrays) -> None:
     section = f"stream {prefix}"
     manifest.add_section(section)
     manifest[section]["scheme"] = stream.scheme.value
     manifest[section]["pass1_template"] = format_template(stream.pass1_template)
     manifest[section]["pass1_model"] = f"{prefix}.pass1.model"
-    save_model(stream.pass1_model, os.path.join(path, f"{prefix}.pass1.model"), written)
+    save_model(stream.pass1_model, os.path.join(path, f"{prefix}.pass1.model"), arrays)
     if stream.pass2_model is not None:
         manifest[section]["pass2_template"] = format_template(stream.pass2_template)
         manifest[section]["pass2_model"] = f"{prefix}.pass2.model"
-        save_model(stream.pass2_model, os.path.join(path, f"{prefix}.pass2.model"), written)
+        save_model(stream.pass2_model, os.path.join(path, f"{prefix}.pass2.model"), arrays)
 
 
 def _load_stream(path, prefix: str, manifest, cache: dict) -> TwoPassStream:
@@ -115,7 +114,7 @@ def _load_stream(path, prefix: str, manifest, cache: dict) -> TwoPassStream:
     )
 
 
-def _save_chunker_into(chunker: Chunker, path, prefix: str, manifest, written) -> None:
+def _save_chunker_into(chunker: Chunker, path, prefix: str, manifest, arrays) -> None:
     section = f"chunker {prefix}" if prefix else "chunker"
     manifest.add_section(section)
     cfg = chunker.config
@@ -128,7 +127,7 @@ def _save_chunker_into(chunker: Chunker, path, prefix: str, manifest, written) -
     manifest[section]["streams"] = " ".join(s.value for s in chunker.streams)
     for scheme in chunker.streams:
         name = f"{prefix}.{scheme.value}" if prefix else scheme.value
-        _save_stream(chunker.streams[scheme], path, name, manifest, written)
+        _save_stream(chunker.streams[scheme], path, name, manifest, arrays)
 
 
 def _load_chunker_from(path, prefix: str, manifest, cache: dict) -> Chunker:
@@ -148,19 +147,19 @@ def _load_chunker_from(path, prefix: str, manifest, cache: dict) -> Chunker:
     return Chunker(streams=streams, config=cfg)
 
 
-def _start_bundle(path, kind: str) -> tuple[configparser.ConfigParser, set[str]]:
+def _start_bundle(path, kind: str) -> tuple[configparser.ConfigParser, ArrayFile]:
     os.makedirs(path, exist_ok=True)
     manifest = _new_manifest()
     manifest.add_section("bundle")
     manifest["bundle"]["format"] = _FORMAT
     manifest["bundle"]["kind"] = kind
-    return manifest, set()
+    return manifest, ArrayFile("arrays.npy")
 
 
 def save_chunker(chunker: Chunker, path) -> None:
-    manifest, written = _start_bundle(path, "chunker")
-    _save_chunker_into(chunker, path, "", manifest, written)
-    _write_manifest(manifest, path, written)
+    manifest, arrays = _start_bundle(path, "chunker")
+    _save_chunker_into(chunker, path, "", manifest, arrays)
+    _finish_bundle(manifest, path, arrays)
 
 
 @_manifest_errors
@@ -169,21 +168,21 @@ def load_chunker(path) -> Chunker:
     return _load_chunker_from(path, "", manifest, {})
 
 
-def _save_typed_into(chunker: TypedChunker, path, manifest, written) -> None:
+def _save_typed_into(chunker: TypedChunker, path, manifest, arrays) -> None:
     bundle = manifest["bundle"]
     if isinstance(chunker, SinglePhaseChunker):
         bundle["strategy"] = "single_phase"
-        _save_chunker_into(chunker.chunker, path, "typed", manifest, written)
+        _save_chunker_into(chunker.chunker, path, "typed", manifest, arrays)
     elif isinstance(chunker, DoublePhaseChunker):
         bundle["strategy"] = "double_phase"
-        _save_chunker_into(chunker.boundary, path, "boundary", manifest, written)
+        _save_chunker_into(chunker.boundary, path, "boundary", manifest, arrays)
         bundle["type_model"] = "type.model"
-        save_model(chunker.type_model, os.path.join(path, "type.model"), written)
+        save_model(chunker.type_model, os.path.join(path, "type.model"), arrays)
     elif isinstance(chunker, NPhaseChunker):
         bundle["strategy"] = "n_phase"
         bundle["types"] = " ".join(chunker.type_order)
         for typ in chunker.type_order:
-            _save_chunker_into(chunker.per_type[typ], path, f"type-{typ}", manifest, written)
+            _save_chunker_into(chunker.per_type[typ], path, f"type-{typ}", manifest, arrays)
     else:
         raise DomainError(f"unknown typed chunker {type(chunker).__name__}")
 
@@ -206,9 +205,9 @@ def _load_typed_from(path, manifest, cache: dict) -> TypedChunker:
 
 
 def save_typed_chunker(chunker: TypedChunker, path) -> None:
-    manifest, written = _start_bundle(path, "typed-chunker")
-    _save_typed_into(chunker, path, manifest, written)
-    _write_manifest(manifest, path, written)
+    manifest, arrays = _start_bundle(path, "typed-chunker")
+    _save_typed_into(chunker, path, manifest, arrays)
+    _finish_bundle(manifest, path, arrays)
 
 
 @_manifest_errors
@@ -218,7 +217,7 @@ def load_typed_chunker(path) -> TypedChunker:
 
 
 def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
-    manifest, written = _start_bundle(path, "clauses")
+    manifest, arrays = _start_bundle(path, "clauses")
     manifest["bundle"]["open_templates"] = " | ".join(
         format_template(t) for t in bracketer.open_templates
     )
@@ -227,10 +226,10 @@ def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
         f"open{i}.model" for i in range(len(bracketer.open_models))
     )
     for i, model in enumerate(bracketer.open_models):
-        save_model(model, os.path.join(path, f"open{i}.model"), written)
+        save_model(model, os.path.join(path, f"open{i}.model"), arrays)
     manifest["bundle"]["close_model"] = "close.model"
-    save_model(bracketer.close_model, os.path.join(path, "close.model"), written)
-    _write_manifest(manifest, path, written)
+    save_model(bracketer.close_model, os.path.join(path, "close.model"), arrays)
+    _finish_bundle(manifest, path, arrays)
 
 
 @_manifest_errors
@@ -253,7 +252,7 @@ def load_clause_bracketer(path) -> ClauseBracketer:
     )
 
 
-def _save_levels(levels, path, manifest, written) -> None:
+def _save_levels(levels, path, manifest, arrays) -> None:
     manifest["bundle"]["levels"] = str(len(levels))
     for i, level in enumerate(levels, 1):
         section = f"level {i}"
@@ -262,8 +261,8 @@ def _save_levels(levels, path, manifest, written) -> None:
         manifest[section]["default_type"] = level.default_type
         manifest[section]["open_model"] = f"level{i:02d}.open.model"
         manifest[section]["close_model"] = f"level{i:02d}.close.model"
-        save_model(level.open_model, os.path.join(path, f"level{i:02d}.open.model"), written)
-        save_model(level.close_model, os.path.join(path, f"level{i:02d}.close.model"), written)
+        save_model(level.open_model, os.path.join(path, f"level{i:02d}.open.model"), arrays)
+        save_model(level.close_model, os.path.join(path, f"level{i:02d}.close.model"), arrays)
 
 
 def _load_levels(path, manifest, cache: dict) -> list[BracketLevel]:
@@ -283,11 +282,11 @@ def _load_levels(path, manifest, cache: dict) -> list[BracketLevel]:
 
 
 def save_np_parser(parser: NpParser, path) -> None:
-    manifest, written = _start_bundle(path, "np-parser")
+    manifest, arrays = _start_bundle(path, "np-parser")
     manifest["bundle"]["match_mode"] = parser.match_mode.value
-    _save_chunker_into(parser.base, path, "base", manifest, written)
-    _save_levels(parser.levels, path, manifest, written)
-    _write_manifest(manifest, path, written)
+    _save_chunker_into(parser.base, path, "base", manifest, arrays)
+    _save_levels(parser.levels, path, manifest, arrays)
+    _finish_bundle(manifest, path, arrays)
 
 
 @_manifest_errors
@@ -302,11 +301,11 @@ def load_np_parser(path) -> NpParser:
 
 
 def save_full_parser(parser: FullParser, path) -> None:
-    manifest, written = _start_bundle(path, "full-parser")
+    manifest, arrays = _start_bundle(path, "full-parser")
     manifest["bundle"]["match_mode"] = parser.match_mode.value
-    _save_typed_into(parser.base, path, manifest, written)
-    _save_levels(parser.levels, path, manifest, written)
-    _write_manifest(manifest, path, written)
+    _save_typed_into(parser.base, path, manifest, arrays)
+    _save_levels(parser.levels, path, manifest, arrays)
+    _finish_bundle(manifest, path, arrays)
 
 
 @_manifest_errors

@@ -17,12 +17,18 @@ values are translated into the model's codes; symbols are strings only
 there and when a model is decoded.
 
 A saved model is a text header (config, the weights' reprs, the class
-counts in code order and its columns' files) plus 1-D little-endian int32
-``.npy`` arrays beside it, named by the digest of their contents: each
-column's codes, and each symbol table as its count, each symbol's length and
-every code point, so that any string round-trips.  A load checks each
-array's dtype, shape, length and code range and the class counts, and codes
-nothing again; the models of one bundle load share each file's contents.
+counts in code order, where its columns lie and the name of its array file)
+plus that file beside it: one 1-D little-endian int32 ``.npy`` array that
+holds each column's codes and each symbol table (its count, each symbol's
+length and every code point, so that any string round-trips).  A header
+gives each as an ``offset,length`` slice of the file.  A save writes each
+distinct array once, so the models of a bundle share one file and the
+columns they have in common.  A load reads and checks the file's ``.npy``
+header once (dtype, shape, file size), then each distinct slice once, a
+feature column straight into the matrix of the first model that names it;
+it checks each slice's bounds, each distinct column's code range and the
+class counts, and codes nothing again.  The whole file is never in memory,
+and the models of one load share each symbol table and label array.
 
 The query kernel codes which of the first 16 weighted features mismatch as
 one uint16 per (query, instance) pair, a byte at a time.  A table holds
@@ -462,10 +468,12 @@ def classify(model: Model, query: Sequence[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: a text header per model, its arrays in .npy files beside it.
+# Persistence: a text header per model, which slices one .npy array file.
 
-_FORMAT = "knn-model 2"
-_HEADER = ("arity", "k", "tie-policy", "fallback", "weights", "classes", "labels", "columns")
+_FORMAT = "knn-model 3"
+_HEADER = (
+    "arity", "k", "tie-policy", "fallback", "weights", "classes", "labels", "columns", "arrays"
+)
 _INT32 = np.dtype("<i4")
 
 
@@ -477,24 +485,49 @@ def _symbol_array(table: Mapping[str, int]) -> np.ndarray:
     return np.concatenate([head, np.frombuffer(points, dtype=_INT32)])
 
 
-def save_model(model: Model, path, written: set[str] | None = None) -> None:
-    """Write the model's header to ``path`` and each of its arrays beside it,
-    named by the digest of its contents.  ``written`` holds the names one
-    bundle save has written so far, which later models skip."""
-    import hashlib  # only saving needs it, and importing it takes about 5 ms
+class ArrayFile:
+    """The arrays of one save, bound for one 1-D little-endian int32 ``.npy``
+    file: each distinct one once, in the order first put.  It holds the
+    arrays it is given, not copies, until it writes them."""
 
-    directory = os.path.dirname(path)
-    written = set() if written is None else written
+    def __init__(self, name: str):
+        self.name = name
+        self.arrays: list[np.ndarray] = []  # each distinct array, in file order
+        # hash of an array's bytes -> (array, offset) of each put with it
+        self.found: dict[int, list[tuple[np.ndarray, int]]] = {}
+        self.size = 0
 
-    def put(array: np.ndarray) -> str:
-        name = hashlib.blake2b(array, digest_size=16).hexdigest()
-        if name not in written:
-            np.save(os.path.join(directory, name + ".npy"), array)
-            written.add(name)
-        return name
+    def put(self, array: np.ndarray) -> str:
+        """Where the array's values lie in the file, as ``offset,length``."""
+        array = np.ascontiguousarray(array, _INT32)
+        same = self.found.setdefault(hash(array.tobytes()), [])
+        for stored, offset in same:
+            if np.array_equal(stored, array):
+                break
+        else:
+            offset = self.size
+            same.append((array, offset))
+            self.arrays.append(array)
+            self.size += len(array)
+        return f"{offset},{len(array)}"
+
+    def write(self, directory) -> None:
+        header = {"descr": _INT32.str, "fortran_order": False, "shape": (self.size,)}
+        with open(os.path.join(directory, self.name), "wb") as fh:
+            np.lib.format.write_array_header_1_0(fh, header)
+            fh.writelines(self.arrays)
+
+
+def save_model(model: Model, path, arrays: ArrayFile | None = None) -> None:
+    """Write the model's header to ``path`` and its arrays to ``arrays``,
+    the array file that one bundle save writes once its models are in.  A
+    model saved alone writes its own beside the header, named after it."""
+    alone = arrays is None
+    if alone:
+        arrays = ArrayFile(os.path.basename(path) + ".npy")
 
     def column(table, codes) -> str:
-        return f"{put(np.ascontiguousarray(codes, _INT32))}:{put(_symbol_array(table))}"
+        return f"{arrays.put(codes)}:{arrays.put(_symbol_array(table))}"
 
     base = model.instances
     lines = [
@@ -507,67 +540,119 @@ def save_model(model: Model, path, written: set[str] | None = None) -> None:
         "classes " + " ".join(str(model.class_frequencies[c]) for c in base.classes),
         "labels " + column(base.classes, base.label_codes),
         "columns " + " ".join(map(column, base.codes, base.matrix.T)),
+        f"arrays {arrays.name}",
     ]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    if alone:
+        arrays.write(os.path.dirname(path))
 
 
-def _array(path: str, cache: dict) -> np.ndarray:
-    """The 1-D little-endian int32 array in ``path``, read once per cache."""
+# readers of the .npy header versions that numpy writes
+_NPY_HEADERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _array_file(path: str, cache: dict) -> tuple[int, int]:
+    """Where the values of the array file ``path`` begin and how many it
+    holds: its ``.npy`` header, read and checked once per cache."""
     if path not in cache:
         try:
-            array = np.load(path, allow_pickle=False)
+            with open(path, "rb") as fh:
+                read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+                if read_header is None:
+                    raise ValueError("unsupported .npy version")
+                shape, _, dtype = read_header(fh)
+                start, size = fh.tell(), os.fstat(fh.fileno()).st_size
         except FileNotFoundError:
             raise DomainError(f"{path}: no such array file") from None
-        # what numpy's reader raises on a damaged file or header
+        # what numpy's header reader raises on a damaged header
         except (ValueError, EOFError, OverflowError, MemoryError, tokenize.TokenError) as exc:
             raise DomainError(f"{path}: unreadable array: {' '.join(str(exc).split())}") from None
-        if not isinstance(array, np.ndarray) or array.dtype != _INT32 or array.ndim != 1:
+        if dtype != _INT32 or len(shape) != 1:
             raise DomainError(f"{path}: not a 1-D little-endian int32 array")
-        cache[path] = array
+        if size != start + _INT32.itemsize * shape[0]:
+            raise DomainError(f"{path}: holds {size - start} bytes for {shape[0]} values")
+        cache[path] = start, shape[0]
     return cache[path]
 
 
-def _symbols(path: str, cache: dict) -> dict[str, int]:
-    """The symbol table in ``path`` (see ``_symbol_array``), decoded once per
-    cache."""
-    if (path, "symbols") not in cache:
-        array = _array(path, cache)
+def _span(path, span: str, arrays: str, cache: dict) -> tuple[int, int]:
+    """The byte position and the count of the values that ``offset,length``
+    of the header in ``path`` names in the array file ``arrays``."""
+    start, size = _array_file(arrays, cache)
+    offset, _, length = span.partition(",")
+    try:
+        begin, end = int(offset), int(offset) + int(length)
+    except ValueError:
+        raise DomainError(f"{path}: {span!r} is not an offset,length pair") from None
+    if not 0 <= begin <= end <= size:
+        raise DomainError(f"{path}: values {span} lie outside the {size} values of {arrays}")
+    return start + _INT32.itemsize * begin, end - begin
+
+
+def _read(arrays: str, position: int, count: int, into: np.ndarray | None = None):
+    """``count`` values of the array file ``arrays`` from byte ``position``,
+    read into ``into`` (which holds ``count``) or a new array."""
+    out = np.empty(count, _INT32) if into is None else into
+    with open(arrays, "rb") as fh:
+        fh.seek(position)
+        if fh.readinto(out) != out.nbytes:
+            raise DomainError(f"{arrays}: unreadable array: ends early")
+    return out
+
+
+def _symbols(path, span: str, arrays: str, cache: dict) -> dict[str, int]:
+    """The symbol table (see ``_symbol_array``) at ``span``, decoded once
+    per cache."""
+    if (arrays, "symbols", span) not in cache:
+        array = _read(arrays, *_span(path, span, arrays, cache))
         count = int(array[0]) if len(array) else -1
         lengths, points = array[1 : count + 1], array[count + 1 :]
         if count < 0 or len(lengths) < count or lengths.sum() != len(points) or (
             min(lengths.min(initial=0), points.min(initial=0)) < 0
             or points.max(initial=0) > 0x10FFFF
         ):
-            raise DomainError(f"{path}: not a symbol table")
+            raise DomainError(f"{arrays}: values {span} are not a symbol table")
         text = points.tobytes().decode("utf-32-le", "surrogatepass")
         ends = np.cumsum(lengths).tolist()
         table = {text[a:b]: code for code, (a, b) in enumerate(zip([0, *ends], ends))}
         if len(table) != count:
-            raise DomainError(f"{path}: symbol table repeats a symbol")
-        cache[path, "symbols"] = table
-    return cache[path, "symbols"]
+            raise DomainError(f"{arrays}: symbol table {span} repeats a symbol")
+        cache[arrays, "symbols", span] = table
+    return cache[arrays, "symbols", span]
 
 
-def _column(path, entry: str, cache: dict, n: int | None = None):
+def _column(path, entry: str, arrays: str, cache: dict, into: np.ndarray | None = None):
     """The symbol table and codes that a ``codes:symbols`` entry of the
-    header in ``path`` names, each code checked against the table."""
-    codes_name, _, symbols_name = entry.partition(":")
-    directory = os.path.dirname(path)
-    table = _symbols(os.path.join(directory, symbols_name + ".npy"), cache)
-    codes_path = os.path.join(directory, codes_name + ".npy")
-    codes = _array(codes_path, cache)
-    if n is not None and len(codes) != n:
-        raise DomainError(f"{codes_path}: holds {len(codes)} codes for {n} instances")
-    if len(codes) and (codes.min() < 0 or codes.max() >= len(table)):
-        raise DomainError(f"{codes_path}: code out of range of its symbol table")
-    return table, codes
+    header in ``path`` names, each code checked against the table once per
+    cache.  ``into``, if given, is a column of the model's matrix: the codes
+    are read there from the file the first time the cache meets the entry,
+    and copied there from that first reader after."""
+    codes, _, symbols = entry.partition(":")
+    position, count = _span(path, codes, arrays, cache)
+    if into is not None and count != len(into):
+        raise DomainError(f"{path}: column {entry} holds {count} codes for {len(into)} instances")
+    if (arrays, entry) not in cache:
+        table = _symbols(path, symbols, arrays, cache)
+        column = _read(arrays, position, count, into)
+        if count and (column.min() < 0 or column.max() >= len(table)):
+            raise DomainError(
+                f"{arrays}: column {entry} holds a code out of range of its symbol table"
+            )
+        cache[arrays, entry] = table, column
+    table, column = cache[arrays, entry]
+    if into is not None and column is not into:
+        into[:] = column
+    return table, column
 
 
 def load_model(path, cache: dict | None = None) -> Model:
-    """Read a model that ``save_model`` wrote.  ``cache`` holds the arrays
-    and symbol tables that one bundle load has read so far, keyed by file:
-    models that name the same file share what it holds."""
+    """Read a model that ``save_model`` wrote.  ``cache`` holds what one
+    bundle load has read so far: each array file, and each symbol table and
+    checked column in it, so models that name the same values share them."""
     cache = {} if cache is None else cache
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().split("\n")
@@ -601,7 +686,11 @@ def load_model(path, cache: dict | None = None) -> Model:
     if any(w < 0 for w in weights):
         raise DomainError(f"{path}: weights must not be negative")
 
-    classes, label_codes = _column(path, header["labels"], cache)
+    name = header["arrays"]
+    if os.path.basename(name) != name or not name.endswith(".npy"):
+        raise DomainError(f"{path}: array file {name!r} is not a .npy file beside it")
+    arrays = os.path.join(os.path.dirname(path), name)
+    classes, label_codes = _column(path, header["labels"], arrays, cache)
     n = len(label_codes)
     if not n:
         raise DomainError(f"{path}: model stores no instances")
@@ -610,8 +699,7 @@ def load_model(path, cache: dict | None = None) -> Model:
     matrix = np.empty((n, arity), dtype=np.int32, order="F")
     codes = []
     for i, entry in enumerate(entries):
-        table, matrix[:, i] = _column(path, entry, cache, n)
-        codes.append(table)
+        codes.append(_column(path, entry, arrays, cache, matrix[:, i])[0])
     return Model(
         instances=InstanceBase(tuple(codes), matrix, classes, label_codes),
         weight_table=WeightTable(weights),  # stored weights include any fallback

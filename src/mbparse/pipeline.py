@@ -650,49 +650,39 @@ def stratify_levels(spans: Iterable[ChunkSpan]) -> dict[int, list[ChunkSpan]]:
     return {lvl: sorted(group) for lvl, group in out.items()}
 
 
-def _level_views(sentence: Sentence, by_level: dict[int, list[ChunkSpan]], level: int):
-    """Tokens compressed by all structure below ``level`` plus the position
-    map from original indices into the compressed sentence."""
-    tokens = list(sentence)
-    orig2cur = list(range(len(sentence)))
-    for l in range(level):
-        here = by_level.get(l, [])
-        cur_spans = [
-            ChunkSpan(orig2cur[s.start], orig2cur[s.end], s.type) for s in here
-        ]
-        tokens, rel = compress_mapped(tokens, cur_spans)
-        back = {}
-        for j, (a, b) in enumerate(rel):
-            for c in range(a, b + 1):
-                back[c] = j
-        orig2cur = [back[c] for c in orig2cur]
-    return tokens, orig2cur
+def _compress_view(view: tuple[list[Token], list[int]], spans: Iterable[ChunkSpan]):
+    """A sentence's view one level up: its tokens compressed by ``spans``
+    (in original positions) and the map from original positions into the
+    result.  A view is (tokens, orig2cur)."""
+    tokens, orig2cur = view
+    tokens, rel = compress_mapped(
+        tokens, [ChunkSpan(orig2cur[s.start], orig2cur[s.end], s.type) for s in spans]
+    )
+    back = [j for j, (a, b) in enumerate(rel) for _ in range(a, b + 1)]
+    return tokens, [back[c] for c in orig2cur]
 
 
 def train_bracket_level(
-    sentences: Sequence[Sentence],
+    views: Sequence[tuple[list[Token], list[int]]],
     stratified: Sequence[dict[int, list[ChunkSpan]]],
     level: int,
     template: FeatureTemplate,
     learner_config: LearnerConfig,
     typed: bool,
     default_type: str = "NP",
-) -> BracketLevel | None:
+) -> BracketLevel:
     """Train one level's open/close predictors on brackets of that level only,
-    over sentences compressed by the gold structure below it."""
-    if not any(by_level.get(level) for by_level in stratified):
-        return None
-    views, open_tags, close_tags = [], [], []
-    for s, by_level in zip(sentences, stratified):
-        tokens, orig2cur = _level_views(s, by_level, level)
+    over each sentence's view at that level: compressed by the gold structure
+    below it."""
+    open_tags, close_tags = [], []
+    for (tokens, orig2cur), by_level in zip(views, stratified):
         otags, ctags = ["."] * len(tokens), ["."] * len(tokens)
         for sp in by_level.get(level, []):
             otags[orig2cur[sp.start]] = f"(-{sp.type}" if typed else "("
             ctags[orig2cur[sp.end]] = f")-{sp.type}" if typed else ")"
-        views.append(tokens)
         open_tags.append(otags)
         close_tags.append(ctags)
-    columns, bounds = extract(template, views)  # shared by both models
+    columns, bounds = extract(template, [tokens for tokens, _ in views])  # shared by both models
     return BracketLevel(
         template=template,
         open_model=_train_rows(columns, bounds, open_tags, learner_config),
@@ -703,22 +693,29 @@ def train_bracket_level(
 
 def _train_levels(sentences, stratified, config, learner_config, count, typed):
     """Bracket levels 1..count at k = ``config.k_parse``, up to the first
-    level with no gold spans."""
+    level with no gold spans.  Each level's views are the level below's,
+    compressed by one more level of gold spans."""
     level_cfg = replace(learner_config, k=config.k_parse)
+    views = [(list(s), list(range(len(s)))) for s in sentences]
     levels = []
     for level in range(1, count + 1):
-        lm = train_bracket_level(
-            sentences,
-            stratified,
-            level,
-            config.level_template,
-            level_cfg,
-            typed=typed,
-            default_type=config.default_type,
-        )
-        if lm is None:
+        if not any(by_level.get(level) for by_level in stratified):
             break
-        levels.append(lm)
+        views = [
+            _compress_view(view, by_level.get(level - 1, []))
+            for view, by_level in zip(views, stratified)
+        ]
+        levels.append(
+            train_bracket_level(
+                views,
+                stratified,
+                level,
+                config.level_template,
+                level_cfg,
+                typed=typed,
+                default_type=config.default_type,
+            )
+        )
     return levels
 
 

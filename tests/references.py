@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from mbparse.errors import DomainError
-from mbparse.features import FeatureTemplate, Token
+from mbparse.features import FeatureTemplate, Token, compress_mapped
 from mbparse.learner import PAD, Instance, TiePolicy
 from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
 from mbparse.schemes import ChunkSpan, ClauseNode, Scheme, clause_spans, encode
@@ -190,6 +190,26 @@ def extract_token(
         else:
             values.append(PAD)
     return tuple(values)
+
+
+def level_views(sentence: Sequence[Token], by_level, level: int):
+    """A sentence's tokens compressed by all gold structure below ``level``,
+    every level from scratch, plus the map from original positions into the
+    compressed sentence."""
+    tokens = list(sentence)
+    orig2cur = list(range(len(sentence)))
+    for l in range(level):
+        here = by_level.get(l, [])
+        cur_spans = [
+            ChunkSpan(orig2cur[s.start], orig2cur[s.end], s.type) for s in here
+        ]
+        tokens, rel = compress_mapped(tokens, cur_spans)
+        back = {}
+        for j, (a, b) in enumerate(rel):
+            for c in range(a, b + 1):
+                back[c] = j
+        orig2cur = [back[c] for c in orig2cur]
+    return tokens, orig2cur
 
 
 # ---------------------------------------------------------------------------

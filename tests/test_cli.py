@@ -599,10 +599,12 @@ def test_warning_made_an_error_is_one_error_line(toy, tmp_path):
     ]
 
 
-def test_format_1_bundle_is_one_error_line(small_bundle, tmp_path, capsys, monkeypatch):
-    # bundles saved before the models stored codes must be retrained
+@pytest.mark.parametrize("old", ["1", "2"])
+def test_old_bundle_format_is_one_error_line(old, small_bundle, tmp_path, capsys, monkeypatch):
+    # bundles saved before the models stored codes (1), or before a bundle
+    # stored its arrays in one file (2), must be retrained
     bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
-    _edit_line(bundle / "manifest", "format = ", "format = 1")
+    _edit_line(bundle / "manifest", "format = ", f"format = {old}")
     monkeypatch.setattr(
         sys, "argv",
         ["mbparse", "chunk", "--model", str(bundle), "--input",

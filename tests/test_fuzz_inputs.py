@@ -2,7 +2,7 @@
 
 Each example copies a small trained bundle, its input corpus and a config
 file, damages one of them (any file of the bundle: the manifest, a model
-header or an ``.npy`` array; the manifest alone; the corpus or the config)
+header or its ``.npy`` array file; the manifest alone; the corpus or the config)
 and runs the command that reads it.  The damage is one of:
 truncation, deleting or duplicating a line, swapping two bytes, inserting a
 byte that is not UTF-8, or setting one field to an empty, huge or negative
@@ -11,6 +11,11 @@ standard error, never a traceback; a damaged input that is still valid
 (say, a deleted corpus line) may instead succeed with nothing on standard
 error, or with one ``warning:`` line (say, a config left with an even
 number of representations).
+
+Targeted cases damage the bundle's one array file (a wrong dtype or shape,
+a code out of range, a pickled or missing file) or a header's slices of it
+and its name; each ends with exit status 1 and one ``error:`` line naming
+the file at fault.
 """
 
 import contextlib
@@ -217,37 +222,81 @@ def replaced(data: bytes, change) -> bytes:
     return npy(change(np.load(io.BytesIO(data)).copy()))
 
 
-def set_first(value):
-    def change(array):
-        array[0] = value
-        return array
-    return change
+def set_code(value):
+    """Damage that sets the value at ``at``, a column's first code."""
+    def damage(data, at):
+        array = np.load(io.BytesIO(data)).copy()
+        array[at] = value
+        return npy(array)
+    return damage
 
 
+# Damage to the bundle's array file; ``at`` is where a column's codes begin.
 ARRAY_DAMAGE = {
-    "truncated": ("codes", lambda data: data[: len(data) - 3]),
-    "int64": ("codes", partial(replaced, change=lambda a: a.astype(np.int64))),
-    "float32": ("symbols", partial(replaced, change=lambda a: a.astype(np.float32))),
-    "2-D": ("codes", partial(replaced, change=lambda a: a.reshape(1, -1))),
-    "wrong length": ("codes", partial(replaced, change=lambda a: a[:-1])),
-    "negative code": ("codes", partial(replaced, change=set_first(-1))),
-    "code out of range": ("codes", partial(replaced, change=set_first(2**30))),
-    "missing column": ("codes", lambda data: None),
-    "missing symbol table": ("symbols", lambda data: None),
-    "pickled object array": (
-        "codes", lambda data: npy(np.array([{"a": 1}, None], dtype=object), allow_pickle=True)
+    "truncated": lambda data, at: data[: len(data) - 3],
+    "int64": lambda data, at: replaced(data, lambda a: a.astype(np.int64)),
+    "float32": lambda data, at: replaced(data, lambda a: a.astype(np.float32)),
+    "2-D": lambda data, at: replaced(data, lambda a: a.reshape(1, -1)),
+    "wrong length": lambda data, at: replaced(data, lambda a: a[:-1]),
+    "negative code": set_code(-1),
+    "code out of range": set_code(2**30),
+    "missing": lambda data, at: None,
+    "pickled object array": lambda data, at: npy(
+        np.array([{"a": 1}, None], dtype=object), allow_pickle=True
     ),
 }
 
 
+HEADER = "IOB1.pass1.model"
+
+
+def iob1_header(originals) -> list[str]:
+    """The lines of the IOB1.pass1.model header; line 8 is its columns."""
+    return (originals / "model" / HEADER).read_text().split("\n")
+
+
 @pytest.mark.parametrize("case", list(ARRAY_DAMAGE))
 def test_damaged_array_file_is_one_error_line_naming_it(originals, tmp_path, case):
-    # the first feature column of IOB1.pass1.model, its codes or its symbols
-    header = (originals / "model" / "IOB1.pass1.model").read_text().split("\n")
-    codes, symbols = header[8].split()[1].split(":")
-    kind, damage = ARRAY_DAMAGE[case]
-    name = f"{codes if kind == 'codes' else symbols}.npy"
-    code, lines = run_on_copy(originals, tmp_path, f"model/{name}", damage)
+    first_codes = iob1_header(originals)[8].split()[1]  # offset,length:...
+    damage = partial(ARRAY_DAMAGE[case], at=int(first_codes.split(",")[0]))
+    code, lines = run_on_copy(originals, tmp_path, "model/arrays.npy", damage)
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert name in lines[0], lines
+    assert str(tmp_path / "model" / "arrays.npy") in lines[0], lines
+
+
+def slice_damage(which: int, change):
+    """Header damage to the codes (0) or symbols (1) slice of the first
+    feature column: ``change(offset, length)`` gives the new slice."""
+    def damage(header):
+        columns = header[8].split()
+        slices = columns[1].split(":")
+        slices[which] = change(*slices[which].split(","))
+        columns[1] = ":".join(slices)
+        return 8, " ".join(columns)
+    return damage
+
+
+# Damage to the IOB1.pass1.model header: (line number and new text, the
+# file the error line must name).
+HEADER_DAMAGE = {
+    "negative offset": (slice_damage(0, lambda off, n: f"-1,{n}"), HEADER),
+    "negative length": (slice_damage(1, lambda off, n: f"{off},-1"), HEADER),
+    "offset not an integer": (slice_damage(0, lambda off, n: f"x,{n}"), HEADER),
+    "length not an integer": (slice_damage(1, lambda off, n: f"{off},1.5"), HEADER),
+    "no length": (slice_damage(0, lambda off, n: off), HEADER),
+    "past the end": (slice_damage(0, lambda off, n: f"{off},{2**40}"), HEADER),
+    "missing array file": (lambda header: (9, "arrays other.npy"), "other.npy"),
+    "array file elsewhere": (lambda header: (9, "arrays ../model/arrays.npy"), HEADER),
+    "array file not .npy": (lambda header: (9, "arrays arrays"), HEADER),
+}
+
+
+@pytest.mark.parametrize("case", list(HEADER_DAMAGE))
+def test_damaged_header_entry_is_one_error_line_naming_the_file(originals, tmp_path, case):
+    damage, at_fault = HEADER_DAMAGE[case]
+    line, text = damage(iob1_header(originals))
+    code, lines = edited_run(originals, tmp_path, f"model/{HEADER}", line, text)
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert str(tmp_path / "model" / at_fault) in lines[0], lines

@@ -16,10 +16,10 @@ from mbparse.corpus import encode_bracket_column, write_corpus
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import np_chunk_corpus, parse_corpus
 
-# bundle format 2: model headers plus int32 .npy arrays named by digest
+# bundle format 3: model headers slicing one int32 .npy array file
 BUNDLE_DIGESTS = {
-    "np-chunk": "dd1ade2285ea25282d5f5800b12daee0df7a66b443b6499b14b1674907dedcf5",
-    "full-parse": "a3421cf3cae049d7502397d1528556f2b8e4744ba9cab01cf174bcf3256c54ae",
+    "np-chunk": "6094975b51ebfbdcc8e6a24e09e37c574620e5b35e034cd8468c2fde3505d44b",
+    "full-parse": "ffe06a355e468ed2b52d31c81a0c8022878e29dcf14a820f79c366b1c12b0a4e",
 }
 # ``chunk`` and ``parse`` outputs of the bundles above on 20 held-out sentences
 TAG_DIGESTS = {

@@ -1,10 +1,11 @@
 """Model files: what ``save_model`` writes, ``load_model`` gives back exactly.
 
-A saved model is a text header plus 1-D int32 ``.npy`` arrays beside it,
-named by the digest of their contents (see ``mbparse.learner``).  These
-tests compare a loaded model with the one in memory part by part, loads
-that share a cache with loads alone, and check that the models of one
-bundle load share each stored column and label array.
+A saved model is a text header plus one 1-D int32 ``.npy`` array file that
+the header slices (see ``mbparse.learner``): a bundle's models share one,
+a model saved alone has its own.  These tests compare a loaded model with
+the one in memory part by part, loads that share a cache with loads alone,
+check which files a save leaves, and check that the models of one bundle
+load share each stored column and label array.
 """
 
 import os
@@ -14,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mbparse.bundles import load_chunker, save_chunker
+from mbparse.bundles import load_chunker, load_full_parser, save_chunker, save_full_parser
 from mbparse.errors import DomainError
 from mbparse.learner import (
+    ArrayFile,
     InstanceBase,
     LearnerConfig,
     TiePolicy,
@@ -25,8 +27,8 @@ from mbparse.learner import (
     save_model,
     train,
 )
-from mbparse.pipeline import train_chunker
-from mbparse.synth import np_chunk_corpus
+from mbparse.pipeline import train_chunker, train_full_parser
+from mbparse.synth import np_chunk_corpus, parse_corpus
 from references import model_parts
 
 # Separators a text format would have to escape, a trailing NUL (which numpy
@@ -89,20 +91,23 @@ def shared_files(draw):
     return first, second
 
 
-def write_model(path, columns):
+def write_model(path, columns, arrays=None):
     labels = ["X", "Y"] * (len(columns[0]) // 2) + ["X"] * (len(columns[0]) % 2)
-    save_model(train(InstanceBase.from_columns(columns, labels)), path)
+    save_model(train(InstanceBase.from_columns(columns, labels)), path, arrays)
 
 
 @settings(max_examples=200, deadline=None)
 @given(shared_files())
 def test_shared_load_matches_solo_loads(files):
-    """Two models saved alone into one directory and loaded with one cache
-    equal their loads alone, whatever columns they have in common."""
+    """Two models saved into one array file, as a bundle saves them, and
+    loaded with one cache equal their loads alone, whatever columns they
+    have in common."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = [os.path.join(tmp, "a.model"), os.path.join(tmp, "b.model")]
+        arrays = ArrayFile("arrays.npy")
         for path, columns in zip(paths, files):
-            write_model(path, columns)
+            write_model(path, columns, arrays)
+        arrays.write(tmp)
         cache = {}
         shared = [load_model(path, cache) for path in paths]
         for model, path in zip(shared, paths):
@@ -136,7 +141,7 @@ def test_damaged_file_after_shared_columns_fails_as_alone(tmp_path, line, text, 
 def test_bundle_models_share_columns_and_label_arrays(tmp_path):
     """After ``load_chunker``, models that store the same column share one
     code table object, and the two passes of each of the 4 streams share one
-    label array."""
+    label array, read on its own from the array file."""
     save_chunker(train_chunker(*np_chunk_corpus(200, seed=1)), tmp_path)
     chunker = load_chunker(tmp_path)
     models = [m for s in chunker.streams.values() for m in (s.pass1_model, s.pass2_model)]
@@ -144,6 +149,8 @@ def test_bundle_models_share_columns_and_label_arrays(tmp_path):
     assert len({id(m.instances.label_codes) for m in models}) == 4
     for stream in chunker.streams.values():
         assert stream.pass1_model.instances.label_codes is stream.pass2_model.instances.label_codes
+    # no model keeps a view that would pin the whole array file
+    assert all(m.instances.label_codes.base is None for m in models)
     tables = {}
     for m in models:
         for table, column in zip(m.instances.codes, m.instances.matrix.T):
@@ -152,9 +159,39 @@ def test_bundle_models_share_columns_and_label_arrays(tmp_path):
     assert len(tables) < sum(m.arity for m in models)  # some column is stored twice
 
 
+def headers_named(bundle) -> set[str]:
+    """The model headers that a bundle's manifest names."""
+    text = (bundle / "manifest").read_text()
+    return {name for name in text.split() if name.endswith(".model")}
+
+
+@pytest.mark.parametrize("kind", ["chunker", "full parser"])
+def test_bundle_holds_manifest_headers_and_one_array_file(kind, tmp_path):
+    if kind == "chunker":
+        save_chunker(train_chunker(*np_chunk_corpus(30, seed=4)), tmp_path)
+        load = load_chunker
+    else:
+        save_full_parser(train_full_parser(*parse_corpus(30, seed=4)), tmp_path)
+        load = load_full_parser
+    headers = headers_named(tmp_path)
+    assert len(headers) == (8 if kind == "chunker" else 21)
+    assert {p.name for p in tmp_path.iterdir()} == {"manifest", "arrays.npy", *headers}
+    for name in headers:
+        assert (tmp_path / name).read_text().split("\n")[9] == "arrays arrays.npy"
+    load(tmp_path)
+
+
+def test_model_saved_alone_writes_a_header_and_one_array_file(tmp_path):
+    write_model(tmp_path / "m.model", [list("abcab"), list("aabba")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.model", "m.model.npy"]
+    array = np.load(tmp_path / "m.model.npy", allow_pickle=False)
+    assert array.dtype == np.dtype("<i4") and array.ndim == 1
+    load_model(tmp_path / "m.model")
+
+
 def test_resave_into_a_bundle_directory_keeps_only_named_arrays(tmp_path):
-    """A save over an earlier bundle deletes the earlier save's arrays that
-    no header names, and leaves files it did not write alone."""
+    """A save over an earlier bundle leaves the files a fresh save writes,
+    with the same bytes, and leaves files it did not write alone."""
     fresh, reused = tmp_path / "fresh", tmp_path / "reused"
     save_chunker(train_chunker(*np_chunk_corpus(30, seed=2)), reused)
     (reused / "notes.npy").write_bytes(b"kept")
@@ -164,4 +201,6 @@ def test_resave_into_a_bundle_directory_keeps_only_named_arrays(tmp_path):
     assert sorted(p.name for p in reused.iterdir()) == sorted(
         [p.name for p in fresh.iterdir()] + ["notes.npy"]
     )
+    for p in fresh.iterdir():
+        assert (reused / p.name).read_bytes() == p.read_bytes()
     assert (reused / "notes.npy").read_bytes() == b"kept"

@@ -65,6 +65,7 @@ from references import (
     OracleClauseBracketer,
     OracleStream,
     corpus_sections,
+    level_views,
     model_parts,
     parse_full_levels,
 )
@@ -483,11 +484,12 @@ def trained_levels():
     out = []
     for level in (1, 2, 3):
         lm = pipeline.train_bracket_level(
-            tr_s, tr_by, level, parse_template("w[-2..2] p[-2..2]"),
+            [level_views(s, by, level) for s, by in zip(tr_s, tr_by)],
+            tr_by, level, parse_template("w[-2..2] p[-2..2]"),
             LearnerConfig(k=1), typed=True,
         )
         batch = [
-            (pipeline._level_views(s, by, level)[0], None, si)
+            (level_views(s, by, level)[0], None, si)
             for si, (s, by) in enumerate(zip(te_s, te_by))
         ]
         batch.insert(1, ([], None, len(batch)))  # an empty sentence

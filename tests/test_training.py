@@ -17,6 +17,7 @@ from mbparse.pipeline import (
     CLAUSE_OPEN_TEMPLATES,
     DEFAULT_PASS1,
     DEFAULT_PASS2,
+    PipelineConfig,
     stratify_levels,
     tag_sentences,
     train_clause_bracketer,
@@ -31,7 +32,7 @@ from mbparse.synth import (
     parse_corpus,
     typed_chunk_corpus,
 )
-from references import corpus_sections, decoded_instances, extract_token
+from references import corpus_sections, decoded_instances, extract_token, level_views
 
 LCFG = LearnerConfig(k=1)
 
@@ -87,7 +88,7 @@ def bracket_level_reference(sentences, stratified, level, template, typed):
     inst_o, inst_c = [], []
     seen_any = False
     for s, by_level in zip(sentences, stratified):
-        tokens, orig2cur = pipeline._level_views(s, by_level, level)
+        tokens, orig2cur = level_views(s, by_level, level)
         spans = by_level.get(level, [])
         if spans:
             seen_any = True
@@ -258,15 +259,37 @@ def test_bracket_levels_match_reference(corpus, typed):
     sents, gold = corpus[0], corpus[1]
     stratified = [stratify_levels(g) for g in gold]
     template = parse_template("w[-2..2] p[-2..2]")
+    config = PipelineConfig(level_template=template)
     top = max(max(by) for by in stratified)
-    for level in range(1, top + 2):  # the last level has no gold spans
-        lm = pipeline.train_bracket_level(sents, stratified, level, template, LCFG, typed)
+    # asked for one level more than has gold spans, training stops below it
+    levels = pipeline._train_levels(sents, stratified, config, LCFG, top + 1, typed)
+    assert bracket_level_reference(sents, stratified, top + 1, template, typed) is None
+    assert len(levels) == top
+    for level, lm in enumerate(levels, 1):
         expected = bracket_level_reference(sents, stratified, level, template, typed)
-        if expected is None:
-            assert lm is None
-            continue
         got = (lm.open_model.instances, lm.close_model.instances)
         assert tuple(tuple(decoded_instances(base)) for base in got) == expected
+
+
+def test_level_views_match_the_reference_at_every_level(monkeypatch):
+    """The views ``_train_levels`` builds, each level's from the one below,
+    equal ``level_views`` built from scratch at every level it trains; an
+    empty sentence and sentences whose levels run out early included."""
+    sents, gold = parse_corpus(30, seed=72)
+    sents, gold = [[], *sents, sents[0]], [[], *gold, []]  # no spans at all last
+    stratified = [stratify_levels(g) for g in gold]
+    assert len({max(by, default=-1) for by in stratified}) > 3
+    seen = []
+
+    def recording(views, stratified, level, *args, **kwargs):
+        seen.append((level, views))
+
+    monkeypatch.setattr(pipeline, "train_bracket_level", recording)
+    pipeline._train_levels(sents, stratified, PipelineConfig(), LCFG, 19, typed=True)
+    top = max(max(by, default=0) for by in stratified)
+    assert [level for level, _ in seen] == list(range(1, top + 1))
+    for level, views in seen:
+        assert views == [level_views(s, by, level) for s, by in zip(sents, stratified)]
 
 
 @pytest.mark.parametrize("mode", list(LeakMode))
