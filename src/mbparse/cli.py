@@ -172,6 +172,10 @@ def _learner_config(cfg) -> LearnerConfig:
     )
 
 
+def _eval_config(cfg, **options) -> EvalConfig:
+    return EvalConfig(beta=cfgmod.get_float(cfg, "eval", "beta", 1.0), **options)
+
+
 def _pipeline_config(cfg) -> PipelineConfig:
     kwargs = {}
     reps = cfgmod.get(cfg, "chunker", "representations")
@@ -374,8 +378,7 @@ def _cmd_parse(args, cfg, full: bool) -> int:
 def _cmd_evaluate(args, cfg) -> int:
     _, found = _read_spans(args.found, args.column, args.scheme)
     _, gold = _read_spans(args.gold, args.column, args.scheme)
-    econf = EvalConfig(beta=cfgmod.get_float(cfg, "eval", "beta", 1.0))
-    report = score(found, gold, econf)
+    report = score(found, gold, _eval_config(cfg))
     if args.machine:
         for line in report_lines(report):
             print(line)
@@ -392,9 +395,7 @@ def _cmd_evaluate(args, cfg) -> int:
 def _cmd_bootstrap(args, cfg) -> int:
     _, found = _read_spans(args.found, args.column, args.scheme)
     _, gold = _read_spans(args.gold, args.column, args.scheme)
-    econf = EvalConfig(
-        bootstrap_samples=args.samples, tail=args.tail, seed=args.seed
-    )
+    econf = _eval_config(cfg, bootstrap_samples=args.samples, tail=args.tail, seed=args.seed)
     rep = bootstrap(found, gold, econf)
     print(f"point F {rep.point:.2f}")
     print(f"mean {rep.mean:.2f} stddev {rep.stddev:.2f}")
@@ -406,10 +407,16 @@ def _cmd_select(args, cfg) -> int:
     folds = args.folds
     if folds < 2:
         raise ConfigError(f"--folds must be at least 2, got {folds}")
+    candidates = sorted(parse_template(args.candidates).atoms())
+    if any(channel == "c" for channel, _ in candidates):
+        # one tagging pass has no predicted chunk tags to read
+        raise ConfigError(f"--candidates {args.candidates!r}: chunk-context atoms c[...] "
+                          "are not supported")
     sentences, gold = _read_spans(args.train, "chunk", args.scheme)
     scheme = Scheme(args.scheme)
     tags = [encode(g, scheme, len(s), typed=False) for s, g in zip(sentences, gold)]
     lcfg = _learner_config(cfg)
+    econf = _eval_config(cfg)
 
     def evaluate(template) -> float:
         if template.arity == 0:
@@ -426,10 +433,9 @@ def _cmd_select(args, cfg) -> int:
             )
             found_tags = tag_sentences(model, template, [sentences[i] for i in test_idx])
             found = [decode(t, scheme) for t in found_tags]
-            total_f += score(found, [gold[i] for i in test_idx]).f
+            total_f += score(found, [gold[i] for i in test_idx], econf).f
         return total_f / folds
 
-    candidates = sorted(parse_template(args.candidates).atoms())
     report = select_features(candidates, evaluate, beam=args.beam)
     print(f"best set: {format_template(report.best_set) or '(empty)'}")
     print(f"score: {report.best_score:.2f}")

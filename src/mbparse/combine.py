@@ -67,11 +67,7 @@ def majority_vote(outputs: Sequence[str]) -> str:
         raise DomainError("no outputs to vote on")
     counts = Counter(outputs)
     top = max(counts.values())
-    tied = {t for t, c in counts.items() if c == top}
-    for tag in outputs:  # system priority order
-        if tag in tied:
-            return tag
-    return min(tied)  # unreachable; lexicographic backstop
+    return next(tag for tag in outputs if counts[tag] == top)
 
 
 def fit_weights(tuning: SystemOutputs, method: CombineMethod) -> CombinerWeights:
@@ -163,8 +159,6 @@ def vote(
                 )
                 for tag, p in dist.items():
                     scores[tag] = scores.get(tag, 0.0) + p
-        if not scores:
-            return majority_vote(outputs)
     else:
         raise DomainError(f"unknown combination method {method}")
 

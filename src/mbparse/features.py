@@ -156,8 +156,7 @@ def extract(
     runs = np.repeat(np.arange(1, len(lengths) + 1), np.array(lengths, dtype=np.intp))
     positions = rows + MAX_OFFSET * runs
     pad = [PAD] * MAX_OFFSET
-    codes = []
-    matrix = np.empty((len(rows), template.arity), dtype=np.int32, order="F")
+    codes, columns = [], []
     offsets_of = (template.words, template.pos, template.chunks)
     for channel, offsets in zip(_CHANNELS, offsets_of):
         if not offsets:
@@ -178,10 +177,10 @@ def extract(
             found = found[np.argsort(first[found])]  # in order of first occurrence
             recode = np.empty(len(symbols), dtype=np.int32)
             recode[found] = np.arange(len(found), dtype=np.int32)
-            matrix[:, len(codes)] = recode[column]
+            columns.append(recode[column])
             codes.append({symbols[v]: code for code, v in enumerate(found.tolist())})
     ends = np.cumsum(lengths).tolist()
-    return FeatureColumns(tuple(codes), matrix), list(zip([0] + ends[:-1], ends))
+    return FeatureColumns(tuple(codes), tuple(columns), len(rows)), list(zip([0] + ends[:-1], ends))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,13 @@ weights over mismatching positions) and labeled by majority vote over the
 instances falling in the k nearest *distinct* distance values.
 
 A model keeps its instances integer-coded column by column, its classes
-too, from the moment it is trained or loaded (``InstanceBase``).  Training
-takes an ``InstanceBase`` as it is, or codes a sequence of ``Instance``
-once, checking their arity on the way; the gain-ratio weights are tabulated
-from the codes (value and (value, class) counts), with every entropy summing
-its terms in the order a walk down the rows would.  ``classify_labels`` is the
+too, from the moment it is trained or loaded (``InstanceBase``): one 1-D
+int32 array per feature, which the models built from one extraction or
+loaded from one bundle share rather than copy.  Training takes an
+``InstanceBase`` as it is, or codes a sequence of ``Instance`` once,
+checking their arity on the way; the gain-ratio weights are tabulated from
+the codes (value and (value, class) counts), with every entropy summing its
+terms in the order a walk down the rows would.  ``classify_labels`` is the
 one batch entry point, and ``classify`` labels a single query through it.
 Queries come as feature tuples or as ``FeatureColumns``, whose distinct
 values are translated into the model's codes; symbols are strings only
@@ -24,11 +26,11 @@ length and every code point, so that any string round-trips).  A header
 gives each as an ``offset,length`` slice of the file.  A save writes each
 distinct array once, so the models of a bundle share one file and the
 columns they have in common.  A load reads and checks the file's ``.npy``
-header once (dtype, shape, file size), then each distinct slice once, a
-feature column straight into the matrix of the first model that names it;
-it checks each slice's bounds, each distinct column's code range and the
-class counts, and codes nothing again.  The whole file is never in memory,
-and the models of one load share each symbol table and label array.
+header once (dtype, shape, file size), then each distinct slice once into
+an array of its own; it checks each slice's bounds, each distinct column's
+code range and the class counts, and codes nothing again.  The whole file
+is never in memory, and the models of one load share each symbol table,
+code column and label array.
 
 The query kernel codes which of the first 16 weighted features mismatch as
 one uint16 per (query, instance) pair, a byte at a time.  A table holds
@@ -145,19 +147,23 @@ class FeatureColumns:
     """Feature vectors stored column by column, integer-coded.
 
     ``codes[i]`` maps each value of feature i to its code, numbered in order
-    of first occurrence down the column and kept in code order; ``matrix``
-    holds every row's codes, n x arity int32 and column-major.
+    of first occurrence down the column and kept in code order;
+    ``columns[i]`` holds every row's code of feature i, a 1-D int32 array.
+    Tables built from one extraction or one bundle load share each column
+    array they have in common.  ``rows`` counts the rows, which a table
+    without features has too.
     """
 
     codes: tuple[dict[str, int], ...]
-    matrix: np.ndarray
+    columns: tuple[np.ndarray, ...]
+    rows: int
 
     @property
     def arity(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.columns)
 
     def __len__(self) -> int:
-        return self.matrix.shape[0]
+        return self.rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,17 +178,16 @@ class InstanceBase(FeatureColumns):
     @staticmethod
     def labelled(columns: FeatureColumns, labels: Sequence[str]) -> "InstanceBase":
         """``columns`` with each row's class."""
-        return InstanceBase(columns.codes, columns.matrix, *_code(labels))
+        return InstanceBase(columns.codes, columns.columns, columns.rows, *_code(labels))
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[str]], labels: Sequence[str]) -> "InstanceBase":
         """Code each column in order of first occurrence."""
-        matrix = np.empty((len(labels), len(columns)), dtype=np.int32, order="F")
-        codes = []
-        for i, column in enumerate(columns):
-            table, matrix[:, i] = _code(column)
-            codes.append(table)
-        return InstanceBase.labelled(FeatureColumns(tuple(codes), matrix), labels)
+        coded = [_code(column) for column in columns]
+        return InstanceBase.labelled(
+            FeatureColumns(tuple(t for t, _ in coded), tuple(c for _, c in coded), len(labels)),
+            labels,
+        )
 
     @staticmethod
     def from_rows(dataset: Sequence[Instance]) -> "InstanceBase":
@@ -230,8 +235,7 @@ def gain_ratio_weights(dataset: InstanceBase | Sequence[Instance]) -> WeightTabl
     y = base.label_codes.astype(np.int64)
     h_class = _entropy(np.bincount(y).tolist(), n)
     weights = []
-    for i in range(base.arity):
-        column = base.matrix[:, i]
+    for column in base.columns:
         value_counts = np.bincount(column).tolist()
         h_value = _entropy(value_counts, n)
         if h_value == 0.0:
@@ -283,12 +287,9 @@ class Model:
 
 
 class _ModelIndex:
-    """The distance kernel's view of a model: its coded instances and what
-    the kernel derives from the weights and labels."""
+    """What the distance kernel derives from a model's weights and labels."""
 
-    def __init__(self, codes, matrix, head, table, tail, ranks, labels_in_pref, onehot):
-        self.codes = codes              # per feature: symbol -> int
-        self.matrix = matrix            # n x arity int32, column-major
+    def __init__(self, head, table, tail, ranks, labels_in_pref, onehot):
         self.head = head                # features coded into the mismatch table
         self.table = table              # 2**len(head) float64 distances by code
         self.tail = tail                # (feature, weight) added past the table
@@ -328,25 +329,24 @@ class _ModelIndex:
         onehot = np.zeros((n, len(pref)), dtype=dtype)
         pos = np.array([label_pos[c] for c in base.classes], dtype=np.intp)
         onehot[np.arange(n), pos[base.label_codes]] = 1
-        return _ModelIndex(
-            base.codes, base.matrix, head, table, tail, ranks, pref, onehot
-        )
+        return _ModelIndex(head, table, tail, ranks, pref, onehot)
 
-    def encode_queries(
-        self, queries: Sequence[Sequence[str]] | FeatureColumns
-    ) -> np.ndarray:
-        """Queries in the model's codes; a value unseen in training is -1,
-        which matches nothing.  Coded columns are translated one distinct
-        value at a time."""
-        q = np.full((len(queries), self.matrix.shape[1]), -1, dtype=np.int32)
-        if isinstance(queries, FeatureColumns):
-            for i, (own, table) in enumerate(zip(queries.codes, self.codes)):
-                lookup = [table.get(v, -1) for v in own]
-                q[:, i] = np.array(lookup, dtype=np.int32)[queries.matrix[:, i]]
-            return q
-        for i, (column, table) in enumerate(zip(zip(*queries), self.codes)):
-            q[:, i] = [table.get(v, -1) for v in column]
+
+def _encode_queries(
+    base: FeatureColumns, queries: Sequence[Sequence[str]] | FeatureColumns
+) -> np.ndarray:
+    """Queries in the codes of ``base``, one row each; a value unseen there
+    is -1, which matches nothing.  Coded columns are translated one distinct
+    value at a time."""
+    q = np.full((len(queries), base.arity), -1, dtype=np.int32)
+    if isinstance(queries, FeatureColumns):
+        for i, (own, table) in enumerate(zip(queries.codes, base.codes)):
+            lookup = [table.get(v, -1) for v in own]
+            q[:, i] = np.array(lookup, dtype=np.int32)[queries.columns[i]]
         return q
+    for i, (column, table) in enumerate(zip(zip(*queries), base.codes)):
+        q[:, i] = [table.get(v, -1) for v in column]
+    return q
 
 
 def train(
@@ -389,7 +389,7 @@ def _encode(model: Model, queries) -> np.ndarray | None:
             _check_arity(model, len(q), i)
     if not len(queries):
         return None
-    return model._index.encode_queries(queries)
+    return _encode_queries(model.instances, queries)
 
 
 def _batch_winner_ids(model: Model, encoded: np.ndarray):
@@ -401,8 +401,8 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray):
     """
     idx = model._index
     k = model.config.k
-    columns = idx.matrix.T  # arity x n, each feature's column contiguous
-    n = columns.shape[1]
+    columns = model.instances.columns
+    n = len(model.instances)
     block = max(1, _SCRATCH_BUDGET // (_PAIR_SCRATCH_BYTES * n))
     for lo in range(0, encoded.shape[0], block):
         q = encoded[lo : lo + block]
@@ -539,7 +539,7 @@ def save_model(model: Model, path, arrays: ArrayFile | None = None) -> None:
         "weights " + " ".join(repr(w) for w in model.weight_table.weights),
         "classes " + " ".join(str(model.class_frequencies[c]) for c in base.classes),
         "labels " + column(base.classes, base.label_codes),
-        "columns " + " ".join(map(column, base.codes, base.matrix.T)),
+        "columns " + " ".join(map(column, base.codes, base.columns)),
         f"arrays {arrays.name}",
     ]
     with open(path, "w", encoding="utf-8") as fh:
@@ -593,10 +593,9 @@ def _span(path, span: str, arrays: str, cache: dict) -> tuple[int, int]:
     return start + _INT32.itemsize * begin, end - begin
 
 
-def _read(arrays: str, position: int, count: int, into: np.ndarray | None = None):
-    """``count`` values of the array file ``arrays`` from byte ``position``,
-    read into ``into`` (which holds ``count``) or a new array."""
-    out = np.empty(count, _INT32) if into is None else into
+def _read(arrays: str, position: int, count: int) -> np.ndarray:
+    """``count`` values of the array file ``arrays`` from byte ``position``."""
+    out = np.empty(count, _INT32)
     with open(arrays, "rb") as fh:
         fh.seek(position)
         if fh.readinto(out) != out.nbytes:
@@ -625,28 +624,21 @@ def _symbols(path, span: str, arrays: str, cache: dict) -> dict[str, int]:
     return cache[arrays, "symbols", span]
 
 
-def _column(path, entry: str, arrays: str, cache: dict, into: np.ndarray | None = None):
+def _column(path, entry: str, arrays: str, cache: dict) -> tuple[dict[str, int], np.ndarray]:
     """The symbol table and codes that a ``codes:symbols`` entry of the
-    header in ``path`` names, each code checked against the table once per
-    cache.  ``into``, if given, is a column of the model's matrix: the codes
-    are read there from the file the first time the cache meets the entry,
-    and copied there from that first reader after."""
-    codes, _, symbols = entry.partition(":")
-    position, count = _span(path, codes, arrays, cache)
-    if into is not None and count != len(into):
-        raise DomainError(f"{path}: column {entry} holds {count} codes for {len(into)} instances")
+    header in ``path`` names, read and each code checked against the table
+    once per cache: every model of a load that names the entry shares both."""
     if (arrays, entry) not in cache:
+        codes, _, symbols = entry.partition(":")
+        position, count = _span(path, codes, arrays, cache)
         table = _symbols(path, symbols, arrays, cache)
-        column = _read(arrays, position, count, into)
+        column = _read(arrays, position, count)
         if count and (column.min() < 0 or column.max() >= len(table)):
             raise DomainError(
                 f"{arrays}: column {entry} holds a code out of range of its symbol table"
             )
         cache[arrays, entry] = table, column
-    table, column = cache[arrays, entry]
-    if into is not None and column is not into:
-        into[:] = column
-    return table, column
+    return cache[arrays, entry]
 
 
 def load_model(path, cache: dict | None = None) -> Model:
@@ -696,12 +688,12 @@ def load_model(path, cache: dict | None = None) -> Model:
         raise DomainError(f"{path}: model stores no instances")
     if np.bincount(label_codes, minlength=len(classes)).tolist() != counts:
         raise DomainError(f"{path}: class frequencies do not match the instance labels")
-    matrix = np.empty((n, arity), dtype=np.int32, order="F")
-    codes = []
-    for i, entry in enumerate(entries):
-        codes.append(_column(path, entry, arrays, cache, matrix[:, i])[0])
+    codes, columns = zip(*(_column(path, entry, arrays, cache) for entry in entries))
+    for entry, column in zip(entries, columns):
+        if len(column) != n:
+            raise DomainError(f"{path}: column {entry} holds {len(column)} codes for {n} instances")
     return Model(
-        instances=InstanceBase(tuple(codes), matrix, classes, label_codes),
+        instances=InstanceBase(codes, columns, n, classes, label_codes),
         weight_table=WeightTable(weights),  # stored weights include any fallback
         config=config,
         class_frequencies=dict(zip(classes, counts)),

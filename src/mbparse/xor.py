@@ -39,8 +39,9 @@ def xor_run(
     train_set = _build_rows(rng, num_random_features)
     test_set = _build_rows(rng, num_random_features)
     model = train(train_set, LearnerConfig(k=k, degenerate_weight_fallback=True))
-    distinct, row_of = np.unique(test_set.matrix, axis=0, return_inverse=True)
-    labels = np.array(classify_labels(model, FeatureColumns(test_set.codes, distinct)))
+    distinct, row_of = np.unique(np.column_stack(test_set.columns), axis=0, return_inverse=True)
+    queries = FeatureColumns(test_set.codes, tuple(distinct.T), len(distinct))
+    labels = np.array(classify_labels(model, queries))
     expected = np.array(list(test_set.classes))[test_set.label_codes]
     return int(np.sum(labels[row_of] == expected))
 

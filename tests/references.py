@@ -42,8 +42,8 @@ def decoded_rows(columns) -> list[tuple[str, ...]]:
     if not columns.codes:
         return [()] * len(columns)
     return list(zip(*(
-        map(list(table).__getitem__, columns.matrix[:, i].tolist())
-        for i, table in enumerate(columns.codes)
+        map(list(table).__getitem__, column.tolist())
+        for table, column in zip(columns.codes, columns.columns)
     )))
 
 
@@ -88,16 +88,14 @@ def preference_order(model) -> list[str]:
 
 def model_parts(model):
     """What a model holds, in comparable form: each code table's items in
-    order, the matrix's dtype, shape, layout and bytes, the class table's
-    items in order, the label codes' dtype and bytes, the weights, config
-    and class frequencies in order."""
+    order, the row count, each code column's dtype, shape, contiguity and
+    bytes, the class table's items in order, the label codes' dtype and
+    bytes, the weights, config and class frequencies in order."""
     base = model.instances
     return (
         [list(table.items()) for table in base.codes],
-        base.matrix.dtype,
-        base.matrix.shape,
-        base.matrix.flags.f_contiguous,
-        base.matrix.tobytes(order="F"),
+        len(base),
+        [(c.dtype, c.shape, c.flags.c_contiguous, c.tobytes()) for c in base.columns],
         list(base.classes.items()),
         base.label_codes.dtype,
         base.label_codes.tobytes(),

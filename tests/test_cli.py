@@ -12,6 +12,7 @@ from mbparse import cli, config as cfgmod
 from mbparse.cli import main, run_command
 from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.errors import ConfigError
+from mbparse.evaluate import score
 from mbparse.learner import Model, _ModelIndex
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import (
@@ -106,6 +107,31 @@ class TestChunkFlow:
         ) == 0
         out = capsys.readouterr().out
         assert "stddev 0.00" in out
+
+    def test_beta_reaches_every_scoring_command(self, toy, capsys, monkeypatch):
+        """``eval.beta`` sets the F that bootstrap and select-features use,
+        as it does evaluate's."""
+        files = ["--found", str(toy / "out.txt"), "--gold", str(toy / "gold.txt")]
+        beta = ["--set", "eval.beta=0.5"]
+        assert run_command(["evaluate", *files]) == 0
+        f1 = capsys.readouterr().out.split()[-1]
+        assert run_command(["evaluate", *files, *beta]) == 0
+        f = capsys.readouterr().out.split()[-1]
+        assert f != f1  # precision and recall differ, so beta shows
+        assert run_command(["bootstrap", *files, *beta, "--samples", "20"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"point F {f}"
+        betas = []
+
+        def recording(found, gold, config):
+            betas.append(config.beta)
+            return score(found, gold, config)
+
+        monkeypatch.setattr(cli, "score", recording)
+        assert run_command(
+            ["select-features", "--train", str(toy / "gold.txt"), "--candidates", "p[0]",
+             "--folds", "2", *beta]
+        ) == 0
+        assert betas and set(betas) == {0.5}
 
 
 def dump_clause_file(path, sentences, forests):
@@ -409,6 +435,7 @@ class TestStrictValues:
             (["xor-experiment", "--set", "xor.k=1"], "unknown key xor.k"),
             (["select-features", "--folds", "0"], "--folds"),
             (["select-features", "--folds", "-1"], "--folds"),
+            (["select-features", "--candidates", "p[-1..0] c[-1]"], "--candidates"),
         ],
     )
     def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):

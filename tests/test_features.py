@@ -166,8 +166,10 @@ def test_extract_matches_extract_token(data):
         [[r[i] for r in rows] for i in range(template.arity)], ["X"] * len(rows)
     )
     assert [list(c.items()) for c in columns.codes] == [list(c.items()) for c in base.codes]
-    assert columns.matrix.dtype == np.int32 and columns.matrix.flags.f_contiguous
-    assert np.array_equal(columns.matrix, base.matrix)
+    assert len(columns) == len(base) and len(columns.columns) == len(base.columns)
+    for column, expected in zip(columns.columns, base.columns):
+        assert column.dtype == np.int32 and column.ndim == 1 and column.flags.c_contiguous
+        assert np.array_equal(column, expected)
 
 
 class TestNpHead:

@@ -22,6 +22,7 @@ from mbparse.learner import (
     TiePolicy,
     WeightTable,
     _batch_winner_ids,
+    _encode_queries,
     classify_labels,
     train,
 )
@@ -32,7 +33,7 @@ def kernel_outputs(model, queries):
     """Winning labels and votes over all blocks."""
     idx = model._index
     labels, votes = [], []
-    for w, v in _batch_winner_ids(model, idx.encode_queries(queries)):
+    for w, v in _batch_winner_ids(model, _encode_queries(model.instances, queries)):
         labels.extend(idx.labels_in_pref[i] for i in w)
         votes.append(v)
     return labels, np.concatenate(votes)
@@ -155,7 +156,7 @@ def test_block_boundaries_do_not_change_outputs(per_block, monkeypatch):
     # a budget below one query's scratch still runs one query per block
     budget = per_block * learner._PAIR_SCRATCH_BYTES * len(model.instances)
     monkeypatch.setattr(learner, "_SCRATCH_BUDGET", budget)
-    blocks = sum(1 for _ in _batch_winner_ids(model, model._index.encode_queries(queries)))
+    blocks = sum(1 for _ in _batch_winner_ids(model, _encode_queries(model.instances, queries)))
     assert blocks == -(-len(queries) // max(1, per_block))
     labels, votes = kernel_outputs(model, queries)
     assert labels == whole_labels and np.array_equal(votes, whole_votes)

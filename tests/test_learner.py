@@ -18,7 +18,7 @@ from mbparse.learner import (
     Model,
     TiePolicy,
     WeightTable,
-    _ModelIndex,
+    _encode_queries,
     classify,
     classify_labels,
     gain_ratio_weights,
@@ -557,16 +557,18 @@ def test_index_matches_per_cell_coding(data):
         st.lists(st.tuples(*[st.sampled_from("abcdef") for _ in range(arity)]), max_size=10)
     )
     instances = [Instance(feats, "X") for feats in rows]
-    index = _ModelIndex.build(uniform_model(instances))
+    base = uniform_model(instances).instances
     codes, matrix, encoded = per_cell_index(instances, queries)
-    assert [list(c.items()) for c in index.codes] == [list(c.items()) for c in codes]
-    assert index.matrix.dtype == matrix.dtype and np.array_equal(index.matrix, matrix)
-    got = index.encode_queries(queries)
+    assert [list(c.items()) for c in base.codes] == [list(c.items()) for c in codes]
+    assert len(base) == len(matrix) and len(base.columns) == matrix.shape[1]
+    for column, expected in zip(base.columns, matrix.T):
+        assert column.dtype == expected.dtype and np.array_equal(column, expected)
+    got = _encode_queries(base, queries)
     assert got.dtype == encoded.dtype and np.array_equal(got, encoded)
     # coded queries translate to the same codes as their strings
     if queries:
         coded = InstanceBase.from_columns(list(zip(*queries)), ["X"] * len(queries))
-        got = index.encode_queries(coded)
+        got = _encode_queries(base, coded)
         assert got.dtype == encoded.dtype and np.array_equal(got, encoded)
 
 

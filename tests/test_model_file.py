@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mbparse import bundles, learner
 from mbparse.bundles import load_chunker, load_full_parser, save_chunker, save_full_parser
 from mbparse.errors import DomainError
 from mbparse.learner import (
@@ -53,7 +54,7 @@ def models(draw):
 @settings(max_examples=200, deadline=None)
 @given(models())
 def test_load_of_save_equals_the_model(drawn):
-    """Codes, matrix, labels, weights, config and class counts come back
+    """Codes, code columns, labels, weights, config and class counts come back
     exactly, and every array file is a 1-D little-endian int32 array."""
     model, columns = drawn
     with tempfile.TemporaryDirectory() as tmp:
@@ -138,25 +139,55 @@ def test_damaged_file_after_shared_columns_fails_as_alone(tmp_path, line, text, 
     assert set(cache) == cached
 
 
-def test_bundle_models_share_columns_and_label_arrays(tmp_path):
-    """After ``load_chunker``, models that store the same column share one
-    code table object, and the two passes of each of the 4 streams share one
-    label array, read on its own from the array file."""
-    save_chunker(train_chunker(*np_chunk_corpus(200, seed=1)), tmp_path)
-    chunker = load_chunker(tmp_path)
-    models = [m for s in chunker.streams.values() for m in (s.pass1_model, s.pass2_model)]
+def test_bundle_models_share_columns_and_label_arrays(tmp_path, monkeypatch):
+    """After ``load_chunker`` and ``load_full_parser``, models whose headers
+    name the same ``codes:symbols`` entry hold the same array object and
+    code table, label and feature columns alike: one array per distinct
+    entry, each read on its own from the array file, none a view of a larger
+    buffer.  The two passes of each chunker stream share their label array,
+    and the open and close models of each cascade level every column."""
+    loads = []
+
+    def recording(path, cache=None):
+        model = learner.load_model(path, cache)
+        loads.append((path, model))
+        return model
+
+    monkeypatch.setattr(bundles, "load_model", recording)
+    save_chunker(train_chunker(*np_chunk_corpus(200, seed=1)), tmp_path / "chunker")
+    streams = load_chunker(tmp_path / "chunker").streams.values()
+    models = [m for s in streams for m in (s.pass1_model, s.pass2_model)]
     assert len(models) == 8
     assert len({id(m.instances.label_codes) for m in models}) == 4
-    for stream in chunker.streams.values():
+    for stream in streams:
         assert stream.pass1_model.instances.label_codes is stream.pass2_model.instances.label_codes
-    # no model keeps a view that would pin the whole array file
-    assert all(m.instances.label_codes.base is None for m in models)
-    tables = {}
-    for m in models:
-        for table, column in zip(m.instances.codes, m.instances.matrix.T):
-            tables.setdefault((tuple(table), column.tobytes()), set()).add(id(table))
-    assert all(len(ids) == 1 for ids in tables.values())
-    assert len(tables) < sum(m.arity for m in models)  # some column is stored twice
+    save_full_parser(train_full_parser(*parse_corpus(30, seed=4)), tmp_path / "parser")
+    levels = load_full_parser(tmp_path / "parser").levels
+    assert levels
+    for level in levels:
+        pairs = zip(level.open_model.instances.columns, level.close_model.instances.columns)
+        assert all(a is b for a, b in pairs)
+
+    by_bundle = {}
+    for path, model in loads:
+        by_bundle.setdefault(os.path.dirname(path), []).append((path, model))
+    assert len(by_bundle) == 2
+    for loaded in by_bundle.values():
+        arrays, tables = {}, {}  # entry -> ids of the objects models hold for it
+        for path, model in loaded:
+            lines = open(path, encoding="utf-8").read().split("\n")
+            entries = lines[7].split()[1:] + lines[8].split()[1:]
+            base = model.instances
+            held = zip(entries, [base.label_codes, *base.columns], [base.classes, *base.codes])
+            for entry, array, table in held:
+                assert array.base is None
+                arrays.setdefault(entry, set()).add(id(array))
+                tables.setdefault(entry, set()).add(id(table))
+        assert all(len(ids) == 1 for ids in arrays.values())
+        assert all(len(ids) == 1 for ids in tables.values())
+        assert len(set().union(*arrays.values())) == len(arrays)
+        named = sum(1 + m.arity for _, m in loaded)
+        assert len(arrays) < named  # some column is stored once for several models
 
 
 def headers_named(bundle) -> set[str]:
