@@ -36,7 +36,7 @@ from .corpus import (
 )
 from .errors import ConfigError, CorpusError, DomainError
 from .evaluate import EvalConfig, bootstrap, format_report, report_lines, score
-from .features import format_template, parse_template, select_features
+from .features import CodedCorpus, format_template, parse_template, select_features
 from .learner import LearnerConfig, Model, TiePolicy, classify_labels, train as train_model
 from .pipeline import (
     PipelineConfig,
@@ -417,23 +417,27 @@ def _cmd_select(args, cfg) -> int:
     tags = [encode(g, scheme, len(s), typed=False) for s, g in zip(sentences, gold)]
     lcfg = _learner_config(cfg)
     econf = _eval_config(cfg)
+    # each fold's sentence lists are coded once, for every candidate template
+    splits = []
+    for f in range(folds):
+        train_idx = [i for i in range(len(sentences)) if i % folds != f]
+        test_idx = [i for i in range(len(sentences)) if i % folds == f]
+        splits.append((
+            CodedCorpus([sentences[i] for i in train_idx]),
+            [tags[i] for i in train_idx],
+            CodedCorpus([sentences[i] for i in test_idx]),
+            [gold[i] for i in test_idx],
+        ))
 
     def evaluate(template) -> float:
         if template.arity == 0:
             return 0.0
         total_f = 0.0
-        for f in range(folds):
-            train_idx = [i for i in range(len(sentences)) if i % folds != f]
-            test_idx = [i for i in range(len(sentences)) if i % folds == f]
-            model = train_tagger(
-                template,
-                [sentences[i] for i in train_idx],
-                [tags[i] for i in train_idx],
-                lcfg,
-            )
-            found_tags = tag_sentences(model, template, [sentences[i] for i in test_idx])
+        for train_corpus, train_tags, test_corpus, test_gold in splits:
+            model = train_tagger(template, train_corpus, train_tags, lcfg)
+            found_tags = tag_sentences(model, template, test_corpus)
             found = [decode(t, scheme) for t in found_tags]
-            total_f += score(found, [gold[i] for i in test_idx], econf).f
+            total_f += score(found, test_gold, econf).f
         return total_f / folds
 
     report = select_features(candidates, evaluate, beam=args.beam)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .learner import PAD, FeatureColumns
+from .learner import PAD, FeatureColumns, code_column
 from .schemes import ChunkSpan
 
 # Widest window offset any template may use.
@@ -127,9 +127,91 @@ def _channel_cells(channel: str, sentence: Sequence[Token], context) -> list[str
     return [PAD if c is None else c for c in tags]
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _code_channel(cells: list[str]) -> tuple[list[str], np.ndarray]:
+    """A channel's symbols in code order and the code of each cell."""
+    table, stream = code_column(cells)
+    return list(table), stream
+
+
+def _recode(symbols: list[str], stream: np.ndarray, positions, rows):
+    """The channel's codes at ``positions``, recoded in order of first
+    occurrence down the rows, and the table of those codes."""
+    column = stream[positions]
+    first = np.full(len(symbols), len(rows))
+    np.minimum.at(first, column, rows)
+    found = np.flatnonzero(first < len(rows))
+    found = found[np.argsort(first[found])]  # in order of first occurrence
+    recode = np.empty(len(symbols), dtype=np.int32)
+    recode[found] = np.arange(len(found), dtype=np.int32)
+    return {symbols[v]: code for code, v in enumerate(found.tolist())}, _read_only(recode[column])
+
+
+class CodedCorpus(Sequence):
+    """A sentence list that keeps the codes ``extract`` works out from it.
+
+    It reads as the sentence list itself.  Its channels (words, POS tags and
+    the tokens' own chunk tags) are laid end to end with ``MAX_OFFSET`` PAD
+    cells around each sentence and coded once, on first use; each
+    (channel, offset) column is recoded once too, and every later template
+    gets the same code table and read-only array.  Build one per sentence
+    list that several templates read, and let it go with that list.
+    """
+
+    def __init__(self, sentences: Sequence[Sequence[Token]]):
+        self.sentences = sentences
+        self.lengths = [len(s) for s in sentences]
+        ends = np.cumsum(self.lengths).tolist()
+        self.bounds = list(zip([0] + ends[:-1], ends))  # each sentence's rows
+        self.rows = _read_only(np.arange(sum(self.lengths)))
+        # the cell of row r: every sentence up to r's own adds a run of pad cells
+        runs = np.repeat(np.arange(1, len(sentences) + 1), np.array(self.lengths, dtype=np.intp))
+        self.positions = _read_only(self.rows + MAX_OFFSET * runs)
+        self._channels: dict[str, tuple[list[str], np.ndarray]] = {}
+        self._columns: dict[Atom, tuple[dict[str, int], np.ndarray]] = {}
+
+    @staticmethod
+    def of(sentences: Sequence[Sequence[Token]]) -> "CodedCorpus":
+        """``sentences`` if it is a coded corpus, else a fresh one over it."""
+        return sentences if isinstance(sentences, CodedCorpus) else CodedCorpus(sentences)
+
+    def __len__(self) -> int:
+        return len(self.sentences)
+
+    def __getitem__(self, index):
+        return self.sentences[index]
+
+    def __iter__(self):  # the sentence list's own, not one index at a time
+        return iter(self.sentences)
+
+    def cells(self, channel: str, context=None) -> list[str]:
+        """The channel's cells; ``context`` replaces the tokens' chunk tags."""
+        pad = [PAD] * MAX_OFFSET
+        cells = list(pad)
+        for si, s in enumerate(self.sentences):
+            cells.extend(_channel_cells(channel, s, None if context is None else context[si]))
+            cells.extend(pad)
+        return cells
+
+    def column(self, channel: str, offset: int) -> tuple[dict[str, int], np.ndarray]:
+        """The code table and the column of one (channel, offset) feature
+        over the tokens' own channels, worked out once."""
+        if (channel, offset) not in self._columns:
+            if channel not in self._channels:
+                self._channels[channel] = _code_channel(self.cells(channel))
+            self._columns[channel, offset] = _recode(
+                *self._channels[channel], self.positions + offset, self.rows
+            )
+        return self._columns[channel, offset]
+
+
 def extract(
     template: FeatureTemplate,
-    sentences: Sequence[Sequence[Token]],
+    corpus: Sequence[Sequence[Token]],
     context: Sequence[Sequence[str | None]] | None = None,
 ) -> tuple[FeatureColumns, list[tuple[int, int]]]:
     """Feature vectors of every token of every sentence, coded column by
@@ -140,47 +222,30 @@ def extract(
     chunk offset; PAD where an offset falls outside the sentence or a chunk
     tag is None.  ``context`` (per-sentence chunk tags) is read in place of
     the tokens' own chunk tags.
-    Each channel is coded once, over all sentences laid end to end with
-    ``MAX_OFFSET`` PAD cells around each; a feature column is then the
-    channel's codes at the token positions shifted by its offset, recoded in
-    order of first occurrence.
+    A feature column is its channel's codes at the token positions shifted
+    by its offset, recoded in order of first occurrence.  Every column comes
+    from the ``CodedCorpus`` (a plain sentence list is wrapped in a fresh
+    one), so the templates applied to one coded corpus share the code
+    tables and read-only arrays of the columns they have in common.  Only a
+    ``context`` chunk channel is coded anew on every call.
     """
-    lengths = [len(s) for s in sentences]
+    corpus = CodedCorpus.of(corpus)
     if context is not None and (
-        len(context) != len(sentences)
-        or any(len(c) != n for c, n in zip(context, lengths))
+        len(context) != len(corpus)
+        or any(len(c) != n for c, n in zip(context, corpus.lengths))
     ):
         raise DomainError("context does not line up with the tokens")
-    rows = np.arange(sum(lengths))
-    # the cell of row r: every sentence up to r's own adds a run of pad cells
-    runs = np.repeat(np.arange(1, len(lengths) + 1), np.array(lengths, dtype=np.intp))
-    positions = rows + MAX_OFFSET * runs
-    pad = [PAD] * MAX_OFFSET
-    codes, columns = [], []
+    found = []
     offsets_of = (template.words, template.pos, template.chunks)
     for channel, offsets in zip(_CHANNELS, offsets_of):
-        if not offsets:
-            continue
-        cells = list(pad)
-        for si, s in enumerate(sentences):
-            tags = None if context is None else context[si]
-            cells.extend(_channel_cells(channel, s, tags))
-            cells.extend(pad)
-        table = {v: code for code, v in enumerate(dict.fromkeys(cells))}
-        symbols = list(table)
-        stream = np.fromiter(map(table.__getitem__, cells), np.int32, len(cells))
-        for off in offsets:
-            column = stream[positions + off]
-            first = np.full(len(symbols), len(rows))
-            np.minimum.at(first, column, rows)
-            found = np.flatnonzero(first < len(rows))
-            found = found[np.argsort(first[found])]  # in order of first occurrence
-            recode = np.empty(len(symbols), dtype=np.int32)
-            recode[found] = np.arange(len(found), dtype=np.int32)
-            columns.append(recode[column])
-            codes.append({symbols[v]: code for code, v in enumerate(found.tolist())})
-    ends = np.cumsum(lengths).tolist()
-    return FeatureColumns(tuple(codes), tuple(columns), len(rows)), list(zip([0] + ends[:-1], ends))
+        if channel == "c" and context is not None and offsets:
+            own = _code_channel(corpus.cells(channel, context))
+            found += [_recode(*own, corpus.positions + off, corpus.rows) for off in offsets]
+        else:
+            found += [corpus.column(channel, off) for off in offsets]
+    codes = tuple(table for table, _ in found)
+    columns = tuple(column for _, column in found)
+    return FeatureColumns(codes, columns, len(corpus.rows)), list(corpus.bounds)
 
 
 # ---------------------------------------------------------------------------

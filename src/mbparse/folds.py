@@ -21,7 +21,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .features import FeatureTemplate, Token
+from .features import CodedCorpus, FeatureTemplate, Token
 from .learner import LearnerConfig
 from .pipeline import tag_sentences, train_tagger
 from .schemes import ChunkSpan, Scheme, encode
@@ -124,6 +124,7 @@ def run_two_phase_cv(
     for fold in plan.folds:
         x = fold.test_section
         p1_sents, p1_tags = concat(fold.phase1_train)
+        p1_sents = CodedCorpus(p1_sents)  # both passes train on it
         model1 = train_tagger(pass1_template, p1_sents, p1_tags, learner_config)
         model1_prov = frozenset(fold.phase1_train)
 
@@ -143,8 +144,9 @@ def run_two_phase_cv(
             pass2_template, p1_sents, p1_tags, learner_config, context=context
         )
 
-        test_ctx = tag_sentences(model1, pass1_template, sections[x])
-        tags = tag_sentences(model2, pass2_template, sections[x], test_ctx)
+        test = CodedCorpus(sections[x])  # both passes tag it
+        test_ctx = tag_sentences(model1, pass1_template, test)
+        tags = tag_sentences(model2, pass2_template, test, test_ctx)
         provenance = frozenset(train_prov) | model1_prov
         if x in provenance:
             raise AssertionError(f"gold tags of section {x} leaked into its training")

@@ -7,8 +7,8 @@ instances falling in the k nearest *distinct* distance values.
 
 A model keeps its instances integer-coded column by column, its classes
 too, from the moment it is trained or loaded (``InstanceBase``): one 1-D
-int32 array per feature, which the models built from one extraction or
-loaded from one bundle share rather than copy.  Training takes an
+int32 array per feature, which the models built from one coded corpus
+(``features.CodedCorpus``) or loaded from one bundle share rather than copy.  Training takes an
 ``InstanceBase`` as it is, or codes a sequence of ``Instance`` once,
 checking their arity on the way; the gain-ratio weights are tabulated from
 the codes (value and (value, class) counts), with every entropy summing its
@@ -40,9 +40,11 @@ weighted feature falls past the table, the kernel gathers each pair's rank
 among the table's distinct rounded distances, a uint16, and selects on
 ranks; otherwise it gathers float64 distances, adds the further features
 one column at a time and rounds.  The k nearest distinct distances are
-found by k row-minimum passes instead of a sort, and the votes are one
-exact matrix product of the in-range mask with the labels' one-hot matrix;
-the kernel yields each block's winning label ids and vote counts.
+found by k row-minimum passes instead of a sort (on ranks, a pass takes
+the plain minimum of the ranks minus one more than the last one found,
+which wraps the ranks already passed to the top of uint16), and the votes
+are one exact matrix product of the in-range mask with the labels' one-hot
+matrix; the kernel yields each block's winning label ids and vote counts.
 Queries run in blocks whose scratch arrays fit a 2 MiB budget, about the
 size of a core's L2 cache.
 """
@@ -136,7 +138,7 @@ def _entropy(counts, total) -> float:
     return h
 
 
-def _code(column: Sequence[str]) -> tuple[dict[str, int], np.ndarray]:
+def code_column(column: Sequence[str]) -> tuple[dict[str, int], np.ndarray]:
     """A column's symbols, coded in order of first occurrence, and its codes."""
     table = {v: code for code, v in enumerate(dict.fromkeys(column))}
     return table, np.fromiter(map(table.__getitem__, column), np.int32, len(column))
@@ -149,7 +151,7 @@ class FeatureColumns:
     ``codes[i]`` maps each value of feature i to its code, numbered in order
     of first occurrence down the column and kept in code order;
     ``columns[i]`` holds every row's code of feature i, a 1-D int32 array.
-    Tables built from one extraction or one bundle load share each column
+    Tables built from one coded corpus or one bundle load share each column
     array they have in common.  ``rows`` counts the rows, which a table
     without features has too.
     """
@@ -176,17 +178,14 @@ class InstanceBase(FeatureColumns):
     label_codes: np.ndarray
 
     @staticmethod
-    def labelled(columns: FeatureColumns, labels: Sequence[str]) -> "InstanceBase":
-        """``columns`` with each row's class."""
-        return InstanceBase(columns.codes, columns.columns, columns.rows, *_code(labels))
-
-    @staticmethod
     def from_columns(columns: Sequence[Sequence[str]], labels: Sequence[str]) -> "InstanceBase":
-        """Code each column in order of first occurrence."""
-        coded = [_code(column) for column in columns]
-        return InstanceBase.labelled(
-            FeatureColumns(tuple(t for t, _ in coded), tuple(c for _, c in coded), len(labels)),
-            labels,
+        """Code each column, and the labels, in order of first occurrence."""
+        coded = [code_column(column) for column in columns]
+        return InstanceBase(
+            tuple(t for t, _ in coded),
+            tuple(c for _, c in coded),
+            len(labels),
+            *code_column(labels),
         )
 
     @staticmethod
@@ -432,16 +431,25 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray):
             # np.take is faster than indexing; no code exceeds the table, so
             # clipping only skips the bounds check
             dist = np.take(idx.ranks, code, mode="clip")
-            del code
-            top = np.iinfo(np.uint16).max
+            top = np.iinfo(np.uint16).max  # code stays, as scratch below
         # k-th smallest distinct distance; the top value once a row runs out
         # of them, which admits the same instances as its largest would
         threshold = dist.min(axis=1)
         for _ in range(k - 1):
-            np.greater(dist, threshold[:, None], out=ne)
-            threshold = dist.min(axis=1, initial=top, where=ne)
+            if idx.ranks is None:
+                np.greater(dist, threshold[:, None], out=ne)
+                threshold = dist.min(axis=1, initial=top, where=ne)
+            else:
+                # rank - (threshold + 1) in uint16 maps the ranks above the
+                # threshold to 0 .. 65534 - threshold and wraps the others
+                # past them, so a plain minimum finds the next rank; a row
+                # at the top stays there
+                np.subtract(dist, threshold[:, None] + np.uint16(1), out=code)
+                above = code.min(axis=1) + threshold.astype(np.int32) + 1
+                threshold = np.minimum(above, top).astype(np.uint16)
             if threshold.min() == top:  # every row is out of distances
                 break
+        code = None  # the rank path's scratch
         np.less_equal(dist, threshold[:, None], out=ne)
         del dist
         votes = ne.astype(idx.onehot.dtype) @ idx.onehot

@@ -7,11 +7,15 @@ the open streams and the close streams separately, and repair the winners
 into a span set.  Parsers repeat chunking on head-compressed sentences,
 one bracket-predictor pair per nesting level.
 
-Every template model is trained and applied on the same coded feature
-columns (``features.extract``): ``train_tagger`` labels them and
-hands them to the learner as its instance base, ``tag_sentences`` classifies
-them in one batch, and a bracket level's open and close models share one
-extraction, in training and in prediction.
+Every template model is trained and applied on coded feature columns
+(``features.extract``): ``train_tagger`` labels them and hands them to the
+learner as its instance base, ``tag_sentences`` classifies them in one
+batch, and a bracket level's open and close models share one extraction, in
+training and in prediction.  Every path that applies several templates to
+one sentence list (a chunker's streams and passes, the typed strategies, the
+clause bracketer's open taggers) builds one ``features.CodedCorpus`` of it
+and passes that down, so each word, POS and chunk-tag column is coded once
+and shared; a two-pass stream codes its scheme's tags once for both passes.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 from .combine import majority_vote
 from .errors import ConfigError, DomainError
 from .features import (
+    CodedCorpus,
     FeatureTemplate,
     Token,
     compress_mapped,
@@ -39,6 +44,7 @@ from .learner import (
     Model,
     PAD,
     classify_labels,
+    code_column,
     train,
 )
 from .schemes import (
@@ -136,15 +142,22 @@ def tag_sentences(
     return [labels[a:b] for a, b in bounds]
 
 
-def _train_rows(columns, bounds, tags, learner_config) -> Model:
-    """Train on the coded feature rows, each labelled with the matching entry
-    of ``tags`` (one tag list per (start, end) range in ``bounds``)."""
-    if len(tags) != len(bounds) or any(
-        len(t) != b - a for t, (a, b) in zip(tags, bounds)
-    ):
+def _coded_tags(sentences, tags):
+    """Every token's entry in ``tags`` (one tag list per sentence), coded
+    once as the classes of the rows ``extract`` makes of ``sentences``;
+    the codes are read-only, so the models trained on them may share them."""
+    if len(tags) != len(sentences) or any(len(t) != len(s) for t, s in zip(tags, sentences)):
         raise DomainError("training tags do not line up with the tokens")
-    labels = tuple(label for t in tags for label in t)
-    return train(InstanceBase.labelled(columns, labels), learner_config)
+    classes, codes = code_column([label for t in tags for label in t])
+    codes.flags.writeable = False
+    return classes, codes
+
+
+def _train_rows(columns, labels, learner_config) -> Model:
+    """Train on the coded feature rows with the classes ``_coded_tags``
+    gives them."""
+    base = InstanceBase(columns.codes, columns.columns, columns.rows, *labels)
+    return train(base, learner_config)
 
 
 def train_tagger(
@@ -158,8 +171,8 @@ def train_tagger(
     the features ``tag_sentences`` would extract and that token's entry in
     ``tags`` as its label.  Raises ``DomainError`` when ``tags`` or
     ``context`` does not line up with the tokens."""
-    columns, bounds = extract(template, sentences, context)
-    return _train_rows(columns, bounds, tags, learner_config)
+    columns, _ = extract(template, sentences, context)
+    return _train_rows(columns, _coded_tags(sentences, tags), learner_config)
 
 
 @dataclass
@@ -189,17 +202,19 @@ def train_two_pass_stream(
     learner_config: LearnerConfig,
     typed: bool = False,
 ) -> TwoPassStream:
-    """Train both passes.  Second-pass training rows read the *corpus* tags as
-    context; at test time the first pass's predictions take their place."""
+    """Train both passes, on one coded corpus and one coding of the scheme's
+    tags.  Second-pass training rows read the *corpus* tags as context; at
+    test time the first pass's predictions take their place."""
+    corpus = CodedCorpus.of(sentences)
     gold_tags = [
-        encode(spans, scheme, len(s), typed=typed) for s, spans in zip(sentences, gold)
+        encode(spans, scheme, len(s), typed=typed) for s, spans in zip(corpus, gold)
     ]
-    model1 = train_tagger(pass1_template, sentences, gold_tags, learner_config)
+    labels = _coded_tags(corpus, gold_tags)
+    model1 = _train_rows(extract(pass1_template, corpus)[0], labels, learner_config)
     model2 = None
     if pass2_template is not None and pass2_template.chunks:
-        model2 = train_tagger(
-            pass2_template, sentences, gold_tags, learner_config, context=gold_tags
-        )
+        columns, _ = extract(pass2_template, corpus, gold_tags)
+        model2 = _train_rows(columns, labels, learner_config)
     return TwoPassStream(
         scheme=scheme,
         pass1_template=pass1_template,
@@ -227,15 +242,18 @@ def train_chunker(
     config: PipelineConfig | None = None,
     learner_config: LearnerConfig | None = None,
 ) -> Chunker:
+    """One two-pass stream per scheme the representations need, all trained
+    on one coded corpus of ``sentences``."""
     config = config or PipelineConfig()
     learner_config = learner_config or LearnerConfig()
+    corpus = CodedCorpus.of(sentences)
     streams: dict[Scheme, object] = {}
     for rep in config.representations:
         for scheme in _streams_for(rep):
             if scheme in streams:
                 continue
             streams[scheme] = train_two_pass_stream(
-                sentences,
+                corpus,
                 gold,
                 scheme,
                 config.pass1_templates[scheme],
@@ -248,13 +266,14 @@ def train_chunker(
 
 def _tag_streams(chunker: Chunker, sentences) -> dict[Scheme, list[list[str]]]:
     """Tags per sentence of every stream the representations need, each
-    stream tagged once."""
+    stream tagged once, all from one coded corpus of ``sentences``."""
     cfg = chunker.config
     needed = dict.fromkeys(s for rep in cfg.representations for s in _streams_for(rep))
     for scheme in needed:
         if scheme not in chunker.streams:
             raise ConfigError(f"no model for configured representation {scheme.value}")
-    return {scheme: chunker.streams[scheme].tag_corpus(sentences) for scheme in needed}
+    corpus = CodedCorpus.of(sentences)
+    return {scheme: chunker.streams[scheme].tag_corpus(corpus) for scheme in needed}
 
 
 def _balance(cfg: PipelineConfig, opens, closes) -> list[ChunkSpan]:
@@ -353,6 +372,7 @@ def train_typed_chunker(
     config = config or PipelineConfig()
     learner_config = learner_config or LearnerConfig()
     gold = [sorted(g) for g in gold]
+    sentences = CodedCorpus.of(sentences)  # every strategy's chunkers read it
 
     if strategy is TypeStrategy.SINGLE_PHASE:
         cfg = replace(config, typed=True)
@@ -382,6 +402,7 @@ def train_typed_chunker(
 
 def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
     """Typed chunk spans per sentence, per the chunker's strategy."""
+    sentences = CodedCorpus.of(sentences)  # every strategy's chunkers read it
     if isinstance(chunker, SinglePhaseChunker):
         return chunk_np(sentences, chunker.chunker)
 
@@ -450,8 +471,9 @@ class ClauseBracketer:
     close_template: FeatureTemplate = CLAUSE_CLOSE_TEMPLATE
 
     def predict_opens(self, sentences: Sequence[Sentence]) -> list[list[int]]:
+        corpus = CodedCorpus.of(sentences)
         per_model = [
-            tag_sentences(model, template, sentences)
+            tag_sentences(model, template, corpus)
             for model, template in zip(self.open_models, self.open_templates)
         ]
         return [
@@ -475,13 +497,14 @@ def train_clause_bracketer(
 ) -> ClauseBracketer:
     learner_config = learner_config or LearnerConfig()
 
+    corpus = CodedCorpus.of(sentences)
     open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
-    open_tags = [
+    open_tags = _coded_tags(corpus, [
         ["(" if i in opens else "." for i in range(len(s))]
-        for s, opens in zip(sentences, open_sets)
-    ]
+        for s, opens in zip(corpus, open_sets)
+    ])
     open_models = tuple(
-        train_tagger(template, sentences, open_tags, learner_config)
+        _train_rows(extract(template, corpus)[0], open_tags, learner_config)
         for template in CLAUSE_OPEN_TEMPLATES
     )
 
@@ -682,11 +705,12 @@ def train_bracket_level(
             ctags[orig2cur[sp.end]] = f")-{sp.type}" if typed else ")"
         open_tags.append(otags)
         close_tags.append(ctags)
-    columns, bounds = extract(template, [tokens for tokens, _ in views])  # shared by both models
+    sentences = [tokens for tokens, _ in views]
+    columns, _ = extract(template, sentences)  # shared by both models
     return BracketLevel(
         template=template,
-        open_model=_train_rows(columns, bounds, open_tags, learner_config),
-        close_model=_train_rows(columns, bounds, close_tags, learner_config),
+        open_model=_train_rows(columns, _coded_tags(sentences, open_tags), learner_config),
+        close_model=_train_rows(columns, _coded_tags(sentences, close_tags), learner_config),
         default_type=default_type,
     )
 

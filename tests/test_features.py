@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mbparse.errors import DomainError
 from mbparse.features import (
+    CodedCorpus,
     FeatureTemplate,
     Token,
     compress_mapped,
@@ -170,6 +171,44 @@ def test_extract_matches_extract_token(data):
     for column, expected in zip(columns.columns, base.columns):
         assert column.dtype == np.int32 and column.ndim == 1 and column.flags.c_contiguous
         assert np.array_equal(column, expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_templates_over_one_coded_corpus_match_fresh_extractions(data):
+    token = st.builds(Token, SYMBOLS, SYMBOLS, st.none() | SYMBOLS)
+    # empty sentences mixed in, first and last too
+    sentences = data.draw(st.lists(st.lists(token, max_size=6), max_size=6))
+    corpus = CodedCorpus(sentences)
+    assert len(corpus) == len(sentences) and list(corpus) == sentences
+    templates = [FeatureTemplate.from_atoms(data.draw(ATOMS)) for _ in range(4)]
+    seen = {}  # (channel, offset) -> the shared (code table, column)
+    for template in templates:
+        context = None
+        if data.draw(st.booleans()):
+            context = [
+                data.draw(st.lists(st.none() | SYMBOLS, min_size=len(s), max_size=len(s)))
+                for s in sentences
+            ]
+        columns, bounds = extract(template, corpus, context)
+        fresh, fresh_bounds = extract(template, sentences, context)
+        rows, expected_bounds = extract_per_token(template, sentences, context)
+        assert decoded_rows(columns) == rows
+        assert bounds == fresh_bounds == expected_bounds
+        assert len(columns) == len(fresh) and columns.codes == fresh.codes
+        atoms = [("w", o) for o in template.words] + [("p", o) for o in template.pos]
+        atoms += [("c", o) for o in template.chunks]
+        for atom, table, column, expected in zip(
+            atoms, columns.codes, columns.columns, fresh.columns
+        ):
+            assert column.dtype == np.int32 and column.ndim == 1
+            assert not column.flags.writeable
+            assert np.array_equal(column, expected)
+            if atom[0] == "c" and context is not None:
+                continue  # a context channel is coded on every call
+            if atom in seen:
+                assert seen[atom][0] is table and seen[atom][1] is column
+            seen[atom] = table, column
 
 
 class TestNpHead:

@@ -127,6 +127,21 @@ def test_k_beyond_distinct_distances_and_single_instance():
     assert_same_as_dense(model, [("a", "b"), ("c", "c")])
 
 
+def test_top_rank_is_a_real_distance_beyond_k():
+    # weights 1, 2, 4, ... give all 2**16 subsets distinct sums, so the
+    # distance of a row that mismatches every feature has rank 65535, the
+    # value that also marks a row out of distances
+    arity = 16
+    weights = [float(2**i) for i in range(arity)]
+    rows = [tuple("a" * arity), tuple("b" * arity), tuple("a" * 15 + "b"), tuple("b" * 15 + "a")]
+    model = make_model(rows, ["X", "Y", "Y", "Z"], weights, k=9)
+    assert model._index.ranks.max() == np.iinfo(np.uint16).max
+    queries = [tuple("a" * arity), tuple("b" * arity), tuple("c" * arity), tuple("ab" * 8)]
+    assert_same_as_dense(model, queries)
+    for k in (1, 2, 3, 4, 5):
+        assert_same_as_dense(make_model(rows, ["X", "Y", "Y", "Z"], weights, k=k), queries)
+
+
 def test_features_past_the_table_match_dense_kernel():
     rng = np.random.default_rng(3)
     arity = 26  # MAX_OFFSET allows 26 features; the table codes 16

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mbparse import bundles, learner, pipeline
+from mbparse import bundles, features, learner, pipeline
 from mbparse.combine import majority_vote
 from mbparse.corpus import encode_bracket_column, encode_clause_column
 from mbparse.errors import ConfigError, DomainError
 from mbparse.evaluate import score
-from mbparse.features import Token, parse_template
+from mbparse.features import CodedCorpus, Token, parse_template
 from mbparse.folds import (
     LeakMode,
     assert_leak_free,
@@ -495,6 +495,87 @@ def trained_levels():
         batch.insert(1, ([], None, len(batch)))  # an empty sentence
         out.append((lm, batch))
     return out
+
+
+def model_columns(model, template):
+    """Each feature column of a template model, keyed by its (channel, offset)."""
+    atoms = [("w", o) for o in template.words] + [("p", o) for o in template.pos]
+    atoms += [("c", o) for o in template.chunks]
+    return dict(zip(atoms, model.instances.columns))
+
+
+class TestOneCodedCorpus:
+    def channel_codings(self, monkeypatch):
+        """Record the cells of every channel that ``features`` codes."""
+        coded = []
+        code_channel = features._code_channel
+
+        def recording(cells):
+            coded.append(cells)
+            return code_channel(cells)
+
+        monkeypatch.setattr(features, "_code_channel", recording)
+        return coded
+
+    @staticmethod
+    def assert_words_and_pos_coded_once(coded, sentences):
+        words, pos = (CodedCorpus(sentences).cells(c) for c in "wp")
+        assert coded.count(words) == 1 and coded.count(pos) == 1
+
+    def test_train_chunker_codes_each_channel_and_labels_once(self, monkeypatch):
+        sentences, gold = np_chunk_corpus(30, seed=21)
+        coded = self.channel_codings(monkeypatch)
+        chunker = train_chunker(sentences, gold)
+        streams = chunker.streams.values()
+        with_context = sum(1 for st in streams if st.pass2_model is not None)
+        assert with_context == 4
+        self.assert_words_and_pos_coded_once(coded, sentences)
+        assert len(coded) == 2 + with_context  # each pass-2 context, once
+        shared = {}
+        for st in streams:
+            # each scheme's tags are coded once, for both passes
+            assert st.pass2_model.instances.label_codes is st.pass1_model.instances.label_codes
+            assert not st.pass1_model.instances.label_codes.flags.writeable
+            for model, template in (
+                (st.pass1_model, st.pass1_template),
+                (st.pass2_model, st.pass2_template),
+            ):
+                for atom, column in model_columns(model, template).items():
+                    assert not column.flags.writeable
+                    if atom[0] != "c":
+                        assert shared.setdefault(atom, column) is column
+        assert len(shared) == 18  # w[-4..4] and p[-4..4]
+
+        test = np_chunk_corpus(10, seed=22)[0]
+        coded.clear()
+        chunk_np(test, chunker)
+        self.assert_words_and_pos_coded_once(coded, test)
+        assert len(coded) == 2 + with_context
+
+    @pytest.mark.parametrize("strategy", list(TypeStrategy))
+    def test_typed_chunking_codes_words_and_pos_once(self, strategy, monkeypatch):
+        sentences, gold = typed_chunk_corpus(30, seed=23)
+        test = typed_chunk_corpus(8, seed=24)[0]
+        coded = self.channel_codings(monkeypatch)
+        chunker = train_typed_chunker(sentences, gold, strategy)
+        self.assert_words_and_pos_coded_once(coded, sentences)
+        coded.clear()
+        chunk_typed(test, chunker)
+        self.assert_words_and_pos_coded_once(coded, test)
+
+    def test_clause_open_templates_share_columns_and_labels(self, monkeypatch):
+        sentences, _, forests = clause_corpus(30, seed=25)
+        coded = self.channel_codings(monkeypatch)
+        bracketer = train_clause_bracketer(sentences, forests)
+        assert len(coded) == 3 + 2  # w, p, c once; the close view's w, p
+        shared = {}
+        for model, template in zip(bracketer.open_models, bracketer.open_templates):
+            assert model.instances.label_codes is bracketer.open_models[0].instances.label_codes
+            for atom, column in model_columns(model, template).items():
+                assert shared.setdefault(atom, column) is column
+        coded.clear()
+        bracketer.predict_opens(sentences)
+        assert len(coded) == 3
 
 
 class TestBracketLevel:
