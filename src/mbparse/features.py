@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .learner import PAD, FeatureColumns, code_column
+from .learner import PAD, FeatureColumns, code_column, code_dtype
 from .schemes import ChunkSpan
 
 # Widest window offset any template may use.
@@ -140,14 +140,15 @@ def _code_channel(cells: list[str]) -> tuple[list[str], np.ndarray]:
 
 def _recode(symbols: list[str], stream: np.ndarray, positions, rows):
     """The channel's codes at ``positions``, recoded in order of first
-    occurrence down the rows, and the table of those codes."""
+    occurrence down the rows and kept in the ``code_dtype`` of their
+    table, and that table."""
     column = stream[positions]
     first = np.full(len(symbols), len(rows))
     np.minimum.at(first, column, rows)
     found = np.flatnonzero(first < len(rows))
     found = found[np.argsort(first[found])]  # in order of first occurrence
-    recode = np.empty(len(symbols), dtype=np.int32)
-    recode[found] = np.arange(len(found), dtype=np.int32)
+    recode = np.empty(len(symbols), dtype=code_dtype(len(found)))
+    recode[found] = np.arange(len(found))
     return {symbols[v]: code for code, v in enumerate(found.tolist())}, _read_only(recode[column])
 
 

@@ -7,7 +7,7 @@ instances falling in the k nearest *distinct* distance values.
 
 A model keeps its instances integer-coded column by column, its classes
 too, from the moment it is trained or loaded (``InstanceBase``): one 1-D
-int32 array per feature, which the models built from one coded corpus
+code array per feature, which the models built from one coded corpus
 (``features.CodedCorpus``) or loaded from one bundle share rather than copy.  Training takes an
 ``InstanceBase`` as it is, or codes a sequence of ``Instance`` once,
 checking their arity on the way; the gain-ratio weights are tabulated from
@@ -32,19 +32,25 @@ code range and the class counts, and codes nothing again.  The whole file
 is never in memory, and the models of one load share each symbol table,
 code column and label array.
 
-The query kernel codes which of the first 16 weighted features mismatch as
-one uint16 per (query, instance) pair, a byte at a time.  A table holds
-every subset's weight sum, built in feature order so that each entry is the
-left-to-right sum a plain loop over the features would make.  When no
-weighted feature falls past the table, the kernel gathers each pair's rank
-among the table's distinct rounded distances, a uint16, and selects on
-ranks; otherwise it gathers float64 distances, adds the further features
-one column at a time and rounds.  The k nearest distinct distances are
-found by k row-minimum passes instead of a sort (on ranks, a pass takes
-the plain minimum of the ranks minus one more than the last one found,
-which wraps the ranks already passed to the top of uint16), and the votes
-are one exact matrix product of the in-range mask with the labels' one-hot
-matrix; the kernel yields each block's winning label ids and vote counts.
+Codes are as narrow as their tables allow (``code_dtype``): uint8 up to
+255 symbols, uint16 up to 65,535, int32 past that, in memory; a saved model
+stores them as int32.  Queries are coded per feature in the column's dtype,
+a value the table lacks as the table size, so every compare is like with
+like.  The query kernel codes which of the first 18 weighted features
+mismatch as one integer per (query, instance) pair, a byte at a time: a
+uint16 up to 16 features, a uint32 past that.  A table holds every subset's
+weight sum, built in feature order so that each entry is the left-to-right
+sum a plain loop over the features would make.  When no weighted feature
+falls past the table, the kernel gathers each pair's rank among the table's
+distinct rounded distances, in the code's dtype, and selects on ranks;
+otherwise (19 or more weighted features) it gathers float64 distances, adds
+the further features one column at a time and rounds.  The k nearest
+distinct distances are found by k row-minimum passes instead of a sort (on
+ranks, a pass takes the plain minimum of the ranks minus one more than the
+last one found, which wraps the ranks already passed to the top of the
+dtype), and the votes are one exact matrix product of the in-range mask
+with the labels' one-hot matrix; the kernel yields each block's winning
+label ids and vote counts.
 Queries run in blocks whose scratch arrays fit a 2 MiB budget, about the
 size of a core's L2 cache.
 """
@@ -72,16 +78,22 @@ DEGENERATE_WEIGHT_EPS = 1e-12
 # Distances equal after rounding to this many decimals share a distance set.
 _DISTANCE_DECIMALS = 9
 
-# Weighted features whose mismatches are coded into one uint16 per pair and
-# summed by table lookup; any further weighted feature is added column-wise.
-_TABLE_FEATURES = 16
+# Weighted features whose mismatches are coded into one integer per pair (a
+# uint16 up to 16 of them, a uint32 past that) and summed by table lookup;
+# any further weighted feature is added column-wise.  On a 2-core Xeon, the
+# index of 18 features builds in about 16 ms (mostly the sort of its 2**18
+# entries) and saves about 80 us per query against 5,000 instances over the
+# column-wise path; at 19 the build takes about 60 ms and pays off only
+# after about 1,200 such queries.
+_TABLE_FEATURES = 18
 
 # Most scratch bytes the kernel holds at once per (query, instance) pair of a
-# block: the bool mismatch mask, the uint16 code, and np.take's intp copy of
-# the code with the uint16 ranks it gathers.  Building the code (mask, code
-# and one uint8 byte of bits: 1 + 2 + 1), the float64 distances of the other
-# path (1 + 2 + 8) and the float32 copy of the vote mask (1 + 4) take less.
-_PAIR_SCRATCH_BYTES = 1 + 2 + 8 + 2
+# block: the bool mismatch mask, the code (up to a uint32), and np.take's intp
+# copy of the code with the ranks it gathers, the code's dtype.  Building the
+# code (mask, code and one uint8 byte of bits: 1 + 4 + 1), the float64
+# distances of the other path (1 + 4 + 8) and the float32 copy of the vote
+# mask (1 + 4) take less.
+_PAIR_SCRATCH_BYTES = 1 + 4 + 8 + 4
 
 # Scratch memory one block of queries may take, about a core's L2 cache: the
 # kernel streams over its block several times per feature.  A block holds as
@@ -138,10 +150,23 @@ def _entropy(counts, total) -> float:
     return h
 
 
+def code_dtype(symbols: int) -> np.dtype:
+    """The narrowest of uint8, uint16 and int32 that holds every code
+    0 .. ``symbols`` of a table of that many symbols: the table size itself
+    is the code of a value the table lacks, which no stored code equals."""
+    if symbols < 2**8:
+        return np.dtype(np.uint8)
+    if symbols < 2**16:
+        return np.dtype(np.uint16)
+    return np.dtype(np.int32)
+
+
 def code_column(column: Sequence[str]) -> tuple[dict[str, int], np.ndarray]:
-    """A column's symbols, coded in order of first occurrence, and its codes."""
+    """A column's symbols, coded in order of first occurrence, and its codes
+    in the ``code_dtype`` of the table."""
     table = {v: code for code, v in enumerate(dict.fromkeys(column))}
-    return table, np.fromiter(map(table.__getitem__, column), np.int32, len(column))
+    codes = np.fromiter(map(table.__getitem__, column), code_dtype(len(table)), len(column))
+    return table, codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +175,9 @@ class FeatureColumns:
 
     ``codes[i]`` maps each value of feature i to its code, numbered in order
     of first occurrence down the column and kept in code order;
-    ``columns[i]`` holds every row's code of feature i, a 1-D int32 array.
+    ``columns[i]`` holds every row's code of feature i, a 1-D array in the
+    ``code_dtype`` of its table (uint8, uint16 or int32; a saved model
+    stores every column as int32).
     Tables built from one coded corpus or one bundle load share each column
     array they have in common.  ``rows`` counts the rows, which a table
     without features has too.
@@ -172,7 +199,7 @@ class FeatureColumns:
 class InstanceBase(FeatureColumns):
     """Training instances: coded feature columns plus every row's class,
     coded the same way: ``classes`` maps each class to its code and
-    ``label_codes`` holds each row's, int32."""
+    ``label_codes`` holds each row's, in the ``code_dtype`` of ``classes``."""
 
     classes: dict[str, int]
     label_codes: np.ndarray
@@ -288,11 +315,12 @@ class Model:
 class _ModelIndex:
     """What the distance kernel derives from a model's weights and labels."""
 
-    def __init__(self, head, table, tail, ranks, labels_in_pref, onehot):
+    def __init__(self, head, code_dtype, table, tail, ranks, labels_in_pref, onehot):
         self.head = head                # features coded into the mismatch table
-        self.table = table              # 2**len(head) float64 distances by code
+        self.code_dtype = code_dtype    # uint16 mismatch codes, uint32 past 16
+        self.table = table              # float64 distance by code; None on ranks
         self.tail = tail                # (feature, weight) added past the table
-        self.ranks = ranks              # uint16 rank of each rounded table entry
+        self.ranks = ranks              # code_dtype rank of each rounded entry
         self.labels_in_pref = labels_in_pref  # labels, tie-preference order
         self.onehot = onehot            # n x n_labels 0/1 float vote matrix
 
@@ -302,17 +330,16 @@ class _ModelIndex:
         weights = model.weight_table.weights
         weighted = [i for i, w in enumerate(weights) if w != 0.0]
         head = weighted[:_TABLE_FEATURES]
-        # bit j of a code is head feature j, so doubling in feature order
-        # sums every subset's weights left to right
-        table = np.zeros(1)
-        for i in head:
-            table = np.concatenate([table, table + weights[i]])
+        code_dtype = np.dtype(np.uint16 if len(head) <= 16 else np.uint32)
+        # bit j of a code is head feature j, so each doubling in feature
+        # order sums every subset's weights left to right
+        table = np.zeros(2 ** len(head))
+        for j, i in enumerate(head):
+            np.add(table[: 2**j], weights[i], out=table[2**j : 2 ** (j + 1)])
         tail = [(i, weights[i]) for i in weighted[_TABLE_FEATURES:]]
-        # equal rounded distances share a rank, and ranks keep their order
         ranks = None
         if not tail:
-            rounded = np.round(table, _DISTANCE_DECIMALS)
-            ranks = np.unique(rounded, return_inverse=True)[1].astype(np.uint16)
+            ranks, table = _ranks(table, code_dtype), None
 
         if model.config.tie_policy is TiePolicy.GLOBAL_CLASS_FREQUENCY:
             pref = sorted(
@@ -328,24 +355,44 @@ class _ModelIndex:
         onehot = np.zeros((n, len(pref)), dtype=dtype)
         pos = np.array([label_pos[c] for c in base.classes], dtype=np.intp)
         onehot[np.arange(n), pos[base.label_codes]] = 1
-        return _ModelIndex(head, table, tail, ranks, pref, onehot)
+        return _ModelIndex(head, code_dtype, table, tail, ranks, pref, onehot)
+
+
+def _ranks(table: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Each entry's rank among the table's distinct rounded values, in
+    ``dtype``, rounding ``table`` in place: equal rounded distances share a
+    rank, and ranks keep their order.  One sort and a running count of the
+    changes along it give what ``np.unique``'s inverse would."""
+    np.round(table, _DISTANCE_DECIMALS, out=table)
+    order = np.argsort(table)
+    ascending = table[order]
+    changes = np.zeros(len(table), dtype)
+    np.cumsum(ascending[1:] != ascending[:-1], dtype=dtype, out=changes[1:])
+    del ascending
+    ranks = np.empty(len(table), dtype)
+    ranks[order] = changes
+    return ranks
 
 
 def _encode_queries(
     base: FeatureColumns, queries: Sequence[Sequence[str]] | FeatureColumns
-) -> np.ndarray:
-    """Queries in the codes of ``base``, one row each; a value unseen there
-    is -1, which matches nothing.  Coded columns are translated one distinct
-    value at a time."""
-    q = np.full((len(queries), base.arity), -1, dtype=np.int32)
+) -> list[np.ndarray]:
+    """Queries in the codes of ``base``: one array per feature, in that
+    column's dtype, so that the kernel compares like with like.  A value
+    unseen there codes as the size of the feature's table, which no stored
+    code equals.  Coded columns are translated one distinct value at a
+    time."""
     if isinstance(queries, FeatureColumns):
-        for i, (own, table) in enumerate(zip(queries.codes, base.codes)):
-            lookup = [table.get(v, -1) for v in own]
-            q[:, i] = np.array(lookup, dtype=np.int32)[queries.columns[i]]
-        return q
-    for i, (column, table) in enumerate(zip(zip(*queries), base.codes)):
-        q[:, i] = [table.get(v, -1) for v in column]
-    return q
+        return [
+            np.fromiter((table.get(v, len(table)) for v in own), column.dtype, len(own))[codes]
+            for own, codes, table, column in zip(
+                queries.codes, queries.columns, base.codes, base.columns
+            )
+        ]
+    return [
+        np.fromiter((table.get(v, len(table)) for v in values), column.dtype, len(values))
+        for values, table, column in zip(zip(*queries), base.codes, base.columns)
+    ]
 
 
 def train(
@@ -378,7 +425,7 @@ def _check_arity(model: Model, arity: int, index: int):
         )
 
 
-def _encode(model: Model, queries) -> np.ndarray | None:
+def _encode(model: Model, queries) -> list[np.ndarray] | None:
     """Checked queries coded against the model, or None when there are none."""
     if isinstance(queries, FeatureColumns):
         if len(queries):
@@ -391,7 +438,7 @@ def _encode(model: Model, queries) -> np.ndarray | None:
     return _encode_queries(model.instances, queries)
 
 
-def _batch_winner_ids(model: Model, encoded: np.ndarray):
+def _batch_winner_ids(model: Model, encoded: list[np.ndarray]):
     """Vectorized nearest-distance-set majority vote.
 
     Yields (winner ids, vote count matrix) per block of queries, the vote
@@ -402,28 +449,36 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray):
     k = model.config.k
     columns = model.instances.columns
     n = len(model.instances)
+    # the head's bytes, high byte first
+    head_bytes = [idx.head[j : j + 8] for j in range(0, len(idx.head), 8)][::-1]
     block = max(1, _SCRATCH_BUDGET // (_PAIR_SCRATCH_BYTES * n))
-    for lo in range(0, encoded.shape[0], block):
-        q = encoded[lo : lo + block]
-        ne = np.empty((q.shape[0], n), dtype=bool)
-        # mismatch code, one byte of head features at a time, high byte
-        # first: bits = 2 * bits + mismatch stays in uint8 with no casting
-        code = np.zeros((q.shape[0], n), dtype=np.uint16)
-        bits = np.empty((q.shape[0], n), dtype=np.uint8)
-        for byte in (idx.head[8:], idx.head[:8]):
-            bits.fill(0)
-            for i in reversed(byte):
-                np.not_equal(q[:, i, None], columns[i], out=ne)
+    for lo in range(0, len(encoded[0]), block):
+        q = [column[lo : lo + block, None] for column in encoded]
+        b = len(q[0])
+        ne = np.empty((b, n), dtype=bool)
+        # mismatch code, one byte of head features at a time: the byte's
+        # top feature goes in as 0/1, then bits = 2 * bits + mismatch stays
+        # in uint8 with no casting
+        code = np.zeros((b, n), dtype=idx.code_dtype)
+        bits = np.empty((b, n), dtype=np.uint8)
+        for j, byte in enumerate(head_bytes):
+            top, *rest = reversed(byte)
+            np.not_equal(q[top], columns[top], out=bits.view(bool))
+            for i in rest:
+                np.not_equal(q[i], columns[i], out=ne)
                 np.add(bits, bits, out=bits)
                 np.add(bits, ne.view(np.uint8), out=bits)
-            np.left_shift(code, 8, out=code)
-            np.bitwise_or(code, bits, out=code)
+            if j:
+                np.left_shift(code, 8, out=code)
+                np.bitwise_or(code, bits, out=code)
+            else:
+                np.copyto(code, bits)
         del bits
         if idx.ranks is None:
             dist = idx.table[code]
             del code
             for i, w in idx.tail:
-                np.not_equal(q[:, i, None], columns[i], out=ne)
+                np.not_equal(q[i], columns[i], out=ne)
                 np.add(dist, w, out=dist, where=ne)
             np.round(dist, _DISTANCE_DECIMALS, out=dist)
             top = np.inf
@@ -431,7 +486,8 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray):
             # np.take is faster than indexing; no code exceeds the table, so
             # clipping only skips the bounds check
             dist = np.take(idx.ranks, code, mode="clip")
-            top = np.iinfo(np.uint16).max  # code stays, as scratch below
+            top = np.iinfo(code.dtype).max  # code stays, as scratch below
+            one = code.dtype.type(1)
         # k-th smallest distinct distance; the top value once a row runs out
         # of them, which admits the same instances as its largest would
         threshold = dist.min(axis=1)
@@ -440,13 +496,13 @@ def _batch_winner_ids(model: Model, encoded: np.ndarray):
                 np.greater(dist, threshold[:, None], out=ne)
                 threshold = dist.min(axis=1, initial=top, where=ne)
             else:
-                # rank - (threshold + 1) in uint16 maps the ranks above the
-                # threshold to 0 .. 65534 - threshold and wraps the others
+                # rank - (threshold + 1), unsigned, maps the ranks above the
+                # threshold to 0 .. top - 1 - threshold and wraps the others
                 # past them, so a plain minimum finds the next rank; a row
                 # at the top stays there
-                np.subtract(dist, threshold[:, None] + np.uint16(1), out=code)
-                above = code.min(axis=1) + threshold.astype(np.int32) + 1
-                threshold = np.minimum(above, top).astype(np.uint16)
+                np.subtract(dist, threshold[:, None] + one, out=code)
+                above = code.min(axis=1) + threshold.astype(np.int64) + 1
+                threshold = np.minimum(above, top).astype(code.dtype)
             if threshold.min() == top:  # every row is out of distances
                 break
         code = None  # the rank path's scratch
@@ -495,20 +551,20 @@ def _symbol_array(table: Mapping[str, int]) -> np.ndarray:
 
 class ArrayFile:
     """The arrays of one save, bound for one 1-D little-endian int32 ``.npy``
-    file: each distinct one once, in the order first put.  It holds the
-    arrays it is given, not copies, until it writes them."""
+    file: each distinct one once, in the order first put, equal values being
+    the same array whatever their dtype.  It holds the arrays it is given,
+    not copies, until it writes them as int32 one at a time."""
 
     def __init__(self, name: str):
         self.name = name
         self.arrays: list[np.ndarray] = []  # each distinct array, in file order
-        # hash of an array's bytes -> (array, offset) of each put with it
+        # hash of an array's int32 bytes -> (array, offset) of each put with it
         self.found: dict[int, list[tuple[np.ndarray, int]]] = {}
         self.size = 0
 
     def put(self, array: np.ndarray) -> str:
         """Where the array's values lie in the file, as ``offset,length``."""
-        array = np.ascontiguousarray(array, _INT32)
-        same = self.found.setdefault(hash(array.tobytes()), [])
+        same = self.found.setdefault(hash(np.asarray(array, _INT32).tobytes()), [])
         for stored, offset in same:
             if np.array_equal(stored, array):
                 break
@@ -523,7 +579,8 @@ class ArrayFile:
         header = {"descr": _INT32.str, "fortran_order": False, "shape": (self.size,)}
         with open(os.path.join(directory, self.name), "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, header)
-            fh.writelines(self.arrays)
+            for array in self.arrays:
+                fh.write(np.ascontiguousarray(array, _INT32))
 
 
 def save_model(model: Model, path, arrays: ArrayFile | None = None) -> None:
@@ -635,7 +692,8 @@ def _symbols(path, span: str, arrays: str, cache: dict) -> dict[str, int]:
 def _column(path, entry: str, arrays: str, cache: dict) -> tuple[dict[str, int], np.ndarray]:
     """The symbol table and codes that a ``codes:symbols`` entry of the
     header in ``path`` names, read and each code checked against the table
-    once per cache: every model of a load that names the entry shares both."""
+    once per cache: every model of a load that names the entry shares both.
+    The codes are checked as int32 and kept in the table's ``code_dtype``."""
     if (arrays, entry) not in cache:
         codes, _, symbols = entry.partition(":")
         position, count = _span(path, codes, arrays, cache)
@@ -645,7 +703,7 @@ def _column(path, entry: str, arrays: str, cache: dict) -> tuple[dict[str, int],
             raise DomainError(
                 f"{arrays}: column {entry} holds a code out of range of its symbol table"
             )
-        cache[arrays, entry] = table, column
+        cache[arrays, entry] = table, column.astype(code_dtype(len(table)), copy=False)
     return cache[arrays, entry]
 
 

@@ -23,6 +23,7 @@ from mbparse.learner import (
     InstanceBase,
     LearnerConfig,
     classify_labels,
+    code_dtype,
     train,
 )
 from mbparse.schemes import ChunkSpan
@@ -168,8 +169,9 @@ def test_extract_matches_extract_token(data):
     )
     assert [list(c.items()) for c in columns.codes] == [list(c.items()) for c in base.codes]
     assert len(columns) == len(base) and len(columns.columns) == len(base.columns)
-    for column, expected in zip(columns.columns, base.columns):
-        assert column.dtype == np.int32 and column.ndim == 1 and column.flags.c_contiguous
+    for table, column, expected in zip(columns.codes, columns.columns, base.columns):
+        assert column.dtype == code_dtype(len(table)) and column.ndim == 1
+        assert column.flags.c_contiguous
         assert np.array_equal(column, expected)
 
 
@@ -201,7 +203,7 @@ def test_templates_over_one_coded_corpus_match_fresh_extractions(data):
         for atom, table, column, expected in zip(
             atoms, columns.codes, columns.columns, fresh.columns
         ):
-            assert column.dtype == np.int32 and column.ndim == 1
+            assert column.dtype == code_dtype(len(table)) and column.ndim == 1
             assert not column.flags.writeable
             assert np.array_equal(column, expected)
             if atom[0] == "c" and context is not None:

@@ -15,7 +15,8 @@ number of representations).
 Targeted cases damage the bundle's one array file (a wrong dtype or shape,
 a code out of range, a pickled or missing file) or a header's slices of it
 and its name; each ends with exit status 1 and one ``error:`` line naming
-the file at fault.
+the file at fault.  A stored code equal to its table size, the code of an
+unseen query value, ends the same way at the uint8 and uint16 limits.
 """
 
 import contextlib
@@ -32,9 +33,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mbparse.bundles import load_chunker
 from mbparse.cli import main, run_command
 from mbparse.corpus import write_corpus
-from mbparse.schemes import Scheme, encode
+from mbparse.schemes import ChunkSpan, Scheme, encode
 from mbparse.synth import np_chunk_corpus
 
 CONFIG = """[run]
@@ -300,3 +302,39 @@ def test_damaged_header_entry_is_one_error_line_naming_the_file(originals, tmp_p
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert str(tmp_path / "model" / at_fault) in lines[0], lines
+
+
+@pytest.mark.parametrize("symbols", [255, 256])
+def test_code_equal_to_table_size_is_one_error_line(tmp_path, symbols):
+    # every word differs, so the w[0] column's table holds ``symbols`` words
+    # and its codes fill a uint8 (255) or just pass one (256); the table size
+    # is the code of an unseen query value, so a stored one must be refused
+    rows, lengths = [], [10] * (symbols // 10) + [symbols % 10]
+    for length in lengths:
+        spans = [ChunkSpan(a, b, "NP") for a, b in ((0, 1), (3, 5), (7, 8)) if b < length]
+        tags = encode(spans, Scheme.IOB1, length, typed=False)
+        rows.append([(f"w{len(rows)}.{i}", "DT NN VB".split()[i % 3], tag)
+                     for i, tag in enumerate(tags)])
+    write_corpus(rows, tmp_path / "train.txt", columns=("word", "pos", "chunk"))
+    write_corpus(rows[:2], tmp_path / "test.txt", columns=("word", "pos", "chunk"))
+    model = tmp_path / "model"
+    assert run_command(["train", "--task", "np-chunk", "--train", str(tmp_path / "train.txt"),
+                        "--model", str(model), "--workers", "1"]) == 0
+    arrays = np.load(model / "arrays.npy")
+    entries = (model / HEADER).read_text().split("\n")[8].split()[1:]
+    codes_at = [int(e.split(":")[0].split(",")[0]) for e in entries]
+    sizes = [int(arrays[int(e.split(":")[1].split(",")[0])]) for e in entries]
+    at = codes_at[sizes.index(symbols)]
+    column = load_chunker(model).streams[Scheme.IOB1].pass1_model.instances.columns[
+        sizes.index(symbols)
+    ]
+    assert column.dtype == (np.uint8 if symbols == 255 else np.uint16)
+    assert arrays[at] < symbols
+    arrays[at] = symbols
+    np.save(model / "arrays.npy", arrays)
+    code, lines = main_exit(["chunk", "--model", str(model), "--input", str(tmp_path / "test.txt"),
+                             "--output", str(tmp_path / "out.txt"), "--workers", "1"])
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert lines[0].endswith("holds a code out of range of its symbol table"), lines
+    assert not (tmp_path / "out.txt").exists()

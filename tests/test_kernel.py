@@ -144,13 +144,132 @@ def test_top_rank_is_a_real_distance_beyond_k():
 
 def test_features_past_the_table_match_dense_kernel():
     rng = np.random.default_rng(3)
-    arity = 26  # MAX_OFFSET allows 26 features; the table codes 16
+    arity = 26  # MAX_OFFSET allows 26 features; the table codes 18
     rows = rng.choice(list("abc"), size=(60, arity)).tolist()
     labels = rng.choice(list("XYZ"), size=60).tolist()
     weights = rng.choice([0.1, 0.2, 0.3, 0.7], size=arity).tolist()
     model = make_model(rows, labels, weights, k=3)
-    assert len(model._index.head) == 16 and len(model._index.tail) == 10
+    assert len(model._index.head) == learner._TABLE_FEATURES == 18
+    assert len(model._index.tail) == 8 and model._index.ranks is None
     queries = [tuple(q) for q in rng.choice(list("abcd"), size=(20, arity)).tolist()]
+    assert_same_as_dense(model, queries)
+
+
+# Weights whose sums depend on their order in the last bits, and tie often.
+ORDER_SENSITIVE = [0.1, 0.2, 0.3, 1 / 3]
+
+
+@pytest.mark.parametrize("arity", [17, 18])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 10**6])
+def test_wide_rank_path_matches_dense_kernel(arity, k):
+    rng = np.random.default_rng(arity)
+    rows = rng.choice(list("abc"), size=(80, arity)).tolist()
+    labels = rng.choice(list("XYZ"), size=80).tolist()
+    weights = rng.choice(ORDER_SENSITIVE, size=arity).tolist()
+    model = make_model(rows, labels, weights, k=k)
+    idx = model._index
+    assert len(idx.head) == arity and not idx.tail
+    assert idx.code_dtype == idx.ranks.dtype == np.uint32
+    queries = [tuple(q) for q in rng.choice(list("abcd"), size=(30, arity)).tolist()]
+    assert_same_as_dense(model, queries)
+
+
+@pytest.mark.parametrize("arity", [1, 8, 16, 17, 18])
+def test_ranks_equal_unique_inverse(arity):
+    rng = np.random.default_rng(arity)
+    weights = rng.choice(ORDER_SENSITIVE + [0.7, 2.5], size=arity).tolist()
+    model = make_model([tuple("a" * arity)], ["X"], weights)
+    table = np.zeros(1)
+    for w in weights:
+        table = np.concatenate([table, table + w])
+    inverse = np.unique(np.round(table, 9), return_inverse=True)[1]
+    ranks = model._index.ranks
+    assert ranks.dtype == (np.uint16 if arity <= 16 else np.uint32)
+    assert np.array_equal(ranks, inverse)
+
+
+def test_top_uint32_rank_meets_the_sentinel():
+    # weights 1, 2, 4, ... give all 2**17 subsets distinct sums: a row that
+    # mismatches every feature has rank 2**17 - 1, past what a uint16 holds,
+    # and a row out of distances is held at the top of uint32 beside it
+    arity = 17
+    weights = [float(2**i) for i in range(arity)]
+    rows = [tuple("a" * arity), tuple("b" * arity), tuple("a" * 16 + "b"), tuple("b" * 16 + "a")]
+    labels = ["X", "Y", "Y", "Z"]
+    model = make_model(rows, labels, weights, k=9)
+    ranks = model._index.ranks
+    assert ranks.dtype == np.uint32 and ranks.max() == 2**arity - 1
+    queries = [tuple("a" * arity), tuple("b" * arity), tuple("c" * arity), tuple("ab" * 8 + "a")]
+    assert_same_as_dense(model, queries)
+    for k in (1, 2, 3, 4, 5):
+        assert_same_as_dense(make_model(rows, labels, weights, k=k), queries)
+
+
+@pytest.mark.parametrize(
+    "symbols, dtype",
+    [(255, np.uint8), (256, np.uint16), (65_535, np.uint16), (65_536, np.int32)],
+)
+def test_code_width_boundaries_match_dense_kernel(symbols, dtype):
+    # feature 0 takes each of ``symbols`` values once; a query value it lacks
+    # codes as the table size, which must match no row (not row 0 either)
+    columns = [[str(v) for v in range(symbols)], ["abc"[v % 3] for v in range(symbols)]]
+    labels = ["XYZ"[v % 7 % 3] for v in range(symbols)]
+    model = Model(
+        instances=InstanceBase.from_columns(columns, labels),
+        weight_table=WeightTable((0.7, 0.3)),
+        config=LearnerConfig(k=2),
+        class_frequencies=dict(Counter(labels)),
+    )
+    column = model.instances.columns[0]
+    assert column.dtype == dtype and int(column.max()) == symbols - 1
+    queries = [("0", "a"), (str(symbols - 1), "b"), ("new", "a"), ("new", "d"), ("7", "d")]
+    coded = InstanceBase.from_columns(list(zip(*queries)), ["X"] * len(queries))
+    for encoded in (_encode_queries(model.instances, queries), _encode_queries(model.instances, coded)):
+        assert encoded[0].dtype == dtype and encoded[0].tolist()[2:4] == [symbols, symbols]
+    assert_same_as_dense(model, queries)
+    assert classify_labels(model, coded) == classify_labels(model, queries)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mixed_code_widths_match_dense_kernel(data):
+    """Narrow and wide columns in one model: uint8 columns of three symbols,
+    uint16 columns of one symbol per row, and some held as int32."""
+    n = data.draw(st.integers(256, 300), label="rows")
+    arity = data.draw(st.integers(1, 20), label="arity")
+    kinds = data.draw(
+        st.lists(st.sampled_from(["few", "distinct"]), min_size=arity, max_size=arity),
+        label="kinds",
+    )
+    widened = data.draw(st.lists(st.booleans(), min_size=arity, max_size=arity), label="int32")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    columns = [
+        rng.choice(list("abc"), n).tolist() if kind == "few" else rng.permutation(n).astype(str).tolist()
+        for kind in kinds
+    ]
+    coded = InstanceBase.from_columns(columns, rng.choice(list("XYZ"), n).tolist())
+    for kind, column in zip(kinds, coded.columns):
+        assert column.dtype == (np.uint8 if kind == "few" else np.uint16)
+    base = InstanceBase(
+        coded.codes,
+        tuple(c.astype(np.int32) if w else c for c, w in zip(coded.columns, widened)),
+        n,
+        coded.classes,
+        coded.label_codes,
+    )
+    labels = list(coded.classes)
+    weights = data.draw(st.lists(WEIGHTS, min_size=arity, max_size=arity), label="weights")
+    model = Model(
+        base,
+        WeightTable(tuple(weights)),
+        LearnerConfig(k=data.draw(st.integers(1, 6), label="k")),
+        dict(zip(labels, np.bincount(coded.label_codes, minlength=len(labels)).tolist())),
+    )
+    # stored values and values no row holds, "new" among them
+    queries = [
+        tuple(c[rng.integers(n)] if rng.random() < 0.8 else "new" for c in columns)
+        for _ in range(data.draw(st.integers(1, 12), label="queries"))
+    ]
     assert_same_as_dense(model, queries)
 
 
@@ -177,11 +296,13 @@ def test_block_boundaries_do_not_change_outputs(per_block, monkeypatch):
     assert labels == whole_labels and np.array_equal(votes, whole_votes)
 
 
-def test_block_scratch_stays_within_budget():
+@pytest.mark.parametrize("arity", [11, 17])
+def test_block_scratch_stays_within_budget(arity):
+    # 17 weighted features take the uint32 code and ranks
     n, n_queries = 20_000, 512
-    model, _ = random_model(n, 11, seed=9)
+    model, _ = random_model(n, arity, seed=9)
     rng = np.random.default_rng(10)
-    queries = [tuple(q) for q in rng.integers(0, 7, size=(n_queries, 11)).astype(str).tolist()]
+    queries = [tuple(q) for q in rng.integers(0, 7, size=(n_queries, arity)).astype(str).tolist()]
     model._index  # the index is built once per model, outside the budget
     per_block = learner._SCRATCH_BUDGET // (learner._PAIR_SCRATCH_BYTES * n)
     assert per_block < n_queries  # the budget splits this call into blocks

@@ -20,6 +20,7 @@ from mbparse.learner import (
     WeightTable,
     _encode_queries,
     classify,
+    code_dtype,
     classify_labels,
     gain_ratio_weights,
     load_model,
@@ -532,17 +533,18 @@ def test_any_symbol_survives_save_and_load(rows):
 
 
 def per_cell_index(instances, queries):
-    """Reference: integer-code one cell at a time, in row order."""
+    """Reference: integer-code one cell at a time, in row order; a query
+    value unseen in training codes as its feature's table size."""
     arity = len(instances[0].features)
     codes = [{} for _ in range(arity)]
-    matrix = np.empty((len(instances), arity), dtype=np.int32)
+    matrix = np.empty((len(instances), arity), dtype=np.int64)
     for r, inst in enumerate(instances):
         for i, v in enumerate(inst.features):
             matrix[r, i] = codes[i].setdefault(v, len(codes[i]))
-    encoded = np.full((len(queries), arity), -1, dtype=np.int32)
+    encoded = np.empty((len(queries), arity), dtype=np.int64)
     for r, query in enumerate(queries):
         for i, v in enumerate(query):
-            encoded[r, i] = codes[i].get(v, -1)
+            encoded[r, i] = codes[i].get(v, len(codes[i]))
     return codes, matrix, encoded
 
 
@@ -552,7 +554,7 @@ def test_index_matches_per_cell_coding(data):
     arity = data.draw(st.integers(1, 4))
     row = st.tuples(*[st.sampled_from("abcd") for _ in range(arity)])
     rows = data.draw(st.lists(row, min_size=1, max_size=30))
-    # "e" and "f" never occur in training, so they must code as -1
+    # "e" and "f" never occur in training, so they must code as the table size
     queries = data.draw(
         st.lists(st.tuples(*[st.sampled_from("abcdef") for _ in range(arity)]), max_size=10)
     )
@@ -561,15 +563,17 @@ def test_index_matches_per_cell_coding(data):
     codes, matrix, encoded = per_cell_index(instances, queries)
     assert [list(c.items()) for c in base.codes] == [list(c.items()) for c in codes]
     assert len(base) == len(matrix) and len(base.columns) == matrix.shape[1]
-    for column, expected in zip(base.columns, matrix.T):
-        assert column.dtype == expected.dtype and np.array_equal(column, expected)
-    got = _encode_queries(base, queries)
-    assert got.dtype == encoded.dtype and np.array_equal(got, encoded)
-    # coded queries translate to the same codes as their strings
-    if queries:
-        coded = InstanceBase.from_columns(list(zip(*queries)), ["X"] * len(queries))
-        got = _encode_queries(base, coded)
-        assert got.dtype == encoded.dtype and np.array_equal(got, encoded)
+    for column, table, expected in zip(base.columns, base.codes, matrix.T):
+        assert column.dtype == code_dtype(len(table)) and np.array_equal(column, expected)
+    if not queries:
+        return
+    # one array per feature, in its column's dtype, strings or coded columns
+    coded = InstanceBase.from_columns(list(zip(*queries)), ["X"] * len(queries))
+    for got in (_encode_queries(base, queries), _encode_queries(base, coded)):
+        assert len(got) == arity
+        for column, query_codes, expected in zip(base.columns, got, encoded.T):
+            assert query_codes.dtype == column.dtype and query_codes.ndim == 1
+            assert np.array_equal(query_codes, expected)
 
 
 def test_coded_queries_check_arity():
