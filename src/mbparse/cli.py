@@ -24,19 +24,18 @@ from .combine import (
     fit_weights,
     vote_sequence,
 )
+from . import corpus
 from .corpus import (
-    column_index,
-    decode_bracket_column,
+    bracket_spans,
     decode_clause_column,
     encode_bracket_column,
     encode_clause_column,
-    read_corpus,
-    to_tokens,
+    token_cells,
     write_corpus,
 )
 from .errors import ConfigError, CorpusError, DomainError
 from .evaluate import EvalConfig, bootstrap, format_report, report_lines, score
-from .features import CodedCorpus, format_template, parse_template, select_features
+from .features import CodedCorpus, CodedTags, format_template, parse_template, select_features
 from .learner import LearnerConfig, Model, TiePolicy, classify_labels, train as train_model
 from .pipeline import (
     PipelineConfig,
@@ -54,7 +53,7 @@ from .pipeline import (
     train_tagger,
     train_typed_chunker,
 )
-from .schemes import Scheme, decode, encode
+from .schemes import Scheme, SpanArrays, decode_tags, tag_codes
 from .xor import xor_experiment
 
 _TASKS = ("np-chunk", "typed-chunk", "clauses", "np-parse", "full-parse")
@@ -217,18 +216,41 @@ def _pipeline_config(cfg) -> PipelineConfig:
     return PipelineConfig(**kwargs)
 
 
+def _read_tokens(path, with_chunks: bool = False):
+    """A corpus file, and its tokens as a coded corpus."""
+    file, _ = corpus.read_corpus(path)
+    return file, CodedCorpus(lengths=file.lengths, cells=token_cells(file, with_chunks))
+
+
 def _read_spans(path, column: str, scheme: str):
-    sentences, columns = read_corpus(path)
-    idx = column_index(columns, column)
-    tokens = [to_tokens(s, columns, with_chunks=False) for s in sentences]
-    spans = []
-    for sent in sentences:
-        cells = [row[idx] for row in sent]
-        if column == "chunk":
-            spans.append(decode(cells, Scheme(scheme)))
-        else:
-            spans.append(decode_bracket_column(cells))
-    return tokens, spans
+    """A corpus file's tokens as a coded corpus, and the gold spans of its
+    ``column``: ``SpanArrays`` of a chunk column, one span list per sentence
+    of a bracket column."""
+    file, _ = corpus.read_corpus(path)
+    cells = file.column(column)
+    tokens = CodedCorpus(lengths=file.lengths, cells=token_cells(file))
+    if column == "chunk":
+        return tokens, decode_tags(cells, file.lengths, Scheme(scheme))
+    return tokens, bracket_spans(file, column)
+
+
+def _found_and_gold(args):
+    """The found and the gold spans of ``evaluate`` and ``bootstrap``, one
+    span list per sentence; the files' sentences must be of equal lengths."""
+    (found_tokens, found), (gold_tokens, gold) = (
+        _read_spans(path, args.column, args.scheme) for path in (args.found, args.gold)
+    )
+    for i, (m, n) in enumerate(zip(found_tokens.lengths, gold_tokens.lengths)):
+        if m != n:
+            raise DomainError(f"sentence {i + 1} has {m} tokens in the found file but {n} in gold")
+    return (found.lists(), gold.lists()) if args.column == "chunk" else (found, gold)
+
+
+def _sentence_rows(file, extra):
+    """Rows of each sentence of ``file``: its word and POS cells, then the
+    cells of each column of ``extra`` (token after token)."""
+    cells = list(zip(file.column("word"), file.column("pos"), *extra))
+    return [cells[a:b] for a, b in file.bounds]
 
 
 def _workers(args, cfg) -> int:
@@ -304,10 +326,12 @@ def _cmd_train(args, cfg) -> int:
         chunker = train_typed_chunker(sentences, gold, pcfg.type_strategy, pcfg, lcfg)
         bundles.save_typed_chunker(chunker, args.model)
     elif args.task == "clauses":
-        raw, columns = read_corpus(args.train)
-        clause_idx = column_index(columns, "clause")
-        sentences = [to_tokens(s, columns) for s in raw]
-        forests = [decode_clause_column([row[clause_idx] for row in s]) for s in raw]
+        file, sentences = _read_tokens(args.train, with_chunks=True)
+        cells = file.column("clause")
+        forests = [
+            decode_clause_column(cells[a:b], file.lines[a:b], file.path) for a, b in file.bounds
+        ]
+        del file, cells  # the columns the training does not read
         bracketer = train_clause_bracketer(sentences, forests, learner_config=lcfg)
         bundles.save_clause_bracketer(bracketer, args.model)
     elif args.task == "np-parse":
@@ -323,62 +347,46 @@ def _cmd_train(args, cfg) -> int:
 
 
 def _cmd_chunk(args, cfg, typed: bool) -> int:
-    raw, columns = read_corpus(args.input)
-    sentences = [to_tokens(s, columns, with_chunks=False) for s in raw]
+    file, sentences = _read_tokens(args.input)
     if typed:
         chunker = bundles.load_typed_chunker(args.model)
         spans = _map_blocks(chunk_typed, chunker, sentences, _workers(args, cfg))
     else:
         chunker = bundles.load_chunker(args.model)
         spans = _map_blocks(chunk_np, chunker, sentences, _workers(args, cfg))
-    scheme = Scheme(args.scheme)
-    out = []
-    for sent, found in zip(sentences, spans):
-        tags = encode(found, scheme, len(sent), typed=typed)
-        out.append([(t.word, t.pos, tag) for t, tag in zip(sent, tags)])
-    write_corpus(out, args.output, columns=("word", "pos", "chunk"))
+    table, codes = tag_codes(SpanArrays.of(spans, file.lengths), Scheme(args.scheme), typed)
+    tags = list(table)
+    rows = _sentence_rows(file, [[tags[c] for c in codes.tolist()]])
+    write_corpus(rows, args.output, columns=("word", "pos", "chunk"))
     return 0
 
 
 def _cmd_clauses(args, cfg) -> int:
-    raw, columns = read_corpus(args.input)
-    sentences = [to_tokens(s, columns) for s in raw]
+    file, sentences = _read_tokens(args.input, with_chunks=True)
     bracketer = bundles.load_clause_bracketer(args.model)
     forests = _map_blocks(identify_clauses, bracketer, sentences, _workers(args, cfg))
-    out = []
-    for sent, forest in zip(sentences, forests):
-        cells = encode_clause_column(forest, len(sent))
-        out.append(
-            [
-                (t.word, t.pos, t.chunk_tag or "O", c)
-                for t, c in zip(sent, cells)
-            ]
-        )
-    write_corpus(out, args.output, columns=("word", "pos", "chunk", "clause"))
+    chunks = [tag or "O" for tag in sentences.tags("c")]
+    cells = [c for f, n in zip(forests, file.lengths) for c in encode_clause_column(f, n)]
+    rows = _sentence_rows(file, [chunks, cells])
+    write_corpus(rows, args.output, columns=("word", "pos", "chunk", "clause"))
     return 0
 
 
 def _cmd_parse(args, cfg, full: bool) -> int:
-    raw, columns = read_corpus(args.input)
-    sentences = [to_tokens(s, columns, with_chunks=False) for s in raw]
+    file, sentences = _read_tokens(args.input)
     if full:
         parser = bundles.load_full_parser(args.model)
         spans = _map_blocks(parse_full, parser, sentences, _workers(args, cfg))
     else:
         parser = bundles.load_np_parser(args.model)
         spans = _map_blocks(parse_np, parser, sentences, _workers(args, cfg))
-    out = []
-    for sent, found in zip(sentences, spans):
-        cells = encode_bracket_column(found, len(sent))
-        out.append([(t.word, t.pos, c) for t, c in zip(sent, cells)])
-    write_corpus(out, args.output, columns=("word", "pos", "tree"))
+    cells = [c for found, n in zip(spans, file.lengths) for c in encode_bracket_column(found, n)]
+    write_corpus(_sentence_rows(file, [cells]), args.output, columns=("word", "pos", "tree"))
     return 0
 
 
 def _cmd_evaluate(args, cfg) -> int:
-    _, found = _read_spans(args.found, args.column, args.scheme)
-    _, gold = _read_spans(args.gold, args.column, args.scheme)
-    report = score(found, gold, _eval_config(cfg))
+    report = score(*_found_and_gold(args), _eval_config(cfg))
     if args.machine:
         for line in report_lines(report):
             print(line)
@@ -393,10 +401,8 @@ def _cmd_evaluate(args, cfg) -> int:
 
 
 def _cmd_bootstrap(args, cfg) -> int:
-    _, found = _read_spans(args.found, args.column, args.scheme)
-    _, gold = _read_spans(args.gold, args.column, args.scheme)
     econf = _eval_config(cfg, bootstrap_samples=args.samples, tail=args.tail, seed=args.seed)
-    rep = bootstrap(found, gold, econf)
+    rep = bootstrap(*_found_and_gold(args), econf)
     print(f"point F {rep.point:.2f}")
     print(f"mean {rep.mean:.2f} stddev {rep.stddev:.2f}")
     print(f"bounds [{rep.lower:.2f}, {rep.upper:.2f}] at tail {args.tail}")
@@ -414,7 +420,7 @@ def _cmd_select(args, cfg) -> int:
                           "are not supported")
     sentences, gold = _read_spans(args.train, "chunk", args.scheme)
     scheme = Scheme(args.scheme)
-    tags = [encode(g, scheme, len(s), typed=False) for s, g in zip(sentences, gold)]
+    gold = gold.lists()
     lcfg = _learner_config(cfg)
     econf = _eval_config(cfg)
     # each fold's sentence lists are coded once, for every candidate template
@@ -422,10 +428,12 @@ def _cmd_select(args, cfg) -> int:
     for f in range(folds):
         train_idx = [i for i in range(len(sentences)) if i % folds != f]
         test_idx = [i for i in range(len(sentences)) if i % folds == f]
+        train_corpus = sentences.take(train_idx)
+        train_spans = SpanArrays.of([gold[i] for i in train_idx], train_corpus.lengths)
         splits.append((
-            CodedCorpus([sentences[i] for i in train_idx]),
-            [tags[i] for i in train_idx],
-            CodedCorpus([sentences[i] for i in test_idx]),
+            train_corpus,
+            CodedTags(*tag_codes(train_spans, scheme, typed=False)),
+            sentences.take(test_idx),
             [gold[i] for i in test_idx],
         ))
 
@@ -436,7 +444,8 @@ def _cmd_select(args, cfg) -> int:
         for train_corpus, train_tags, test_corpus, test_gold in splits:
             model = train_tagger(template, train_corpus, train_tags, lcfg)
             found_tags = tag_sentences(model, template, test_corpus)
-            found = [decode(t, scheme) for t in found_tags]
+            found = [t for tags in found_tags for t in tags]
+            found = decode_tags(found, test_corpus.lengths, scheme).lists()
             total_f += score(found, test_gold, econf).f
         return total_f / folds
 
@@ -448,32 +457,27 @@ def _cmd_select(args, cfg) -> int:
 
 
 def _read_tag_column(path):
-    sentences, columns = read_corpus(path)
-    idx = column_index(columns, "chunk")
-    return [tuple(row[idx] for row in s) for s in sentences]
+    """A tag file, and its chunk column's cells."""
+    file, _ = corpus.read_corpus(path)
+    return file, file.column("chunk")
 
 
 def _cmd_combine(args, cfg) -> int:
     per_system = [_read_tag_column(p) for p in args.inputs]
-    lengths = [tuple(len(s) for s in sys_tags) for sys_tags in per_system]
-    if len(set(lengths)) != 1:
+    if len({tuple(file.lengths) for file, _ in per_system}) != 1:
         raise DomainError("input tag files are not aligned")
-    flat = [tuple(t for s in sys_tags for t in s) for sys_tags in per_system]
+    flat = tuple(tags for _, tags in per_system)
 
     tuning = None
     if args.method != CombineMethod.MAJORITY.value:
         if not args.tuning_inputs or not args.tuning_gold:
             raise DomainError(f"{args.method} needs --tuning-inputs and --tuning-gold")
-        tune_sys = [_read_tag_column(p) for p in args.tuning_inputs]
-        tune_gold = _read_tag_column(args.tuning_gold)
-        tuning = SystemOutputs(
-            systems=tuple(tuple(t for s in st for t in s) for st in tune_sys),
-            gold=tuple(t for s in tune_gold for t in s),
-        )
+        tune_sys = [_read_tag_column(p)[1] for p in args.tuning_inputs]
+        tuning = SystemOutputs(systems=tuple(tune_sys), gold=_read_tag_column(args.tuning_gold)[1])
 
     if args.method == "mbl":
         model = train_model(build_stacked_instances(tuning), _learner_config(cfg))
-        queries = SystemOutputs(systems=tuple(flat))
+        queries = SystemOutputs(systems=flat)
         voted = classify_labels(model, build_stacked_instances(queries))
     else:
         method = CombineMethod(args.method)
@@ -481,17 +485,12 @@ def _cmd_combine(args, cfg) -> int:
             weights = CombinerWeights(method=method)
         else:
             weights = fit_weights(tuning, method)
-        voted = vote_sequence(SystemOutputs(systems=tuple(flat)), weights, method)
+        voted = vote_sequence(SystemOutputs(systems=flat), weights, method)
 
-    # re-split to sentences, attach to the first input's tokens
-    sentences, columns = read_corpus(args.inputs[0])
-    out, pos = [], 0
-    for s in sentences:
-        rows = []
-        for row in s:
-            rows.append((row[0], row[1], voted[pos]))
-            pos += 1
-        out.append(rows)
+    # attach to the first input's first two columns, sentence by sentence
+    file = per_system[0][0]
+    cells = list(zip(file.cells[0], file.cells[1], voted))
+    out = [cells[a:b] for a, b in file.bounds]
     write_corpus(out, args.output, columns=("word", "pos", "chunk"))
     return 0
 

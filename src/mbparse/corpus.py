@@ -2,14 +2,21 @@
 
 Columns are tab- or space-separated.  Column roles (word, pos, chunk, clause,
 tree) come from an optional ``#columns:`` header line or from the caller.
-Bracket columns use the nested form "(S*", "*S)", "(NP(NP*" familiar from
-shared-task data.
+``read_corpus`` reads a file once into a ``ColumnFile``: each column's cells
+token after token, the sentence lengths and each token's line number; it
+makes no object per token.  Bracket columns use the nested form "(S*",
+"*S)", "(NP(NP*" familiar from shared-task data; a cell that does not parse
+is reported with its file and line.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from collections.abc import Sequence
+from itertools import compress, repeat
+from typing import Iterable
+
+import numpy as np
 
 from .errors import CorpusError, DomainError
 from .features import Token
@@ -20,11 +27,47 @@ DEFAULT_COLUMNS = ("word", "pos", "chunk")
 RawSentence = list[tuple[str, ...]]
 
 
-def read_corpus(path, columns: Sequence[str] | None = None):
-    """Parse a corpus file into sentences of column tuples.
+class ColumnFile(Sequence):
+    """A corpus file as read: each column's cells, token after token, each
+    sentence's token count and each token's line number in the file.
 
-    Returns (sentences, columns).  A ``#columns: word pos chunk`` header
-    declares roles; otherwise ``columns`` (or the default) applies.
+    It reads as its list of sentences, each a list of row tuples, built on
+    demand; the work itself reads the cells."""
+
+    def __init__(self, path, columns, cells, lengths: list[int], lines: np.ndarray):
+        self.path = path
+        self.columns = columns
+        self.cells = cells  # one list of cells per column of the file
+        self.lengths = lengths
+        ends = np.cumsum(lengths, dtype=np.intp).tolist()
+        self.bounds = list(zip([0] + ends[:-1], ends))  # each sentence's rows
+        self.lines = lines
+
+    def column(self, role: str) -> list[str]:
+        return self.cells[column_index(self.columns, role)]
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, index):
+        a, b = self.bounds[index]
+        return list(zip(*(column[a:b] for column in self.cells)))
+
+    def __eq__(self, other):
+        return isinstance(other, Sequence) and list(self) == list(other)
+
+    __hash__ = None
+
+
+def read_corpus(path, columns: Sequence[str] | None = None) -> tuple[ColumnFile, tuple[str, ...]]:
+    """Read a corpus file once into its columns' cells.
+
+    Returns (file, columns).  A ``#columns: word pos chunk`` header
+    declares roles; otherwise ``columns`` (or the default) applies.  Lines
+    break as ``str.splitlines`` breaks them, and a line of nothing but
+    whitespace ends a sentence.  Cells are split at tabs when the first row
+    holds one, else at runs of whitespace, and every row must have as many
+    as the first, at least one per declared role.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -40,37 +83,28 @@ def read_corpus(path, columns: Sequence[str] | None = None):
         columns = DEFAULT_COLUMNS
     columns = tuple(columns)
 
-    sep = None  # None splits on any whitespace
-    for line in lines[start:]:
-        if line.strip():
-            if "\t" in line:
-                sep = "\t"
-            break
-
-    sentences: list[RawSentence] = []
-    current: RawSentence = []
-    width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            if current:
-                sentences.append(current)
-                current = []
-            continue
-        fields = tuple(line.split(sep))
-        if width is None:
-            width = len(fields)
-            if width < len(columns):
-                raise CorpusError(
-                    f"{len(columns)} columns declared but rows have {width}", lineno
-                )
-        elif len(fields) != width:
-            raise CorpusError(
-                f"expected {width} columns, got {len(fields)}", lineno
-            )
-        current.append(fields)
-    if current:
-        sentences.append(current)
-    return sentences, columns
+    body = lines[start:]
+    filled = list(map(bool, map(str.strip, body)))
+    rows = list(compress(body, filled))
+    numbers = np.flatnonzero(np.frombuffer(bytes(filled), dtype=bool)) + (start + 1)
+    sep = "\t" if rows and "\t" in rows[0] else None  # None splits on any whitespace
+    width = len(rows[0].split(sep)) if rows else len(columns)
+    if width < len(columns):
+        message = f"{len(columns)} columns declared but rows have {width}"
+        raise CorpusError(message, int(numbers[0]))
+    if sep:  # a row of w cells holds w - 1 tabs
+        ragged = set(map(str.count, rows, repeat(sep))) - {width - 1}
+    else:
+        ragged = set(map(len, map(str.split, rows))) - {width}
+    if ragged:
+        i, got = next((i, n) for i, n in enumerate(len(r.split(sep)) for r in rows) if n != width)
+        raise CorpusError(f"expected {width} columns, got {got}", int(numbers[i]))
+    cells = (sep or " ").join(rows).split(sep) if rows else []  # every row's, end to end
+    # a sentence is a run of rows on consecutive lines
+    breaks = np.flatnonzero(np.diff(numbers) > 1) + 1
+    lengths = np.diff(np.concatenate(([0], breaks, [len(rows)]))).tolist() if rows else []
+    columns_cells = tuple(cells[j::width] for j in range(width))
+    return ColumnFile(path, columns, columns_cells, lengths, numbers), columns
 
 
 def write_corpus(
@@ -98,16 +132,17 @@ def column_index(columns: Sequence[str], role: str) -> int:
         raise DomainError(f"corpus has no {role!r} column (has {list(columns)})") from None
 
 
-def to_tokens(
-    sentence: RawSentence, columns: Sequence[str], with_chunks: bool = True
-) -> list[Token]:
-    wi = column_index(columns, "word")
-    pi = column_index(columns, "pos")
-    ci = list(columns).index("chunk") if "chunk" in columns and with_chunks else None
-    return [
-        Token(row[wi], row[pi], row[ci] if ci is not None else None)
-        for row in sentence
-    ]
+def token_cells(file: ColumnFile, with_chunks: bool = False) -> dict:
+    """The cells of a file's words ("w"), POS tags ("p") and chunk tags
+    ("c": None without a chunk column, or when not asked for).  A file of
+    rows needs a word and a POS column, and a word in every row."""
+    if not len(file):
+        return {"w": [], "p": [], "c": None}
+    words, pos = file.column("word"), file.column("pos")
+    if "" in words:
+        raise DomainError("token word must be non-empty")
+    chunks = file.column("chunk") if with_chunks and "chunk" in file.columns else None
+    return {"w": words, "p": pos, "c": chunks}
 
 
 def from_tokens(tokens: Sequence[Token], extra: Sequence[Sequence[str]] = ()) -> RawSentence:
@@ -122,6 +157,7 @@ def from_tokens(tokens: Sequence[Token], extra: Sequence[Sequence[str]] = ()) ->
 # Bracket columns ("(S*S)" style) for clause and tree structures.
 
 _OPEN_RE = re.compile(r"\(([^()*]+)")
+_CLOSE_RE = re.compile(r"([^()*]+)\)")
 
 
 def encode_bracket_column(spans: Iterable[ChunkSpan], length: int) -> list[str]:
@@ -141,30 +177,44 @@ def encode_bracket_column(spans: Iterable[ChunkSpan], length: int) -> list[str]:
     ]
 
 
-def decode_bracket_column(cells: Sequence[str]) -> list[ChunkSpan]:
-    """Inverse of ``encode_bracket_column``; raises on unbalanced columns."""
+def decode_bracket_column(cells: Sequence[str], lines=None, path=None) -> list[ChunkSpan]:
+    """Inverse of ``encode_bracket_column``; raises on unbalanced columns,
+    naming ``path`` and the line of the offending cell (``lines[i]`` for
+    cell i) when given them."""
+
+    def error(message: str, i: int) -> CorpusError:
+        return CorpusError(message, None if lines is None else int(lines[i]), path)
+
     stack: list[tuple[int, str]] = []
     spans: list[ChunkSpan] = []
     for i, cell in enumerate(cells):
         star = cell.find("*")
         if star < 0:
-            raise CorpusError(f"bracket cell {cell!r} lacks '*'", None)
+            raise error(f"bracket cell {cell!r} lacks '*'", i)
         for typ in _OPEN_RE.findall(cell[:star]):
             stack.append((i, typ))
         rest = cell[star + 1 :]
         while rest:
-            m = re.match(r"([^()*]+)\)", rest)
+            m = _CLOSE_RE.match(rest)
             if not m:
-                raise CorpusError(f"malformed bracket cell {cell!r}", None)
+                raise error(f"malformed bracket cell {cell!r}", i)
             typ = m.group(1)
             if not stack or stack[-1][1] != typ:
-                raise CorpusError(f"unbalanced {typ!r} close in column", None)
+                raise error(f"unbalanced {typ!r} close in column", i)
             start, _ = stack.pop()
             spans.append(ChunkSpan(start, i, typ))
             rest = rest[m.end() :]
     if stack:
-        raise CorpusError(f"unclosed {stack[-1][1]!r} bracket in column", None)
+        raise error(f"unclosed {stack[-1][1]!r} bracket in column", stack[-1][0])
     return sorted(spans)
+
+
+def bracket_spans(file: ColumnFile, role: str) -> list[list[ChunkSpan]]:
+    """Each sentence's spans in a file's bracket column ``role``."""
+    cells = file.column(role)
+    return [
+        decode_bracket_column(cells[a:b], file.lines[a:b], file.path) for a, b in file.bounds
+    ]
 
 
 def encode_clause_column(forest: Sequence[ClauseNode], length: int) -> list[str]:
@@ -172,6 +222,6 @@ def encode_clause_column(forest: Sequence[ClauseNode], length: int) -> list[str]
     return encode_bracket_column(spans, length)
 
 
-def decode_clause_column(cells: Sequence[str]) -> list[ClauseNode]:
-    spans = decode_bracket_column(cells)
+def decode_clause_column(cells: Sequence[str], lines=None, path=None) -> list[ClauseNode]:
+    spans = decode_bracket_column(cells, lines, path)
     return _nest([(s.start, s.end) for s in spans])

@@ -12,8 +12,10 @@ class ConfigError(DomainError):
 class CorpusError(Exception):
     """A corpus file could not be parsed."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line

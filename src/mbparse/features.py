@@ -1,9 +1,18 @@
-"""Windowed feature extraction, head-word compression and wrapper selection."""
+"""Windowed feature extraction, head-word compression and wrapper selection.
+
+Extraction reads a ``CodedCorpus``, which holds the cells of a corpus's
+channels and codes each once; built from a file's cells, it makes ``Token``
+objects only for the code that reads them (typed chunking, clauses, parse
+cascades).  A chunk-tag context comes as tag lists per sentence, or as
+``CodedTags`` that are recoded without a string per token.
+"""
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,7 +28,7 @@ Atom = tuple[str, int]  # (channel, offset); channels are "w", "p", "c"
 _CHANNELS = ("w", "p", "c")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     """One word position: surface form, POS tag, optional chunk tag."""
 
@@ -118,24 +127,27 @@ def parse_template(text: str) -> FeatureTemplate:
     )
 
 
-def _channel_cells(channel: str, sentence: Sequence[Token], context) -> list[str]:
-    if channel == "w":
-        return [t.word for t in sentence]
-    if channel == "p":
-        return [t.pos for t in sentence]
-    tags = [t.chunk_tag for t in sentence] if context is None else context
-    return [PAD if c is None else c for c in tags]
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
 
 
-def _code_channel(cells: list[str]) -> tuple[list[str], np.ndarray]:
-    """A channel's symbols in code order and the code of each cell."""
-    table, stream = code_column(cells)
-    return list(table), stream
+class CodedTags(NamedTuple):
+    """Every token's tag, coded: ``classes`` maps each tag to its code, in
+    order of first occurrence, and ``codes`` holds each row's code."""
+
+    classes: dict[str, int]
+    codes: np.ndarray
+
+
+def _code_channel(cells) -> tuple[list[str], np.ndarray]:
+    """A channel's symbols in code order, PAD first, and the code of each
+    cell; ``CodedTags`` are recoded from their classes."""
+    if isinstance(cells, CodedTags):
+        table, recode = code_column([PAD, *cells.classes])
+        return list(table), recode[1:][cells.codes]
+    table, codes = code_column([PAD, *cells])
+    return list(table), codes[1:]
 
 
 def _recode(symbols: list[str], stream: np.ndarray, positions, rows):
@@ -153,24 +165,29 @@ def _recode(symbols: list[str], stream: np.ndarray, positions, rows):
 
 
 class CodedCorpus(Sequence):
-    """A sentence list that keeps the codes ``extract`` works out from it.
+    """A corpus that keeps the codes ``extract`` works out from it.
 
-    It reads as the sentence list itself.  Its channels (words, POS tags and
-    the tokens' own chunk tags) are laid end to end with ``MAX_OFFSET`` PAD
-    cells around each sentence and coded once, on first use; each
-    (channel, offset) column is recoded once too, and every later template
-    gets the same code table and read-only array.  Build one per sentence
-    list that several templates read, and let it go with that list.
+    It reads as its list of ``Token`` sentences, but holds each channel's
+    cells (words, POS tags, the tokens' own chunk tags) token after token,
+    and builds the tokens only when they are read.  Each channel is coded
+    once, on first use, laid end to end with ``MAX_OFFSET`` PAD cells around
+    each sentence; each (channel, offset) column is recoded once too, and
+    every later template gets the same code table and read-only array.
+    Build one per corpus that several templates read, and let it go with
+    that corpus.
     """
 
-    def __init__(self, sentences: Sequence[Sequence[Token]]):
-        self.sentences = sentences
-        self.lengths = [len(s) for s in sentences]
-        ends = np.cumsum(self.lengths).tolist()
+    def __init__(self, sentences=None, lengths=None, cells=None):
+        """Over a list of ``Token`` sentences, or over ``cells``, the cells
+        of channels "w", "p" and "c" (None: no chunk tags) in sentences of
+        ``lengths``."""
+        self._sentences, self._cells = sentences, cells or {}
+        self.lengths = [len(s) for s in sentences] if cells is None else list(lengths)
+        ends = np.cumsum(self.lengths, dtype=np.intp).tolist()
         self.bounds = list(zip([0] + ends[:-1], ends))  # each sentence's rows
-        self.rows = _read_only(np.arange(sum(self.lengths)))
+        self.rows = _read_only(np.arange(ends[-1] if ends else 0))
         # the cell of row r: every sentence up to r's own adds a run of pad cells
-        runs = np.repeat(np.arange(1, len(sentences) + 1), np.array(self.lengths, dtype=np.intp))
+        runs = np.repeat(np.arange(1, len(ends) + 1), np.array(self.lengths, dtype=np.intp))
         self.positions = _read_only(self.rows + MAX_OFFSET * runs)
         self._channels: dict[str, tuple[list[str], np.ndarray]] = {}
         self._columns: dict[Atom, tuple[dict[str, int], np.ndarray]] = {}
@@ -180,8 +197,17 @@ class CodedCorpus(Sequence):
         """``sentences`` if it is a coded corpus, else a fresh one over it."""
         return sentences if isinstance(sentences, CodedCorpus) else CodedCorpus(sentences)
 
+    @property
+    def sentences(self) -> Sequence[Sequence[Token]]:
+        if self._sentences is None:
+            chunks = self._cells["c"] or repeat(None)
+            tokens = list(map(Token, self._cells["w"], self._cells["p"], chunks))
+            self._sentences = [tokens[a:b] for a, b in self.bounds]
+            self._cells = {}  # the tokens hold the cells now
+        return self._sentences
+
     def __len__(self) -> int:
-        return len(self.sentences)
+        return len(self.lengths)
 
     def __getitem__(self, index):
         return self.sentences[index]
@@ -189,21 +215,43 @@ class CodedCorpus(Sequence):
     def __iter__(self):  # the sentence list's own, not one index at a time
         return iter(self.sentences)
 
-    def cells(self, channel: str, context=None) -> list[str]:
-        """The channel's cells; ``context`` replaces the tokens' chunk tags."""
-        pad = [PAD] * MAX_OFFSET
-        cells = list(pad)
-        for si, s in enumerate(self.sentences):
-            cells.extend(_channel_cells(channel, s, None if context is None else context[si]))
-            cells.extend(pad)
-        return cells
+    def take(self, indices: Sequence[int]) -> "CodedCorpus":
+        """A coded corpus of the sentences at ``indices``, from their cells."""
+        rows = [r for i in indices for r in range(*self.bounds[i])]
+        cells = {c: list(map(self.tags(c).__getitem__, rows)) for c in "wpc"}
+        return CodedCorpus(lengths=[self.lengths[i] for i in indices], cells=cells)
+
+    def tags(self, channel: str) -> Sequence:
+        """The channel's own cells, token after token; a chunk tag is None
+        where a token has none."""
+        if channel not in self._cells:
+            field = {"w": "word", "p": "pos", "c": "chunk_tag"}[channel]
+            self._cells[channel] = [getattr(t, field) for s in self.sentences for t in s]
+        return self._cells[channel] or [None] * len(self.rows)
+
+    def cells(self, channel: str, context=None) -> Sequence:
+        """The cells ``extract`` codes for a channel, PAD for a missing chunk
+        tag: its own, or in place of the chunk tags those of ``context``
+        (one tag list per sentence)."""
+        if context is None and channel != "c":
+            return self.tags(channel)
+        tags = self.tags("c") if context is None else (c for s in context for c in s)
+        return [PAD if c is None else c for c in tags]
+
+    def channel(self, cells) -> tuple[list[str], np.ndarray]:
+        """The symbols of a channel's cells and the channel's codes, laid out
+        with PAD cells around each sentence."""
+        symbols, codes = _code_channel(cells)
+        stream = np.zeros(len(self.rows) + MAX_OFFSET * (len(self) + 1), dtype=codes.dtype)
+        stream[self.positions] = codes
+        return symbols, stream
 
     def column(self, channel: str, offset: int) -> tuple[dict[str, int], np.ndarray]:
         """The code table and the column of one (channel, offset) feature
         over the tokens' own channels, worked out once."""
         if (channel, offset) not in self._columns:
             if channel not in self._channels:
-                self._channels[channel] = _code_channel(self.cells(channel))
+                self._channels[channel] = self.channel(self.cells(channel))
             self._columns[channel, offset] = _recode(
                 *self._channels[channel], self.positions + offset, self.rows
             )
@@ -213,7 +261,7 @@ class CodedCorpus(Sequence):
 def extract(
     template: FeatureTemplate,
     corpus: Sequence[Sequence[Token]],
-    context: Sequence[Sequence[str | None]] | None = None,
+    context: Sequence[Sequence[str | None]] | CodedTags | None = None,
 ) -> tuple[FeatureColumns, list[tuple[int, int]]]:
     """Feature vectors of every token of every sentence, coded column by
     column, plus each sentence's (start, end) range of rows.
@@ -221,8 +269,8 @@ def extract(
     Row r holds, for token r, the word at each of the template's word
     offsets, then the POS tag at each POS offset, then the chunk tag at each
     chunk offset; PAD where an offset falls outside the sentence or a chunk
-    tag is None.  ``context`` (per-sentence chunk tags) is read in place of
-    the tokens' own chunk tags.
+    tag is None.  ``context`` (per-sentence chunk tags, or ``CodedTags`` of
+    every row) is read in place of the tokens' own chunk tags.
     A feature column is its channel's codes at the token positions shifted
     by its offset, recoded in order of first occurrence.  Every column comes
     from the ``CodedCorpus`` (a plain sentence list is wrapped in a fresh
@@ -231,16 +279,18 @@ def extract(
     ``context`` chunk channel is coded anew on every call.
     """
     corpus = CodedCorpus.of(corpus)
-    if context is not None and (
-        len(context) != len(corpus)
-        or any(len(c) != n for c, n in zip(context, corpus.lengths))
-    ):
-        raise DomainError("context does not line up with the tokens")
+    if context is not None:
+        coded = isinstance(context, CodedTags)
+        if (len(context.codes) != len(corpus.rows)) if coded else (
+            [len(c) for c in context] != corpus.lengths
+        ):
+            raise DomainError("context does not line up with the tokens")
+        context = context if coded else corpus.cells("c", context)
     found = []
     offsets_of = (template.words, template.pos, template.chunks)
     for channel, offsets in zip(_CHANNELS, offsets_of):
         if channel == "c" and context is not None and offsets:
-            own = _code_channel(corpus.cells(channel, context))
+            own = corpus.channel(context)
             found += [_recode(*own, corpus.positions + off, corpus.rows) for off in offsets]
         else:
             found += [corpus.column(channel, off) for off in offsets]

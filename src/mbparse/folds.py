@@ -21,10 +21,10 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .features import CodedCorpus, FeatureTemplate, Token
+from .features import CodedCorpus, CodedTags, FeatureTemplate, Token
 from .learner import LearnerConfig
 from .pipeline import tag_sentences, train_tagger
-from .schemes import ChunkSpan, Scheme, encode
+from .schemes import ChunkSpan, Scheme, SpanArrays, tag_codes
 
 
 class LeakMode(Enum):
@@ -111,20 +111,19 @@ def run_two_phase_cv(
         raise DomainError("plan size does not match section count")
 
     def concat(idx: Iterable[int]):
-        sents, tags = [], []
+        """The sections' sentences as one coded corpus, and their tags."""
+        sents, spans = [], []
         for s in idx:
             sents.extend(sections[s])
-            tags.extend(
-                encode(spans, scheme, len(sent), typed=False)
-                for sent, spans in zip(sections[s], gold[s])
-            )
-        return sents, tags
+            spans.extend(gold[s])
+        corpus = CodedCorpus(sents)
+        tags = tag_codes(SpanArrays.of(spans, corpus.lengths), scheme, typed=False)
+        return corpus, CodedTags(*tags)
 
     results: dict[int, SectionResult] = {}
     for fold in plan.folds:
         x = fold.test_section
-        p1_sents, p1_tags = concat(fold.phase1_train)
-        p1_sents = CodedCorpus(p1_sents)  # both passes train on it
+        p1_sents, p1_tags = concat(fold.phase1_train)  # both passes train on them
         model1 = train_tagger(pass1_template, p1_sents, p1_tags, learner_config)
         model1_prov = frozenset(fold.phase1_train)
 

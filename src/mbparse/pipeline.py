@@ -15,21 +15,27 @@ training and in prediction.  Every path that applies several templates to
 one sentence list (a chunker's streams and passes, the typed strategies, the
 clause bracketer's open taggers) builds one ``features.CodedCorpus`` of it
 and passes that down, so each word, POS and chunk-tag column is coded once
-and shared; a two-pass stream codes its scheme's tags once for both passes.
+and shared.  Chunker trainers take gold spans per sentence or as
+``schemes.SpanArrays`` and turn them into arrays once; each stream's gold
+tags come coded from ``schemes.tag_codes`` and serve as its labels and as
+its second pass's context.  Tag time converts each representation's output
+to bracket streams with one ``schemes.convert_tags`` of the whole batch.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .combine import majority_vote
 from .errors import ConfigError, DomainError
 from .features import (
     CodedCorpus,
+    CodedTags,
     FeatureTemplate,
     Token,
     compress_mapped,
@@ -52,13 +58,14 @@ from .schemes import (
     ClauseNode,
     MatchMode,
     Scheme,
+    SpanArrays,
     balance_brackets,
     balance_clauses,
     clause_spans,
-    convert,
-    decode,
-    encode,
+    convert_tags,
+    decode_tags,
     mark_type,
+    tag_codes,
 )
 
 Sentence = list[Token]
@@ -142,15 +149,19 @@ def tag_sentences(
     return [labels[a:b] for a, b in bounds]
 
 
-def _coded_tags(sentences, tags):
-    """Every token's entry in ``tags`` (one tag list per sentence), coded
-    once as the classes of the rows ``extract`` makes of ``sentences``;
-    the codes are read-only, so the models trained on them may share them."""
-    if len(tags) != len(sentences) or any(len(t) != len(s) for t, s in zip(tags, sentences)):
+def _coded_tags(sentences, tags) -> CodedTags:
+    """Every token's entry in ``tags`` (one tag list per sentence, or
+    ``CodedTags``), coded once as the classes of the rows ``extract`` makes
+    of ``sentences``; the codes are read-only, so the models trained on them
+    may share them."""
+    lengths = getattr(sentences, "lengths", None) or [len(s) for s in sentences]
+    coded = isinstance(tags, CodedTags)
+    if (len(tags.codes) != sum(lengths)) if coded else ([len(t) for t in tags] != lengths):
         raise DomainError("training tags do not line up with the tokens")
-    classes, codes = code_column([label for t in tags for label in t])
-    codes.flags.writeable = False
-    return classes, codes
+    if not coded:
+        tags = CodedTags(*code_column([label for t in tags for label in t]))
+    tags.codes.flags.writeable = False
+    return tags
 
 
 def _train_rows(columns, labels, learner_config) -> Model:
@@ -169,8 +180,10 @@ def train_tagger(
 ) -> Model:
     """The training twin of ``tag_sentences``: one instance per token, with
     the features ``tag_sentences`` would extract and that token's entry in
-    ``tags`` as its label.  Raises ``DomainError`` when ``tags`` or
-    ``context`` does not line up with the tokens."""
+    ``tags`` (per sentence, or ``CodedTags``) as its label.  Raises
+    ``DomainError`` when ``tags`` or ``context`` does not line up with the
+    tokens."""
+    sentences = CodedCorpus.of(sentences)
     columns, _ = extract(template, sentences, context)
     return _train_rows(columns, _coded_tags(sentences, tags), learner_config)
 
@@ -195,7 +208,7 @@ class TwoPassStream:
 
 def train_two_pass_stream(
     sentences: Sequence[Sentence],
-    gold: Sequence[Iterable[ChunkSpan]],
+    gold: Sequence[Iterable[ChunkSpan]] | SpanArrays,
     scheme: Scheme,
     pass1_template: FeatureTemplate,
     pass2_template: FeatureTemplate | None,
@@ -206,14 +219,12 @@ def train_two_pass_stream(
     tags.  Second-pass training rows read the *corpus* tags as context; at
     test time the first pass's predictions take their place."""
     corpus = CodedCorpus.of(sentences)
-    gold_tags = [
-        encode(spans, scheme, len(s), typed=typed) for s, spans in zip(corpus, gold)
-    ]
-    labels = _coded_tags(corpus, gold_tags)
+    spans = SpanArrays.of(gold, corpus.lengths)
+    labels = _coded_tags(corpus, CodedTags(*tag_codes(spans, scheme, typed)))
     model1 = _train_rows(extract(pass1_template, corpus)[0], labels, learner_config)
     model2 = None
     if pass2_template is not None and pass2_template.chunks:
-        columns, _ = extract(pass2_template, corpus, gold_tags)
+        columns, _ = extract(pass2_template, corpus, labels)
         model2 = _train_rows(columns, labels, learner_config)
     return TwoPassStream(
         scheme=scheme,
@@ -238,15 +249,16 @@ class Chunker:
 
 def train_chunker(
     sentences: Sequence[Sentence],
-    gold: Sequence[Iterable[ChunkSpan]],
+    gold: Sequence[Iterable[ChunkSpan]] | SpanArrays,
     config: PipelineConfig | None = None,
     learner_config: LearnerConfig | None = None,
 ) -> Chunker:
     """One two-pass stream per scheme the representations need, all trained
-    on one coded corpus of ``sentences``."""
+    on one coded corpus of ``sentences`` and one array form of ``gold``."""
     config = config or PipelineConfig()
     learner_config = learner_config or LearnerConfig()
     corpus = CodedCorpus.of(sentences)
+    gold = SpanArrays.of(gold, corpus.lengths)
     streams: dict[Scheme, object] = {}
     for rep in config.representations:
         for scheme in _streams_for(rep):
@@ -293,8 +305,8 @@ def _voted_spans(cfg: PipelineConfig, tags) -> list[list[ChunkSpan]]:
             brackets.append((tags[Scheme.O], tags[Scheme.C]))
             continue
         brackets.append((
-            [convert(t, rep, Scheme.O, cfg.default_type) for t in tags[rep]],
-            [convert(t, rep, Scheme.C, cfg.default_type) for t in tags[rep]],
+            convert_tags(tags[rep], rep, Scheme.O, cfg.default_type),
+            convert_tags(tags[rep], rep, Scheme.C, cfg.default_type),
         ))
     combined = []
     for si in range(len(brackets[0][0])):
@@ -315,7 +327,9 @@ def chunk_corpus_detail(chunker: Chunker, sentences: Sequence[Sentence]):
                 _balance(cfg, o, c) for o, c in zip(tags[Scheme.O], tags[Scheme.C])
             ]
         else:
-            individual[rep] = [decode(t, rep, cfg.default_type) for t in tags[rep]]
+            flat = [t for sentence in tags[rep] for t in sentence]
+            lengths = [len(t) for t in tags[rep]]
+            individual[rep] = decode_tags(flat, lengths, rep, cfg.default_type).lists()
     return _voted_spans(cfg, tags), individual
 
 
@@ -364,15 +378,15 @@ def _type_features(sentence: Sentence, spans: list[ChunkSpan], idx: int):
 
 def train_typed_chunker(
     sentences: Sequence[Sentence],
-    gold: Sequence[Iterable[ChunkSpan]],
+    gold: Sequence[Iterable[ChunkSpan]] | SpanArrays,
     strategy: TypeStrategy,
     config: PipelineConfig | None = None,
     learner_config: LearnerConfig | None = None,
 ) -> TypedChunker:
     config = config or PipelineConfig()
     learner_config = learner_config or LearnerConfig()
-    gold = [sorted(g) for g in gold]
     sentences = CodedCorpus.of(sentences)  # every strategy's chunkers read it
+    gold = SpanArrays.of(gold, sentences.lengths)
 
     if strategy is TypeStrategy.SINGLE_PHASE:
         cfg = replace(config, typed=True)
@@ -383,19 +397,20 @@ def train_typed_chunker(
         boundary = train_chunker(sentences, gold, cfg, learner_config)
         type_instances = [
             Instance(_type_features(s, spans, i), spans[i].type)
-            for s, spans in zip(sentences, gold)
+            for s, spans in zip(sentences, gold.lists())
             for i in range(len(spans))
         ]
         type_model = train(type_instances, learner_config)
         return DoublePhaseChunker(boundary=boundary, type_model=type_model)
 
     # N-phase: one boundary chunker per chunk type.
-    freq = Counter(s.type for spans in gold for s in spans)
+    counts = np.bincount(gold.type_codes, minlength=len(gold.types)).tolist()
+    freq = {typ: count for typ, count in zip(gold.types, counts) if count}
     order = tuple(sorted(freq, key=lambda t: (-freq[t], t)))
     per_type: dict[str, Chunker] = {}
     for typ in order:
         cfg = replace(config, typed=False, default_type=typ)
-        filtered = [[s for s in spans if s.type == typ] for spans in gold]
+        filtered = gold.where(gold.type_codes == gold.types.index(typ))
         per_type[typ] = train_chunker(sentences, filtered, cfg, learner_config)
     return NPhaseChunker(per_type=per_type, type_order=order)
 
@@ -451,13 +466,13 @@ CLAUSE_OPEN_TEMPLATES = (
 CLAUSE_CLOSE_TEMPLATE = parse_template("w[-3..3] p[-3..3]")
 
 
-def _chunk_spans_of(sentence: Sentence) -> list[ChunkSpan]:
-    tags = []
-    for tok in sentence:
-        if tok.chunk_tag is None:
-            raise DomainError("clause identification requires chunk annotations")
-        tags.append(tok.chunk_tag)
-    return decode(tags, Scheme.IOB1)
+def _chunk_views(corpus: CodedCorpus):
+    """Each sentence compressed by the chunks its tokens' IOB1 tags give."""
+    tags = corpus.tags("c")
+    if None in tags:
+        raise DomainError("clause identification requires chunk annotations")
+    chunks = decode_tags(tags, corpus.lengths, Scheme.IOB1).lists()
+    return [compress_mapped(s, spans) for s, spans in zip(corpus, chunks)]
 
 
 @dataclass
@@ -482,7 +497,7 @@ class ClauseBracketer:
         ]
 
     def predict_closes(self, sentences: Sequence[Sentence]) -> list[list[int]]:
-        views = [compress_mapped(s, _chunk_spans_of(s)) for s in sentences]
+        views = _chunk_views(CodedCorpus.of(sentences))
         tags = tag_sentences(self.close_model, self.close_template, [c for c, _ in views])
         return [
             [origins[i][1] for i, tag in enumerate(stags) if tag == ")"]
@@ -500,15 +515,15 @@ def train_clause_bracketer(
     corpus = CodedCorpus.of(sentences)
     open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
     open_tags = _coded_tags(corpus, [
-        ["(" if i in opens else "." for i in range(len(s))]
-        for s, opens in zip(corpus, open_sets)
+        ["(" if i in opens else "." for i in range(n)]
+        for n, opens in zip(corpus.lengths, open_sets)
     ])
     open_models = tuple(
         _train_rows(extract(template, corpus)[0], open_tags, learner_config)
         for template in CLAUSE_OPEN_TEMPLATES
     )
 
-    views = [compress_mapped(s, _chunk_spans_of(s)) for s in sentences]
+    views = _chunk_views(corpus)
     close_tags = []
     for (_, origins), forest in zip(views, forests):
         ends = {e for _, e in clause_spans(forest)}

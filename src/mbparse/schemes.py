@@ -11,6 +11,12 @@ Five ways to write the same flat chunk structure as one tag per token:
 O and C alone under-determine spans; the pair (``Scheme.OC``) is a full
 representation.  Typed tags carry a "-TYPE" suffix ("B-NP", "(-VP").
 Decoders are permissive: any tag sequence decodes to some valid span set.
+
+The codec works on a whole corpus at once, in numpy: ``decode_tags`` reads
+the spans of every sentence's tags into ``SpanArrays``, ``tag_codes`` writes
+the tags of any scheme from them, coded in order of first occurrence, and
+``convert_tags`` does both.  ``encode``, ``decode`` and ``convert`` are the
+same codec over a corpus of one sentence.
 """
 
 from __future__ import annotations
@@ -19,7 +25,10 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import DomainError
+from .learner import code_column, code_dtype
 
 
 class Scheme(Enum):
@@ -38,7 +47,7 @@ class MatchMode(Enum):
     ANY_CLOSE = "any_close"  # open brackets accept closes of any type
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ChunkSpan:
     """A labeled token range, inclusive on both ends."""
 
@@ -61,18 +70,6 @@ class ClauseNode:
         return (self.start, self.end)
 
 
-def _check_spans(spans: Iterable[ChunkSpan], length: int) -> list[ChunkSpan]:
-    ordered = sorted(spans)
-    prev_end = -1
-    for s in ordered:
-        if s.end >= length:
-            raise DomainError(f"span {s} exceeds sentence length {length}")
-        if s.start <= prev_end:
-            raise DomainError(f"span {s} overlaps a preceding span")
-        prev_end = s.end
-    return ordered
-
-
 def _tag(kind: str, typ: str | None) -> str:
     return kind if typ is None else f"{kind}-{typ}"
 
@@ -83,114 +80,156 @@ def split_tag(tag: str) -> tuple[str, str | None]:
     return (kind, typ if sep else None)
 
 
-def encode(
-    spans: Iterable[ChunkSpan],
-    scheme: Scheme,
-    length: int,
-    typed: bool = True,
-):
+@dataclass(frozen=True, eq=False)
+class SpanArrays:
+    """The flat chunk spans of a corpus, as arrays over its rows (its
+    tokens, sentence after sentence).  Span i covers rows ``starts[i]`` to
+    ``ends[i]`` of sentence ``sentence[i]`` and has type
+    ``types[type_codes[i]]``; ``types`` is sorted, and the spans by
+    sentence, start, end and type.  ``lengths`` holds the sentence lengths.
+    """
+
+    lengths: np.ndarray
+    sentence: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    type_codes: np.ndarray
+    types: tuple[str, ...]
+
+    @staticmethod
+    def of(spans, lengths: Sequence[int]) -> "SpanArrays":
+        """One ``ChunkSpan`` iterable per sentence of ``lengths`` as arrays
+        (``SpanArrays`` as they are).  Raises ``DomainError`` where
+        ``encode`` does: at the first span, in sorted order, that ends past
+        its sentence or overlaps the span before it."""
+        if isinstance(spans, SpanArrays):
+            return spans
+        lengths = np.asarray(lengths, dtype=np.intp)
+        groups = [list(g) for g in spans]
+        if len(groups) != len(lengths):
+            raise DomainError("spans do not line up with the sentences")
+        flat = [s for g in groups for s in g]
+        types = tuple(sorted({s.type for s in flat}))
+        code = {t: i for i, t in enumerate(types)}
+        columns = [np.repeat(np.arange(len(groups)), [len(g) for g in groups])]
+        columns += [np.fromiter(map(f, flat), np.intp, len(flat))
+                    for f in (lambda s: s.start, lambda s: s.end, lambda s: code[s.type])]
+        sentence, start, end, codes = (c[np.lexsort(columns[::-1])] for c in columns)
+        exceeds = end >= lengths[sentence]
+        overlaps = np.zeros(len(flat), dtype=bool)
+        overlaps[1:] = (sentence[1:] == sentence[:-1]) & (start[1:] <= end[:-1])
+        for i in np.flatnonzero(exceeds | overlaps)[:1].tolist():
+            span = ChunkSpan(int(start[i]), int(end[i]), types[codes[i]])
+            if exceeds[i]:
+                raise DomainError(f"span {span} exceeds sentence length {lengths[sentence[i]]}")
+            raise DomainError(f"span {span} overlaps a preceding span")
+        first = (np.cumsum(lengths) - lengths)[sentence]
+        return SpanArrays(lengths, sentence, start + first, end + first, codes, types)
+
+    def where(self, keep: np.ndarray) -> "SpanArrays":
+        """The spans that the mask ``keep`` keeps."""
+        kept = (a[keep] for a in (self.sentence, self.starts, self.ends, self.type_codes))
+        return SpanArrays(self.lengths, *kept, self.types)
+
+    def lists(self) -> list[list[ChunkSpan]]:
+        """The spans of each sentence, as sorted ``ChunkSpan`` lists."""
+        out: list[list[ChunkSpan]] = [[] for _ in self.lengths]
+        first = (np.cumsum(self.lengths) - self.lengths)[self.sentence]
+        for si, a, b, t in zip(*(c.tolist() for c in (
+            self.sentence, self.starts - first, self.ends - first, self.type_codes
+        ))):
+            out[si].append(ChunkSpan(a, b, self.types[t]))
+        return out
+
+
+_KINDS = {Scheme.O: (".", "("), Scheme.C: (".", ")")}  # others: O, I, B, E
+
+
+def tag_codes(spans: SpanArrays, scheme: Scheme, typed=True) -> tuple[dict[str, int], np.ndarray]:
+    """Every row's tag under ``scheme`` (any but O+C), coded: a dict from
+    each tag to its code, in order of first occurrence, and the rows' codes
+    in the ``code_dtype`` of that table.  ``typed`` (one flag, or one per
+    sentence) keeps type suffixes.  The tags are those of ``encode``."""
+    st, en, ty = spans.starts, spans.ends, spans.type_codes
+    n, ntypes = int(spans.lengths.sum()), len(spans.types)
+    typed = np.broadcast_to(np.asarray(typed, dtype=bool), spans.lengths.shape)
+    edges = np.zeros(n + 1, dtype=np.intp)
+    edges[st] += 1
+    edges[en + 1] -= 1
+    inside = np.cumsum(edges[:n]) > 0
+    row_type = np.full(n, ntypes)
+    row_type[inside] = np.repeat(np.where(typed[spans.sentence], ty, ntypes), en - st + 1)
+    kind = np.zeros(n, dtype=np.intp)
+    if scheme in _KINDS:
+        kind[st if scheme is Scheme.O else en] = 1
+    else:
+        kind[inside] = 1
+        # only same-type adjacency is ambiguous; a type change marks the boundary
+        adjacent = np.flatnonzero(
+            (st[1:] == en[:-1] + 1)
+            & (spans.sentence[1:] == spans.sentence[:-1])
+            & (~typed[spans.sentence[1:]] | (ty[1:] == ty[:-1]))
+        )
+        # IOB1 marks the later chunk of each adjacent pair, IOE1 the earlier
+        marked = {Scheme.IOB1: st[adjacent + 1], Scheme.IOB2: st,
+                  Scheme.IOE1: en[adjacent], Scheme.IOE2: en}[scheme]
+        kind[marked] = 2 if scheme in (Scheme.IOB1, Scheme.IOB2) else 3
+    key = kind * (ntypes + 1) + np.where(kind > 0, row_type, ntypes)
+    distinct, first = np.unique(key, return_index=True)
+    distinct = distinct[np.argsort(first)]
+    recode = np.zeros(int(distinct.max()) + 1 if n else 1, dtype=np.intp)
+    recode[distinct] = np.arange(len(distinct))
+    kinds, types = _KINDS.get(scheme, ("O", "I", "B", "E")), spans.types + (None,)
+    tags = [_tag(kinds[k // (ntypes + 1)], types[k % (ntypes + 1)]) for k in distinct.tolist()]
+    return dict(zip(tags, range(len(tags)))), recode[key].astype(code_dtype(len(tags)))
+
+
+def decode_tags(
+    tags: Sequence[str], lengths: Sequence[int], scheme: Scheme, default_type: str = "NP"
+) -> SpanArrays:
+    """The spans of a corpus's tags (its sentences of ``lengths`` end to
+    end) under an IOB or IOE scheme, as permissive as ``decode``: any tag
+    but O and the scheme's B or E continues or opens a span, and a tag
+    without a type has ``default_type``."""
+    if scheme in (Scheme.O, Scheme.C):
+        raise DomainError(f"{scheme.value} alone does not determine spans; decode O+C pairs")
+    if scheme is Scheme.OC:
+        raise DomainError("O+C tags are (open, close) pairs, not one tag per token")
+    lengths = np.asarray(lengths, dtype=np.intp)
+    if len(tags) != lengths.sum():
+        raise DomainError("tags do not line up with the sentences")
+    table, codes = code_column(tags)
+    breaker = "B" if scheme in (Scheme.IOB1, Scheme.IOB2) else "E"
+    split = [split_tag(tag) for tag in table]
+    types = tuple(sorted({typ or default_type for _, typ in split}))
+    kind = np.array([(k != "O") + (k == breaker) for k, _ in split], np.int8)[codes]
+    typ = np.array([types.index(t or default_type) for _, t in split], np.intp)[codes]
+    inspan = kind != 0
+    # a row continues the span of the row before when both are in a span of
+    # one type in one sentence, and no B opens the row (IOB) or E closed the
+    # row before (IOE)
+    cont = np.zeros(len(codes), dtype=bool)
+    cont[1:] = inspan[1:] & inspan[:-1] & (typ[1:] == typ[:-1])
+    cont[1:] &= (kind[1:] if breaker == "B" else kind[:-1]) != 2
+    ends = np.cumsum(lengths)
+    cont[(ends - lengths)[lengths > 0]] = False
+    starts = np.flatnonzero(inspan & ~cont)
+    last = np.flatnonzero(inspan & ~np.append(cont[1:], False))
+    sentence = np.searchsorted(ends, starts, side="right")
+    return SpanArrays(lengths, sentence, starts, last, typ[starts], types)
+
+
+def _tag_lists(spans: SpanArrays, scheme: Scheme, typed) -> list:
+    if scheme is Scheme.OC:
+        return list(zip(_tag_lists(spans, Scheme.O, typed), _tag_lists(spans, Scheme.C, typed)))
+    table, codes = tag_codes(spans, scheme, typed)
+    return list(map(list(table).__getitem__, codes.tolist()))
+
+
+def encode(spans: Iterable[ChunkSpan], scheme: Scheme, length: int, typed: bool = True):
     """Tag sequence for a flat span set.  With ``typed`` off, type suffixes are
     dropped (single-chunk-type corpora)."""
-    ordered = _check_spans(spans, length)
-    if scheme is Scheme.OC:
-        opens = encode(ordered, Scheme.O, length, typed)
-        closes = encode(ordered, Scheme.C, length, typed)
-        return list(zip(opens, closes))
-
-    starts = {s.start: s for s in ordered}
-    ends = {s.end: s for s in ordered}
-    if scheme is Scheme.O:
-        return [
-            _tag("(", starts[i].type if typed else None) if i in starts else "."
-            for i in range(length)
-        ]
-    if scheme is Scheme.C:
-        return [
-            _tag(")", ends[i].type if typed else None) if i in ends else "."
-            for i in range(length)
-        ]
-
-    tags = ["O"] * length
-    prev: ChunkSpan | None = None
-    for s in ordered:
-        typ = s.type if typed else None
-        for i in range(s.start, s.end + 1):
-            tags[i] = _tag("I", typ)
-        # Only same-type adjacency is ambiguous; a type suffix change already
-        # marks the boundary.
-        adjacent = (
-            prev is not None
-            and prev.end + 1 == s.start
-            and (not typed or prev.type == s.type)
-        )
-        if scheme is Scheme.IOB2 or (scheme is Scheme.IOB1 and adjacent):
-            tags[s.start] = _tag("B", typ)
-        if adjacent and scheme is Scheme.IOE1:
-            # E goes on the *previous* chunk's final word
-            ptyp = prev.type if typed else None
-            tags[prev.end] = _tag("E", ptyp)
-        if scheme is Scheme.IOE2:
-            tags[s.end] = _tag("E", typ)
-        prev = s
-    return tags
-
-
-def _decode_iob(tags: Sequence[str], default_type: str) -> list[ChunkSpan]:
-    spans = []
-    start = None
-    cur_type = default_type
-    for i, tag in enumerate(tags):
-        kind, typ = split_tag(tag)
-        typ = typ or default_type
-        if kind == "O":
-            if start is not None:
-                spans.append(ChunkSpan(start, i - 1, cur_type))
-                start = None
-        elif kind == "B":
-            if start is not None:
-                spans.append(ChunkSpan(start, i - 1, cur_type))
-            start, cur_type = i, typ
-        else:  # I (and anything unknown, permissively)
-            if start is None:
-                start, cur_type = i, typ
-            elif typ != cur_type:
-                spans.append(ChunkSpan(start, i - 1, cur_type))
-                start, cur_type = i, typ
-    if start is not None:
-        spans.append(ChunkSpan(start, len(tags) - 1, cur_type))
-    return spans
-
-
-def _decode_ioe(tags: Sequence[str], default_type: str) -> list[ChunkSpan]:
-    spans = []
-    start = None
-    cur_type = default_type
-    for i, tag in enumerate(tags):
-        kind, typ = split_tag(tag)
-        typ = typ or default_type
-        if kind == "O":
-            if start is not None:
-                spans.append(ChunkSpan(start, i - 1, cur_type))
-                start = None
-        elif kind == "E":
-            if start is None:
-                spans.append(ChunkSpan(i, i, typ))
-            elif typ == cur_type:
-                spans.append(ChunkSpan(start, i, cur_type))
-                start = None
-            else:
-                spans.append(ChunkSpan(start, i - 1, cur_type))
-                spans.append(ChunkSpan(i, i, typ))
-                start = None
-        else:  # I
-            if start is None:
-                start, cur_type = i, typ
-            elif typ != cur_type:
-                spans.append(ChunkSpan(start, i - 1, cur_type))
-                start, cur_type = i, typ
-    if start is not None:
-        spans.append(ChunkSpan(start, len(tags) - 1, cur_type))
-    return spans
+    return _tag_lists(SpanArrays.of([spans], [length]), scheme, typed)
 
 
 def decode(tags: Sequence, scheme: Scheme, default_type: str = "NP") -> list[ChunkSpan]:
@@ -200,17 +239,11 @@ def decode(tags: Sequence, scheme: Scheme, default_type: str = "NP") -> list[Chu
     C stream under-determines spans and is rejected; ``mark_type`` reads one
     of its tags.
     """
-    if scheme in (Scheme.O, Scheme.C):
-        raise DomainError(
-            f"{scheme.value} alone does not determine spans; decode O+C pairs"
-        )
     if scheme is Scheme.OC:
         opens = [mark_type(o, default_type) for o, _ in tags]
         closes = [mark_type(c, default_type) for _, c in tags]
         return balance_brackets(opens, closes, MatchMode.SAME_TYPE)
-    if scheme in (Scheme.IOB1, Scheme.IOB2):
-        return _decode_iob(tags, default_type)
-    return _decode_ioe(tags, default_type)
+    return decode_tags(tags, [len(tags)], scheme, default_type).lists()[0]
 
 
 def mark_type(tag: str, default_type: str) -> str | None:
@@ -220,17 +253,28 @@ def mark_type(tag: str, default_type: str) -> str | None:
     return None
 
 
+def convert_tags(
+    tags: Sequence[Sequence[str]], src: Scheme, dst: Scheme, default_type: str = "NP"
+) -> list[list[str]]:
+    """``convert`` of each sentence's tags, with one decoding and one
+    encoding of them all."""
+    flat = [t for sentence in tags for t in sentence]
+    suffixed = {t: bool(split_tag(t)[1]) for t in set(flat)}
+    typed = [any(map(suffixed.__getitem__, sentence)) for sentence in tags]
+    flat = _tag_lists(decode_tags(flat, list(map(len, tags)), src, default_type), dst, typed)
+    ends = np.cumsum([len(t) for t in tags], dtype=np.intp).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
 def convert(tags: Sequence, src: Scheme, dst: Scheme, default_type: str = "NP"):
     """Re-encode a tag sequence; equals encode(decode(tags)).  Whether the
     output carries type suffixes follows the input."""
     if src in (Scheme.O, Scheme.C):
         raise DomainError(f"cannot convert from a lone {src.value} stream")
-    spans = decode(tags, src, default_type)
-    if src is Scheme.OC:
-        typed = any(split_tag(t)[1] for pair in tags for t in pair)
-    else:
-        typed = any(split_tag(t)[1] for t in tags)
-    return encode(spans, dst, len(tags), typed=typed)
+    if src is not Scheme.OC:
+        return convert_tags([tags], src, dst, default_type)[0]
+    typed = any(split_tag(t)[1] for pair in tags for t in pair)
+    return encode(decode(tags, src, default_type), dst, len(tags), typed=typed)
 
 
 def balance_brackets(

@@ -14,11 +14,22 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from mbparse.errors import DomainError
+from mbparse.corpus import DEFAULT_COLUMNS, column_index
+from mbparse.errors import CorpusError, DomainError
 from mbparse.features import FeatureTemplate, Token, compress_mapped
 from mbparse.learner import PAD, Instance, TiePolicy
 from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
-from mbparse.schemes import ChunkSpan, ClauseNode, Scheme, clause_spans, encode
+from mbparse.schemes import (
+    ChunkSpan,
+    ClauseNode,
+    MatchMode,
+    Scheme,
+    balance_brackets,
+    clause_spans,
+    encode,
+    mark_type,
+    split_tag,
+)
 from mbparse.synth import np_chunk_corpus
 
 # The four inside/outside representations (every scheme but O, C and O+C).
@@ -31,6 +42,200 @@ def corpus_sections(n_sections: int, sentences_per_section: int, seed: int):
     for i in range(n_sections):
         sections.append(np_chunk_corpus(sentences_per_section, seed + 1000 * i))
     return sections
+
+
+# ---------------------------------------------------------------------------
+# Corpus files and tag schemes, one sentence at a time.
+
+
+def read_corpus_rows(path, columns: Sequence[str] | None = None):
+    """A corpus file as (sentences of row tuples, columns), read line by line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: {exc}") from None
+
+    start = 0
+    if lines and lines[0].startswith("#columns:"):
+        columns = tuple(lines[0][len("#columns:") :].split())
+        start = 1
+    elif columns is None:
+        columns = DEFAULT_COLUMNS
+    columns = tuple(columns)
+
+    sep = None  # None splits on any whitespace
+    for line in lines[start:]:
+        if line.strip():
+            if "\t" in line:
+                sep = "\t"
+            break
+
+    sentences: list[list[tuple[str, ...]]] = []
+    current: list[tuple[str, ...]] = []
+    width = None
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            if current:
+                sentences.append(current)
+                current = []
+            continue
+        fields = tuple(line.split(sep))
+        if width is None:
+            width = len(fields)
+            if width < len(columns):
+                raise CorpusError(
+                    f"{len(columns)} columns declared but rows have {width}", lineno
+                )
+        elif len(fields) != width:
+            raise CorpusError(f"expected {width} columns, got {len(fields)}", lineno)
+        current.append(fields)
+    if current:
+        sentences.append(current)
+    return sentences, columns
+
+
+def to_tokens(sentence, columns: Sequence[str], with_chunks: bool = True) -> list[Token]:
+    """One sentence's rows as tokens; the chunk column, when asked for and
+    present, gives their chunk tags."""
+    wi = column_index(columns, "word")
+    pi = column_index(columns, "pos")
+    ci = list(columns).index("chunk") if "chunk" in columns and with_chunks else None
+    return [Token(row[wi], row[pi], row[ci] if ci is not None else None) for row in sentence]
+
+
+def _tag(kind: str, typ: str | None) -> str:
+    return kind if typ is None else f"{kind}-{typ}"
+
+
+def encode_sentence(spans, scheme: Scheme, length: int, typed: bool = True):
+    """``schemes.encode``, one span at a time."""
+    ordered = sorted(spans)
+    prev_end = -1
+    for s in ordered:
+        if s.end >= length:
+            raise DomainError(f"span {s} exceeds sentence length {length}")
+        if s.start <= prev_end:
+            raise DomainError(f"span {s} overlaps a preceding span")
+        prev_end = s.end
+    if scheme is Scheme.OC:
+        opens = encode_sentence(ordered, Scheme.O, length, typed)
+        closes = encode_sentence(ordered, Scheme.C, length, typed)
+        return list(zip(opens, closes))
+
+    starts = {s.start: s for s in ordered}
+    ends = {s.end: s for s in ordered}
+    if scheme is Scheme.O:
+        return [
+            _tag("(", starts[i].type if typed else None) if i in starts else "."
+            for i in range(length)
+        ]
+    if scheme is Scheme.C:
+        return [
+            _tag(")", ends[i].type if typed else None) if i in ends else "."
+            for i in range(length)
+        ]
+
+    tags = ["O"] * length
+    prev: ChunkSpan | None = None
+    for s in ordered:
+        typ = s.type if typed else None
+        for i in range(s.start, s.end + 1):
+            tags[i] = _tag("I", typ)
+        adjacent = (
+            prev is not None
+            and prev.end + 1 == s.start
+            and (not typed or prev.type == s.type)
+        )
+        if scheme is Scheme.IOB2 or (scheme is Scheme.IOB1 and adjacent):
+            tags[s.start] = _tag("B", typ)
+        if adjacent and scheme is Scheme.IOE1:
+            tags[prev.end] = _tag("E", prev.type if typed else None)
+        if scheme is Scheme.IOE2:
+            tags[s.end] = _tag("E", typ)
+        prev = s
+    return tags
+
+
+def _decode_iob(tags: Sequence[str], default_type: str) -> list[ChunkSpan]:
+    spans = []
+    start = None
+    cur_type = default_type
+    for i, tag in enumerate(tags):
+        kind, typ = split_tag(tag)
+        typ = typ or default_type
+        if kind == "O":
+            if start is not None:
+                spans.append(ChunkSpan(start, i - 1, cur_type))
+                start = None
+        elif kind == "B":
+            if start is not None:
+                spans.append(ChunkSpan(start, i - 1, cur_type))
+            start, cur_type = i, typ
+        else:  # I (and anything unknown, permissively)
+            if start is None:
+                start, cur_type = i, typ
+            elif typ != cur_type:
+                spans.append(ChunkSpan(start, i - 1, cur_type))
+                start, cur_type = i, typ
+    if start is not None:
+        spans.append(ChunkSpan(start, len(tags) - 1, cur_type))
+    return spans
+
+
+def _decode_ioe(tags: Sequence[str], default_type: str) -> list[ChunkSpan]:
+    spans = []
+    start = None
+    cur_type = default_type
+    for i, tag in enumerate(tags):
+        kind, typ = split_tag(tag)
+        typ = typ or default_type
+        if kind == "O":
+            if start is not None:
+                spans.append(ChunkSpan(start, i - 1, cur_type))
+                start = None
+        elif kind == "E":
+            if start is None:
+                spans.append(ChunkSpan(i, i, typ))
+            elif typ == cur_type:
+                spans.append(ChunkSpan(start, i, cur_type))
+                start = None
+            else:
+                spans.append(ChunkSpan(start, i - 1, cur_type))
+                spans.append(ChunkSpan(i, i, typ))
+                start = None
+        else:  # I
+            if start is None:
+                start, cur_type = i, typ
+            elif typ != cur_type:
+                spans.append(ChunkSpan(start, i - 1, cur_type))
+                start, cur_type = i, typ
+    if start is not None:
+        spans.append(ChunkSpan(start, len(tags) - 1, cur_type))
+    return spans
+
+
+def decode_sentence(tags: Sequence, scheme: Scheme, default_type: str = "NP") -> list[ChunkSpan]:
+    """``schemes.decode``, one tag at a time."""
+    if scheme in (Scheme.O, Scheme.C):
+        raise DomainError(f"{scheme.value} alone does not determine spans; decode O+C pairs")
+    if scheme is Scheme.OC:
+        opens = [mark_type(o, default_type) for o, _ in tags]
+        closes = [mark_type(c, default_type) for _, c in tags]
+        return balance_brackets(opens, closes, MatchMode.SAME_TYPE)
+    if scheme in (Scheme.IOB1, Scheme.IOB2):
+        return _decode_iob(tags, default_type)
+    return _decode_ioe(tags, default_type)
+
+
+def convert_sentence(tags: Sequence, src: Scheme, dst: Scheme, default_type: str = "NP"):
+    """``schemes.convert`` through the sentence codecs above."""
+    spans = decode_sentence(tags, src, default_type)
+    if src is Scheme.OC:
+        typed = any(split_tag(t)[1] for pair in tags for t in pair)
+    else:
+        typed = any(split_tag(t)[1] for t in tags)
+    return encode_sentence(spans, dst, len(tags), typed=typed)
 
 
 # ---------------------------------------------------------------------------

@@ -686,3 +686,50 @@ def test_tag_command_under_an_address_space_limit(command, headroom_mib, tag_bun
         assert limited.returncode == 1, limited.stderr
         lines = limited.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: out of memory"), limited.stderr
+
+
+class TestMisalignedFiles:
+    """``evaluate`` and ``bootstrap`` score sentence by sentence, so a found
+    file whose sentences do not line up with gold's token for token ends in
+    one ``error:`` line naming the first sentence that differs."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "bootstrap"])
+    def test_first_differing_sentence_is_named(self, command, tmp_path, monkeypatch, capsys):
+        found, gold = tmp_path / "found.txt", tmp_path / "gold.txt"
+        found.write_text("a\tNN\tI\n\nc\tNN\tI\n")  # sentences of 1 and 1 tokens
+        gold.write_text("a\tNN\tI\nb\tNN\tO\n\nc\tNN\tI\n")  # 2 and 1
+        code, lines = _main_exit([command, "--found", str(found), "--gold", str(gold)],
+                                 monkeypatch, capsys)
+        assert code == 1
+        assert lines == ["error: sentence 1 has 1 tokens in the found file but 2 in gold"]
+
+    @pytest.mark.parametrize("command", ["evaluate", "bootstrap"])
+    def test_later_sentence_of_a_tree_column(self, command, tmp_path, monkeypatch, capsys):
+        found, gold = tmp_path / "found.txt", tmp_path / "gold.txt"
+        header = "#columns: word pos tree\n"
+        found.write_text(header + "a\tNN\t(S*S)\n\nb\tNN\t(S*\nc\tNN\t*S)\n")
+        gold.write_text(header + "a\tNN\t(S*S)\n\nb\tNN\t(S*S)\n")
+        code, lines = _main_exit([command, "--found", str(found), "--gold", str(gold),
+                                  "--column", "tree"], monkeypatch, capsys)
+        assert code == 1
+        assert lines == ["error: sentence 2 has 2 tokens in the found file but 1 in gold"]
+
+    def test_aligned_files_still_score(self, tmp_path, capsys):
+        found = tmp_path / "found.txt"
+        found.write_text("a\tNN\tI\nb\tNN\tO\n\nc\tNN\tI\n")
+        assert run_command(["evaluate", "--found", str(found), "--gold", str(found)]) == 0
+        assert capsys.readouterr().out.strip() == "precision 100.00% recall 100.00% F 100.00"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "bootstrap", "select-features"])
+def test_paired_scheme_on_a_tag_column_is_one_error_line(command, tmp_path, monkeypatch,
+                                                         capsys):
+    # O+C tags are (open, close) pairs, which one column cannot hold; this
+    # once ended in a ValueError traceback
+    corpus = tmp_path / "c.txt"
+    corpus.write_text("a\tNN\t(\nb\tNN\t)\n")
+    files = (["--train", str(corpus)] if command == "select-features"
+             else ["--found", str(corpus), "--gold", str(corpus)])
+    code, lines = _main_exit([command, "--scheme", "O+C", *files], monkeypatch, capsys)
+    assert code == 1
+    assert lines == ["error: O+C tags are (open, close) pairs, not one tag per token"]

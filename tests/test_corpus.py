@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbparse.config import (
     apply_overrides,
@@ -16,12 +18,13 @@ from mbparse.corpus import (
     encode_clause_column,
     from_tokens,
     read_corpus,
-    to_tokens,
+    token_cells,
     write_corpus,
 )
 from mbparse.errors import ConfigError, CorpusError, DomainError
-from mbparse.features import Token
+from mbparse.features import CodedCorpus, Token
 from mbparse.schemes import ChunkSpan, ClauseNode, clause_spans
+from references import read_corpus_rows, to_tokens
 
 TWO_SENTENCES = [
     [("In", "IN", "O"), ("early", "JJ", "I"), ("trading", "NN", "I")],
@@ -174,3 +177,73 @@ class TestConfig:
             get_int(cfg, "learner", "k", 3)
         with pytest.raises(ConfigError):
             get_bool(cfg, "learner", "fallback", True)
+
+
+# ---------------------------------------------------------------------------
+# The reader against the line-by-line reference.
+
+_BREAKS = ["\n", "\r\n", "\r", "\u2028", "\x85", "\x0c", "\x1e"]
+_BLANKS = ["", " ", "\t", " \t ", "\u3000"]
+_CELLS = st.sampled_from(["a", "Bb", "NN", "(S*", "*S)", "I-NP", "é", "x y", "", ""])
+
+
+@st.composite
+def corpus_texts(draw):
+    """The text of a column file: an optional header, rows of tab- or
+    space-separated cells (now and then ragged or with an empty cell), runs
+    of blank and whitespace-only lines, any line break."""
+    lines = []
+    if draw(st.booleans()):
+        roles = draw(st.lists(st.sampled_from(["word", "pos", "chunk", "tree"]),
+                              min_size=1, max_size=4, unique=True))
+        lines.append("#columns: " + " ".join(roles))
+    width = draw(st.integers(1, 4))
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(_BLANKS)))
+            continue
+        n = width if draw(st.integers(0, 7)) else draw(st.integers(1, 5))
+        sep = draw(st.sampled_from(["\t", "\t", " ", "  "]))
+        lines.append(sep.join(draw(st.lists(_CELLS, min_size=n, max_size=n))))
+    text = "".join(line + draw(st.sampled_from(_BREAKS)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except (CorpusError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=corpus_texts(), with_chunks=st.booleans(), non_utf8=st.booleans(),
+       data=st.data())
+def test_reader_matches_line_by_line_reader(text, with_chunks, non_utf8, data, tmp_path_factory):
+    raw = text.encode("utf-8")
+    if non_utf8:
+        at = data.draw(st.integers(0, len(raw)))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    path = tmp_path_factory.mktemp("reader") / "c.txt"
+    path.write_bytes(raw)
+    expected = _outcome(lambda: read_corpus_rows(path))
+    got = _outcome(lambda: read_corpus(path))
+    assert got[0] == expected[0]
+    if got[0] != "ok":
+        assert got[1] == expected[1]
+        return
+    (file, columns), (sentences, expected_columns) = got[1], expected[1]
+    assert columns == expected_columns and file == sentences
+    assert file.lengths == [len(s) for s in sentences]
+    # every row's line number: the lines of the reference's rows, in order
+    body = raw.decode("utf-8").splitlines()
+    start = 1 if body and body[0].startswith("#columns:") else 0
+    numbers = [i + 1 for i in range(start, len(body)) if body[i].strip()]
+    assert file.lines.tolist() == numbers
+    tokens = _outcome(lambda: [to_tokens(s, columns, with_chunks) for s in sentences])
+    cells = _outcome(lambda: token_cells(file, with_chunks))
+    assert cells[0] == tokens[0]
+    if cells[0] != "ok":
+        assert cells[1] == tokens[1]
+        return
+    assert list(CodedCorpus(lengths=file.lengths, cells=cells[1])) == tokens[1]

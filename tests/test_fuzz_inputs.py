@@ -17,6 +17,8 @@ a code out of range, a pickled or missing file) or a header's slices of it
 and its name; each ends with exit status 1 and one ``error:`` line naming
 the file at fault.  A stored code equal to its table size, the code of an
 unseen query value, ends the same way at the uint8 and uint16 limits.
+A bracket column that does not parse ends in one ``i/o error:`` line naming
+the corpus file and the line of the offending cell.
 """
 
 import contextlib
@@ -338,3 +340,32 @@ def test_code_equal_to_table_size_is_one_error_line(tmp_path, symbols):
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert lines[0].endswith("holds a code out of range of its symbol table"), lines
     assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "second, line, message",
+    [
+        (["(S*", "NP"], 6, "bracket cell 'NP' lacks '*'"),
+        (["(S*", "*S"], 6, "malformed bracket cell '*S'"),
+        (["(S*", "*NP)"], 6, "unbalanced 'NP' close in column"),
+        (["(NP*", "*"], 5, "unclosed 'NP' bracket in column"),
+    ],
+    ids=["no-star", "malformed", "unbalanced", "unclosed"],
+)
+@pytest.mark.parametrize("task", ["np-parse", "full-parse", "clauses"])
+def test_bad_bracket_cell_names_file_and_line(task, second, line, message, tmp_path):
+    # the second sentence's cells sit on lines 5 and 6, after the header,
+    # the first sentence and a blank line
+    role = "clause" if task == "clauses" else "tree"
+    first = ["(S*", "*S)"]
+    chunk = "\tI" if task == "clauses" else ""
+    columns = "word pos chunk clause" if task == "clauses" else "word pos tree"
+    rows = [f"w{i}\tNN{chunk}\t{cell}" for i, cell in enumerate(first)]
+    rows += [""] + [f"v{i}\tNN{chunk}\t{cell}" for i, cell in enumerate(second)]
+    corpus = tmp_path / "train.txt"
+    corpus.write_text(f"#columns: {columns}\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    assert corpus.read_text().splitlines()[line - 1].endswith(second[line - 5])
+    code, lines = main_exit(["train", "--task", task, "--train", str(corpus),
+                             "--model", str(tmp_path / "m"), "--workers", "1"])
+    assert code == 2, role
+    assert lines == [f"i/o error: {corpus}: line {line}: {message}"]

@@ -1,5 +1,6 @@
 """Golden digests: the bytes that ``train``, ``chunk``, ``parse`` and
-``xor-experiment`` write for seeded tiny ``synth`` inputs.
+``xor-experiment`` write for seeded tiny ``synth`` inputs, and the bundles
+that ``train`` writes for the other three tasks.
 
 A change that should leave every model file, tag output and table
 byte-identical (a speed-up, a refactor) must keep these digests.  A change that means to alter
@@ -12,9 +13,15 @@ from pathlib import Path
 import pytest
 
 from mbparse.cli import run_command
-from mbparse.corpus import encode_bracket_column, write_corpus
+from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.schemes import Scheme, encode
-from mbparse.synth import np_chunk_corpus, parse_corpus
+from mbparse.synth import (
+    clause_corpus,
+    nested_np_corpus,
+    np_chunk_corpus,
+    parse_corpus,
+    typed_chunk_corpus,
+)
 
 # bundle format 3: model headers slicing one int32 .npy array file
 BUNDLE_DIGESTS = {
@@ -25,6 +32,18 @@ BUNDLE_DIGESTS = {
 TAG_DIGESTS = {
     "np-chunk": "1114e9856edabff8cb6e302a500f695b6ddb074ae192193072a22354fbeed749",
     "full-parse": "99e283435377a021e5dcad132aba636506faa39365804a372e6e48d48c74e1a1",
+}
+# bundles of the typed chunker (under each type strategy), the clause
+# bracketer and the noun-phrase parser, trained on 80 seeded sentences
+MORE_BUNDLE_DIGESTS = {
+    ("typed-chunk", "single_phase"):
+        "39158fc23716bbd676585e0c0007518744132587b06441c9f413428e27231f07",
+    ("typed-chunk", "double_phase"):
+        "a621ac7717fd1d33312ffe50d1cbe43305d854c297e86e8300f54223bf7b7eeb",
+    ("typed-chunk", "n_phase"):
+        "4d859d001b8d0a7de59e6999a0e8ccefda8677e8d92de9be13604ef9ef498ad2",
+    ("clauses", None): "ff022c74b335661c423e547af9322b6d4f0c78d580a3c73de6b2625e2f52f378",
+    ("np-parse", None): "e63d23e440f3b7ddb7bd6ac9c9d0021ed17af1a00cb21d9eded6aa73240187d6",
 }
 XOR_DIGEST = "c2f912c7e522ae54b85cd85b1392aa2ee4c177bd6d5ae77c471c7fd7caeb8068"
 
@@ -41,25 +60,36 @@ def digest(path: Path) -> str:
 
 def write_train_corpus(task: str, path: Path, n: int = 80, seed: int = 1) -> None:
     rows = []
-    if task == "np-chunk":
-        sentences, gold = np_chunk_corpus(n, seed=seed)
+    if task in ("np-chunk", "typed-chunk"):
+        typed = task == "typed-chunk"
+        generate = typed_chunk_corpus if typed else np_chunk_corpus
+        sentences, gold = generate(n, seed=seed)
         for s, spans in zip(sentences, gold):
-            tags = encode(spans, Scheme.IOB1, len(s), typed=False)
+            tags = encode(spans, Scheme.IOB1, len(s), typed=typed)
             rows.append([(t.word, t.pos, tag) for t, tag in zip(s, tags)])
         write_corpus(rows, path, columns=("word", "pos", "chunk"))
+    elif task == "clauses":
+        sentences, _, forests = clause_corpus(n, seed=seed)
+        for s, forest in zip(sentences, forests):
+            cells = encode_clause_column(forest, len(s))
+            rows.append([(t.word, t.pos, t.chunk_tag, c) for t, c in zip(s, cells)])
+        write_corpus(rows, path, columns=("word", "pos", "chunk", "clause"))
     else:
-        sentences, gold = parse_corpus(n, seed=seed)
+        generate = nested_np_corpus if task == "np-parse" else parse_corpus
+        sentences, gold = generate(n, seed=seed)
         for s, spans in zip(sentences, gold):
             cells = encode_bracket_column(spans, len(s))
             rows.append([(t.word, t.pos, c) for t, c in zip(s, cells)])
         write_corpus(rows, path, columns=("word", "pos", "tree"))
 
 
-def train_bundle(task: str, tmp_path: Path) -> Path:
+def train_bundle(task: str, tmp_path: Path, strategy: str | None = None) -> Path:
     write_train_corpus(task, tmp_path / "train.txt")
     model = tmp_path / "model"
     argv = ["train", "--task", task, "--train", str(tmp_path / "train.txt"),
             "--model", str(model), "--workers", "1"]
+    if strategy is not None:
+        argv += ["--set", f"chunker.type_strategy={strategy}"]
     assert run_command(argv) == 0
     return model
 
@@ -67,6 +97,12 @@ def train_bundle(task: str, tmp_path: Path) -> Path:
 @pytest.mark.parametrize("task", sorted(BUNDLE_DIGESTS))
 def test_train_bundle_digest(task, tmp_path):
     assert digest(train_bundle(task, tmp_path)) == BUNDLE_DIGESTS[task]
+
+
+@pytest.mark.parametrize("task, strategy", sorted(MORE_BUNDLE_DIGESTS, key=str))
+def test_more_train_bundle_digests(task, strategy, tmp_path):
+    model = train_bundle(task, tmp_path, strategy)
+    assert digest(model) == MORE_BUNDLE_DIGESTS[task, strategy]
 
 
 @pytest.mark.parametrize("task", sorted(TAG_DIGESTS))

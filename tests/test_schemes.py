@@ -5,19 +5,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbparse.errors import DomainError
+from mbparse.learner import code_column
 from mbparse.schemes import (
     ChunkSpan,
     ClauseNode,
     MatchMode,
     Scheme,
+    SpanArrays,
     balance_brackets,
     balance_clauses,
     clause_spans,
     convert,
+    convert_tags,
     decode,
+    decode_tags,
     encode,
+    tag_codes,
 )
-from references import IO_SCHEMES
+from references import IO_SCHEMES, convert_sentence, decode_sentence, encode_sentence
 
 # The 17-token example sentence "In early trading in Hong Kong Monday ,
 # gold was quoted at $ 366.50 an ounce ." and its six noun chunks.
@@ -288,3 +293,98 @@ class TestClauseNode:
         inner = ClauseNode(2, 4)
         outer = ClauseNode(0, 5, (inner,))
         assert outer.children[0].span() == (2, 4)
+
+
+# ---------------------------------------------------------------------------
+# The array codec against the sentence-by-sentence reference codec.
+
+ALL_STREAMS = list(IO_SCHEMES) + [Scheme.O, Scheme.C]
+_KINDS = ["O", "I", "B", "E", "X", "(", ")", ".", ""]
+_TYPES = [None, "NP", "VP", ""]
+
+
+@st.composite
+def tag_corpora(draw):
+    """Sentences (empty ones too) of tags, well-formed or not: I after O, E
+    with no start, unknown kinds, type changes and bare or empty suffixes."""
+    tag = st.builds(lambda k, t: k if t is None else f"{k}-{t}",
+                    st.sampled_from(_KINDS), st.sampled_from(_TYPES))
+    return draw(st.lists(st.lists(tag, max_size=8), max_size=5))
+
+
+@st.composite
+def span_corpora(draw):
+    """Sentences and their spans: adjacent, one-token and typed spans, and
+    now and then a span past its sentence's end or over another span."""
+    lengths = draw(st.lists(st.integers(0, 8), max_size=5))
+    spans = []
+    for n in lengths:
+        group = []
+        for _ in range(draw(st.integers(0, 4))):
+            start = draw(st.integers(0, n + 1))
+            end = draw(st.integers(start, start + 3))
+            group.append(ChunkSpan(start, end, draw(st.sampled_from(["NP", "VP", "PP"]))))
+        spans.append(group)
+    return lengths, spans
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tags=tag_corpora(), default_type=st.sampled_from(["NP", "CH"]))
+def test_decode_tags_matches_reference(tags, default_type):
+    lengths = [len(t) for t in tags]
+    flat = [t for sentence in tags for t in sentence]
+    for scheme in IO_SCHEMES:
+        spans = decode_tags(flat, lengths, scheme, default_type)
+        expected = [decode_sentence(t, scheme, default_type) for t in tags]
+        assert spans.lists() == expected
+        assert [decode(t, scheme, default_type) for t in tags] == expected
+    for scheme in (Scheme.O, Scheme.C):
+        with pytest.raises(DomainError, match="alone does not determine spans"):
+            decode_tags(flat, lengths, scheme)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tags=tag_corpora(), default_type=st.sampled_from(["NP", "CH"]))
+def test_convert_tags_matches_reference(tags, default_type):
+    for src in IO_SCHEMES:
+        for dst in ALL_STREAMS + [Scheme.OC]:
+            expected = [convert_sentence(t, src, dst, default_type) for t in tags]
+            assert convert_tags(tags, src, dst, default_type) == expected
+            assert [convert(t, src, dst, default_type) for t in tags] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus=span_corpora(), data=st.data())
+def test_tag_codes_match_reference(corpus, data):
+    lengths, spans = corpus
+    expected = _outcome(
+        lambda: [encode_sentence(g, Scheme.IOB1, n) for g, n in zip(spans, lengths)])
+    arrays = _outcome(lambda: SpanArrays.of(spans, lengths))
+    assert arrays[0] == expected[0]
+    if arrays[0] != "ok":
+        assert arrays[1] == expected[1]  # the same first bad span, the same words
+        return
+    arrays = arrays[1]
+    assert arrays.lists() == [sorted(g) for g in spans]
+    per_sentence = data.draw(st.lists(st.booleans(), min_size=len(lengths),
+                                      max_size=len(lengths)))
+    for typed in (False, True, per_sentence):
+        flags = typed if isinstance(typed, list) else [typed] * len(lengths)
+        for scheme in ALL_STREAMS:
+            tags = [t for g, n, f in zip(spans, lengths, flags)
+                    for t in encode_sentence(g, scheme, n, typed=f)]
+            classes, codes = tag_codes(arrays, scheme, typed)
+            expected_classes, expected_codes = code_column(tags)
+            assert list(classes.items()) == list(expected_classes.items())
+            assert codes.dtype == expected_codes.dtype
+            assert codes.tolist() == expected_codes.tolist()
+        for g, n, f in zip(spans, lengths, flags):
+            for scheme in ALL_STREAMS + [Scheme.OC]:
+                assert encode(g, scheme, n, typed=f) == encode_sentence(g, scheme, n, typed=f)

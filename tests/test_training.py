@@ -32,7 +32,14 @@ from mbparse.synth import (
     parse_corpus,
     typed_chunk_corpus,
 )
-from references import corpus_sections, decoded_instances, extract_token, level_views
+from references import (
+    corpus_sections,
+    decode_sentence,
+    decoded_instances,
+    encode_sentence,
+    extract_token,
+    level_views,
+)
 
 LCFG = LearnerConfig(k=1)
 
@@ -41,7 +48,7 @@ def two_pass_reference(sentences, gold, scheme, pass1_template, pass2_template, 
     """Pass-1 and pass-2 training instances as ``train_two_pass_stream`` built
     them by hand."""
     gold_tags = [
-        encode(spans, scheme, len(s), typed=typed) for s, spans in zip(sentences, gold)
+        encode_sentence(spans, scheme, len(s), typed=typed) for s, spans in zip(sentences, gold)
     ]
     inst1 = [
         Instance(extract_token(s, i, pass1_template), tags[i])
@@ -72,7 +79,7 @@ def clause_reference(sentences, forests):
     close_inst = []
     for si, s in enumerate(sentences):
         ends = {e for _, e in clause_spans(forests[si])}
-        chunks = pipeline._chunk_spans_of(s)
+        chunks = decode_sentence([t.chunk_tag for t in s], Scheme.IOB1)
         compressed, origins = compress_mapped(s, chunks)
         for i in range(len(compressed)):
             a, b = origins[i]
