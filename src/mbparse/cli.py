@@ -287,18 +287,20 @@ def _models_in(obj):
             yield from _models_in(value)
 
 
-def _map_blocks(tag, bundle, sentences, workers: int):
+def _map_blocks(tag, bundle, sentences: CodedCorpus, workers: int):
     """Apply ``tag(block, bundle)`` to contiguous sentence blocks, optionally
     in processes.  Output order equals input order either way.  Forked
-    workers inherit the bundle, so it is never pickled; only blocks and
-    results are.  Before forking, every model in the bundle builds its query
-    index, so the workers share one copy instead of each building its own."""
-    if workers <= 1 or len(sentences) < 4 * workers:
+    workers inherit the bundle, so it is never pickled; only blocks (coded
+    corpora of cells, not tokens) and results are.  Before forking, every
+    model in the bundle builds its query index, so the workers share one
+    copy instead of each building its own."""
+    n = len(sentences)
+    if workers <= 1 or n < 4 * workers:
         return tag(sentences, bundle)
     for model in _models_in(bundle):
         model._index
-    size = (len(sentences) + workers - 1) // workers
-    blocks = [sentences[i : i + size] for i in range(0, len(sentences), size)]
+    size = (n + workers - 1) // workers
+    blocks = [sentences.take(range(i, min(i + size, n))) for i in range(0, n, size)]
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(
         len(blocks), initializer=_set_block_tagger, initargs=(tag, bundle)
