@@ -1,6 +1,5 @@
-"""Golden digests: the bytes that ``train``, ``chunk``, ``parse`` and
-``xor-experiment`` write for seeded tiny ``synth`` inputs, and the bundles
-that ``train`` writes for the other three tasks.
+"""Golden digests: the bytes that ``train``, every tag command and
+``xor-experiment`` write for seeded tiny ``synth`` inputs.
 
 A change that should leave every model file, tag output and table
 byte-identical (a speed-up, a refactor) must keep these digests.  A change that means to alter
@@ -45,6 +44,19 @@ MORE_BUNDLE_DIGESTS = {
     ("clauses", None): "ff022c74b335661c423e547af9322b6d4f0c78d580a3c73de6b2625e2f52f378",
     ("np-parse", None): "e63d23e440f3b7ddb7bd6ac9c9d0021ed17af1a00cb21d9eded6aa73240187d6",
 }
+# outputs of the tag command of each bundle above on 20 held-out sentences
+MORE_TAG_DIGESTS = {
+    ("typed-chunk", "single_phase"):
+        "68855ae6e7a29098a0802e17ac07b6984b0653ab1c66550fa13e53e35b885621",
+    ("typed-chunk", "double_phase"):
+        "941096ac8d3ea645b3c091c4461a2037ea921c9fd8c02371aaa2cc680b8b4c7c",
+    ("typed-chunk", "n_phase"):
+        "f45ee74b25b2b1dae01a1d3fade2f43828b871cd39d89245f30a5e447effcc77",
+    ("clauses", None): "6d4f9113665246b5c02caee14d6bf83192ffa0bcf91ec3ceba205f0e59ee0167",
+    ("np-parse", None): "9b5185223a95668733d6aebe0d25bd2664220cf9cc26687e45ead8ac57507413",
+}
+VERBS = {"np-chunk": "chunk", "typed-chunk": "chunk-typed", "clauses": "clauses",
+         "np-parse": "parse-np", "full-parse": "parse"}
 XOR_DIGEST = "c2f912c7e522ae54b85cd85b1392aa2ee4c177bd6d5ae77c471c7fd7caeb8068"
 
 
@@ -99,21 +111,26 @@ def test_train_bundle_digest(task, tmp_path):
     assert digest(train_bundle(task, tmp_path)) == BUNDLE_DIGESTS[task]
 
 
+def tag_output(task: str, model: Path, tmp_path: Path) -> str:
+    """Digest of what the task's tag command writes for 20 held-out sentences."""
+    write_train_corpus(task, tmp_path / "test.txt", n=20, seed=2)
+    argv = [VERBS[task], "--model", str(model), "--input", str(tmp_path / "test.txt"),
+            "--output", str(tmp_path / "out.txt"), "--workers", "1"]
+    assert run_command(argv) == 0
+    return digest(tmp_path / "out.txt")
+
+
 @pytest.mark.parametrize("task, strategy", sorted(MORE_BUNDLE_DIGESTS, key=str))
 def test_more_train_bundle_digests(task, strategy, tmp_path):
     model = train_bundle(task, tmp_path, strategy)
     assert digest(model) == MORE_BUNDLE_DIGESTS[task, strategy]
+    assert tag_output(task, model, tmp_path) == MORE_TAG_DIGESTS[task, strategy]
 
 
 @pytest.mark.parametrize("task", sorted(TAG_DIGESTS))
 def test_tag_output_digest(task, tmp_path):
     model = train_bundle(task, tmp_path)
-    write_train_corpus(task, tmp_path / "test.txt", n=20, seed=2)
-    verb = "chunk" if task == "np-chunk" else "parse"
-    argv = [verb, "--model", str(model), "--input", str(tmp_path / "test.txt"),
-            "--output", str(tmp_path / "out.txt"), "--workers", "1"]
-    assert run_command(argv) == 0
-    assert digest(tmp_path / "out.txt") == TAG_DIGESTS[task]
+    assert tag_output(task, model, tmp_path) == TAG_DIGESTS[task]
 
 
 def test_xor_table_digest(capsys):
