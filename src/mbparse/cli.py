@@ -79,7 +79,7 @@ def _build_parser() -> _Parser:
             help="override one configuration value",
         )
         p.add_argument("--workers", type=int, default=0,
-                       help="sentence-level parallelism (default: all cores)")
+                       help="sentence-level parallelism (0: run.workers, else all cores)")
 
     p = sub.add_parser("train", help="train a model bundle")
     common(p)
@@ -254,9 +254,13 @@ def _sentence_rows(file, extra):
 
 
 def _workers(args, cfg) -> int:
-    if args.workers > 0:
-        return args.workers
-    return cfgmod.get_int(cfg, "run", "workers", os.cpu_count() or 1)
+    """``--workers``, or where it is 0 (unset) ``run.workers``, or all cores."""
+    if args.workers < 0:
+        raise ConfigError(f"--workers must be at least 0, got {args.workers}")
+    workers = args.workers or cfgmod.get_int(cfg, "run", "workers", os.cpu_count() or 1)
+    if workers < 1:
+        raise ConfigError(f"run.workers must be at least 1, got {workers}")
+    return workers
 
 
 _block_tagger = None  # (tag, bundle), set in each forked worker by _map_blocks
@@ -352,10 +356,10 @@ def _cmd_chunk(args, cfg, typed: bool) -> int:
     file, sentences = _read_tokens(args.input)
     if typed:
         chunker = bundles.load_typed_chunker(args.model)
-        spans = _map_blocks(chunk_typed, chunker, sentences, _workers(args, cfg))
+        spans = _map_blocks(chunk_typed, chunker, sentences, args.workers)
     else:
         chunker = bundles.load_chunker(args.model)
-        spans = _map_blocks(chunk_np, chunker, sentences, _workers(args, cfg))
+        spans = _map_blocks(chunk_np, chunker, sentences, args.workers)
     table, codes = tag_codes(SpanArrays.of(spans, file.lengths), Scheme(args.scheme), typed)
     tags = list(table)
     rows = _sentence_rows(file, [[tags[c] for c in codes.tolist()]])
@@ -366,7 +370,7 @@ def _cmd_chunk(args, cfg, typed: bool) -> int:
 def _cmd_clauses(args, cfg) -> int:
     file, sentences = _read_tokens(args.input, with_chunks=True)
     bracketer = bundles.load_clause_bracketer(args.model)
-    forests = _map_blocks(identify_clauses, bracketer, sentences, _workers(args, cfg))
+    forests = _map_blocks(identify_clauses, bracketer, sentences, args.workers)
     chunks = [tag or "O" for tag in sentences.tags("c")]
     cells = [c for f, n in zip(forests, file.lengths) for c in encode_clause_column(f, n)]
     rows = _sentence_rows(file, [chunks, cells])
@@ -378,10 +382,10 @@ def _cmd_parse(args, cfg, full: bool) -> int:
     file, sentences = _read_tokens(args.input)
     if full:
         parser = bundles.load_full_parser(args.model)
-        spans = _map_blocks(parse_full, parser, sentences, _workers(args, cfg))
+        spans = _map_blocks(parse_full, parser, sentences, args.workers)
     else:
         parser = bundles.load_np_parser(args.model)
-        spans = _map_blocks(parse_np, parser, sentences, _workers(args, cfg))
+        spans = _map_blocks(parse_np, parser, sentences, args.workers)
     cells = [c for found, n in zip(spans, file.lengths) for c in encode_bracket_column(found, n)]
     write_corpus(_sentence_rows(file, [cells]), args.output, columns=("word", "pos", "tree"))
     return 0
@@ -533,7 +537,9 @@ _COMMANDS = {
 def run_command(argv: list[str]) -> int:
     """Parse and execute one command; returns the exit status."""
     args = _build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args, _load_cfg(args))
+    cfg = _load_cfg(args)
+    args.workers = _workers(args, cfg)
+    return _COMMANDS[args.command](args, cfg)
 
 
 def main() -> None:

@@ -7,24 +7,30 @@ the open streams and the close streams separately, and repair the winners
 into a span set.  Parsers repeat chunking on head-compressed sentences,
 one bracket-predictor pair per nesting level.
 
-Every template model is trained and applied on coded feature columns
-(``features.extract``): ``train_tagger`` labels them and hands them to the
-learner as its instance base, ``tag_sentences`` classifies them in one
-batch, and a bracket level's open and close models share one extraction, in
-training and in prediction.  Every path that applies several templates to
-one sentence list (a chunker's streams and passes, the typed strategies, the
-clause bracketer's open taggers) builds one ``features.CodedCorpus`` of it
-and passes that down, so each word, POS and chunk-tag column is coded once
-and shared.  Chunker trainers take gold spans per sentence or as
-``schemes.SpanArrays`` and turn them into arrays once; each stream's gold
-tags come coded from ``schemes.tag_codes`` and serve as its labels and as
-its second pass's context.  Tag time converts each representation's output
-to bracket streams with one ``schemes.convert_tags`` of the whole batch.
+Every template model is trained by ``train_tagger`` and applied by
+``tag_sentences``, on coded feature columns (``features.extract``).  Every
+path that applies several templates to one sentence list (a chunker's
+streams and passes, the typed strategies, the clause bracketer's open
+taggers, a bracket level's open and close models) builds one
+``features.CodedCorpus`` of it and passes that down, so each word, POS and
+chunk-tag column is coded once and shared.  Chunker trainers take gold spans
+per sentence or as ``schemes.SpanArrays`` and turn them into arrays once;
+each stream's gold tags come coded from ``schemes.tag_codes`` and serve as
+its labels and as its second pass's context.  Tag time decodes each
+representation's output once, with one ``schemes.convert_tags`` of the
+whole batch into open and close bracket streams.
+
+A compressed sentence is one view, ``(tokens, orig2cur)``: ``orig2cur`` maps
+each original position to the token that stands for it, and does not
+decrease, so ``bisect`` finds a token's original range.  The clause
+bracketer and the cascades, in training and parsing, compress through
+``_compress_view``.
 """
 
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -149,28 +155,6 @@ def tag_sentences(
     return [labels[a:b] for a, b in bounds]
 
 
-def _coded_tags(sentences, tags) -> CodedTags:
-    """Every token's entry in ``tags`` (one tag list per sentence, or
-    ``CodedTags``), coded once as the classes of the rows ``extract`` makes
-    of ``sentences``; the codes are read-only, so the models trained on them
-    may share them."""
-    lengths = getattr(sentences, "lengths", None) or [len(s) for s in sentences]
-    coded = isinstance(tags, CodedTags)
-    if (len(tags.codes) != sum(lengths)) if coded else ([len(t) for t in tags] != lengths):
-        raise DomainError("training tags do not line up with the tokens")
-    if not coded:
-        tags = CodedTags(*code_column([label for t in tags for label in t]))
-    tags.codes.flags.writeable = False
-    return tags
-
-
-def _train_rows(columns, labels, learner_config) -> Model:
-    """Train on the coded feature rows with the classes ``_coded_tags``
-    gives them."""
-    base = InstanceBase(columns.codes, columns.columns, columns.rows, *labels)
-    return train(base, learner_config)
-
-
 def train_tagger(
     template: FeatureTemplate,
     sentences: Sequence[Sentence],
@@ -182,10 +166,19 @@ def train_tagger(
     the features ``tag_sentences`` would extract and that token's entry in
     ``tags`` (per sentence, or ``CodedTags``) as its label.  Raises
     ``DomainError`` when ``tags`` or ``context`` does not line up with the
-    tokens."""
+    tokens.  ``CodedTags`` become read-only, so that the models trained on
+    them may share them."""
     sentences = CodedCorpus.of(sentences)
     columns, _ = extract(template, sentences, context)
-    return _train_rows(columns, _coded_tags(sentences, tags), learner_config)
+    coded = isinstance(tags, CodedTags)
+    if (len(tags.codes) != len(sentences.rows)) if coded else (
+        [len(t) for t in tags] != sentences.lengths
+    ):
+        raise DomainError("training tags do not line up with the tokens")
+    labels = tags if coded else CodedTags(*code_column([label for t in tags for label in t]))
+    labels.codes.flags.writeable = False
+    base = InstanceBase(columns.codes, columns.columns, columns.rows, *labels)
+    return train(base, learner_config)
 
 
 @dataclass
@@ -220,12 +213,11 @@ def train_two_pass_stream(
     test time the first pass's predictions take their place."""
     corpus = CodedCorpus.of(sentences)
     spans = SpanArrays.of(gold, corpus.lengths)
-    labels = _coded_tags(corpus, CodedTags(*tag_codes(spans, scheme, typed)))
-    model1 = _train_rows(extract(pass1_template, corpus)[0], labels, learner_config)
+    labels = CodedTags(*tag_codes(spans, scheme, typed))
+    model1 = train_tagger(pass1_template, corpus, labels, learner_config)
     model2 = None
     if pass2_template is not None and pass2_template.chunks:
-        columns, _ = extract(pass2_template, corpus, labels)
-        model2 = _train_rows(columns, labels, learner_config)
+        model2 = train_tagger(pass2_template, corpus, labels, learner_config, labels)
     return TwoPassStream(
         scheme=scheme,
         pass1_template=pass1_template,
@@ -276,16 +268,26 @@ def train_chunker(
     return Chunker(streams=streams, config=config)
 
 
-def _tag_streams(chunker: Chunker, sentences) -> dict[Scheme, list[list[str]]]:
-    """Tags per sentence of every stream the representations need, each
-    stream tagged once, all from one coded corpus of ``sentences``."""
+def _brackets(chunker: Chunker, sentences) -> list[tuple[list, list]]:
+    """Per representation: (open tags, close tags) per sentence.  Every
+    stream the representations need is tagged once, all from one coded
+    corpus of ``sentences``; an IOB or IOE stream is decoded once, and both
+    bracket streams are written from its spans."""
     cfg = chunker.config
     needed = dict.fromkeys(s for rep in cfg.representations for s in _streams_for(rep))
     for scheme in needed:
         if scheme not in chunker.streams:
             raise ConfigError(f"no model for configured representation {scheme.value}")
     corpus = CodedCorpus.of(sentences)
-    return {scheme: chunker.streams[scheme].tag_corpus(corpus) for scheme in needed}
+    tags = {scheme: chunker.streams[scheme].tag_corpus(corpus) for scheme in needed}
+    brackets = []
+    for rep in cfg.representations:
+        if rep is Scheme.OC:
+            brackets.append((tags[Scheme.O], tags[Scheme.C]))
+            continue
+        pairs = convert_tags(tags[rep], rep, Scheme.OC, cfg.default_type)
+        brackets.append(([[o for o, _ in s] for s in pairs], [[c for _, c in s] for s in pairs]))
+    return brackets
 
 
 def _balance(cfg: PipelineConfig, opens, closes) -> list[ChunkSpan]:
@@ -296,18 +298,9 @@ def _balance(cfg: PipelineConfig, opens, closes) -> list[ChunkSpan]:
     )
 
 
-def _voted_spans(cfg: PipelineConfig, tags) -> list[list[ChunkSpan]]:
+def _voted_spans(cfg: PipelineConfig, brackets) -> list[list[ChunkSpan]]:
     """Vote the representations' open streams and close streams separately,
     then repair each sentence's winners into a span set."""
-    brackets = []  # per representation: (open tags, close tags) per sentence
-    for rep in cfg.representations:
-        if rep is Scheme.OC:
-            brackets.append((tags[Scheme.O], tags[Scheme.C]))
-            continue
-        brackets.append((
-            convert_tags(tags[rep], rep, Scheme.O, cfg.default_type),
-            convert_tags(tags[rep], rep, Scheme.C, cfg.default_type),
-        ))
     combined = []
     for si in range(len(brackets[0][0])):
         voted_o = [majority_vote(v) for v in zip(*(opens[si] for opens, _ in brackets))]
@@ -317,25 +310,20 @@ def _voted_spans(cfg: PipelineConfig, tags) -> list[list[ChunkSpan]]:
 
 
 def chunk_corpus_detail(chunker: Chunker, sentences: Sequence[Sentence]):
-    """Combined spans plus each representation's own spans (for comparison)."""
+    """Combined spans plus each representation's own spans (for comparison):
+    its bracket streams repaired, which gives back the spans of its tags."""
     cfg = chunker.config
-    tags = _tag_streams(chunker, sentences)
-    individual = {}
-    for rep in cfg.representations:
-        if rep is Scheme.OC:
-            individual[rep] = [
-                _balance(cfg, o, c) for o, c in zip(tags[Scheme.O], tags[Scheme.C])
-            ]
-        else:
-            flat = [t for sentence in tags[rep] for t in sentence]
-            lengths = [len(t) for t in tags[rep]]
-            individual[rep] = decode_tags(flat, lengths, rep, cfg.default_type).lists()
-    return _voted_spans(cfg, tags), individual
+    brackets = _brackets(chunker, sentences)
+    individual = {
+        rep: [_balance(cfg, o, c) for o, c in zip(*streams)]
+        for rep, streams in zip(cfg.representations, brackets)
+    }
+    return _voted_spans(cfg, brackets), individual
 
 
 def chunk_np(sentences: Sequence[Sentence], chunker: Chunker):
     """Noun-phrase chunk spans per sentence via the five-step voting recipe."""
-    return _voted_spans(chunker.config, _tag_streams(chunker, sentences))
+    return _voted_spans(chunker.config, _brackets(chunker, sentences))
 
 
 # ---------------------------------------------------------------------------
@@ -362,18 +350,15 @@ class NPhaseChunker:
 TypedChunker = SinglePhaseChunker | DoublePhaseChunker | NPhaseChunker
 
 
-def _type_features(sentence: Sentence, spans: list[ChunkSpan], idx: int):
-    """The previous, own and next chunk's head words and the chunk's POS tags."""
-
-    def head(j: int) -> str:
-        if not 0 <= j < len(spans):
-            return PAD
-        chunk = sentence[spans[j].start : spans[j].end + 1]
-        return chunk[np_head(chunk)].word
-
-    span = spans[idx]
-    pos_seq = "+".join(t.pos for t in sentence[span.start : span.end + 1])
-    return (head(idx - 1), head(idx), pos_seq, head(idx + 1))
+def _type_features(sentence: Sentence, spans: Sequence[ChunkSpan]) -> list[tuple]:
+    """Per chunk: the previous, own and next chunk's head words and the
+    chunk's POS tags.  Each chunk's head is found once."""
+    chunks = [sentence[s.start : s.end + 1] for s in spans]
+    heads = [PAD, *(chunk[np_head(chunk)].word for chunk in chunks), PAD]
+    return [
+        (heads[i], heads[i + 1], "+".join(t.pos for t in chunk), heads[i + 2])
+        for i, chunk in enumerate(chunks)
+    ]
 
 
 def train_typed_chunker(
@@ -396,9 +381,9 @@ def train_typed_chunker(
         cfg = replace(config, typed=False, default_type="CH")
         boundary = train_chunker(sentences, gold, cfg, learner_config)
         type_instances = [
-            Instance(_type_features(s, spans, i), spans[i].type)
+            Instance(features, span.type)
             for s, spans in zip(sentences, gold.lists())
-            for i in range(len(spans))
+            for features, span in zip(_type_features(s, spans), spans)
         ]
         type_model = train(type_instances, learner_config)
         return DoublePhaseChunker(boundary=boundary, type_model=type_model)
@@ -425,7 +410,7 @@ def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
         boundaries = [sorted(spans) for spans in chunk_np(sentences, chunker.boundary)]
         queries = []
         for s, spans in zip(sentences, boundaries):
-            queries.extend(_type_features(s, spans, i) for i in range(len(spans)))
+            queries.extend(_type_features(s, spans))
         labels = classify_labels(chunker.type_model, queries)
         out, pos = [], 0
         for spans in boundaries:
@@ -467,12 +452,12 @@ CLAUSE_CLOSE_TEMPLATE = parse_template("w[-3..3] p[-3..3]")
 
 
 def _chunk_views(corpus: CodedCorpus):
-    """Each sentence compressed by the chunks its tokens' IOB1 tags give."""
+    """Each sentence's view compressed by the chunks of its IOB1 tags."""
     tags = corpus.tags("c")
     if None in tags:
         raise DomainError("clause identification requires chunk annotations")
     chunks = decode_tags(tags, corpus.lengths, Scheme.IOB1).lists()
-    return [compress_mapped(s, spans) for s, spans in zip(corpus, chunks)]
+    return [_compress_view((s, range(len(s))), spans) for s, spans in zip(corpus, chunks)]
 
 
 @dataclass
@@ -497,11 +482,12 @@ class ClauseBracketer:
         ]
 
     def predict_closes(self, sentences: Sequence[Sentence]) -> list[list[int]]:
+        """The last original position of each view token tagged ")"."""
         views = _chunk_views(CodedCorpus.of(sentences))
-        tags = tag_sentences(self.close_model, self.close_template, [c for c, _ in views])
+        tags = tag_sentences(self.close_model, self.close_template, [t for t, _ in views])
         return [
-            [origins[i][1] for i, tag in enumerate(stags) if tag == ")"]
-            for (_, origins), stags in zip(views, tags)
+            [bisect_right(orig2cur, j) - 1 for j, tag in enumerate(stags) if tag == ")"]
+            for (_, orig2cur), stags in zip(views, tags)
         ]
 
 
@@ -514,24 +500,23 @@ def train_clause_bracketer(
 
     corpus = CodedCorpus.of(sentences)
     open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
-    open_tags = _coded_tags(corpus, [
-        ["(" if i in opens else "." for i in range(n)]
-        for n, opens in zip(corpus.lengths, open_sets)
-    ])
+    open_tags = CodedTags(*code_column([  # coded once for the three models
+        "(" if i in opens else "." for n, opens in zip(corpus.lengths, open_sets) for i in range(n)
+    ]))
     open_models = tuple(
-        _train_rows(extract(template, corpus)[0], open_tags, learner_config)
+        train_tagger(template, corpus, open_tags, learner_config)
         for template in CLAUSE_OPEN_TEMPLATES
     )
 
     views = _chunk_views(corpus)
     close_tags = []
-    for (_, origins), forest in zip(views, forests):
-        ends = {e for _, e in clause_spans(forest)}
-        close_tags.append(
-            [")" if any(a <= e <= b for e in ends) else "." for a, b in origins]
-        )
+    for (tokens, orig2cur), forest in zip(views, forests):
+        tags = ["."] * len(tokens)
+        for _, end in clause_spans(forest):
+            tags[orig2cur[end]] = ")"
+        close_tags.append(tags)
     close_model = train_tagger(
-        CLAUSE_CLOSE_TEMPLATE, [c for c, _ in views], close_tags, learner_config
+        CLAUSE_CLOSE_TEMPLATE, [t for t, _ in views], close_tags, learner_config
     )
     return ClauseBracketer(open_models, close_model)
 
@@ -551,8 +536,8 @@ def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[Clau
 
 @dataclass
 class BracketLevel:
-    """Open/close mark predictors for one nesting level; both read the same
-    feature columns, extracted once per batch."""
+    """Open/close mark predictors for one nesting level; both read the
+    feature columns of one coded corpus per batch."""
 
     template: FeatureTemplate
     open_model: Model
@@ -560,27 +545,18 @@ class BracketLevel:
     default_type: str = "NP"
 
     def predict(self, batch):
-        tokens = [t for t, _origin, _si in batch]
-        columns, bounds = extract(self.template, tokens)
-        otags = classify_labels(self.open_model, columns)
-        ctags = classify_labels(self.close_model, columns)
+        """Open and close marks per view of ``batch``, a list of (tokens,
+        orig2cur, sentence index)."""
+        corpus = CodedCorpus([tokens for tokens, _, _ in batch])
+        otags = tag_sentences(self.open_model, self.template, corpus)
+        ctags = tag_sentences(self.close_model, self.template, corpus)
         return [
             (
-                [mark_type(t, self.default_type) for t in otags[a:b]],
-                [mark_type(t, self.default_type) for t in ctags[a:b]],
+                [mark_type(t, self.default_type) for t in o],
+                [mark_type(t, self.default_type) for t in c],
             )
-            for a, b in bounds
+            for o, c in zip(otags, ctags)
         ]
-
-
-@dataclass
-class _CascadeState:
-    tokens: list[Token]
-    origin: list[tuple[int, int]]
-    top: list[ChunkSpan]
-    spans: set[ChunkSpan]
-    length: int
-    done: bool = False
 
 
 def _run_cascade(
@@ -589,42 +565,36 @@ def _run_cascade(
     levels: Sequence,
     match_mode: MatchMode,
     early_stop: bool,
-) -> list[_CascadeState]:
-    states = [
-        _CascadeState(
-            tokens=list(s),
-            origin=[(i, i) for i in range(len(s))],
-            top=sorted(spans),
-            spans=set(spans),
-            length=len(s),
-        )
-        for s, spans in zip(sentences, base_spans)
-    ]
+) -> list[set[ChunkSpan]]:
+    """Each sentence's span set: its base spans and those each level finds
+    over the sentence's view compressed by the spans found last.  With
+    ``early_stop``, a sentence leaves the cascade at the first level that
+    finds nothing new."""
+    views = [(s, range(len(s))) for s in sentences]
+    found = [list(spans) for spans in base_spans]  # in original positions
+    spans = [set(f) for f in found]
+    active = list(range(len(views)))
     for level in levels:
-        active = [i for i, st in enumerate(states) if not st.done]
-        if active:
-            for i in active:
-                st = states[i]
-                new_tokens, rel = compress_mapped(st.tokens, st.top)
-                st.origin = [
-                    (st.origin[a][0], st.origin[b][1]) for a, b in rel
-                ]
-                st.tokens = new_tokens
-            batch = [(states[i].tokens, states[i].origin, i) for i in active]
-            for i, (omarks, cmarks) in zip(active, level.predict(batch)):
-                st = states[i]
-                found = balance_brackets(omarks, cmarks, match_mode)
-                mapped = {
-                    ChunkSpan(st.origin[s.start][0], st.origin[s.end][1], s.type)
-                    for s in found
-                }
-                new = mapped - st.spans
-                st.top = found
-                if new:
-                    st.spans |= new
-                elif early_stop:
-                    st.done = True
-    return states
+        if not active:
+            break
+        for i in active:
+            views[i] = _compress_view(views[i], found[i])
+        marks = level.predict([(*views[i], i) for i in active])
+        done = set()
+        for i, (omarks, cmarks) in zip(active, marks):
+            orig2cur = views[i][1]
+            found[i] = {
+                ChunkSpan(
+                    bisect_left(orig2cur, s.start), bisect_right(orig2cur, s.end) - 1, s.type
+                )
+                for s in balance_brackets(omarks, cmarks, match_mode)
+            }
+            if not found[i] <= spans[i]:
+                spans[i] |= found[i]
+            elif early_stop:
+                done.add(i)
+        active = [i for i in active if i not in done]
+    return spans
 
 
 @dataclass
@@ -637,8 +607,8 @@ class NpParser:
 def parse_np(sentences: Sequence[Sentence], parser: NpParser):
     """Nested noun-phrase span sets found by repeated chunking."""
     base = chunk_np(sentences, parser.base)
-    states = _run_cascade(sentences, base, parser.levels, parser.match_mode, True)
-    return [sorted(st.spans) for st in states]
+    spans = _run_cascade(sentences, base, parser.levels, parser.match_mode, True)
+    return [sorted(s) for s in spans]
 
 
 @dataclass
@@ -648,22 +618,19 @@ class FullParser:
     match_mode: MatchMode = MatchMode.SAME_TYPE
 
 
-def _wrap_roots(states: list[_CascadeState]):
+def _wrap_roots(sentences: Sequence[Sentence], spans: Sequence[set[ChunkSpan]]):
     """Add an "S" span over each non-empty sentence that lacks one."""
-    out = []
-    for st in states:
-        spans = set(st.spans)
-        if st.length:
-            spans.add(ChunkSpan(0, st.length - 1, "S"))
-        out.append(sorted(spans))
-    return out
+    return [
+        sorted(found | {ChunkSpan(0, len(s) - 1, "S")} if s else found)
+        for s, found in zip(sentences, spans)
+    ]
 
 
 def parse_full(sentences: Sequence[Sentence], parser: FullParser):
     """Typed parse span sets; every sentence ends up under a clause root."""
     base = chunk_typed(sentences, parser.base)
-    states = _run_cascade(sentences, base, parser.levels, parser.match_mode, False)
-    return _wrap_roots(states)
+    spans = _run_cascade(sentences, base, parser.levels, parser.match_mode, False)
+    return _wrap_roots(sentences, spans)
 
 
 # ---------------------------------------------------------------------------
@@ -688,10 +655,10 @@ def stratify_levels(spans: Iterable[ChunkSpan]) -> dict[int, list[ChunkSpan]]:
     return {lvl: sorted(group) for lvl, group in out.items()}
 
 
-def _compress_view(view: tuple[list[Token], list[int]], spans: Iterable[ChunkSpan]):
-    """A sentence's view one level up: its tokens compressed by ``spans``
-    (in original positions) and the map from original positions into the
-    result.  A view is (tokens, orig2cur)."""
+def _compress_view(view: tuple[Sequence[Token], Sequence[int]], spans: Iterable[ChunkSpan]):
+    """A view one level up: its tokens compressed by ``spans`` (in original
+    positions), and the map from original positions into the result.  A
+    sentence before any compression is the view (its tokens, their range)."""
     tokens, orig2cur = view
     tokens, rel = compress_mapped(
         tokens, [ChunkSpan(orig2cur[s.start], orig2cur[s.end], s.type) for s in spans]
@@ -720,12 +687,11 @@ def train_bracket_level(
             ctags[orig2cur[sp.end]] = f")-{sp.type}" if typed else ")"
         open_tags.append(otags)
         close_tags.append(ctags)
-    sentences = [tokens for tokens, _ in views]
-    columns, _ = extract(template, sentences)  # shared by both models
+    corpus = CodedCorpus([tokens for tokens, _ in views])  # both models' columns
     return BracketLevel(
         template=template,
-        open_model=_train_rows(columns, _coded_tags(sentences, open_tags), learner_config),
-        close_model=_train_rows(columns, _coded_tags(sentences, close_tags), learner_config),
+        open_model=train_tagger(template, corpus, open_tags, learner_config),
+        close_model=train_tagger(template, corpus, close_tags, learner_config),
         default_type=default_type,
     )
 
@@ -735,7 +701,7 @@ def _train_levels(sentences, stratified, config, learner_config, count, typed):
     level with no gold spans.  Each level's views are the level below's,
     compressed by one more level of gold spans."""
     level_cfg = replace(learner_config, k=config.k_parse)
-    views = [(list(s), list(range(len(s)))) for s in sentences]
+    views = [(s, range(len(s))) for s in sentences]
     levels = []
     for level in range(1, count + 1):
         if not any(by_level.get(level) for by_level in stratified):

@@ -457,10 +457,12 @@ class OracleBracketLevel:
 
     def predict(self, batch):
         out = []
-        for tokens, origin, si in batch:
-            start_at = {origin[j][0]: j for j in range(len(origin))}
-            end_at = {origin[j][1]: j for j in range(len(origin))}
-            current = {(origin[j][0], origin[j][1]) for j in range(len(origin))}
+        for tokens, orig2cur, si in batch:
+            # the first and the last original position of each view token
+            last = len(orig2cur) - 1
+            start_at = {p: j for p, j in enumerate(orig2cur) if p == 0 or orig2cur[p - 1] != j}
+            end_at = {p: j for p, j in enumerate(orig2cur) if p == last or orig2cur[p + 1] != j}
+            current = set(zip(start_at, end_at))
             candidates = []
             for span in self.gold[si]:
                 if (span.start, span.end) in current:
@@ -490,6 +492,6 @@ def parse_full_levels(sentences, parser):
     base = chunk_typed(sentences, parser.base)
     snapshots = []
     for j in range(len(parser.levels) + 1):
-        states = _run_cascade(sentences, base, parser.levels[:j], parser.match_mode, False)
-        snapshots.append([sorted(st.spans) for st in states])
-    return snapshots + [_wrap_roots(states)]
+        spans = _run_cascade(sentences, base, parser.levels[:j], parser.match_mode, False)
+        snapshots.append([sorted(found) for found in spans])
+    return snapshots + [_wrap_roots(sentences, spans)]

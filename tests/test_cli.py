@@ -436,6 +436,10 @@ class TestStrictValues:
             (["select-features", "--folds", "0"], "--folds"),
             (["select-features", "--folds", "-1"], "--folds"),
             (["select-features", "--candidates", "p[-1..0] c[-1]"], "--candidates"),
+            (["chunk", "--workers", "-5"], "--workers"),
+            (["chunk", "--set", "run.workers=-2"], "run.workers"),
+            (["chunk", "--set", "run.workers=0"], "run.workers"),
+            (["train", "--task", "np-chunk", "--workers", "-1"], "--workers"),
         ],
     )
     def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):
@@ -445,6 +449,8 @@ class TestStrictValues:
                  "evaluate": ["--found", str(corpus), "--gold", str(corpus)],
                  "bootstrap": ["--found", str(corpus), "--gold", str(corpus)],
                  "select-features": ["--train", str(corpus)],
+                 "chunk": ["--model", str(tmp_path / "m"), "--input", str(corpus),
+                           "--output", str(tmp_path / "out.txt")],
                  "xor-experiment": ["--runs", "1"]}
         code, lines = _main_exit(argv + paths[argv[0]], monkeypatch, capsys)
         assert code == 1

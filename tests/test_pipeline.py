@@ -584,25 +584,29 @@ class TestBracketLevel:
             assert lm.predict(batch) == predict_per_model(lm, batch)
 
     def test_feature_columns_built_once_per_predict(self, trained_levels, monkeypatch):
-        built, read = [], []
-        extract, classify_labels = pipeline.extract, pipeline.classify_labels
+        """Each channel is coded once per ``predict``, and the open and the
+        close model query the same column arrays."""
+        coded, read = [], []
+        code_channel, classify_labels = features._code_channel, pipeline.classify_labels
 
-        def counting_extract(*args, **kwargs):
-            built.append(extract(*args, **kwargs))
-            return built[-1]
+        def recording_code(cells):
+            coded.append(cells)
+            return code_channel(cells)
 
         def recording_classify(model, queries):
             read.append(queries)
             return classify_labels(model, queries)
 
-        monkeypatch.setattr(pipeline, "extract", counting_extract)
+        monkeypatch.setattr(features, "_code_channel", recording_code)
         monkeypatch.setattr(pipeline, "classify_labels", recording_classify)
         for lm, batch in trained_levels:
-            built.clear()
+            coded.clear()
             read.clear()
             lm.predict(batch)
-            assert len(built) == 1
-            assert len(read) == 2 and all(q is built[0][0] for q in read)
+            assert len(coded) == 2  # the word and the POS channel
+            opens, closes = read
+            assert len(opens.columns) == len(closes.columns) == lm.template.arity
+            assert all(a is b for a, b in zip(opens.columns, closes.columns))
 
 
 class TestStratify:
