@@ -44,6 +44,7 @@ from mbparse.pipeline import (
 )
 from mbparse.schemes import (
     ChunkSpan,
+    ClauseNode,
     MatchMode,
     Scheme,
     balance_brackets,
@@ -350,6 +351,14 @@ class TestClauses:
         bare = [[Token(t.word, t.pos) for t in s] for s in sents]
         with pytest.raises(DomainError):
             identify_clauses(bare, bracketer)
+
+    def test_close_lands_on_the_last_token_of_its_chunk(self):
+        """The close tagger sees "the man" as one compressed token; its
+        close maps back to the chunk's last original position."""
+        sent = [Token("he", "PRP", "B-NP"), Token("saw", "VBD", "B-VP"),
+                Token("the", "DT", "B-NP"), Token("man", "NN", "I-NP")]
+        bracketer = train_clause_bracketer([sent], [[ClauseNode(0, 3)]], LearnerConfig(k=1))
+        assert bracketer.predict_closes([sent]) == [[3]]
 
     def test_trained_bracketer_finds_clauses(self):
         tr = clause_corpus(100, seed=11)
