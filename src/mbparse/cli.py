@@ -27,7 +27,6 @@ from .combine import (
 from . import corpus
 from .corpus import (
     bracket_spans,
-    decode_clause_column,
     encode_bracket_column,
     encode_clause_column,
     token_cells,
@@ -79,7 +78,9 @@ def _build_parser() -> _Parser:
             help="override one configuration value",
         )
         p.add_argument("--workers", type=int, default=0,
-                       help="sentence-level parallelism (0: run.workers, else all cores)")
+                       help="processes that tag blocks of sentences; read by chunk, "
+                            "chunk-typed, clauses, parse-np and parse only "
+                            "(0: run.workers, else all cores)")
 
     p = sub.add_parser("train", help="train a model bundle")
     common(p)
@@ -222,15 +223,14 @@ def _read_tokens(path, with_chunks: bool = False):
     return file, CodedCorpus(lengths=file.lengths, cells=token_cells(file, with_chunks))
 
 
-def _read_spans(path, column: str, scheme: str):
+def _read_spans(path, column: str, scheme: str, with_chunks: bool = False):
     """A corpus file's tokens as a coded corpus, and the gold spans of its
-    ``column``: ``SpanArrays`` of a chunk column, one span list per sentence
-    of a bracket column."""
+    ``column`` as ``SpanArrays``: a chunk column's under ``scheme``, or a
+    bracket column's."""
     file, _ = corpus.read_corpus(path)
-    cells = file.column(column)
-    tokens = CodedCorpus(lengths=file.lengths, cells=token_cells(file))
+    tokens = CodedCorpus(lengths=file.lengths, cells=token_cells(file, with_chunks))
     if column == "chunk":
-        return tokens, decode_tags(cells, file.lengths, Scheme(scheme))
+        return tokens, decode_tags(file.column(column), file.lengths, Scheme(scheme))
     return tokens, bracket_spans(file, column)
 
 
@@ -243,7 +243,7 @@ def _found_and_gold(args):
     for i, (m, n) in enumerate(zip(found_tokens.lengths, gold_tokens.lengths)):
         if m != n:
             raise DomainError(f"sentence {i + 1} has {m} tokens in the found file but {n} in gold")
-    return (found.lists(), gold.lists()) if args.column == "chunk" else (found, gold)
+    return found.lists(), gold.lists()
 
 
 def _sentence_rows(file, extra):
@@ -332,13 +332,8 @@ def _cmd_train(args, cfg) -> int:
         chunker = train_typed_chunker(sentences, gold, pcfg.type_strategy, pcfg, lcfg)
         bundles.save_typed_chunker(chunker, args.model)
     elif args.task == "clauses":
-        file, sentences = _read_tokens(args.train, with_chunks=True)
-        cells = file.column("clause")
-        forests = [
-            decode_clause_column(cells[a:b], file.lines[a:b], file.path) for a, b in file.bounds
-        ]
-        del file, cells  # the columns the training does not read
-        bracketer = train_clause_bracketer(sentences, forests, learner_config=lcfg)
+        sentences, gold = _read_spans(args.train, "clause", "IOB1", with_chunks=True)
+        bracketer = train_clause_bracketer(sentences, gold, learner_config=lcfg)
         bundles.save_clause_bracketer(bracketer, args.model)
     elif args.task == "np-parse":
         sentences, gold = _read_spans(args.train, "tree", "IOB1")

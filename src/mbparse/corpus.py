@@ -5,8 +5,11 @@ tree) come from an optional ``#columns:`` header line or from the caller.
 ``read_corpus`` reads a file once into a ``ColumnFile``: each column's cells
 token after token, the sentence lengths and each token's line number; it
 makes no object per token.  Bracket columns use the nested form "(S*",
-"*S)", "(NP(NP*" familiar from shared-task data; a cell that does not parse
-is reported with its file and line.
+"*S)", "(NP(NP*" familiar from shared-task data.  ``decode_brackets`` reads
+a whole column into ``schemes.SpanArrays``: it parses each distinct cell
+once and pairs the brackets of every sentence by their depth in one sort;
+a cell that does not parse, or a bracket that does not match, is reported
+with its file and line.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CorpusError, DomainError
-from .features import Token
-from .schemes import ChunkSpan, ClauseNode, _nest, clause_spans
+from .features import Token, ranges
+from .learner import code_column
+from .schemes import ChunkSpan, ClauseNode, SpanArrays, clause_spans
 
 DEFAULT_COLUMNS = ("word", "pos", "chunk")
 
@@ -177,51 +181,94 @@ def encode_bracket_column(spans: Iterable[ChunkSpan], length: int) -> list[str]:
     ]
 
 
-def decode_bracket_column(cells: Sequence[str], lines=None, path=None) -> list[ChunkSpan]:
-    """Inverse of ``encode_bracket_column``; raises on unbalanced columns,
-    naming ``path`` and the line of the offending cell (``lines[i]`` for
-    cell i) when given them."""
-
-    def error(message: str, i: int) -> CorpusError:
-        return CorpusError(message, None if lines is None else int(lines[i]), path)
-
-    stack: list[tuple[int, str]] = []
-    spans: list[ChunkSpan] = []
-    for i, cell in enumerate(cells):
-        star = cell.find("*")
-        if star < 0:
-            raise error(f"bracket cell {cell!r} lacks '*'", i)
-        for typ in _OPEN_RE.findall(cell[:star]):
-            stack.append((i, typ))
-        rest = cell[star + 1 :]
-        while rest:
-            m = _CLOSE_RE.match(rest)
-            if not m:
-                raise error(f"malformed bracket cell {cell!r}", i)
-            typ = m.group(1)
-            if not stack or stack[-1][1] != typ:
-                raise error(f"unbalanced {typ!r} close in column", i)
-            start, _ = stack.pop()
-            spans.append(ChunkSpan(start, i, typ))
-            rest = rest[m.end() :]
-    if stack:
-        raise error(f"unclosed {stack[-1][1]!r} bracket in column", stack[-1][0])
-    return sorted(spans)
+def _parse_cell(cell: str) -> tuple[list[str], list[str], str | None]:
+    """A bracket cell's open types, its close types up to the first that
+    does not parse, and the message of what does not parse, or None."""
+    star = cell.find("*")
+    if star < 0:
+        return [], [], f"bracket cell {cell!r} lacks '*'"
+    closes, rest = [], cell[star + 1 :]
+    while rest:
+        m = _CLOSE_RE.match(rest)
+        if not m:
+            return _OPEN_RE.findall(cell[:star]), closes, f"malformed bracket cell {cell!r}"
+        closes.append(m.group(1))
+        rest = rest[m.end() :]
+    return _OPEN_RE.findall(cell[:star]), closes, None
 
 
-def bracket_spans(file: ColumnFile, role: str) -> list[list[ChunkSpan]]:
-    """Each sentence's spans in a file's bracket column ``role``."""
-    cells = file.column(role)
-    return [
-        decode_bracket_column(cells[a:b], file.lines[a:b], file.path) for a, b in file.bounds
-    ]
+def decode_brackets(
+    cells: Sequence[str], lengths: Sequence[int], lines=None, path=None
+) -> SpanArrays:
+    """The spans of a bracket column, the cells of sentences of ``lengths``
+    end to end, with any duplicates; the inverse of ``encode_bracket_column``.
+
+    Each distinct cell is parsed once.  A cell's opens, then its closes, are
+    its brackets, and a close matches the last open before it at its depth
+    in its sentence, so one sort of the column's brackets by depth pairs
+    them all.  Raises the ``CorpusError`` that a reading of the cells one
+    after another meets first, naming ``path`` and the line of the offending
+    cell (``lines[i]`` for cell i) when given them."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    table, codes = code_column(cells)
+    parsed = [_parse_cell(cell) for cell in table]
+    types = tuple(sorted({t for opens, closes, _ in parsed for t in opens + closes}))
+    type_code = {t: i for i, t in enumerate(types)}
+    # every cell's brackets end to end, from its distinct cell's
+    n_open = np.array([len(o) for o, _, _ in parsed] + [0], dtype=np.intp)[codes]
+    count = np.array([len(o) + len(c) for o, c, _ in parsed] + [0], dtype=np.intp)[codes]
+    first = np.cumsum([0] + [len(o) + len(c) for o, c, _ in parsed], dtype=np.intp)[codes]
+    at = ranges(first, count)
+    cell = np.repeat(np.arange(len(codes)), count)
+    rank = at - first[cell]  # of the bracket in its cell
+    btype = np.array([type_code[t] for o, c, _ in parsed for t in o + c], dtype=np.intp)[at]
+    opens = rank < n_open[cell]
+    step = np.where(opens, 1, -1)
+    running = np.concatenate(([0], np.cumsum(step)))
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    ends = np.cumsum(lengths)
+    base = running[np.searchsorted(cell, ends - lengths)]  # at each sentence's start
+    final = running[np.searchsorted(cell, ends)] - base
+    depth = running[:-1] - base[sentence[cell]]  # open brackets before it in its sentence
+    level = depth - ~opens  # a close's level is the depth it leaves
+    order = np.argsort(level, kind="stable")
+    before = np.full(len(order), -1)
+    before[order[1:]] = order[:-1]  # the bracket before it at its level
+    b = np.maximum(before, 0)
+    bad = np.flatnonzero(
+        ~opens & ((before < 0) | ~opens[b] | (level[b] != level) | (btype[b] != btype))
+    )
+    failed = np.flatnonzero(np.array([m is not None for _, _, m in parsed] + [False])[codes])
+    unclosed = np.flatnonzero(final > 0)
+    # where a reading cell after cell meets each error, in steps of a cell:
+    # a bad close in its turn, a cell's bad rest after its brackets, an
+    # unclosed bracket after the sentence's last cell
+    width = int(count.max(initial=0)) + 3
+    keys = np.concatenate((cell[bad] * width + 1 + rank[bad], failed * width + 1 + count[failed],
+                           (ends[unclosed] - 1) * width + width - 1))
+    if len(keys):
+        k = int(np.argmin(keys))
+        if k < len(bad):
+            j = bad[k]
+            i, message = cell[j], f"unbalanced {types[btype[j]]!r} close in column"
+        elif k < len(bad) + len(failed):
+            i = failed[k - len(bad)]
+            message = parsed[codes[i]][2]
+        else:  # the innermost open bracket left at the sentence's end
+            s = unclosed[k - len(bad) - len(failed)]
+            j = np.flatnonzero(opens & (sentence[cell] == s) & (depth == final[s] - 1))[-1]
+            i, message = cell[j], f"unclosed {types[btype[j]]!r} bracket in column"
+        raise CorpusError(message, None if lines is None else int(lines[i]), path)
+    start, end, typ = cell[order[0::2]], cell[order[1::2]], btype[order[0::2]]
+    order = np.lexsort((typ, end, start))
+    return SpanArrays(lengths, sentence[start[order]], start[order], end[order], typ[order], types)
+
+
+def bracket_spans(file: ColumnFile, role: str) -> SpanArrays:
+    """The spans of a file's bracket column ``role``, by ``decode_brackets``."""
+    return decode_brackets(file.column(role), file.lengths, file.lines, file.path)
 
 
 def encode_clause_column(forest: Sequence[ClauseNode], length: int) -> list[str]:
     spans = [ChunkSpan(s, e, "S") for s, e in clause_spans(forest)]
     return encode_bracket_column(spans, length)
-
-
-def decode_clause_column(cells: Sequence[str], lines=None, path=None) -> list[ClauseNode]:
-    spans = decode_bracket_column(cells, lines, path)
-    return _nest([(s.start, s.end) for s in spans])

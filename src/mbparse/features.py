@@ -2,9 +2,16 @@
 
 Extraction reads a ``CodedCorpus``, which holds the cells of a corpus's
 channels and codes each once; built from a file's cells, it makes ``Token``
-objects only for the code that reads them (typed chunking, clauses, parse
-cascades).  A chunk-tag context comes as tag lists per sentence, or as
-``CodedTags`` that are recoded without a string per token.
+objects only for the code that reads them.  A chunk-tag context comes as
+tag lists per sentence, or as ``CodedTags`` that are recoded without a
+string per token.
+
+A ``View`` is a corpus compressed by chunks to their head words, as index
+arrays over the whole corpus: each view token's head row and POS code, and
+each row's view token.  ``CodedCorpus.view`` compresses nothing,
+``compress_mapped`` compresses every sentence of a view by one batch of
+chunks at once, and ``CodedCorpus.compressed`` codes a view's tokens for
+extraction from the corpus's own codes.  ``chunk_heads`` finds the heads.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .learner import PAD, FeatureColumns, code_column, code_dtype
-from .schemes import ChunkSpan
+from .schemes import ChunkSpan, SpanArrays
 
 # Widest window offset any template may use.
 MAX_OFFSET = 4
@@ -177,19 +184,22 @@ class CodedCorpus(Sequence):
     that corpus.
     """
 
-    def __init__(self, sentences=None, lengths=None, cells=None):
-        """Over a list of ``Token`` sentences, or over ``cells``, the cells
-        of channels "w", "p" and "c" (None: no chunk tags) in sentences of
-        ``lengths``."""
+    def __init__(self, sentences=None, lengths=None, cells=None, channels=None):
+        """Over a list of ``Token`` sentences, over ``cells``, the cells of
+        channels "w", "p" and "c" (None: no chunk tags), or over
+        ``channels``, the symbols (PAD first) and each row's code of
+        channels "w" and "p", in sentences of ``lengths``."""
         self._sentences, self._cells = sentences, cells or {}
-        self.lengths = [len(s) for s in sentences] if cells is None else list(lengths)
+        self.lengths = [len(s) for s in sentences] if sentences is not None else list(lengths)
         ends = np.cumsum(self.lengths, dtype=np.intp).tolist()
         self.bounds = list(zip([0] + ends[:-1], ends))  # each sentence's rows
         self.rows = _read_only(np.arange(ends[-1] if ends else 0))
         # the cell of row r: every sentence up to r's own adds a run of pad cells
         runs = np.repeat(np.arange(1, len(ends) + 1), np.array(self.lengths, dtype=np.intp))
         self.positions = _read_only(self.rows + MAX_OFFSET * runs)
-        self._channels: dict[str, tuple[list[str], np.ndarray]] = {}
+        self._channels: dict[str, tuple[list[str], np.ndarray]] = {
+            c: self._laid_out(*coded) for c, coded in (channels or {}).items()
+        }
         self._columns: dict[Atom, tuple[dict[str, int], np.ndarray]] = {}
 
     @staticmethod
@@ -200,8 +210,8 @@ class CodedCorpus(Sequence):
     @property
     def sentences(self) -> Sequence[Sequence[Token]]:
         if self._sentences is None:
-            chunks = self._cells["c"] or repeat(None)
-            tokens = list(map(Token, self._cells["w"], self._cells["p"], chunks))
+            chunks = self._cells.get("c") or repeat(None)
+            tokens = list(map(Token, self.tags("w"), self.tags("p"), chunks))
             self._sentences = [tokens[a:b] for a, b in self.bounds]
             self._cells = {}  # the tokens hold the cells now
         return self._sentences
@@ -225,8 +235,13 @@ class CodedCorpus(Sequence):
         """The channel's own cells, token after token; a chunk tag is None
         where a token has none."""
         if channel not in self._cells:
-            field = {"w": "word", "p": "pos", "c": "chunk_tag"}[channel]
-            self._cells[channel] = [getattr(t, field) for s in self.sentences for t in s]
+            if self._sentences is None:  # coded channels only, and no chunk tags
+                symbols, stream = self._channels.get(channel, ((), None))
+                codes = [] if stream is None else stream[self.positions].tolist()
+                self._cells[channel] = list(map(symbols.__getitem__, codes)) or None
+            else:
+                field = {"w": "word", "p": "pos", "c": "chunk_tag"}[channel]
+                self._cells[channel] = [getattr(t, field) for s in self.sentences for t in s]
         return self._cells[channel] or [None] * len(self.rows)
 
     def cells(self, channel: str, context=None) -> Sequence:
@@ -241,21 +256,46 @@ class CodedCorpus(Sequence):
     def channel(self, cells) -> tuple[list[str], np.ndarray]:
         """The symbols of a channel's cells and the channel's codes, laid out
         with PAD cells around each sentence."""
-        symbols, codes = _code_channel(cells)
+        return self._laid_out(*_code_channel(cells))
+
+    def _laid_out(self, symbols, codes: np.ndarray) -> tuple[list[str], np.ndarray]:
         stream = np.zeros(len(self.rows) + MAX_OFFSET * (len(self) + 1), dtype=codes.dtype)
         stream[self.positions] = codes
         return symbols, stream
+
+    def _own(self, channel: str) -> tuple[list[str], np.ndarray]:
+        """The symbols and laid-out codes of one of the tokens' own channels."""
+        if channel not in self._channels:
+            self._channels[channel] = self.channel(self.cells(channel))
+        return self._channels[channel]
 
     def column(self, channel: str, offset: int) -> tuple[dict[str, int], np.ndarray]:
         """The code table and the column of one (channel, offset) feature
         over the tokens' own channels, worked out once."""
         if (channel, offset) not in self._columns:
-            if channel not in self._channels:
-                self._channels[channel] = self.channel(self.cells(channel))
             self._columns[channel, offset] = _recode(
-                *self._channels[channel], self.positions + offset, self.rows
+                *self._own(channel), self.positions + offset, self.rows
             )
         return self._columns[channel, offset]
+
+    def view(self) -> "View":
+        """The corpus as a view that compresses nothing."""
+        symbols, stream = self._own("p")
+        pos = stream[self.positions].astype(np.intp)
+        return View(self.rows, pos, tuple(symbols), self.rows, np.array(self.lengths, np.intp))
+
+    def compressed(self, view: "View", sentences: np.ndarray | None = None) -> "CodedCorpus":
+        """A coded corpus of the tokens of ``view`` (a view of this corpus),
+        of the sentences at ``sentences`` only when given: the words of
+        their head rows and their POS tags, coded from these codes without
+        a string per token.  Its tokens have no chunk tags."""
+        heads, pos, lengths = view.heads, view.pos, view.lengths
+        if sentences is not None:
+            tokens = ranges((np.cumsum(lengths) - lengths)[sentences], lengths[sentences])
+            heads, pos, lengths = heads[tokens], pos[tokens], lengths[sentences]
+        words, stream = self._own("w")
+        channels = {"w": (words, stream[self.positions[heads]]), "p": (list(view.symbols), pos)}
+        return CodedCorpus(lengths=lengths.tolist(), channels=channels)
 
 
 def extract(
@@ -300,59 +340,72 @@ def extract(
 
 
 # ---------------------------------------------------------------------------
-# Head words and sentence compression.
+# Head words and views: a corpus compressed by chunks, as index arrays.
 
 
-def np_head(chunk: Sequence[Token]) -> int:
-    """Head position of a noun phrase: the last token of its first run of
-    noun tags, or the final token when no noun is present."""
-    if not chunk:
-        raise DomainError("empty chunk has no head")
-    in_run = False
-    last = None
-    for i, tok in enumerate(chunk):
-        if tok.pos.startswith("NN"):
-            in_run = True
-            last = i
-        elif in_run:
-            break
-    return last if last is not None else len(chunk) - 1
+def ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i]`` .. ``starts[i] + counts[i] - 1`` of every
+    i, end to end."""
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return np.arange(len(shift)) + shift
 
 
-def compress_mapped(
-    sentence: Sequence[Token], chunks: Iterable[ChunkSpan]
-) -> tuple[list[Token], list[tuple[int, int]]]:
-    """Compress chunks to their head words; the head's POS becomes the chunk
-    type.  Also returns, per output token, the original (start, end) range it
-    stands for."""
-    ordered = sorted(chunks)
-    prev_end = -1
-    for s in ordered:
-        if s.end >= len(sentence):
-            raise DomainError(f"chunk {s} exceeds sentence length")
-        if s.start <= prev_end:
-            raise DomainError(f"chunk {s} overlaps a preceding chunk")
-        prev_end = s.end
+def chunk_heads(view: "View", starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The head of each chunk of ``view``, its tokens ``starts[i]`` to
+    ``ends[i]``: the last token of its first run of nouns (POS tags that
+    start "NN"), or its last token when it holds no noun."""
+    nouns = np.array([s.startswith("NN") for s in view.symbols], dtype=bool)[view.pos]
+    marked, unmarked = (np.append(np.flatnonzero(f), len(nouns)) for f in (nouns, ~nouns))
+    first = marked[np.searchsorted(marked, starts)]
+    run_end = unmarked[np.searchsorted(unmarked, first)] - 1
+    return np.where(first <= ends, np.minimum(run_end, ends), ends)
 
-    out: list[Token] = []
-    origins: list[tuple[int, int]] = []
-    i = 0
-    for s in ordered:
-        while i < s.start:
-            out.append(sentence[i])
-            origins.append((i, i))
-            i += 1
-        chunk = sentence[s.start : s.end + 1]
-        # noun phrases keep their noun head, other chunks their final token
-        head = chunk[np_head(chunk) if s.type == "NP" else len(chunk) - 1]
-        out.append(Token(word=head.word, pos=s.type))
-        origins.append((s.start, s.end))
-        i = s.end + 1
-    while i < len(sentence):
-        out.append(sentence[i])
-        origins.append((i, i))
-        i += 1
-    return out, origins
+
+class View(NamedTuple):
+    """A corpus compressed by chunks, over the rows of the corpus (its
+    tokens, sentence after sentence).  View token j has the word of row
+    ``heads[j]`` and the POS tag ``symbols[pos[j]]`` (a compressed chunk's
+    type); ``orig2cur`` maps each row to the view token that stands for it
+    and does not decrease, so ``searchsorted`` finds a token's rows;
+    ``lengths`` counts each sentence's view tokens."""
+
+    heads: np.ndarray
+    pos: np.ndarray
+    symbols: tuple[str, ...]  # PAD first
+    orig2cur: np.ndarray
+    lengths: np.ndarray
+
+
+def compress_mapped(view: View, chunks: SpanArrays) -> View:
+    """``view`` one level up: each chunk (in rows of the corpus, with no two
+    on one view token) compressed to its head word, a noun phrase's noun
+    head (``chunk_heads``) and any other chunk's last token, with the chunk
+    type as its POS tag.  Raises ``DomainError`` at the first chunk, per
+    sentence in sorted view positions, that overlaps the one before it."""
+    vs, ve = view.orig2cur[chunks.starts], view.orig2cur[chunks.ends]
+    order = np.lexsort((chunks.type_codes, ve, vs, chunks.sentence))
+    sentence, vs, ve, types = (a[order] for a in (chunks.sentence, vs, ve, chunks.type_codes))
+    overlaps = np.flatnonzero((sentence[1:] == sentence[:-1]) & (vs[1:] <= ve[:-1]))[:1] + 1
+    for i in overlaps.tolist():
+        first = int(np.sum(view.lengths[: sentence[i]]))
+        chunk = ChunkSpan(int(vs[i]) - first, int(ve[i]) - first, chunks.types[types[i]])
+        raise DomainError(f"chunk {chunk} overlaps a preceding chunk")
+    symbols = view.symbols + tuple(t for t in chunks.types if t not in view.symbols)
+    type_pos = np.array([symbols.index(t) for t in chunks.types], dtype=np.intp)[types]
+    head = ve.copy()
+    np_chunk = types == (chunks.types.index("NP") if "NP" in chunks.types else -1)
+    head[np_chunk] = chunk_heads(view, vs[np_chunk], ve[np_chunk])
+    # a chunk's tokens after its first join that token
+    edges = np.zeros(len(view.heads) + 1, dtype=np.intp)
+    edges[vs + 1] += 1
+    edges[ve + 1] -= 1
+    kept = np.cumsum(edges[:-1]) == 0
+    cur2new = np.cumsum(kept) - 1
+    heads, pos = view.heads[kept], view.pos[kept]
+    heads[cur2new[vs]] = view.heads[head]
+    pos[cur2new[vs]] = type_pos
+    lengths = view.lengths - np.bincount(sentence, ve - vs, len(view.lengths)).astype(np.intp)
+    return View(heads, pos, symbols, cur2new[view.orig2cur], lengths)
 
 
 # ---------------------------------------------------------------------------

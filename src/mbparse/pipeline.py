@@ -20,37 +20,41 @@ its labels and as its second pass's context.  Tag time decodes each
 representation's output once, with one ``schemes.convert_tags`` of the
 whole batch into open and close bracket streams.
 
-A compressed sentence is one view, ``(tokens, orig2cur)``: ``orig2cur`` maps
-each original position to the token that stands for it, and does not
-decrease, so ``bisect`` finds a token's original range.  The clause
-bracketer and the cascades, in training and parsing, compress through
-``_compress_view``.
+Compressed sentences are one ``features.View`` of the whole corpus: index
+arrays of each view token's head row and POS code, and each row's view
+token, which does not decrease, so ``searchsorted`` finds a token's rows.
+The clause bracketer's close views, cascade training and cascade parsing
+advance every sentence's view with one ``features.compress_mapped`` call
+per level.  Gold trees come as ``SpanArrays`` (``corpus.decode_brackets``
+reads a bracket column into them), and ``tree_levels`` gives each span its
+cascade level, all in numpy; a level's open and close tags come from
+``schemes.tag_codes`` over the spans in view positions.
 """
 
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import features
 from .combine import majority_vote
 from .errors import ConfigError, DomainError
 from .features import (
     CodedCorpus,
     CodedTags,
+    FeatureColumns,
     FeatureTemplate,
     Token,
-    compress_mapped,
+    View,
+    chunk_heads,
     extract,
-    np_head,
     parse_template,
 )
 from .learner import (
-    Instance,
     InstanceBase,
     LearnerConfig,
     Model,
@@ -350,15 +354,19 @@ class NPhaseChunker:
 TypedChunker = SinglePhaseChunker | DoublePhaseChunker | NPhaseChunker
 
 
-def _type_features(sentence: Sentence, spans: Sequence[ChunkSpan]) -> list[tuple]:
-    """Per chunk: the previous, own and next chunk's head words and the
-    chunk's POS tags.  Each chunk's head is found once."""
-    chunks = [sentence[s.start : s.end + 1] for s in spans]
-    heads = [PAD, *(chunk[np_head(chunk)].word for chunk in chunks), PAD]
-    return [
-        (heads[i], heads[i + 1], "+".join(t.pos for t in chunk), heads[i + 2])
-        for i, chunk in enumerate(chunks)
-    ]
+def _type_features(corpus: CodedCorpus, chunks: SpanArrays) -> FeatureColumns:
+    """Per chunk: the previous, own and next chunk's head words (PAD past
+    the sentence) and the chunk's POS tags joined by "+", coded column by
+    column.  Heads come from ``features.chunk_heads`` over every chunk."""
+    words, pos = corpus.tags("w"), corpus.tags("p")
+    heads = chunk_heads(corpus.view(), chunks.starts, chunks.ends).tolist()
+    heads = np.array(list(map(words.__getitem__, heads)), dtype=object)
+    same = chunks.sentence[1:] == chunks.sentence[:-1]
+    before, after = np.full(len(heads), PAD, dtype=object), np.full(len(heads), PAD, dtype=object)
+    before[1:][same], after[:-1][same] = heads[:-1][same], heads[1:][same]
+    tags = ["+".join(pos[a : b + 1]) for a, b in zip(chunks.starts.tolist(), chunks.ends.tolist())]
+    coded = [code_column(c) for c in (before.tolist(), heads.tolist(), tags, after.tolist())]
+    return FeatureColumns(tuple(t for t, _ in coded), tuple(c for _, c in coded), len(tags))
 
 
 def train_typed_chunker(
@@ -380,12 +388,10 @@ def train_typed_chunker(
     if strategy is TypeStrategy.DOUBLE_PHASE:
         cfg = replace(config, typed=False, default_type="CH")
         boundary = train_chunker(sentences, gold, cfg, learner_config)
-        type_instances = [
-            Instance(features, span.type)
-            for s, spans in zip(sentences, gold.lists())
-            for features, span in zip(_type_features(s, spans), spans)
-        ]
-        type_model = train(type_instances, learner_config)
+        columns = _type_features(sentences, gold)
+        labels = code_column([gold.types[t] for t in gold.type_codes.tolist()])
+        base = InstanceBase(columns.codes, columns.columns, columns.rows, *labels)
+        type_model = train(base, learner_config)
         return DoublePhaseChunker(boundary=boundary, type_model=type_model)
 
     # N-phase: one boundary chunker per chunk type.
@@ -407,20 +413,12 @@ def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
         return chunk_np(sentences, chunker.chunker)
 
     if isinstance(chunker, DoublePhaseChunker):
-        boundaries = [sorted(spans) for spans in chunk_np(sentences, chunker.boundary)]
-        queries = []
-        for s, spans in zip(sentences, boundaries):
-            queries.extend(_type_features(s, spans))
-        labels = classify_labels(chunker.type_model, queries)
-        out, pos = [], 0
-        for spans in boundaries:
-            typed = [
-                ChunkSpan(s.start, s.end, labels[pos + i])
-                for i, s in enumerate(spans)
-            ]
-            pos += len(spans)
-            out.append(typed)
-        return out
+        boundaries = SpanArrays.of(chunk_np(sentences, chunker.boundary), sentences.lengths)
+        labels = classify_labels(chunker.type_model, _type_features(sentences, boundaries))
+        types = tuple(sorted(set(labels)))
+        code = dict(zip(types, range(len(types))))
+        codes = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
+        return replace(boundaries, type_codes=codes, types=types).lists()
 
     # N-phase: run every per-type chunker, then settle token conflicts in
     # favor of the type more frequent in training.
@@ -451,13 +449,13 @@ CLAUSE_OPEN_TEMPLATES = (
 CLAUSE_CLOSE_TEMPLATE = parse_template("w[-3..3] p[-3..3]")
 
 
-def _chunk_views(corpus: CodedCorpus):
-    """Each sentence's view compressed by the chunks of its IOB1 tags."""
+def _chunk_view(corpus: CodedCorpus) -> View:
+    """The corpus's view compressed by the chunks of its IOB1 tags."""
     tags = corpus.tags("c")
     if None in tags:
         raise DomainError("clause identification requires chunk annotations")
-    chunks = decode_tags(tags, corpus.lengths, Scheme.IOB1).lists()
-    return [_compress_view((s, range(len(s))), spans) for s, spans in zip(corpus, chunks)]
+    chunks = decode_tags(tags, corpus.lengths, Scheme.IOB1)
+    return features.compress_mapped(corpus.view(), chunks)
 
 
 @dataclass
@@ -483,51 +481,52 @@ class ClauseBracketer:
 
     def predict_closes(self, sentences: Sequence[Sentence]) -> list[list[int]]:
         """The last original position of each view token tagged ")"."""
-        views = _chunk_views(CodedCorpus.of(sentences))
-        tags = tag_sentences(self.close_model, self.close_template, [t for t, _ in views])
-        return [
-            [bisect_right(orig2cur, j) - 1 for j, tag in enumerate(stags) if tag == ")"]
-            for (_, orig2cur), stags in zip(views, tags)
-        ]
+        corpus = CodedCorpus.of(sentences)
+        view = _chunk_view(corpus)
+        columns, _ = extract(self.close_template, corpus.compressed(view))
+        labels = np.array(classify_labels(self.close_model, columns), dtype=object)
+        rows = np.searchsorted(view.orig2cur, np.flatnonzero(labels == ")"), side="right") - 1
+        ends = np.cumsum(corpus.lengths, dtype=np.intp)
+        bounds = np.searchsorted(rows, np.concatenate(([0], ends))).tolist()
+        rows -= np.concatenate(([0], ends))[np.searchsorted(ends, rows, side="right")]
+        return [rows[a:b].tolist() for a, b in zip(bounds, bounds[1:])]
 
 
 def train_clause_bracketer(
     sentences: Sequence[Sentence],
-    forests: Sequence[Sequence[ClauseNode]],
+    forests: Sequence[Sequence[ClauseNode]] | SpanArrays,
     learner_config: LearnerConfig | None = None,
 ) -> ClauseBracketer:
+    """Open taggers on the rows where clauses start, and a close tagger on
+    the view tokens where they end, of one clause forest per sentence or
+    of ``SpanArrays`` of the clauses."""
     learner_config = learner_config or LearnerConfig()
-
     corpus = CodedCorpus.of(sentences)
-    open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
-    open_tags = CodedTags(*code_column([  # coded once for the three models
-        "(" if i in opens else "." for n, opens in zip(corpus.lengths, open_sets) for i in range(n)
-    ]))
+    if not isinstance(forests, SpanArrays):
+        forests = [[ChunkSpan(a, b, "S") for a, b in clause_spans(f)] for f in forests]
+    clauses = SpanArrays.of(forests, corpus.lengths, nested=True)
+    opened = np.zeros(len(corpus.rows), dtype=bool)
+    opened[clauses.starts] = True
+    open_tags = CodedTags(*code_column(np.where(opened, "(", ".").tolist()))  # for all three
     open_models = tuple(
         train_tagger(template, corpus, open_tags, learner_config)
         for template in CLAUSE_OPEN_TEMPLATES
     )
-
-    views = _chunk_views(corpus)
-    close_tags = []
-    for (tokens, orig2cur), forest in zip(views, forests):
-        tags = ["."] * len(tokens)
-        for _, end in clause_spans(forest):
-            tags[orig2cur[end]] = ")"
-        close_tags.append(tags)
-    close_model = train_tagger(
-        CLAUSE_CLOSE_TEMPLATE, [t for t, _ in views], close_tags, learner_config
-    )
+    view = _chunk_view(corpus)
+    closed = np.zeros(len(view.heads), dtype=bool)
+    closed[view.orig2cur[clauses.ends]] = True
+    close_tags = CodedTags(*code_column(np.where(closed, ")", ".").tolist()))
+    close_model = train_tagger(CLAUSE_CLOSE_TEMPLATE, corpus.compressed(view), close_tags,
+                               learner_config)
     return ClauseBracketer(open_models, close_model)
 
 
 def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[ClauseNode]]:
     """Predict open/close positions per token, then repair them into forests."""
-    opens = bracketer.predict_opens(sentences)
-    closes = bracketer.predict_closes(sentences)
-    return [
-        balance_clauses(o, c, len(s)) for s, o, c in zip(sentences, opens, closes)
-    ]
+    corpus = CodedCorpus.of(sentences)
+    opens = bracketer.predict_opens(corpus)
+    closes = bracketer.predict_closes(corpus)
+    return [balance_clauses(o, c, n) for n, o, c in zip(corpus.lengths, opens, closes)]
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +543,12 @@ class BracketLevel:
     close_model: Model
     default_type: str = "NP"
 
-    def predict(self, batch):
-        """Open and close marks per view of ``batch``, a list of (tokens,
-        orig2cur, sentence index)."""
-        corpus = CodedCorpus([tokens for tokens, _, _ in batch])
-        otags = tag_sentences(self.open_model, self.template, corpus)
-        ctags = tag_sentences(self.close_model, self.template, corpus)
+    def predict(self, corpus: CodedCorpus, view: View, sentences: np.ndarray):
+        """Open and close marks of the view tokens of each sentence at
+        ``sentences``, indices into ``corpus`` and ``view``."""
+        tokens = corpus.compressed(view, sentences)
+        otags = tag_sentences(self.open_model, self.template, tokens)
+        ctags = tag_sentences(self.close_model, self.template, tokens)
         return [
             (
                 [mark_type(t, self.default_type) for t in o],
@@ -570,30 +569,34 @@ def _run_cascade(
     over the sentence's view compressed by the spans found last.  With
     ``early_stop``, a sentence leaves the cascade at the first level that
     finds nothing new."""
-    views = [(s, range(len(s))) for s in sentences]
-    found = [list(spans) for spans in base_spans]  # in original positions
-    spans = [set(f) for f in found]
-    active = list(range(len(views)))
+    corpus = CodedCorpus.of(sentences)
+    view = corpus.view()
+    found = SpanArrays.of(base_spans, corpus.lengths)  # in rows of the corpus
+    spans = [set(f) for f in found.lists()]
+    active = np.arange(len(corpus))
     for level in levels:
-        if not active:
+        if not len(active):
             break
-        for i in active:
-            views[i] = _compress_view(views[i], found[i])
-        marks = level.predict([(*views[i], i) for i in active])
-        done = set()
-        for i, (omarks, cmarks) in zip(active, marks):
-            orig2cur = views[i][1]
-            found[i] = {
-                ChunkSpan(
-                    bisect_left(orig2cur, s.start), bisect_right(orig2cur, s.end) - 1, s.type
-                )
-                for s in balance_brackets(omarks, cmarks, match_mode)
-            }
-            if not found[i] <= spans[i]:
-                spans[i] |= found[i]
+        view = features.compress_mapped(view, found)
+        marks = level.predict(corpus, view, active)
+        # the spans in the active sentences' view tokens, then in the rows
+        # those tokens stand for
+        local = SpanArrays.of([balance_brackets(o, c, match_mode) for o, c in marks],
+                              view.lengths[active])
+        sentence = active[local.sentence]
+        shift = np.cumsum(view.lengths)[sentence] - np.cumsum(local.lengths)[local.sentence]
+        found = replace(local, lengths=found.lengths, sentence=sentence,
+                        starts=np.searchsorted(view.orig2cur, local.starts + shift),
+                        ends=np.searchsorted(view.orig2cur, local.ends + shift, "right") - 1)
+        new = found.lists()
+        stay = np.ones(len(active), dtype=bool)
+        for j, i in enumerate(active.tolist()):
+            if not spans[i].issuperset(new[i]):
+                spans[i].update(new[i])
             elif early_stop:
-                done.add(i)
-        active = [i for i in active if i not in done]
+                stay[j] = False
+        active = active[stay]
+        found = found.where(np.isin(found.sentence, active))
     return spans
 
 
@@ -618,115 +621,105 @@ class FullParser:
     match_mode: MatchMode = MatchMode.SAME_TYPE
 
 
-def _wrap_roots(sentences: Sequence[Sentence], spans: Sequence[set[ChunkSpan]]):
-    """Add an "S" span over each non-empty sentence that lacks one."""
+def _wrap_roots(lengths: Sequence[int], spans: Sequence[set[ChunkSpan]]):
+    """Add an "S" span over each non-empty sentence, of ``lengths``, that
+    lacks one."""
     return [
-        sorted(found | {ChunkSpan(0, len(s) - 1, "S")} if s else found)
-        for s, found in zip(sentences, spans)
+        sorted(found | {ChunkSpan(0, n - 1, "S")} if n else found)
+        for n, found in zip(lengths, spans)
     ]
 
 
 def parse_full(sentences: Sequence[Sentence], parser: FullParser):
     """Typed parse span sets; every sentence ends up under a clause root."""
+    sentences = CodedCorpus.of(sentences)
     base = chunk_typed(sentences, parser.base)
     spans = _run_cascade(sentences, base, parser.levels, parser.match_mode, False)
-    return _wrap_roots(sentences, spans)
+    return _wrap_roots(sentences.lengths, spans)
 
 
 # ---------------------------------------------------------------------------
 # Level stratification and parser training.
 
 
-def stratify_levels(spans: Iterable[ChunkSpan]) -> dict[int, list[ChunkSpan]]:
-    """Group spans of one sentence by height: leaves at level 0, a span one
-    above the highest span it contains."""
-    spans = sorted(set(spans), key=lambda s: (s.end - s.start, s.start))
-    levels: dict[ChunkSpan, int] = {}
-    for s in spans:
-        inside = [
-            levels[t]
-            for t in levels
-            if t.start >= s.start and t.end <= s.end and t != s
-        ]
-        levels[s] = 1 + max(inside) if inside else 0
-    out: dict[int, list[ChunkSpan]] = {}
-    for s, lvl in levels.items():
-        out.setdefault(lvl, []).append(s)
-    return {lvl: sorted(group) for lvl, group in out.items()}
+def tree_levels(tree: SpanArrays) -> tuple[SpanArrays, np.ndarray]:
+    """The distinct spans of a corpus's trees, and each one's level: 0 for
+    a span that contains no other, else one more than the highest level of
+    the spans it contains.  Of spans over the same tokens, the one of the
+    later type is inside, as ``corpus.encode_bracket_column`` nests them.
+    Raises ``DomainError`` at a span that crosses one before it.
 
-
-def _compress_view(view: tuple[Sequence[Token], Sequence[int]], spans: Iterable[ChunkSpan]):
-    """A view one level up: its tokens compressed by ``spans`` (in original
-    positions), and the map from original positions into the result.  A
-    sentence before any compression is the view (its tokens, their range)."""
-    tokens, orig2cur = view
-    tokens, rel = compress_mapped(
-        tokens, [ChunkSpan(orig2cur[s.start], orig2cur[s.end], s.type) for s in spans]
-    )
-    back = [j for j, (a, b) in enumerate(rel) for _ in range(a, b + 1)]
-    return tokens, [back[c] for c in orig2cur]
+    In preorder (by start, outer first), a span's depth is its index less
+    the spans that end before it starts, its parent is the last span before
+    it one level shallower, and a level rises from the deepest spans up."""
+    order = np.lexsort((tree.type_codes, -tree.ends, tree.starts))
+    columns = [a[order] for a in (tree.sentence, tree.starts, tree.ends, tree.type_codes)]
+    distinct = np.ones(len(order), dtype=bool)
+    distinct[1:] = np.any([a[1:] != a[:-1] for a in columns[1:]], axis=0)
+    sentence, starts, ends, types = (a[distinct] for a in columns)
+    n = len(starts)
+    depth = np.arange(n) - np.searchsorted(np.sort(ends), starts)
+    key = depth * n + np.arange(n)
+    by_key = np.argsort(key)
+    parent = by_key[np.maximum(np.searchsorted(key[by_key], key - n) - 1, 0)]
+    crossed = np.flatnonzero((depth > 0) & (ends[parent] < ends))[:1]
+    for i in crossed.tolist():
+        first = int(np.sum(tree.lengths[: sentence[i]]))
+        span = ChunkSpan(int(starts[i]) - first, int(ends[i]) - first, tree.types[types[i]])
+        raise DomainError(f"span {span} crosses a span before it")
+    level = np.zeros(n, dtype=np.intp)
+    for d in range(int(depth.max(initial=0)), 0, -1):
+        inner = np.flatnonzero(depth == d)
+        np.maximum.at(level, parent[inner], level[inner] + 1)
+    order = np.lexsort((types, ends, starts))
+    kept = (a[order] for a in (sentence, starts, ends, types))
+    return SpanArrays(tree.lengths, *kept, tree.types), level[order]
 
 
 def train_bracket_level(
-    views: Sequence[tuple[list[Token], list[int]]],
-    stratified: Sequence[dict[int, list[ChunkSpan]]],
-    level: int,
+    corpus: CodedCorpus,
+    view: View,
+    spans: SpanArrays,
     template: FeatureTemplate,
     learner_config: LearnerConfig,
     typed: bool,
     default_type: str = "NP",
 ) -> BracketLevel:
-    """Train one level's open/close predictors on brackets of that level only,
-    over each sentence's view at that level: compressed by the gold structure
-    below it."""
-    open_tags, close_tags = [], []
-    for (tokens, orig2cur), by_level in zip(views, stratified):
-        otags, ctags = ["."] * len(tokens), ["."] * len(tokens)
-        for sp in by_level.get(level, []):
-            otags[orig2cur[sp.start]] = f"(-{sp.type}" if typed else "("
-            ctags[orig2cur[sp.end]] = f")-{sp.type}" if typed else ")"
-        open_tags.append(otags)
-        close_tags.append(ctags)
-    corpus = CodedCorpus([tokens for tokens, _ in views])  # both models' columns
-    return BracketLevel(
-        template=template,
-        open_model=train_tagger(template, corpus, open_tags, learner_config),
-        close_model=train_tagger(template, corpus, close_tags, learner_config),
-        default_type=default_type,
+    """Train one level's open/close predictors on brackets of that level
+    only, ``spans`` (in rows of the corpus), over ``view``: the corpus
+    compressed by the gold structure below that level."""
+    at = replace(spans, lengths=view.lengths, starts=view.orig2cur[spans.starts],
+                 ends=view.orig2cur[spans.ends])
+    tokens = corpus.compressed(view)  # both models' columns
+    open_model, close_model = (
+        train_tagger(template, tokens, CodedTags(*tag_codes(at, scheme, typed)), learner_config)
+        for scheme in (Scheme.O, Scheme.C)
     )
+    return BracketLevel(template, open_model, close_model, default_type)
 
 
-def _train_levels(sentences, stratified, config, learner_config, count, typed):
+def _train_levels(corpus, tree, levels, config, learner_config, count, typed):
     """Bracket levels 1..count at k = ``config.k_parse``, up to the first
-    level with no gold spans.  Each level's views are the level below's,
-    compressed by one more level of gold spans."""
+    level with no gold spans.  Each level's view is the level below's,
+    compressed by one more level of the gold spans ``tree``, whose levels
+    ``levels`` holds."""
     level_cfg = replace(learner_config, k=config.k_parse)
-    views = [(s, range(len(s))) for s in sentences]
-    levels = []
+    view = corpus.view()
+    out = []
     for level in range(1, count + 1):
-        if not any(by_level.get(level) for by_level in stratified):
+        if not np.any(levels == level):
             break
-        views = [
-            _compress_view(view, by_level.get(level - 1, []))
-            for view, by_level in zip(views, stratified)
-        ]
-        levels.append(
-            train_bracket_level(
-                views,
-                stratified,
-                level,
-                config.level_template,
-                level_cfg,
-                typed=typed,
-                default_type=config.default_type,
-            )
-        )
-    return levels
+        view = features.compress_mapped(view, tree.where(levels == level - 1))
+        spans = tree.where(levels == level)
+        out.append(train_bracket_level(
+            corpus, view, spans, config.level_template, level_cfg, typed, config.default_type
+        ))
+    return out
 
 
 def train_np_parser(
     sentences: Sequence[Sentence],
-    gold: Sequence[Iterable[ChunkSpan]],
+    gold: Sequence[Iterable[ChunkSpan]] | SpanArrays,
     config: PipelineConfig | None = None,
     learner_config: LearnerConfig | None = None,
 ) -> NpParser:
@@ -734,29 +727,29 @@ def train_np_parser(
     per nesting level, each trained on its own level's brackets only."""
     config = config or PipelineConfig()
     learner_config = learner_config or LearnerConfig()
-    stratified = [stratify_levels(g) for g in gold]
-    base_gold = [by.get(0, []) for by in stratified]
-    base = train_chunker(sentences, base_gold, replace(config, typed=False), learner_config)
+    corpus = CodedCorpus.of(sentences)
+    tree, level = tree_levels(SpanArrays.of(gold, corpus.lengths, nested=True))
+    base_gold = tree.where(level == 0)
+    base = train_chunker(corpus, base_gold, replace(config, typed=False), learner_config)
     levels = _train_levels(
-        sentences, stratified, config, learner_config, config.np_parse_levels, typed=False
+        corpus, tree, level, config, learner_config, config.np_parse_levels, typed=False
     )
     return NpParser(base=base, levels=levels, match_mode=config.match_mode)
 
 
 def train_full_parser(
     sentences: Sequence[Sentence],
-    gold: Sequence[Iterable[ChunkSpan]],
+    gold: Sequence[Iterable[ChunkSpan]] | SpanArrays,
     config: PipelineConfig | None = None,
     learner_config: LearnerConfig | None = None,
 ) -> FullParser:
     config = config or PipelineConfig()
     learner_config = learner_config or LearnerConfig()
-    stratified = [stratify_levels(g) for g in gold]
-    base_gold = [by.get(0, []) for by in stratified]
-    base = train_typed_chunker(
-        sentences, base_gold, config.type_strategy, config, learner_config
-    )
+    corpus = CodedCorpus.of(sentences)
+    tree, level = tree_levels(SpanArrays.of(gold, corpus.lengths, nested=True))
+    base_gold = tree.where(level == 0)
+    base = train_typed_chunker(corpus, base_gold, config.type_strategy, config, learner_config)
     levels = _train_levels(
-        sentences, stratified, config, learner_config, config.max_parse_levels, typed=True
+        corpus, tree, level, config, learner_config, config.max_parse_levels, typed=True
     )
     return FullParser(base=base, levels=levels, match_mode=config.match_mode)

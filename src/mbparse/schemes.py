@@ -82,9 +82,9 @@ def split_tag(tag: str) -> tuple[str, str | None]:
 
 @dataclass(frozen=True, eq=False)
 class SpanArrays:
-    """The flat chunk spans of a corpus, as arrays over its rows (its
-    tokens, sentence after sentence).  Span i covers rows ``starts[i]`` to
-    ``ends[i]`` of sentence ``sentence[i]`` and has type
+    """The chunk spans of a corpus, flat or nested as in a tree, as arrays
+    over its rows (its tokens, sentence after sentence).  Span i covers rows
+    ``starts[i]`` to ``ends[i]`` of sentence ``sentence[i]`` and has type
     ``types[type_codes[i]]``; ``types`` is sorted, and the spans by
     sentence, start, end and type.  ``lengths`` holds the sentence lengths.
     """
@@ -97,11 +97,11 @@ class SpanArrays:
     types: tuple[str, ...]
 
     @staticmethod
-    def of(spans, lengths: Sequence[int]) -> "SpanArrays":
+    def of(spans, lengths: Sequence[int], nested: bool = False) -> "SpanArrays":
         """One ``ChunkSpan`` iterable per sentence of ``lengths`` as arrays
         (``SpanArrays`` as they are).  Raises ``DomainError`` where
         ``encode`` does: at the first span, in sorted order, that ends past
-        its sentence or overlaps the span before it."""
+        its sentence or, unless ``nested``, overlaps the span before it."""
         if isinstance(spans, SpanArrays):
             return spans
         lengths = np.asarray(lengths, dtype=np.intp)
@@ -117,7 +117,7 @@ class SpanArrays:
         sentence, start, end, codes = (c[np.lexsort(columns[::-1])] for c in columns)
         exceeds = end >= lengths[sentence]
         overlaps = np.zeros(len(flat), dtype=bool)
-        overlaps[1:] = (sentence[1:] == sentence[:-1]) & (start[1:] <= end[:-1])
+        overlaps[1:] = (sentence[1:] == sentence[:-1]) & (start[1:] <= end[:-1]) & (not nested)
         for i in np.flatnonzero(exceeds | overlaps)[:1].tolist():
             span = ChunkSpan(int(start[i]), int(end[i]), types[codes[i]])
             if exceeds[i]:

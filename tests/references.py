@@ -9,6 +9,7 @@ plumbing can be tested on its own.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from mbparse.corpus import DEFAULT_COLUMNS, column_index
 from mbparse.errors import CorpusError, DomainError
-from mbparse.features import FeatureTemplate, Token, compress_mapped
+from mbparse.features import FeatureTemplate, Token
 from mbparse.learner import PAD, Instance, TiePolicy
 from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
 from mbparse.schemes import (
@@ -24,6 +25,7 @@ from mbparse.schemes import (
     ClauseNode,
     MatchMode,
     Scheme,
+    _nest,
     balance_brackets,
     clause_spans,
     encode,
@@ -238,6 +240,49 @@ def convert_sentence(tags: Sequence, src: Scheme, dst: Scheme, default_type: str
     return encode_sentence(spans, dst, len(tags), typed=typed)
 
 
+_OPEN_RE = re.compile(r"\(([^()*]+)")
+_CLOSE_RE = re.compile(r"([^()*]+)\)")
+
+
+def decode_bracket_column(cells: Sequence[str], lines=None, path=None) -> list[ChunkSpan]:
+    """``corpus.decode_brackets`` over one sentence, one cell and one bracket
+    at a time, with a stack; raises on unbalanced columns, naming ``path``
+    and the line of the offending cell (``lines[i]`` for cell i) when given
+    them."""
+
+    def error(message: str, i: int) -> CorpusError:
+        return CorpusError(message, None if lines is None else int(lines[i]), path)
+
+    stack: list[tuple[int, str]] = []
+    spans: list[ChunkSpan] = []
+    for i, cell in enumerate(cells):
+        star = cell.find("*")
+        if star < 0:
+            raise error(f"bracket cell {cell!r} lacks '*'", i)
+        for typ in _OPEN_RE.findall(cell[:star]):
+            stack.append((i, typ))
+        rest = cell[star + 1 :]
+        while rest:
+            m = _CLOSE_RE.match(rest)
+            if not m:
+                raise error(f"malformed bracket cell {cell!r}", i)
+            typ = m.group(1)
+            if not stack or stack[-1][1] != typ:
+                raise error(f"unbalanced {typ!r} close in column", i)
+            start, _ = stack.pop()
+            spans.append(ChunkSpan(start, i, typ))
+            rest = rest[m.end() :]
+    if stack:
+        raise error(f"unclosed {stack[-1][1]!r} bracket in column", stack[-1][0])
+    return sorted(spans)
+
+
+def decode_clause_column(cells: Sequence[str], lines=None, path=None) -> list[ClauseNode]:
+    """One sentence's clause column as a clause forest."""
+    spans = decode_bracket_column(cells, lines, path)
+    return _nest([(s.start, s.end) for s in spans])
+
+
 # ---------------------------------------------------------------------------
 # Learner.
 
@@ -395,6 +440,93 @@ def extract_token(
     return tuple(values)
 
 
+def np_head(chunk: Sequence[Token]) -> int:
+    """Head position of a noun phrase: the last token of its first run of
+    noun tags, or the final token when no noun is present."""
+    if not chunk:
+        raise DomainError("empty chunk has no head")
+    in_run = False
+    last = None
+    for i, tok in enumerate(chunk):
+        if tok.pos.startswith("NN"):
+            in_run = True
+            last = i
+        elif in_run:
+            break
+    return last if last is not None else len(chunk) - 1
+
+
+def compress_mapped(
+    sentence: Sequence[Token], chunks: Iterable[ChunkSpan]
+) -> tuple[list[Token], list[tuple[int, int]]]:
+    """``features.compress_mapped`` over one sentence of tokens: chunks
+    compressed to their head words, the head's POS replaced by the chunk
+    type.  Also returns, per output token, the original (start, end) range
+    it stands for."""
+    ordered = sorted(chunks)
+    prev_end = -1
+    for s in ordered:
+        if s.end >= len(sentence):
+            raise DomainError(f"chunk {s} exceeds sentence length")
+        if s.start <= prev_end:
+            raise DomainError(f"chunk {s} overlaps a preceding chunk")
+        prev_end = s.end
+
+    out: list[Token] = []
+    origins: list[tuple[int, int]] = []
+    i = 0
+    for s in ordered:
+        while i < s.start:
+            out.append(sentence[i])
+            origins.append((i, i))
+            i += 1
+        chunk = sentence[s.start : s.end + 1]
+        # noun phrases keep their noun head, other chunks their final token
+        head = chunk[np_head(chunk) if s.type == "NP" else len(chunk) - 1]
+        out.append(Token(word=head.word, pos=s.type))
+        origins.append((s.start, s.end))
+        i = s.end + 1
+    while i < len(sentence):
+        out.append(sentence[i])
+        origins.append((i, i))
+        i += 1
+    return out, origins
+
+
+def compress_view(view: tuple[Sequence[Token], Sequence[int]], spans: Iterable[ChunkSpan]):
+    """A sentence's view ``(tokens, orig2cur)`` one level up: its tokens
+    compressed by ``spans`` (in original positions), and the map from
+    original positions into the result.  A sentence before any compression
+    is the view (its tokens, their range)."""
+    tokens, orig2cur = view
+    tokens, rel = compress_mapped(
+        tokens, [ChunkSpan(orig2cur[s.start], orig2cur[s.end], s.type) for s in spans]
+    )
+    back = [j for j, (a, b) in enumerate(rel) for _ in range(a, b + 1)]
+    return tokens, [back[c] for c in orig2cur]
+
+
+def stratify_levels(spans: Iterable[ChunkSpan]) -> dict[int, list[ChunkSpan]]:
+    """``pipeline.tree_levels`` over one sentence: its distinct spans grouped
+    by height, leaves at level 0, a span one above the highest span it
+    contains.  Of spans over the same tokens the one of the later type is
+    inside, as ``encode_bracket_column`` nests them."""
+    inner_first = sorted(set(spans), key=lambda s: s.type, reverse=True)
+    spans = sorted(inner_first, key=lambda s: (s.end - s.start, s.start))
+    levels: dict[ChunkSpan, int] = {}
+    for s in spans:
+        inside = [
+            levels[t]
+            for t in levels
+            if t.start >= s.start and t.end <= s.end and t != s
+        ]
+        levels[s] = 1 + max(inside) if inside else 0
+    out: dict[int, list[ChunkSpan]] = {}
+    for s, lvl in levels.items():
+        out.setdefault(lvl, []).append(s)
+    return {lvl: sorted(group) for lvl, group in out.items()}
+
+
 def level_views(sentence: Sequence[Token], by_level, level: int):
     """A sentence's tokens compressed by all gold structure below ``level``,
     every level from scratch, plus the map from original positions into the
@@ -413,6 +545,32 @@ def level_views(sentence: Sequence[Token], by_level, level: int):
                 back[c] = j
         orig2cur = [back[c] for c in orig2cur]
     return tokens, orig2cur
+
+
+def type_features(sentence: Sequence[Token], spans: Sequence[ChunkSpan]) -> list[tuple]:
+    """``pipeline._type_features`` over one sentence: per chunk, the
+    previous, own and next chunk's head words and the chunk's POS tags."""
+    chunks = [sentence[s.start : s.end + 1] for s in spans]
+    heads = [PAD, *(chunk[np_head(chunk)].word for chunk in chunks), PAD]
+    return [
+        (heads[i], heads[i + 1], "+".join(t.pos for t in chunk), heads[i + 2])
+        for i, chunk in enumerate(chunks)
+    ]
+
+
+def view_sentences(sentences, view):
+    """Each sentence of ``view``, a ``features.View`` of ``sentences``, as
+    the ``(tokens, orig2cur)`` of ``compress_view``, in the sentence's own
+    positions; the tokens carry no chunk tags."""
+    rows = [t for s in sentences for t in s]
+    out, row, first = [], 0, 0
+    for n, m in zip([len(s) for s in sentences], view.lengths.tolist()):
+        heads = view.heads[first : first + m].tolist()
+        pos = view.pos[first : first + m].tolist()
+        tokens = [Token(rows[h].word, view.symbols[p]) for h, p in zip(heads, pos)]
+        out.append((tokens, [j - first for j in view.orig2cur[row : row + n].tolist()]))
+        row, first = row + n, first + m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +613,11 @@ class OracleBracketLevel:
 
     gold: Sequence[Iterable[ChunkSpan]]
 
-    def predict(self, batch):
+    def predict(self, corpus, view, sentences):
         out = []
-        for tokens, orig2cur, si in batch:
+        views = view_sentences(corpus, view)
+        for si in sentences.tolist():
+            tokens, orig2cur = views[si]
             # the first and the last original position of each view token
             last = len(orig2cur) - 1
             start_at = {p: j for p, j in enumerate(orig2cur) if p == 0 or orig2cur[p - 1] != j}
@@ -494,4 +654,4 @@ def parse_full_levels(sentences, parser):
     for j in range(len(parser.levels) + 1):
         spans = _run_cascade(sentences, base, parser.levels[:j], parser.match_mode, False)
         snapshots.append([sorted(found) for found in spans])
-    return snapshots + [_wrap_roots(sentences, spans)]
+    return snapshots + [_wrap_roots([len(s) for s in sentences], spans)]

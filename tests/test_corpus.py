@@ -12,8 +12,7 @@ from mbparse.config import (
 )
 from mbparse.corpus import (
     column_index,
-    decode_bracket_column,
-    decode_clause_column,
+    decode_brackets,
     encode_bracket_column,
     encode_clause_column,
     from_tokens,
@@ -24,7 +23,7 @@ from mbparse.corpus import (
 from mbparse.errors import ConfigError, CorpusError, DomainError
 from mbparse.features import CodedCorpus, Token
 from mbparse.schemes import ChunkSpan, ClauseNode, clause_spans
-from references import read_corpus_rows, to_tokens
+from references import decode_clause_column, read_corpus_rows, to_tokens
 
 TWO_SENTENCES = [
     [("In", "IN", "O"), ("early", "JJ", "I"), ("trading", "NN", "I")],
@@ -110,7 +109,7 @@ class TestBracketColumns:
             ChunkSpan(4, 5, "NP"),
         ]
         cells = encode_bracket_column(spans, 6)
-        assert decode_bracket_column(cells) == sorted(spans)
+        assert decode_brackets(cells, [6]).lists() == [sorted(spans)]
 
     def test_cell_shapes(self):
         spans = [ChunkSpan(0, 2, "S"), ChunkSpan(0, 0, "NP")]
@@ -119,11 +118,11 @@ class TestBracketColumns:
 
     def test_unbalanced_rejected(self):
         with pytest.raises(CorpusError):
-            decode_bracket_column(["(S*", "*"])
+            decode_brackets(["(S*", "*"], [2])
         with pytest.raises(CorpusError):
-            decode_bracket_column(["*S)"])
+            decode_brackets(["*S)"], [1])
         with pytest.raises(CorpusError):
-            decode_bracket_column(["no-star"])
+            decode_brackets(["no-star"], [1])
 
     def test_clause_column(self):
         forest = [ClauseNode(0, 3, (ClauseNode(1, 2),))]

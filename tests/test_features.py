@@ -10,10 +10,8 @@ from mbparse.features import (
     CodedCorpus,
     FeatureTemplate,
     Token,
-    compress_mapped,
     extract,
     format_template,
-    np_head,
     parse_template,
     select_features,
 )
@@ -27,7 +25,7 @@ from mbparse.learner import (
     train,
 )
 from mbparse.schemes import ChunkSpan
-from references import decoded_rows, extract_token
+from references import compress_mapped, decoded_rows, extract_token, np_head
 
 
 def toks(*pairs):

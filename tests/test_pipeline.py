@@ -2,6 +2,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,19 +35,20 @@ from mbparse.pipeline import (
     identify_clauses,
     parse_full,
     parse_np,
-    stratify_levels,
     tag_sentences,
     train_chunker,
     train_clause_bracketer,
     train_full_parser,
     train_np_parser,
     train_typed_chunker,
+    tree_levels,
 )
 from mbparse.schemes import (
     ChunkSpan,
     ClauseNode,
     MatchMode,
     Scheme,
+    SpanArrays,
     balance_brackets,
     clause_spans,
     convert,
@@ -66,9 +68,10 @@ from references import (
     OracleClauseBracketer,
     OracleStream,
     corpus_sections,
-    level_views,
     model_parts,
     parse_full_levels,
+    stratify_levels,
+    view_sentences,
 )
 
 
@@ -466,11 +469,12 @@ class TestParseFull:
         assert [sorted(set(o)) for o in out] == [sorted(set(g)) for g in gold]
 
 
-def predict_per_model(level, batch):
+def predict_per_model(level, corpus, view, sentences):
     """Reference: ``BracketLevel.predict`` as it was with a template per
-    model, extracting every token's features once for each of its two
-    models."""
-    tokens = [t for t, _origin, _si in batch]
+    model and a batch of token lists, extracting every token's features
+    once for each of its two models."""
+    views = view_sentences(corpus, view)
+    tokens = [views[si][0] for si in sentences.tolist()]
     otags = tag_sentences(level.open_model, level.template, tokens)
     ctags = tag_sentences(level.close_model, level.template, tokens)
     return [
@@ -482,27 +486,36 @@ def predict_per_model(level, batch):
     ]
 
 
+def gold_views(sentences, gold, top):
+    """A coded corpus of ``sentences``, their tree spans and levels, and
+    the views compressed by the gold structure below each level up to
+    ``top``, from level 0 on."""
+    corpus = CodedCorpus(sentences)
+    tree, level = tree_levels(SpanArrays.of(gold, corpus.lengths, nested=True))
+    views = [corpus.view()]
+    for below in range(top):
+        views.append(features.compress_mapped(views[-1], tree.where(level == below)))
+    return corpus, tree, level, views
+
+
 @pytest.fixture(scope="module")
 def trained_levels():
     """Levels 1-3 trained on ``parse_corpus``, plus each level's test batch:
-    test sentences compressed by the gold structure below that level."""
+    test sentences compressed by the gold structure below that level, all
+    but the fourth, with an empty sentence second."""
     tr_s, tr_g = parse_corpus(60, seed=35)
     te_s, te_g = parse_corpus(20, seed=36)
-    tr_by = [stratify_levels(g) for g in tr_g]
-    te_by = [stratify_levels(g) for g in te_g]
+    te_s, te_g = [te_s[0], [], *te_s[1:]], [te_g[0], [], *te_g[1:]]
+    corpus, tree, level, views = gold_views(tr_s, tr_g, 3)
+    te_corpus, _, _, te_views = gold_views(te_s, te_g, 3)
+    batch = np.delete(np.arange(len(te_s)), 3)
     out = []
-    for level in (1, 2, 3):
+    for lv in (1, 2, 3):
         lm = pipeline.train_bracket_level(
-            [level_views(s, by, level) for s, by in zip(tr_s, tr_by)],
-            tr_by, level, parse_template("w[-2..2] p[-2..2]"),
+            corpus, views[lv], tree.where(level == lv), parse_template("w[-2..2] p[-2..2]"),
             LearnerConfig(k=1), typed=True,
         )
-        batch = [
-            (level_views(s, by, level)[0], None, si)
-            for si, (s, by) in enumerate(zip(te_s, te_by))
-        ]
-        batch.insert(1, ([], None, len(batch)))  # an empty sentence
-        out.append((lm, batch))
+        out.append((lm, (te_corpus, te_views[lv], batch)))
     return out
 
 
@@ -576,7 +589,7 @@ class TestOneCodedCorpus:
         sentences, _, forests = clause_corpus(30, seed=25)
         coded = self.channel_codings(monkeypatch)
         bracketer = train_clause_bracketer(sentences, forests)
-        assert len(coded) == 3 + 2  # w, p, c once; the close view's w, p
+        assert len(coded) == 3  # w, p, c once; the close view's w and p come coded
         shared = {}
         for model, template in zip(bracketer.open_models, bracketer.open_templates):
             assert model.instances.label_codes is bracketer.open_models[0].instances.label_codes
@@ -590,37 +603,55 @@ class TestOneCodedCorpus:
 class TestBracketLevel:
     def test_predict_matches_per_model_reference(self, trained_levels):
         for lm, batch in trained_levels:
-            assert lm.predict(batch) == predict_per_model(lm, batch)
+            assert lm.predict(*batch) == predict_per_model(lm, *batch)
 
     def test_feature_columns_built_once_per_predict(self, trained_levels, monkeypatch):
-        """Each channel is coded once per ``predict``, and the open and the
-        close model query the same column arrays."""
-        coded, read = [], []
-        code_channel, classify_labels = features._code_channel, pipeline.classify_labels
+        """No channel is coded from cells in ``predict`` (a view's words and
+        POS tags come coded), each feature column is recoded once, and the
+        open and the close model query the same column arrays."""
+        coded, recoded, read = [], [], []
+        code_channel, recode = features._code_channel, features._recode
+        classify_labels = pipeline.classify_labels
 
         def recording_code(cells):
             coded.append(cells)
             return code_channel(cells)
+
+        def recording_recode(*args):
+            recoded.append(args)
+            return recode(*args)
 
         def recording_classify(model, queries):
             read.append(queries)
             return classify_labels(model, queries)
 
         monkeypatch.setattr(features, "_code_channel", recording_code)
+        monkeypatch.setattr(features, "_recode", recording_recode)
         monkeypatch.setattr(pipeline, "classify_labels", recording_classify)
         for lm, batch in trained_levels:
             coded.clear()
+            recoded.clear()
             read.clear()
-            lm.predict(batch)
-            assert len(coded) == 2  # the word and the POS channel
+            lm.predict(*batch)
+            assert not coded
+            assert len(recoded) == lm.template.arity
             opens, closes = read
             assert len(opens.columns) == len(closes.columns) == lm.template.arity
             assert all(a is b for a, b in zip(opens.columns, closes.columns))
 
 
+def tree_by_level(spans, length):
+    """``tree_levels`` of one sentence's spans, grouped by level."""
+    tree, level = tree_levels(SpanArrays.of([spans], [length], nested=True))
+    out = {}
+    for span, lv in zip(tree.lists()[0], level.tolist()):
+        out.setdefault(lv, []).append(span)
+    return out
+
+
 class TestStratify:
     def test_leaves_are_level_zero(self):
-        by = stratify_levels(MONEY_GOLD)
+        by = tree_by_level(MONEY_GOLD, 5)
         assert sorted(by[0]) == sorted(leaves_of(MONEY_GOLD))
         assert by[1] == [ChunkSpan(1, 4, "NP")]
 
@@ -632,12 +663,31 @@ class TestStratify:
             ChunkSpan(4, 8, "NP"),
             ChunkSpan(4, 5, "NP"),
         ]
-        by = stratify_levels(spans)
+        by = tree_by_level(spans, 10)
         assert ChunkSpan(4, 5, "NP") in by[0]
         assert ChunkSpan(0, 1, "NP") in by[0]
         assert ChunkSpan(4, 8, "NP") in by[1]
         assert ChunkSpan(3, 8, "PP") in by[2]
         assert ChunkSpan(0, 9, "S") in by[3]
+
+    def test_unary_chain_nests_as_its_column(self):
+        """Spans over the same tokens take their levels from the bracket
+        column's nesting, the later type inside, whatever the hash seed."""
+        chain = [ChunkSpan(0, 3, "VP"), ChunkSpan(0, 3, "S"), ChunkSpan(0, 3, "SBAR"),
+                 ChunkSpan(1, 2, "NP")]
+        assert encode_bracket_column(chain, 4)[0] == "(S(SBAR(VP*"
+        expected = {0: [ChunkSpan(1, 2, "NP")], 1: [ChunkSpan(0, 3, "VP")],
+                    2: [ChunkSpan(0, 3, "SBAR")], 3: [ChunkSpan(0, 3, "S")]}
+        assert tree_by_level(chain, 4) == expected
+        assert stratify_levels(chain) == expected
+
+    def test_duplicates_count_once(self):
+        spans = [ChunkSpan(0, 0, "NP"), ChunkSpan(0, 0, "NP"), ChunkSpan(0, 1, "NP")]
+        assert tree_by_level(spans, 2) == {0: [ChunkSpan(0, 0, "NP")], 1: [ChunkSpan(0, 1, "NP")]}
+
+    def test_crossing_spans_rejected(self):
+        with pytest.raises(DomainError, match="crosses"):
+            tree_by_level([ChunkSpan(0, 2, "NP"), ChunkSpan(1, 3, "VP")], 4)
 
 
 class TestFoldPlans:

@@ -9,7 +9,7 @@ import pytest
 
 from mbparse import folds, pipeline
 from mbparse.errors import DomainError
-from mbparse.features import compress_mapped, parse_template
+from mbparse.features import CodedCorpus, parse_template
 from mbparse.folds import LeakMode, build_fold_plan, run_two_phase_cv
 from mbparse.learner import Instance, LearnerConfig, TiePolicy, train
 from mbparse.pipeline import (
@@ -18,13 +18,13 @@ from mbparse.pipeline import (
     DEFAULT_PASS1,
     DEFAULT_PASS2,
     PipelineConfig,
-    stratify_levels,
     tag_sentences,
     train_clause_bracketer,
     train_tagger,
     train_two_pass_stream,
+    tree_levels,
 )
-from mbparse.schemes import Scheme, clause_spans, encode
+from mbparse.schemes import Scheme, SpanArrays, clause_spans, encode
 from mbparse.synth import (
     clause_corpus,
     nested_np_corpus,
@@ -33,12 +33,15 @@ from mbparse.synth import (
     typed_chunk_corpus,
 )
 from references import (
+    compress_mapped,
     corpus_sections,
     decode_sentence,
     decoded_instances,
     encode_sentence,
     extract_token,
     level_views,
+    stratify_levels,
+    view_sentences,
 )
 
 LCFG = LearnerConfig(k=1)
@@ -269,7 +272,9 @@ def test_bracket_levels_match_reference(corpus, typed):
     config = PipelineConfig(level_template=template)
     top = max(max(by) for by in stratified)
     # asked for one level more than has gold spans, training stops below it
-    levels = pipeline._train_levels(sents, stratified, config, LCFG, top + 1, typed)
+    coded = CodedCorpus(sents)
+    tree, level = tree_levels(SpanArrays.of(gold, coded.lengths, nested=True))
+    levels = pipeline._train_levels(coded, tree, level, config, LCFG, top + 1, typed)
     assert bracket_level_reference(sents, stratified, top + 1, template, typed) is None
     assert len(levels) == top
     for level, lm in enumerate(levels, 1):
@@ -288,15 +293,20 @@ def test_level_views_match_the_reference_at_every_level(monkeypatch):
     assert len({max(by, default=-1) for by in stratified}) > 3
     seen = []
 
-    def recording(views, stratified, level, *args, **kwargs):
-        seen.append((level, views))
+    def recording(corpus, view, spans, *args, **kwargs):
+        seen.append((view, spans))
 
     monkeypatch.setattr(pipeline, "train_bracket_level", recording)
-    pipeline._train_levels(sents, stratified, PipelineConfig(), LCFG, 19, typed=True)
+    coded = CodedCorpus(sents)
+    tree, levels = tree_levels(SpanArrays.of(gold, coded.lengths, nested=True))
+    pipeline._train_levels(coded, tree, levels, PipelineConfig(), LCFG, 19, typed=True)
     top = max(max(by, default=0) for by in stratified)
-    assert [level for level, _ in seen] == list(range(1, top + 1))
-    for level, views in seen:
-        assert views == [level_views(s, by, level) for s, by in zip(sents, stratified)]
+    assert len(seen) == top
+    for level, (view, spans) in enumerate(seen, 1):
+        assert spans.lists() == [by.get(level, []) for by in stratified]
+        assert view_sentences(sents, view) == [
+            level_views(s, by, level) for s, by in zip(sents, stratified)
+        ]
 
 
 @pytest.mark.parametrize("mode", list(LeakMode))
