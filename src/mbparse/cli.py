@@ -223,24 +223,22 @@ def _read_tokens(path, with_chunks: bool = False):
     return file, CodedCorpus(lengths=file.lengths, cells=token_cells(file, with_chunks))
 
 
-def _read_spans(path, column: str, scheme: str, with_chunks: bool = False):
-    """A corpus file's tokens as a coded corpus, and the gold spans of its
-    ``column`` as ``SpanArrays``: a chunk column's under ``scheme``, or a
-    bracket column's."""
-    file, _ = corpus.read_corpus(path)
-    tokens = CodedCorpus(lengths=file.lengths, cells=token_cells(file, with_chunks))
+def _gold_spans(file, column: str, scheme: str) -> SpanArrays:
+    """The gold spans of a corpus file's ``column``: a chunk column's under
+    ``scheme``, or a bracket column's."""
     if column == "chunk":
-        return tokens, decode_tags(file.column(column), file.lengths, Scheme(scheme))
-    return tokens, bracket_spans(file, column)
+        return decode_tags(file.column(column), file.lengths, Scheme(scheme))
+    return bracket_spans(file, column)
 
 
 def _found_and_gold(args):
     """The found and the gold spans of ``evaluate`` and ``bootstrap``, one
     span list per sentence; the files' sentences must be of equal lengths."""
-    (found_tokens, found), (gold_tokens, gold) = (
-        _read_spans(path, args.column, args.scheme) for path in (args.found, args.gold)
+    (found_file, found), (gold_file, gold) = (
+        (file, _gold_spans(file, args.column, args.scheme))
+        for file, _ in map(corpus.read_corpus, (args.found, args.gold))
     )
-    for i, (m, n) in enumerate(zip(found_tokens.lengths, gold_tokens.lengths)):
+    for i, (m, n) in enumerate(zip(found_file.lengths, gold_file.lengths)):
         if m != n:
             raise DomainError(f"sentence {i + 1} has {m} tokens in the found file but {n} in gold")
     return found.lists(), gold.lists()
@@ -295,7 +293,7 @@ def _map_blocks(tag, bundle, sentences: CodedCorpus, workers: int):
     """Apply ``tag(block, bundle)`` to contiguous sentence blocks, optionally
     in processes.  Output order equals input order either way.  Forked
     workers inherit the bundle, so it is never pickled; only blocks (coded
-    corpora of cells, not tokens) and results are.  Before forking, every
+    corpora, which hold codes only) and results are.  Before forking, every
     model in the bundle builds its query index, so the workers share one
     copy instead of each building its own."""
     n = len(sentences)
@@ -323,26 +321,21 @@ def _map_blocks(tag, bundle, sentences: CodedCorpus, workers: int):
 def _cmd_train(args, cfg) -> int:
     pcfg = _pipeline_config(cfg)
     lcfg = _learner_config(cfg)
+    column = {"np-chunk": "chunk", "typed-chunk": "chunk", "clauses": "clause"}.get(args.task, "tree")
+    file, sentences = _read_tokens(args.train, with_chunks=args.task == "clauses")
+    gold = _gold_spans(file, column, "IOB1")
     if args.task == "np-chunk":
-        sentences, gold = _read_spans(args.train, "chunk", "IOB1")
-        chunker = train_chunker(sentences, gold, pcfg, lcfg)
-        bundles.save_chunker(chunker, args.model)
+        bundles.save_chunker(train_chunker(sentences, gold, pcfg, lcfg), args.model)
     elif args.task == "typed-chunk":
-        sentences, gold = _read_spans(args.train, "chunk", "IOB1")
         chunker = train_typed_chunker(sentences, gold, pcfg.type_strategy, pcfg, lcfg)
         bundles.save_typed_chunker(chunker, args.model)
     elif args.task == "clauses":
-        sentences, gold = _read_spans(args.train, "clause", "IOB1", with_chunks=True)
         bracketer = train_clause_bracketer(sentences, gold, learner_config=lcfg)
         bundles.save_clause_bracketer(bracketer, args.model)
     elif args.task == "np-parse":
-        sentences, gold = _read_spans(args.train, "tree", "IOB1")
-        parser = train_np_parser(sentences, gold, pcfg, lcfg)
-        bundles.save_np_parser(parser, args.model)
+        bundles.save_np_parser(train_np_parser(sentences, gold, pcfg, lcfg), args.model)
     else:  # full-parse
-        sentences, gold = _read_spans(args.train, "tree", "IOB1")
-        parser = train_full_parser(sentences, gold, pcfg, lcfg)
-        bundles.save_full_parser(parser, args.model)
+        bundles.save_full_parser(train_full_parser(sentences, gold, pcfg, lcfg), args.model)
     print(f"saved {args.task} bundle to {args.model}")
     return 0
 
@@ -419,9 +412,11 @@ def _cmd_select(args, cfg) -> int:
         # one tagging pass has no predicted chunk tags to read
         raise ConfigError(f"--candidates {args.candidates!r}: chunk-context atoms c[...] "
                           "are not supported")
-    sentences, gold = _read_spans(args.train, "chunk", args.scheme)
+    file, sentences = _read_tokens(args.train)
+    gold = _gold_spans(file, "chunk", args.scheme).lists()
+    if folds > len(sentences):  # a fold would test nothing and score F 0
+        raise ConfigError(f"--folds {folds} exceeds the {len(sentences)} training sentences")
     scheme = Scheme(args.scheme)
-    gold = gold.lists()
     lcfg = _learner_config(cfg)
     econf = _eval_config(cfg)
     # each fold's sentence lists are coded once, for every candidate template
@@ -498,12 +493,13 @@ def _cmd_combine(args, cfg) -> int:
 
 def _parse_extra(text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, _, hi = text.partition("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(x) for x in text.split(",")]
+        lo, dots, hi = text.partition("..")
+        extras = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in text.split(",")]
     except ValueError:
-        raise ConfigError(f"--extra {text!r} is not N, N..M or a comma list") from None
+        extras = []
+    if not extras:
+        raise ConfigError(f"--extra {text!r} is not N, N..M with N <= M, or a comma list")
+    return extras
 
 
 def _cmd_xor(args, cfg) -> int:

@@ -161,6 +161,7 @@ def from_tokens(tokens: Sequence[Token], extra: Sequence[Sequence[str]] = ()) ->
 # Bracket columns ("(S*S)" style) for clause and tree structures.
 
 _OPEN_RE = re.compile(r"\(([^()*]+)")
+_OPENS_RE = re.compile(r"(?:\([^()*]+)*")  # a cell's whole open side
 _CLOSE_RE = re.compile(r"([^()*]+)\)")
 
 
@@ -183,18 +184,21 @@ def encode_bracket_column(spans: Iterable[ChunkSpan], length: int) -> list[str]:
 
 def _parse_cell(cell: str) -> tuple[list[str], list[str], str | None]:
     """A bracket cell's open types, its close types up to the first that
-    does not parse, and the message of what does not parse, or None."""
+    does not parse, and the message of what does not parse, or None.  An
+    open side that does not parse leaves the cell no brackets."""
     star = cell.find("*")
     if star < 0:
         return [], [], f"bracket cell {cell!r} lacks '*'"
-    closes, rest = [], cell[star + 1 :]
+    if not _OPENS_RE.fullmatch(cell, 0, star):
+        return [], [], f"malformed bracket cell {cell!r}"
+    opens, closes, rest = _OPEN_RE.findall(cell, 0, star), [], cell[star + 1 :]
     while rest:
         m = _CLOSE_RE.match(rest)
         if not m:
-            return _OPEN_RE.findall(cell[:star]), closes, f"malformed bracket cell {cell!r}"
+            return opens, closes, f"malformed bracket cell {cell!r}"
         closes.append(m.group(1))
         rest = rest[m.end() :]
-    return _OPEN_RE.findall(cell[:star]), closes, None
+    return opens, closes, None
 
 
 def decode_brackets(

@@ -1,10 +1,11 @@
 """Windowed feature extraction, head-word compression and wrapper selection.
 
-Extraction reads a ``CodedCorpus``, which holds the cells of a corpus's
-channels and codes each once; built from a file's cells, it makes ``Token``
-objects only for the code that reads them.  A chunk-tag context comes as
-tag lists per sentence, or as ``CodedTags`` that are recoded without a
-string per token.
+Extraction reads a ``CodedCorpus``, which holds a corpus's channels only
+as codes, each coded once when the corpus is built from ``Token``
+sentences, from a file's cells or from a view; strings come back only
+where code asks for a channel's tags.  A chunk-tag context comes as tag
+lists per sentence, or as ``CodedTags`` that are recoded without a string
+per token.
 
 A ``View`` is a corpus compressed by chunks to their head words, as index
 arrays over the whole corpus: each view token's head row and POS code, and
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -171,34 +171,43 @@ def _recode(symbols: list[str], stream: np.ndarray, positions, rows):
     return {symbols[v]: code for code, v in enumerate(found.tolist())}, _read_only(recode[column])
 
 
-class CodedCorpus(Sequence):
-    """A corpus that keeps the codes ``extract`` works out from it.
+class CodedCorpus:
+    """A corpus as codes, the form ``extract`` reads.
 
-    It reads as its list of ``Token`` sentences, but holds each channel's
-    cells (words, POS tags, the tokens' own chunk tags) token after token,
-    and builds the tokens only when they are read.  Each channel is coded
-    once, on first use, laid end to end with ``MAX_OFFSET`` PAD cells around
-    each sentence; each (channel, offset) column is recoded once too, and
-    every later template gets the same code table and read-only array.
-    Build one per corpus that several templates read, and let it go with
-    that corpus.
+    Each channel (words "w", POS tags "p", the tokens' own chunk tags "c")
+    is coded once, when the corpus is built, and held only as its symbols
+    (PAD first) and its codes, laid end to end with ``MAX_OFFSET`` PAD cells
+    around each sentence; a missing chunk tag is PAD.  Each (channel,
+    offset) column is recoded once, on first use, and every later template
+    gets the same code table and read-only array.  Build one per corpus
+    that several templates read, and let it go with that corpus.
     """
 
     def __init__(self, sentences=None, lengths=None, cells=None, channels=None):
         """Over a list of ``Token`` sentences, over ``cells``, the cells of
         channels "w", "p" and "c" (None: no chunk tags), or over
         ``channels``, the symbols (PAD first) and each row's code of
-        channels "w" and "p", in sentences of ``lengths``."""
-        self._sentences, self._cells = sentences, cells or {}
-        self.lengths = [len(s) for s in sentences] if sentences is not None else list(lengths)
+        channels "w", "p" and, if it has chunk tags, "c", in sentences of
+        ``lengths``."""
+        if sentences is not None:
+            lengths = [len(s) for s in sentences]
+            tokens = [t for s in sentences for t in s]
+            cells = {"w": [t.word for t in tokens], "p": [t.pos for t in tokens],
+                     "c": [t.chunk_tag for t in tokens]}
+        self.lengths = list(lengths)
         ends = np.cumsum(self.lengths, dtype=np.intp).tolist()
         self.bounds = list(zip([0] + ends[:-1], ends))  # each sentence's rows
         self.rows = _read_only(np.arange(ends[-1] if ends else 0))
         # the cell of row r: every sentence up to r's own adds a run of pad cells
         runs = np.repeat(np.arange(1, len(ends) + 1), np.array(self.lengths, dtype=np.intp))
         self.positions = _read_only(self.rows + MAX_OFFSET * runs)
+        if cells is not None:
+            channels = {c: _code_channel(cells[c]) for c in "wp"}
+            if any(c is not None for c in cells["c"] or ()):
+                channels["c"] = _code_channel([PAD if c is None else c for c in cells["c"]])
+        channels = {"c": ([PAD], np.zeros(len(self.rows), np.uint8)), **channels}
         self._channels: dict[str, tuple[list[str], np.ndarray]] = {
-            c: self._laid_out(*coded) for c, coded in (channels or {}).items()
+            c: self._laid_out(*coded) for c, coded in channels.items()
         }
         self._columns: dict[Atom, tuple[dict[str, int], np.ndarray]] = {}
 
@@ -207,51 +216,24 @@ class CodedCorpus(Sequence):
         """``sentences`` if it is a coded corpus, else a fresh one over it."""
         return sentences if isinstance(sentences, CodedCorpus) else CodedCorpus(sentences)
 
-    @property
-    def sentences(self) -> Sequence[Sequence[Token]]:
-        if self._sentences is None:
-            chunks = self._cells.get("c") or repeat(None)
-            tokens = list(map(Token, self.tags("w"), self.tags("p"), chunks))
-            self._sentences = [tokens[a:b] for a, b in self.bounds]
-            self._cells = {}  # the tokens hold the cells now
-        return self._sentences
-
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def __getitem__(self, index):
-        return self.sentences[index]
-
-    def __iter__(self):  # the sentence list's own, not one index at a time
-        return iter(self.sentences)
-
     def take(self, indices: Sequence[int]) -> "CodedCorpus":
-        """A coded corpus of the sentences at ``indices``, from their cells."""
-        rows = [r for i in indices for r in range(*self.bounds[i])]
-        cells = {c: list(map(self.tags(c).__getitem__, rows)) for c in "wpc"}
-        return CodedCorpus(lengths=[self.lengths[i] for i in indices], cells=cells)
+        """A coded corpus of the sentences at ``indices``, from their codes."""
+        indices = np.asarray(indices, dtype=np.intp)
+        lengths = np.array(self.lengths, dtype=np.intp)
+        rows = self.positions[ranges((np.cumsum(lengths) - lengths)[indices], lengths[indices])]
+        channels = {c: (symbols, stream[rows]) for c, (symbols, stream) in self._channels.items()}
+        return CodedCorpus(lengths=lengths[indices].tolist(), channels=channels)
 
-    def tags(self, channel: str) -> Sequence:
-        """The channel's own cells, token after token; a chunk tag is None
-        where a token has none."""
-        if channel not in self._cells:
-            if self._sentences is None:  # coded channels only, and no chunk tags
-                symbols, stream = self._channels.get(channel, ((), None))
-                codes = [] if stream is None else stream[self.positions].tolist()
-                self._cells[channel] = list(map(symbols.__getitem__, codes)) or None
-            else:
-                field = {"w": "word", "p": "pos", "c": "chunk_tag"}[channel]
-                self._cells[channel] = [getattr(t, field) for s in self.sentences for t in s]
-        return self._cells[channel] or [None] * len(self.rows)
-
-    def cells(self, channel: str, context=None) -> Sequence:
-        """The cells ``extract`` codes for a channel, PAD for a missing chunk
-        tag: its own, or in place of the chunk tags those of ``context``
-        (one tag list per sentence)."""
-        if context is None and channel != "c":
-            return self.tags(channel)
-        tags = self.tags("c") if context is None else (c for s in context for c in s)
-        return [PAD if c is None else c for c in tags]
+    def tags(self, channel: str) -> list:
+        """The channel's symbols, token after token, decoded from its codes;
+        a chunk tag is None where a token has none."""
+        symbols, stream = self._channels[channel]
+        if channel == "c":
+            symbols = [None, *symbols[1:]]
+        return [symbols[code] for code in stream[self.positions].tolist()]
 
     def channel(self, cells) -> tuple[list[str], np.ndarray]:
         """The symbols of a channel's cells and the channel's codes, laid out
@@ -263,39 +245,29 @@ class CodedCorpus(Sequence):
         stream[self.positions] = codes
         return symbols, stream
 
-    def _own(self, channel: str) -> tuple[list[str], np.ndarray]:
-        """The symbols and laid-out codes of one of the tokens' own channels."""
-        if channel not in self._channels:
-            self._channels[channel] = self.channel(self.cells(channel))
-        return self._channels[channel]
-
     def column(self, channel: str, offset: int) -> tuple[dict[str, int], np.ndarray]:
         """The code table and the column of one (channel, offset) feature
         over the tokens' own channels, worked out once."""
         if (channel, offset) not in self._columns:
             self._columns[channel, offset] = _recode(
-                *self._own(channel), self.positions + offset, self.rows
+                *self._channels[channel], self.positions + offset, self.rows
             )
         return self._columns[channel, offset]
 
     def view(self) -> "View":
         """The corpus as a view that compresses nothing."""
-        symbols, stream = self._own("p")
+        symbols, stream = self._channels["p"]
         pos = stream[self.positions].astype(np.intp)
         return View(self.rows, pos, tuple(symbols), self.rows, np.array(self.lengths, np.intp))
 
-    def compressed(self, view: "View", sentences: np.ndarray | None = None) -> "CodedCorpus":
-        """A coded corpus of the tokens of ``view`` (a view of this corpus),
-        of the sentences at ``sentences`` only when given: the words of
-        their head rows and their POS tags, coded from these codes without
-        a string per token.  Its tokens have no chunk tags."""
-        heads, pos, lengths = view.heads, view.pos, view.lengths
-        if sentences is not None:
-            tokens = ranges((np.cumsum(lengths) - lengths)[sentences], lengths[sentences])
-            heads, pos, lengths = heads[tokens], pos[tokens], lengths[sentences]
-        words, stream = self._own("w")
-        channels = {"w": (words, stream[self.positions[heads]]), "p": (list(view.symbols), pos)}
-        return CodedCorpus(lengths=lengths.tolist(), channels=channels)
+    def compressed(self, view: "View") -> "CodedCorpus":
+        """A coded corpus of the tokens of ``view`` (a view of this corpus):
+        the words of their head rows and their POS tags, coded from these
+        codes without a string per token.  Its tokens have no chunk tags."""
+        words, stream = self._channels["w"]
+        channels = {"w": (words, stream[self.positions[view.heads]]),
+                    "p": (list(view.symbols), view.pos)}
+        return CodedCorpus(lengths=view.lengths.tolist(), channels=channels)
 
 
 def extract(
@@ -325,7 +297,7 @@ def extract(
             [len(c) for c in context] != corpus.lengths
         ):
             raise DomainError("context does not line up with the tokens")
-        context = context if coded else corpus.cells("c", context)
+        context = context if coded else [PAD if c is None else c for s in context for c in s]
     found = []
     offsets_of = (template.words, template.pos, template.chunks)
     for channel, offsets in zip(_CHANNELS, offsets_of):

@@ -546,7 +546,7 @@ class BracketLevel:
     def predict(self, corpus: CodedCorpus, view: View, sentences: np.ndarray):
         """Open and close marks of the view tokens of each sentence at
         ``sentences``, indices into ``corpus`` and ``view``."""
-        tokens = corpus.compressed(view, sentences)
+        tokens = corpus.compressed(view).take(sentences)
         otags = tag_sentences(self.open_model, self.template, tokens)
         ctags = tag_sentences(self.close_model, self.template, tokens)
         return [

@@ -17,7 +17,7 @@ import numpy as np
 
 from mbparse.corpus import DEFAULT_COLUMNS, column_index
 from mbparse.errors import CorpusError, DomainError
-from mbparse.features import FeatureTemplate, Token
+from mbparse.features import CodedCorpus, FeatureTemplate, Token
 from mbparse.learner import PAD, Instance, TiePolicy
 from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
 from mbparse.schemes import (
@@ -241,6 +241,7 @@ def convert_sentence(tags: Sequence, src: Scheme, dst: Scheme, default_type: str
 
 
 _OPEN_RE = re.compile(r"\(([^()*]+)")
+_OPENS_RE = re.compile(r"(?:\([^()*]+)*")
 _CLOSE_RE = re.compile(r"([^()*]+)\)")
 
 
@@ -259,6 +260,8 @@ def decode_bracket_column(cells: Sequence[str], lines=None, path=None) -> list[C
         star = cell.find("*")
         if star < 0:
             raise error(f"bracket cell {cell!r} lacks '*'", i)
+        if not _OPENS_RE.fullmatch(cell[:star]):
+            raise error(f"malformed bracket cell {cell!r}", i)
         for typ in _OPEN_RE.findall(cell[:star]):
             stack.append((i, typ))
         rest = cell[star + 1 :]
@@ -558,10 +561,21 @@ def type_features(sentence: Sequence[Token], spans: Sequence[ChunkSpan]) -> list
     ]
 
 
+def corpus_tokens(corpus) -> list[list[Token]]:
+    """The sentences of a ``features.CodedCorpus`` as ``Token`` lists,
+    decoded from its channels (a chunk tag PAD reads as None); a plain
+    sentence list as it is."""
+    if not isinstance(corpus, CodedCorpus):
+        return corpus
+    tokens = list(map(Token, corpus.tags("w"), corpus.tags("p"), corpus.tags("c")))
+    return [tokens[a:b] for a, b in corpus.bounds]
+
+
 def view_sentences(sentences, view):
     """Each sentence of ``view``, a ``features.View`` of ``sentences``, as
     the ``(tokens, orig2cur)`` of ``compress_view``, in the sentence's own
     positions; the tokens carry no chunk tags."""
+    sentences = corpus_tokens(sentences)
     rows = [t for s in sentences for t in s]
     out, row, first = [], 0, 0
     for n, m in zip([len(s) for s in sentences], view.lengths.tolist()):
@@ -590,7 +604,7 @@ class OracleStream:
             raise DomainError("oracle gold not aligned with corpus")
         return [
             encode(spans, self.scheme, len(s), typed=self.typed)
-            for s, spans in zip(sentences, self.gold)
+            for s, spans in zip(corpus_tokens(sentences), self.gold)
         ]
 
 

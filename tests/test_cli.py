@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mbparse
-from mbparse import cli, config as cfgmod
+from mbparse import cli, config as cfgmod, features
 from mbparse.cli import main, run_command
 from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.errors import ConfigError
@@ -107,6 +107,21 @@ class TestChunkFlow:
         ) == 0
         out = capsys.readouterr().out
         assert "stddev 0.00" in out
+
+    @pytest.mark.parametrize("command", ["evaluate", "bootstrap"])
+    def test_scoring_codes_no_channel(self, command, toy, monkeypatch):
+        """Scoring reads the files' sentence lengths and spans only, so no
+        channel of words, POS tags or chunk tags is coded."""
+        coded = []
+        code_channel = features._code_channel
+        monkeypatch.setattr(features, "_code_channel",
+                            lambda cells: coded.append(cells) or code_channel(cells))
+        files = ["--found", str(toy / "gold.txt"), "--gold", str(toy / "gold.txt")]
+        samples = ["--samples", "20"] if command == "bootstrap" else []
+        assert run_command([command, *files, *samples]) == 0
+        assert coded == []
+        features.CodedCorpus(lengths=[1], cells={"w": ["a"], "p": ["NN"], "c": None})
+        assert coded == [["a"], ["NN"]]  # the recorder sees a coding
 
     def test_beta_reaches_every_scoring_command(self, toy, capsys, monkeypatch):
         """``eval.beta`` sets the F that bootstrap and select-features use,
@@ -323,6 +338,17 @@ class TestSelectFeaturesCommand:
         out = capsys.readouterr().out
         assert "best set:" in out and "templates evaluated:" in out
 
+    def test_more_folds_than_sentences_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        # a fold with no test sentence would add an F of 0 to the average
+        tr_s, tr_g = np_chunk_corpus(3, seed=50)
+        dump_chunk_file(tmp_path / "train.txt", tr_s, tr_g)
+        argv = ["select-features", "--train", str(tmp_path / "train.txt"),
+                "--candidates", "p[-1..1]", "--set", "learner.k=1"]
+        code, lines = _main_exit([*argv, "--folds", "4"], monkeypatch, capsys)
+        assert code == 1
+        assert lines == ["error: --folds 4 exceeds the 3 training sentences"]
+        assert run_command([*argv, "--folds", "3"]) == 0
+
 
 class TestXorCommand:
     def test_table_shape(self, capsys):
@@ -440,6 +466,7 @@ class TestStrictValues:
             (["chunk", "--set", "run.workers=-2"], "run.workers"),
             (["chunk", "--set", "run.workers=0"], "run.workers"),
             (["train", "--task", "np-chunk", "--workers", "-1"], "--workers"),
+            (["xor-experiment", "--extra", "5..2"], "--extra"),
         ],
     )
     def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):

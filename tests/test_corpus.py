@@ -23,7 +23,7 @@ from mbparse.corpus import (
 from mbparse.errors import ConfigError, CorpusError, DomainError
 from mbparse.features import CodedCorpus, Token
 from mbparse.schemes import ChunkSpan, ClauseNode, clause_spans
-from references import decode_clause_column, read_corpus_rows, to_tokens
+from references import corpus_tokens, decode_clause_column, read_corpus_rows, to_tokens
 
 TWO_SENTENCES = [
     [("In", "IN", "O"), ("early", "JJ", "I"), ("trading", "NN", "I")],
@@ -245,4 +245,4 @@ def test_reader_matches_line_by_line_reader(text, with_chunks, non_utf8, data, t
     if cells[0] != "ok":
         assert cells[1] == tokens[1]
         return
-    assert list(CodedCorpus(lengths=file.lengths, cells=cells[1])) == tokens[1]
+    assert corpus_tokens(CodedCorpus(lengths=file.lengths, cells=cells[1])) == tokens[1]

@@ -25,7 +25,7 @@ from mbparse.learner import (
     train,
 )
 from mbparse.schemes import ChunkSpan
-from references import compress_mapped, decoded_rows, extract_token, np_head
+from references import compress_mapped, corpus_tokens, decoded_rows, extract_token, np_head
 
 
 def toks(*pairs):
@@ -179,36 +179,47 @@ def test_templates_over_one_coded_corpus_match_fresh_extractions(data):
     token = st.builds(Token, SYMBOLS, SYMBOLS, st.none() | SYMBOLS)
     # empty sentences mixed in, first and last too
     sentences = data.draw(st.lists(st.lists(token, max_size=6), max_size=6))
-    corpus = CodedCorpus(sentences)
-    assert len(corpus) == len(sentences) and list(corpus) == sentences
-    templates = [FeatureTemplate.from_atoms(data.draw(ATOMS)) for _ in range(4)]
-    seen = {}  # (channel, offset) -> the shared (code table, column)
-    for template in templates:
-        context = None
-        if data.draw(st.booleans()):
-            context = [
-                data.draw(st.lists(st.none() | SYMBOLS, min_size=len(s), max_size=len(s)))
-                for s in sentences
-            ]
-        columns, bounds = extract(template, corpus, context)
-        fresh, fresh_bounds = extract(template, sentences, context)
-        rows, expected_bounds = extract_per_token(template, sentences, context)
-        assert decoded_rows(columns) == rows
-        assert bounds == fresh_bounds == expected_bounds
-        assert len(columns) == len(fresh) and columns.codes == fresh.codes
-        atoms = [("w", o) for o in template.words] + [("p", o) for o in template.pos]
-        atoms += [("c", o) for o in template.chunks]
-        for atom, table, column, expected in zip(
-            atoms, columns.codes, columns.columns, fresh.columns
-        ):
-            assert column.dtype == code_dtype(len(table)) and column.ndim == 1
-            assert not column.flags.writeable
-            assert np.array_equal(column, expected)
-            if atom[0] == "c" and context is not None:
-                continue  # a context channel is coded on every call
-            if atom in seen:
-                assert seen[atom][0] is table and seen[atom][1] is column
-            seen[atom] = table, column
+    whole = CodedCorpus(sentences)
+    # some sentences, in any order and with repeats, taken from the codes
+    index = st.integers(0, len(sentences) - 1)
+    picked = data.draw(st.lists(index, max_size=8)) if sentences else []
+    taken = [sentences[i] for i in picked]
+    for corpus, sents in ((whole, sentences), (whole.take(picked), taken)):
+        fresh_corpus = CodedCorpus(sents)
+        for channel in "wpc":
+            assert corpus.tags(channel) == fresh_corpus.tags(channel)
+        # a chunk tag PAD reads as none
+        tokens = [[replace(t, chunk_tag=None) if t.chunk_tag == PAD else t for t in s]
+                  for s in sents]
+        assert len(corpus) == len(sents) and corpus_tokens(corpus) == tokens
+        templates = [FeatureTemplate.from_atoms(data.draw(ATOMS)) for _ in range(4)]
+        seen = {}  # (channel, offset) -> the shared (code table, column)
+        for template in templates:
+            context = None
+            if data.draw(st.booleans()):
+                context = [
+                    data.draw(st.lists(st.none() | SYMBOLS, min_size=len(s), max_size=len(s)))
+                    for s in sents
+                ]
+            columns, bounds = extract(template, corpus, context)
+            fresh, fresh_bounds = extract(template, sents, context)
+            rows, expected_bounds = extract_per_token(template, sents, context)
+            assert decoded_rows(columns) == rows
+            assert bounds == fresh_bounds == expected_bounds
+            assert len(columns) == len(fresh) and columns.codes == fresh.codes
+            atoms = [("w", o) for o in template.words] + [("p", o) for o in template.pos]
+            atoms += [("c", o) for o in template.chunks]
+            for atom, table, column, expected in zip(
+                atoms, columns.codes, columns.columns, fresh.columns
+            ):
+                assert column.dtype == code_dtype(len(table)) and column.ndim == 1
+                assert not column.flags.writeable
+                assert np.array_equal(column, expected)
+                if atom[0] == "c" and context is not None:
+                    continue  # a context channel is coded on every call
+                if atom in seen:
+                    assert seen[atom][0] is table and seen[atom][1] is column
+                seen[atom] = table, column
 
 
 class TestNpHead:

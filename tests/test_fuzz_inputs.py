@@ -349,8 +349,9 @@ def test_code_equal_to_table_size_is_one_error_line(tmp_path, symbols):
         (["(S*", "*S"], 6, "malformed bracket cell '*S'"),
         (["(S*", "*NP)"], 6, "unbalanced 'NP' close in column"),
         (["(NP*", "*"], 5, "unclosed 'NP' bracket in column"),
+        (["x(S*", "*S)"], 5, "malformed bracket cell 'x(S*'"),
     ],
-    ids=["no-star", "malformed", "unbalanced", "unclosed"],
+    ids=["no-star", "malformed", "unbalanced", "unclosed", "junk-open"],
 )
 @pytest.mark.parametrize("task", ["np-parse", "full-parse", "clauses"])
 def test_bad_bracket_cell_names_file_and_line(task, second, line, message, tmp_path):

@@ -68,6 +68,7 @@ from references import (
     OracleClauseBracketer,
     OracleStream,
     corpus_sections,
+    corpus_tokens,
     model_parts,
     parse_full_levels,
     stratify_levels,
@@ -329,10 +330,10 @@ class TestClauses:
     def test_silent_predictors_give_empty_forests(self):
         class Silent:
             def predict_opens(self, sentences):
-                return [[] for _ in sentences]
+                return [[] for _ in corpus_tokens(sentences)]
 
             def predict_closes(self, sentences):
-                return [[] for _ in sentences]
+                return [[] for _ in corpus_tokens(sentences)]
 
         out = identify_clauses([COACH], Silent())
         assert out == [[]]
@@ -340,10 +341,10 @@ class TestClauses:
     def test_open_at_zero_only(self):
         class OpenOnly:
             def predict_opens(self, sentences):
-                return [[0] for _ in sentences]
+                return [[0] for _ in corpus_tokens(sentences)]
 
             def predict_closes(self, sentences):
-                return [[] for _ in sentences]
+                return [[] for _ in corpus_tokens(sentences)]
 
         out = identify_clauses([COACH], OpenOnly())
         assert clause_spans(out[0]) == [(0, len(COACH) - 2)]
@@ -541,7 +542,7 @@ class TestOneCodedCorpus:
 
     @staticmethod
     def assert_words_and_pos_coded_once(coded, sentences):
-        words, pos = (CodedCorpus(sentences).cells(c) for c in "wp")
+        words, pos = ([getattr(t, f) for s in sentences for t in s] for f in ("word", "pos"))
         assert coded.count(words) == 1 and coded.count(pos) == 1
 
     def test_train_chunker_codes_each_channel_and_labels_once(self, monkeypatch):

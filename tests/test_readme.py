@@ -1,4 +1,5 @@
-"""Every ```python block of the README runs as written.
+"""Every ```python block of the README runs as written, and its list of
+modules names every module of the package.
 
 Where every ``print`` line of a block ends in a one-word comment, such as
 ``print(classify(model, query))   # V``, the block must print those words.
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = README.parent / "src" / "mbparse"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
 
 
@@ -34,3 +36,16 @@ def test_readme_block_runs(index, capsys):
     expected = promised_output(BLOCKS[index])
     if expected is not None:
         assert printed == expected
+
+
+def listed_modules():
+    """The names that the bullets of the README's module list give before
+    their first colon."""
+    text = README.read_text(encoding="utf-8")
+    bullets = text.split("Modules under `src/mbparse/`:", 1)[1].split("\n\n", 2)[1]
+    return {name for line in bullets.splitlines() if line.startswith("- ")
+            for name in re.findall(r"`(\w+)`", line.partition(":")[0])}
+
+
+def test_readme_lists_every_module():
+    assert listed_modules() == {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
