@@ -14,12 +14,7 @@ without licensed treebank data:
 import argparse
 import os
 
-from mbparse.corpus import (
-    encode_bracket_column,
-    encode_clause_column,
-    from_tokens,
-    write_corpus,
-)
+from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import (
     clause_corpus,
@@ -30,14 +25,19 @@ from mbparse.synth import (
 )
 
 
+def rows(tokens, *columns):
+    """Rows of word, pos, then the cells of ``columns``."""
+    return [(t.word, t.pos, *cells) for t, *cells in zip(tokens, *columns)]
+
+
 def chunk_rows(sentences, gold, typed):
     for s, g in zip(sentences, gold):
-        yield from_tokens(s, [encode(g, Scheme.IOB1, len(s), typed=typed)])
+        yield rows(s, encode(g, Scheme.IOB1, len(s), typed=typed))
 
 
 def tree_rows(sentences, gold):
     for s, g in zip(sentences, gold):
-        yield from_tokens(s, [encode_bracket_column(g, len(s))])
+        yield rows(s, encode_bracket_column(g, len(s)))
 
 
 def main():
@@ -66,12 +66,11 @@ def main():
                      columns=("word", "pos", "chunk"))
 
         s, chunks, forests = clause_corpus(size, seed=seed)
-        rows = [
-            from_tokens(sent, [[t.chunk_tag for t in sent],
-                               encode_clause_column(forest, len(sent))])
+        clause_rows = [
+            rows(sent, [t.chunk_tag for t in sent], encode_clause_column(forest, len(sent)))
             for sent, forest in zip(s, forests)
         ]
-        write_corpus(rows, path(f"clauses.{part}"),
+        write_corpus(clause_rows, path(f"clauses.{part}"),
                      columns=("word", "pos", "chunk", "clause"))
 
         write_corpus(tree_rows(*nested_np_corpus(size, seed=seed)),

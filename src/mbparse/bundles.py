@@ -1,11 +1,16 @@
 """Saving and loading composite models as a directory of model files.
 
-A bundle directory holds one ``manifest`` (INI) describing the composite,
-one model header per component and one array file, ``arrays.npy``, that the
-headers slice (see ``learner``), all at its top level.  Reloaded bundles
-behave extensionally the same as the originals.  Bundles of an earlier
-manifest format (1: models as text; 2: one ``.npy`` file per array) no
-longer load: retrain them.
+A bundle directory holds one ``manifest``, one model header per component
+and one array file, ``arrays.npy``, that the headers slice (see
+``learner``), all at its top level.  The manifest is JSON (format 4): one
+walker writes the composite's dataclasses into it, each as an object of its
+``"class"`` and its fields that are not None.  A dict is an object, a list
+or tuple an array, a template or an enum its text, and a model the name of
+its header, built from the field names and keys on the way to it
+(``streams.IOB1.pass1_model.model``).  A load reads each value back as its
+field's annotation says, so a reloaded bundle is what training built.
+Bundles of an earlier format (1: models as text; 2: one ``.npy`` file per
+array; 3: an INI manifest) no longer load: retrain them.
 
 The components of a composite are trained on the same tokens, so their
 headers repeat columns.  A ``save_*`` call stores each distinct array once
@@ -14,306 +19,155 @@ that file's header once and each distinct array in it once, through one
 cache that it hands ``learner.load_model``.
 """
 
-from __future__ import annotations
-
-import configparser
-import functools
+import dataclasses
+import json
 import os
+import types
+from enum import Enum
 
 from .errors import DomainError
-from .features import parse_template, format_template
-from .learner import ArrayFile, load_model, save_model
-from .pipeline import (
-    BracketLevel,
-    Chunker,
-    ClauseBracketer,
-    DoublePhaseChunker,
-    FullParser,
-    NpParser,
-    NPhaseChunker,
-    PipelineConfig,
-    SinglePhaseChunker,
-    TwoPassStream,
-    TypedChunker,
-)
-from .schemes import MatchMode, Scheme
+from .features import FeatureTemplate, format_template, parse_template
+from .learner import ArrayFile, Model, load_model, save_model
+from .pipeline import Chunker, ClauseBracketer, FullParser, NpParser, TypedChunker
 
-_FORMAT = "3"
+_FORMAT = 4
 
 
-def _new_manifest() -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    return parser
+def _dump(value, path, name: str, arrays: ArrayFile):
+    """``value`` as JSON data.  A model in it is saved to the header named
+    ``name``, the field names and keys that lead to it, each with a dot."""
+    if isinstance(value, Model):
+        save_model(value, os.path.join(path, name + "model"), arrays)
+        return name + "model"
+    if isinstance(value, FeatureTemplate):
+        return format_template(value)
+    if isinstance(value, Enum):
+        return value.value
+    if dataclasses.is_dataclass(value):
+        items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
+        return {"class": type(value).__name__,
+                **{k: _dump(v, path, f"{name}{k}.", arrays) for k, v in items if v is not None}}
+    if isinstance(value, dict):
+        items = ((k.value if isinstance(k, Enum) else k, v) for k, v in value.items())
+        return {k: _dump(v, path, f"{name}{k}.", arrays) for k, v in items}
+    if isinstance(value, (list, tuple)):
+        return [_dump(v, path, f"{name}{i}.", arrays) for i, v in enumerate(value)]
+    return value
 
 
-def _manifest_errors(load):
-    """Report a manifest with a missing or malformed entry as a DomainError."""
-
-    @functools.wraps(load)
-    def checked(path):
-        try:
-            return load(path)
-        except DomainError:  # already names the file at fault
-            raise
-        except KeyError as exc:
-            raise DomainError(f"{path}: manifest lacks {exc}") from None
-        except (ValueError, configparser.Error) as exc:
-            detail = " ".join(str(exc).split())  # parser errors span lines
-            raise DomainError(f"{path}: malformed bundle: {detail}") from None
-
-    return checked
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a number",
+               float: "a number", bool: "a boolean", type(None): "null"}
 
 
-def _read_manifest(path, kind: str) -> configparser.ConfigParser:
-    parser = _new_manifest()
-    manifest = os.path.join(path, "manifest")
-    if not os.path.isfile(manifest):
-        raise DomainError(f"{path}: not a model bundle (no manifest)")
-    with open(manifest, "r", encoding="utf-8") as fh:
-        parser.read_file(fh)
-    if parser.get("bundle", "format", fallback=None) != _FORMAT:
-        raise DomainError(f"{path}: unsupported bundle format")
-    if parser["bundle"]["kind"] != kind:
-        raise DomainError(f"{path}: bundle holds a {parser['bundle']['kind']}, expected {kind}")
-    return parser
+def _expect(data, kind: type):
+    if not isinstance(data, kind):
+        raise ValueError(f"expected {_JSON_NAMES[kind]}, got {_JSON_NAMES[type(data)]}")
+    return data
 
 
-def _finish_bundle(parser: configparser.ConfigParser, path, arrays: ArrayFile) -> None:
+def _load(kind, data, path, cache: dict):
+    """The value of annotation ``kind`` that the JSON ``data`` holds."""
+    if kind is Model:
+        name = _expect(data, str)
+        if os.path.basename(name) != name or not name.endswith(".model"):
+            raise ValueError(f"bad model file name {name!r}")
+        return load_model(os.path.join(path, name), cache)
+    if kind is FeatureTemplate:
+        return parse_template(_expect(data, str))
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return kind(_expect(data, str))
+    origin, args = getattr(kind, "__origin__", None), getattr(kind, "__args__", ())
+    if origin is dict:
+        return {_load(args[0], k, path, cache): _load(args[1], v, path, cache)
+                for k, v in _expect(data, dict).items()}
+    if origin in (list, tuple):
+        return origin(_load(args[0], v, path, cache) for v in _expect(data, list))
+    if isinstance(kind, types.UnionType):  # an optional value, or one of some classes
+        options = [a for a in args if a is not type(None)]
+        if len(options) == 1:
+            return _load(options[0], data, path, cache)
+    elif not dataclasses.is_dataclass(kind):
+        return _expect(data, kind)
+    else:
+        options = [kind]
+    name = _expect(_expect(data, dict)["class"], str)
+    cls = next((c for c in options if c.__name__ == name), None)
+    if cls is None:
+        raise ValueError(f"a {name!r} where a {' or '.join(c.__name__ for c in options)} belongs")
+    return cls(**{
+        f.name: _load(f.type, data[f.name], path, cache)
+        for f in dataclasses.fields(cls)
+        if f.name in data or f.default is dataclasses.MISSING
+    })
+
+
+def _save_bundle(composite, path) -> None:
+    os.makedirs(path, exist_ok=True)
+    arrays = ArrayFile("arrays.npy")
+    manifest = {"format": _FORMAT, **_dump(composite, path, "", arrays)}
     arrays.write(path)
     with open(os.path.join(path, "manifest"), "w", encoding="utf-8") as fh:
-        parser.write(fh)
+        json.dump(manifest, fh, indent=1)
+        fh.write("\n")
 
 
-def _save_stream(stream: TwoPassStream, path, prefix: str, manifest, arrays) -> None:
-    section = f"stream {prefix}"
-    manifest.add_section(section)
-    manifest[section]["scheme"] = stream.scheme.value
-    manifest[section]["pass1_template"] = format_template(stream.pass1_template)
-    manifest[section]["pass1_model"] = f"{prefix}.pass1.model"
-    save_model(stream.pass1_model, os.path.join(path, f"{prefix}.pass1.model"), arrays)
-    if stream.pass2_model is not None:
-        manifest[section]["pass2_template"] = format_template(stream.pass2_template)
-        manifest[section]["pass2_model"] = f"{prefix}.pass2.model"
-        save_model(stream.pass2_model, os.path.join(path, f"{prefix}.pass2.model"), arrays)
-
-
-def _load_stream(path, prefix: str, manifest, cache: dict) -> TwoPassStream:
-    section = manifest[f"stream {prefix}"]
-    pass2_model = None
-    pass2_template = None
-    if "pass2_model" in section:
-        pass2_model = load_model(os.path.join(path, section["pass2_model"]), cache)
-        pass2_template = parse_template(section["pass2_template"])
-    return TwoPassStream(
-        scheme=Scheme(section["scheme"]),
-        pass1_template=parse_template(section["pass1_template"]),
-        pass1_model=load_model(os.path.join(path, section["pass1_model"]), cache),
-        pass2_template=pass2_template,
-        pass2_model=pass2_model,
-    )
-
-
-def _save_chunker_into(chunker: Chunker, path, prefix: str, manifest, arrays) -> None:
-    section = f"chunker {prefix}" if prefix else "chunker"
-    manifest.add_section(section)
-    cfg = chunker.config
-    manifest[section]["representations"] = " ".join(
-        r.value for r in cfg.representations
-    )
-    manifest[section]["typed"] = str(int(cfg.typed))
-    manifest[section]["default_type"] = cfg.default_type
-    manifest[section]["match_mode"] = cfg.match_mode.value
-    manifest[section]["streams"] = " ".join(s.value for s in chunker.streams)
-    for scheme in chunker.streams:
-        name = f"{prefix}.{scheme.value}" if prefix else scheme.value
-        _save_stream(chunker.streams[scheme], path, name, manifest, arrays)
-
-
-def _load_chunker_from(path, prefix: str, manifest, cache: dict) -> Chunker:
-    section = manifest[f"chunker {prefix}" if prefix else "chunker"]
-    reps = tuple(Scheme(v) for v in section["representations"].split())
-    cfg = PipelineConfig(
-        representations=reps,
-        typed=bool(int(section["typed"])),
-        default_type=section["default_type"],
-        match_mode=MatchMode(section["match_mode"]),
-    )
-    streams = {}
-    for value in section["streams"].split():
-        scheme = Scheme(value)
-        name = f"{prefix}.{value}" if prefix else value
-        streams[scheme] = _load_stream(path, name, manifest, cache)
-    return Chunker(streams=streams, config=cfg)
-
-
-def _start_bundle(path, kind: str) -> tuple[configparser.ConfigParser, ArrayFile]:
-    os.makedirs(path, exist_ok=True)
-    manifest = _new_manifest()
-    manifest.add_section("bundle")
-    manifest["bundle"]["format"] = _FORMAT
-    manifest["bundle"]["kind"] = kind
-    return manifest, ArrayFile("arrays.npy")
+def _load_bundle(kind, path):
+    """The composite of annotation ``kind`` that the bundle at ``path``
+    holds; a manifest at fault is a ``DomainError`` that names the bundle."""
+    if not os.path.isfile(os.path.join(path, "manifest")):
+        raise DomainError(f"{path}: not a model bundle (no manifest)")
+    try:
+        with open(os.path.join(path, "manifest"), "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except (ValueError, RecursionError):  # an INI manifest of format 1-3, or damage
+        manifest = None
+    if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
+        raise DomainError(f"{path}: unsupported bundle format")
+    try:
+        return _load(kind, manifest, path, {})
+    except KeyError as exc:
+        raise DomainError(f"{path}: manifest lacks {exc}") from None
+    except ValueError as exc:
+        if str(exc).startswith(os.path.join(path, "")):  # names a file of the bundle
+            raise
+        raise DomainError(f"{path}: malformed bundle: {exc}") from None
 
 
 def save_chunker(chunker: Chunker, path) -> None:
-    manifest, arrays = _start_bundle(path, "chunker")
-    _save_chunker_into(chunker, path, "", manifest, arrays)
-    _finish_bundle(manifest, path, arrays)
+    _save_bundle(chunker, path)
 
 
-@_manifest_errors
 def load_chunker(path) -> Chunker:
-    manifest = _read_manifest(path, "chunker")
-    return _load_chunker_from(path, "", manifest, {})
-
-
-def _save_typed_into(chunker: TypedChunker, path, manifest, arrays) -> None:
-    bundle = manifest["bundle"]
-    if isinstance(chunker, SinglePhaseChunker):
-        bundle["strategy"] = "single_phase"
-        _save_chunker_into(chunker.chunker, path, "typed", manifest, arrays)
-    elif isinstance(chunker, DoublePhaseChunker):
-        bundle["strategy"] = "double_phase"
-        _save_chunker_into(chunker.boundary, path, "boundary", manifest, arrays)
-        bundle["type_model"] = "type.model"
-        save_model(chunker.type_model, os.path.join(path, "type.model"), arrays)
-    elif isinstance(chunker, NPhaseChunker):
-        bundle["strategy"] = "n_phase"
-        bundle["types"] = " ".join(chunker.type_order)
-        for typ in chunker.type_order:
-            _save_chunker_into(chunker.per_type[typ], path, f"type-{typ}", manifest, arrays)
-    else:
-        raise DomainError(f"unknown typed chunker {type(chunker).__name__}")
-
-
-def _load_typed_from(path, manifest, cache: dict) -> TypedChunker:
-    bundle = manifest["bundle"]
-    strategy = bundle["strategy"]
-    if strategy == "single_phase":
-        return SinglePhaseChunker(_load_chunker_from(path, "typed", manifest, cache))
-    if strategy == "double_phase":
-        return DoublePhaseChunker(
-            boundary=_load_chunker_from(path, "boundary", manifest, cache),
-            type_model=load_model(os.path.join(path, bundle["type_model"]), cache),
-        )
-    order = tuple(bundle["types"].split())
-    per_type = {
-        typ: _load_chunker_from(path, f"type-{typ}", manifest, cache) for typ in order
-    }
-    return NPhaseChunker(per_type=per_type, type_order=order)
+    return _load_bundle(Chunker, path)
 
 
 def save_typed_chunker(chunker: TypedChunker, path) -> None:
-    manifest, arrays = _start_bundle(path, "typed-chunker")
-    _save_typed_into(chunker, path, manifest, arrays)
-    _finish_bundle(manifest, path, arrays)
+    _save_bundle(chunker, path)
 
 
-@_manifest_errors
 def load_typed_chunker(path) -> TypedChunker:
-    manifest = _read_manifest(path, "typed-chunker")
-    return _load_typed_from(path, manifest, {})
+    return _load_bundle(TypedChunker, path)
 
 
 def save_clause_bracketer(bracketer: ClauseBracketer, path) -> None:
-    manifest, arrays = _start_bundle(path, "clauses")
-    manifest["bundle"]["open_templates"] = " | ".join(
-        format_template(t) for t in bracketer.open_templates
-    )
-    manifest["bundle"]["close_template"] = format_template(bracketer.close_template)
-    manifest["bundle"]["open_models"] = " ".join(
-        f"open{i}.model" for i in range(len(bracketer.open_models))
-    )
-    for i, model in enumerate(bracketer.open_models):
-        save_model(model, os.path.join(path, f"open{i}.model"), arrays)
-    manifest["bundle"]["close_model"] = "close.model"
-    save_model(bracketer.close_model, os.path.join(path, "close.model"), arrays)
-    _finish_bundle(manifest, path, arrays)
+    _save_bundle(bracketer, path)
 
 
-@_manifest_errors
 def load_clause_bracketer(path) -> ClauseBracketer:
-    manifest = _read_manifest(path, "clauses")
-    cache: dict = {}
-    open_models = tuple(
-        load_model(os.path.join(path, name), cache)
-        for name in manifest["bundle"]["open_models"].split()
-    )
-    close_model = load_model(os.path.join(path, manifest["bundle"]["close_model"]), cache)
-    return ClauseBracketer(
-        open_models=open_models,
-        close_model=close_model,
-        open_templates=tuple(
-            parse_template(t)
-            for t in manifest["bundle"]["open_templates"].split(" | ")
-        ),
-        close_template=parse_template(manifest["bundle"]["close_template"]),
-    )
-
-
-def _save_levels(levels, path, manifest, arrays) -> None:
-    manifest["bundle"]["levels"] = str(len(levels))
-    for i, level in enumerate(levels, 1):
-        section = f"level {i}"
-        manifest.add_section(section)
-        manifest[section]["template"] = format_template(level.template)
-        manifest[section]["default_type"] = level.default_type
-        manifest[section]["open_model"] = f"level{i:02d}.open.model"
-        manifest[section]["close_model"] = f"level{i:02d}.close.model"
-        save_model(level.open_model, os.path.join(path, f"level{i:02d}.open.model"), arrays)
-        save_model(level.close_model, os.path.join(path, f"level{i:02d}.close.model"), arrays)
-
-
-def _load_levels(path, manifest, cache: dict) -> list[BracketLevel]:
-    count = int(manifest["bundle"]["levels"])
-    levels = []
-    for i in range(1, count + 1):
-        section = manifest[f"level {i}"]
-        levels.append(
-            BracketLevel(
-                template=parse_template(section["template"]),
-                open_model=load_model(os.path.join(path, section["open_model"]), cache),
-                close_model=load_model(os.path.join(path, section["close_model"]), cache),
-                default_type=section["default_type"],
-            )
-        )
-    return levels
+    return _load_bundle(ClauseBracketer, path)
 
 
 def save_np_parser(parser: NpParser, path) -> None:
-    manifest, arrays = _start_bundle(path, "np-parser")
-    manifest["bundle"]["match_mode"] = parser.match_mode.value
-    _save_chunker_into(parser.base, path, "base", manifest, arrays)
-    _save_levels(parser.levels, path, manifest, arrays)
-    _finish_bundle(manifest, path, arrays)
+    _save_bundle(parser, path)
 
 
-@_manifest_errors
 def load_np_parser(path) -> NpParser:
-    manifest = _read_manifest(path, "np-parser")
-    cache: dict = {}
-    return NpParser(
-        base=_load_chunker_from(path, "base", manifest, cache),
-        levels=_load_levels(path, manifest, cache),
-        match_mode=MatchMode(manifest["bundle"]["match_mode"]),
-    )
+    return _load_bundle(NpParser, path)
 
 
 def save_full_parser(parser: FullParser, path) -> None:
-    manifest, arrays = _start_bundle(path, "full-parser")
-    manifest["bundle"]["match_mode"] = parser.match_mode.value
-    _save_typed_into(parser.base, path, manifest, arrays)
-    _save_levels(parser.levels, path, manifest, arrays)
-    _finish_bundle(manifest, path, arrays)
+    _save_bundle(parser, path)
 
 
-@_manifest_errors
 def load_full_parser(path) -> FullParser:
-    manifest = _read_manifest(path, "full-parser")
-    cache: dict = {}
-    return FullParser(
-        base=_load_typed_from(path, manifest, cache),
-        levels=_load_levels(path, manifest, cache),
-        match_mode=MatchMode(manifest["bundle"]["match_mode"]),
-    )
+    return _load_bundle(FullParser, path)

@@ -22,8 +22,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import CorpusError, DomainError
-from .features import Token, ranges
-from .learner import code_column
+from .features import ranges
+from .learner import PAD, code_column
 from .schemes import ChunkSpan, ClauseNode, SpanArrays, clause_spans
 
 DEFAULT_COLUMNS = ("word", "pos", "chunk")
@@ -139,22 +139,22 @@ def column_index(columns: Sequence[str], role: str) -> int:
 def token_cells(file: ColumnFile, with_chunks: bool = False) -> dict:
     """The cells of a file's words ("w"), POS tags ("p") and chunk tags
     ("c": None without a chunk column, or when not asked for).  A file of
-    rows needs a word and a POS column, and a word in every row."""
+    rows needs a word and a POS column, and a word in every row, and no
+    cell it reads may be the learner's padding symbol; the first row at
+    fault is reported."""
     if not len(file):
         return {"w": [], "p": [], "c": None}
     words, pos = file.column("word"), file.column("pos")
-    if "" in words:
-        raise DomainError("token word must be non-empty")
     chunks = file.column("chunk") if with_chunks and "chunk" in file.columns else None
+    n = len(words)
+    empty = words.index("") if "" in words else n
+    padded = min((c.index(PAD) for c in (words, pos, chunks or ()) if PAD in c), default=n)
+    if padded < n and padded <= empty:
+        line = int(file.lines[padded])
+        raise CorpusError(f"the cell {PAD!r} is reserved for padding", line, file.path)
+    if empty < n:
+        raise DomainError("token word must be non-empty")
     return {"w": words, "p": pos, "c": chunks}
-
-
-def from_tokens(tokens: Sequence[Token], extra: Sequence[Sequence[str]] = ()) -> RawSentence:
-    """Rows of word, pos, then any extra aligned columns."""
-    rows = []
-    for i, tok in enumerate(tokens):
-        rows.append((tok.word, tok.pos, *(col[i] for col in extra)))
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,6 @@ cascade level, all in numpy; a level's open and close tags come from
 ``schemes.tag_codes`` over the spans in view positions.
 """
 
-from __future__ import annotations
-
 import warnings
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -66,7 +64,6 @@ from .learner import (
 from .schemes import (
     ChunkSpan,
     ClauseNode,
-    MatchMode,
     Scheme,
     SpanArrays,
     balance_brackets,
@@ -121,14 +118,11 @@ class PipelineConfig:
     np_parse_levels: int = 6
     typed: bool = False
     default_type: str = "NP"
-    match_mode: MatchMode = MatchMode.SAME_TYPE
     level_template: FeatureTemplate = field(
         default_factory=lambda: parse_template("w[-2..2] p[-2..2]")
     )
 
     def __post_init__(self):
-        if not self.representations:
-            raise ConfigError("need at least one representation")
         if len(self.representations) % 2 == 0:
             warnings.warn(  # at the caller of the generated __init__
                 "even number of representations; majority voting prefers odd",
@@ -196,6 +190,10 @@ class TwoPassStream:
     pass2_template: FeatureTemplate | None = None
     pass2_model: Model | None = None
 
+    def __post_init__(self):
+        if (self.pass2_template is None) != (self.pass2_model is None):
+            raise DomainError("a second pass needs both a template and a model")
+
     def tag_corpus(self, sentences: Sequence[Sentence]) -> list[list[str]]:
         tags = tag_sentences(self.pass1_model, self.pass1_template, sentences)
         if self.pass2_model is None:
@@ -237,10 +235,20 @@ def train_two_pass_stream(
 
 @dataclass
 class Chunker:
-    """Per-stream taggers plus the configuration that combines them."""
+    """Per-stream taggers plus the settings that combine them: the
+    representations to vote and the type of an untyped bracket."""
 
-    streams: dict[Scheme, object]  # TwoPassStream or anything with tag_corpus
-    config: PipelineConfig
+    streams: dict[Scheme, TwoPassStream]
+    representations: tuple[Scheme, ...]
+    default_type: str = "NP"
+
+    def __post_init__(self):
+        if not self.representations:
+            raise ConfigError("need at least one representation")
+        for rep in self.representations:
+            for scheme in _streams_for(rep):
+                if scheme not in self.streams:
+                    raise ConfigError(f"no model for configured representation {scheme.value}")
 
 
 def train_chunker(
@@ -255,7 +263,7 @@ def train_chunker(
     learner_config = learner_config or LearnerConfig()
     corpus = CodedCorpus.of(sentences)
     gold = SpanArrays.of(gold, corpus.lengths)
-    streams: dict[Scheme, object] = {}
+    streams: dict[Scheme, TwoPassStream] = {}
     for rep in config.representations:
         for scheme in _streams_for(rep):
             if scheme in streams:
@@ -269,7 +277,7 @@ def train_chunker(
                 learner_config,
                 typed=config.typed,
             )
-    return Chunker(streams=streams, config=config)
+    return Chunker(streams, config.representations, config.default_type)
 
 
 def _brackets(chunker: Chunker, sentences) -> list[tuple[list, list]]:
@@ -277,57 +285,53 @@ def _brackets(chunker: Chunker, sentences) -> list[tuple[list, list]]:
     stream the representations need is tagged once, all from one coded
     corpus of ``sentences``; an IOB or IOE stream is decoded once, and both
     bracket streams are written from its spans."""
-    cfg = chunker.config
-    needed = dict.fromkeys(s for rep in cfg.representations for s in _streams_for(rep))
-    for scheme in needed:
-        if scheme not in chunker.streams:
-            raise ConfigError(f"no model for configured representation {scheme.value}")
+    reps = chunker.representations
+    needed = dict.fromkeys(s for rep in reps for s in _streams_for(rep))
     corpus = CodedCorpus.of(sentences)
     tags = {scheme: chunker.streams[scheme].tag_corpus(corpus) for scheme in needed}
     brackets = []
-    for rep in cfg.representations:
+    for rep in reps:
         if rep is Scheme.OC:
             brackets.append((tags[Scheme.O], tags[Scheme.C]))
             continue
-        pairs = convert_tags(tags[rep], rep, Scheme.OC, cfg.default_type)
+        pairs = convert_tags(tags[rep], rep, Scheme.OC, chunker.default_type)
         brackets.append(([[o for o, _ in s] for s in pairs], [[c for _, c in s] for s in pairs]))
     return brackets
 
 
-def _balance(cfg: PipelineConfig, opens, closes) -> list[ChunkSpan]:
+def _balance(default_type: str, opens, closes) -> list[ChunkSpan]:
     return balance_brackets(
-        [mark_type(t, cfg.default_type) for t in opens],
-        [mark_type(t, cfg.default_type) for t in closes],
-        cfg.match_mode,
+        [mark_type(t, default_type) for t in opens],
+        [mark_type(t, default_type) for t in closes],
     )
 
 
-def _voted_spans(cfg: PipelineConfig, brackets) -> list[list[ChunkSpan]]:
+def _voted_spans(default_type: str, brackets) -> list[list[ChunkSpan]]:
     """Vote the representations' open streams and close streams separately,
     then repair each sentence's winners into a span set."""
     combined = []
     for si in range(len(brackets[0][0])):
         voted_o = [majority_vote(v) for v in zip(*(opens[si] for opens, _ in brackets))]
         voted_c = [majority_vote(v) for v in zip(*(closes[si] for _, closes in brackets))]
-        combined.append(_balance(cfg, voted_o, voted_c))
+        combined.append(_balance(default_type, voted_o, voted_c))
     return combined
 
 
 def chunk_corpus_detail(chunker: Chunker, sentences: Sequence[Sentence]):
     """Combined spans plus each representation's own spans (for comparison):
     its bracket streams repaired, which gives back the spans of its tags."""
-    cfg = chunker.config
+    typ = chunker.default_type
     brackets = _brackets(chunker, sentences)
     individual = {
-        rep: [_balance(cfg, o, c) for o, c in zip(*streams)]
-        for rep, streams in zip(cfg.representations, brackets)
+        rep: [_balance(typ, o, c) for o, c in zip(*streams)]
+        for rep, streams in zip(chunker.representations, brackets)
     }
-    return _voted_spans(cfg, brackets), individual
+    return _voted_spans(typ, brackets), individual
 
 
 def chunk_np(sentences: Sequence[Sentence], chunker: Chunker):
     """Noun-phrase chunk spans per sentence via the five-step voting recipe."""
-    return _voted_spans(chunker.config, _brackets(chunker, sentences))
+    return _voted_spans(chunker.default_type, _brackets(chunker, sentences))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +566,6 @@ def _run_cascade(
     sentences: Sequence[Sentence],
     base_spans: Sequence[Iterable[ChunkSpan]],
     levels: Sequence,
-    match_mode: MatchMode,
     early_stop: bool,
 ) -> list[set[ChunkSpan]]:
     """Each sentence's span set: its base spans and those each level finds
@@ -581,7 +584,7 @@ def _run_cascade(
         marks = level.predict(corpus, view, active)
         # the spans in the active sentences' view tokens, then in the rows
         # those tokens stand for
-        local = SpanArrays.of([balance_brackets(o, c, match_mode) for o, c in marks],
+        local = SpanArrays.of([balance_brackets(o, c) for o, c in marks],
                               view.lengths[active])
         sentence = active[local.sentence]
         shift = np.cumsum(view.lengths)[sentence] - np.cumsum(local.lengths)[local.sentence]
@@ -604,13 +607,12 @@ def _run_cascade(
 class NpParser:
     base: Chunker
     levels: list[BracketLevel]
-    match_mode: MatchMode = MatchMode.SAME_TYPE
 
 
 def parse_np(sentences: Sequence[Sentence], parser: NpParser):
     """Nested noun-phrase span sets found by repeated chunking."""
     base = chunk_np(sentences, parser.base)
-    spans = _run_cascade(sentences, base, parser.levels, parser.match_mode, True)
+    spans = _run_cascade(sentences, base, parser.levels, True)
     return [sorted(s) for s in spans]
 
 
@@ -618,7 +620,6 @@ def parse_np(sentences: Sequence[Sentence], parser: NpParser):
 class FullParser:
     base: TypedChunker
     levels: list[BracketLevel]
-    match_mode: MatchMode = MatchMode.SAME_TYPE
 
 
 def _wrap_roots(lengths: Sequence[int], spans: Sequence[set[ChunkSpan]]):
@@ -634,7 +635,7 @@ def parse_full(sentences: Sequence[Sentence], parser: FullParser):
     """Typed parse span sets; every sentence ends up under a clause root."""
     sentences = CodedCorpus.of(sentences)
     base = chunk_typed(sentences, parser.base)
-    spans = _run_cascade(sentences, base, parser.levels, parser.match_mode, False)
+    spans = _run_cascade(sentences, base, parser.levels, False)
     return _wrap_roots(sentences.lengths, spans)
 
 
@@ -734,7 +735,7 @@ def train_np_parser(
     levels = _train_levels(
         corpus, tree, level, config, learner_config, config.np_parse_levels, typed=False
     )
-    return NpParser(base=base, levels=levels, match_mode=config.match_mode)
+    return NpParser(base=base, levels=levels)
 
 
 def train_full_parser(
@@ -752,4 +753,4 @@ def train_full_parser(
     levels = _train_levels(
         corpus, tree, level, config, learner_config, config.max_parse_levels, typed=True
     )
-    return FullParser(base=base, levels=levels, match_mode=config.match_mode)
+    return FullParser(base=base, levels=levels)

@@ -41,12 +41,6 @@ class Scheme(Enum):
     OC = "O+C"  # composite: per-token (open tag, close tag) pairs
 
 
-class MatchMode(Enum):
-    SAME_TYPE = "same_type"
-    ANY_OPEN = "any_open"    # close brackets accept opens of any type
-    ANY_CLOSE = "any_close"  # open brackets accept closes of any type
-
-
 @dataclass(frozen=True, order=True, slots=True)
 class ChunkSpan:
     """A labeled token range, inclusive on both ends."""
@@ -242,7 +236,7 @@ def decode(tags: Sequence, scheme: Scheme, default_type: str = "NP") -> list[Chu
     if scheme is Scheme.OC:
         opens = [mark_type(o, default_type) for o, _ in tags]
         closes = [mark_type(c, default_type) for _, c in tags]
-        return balance_brackets(opens, closes, MatchMode.SAME_TYPE)
+        return balance_brackets(opens, closes)
     return decode_tags(tags, [len(tags)], scheme, default_type).lists()[0]
 
 
@@ -277,15 +271,11 @@ def convert(tags: Sequence, src: Scheme, dst: Scheme, default_type: str = "NP"):
     return encode(decode(tags, src, default_type), dst, len(tags), typed=typed)
 
 
-def balance_brackets(
-    opens: Sequence[str | None],
-    closes: Sequence[str | None],
-    match_mode: MatchMode = MatchMode.SAME_TYPE,
-) -> list[ChunkSpan]:
+def balance_brackets(opens: Sequence[str | None], closes: Sequence[str | None]) -> list[ChunkSpan]:
     """Repair independent open/close mark streams into a flat span set.
 
-    Left-to-right matching: opens push; a close pops the nearest compatible
-    open, which also discards any opens pushed before it (a flat structure
+    Left-to-right matching: opens push; a close pops the nearest open of its
+    type, which also discards any opens pushed before it (a flat structure
     cannot use them without crossing).  Unmatched marks are dropped.
     """
     if len(opens) != len(closes):
@@ -299,18 +289,10 @@ def balance_brackets(
         ctyp = closes[i]
         if ctyp is None:
             continue
-        if match_mode is MatchMode.SAME_TYPE:
-            pick = next(
-                (j for j in range(len(stack) - 1, -1, -1) if stack[j][1] == ctyp),
-                None,
-            )
-        else:
-            pick = len(stack) - 1 if stack else None
+        pick = next((j for j in range(len(stack) - 1, -1, -1) if stack[j][1] == ctyp), None)
         if pick is None:
             continue
-        start, styp = stack[pick]
-        typ = ctyp if match_mode is MatchMode.ANY_OPEN else styp
-        spans.append(ChunkSpan(start, i, typ))
+        spans.append(ChunkSpan(stack[pick][0], i, ctyp))
         stack.clear()
     return spans
 

@@ -23,7 +23,6 @@ from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
 from mbparse.schemes import (
     ChunkSpan,
     ClauseNode,
-    MatchMode,
     Scheme,
     _nest,
     balance_brackets,
@@ -97,13 +96,22 @@ def read_corpus_rows(path, columns: Sequence[str] | None = None):
     return sentences, columns
 
 
-def to_tokens(sentence, columns: Sequence[str], with_chunks: bool = True) -> list[Token]:
-    """One sentence's rows as tokens; the chunk column, when asked for and
-    present, gives their chunk tags."""
+def to_tokens(sentence, columns: Sequence[str], with_chunks: bool = True,
+              lines: Sequence[int] | None = None, path=None) -> list[Token]:
+    """One sentence's rows, on ``lines`` of the file at ``path``, as tokens;
+    the chunk column, when asked for and present, gives their chunk tags.  A
+    row with a cell read that is the padding symbol is a ``CorpusError``."""
     wi = column_index(columns, "word")
     pi = column_index(columns, "pos")
     ci = list(columns).index("chunk") if "chunk" in columns and with_chunks else None
-    return [Token(row[wi], row[pi], row[ci] if ci is not None else None) for row in sentence]
+    tokens = []
+    for i, row in enumerate(sentence):
+        cells = (row[wi], row[pi]) + ((row[ci],) if ci is not None else ())
+        if PAD in cells:
+            line = None if lines is None else lines[i]
+            raise CorpusError(f"the cell {PAD!r} is reserved for padding", line, path)
+        tokens.append(Token(*cells))
+    return tokens
 
 
 def _tag(kind: str, typ: str | None) -> str:
@@ -224,7 +232,7 @@ def decode_sentence(tags: Sequence, scheme: Scheme, default_type: str = "NP") ->
     if scheme is Scheme.OC:
         opens = [mark_type(o, default_type) for o, _ in tags]
         closes = [mark_type(c, default_type) for _, c in tags]
-        return balance_brackets(opens, closes, MatchMode.SAME_TYPE)
+        return balance_brackets(opens, closes)
     if scheme in (Scheme.IOB1, Scheme.IOB2):
         return _decode_iob(tags, default_type)
     return _decode_ioe(tags, default_type)
@@ -666,6 +674,6 @@ def parse_full_levels(sentences, parser):
     base = chunk_typed(sentences, parser.base)
     snapshots = []
     for j in range(len(parser.levels) + 1):
-        spans = _run_cascade(sentences, base, parser.levels[:j], parser.match_mode, False)
+        spans = _run_cascade(sentences, base, parser.levels[:j], False)
         snapshots.append([sorted(found) for found in spans])
     return snapshots + [_wrap_roots([len(s) for s in sentences], spans)]

@@ -1,4 +1,5 @@
 import argparse
+import json
 import os
 import shutil
 import subprocess
@@ -561,6 +562,41 @@ def _edit_line(path, prefix, replacement):
     path.write_text("\n".join(replacement if l.startswith(prefix) else l for l in lines) + "\n")
 
 
+def _edited(change):
+    """Damage that changes the manifest's data, then writes it out."""
+    def damage(manifest):
+        change(manifest)
+        return json.dumps(manifest)
+    return damage
+
+
+def _pass1_model(name):
+    return _edited(lambda m: m["streams"]["IOB1"].update(pass1_model=name))
+
+
+# Damage to a chunker bundle's JSON manifest: each must end the load in one
+# error line that names the bundle.
+MANIFEST_DAMAGE = {
+    "no class": _edited(lambda m: m.pop("class")),
+    "no streams": _edited(lambda m: m.pop("streams")),
+    "unknown stream scheme": _edited(lambda m: m["streams"].update(X=m["streams"].pop("O"))),
+    "unknown representation": _edited(lambda m: m.update(representations=["IOB7"])),
+    "representations not a list": _edited(lambda m: m.update(representations="IOB1")),
+    "streams not an object": _edited(lambda m: m.update(streams=[])),
+    "class the field does not allow": _edited(
+        lambda m: m["streams"]["IOB1"].update({"class": "Chunker"})),
+    "model in another directory": _pass1_model("../model/streams.IOB1.pass1_model.model"),
+    "model name not ending in .model": _pass1_model("arrays.npy"),
+    "model name not text": _pass1_model(3),
+    "no representations": _edited(lambda m: m.update(representations=[])),
+    "second pass without its template": _edited(
+        lambda m: m["streams"]["O"].pop("pass2_template")),
+    "template that does not parse": _edited(
+        lambda m: m["streams"]["O"].update(pass1_template="w[0..")),
+    "nested too deeply": lambda m: '{"format": 4, "streams": ' + "[" * 10**5 + "]" * 10**5 + "}",
+}
+
+
 class TestBadBundles:
     """A damaged bundle ends with exit status 1 and one ``error:`` line."""
 
@@ -576,6 +612,7 @@ class TestBadBundles:
         lines = capsys.readouterr().err.splitlines()
         assert err.value.code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        return lines[0]
 
     @pytest.mark.parametrize(
         "prefix, replacement",
@@ -592,25 +629,17 @@ class TestBadBundles:
                               prefix, replacement):
         bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
         shutil.copy(small_bundle / "train.txt", tmp_path / "train.txt")
-        _edit_line(bundle / "IOB1.pass1.model", prefix, replacement)
+        _edit_line(bundle / "streams.IOB1.pass1_model.model", prefix, replacement)
         self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
 
-    @pytest.mark.parametrize(
-        "prefix, replacement",
-        [
-            ("kind ", ""),
-            ("streams ", ""),
-            ("[stream O]", "[stream X]"),
-            ("representations ", "representations = IOB7"),
-            ("representations ", "representations IOB1"),
-        ],
-    )
-    def test_bad_manifest(self, small_bundle, tmp_path, monkeypatch, capsys,
-                          prefix, replacement):
+    @pytest.mark.parametrize("case", list(MANIFEST_DAMAGE))
+    def test_bad_manifest(self, small_bundle, tmp_path, monkeypatch, capsys, case):
         bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
         shutil.copy(small_bundle / "train.txt", tmp_path / "train.txt")
-        _edit_line(bundle / "manifest", prefix, replacement)
-        self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
+        manifest = json.loads((bundle / "manifest").read_text())
+        (bundle / "manifest").write_text(MANIFEST_DAMAGE[case](manifest))
+        line = self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
+        assert line.startswith(f"error: {bundle}: "), line
 
 
 def _child_env():
@@ -659,12 +688,13 @@ def test_warning_made_an_error_is_one_error_line(toy, tmp_path):
     ]
 
 
-@pytest.mark.parametrize("old", ["1", "2"])
+@pytest.mark.parametrize("old", ["1", "2", "3"])
 def test_old_bundle_format_is_one_error_line(old, small_bundle, tmp_path, capsys, monkeypatch):
-    # bundles saved before the models stored codes (1), or before a bundle
-    # stored its arrays in one file (2), must be retrained
+    # bundles saved before the models stored codes (1), before a bundle
+    # stored its arrays in one file (2), or with an INI manifest (3), must be
+    # retrained
     bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
-    _edit_line(bundle / "manifest", "format = ", f"format = {old}")
+    (bundle / "manifest").write_text(f"[bundle]\nformat = {old}\nkind = chunker\n")
     monkeypatch.setattr(
         sys, "argv",
         ["mbparse", "chunk", "--model", str(bundle), "--input",

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from mbparse.corpus import (
     decode_brackets,
     encode_bracket_column,
     encode_clause_column,
-    from_tokens,
     read_corpus,
     token_cells,
     write_corpus,
@@ -92,11 +93,6 @@ class TestTokenBridge:
     def test_missing_role(self):
         with pytest.raises(DomainError):
             column_index(("word",), "pos")
-
-    def test_from_tokens(self):
-        toks = [Token("a", "DT"), Token("b", "NN")]
-        rows = from_tokens(toks, extra=[("O", "I")])
-        assert rows == [("a", "DT", "O"), ("b", "NN", "I")]
 
 
 class TestBracketColumns:
@@ -183,7 +179,7 @@ class TestConfig:
 
 _BREAKS = ["\n", "\r\n", "\r", "\u2028", "\x85", "\x0c", "\x1e"]
 _BLANKS = ["", " ", "\t", " \t ", "\u3000"]
-_CELLS = st.sampled_from(["a", "Bb", "NN", "(S*", "*S)", "I-NP", "é", "x y", "", ""])
+_CELLS = st.sampled_from(["a", "Bb", "NN", "(S*", "*S)", "I-NP", "é", "x y", "", "", "__"])
 
 
 @st.composite
@@ -239,7 +235,9 @@ def test_reader_matches_line_by_line_reader(text, with_chunks, non_utf8, data, t
     start = 1 if body and body[0].startswith("#columns:") else 0
     numbers = [i + 1 for i in range(start, len(body)) if body[i].strip()]
     assert file.lines.tolist() == numbers
-    tokens = _outcome(lambda: [to_tokens(s, columns, with_chunks) for s in sentences])
+    ends = list(accumulate(map(len, sentences)))
+    tokens = _outcome(lambda: [to_tokens(s, columns, with_chunks, numbers[b - len(s):b], path)
+                               for s, b in zip(sentences, ends)])
     cells = _outcome(lambda: token_cells(file, with_chunks))
     assert cells[0] == tokens[0]
     if cells[0] != "ok":

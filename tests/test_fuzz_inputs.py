@@ -41,6 +41,8 @@ from mbparse.corpus import write_corpus
 from mbparse.schemes import ChunkSpan, Scheme, encode
 from mbparse.synth import np_chunk_corpus
 
+HEADER = "streams.IOB1.pass1_model.model"  # the IOB1 stream's first-pass model
+
 CONFIG = """[run]
 workers = 1
 
@@ -183,23 +185,23 @@ def edited_run(originals, tmp_path, name, line, text):
 def test_label_missing_from_class_line_is_one_error_line(originals, tmp_path):
     # a class the counts line lacks, at the same total, once ended in a
     # KeyError traceback when the index was built
-    counts = (originals / "model" / "IOB1.pass1.model").read_text().split("\n")[6].split()[1:]
+    counts = (originals / "model" / HEADER).read_text().split("\n")[6].split()[1:]
     moved = [int(counts[0]) + int(counts[-1])] + counts[1:-1]
-    code, lines = edited_run(originals, tmp_path, "model/IOB1.pass1.model", 6,
+    code, lines = edited_run(originals, tmp_path, f"model/{HEADER}", 6,
                              "classes " + " ".join(map(str, moved)))
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert lines[0].endswith("IOB1.pass1.model: class frequencies do not match the instance labels")
+    assert lines[0].endswith(f"{HEADER}: class frequencies do not match the instance labels")
 
 
 def test_negative_weight_in_model_file_is_one_error_line(originals, tmp_path):
     # a negative weight once loaded, and made a mismatch bring an instance nearer
-    weights = (originals / "model" / "IOB1.pass1.model").read_text().split("\n")[5]
-    code, lines = edited_run(originals, tmp_path, "model/IOB1.pass1.model", 5,
+    weights = (originals / "model" / HEADER).read_text().split("\n")[5]
+    code, lines = edited_run(originals, tmp_path, f"model/{HEADER}", 5,
                              "weights -5.0 " + weights.split(" ", 2)[2])
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert lines[0].endswith("IOB1.pass1.model: weights must not be negative")
+    assert lines[0].endswith(f"{HEADER}: weights must not be negative")
 
 
 def test_unparsable_config_is_one_error_line(originals, tmp_path):
@@ -211,7 +213,7 @@ def test_unparsable_config_is_one_error_line(originals, tmp_path):
 
 def test_huge_k_in_model_file_still_tags(originals, tmp_path):
     # one selection pass per k once ran until k, whatever the distances
-    code, lines = edited_run(originals, tmp_path, "model/IOB1.pass1.model", 2, "k " + "9" * 30)
+    code, lines = edited_run(originals, tmp_path, f"model/{HEADER}", 2, "k " + "9" * 30)
     assert (code, lines) == (0, [])
 
 
@@ -251,11 +253,8 @@ ARRAY_DAMAGE = {
 }
 
 
-HEADER = "IOB1.pass1.model"
-
-
 def iob1_header(originals) -> list[str]:
-    """The lines of the IOB1.pass1.model header; line 8 is its columns."""
+    """The lines of the IOB1 stream's first-pass header; line 8 is its columns."""
     return (originals / "model" / HEADER).read_text().split("\n")
 
 
@@ -281,7 +280,7 @@ def slice_damage(which: int, change):
     return damage
 
 
-# Damage to the IOB1.pass1.model header: (line number and new text, the
+# Damage to the IOB1 stream's first-pass header: (line number and new text, the
 # file the error line must name).
 HEADER_DAMAGE = {
     "negative offset": (slice_damage(0, lambda off, n: f"-1,{n}"), HEADER),

@@ -22,10 +22,11 @@ from mbparse.synth import (
     typed_chunk_corpus,
 )
 
-# bundle format 3: model headers slicing one int32 .npy array file
+# bundle format 4: a JSON manifest, and model headers slicing one int32 .npy
+# array file
 BUNDLE_DIGESTS = {
-    "np-chunk": "6094975b51ebfbdcc8e6a24e09e37c574620e5b35e034cd8468c2fde3505d44b",
-    "full-parse": "ffe06a355e468ed2b52d31c81a0c8022878e29dcf14a820f79c366b1c12b0a4e",
+    "np-chunk": "5b48fd7333b8c5b8f309d78caaa4076c3929e844d5a44e3cdb3f3dd30726c6b1",
+    "full-parse": "0cf8df0e4f4863e8d98ff22a9e44e1049cc4305c0f5f22090c0b10fc7f4e05a8",
 }
 # ``chunk`` and ``parse`` outputs of the bundles above on 20 held-out sentences
 TAG_DIGESTS = {
@@ -36,13 +37,13 @@ TAG_DIGESTS = {
 # bracketer and the noun-phrase parser, trained on 80 seeded sentences
 MORE_BUNDLE_DIGESTS = {
     ("typed-chunk", "single_phase"):
-        "39158fc23716bbd676585e0c0007518744132587b06441c9f413428e27231f07",
+        "a6418e339525f05d928fe44fcd32b917074573133fd4d1e73146b1db38b21dcd",
     ("typed-chunk", "double_phase"):
-        "a621ac7717fd1d33312ffe50d1cbe43305d854c297e86e8300f54223bf7b7eeb",
+        "d56696ce29dfd3193e4a1739a67138c256f14c903db5811cb5cfa0f5bbebe42d",
     ("typed-chunk", "n_phase"):
-        "4d859d001b8d0a7de59e6999a0e8ccefda8677e8d92de9be13604ef9ef498ad2",
-    ("clauses", None): "ff022c74b335661c423e547af9322b6d4f0c78d580a3c73de6b2625e2f52f378",
-    ("np-parse", None): "e63d23e440f3b7ddb7bd6ac9c9d0021ed17af1a00cb21d9eded6aa73240187d6",
+        "3b0d2b19736c82605a5d7cd5999f77db14df6622a163aee91ba51fd467c8630c",
+    ("clauses", None): "90d094dc6ce2b75cb6cbc59f7b4950cb4fdf1abf1d28a5b58481af99328c119a",
+    ("np-parse", None): "fd589f3fd536a52c4bc402ee601ba94f5d6e2f24c07ea98414b82645cc91ab0d",
 }
 # outputs of the tag command of each bundle above on 20 held-out sentences
 MORE_TAG_DIGESTS = {

@@ -8,6 +8,7 @@ check which files a save leaves, and check that the models of one bundle
 load share each stored column and label array.
 """
 
+import json
 import os
 import tempfile
 
@@ -191,9 +192,17 @@ def test_bundle_models_share_columns_and_label_arrays(tmp_path, monkeypatch):
 
 
 def headers_named(bundle) -> set[str]:
-    """The model headers that a bundle's manifest names."""
-    text = (bundle / "manifest").read_text()
-    return {name for name in text.split() if name.endswith(".model")}
+    """The model headers that a bundle's JSON manifest names: the values in
+    it that end in ``.model``."""
+
+    def values(data):
+        if isinstance(data, (dict, list)):
+            return [v for item in (data.values() if isinstance(data, dict) else data)
+                    for v in values(item)]
+        return [data]
+
+    manifest = json.loads((bundle / "manifest").read_text())
+    return {v for v in values(manifest) if isinstance(v, str) and v.endswith(".model")}
 
 
 @pytest.mark.parametrize("kind", ["chunker", "full parser"])

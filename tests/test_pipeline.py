@@ -1,5 +1,8 @@
+import dataclasses
 import tempfile
-import warnings
+import types
+import typing
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +49,6 @@ from mbparse.pipeline import (
 from mbparse.schemes import (
     ChunkSpan,
     ClauseNode,
-    MatchMode,
     Scheme,
     SpanArrays,
     balance_brackets,
@@ -76,17 +78,11 @@ from references import (
 )
 
 
-def single_rep_config(**kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return PipelineConfig(representations=(Scheme.IOB1,), **kwargs)
-
-
-def oracle_chunker(gold, typed=False, **kwargs):
-    cfg = single_rep_config(typed=typed, **kwargs)
+def oracle_chunker(gold, typed=False, default_type="NP"):
     return Chunker(
         streams={Scheme.IOB1: OracleStream(Scheme.IOB1, gold, typed=typed)},
-        config=cfg,
+        representations=(Scheme.IOB1,),
+        default_type=default_type,
     )
 
 
@@ -110,9 +106,8 @@ class TestChunkNp:
     def test_missing_stream_model(self):
         sents, gold = np_chunk_corpus(3, seed=2)
         chunker = oracle_chunker(gold)
-        bad = Chunker(streams={}, config=chunker.config)
         with pytest.raises(ConfigError):
-            chunk_np(sents, bad)
+            chunk_np(sents, Chunker(streams={}, representations=chunker.representations))
 
     def test_trained_chunker_reasonable_and_flat(self):
         tr_s, tr_g = np_chunk_corpus(80, seed=3)
@@ -158,7 +153,7 @@ class TestChunkNp:
 def tag_twice_detail(chunker, sentences):
     """Reference: the chunker as it was before tagging each stream once.  It
     tags every stream for the vote and again for per-representation spans."""
-    cfg = chunker.config
+    reps, typ = chunker.representations, chunker.default_type
 
     def bracket_streams(rep):
         if rep is Scheme.OC:
@@ -166,33 +161,29 @@ def tag_twice_detail(chunker, sentences):
             c = chunker.streams[Scheme.C].tag_corpus(sentences)
             return o, c
         tags = chunker.streams[rep].tag_corpus(sentences)
-        opens = [convert(t, rep, Scheme.O, cfg.default_type) for t in tags]
-        closes = [convert(t, rep, Scheme.C, cfg.default_type) for t in tags]
+        opens = [convert(t, rep, Scheme.O, typ) for t in tags]
+        closes = [convert(t, rep, Scheme.C, typ) for t in tags]
         return opens, closes
 
     def balance(o, c):
-        return balance_brackets(
-            [mark_type(t, cfg.default_type) for t in o],
-            [mark_type(t, cfg.default_type) for t in c],
-            cfg.match_mode,
-        )
+        return balance_brackets([mark_type(t, typ) for t in o], [mark_type(t, typ) for t in c])
 
     def spans_of_rep(rep):
         if rep is Scheme.OC:
             opens, closes = bracket_streams(rep)
             return [balance(o, c) for o, c in zip(opens, closes)]
         tags = chunker.streams[rep].tag_corpus(sentences)
-        return [decode(t, rep, cfg.default_type) for t in tags]
+        return [decode(t, rep, typ) for t in tags]
 
-    per_rep = {rep: bracket_streams(rep) for rep in cfg.representations}
+    per_rep = {rep: bracket_streams(rep) for rep in reps}
     combined = []
     for si, sentence in enumerate(sentences):
         voted_o, voted_c = [], []
         for i in range(len(sentence)):
-            voted_o.append(majority_vote([per_rep[r][0][si][i] for r in cfg.representations]))
-            voted_c.append(majority_vote([per_rep[r][1][si][i] for r in cfg.representations]))
+            voted_o.append(majority_vote([per_rep[r][0][si][i] for r in reps]))
+            voted_c.append(majority_vote([per_rep[r][1][si][i] for r in reps]))
         combined.append(balance(voted_o, voted_c))
-    individual = {rep: spans_of_rep(rep) for rep in cfg.representations}
+    individual = {rep: spans_of_rep(rep) for rep in reps}
     return combined, individual
 
 
@@ -222,7 +213,6 @@ def test_detail_matches_tag_twice_reference(data):
         data.draw(st.lists(st.sampled_from(_ALL_REPS), min_size=1, max_size=5, unique=True))
     )
     typed = data.draw(st.booleans())
-    match_mode = data.draw(st.sampled_from(list(MatchMode)))
     lengths = data.draw(st.lists(st.integers(0, 7), max_size=5))
     suffixes = ("-NP", "-VP") if typed else ("",)
 
@@ -234,17 +224,12 @@ def test_detail_matches_tag_twice_reference(data):
 
     schemes = [Scheme.O, Scheme.C] if Scheme.OC in reps else []
     tags = {s: stream_tags(s) for s in [r for r in reps if r is not Scheme.OC] + schemes}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        cfg = PipelineConfig(
-            representations=reps,
-            default_type=data.draw(st.sampled_from(("NP", "CH"))),
-            match_mode=match_mode,
-        )
+    default_type = data.draw(st.sampled_from(("NP", "CH")))
     sentences = [[Token(f"w{i}", "NN") for i in range(n)] for n in lengths]
 
     def chunker():
-        return Chunker(streams={s: FixedStream(t) for s, t in tags.items()}, config=cfg)
+        streams = {s: FixedStream(t) for s, t in tags.items()}
+        return Chunker(streams, reps, default_type)
 
     fresh = chunker()
     assert chunk_corpus_detail(fresh, sentences) == tag_twice_detail(chunker(), sentences)
@@ -894,3 +879,60 @@ def test_bundle_load_shares_columns_like_solo_loads(kind, tmp_path, monkeypatch)
         for m in (shared, alone)
     ]
     assert rendered[0] == rendered[1]
+
+
+def _plain(value):
+    """A composite as nested plain values: each dataclass its class and
+    fields, a dict its items in order, a model its parts."""
+    if isinstance(value, learner.Model):
+        return model_parts(value)
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return type(value), {f.name: _plain(getattr(value, f.name)) for f in fields}
+    if isinstance(value, dict):
+        return dict, [(k, _plain(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return type(value), [_plain(v) for v in value]
+    return type(value), value
+
+
+@pytest.mark.parametrize("kind", list(_BUNDLE_KINDS))
+def test_loaded_bundle_equals_the_trained_composite(kind, tmp_path):
+    """A load gives back what training built, field by field."""
+    generate, fit, tag, save, load, cells = _BUNDLE_KINDS[kind]
+    trained = fit(*generate(20, 9))
+    save(trained, tmp_path)
+    assert _plain(load(tmp_path)) == _plain(trained)
+
+
+def _assert_walker_reads(kind):
+    """The bundle walker reads values of annotation ``kind``: a model, a
+    template, text, an enum, a dict keyed by text or an enum, a list or
+    tuple of one type, an optional value, a choice of dataclasses, or a
+    dataclass whose fields' annotations it reads."""
+    if kind in (learner.Model, features.FeatureTemplate, str):
+        return
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is dict:
+        assert args[0] is str or issubclass(args[0], Enum), kind
+        _assert_walker_reads(args[1])
+    elif origin in (list, tuple):
+        assert origin is list or args[1:] == (Ellipsis,), kind
+        _assert_walker_reads(args[0])
+    elif isinstance(kind, types.UnionType):
+        options = [a for a in args if a is not type(None)]
+        assert len(options) == 1 or all(map(dataclasses.is_dataclass, options)), kind
+        for option in options:
+            _assert_walker_reads(option)
+    else:
+        assert dataclasses.is_dataclass(kind), kind
+        for f in dataclasses.fields(kind):
+            _assert_walker_reads(f.type)
+
+
+@pytest.mark.parametrize("root", [Chunker, pipeline.TypedChunker, pipeline.ClauseBracketer,
+                                  NpParser, FullParser])
+def test_walker_reads_every_field_of_a_composite(root):
+    _assert_walker_reads(root)

@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from mbparse import bundles
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = README.parent / "src" / "mbparse"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"), re.S | re.M)
@@ -49,3 +51,7 @@ def listed_modules():
 
 def test_readme_lists_every_module():
     assert listed_modules() == {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+def test_readme_names_the_bundle_format():
+    assert f"JSON `manifest` (format {bundles._FORMAT})" in README.read_text(encoding="utf-8")

@@ -9,7 +9,6 @@ from mbparse.learner import code_column
 from mbparse.schemes import (
     ChunkSpan,
     ClauseNode,
-    MatchMode,
     Scheme,
     SpanArrays,
     balance_brackets,
@@ -179,24 +178,13 @@ class TestBalanceBrackets:
     def test_stray_close_dropped(self):
         opens = ["A", None, "B", None]
         closes = [None, None, None, "B"]
-        got = balance_brackets(opens, closes, MatchMode.SAME_TYPE)
+        got = balance_brackets(opens, closes)
         assert got == [ChunkSpan(2, 3, "B")]
         # a second incompatible close at the same position is dropped
         closes2 = [None, None, None, "A"]
-        assert balance_brackets(opens, closes2, MatchMode.SAME_TYPE) == [
-            ChunkSpan(0, 3, "A")
-        ]
-
-    def test_any_open_takes_close_type(self):
-        opens = ["A", None]
-        closes = [None, "B"]
-        assert balance_brackets(opens, closes, MatchMode.ANY_OPEN) == [
-            ChunkSpan(0, 1, "B")
-        ]
-        assert balance_brackets(opens, closes, MatchMode.ANY_CLOSE) == [
-            ChunkSpan(0, 1, "A")
-        ]
-        assert balance_brackets(opens, closes, MatchMode.SAME_TYPE) == []
+        assert balance_brackets(opens, closes2) == [ChunkSpan(0, 3, "A")]
+        # a close matches no open of another type
+        assert balance_brackets(["A", None], [None, "B"]) == []
 
     def test_single_token_chunk(self):
         assert balance_brackets(["NP"], ["NP"]) == [ChunkSpan(0, 0, "NP")]
@@ -211,8 +199,7 @@ class TestBalanceBrackets:
         types = st.one_of(st.none(), st.sampled_from(["NP", "VP"]))
         opens = [data.draw(types) for _ in range(n)]
         closes = [data.draw(types) for _ in range(n)]
-        mode = data.draw(st.sampled_from(list(MatchMode)))
-        spans = sorted(balance_brackets(opens, closes, mode))
+        spans = sorted(balance_brackets(opens, closes))
         for a, b in zip(spans, spans[1:]):
             assert a.end < b.start  # non-overlapping, non-nesting
         n_opens = sum(o is not None for o in opens)
