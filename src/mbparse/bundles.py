@@ -7,8 +7,10 @@ walker writes the composite's dataclasses into it, each as an object of its
 ``"class"`` and its fields that are not None.  A dict is an object, a list
 or tuple an array, a template or an enum its text, and a model the name of
 its header, built from the field names and keys on the way to it
-(``streams.IOB1.pass1_model.model``).  A load reads each value back as its
-field's annotation says, so a reloaded bundle is what training built.
+(``streams.IOB1.pass1_model.model``), a key's ``%`` and path separators
+percent-encoded (type ``A/B``: ``per_type.A%2FB.streams...``).  A load
+reads each value back as its field's annotation says, so a reloaded bundle
+is what training built.
 Bundles of an earlier format (1: models as text; 2: one ``.npy`` file per
 array; 3: an INI manifest) no longer load: retrain them.
 
@@ -33,9 +35,15 @@ from .pipeline import Chunker, ClauseBracketer, FullParser, NpParser, TypedChunk
 _FORMAT = 4
 
 
+# a key's characters percent-encoded in a header's file name, so that a
+# chunk type such as ``A/B`` names no directory
+_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in ("%", "/", os.sep, os.altsep) if c})
+
+
 def _dump(value, path, name: str, arrays: ArrayFile):
     """``value`` as JSON data.  A model in it is saved to the header named
-    ``name``, the field names and keys that lead to it, each with a dot."""
+    ``name``, the field names and keys (``_ESCAPES`` encoded) that lead to
+    it, each with a dot."""
     if isinstance(value, Model):
         save_model(value, os.path.join(path, name + "model"), arrays)
         return name + "model"
@@ -49,7 +57,7 @@ def _dump(value, path, name: str, arrays: ArrayFile):
                 **{k: _dump(v, path, f"{name}{k}.", arrays) for k, v in items if v is not None}}
     if isinstance(value, dict):
         items = ((k.value if isinstance(k, Enum) else k, v) for k, v in value.items())
-        return {k: _dump(v, path, f"{name}{k}.", arrays) for k, v in items}
+        return {k: _dump(v, path, f"{name}{k.translate(_ESCAPES)}.", arrays) for k, v in items}
     if isinstance(value, (list, tuple)):
         return [_dump(v, path, f"{name}{i}.", arrays) for i, v in enumerate(value)]
     return value

@@ -497,14 +497,20 @@ def _parse_extra(text: str) -> list[int]:
         extras = list(range(int(lo), int(hi) + 1)) if dots else [int(x) for x in text.split(",")]
     except ValueError:
         extras = []
-    if not extras:
-        raise ConfigError(f"--extra {text!r} is not N, N..M with N <= M, or a comma list")
+    if not extras or min(extras) < 0:
+        raise ConfigError(
+            f"--extra {text!r} is not N, N..M with 0 <= N <= M, or a comma list of N >= 0"
+        )
     return extras
 
 
 def _cmd_xor(args, cfg) -> int:
+    extras = _parse_extra(args.extra)
+    for flag, value in (("--runs", args.runs), ("--k", args.k)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     print("extra\tmean_correct")
-    for extra in _parse_extra(args.extra):
+    for extra in extras:
         mean = xor_experiment(extra, runs=args.runs, seed=args.seed, k=args.k)
         print(f"{extra}\t{mean:.2f}")
     return 0

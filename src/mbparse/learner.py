@@ -51,8 +51,10 @@ last one found, which wraps the ranks already passed to the top of the
 dtype), and the votes are one exact matrix product of the in-range mask
 with the labels' one-hot matrix; the kernel yields each block's winning
 label ids and vote counts.
-Queries run in blocks whose scratch arrays fit a 2 MiB budget, about the
-size of a core's L2 cache.
+Queries run in blocks of as many as fit a 2 MiB scratch budget, about the
+size of a core's L2 cache, at 17 bytes per (query, instance) pair, and of
+at least one.  So from about 123,000 instances on a block holds a single
+query, whose scratch outgrows the budget: 3.4 MB at 200,000 instances.
 """
 
 from __future__ import annotations

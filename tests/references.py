@@ -18,7 +18,7 @@ import numpy as np
 from mbparse.corpus import DEFAULT_COLUMNS, column_index
 from mbparse.errors import CorpusError, DomainError
 from mbparse.features import CodedCorpus, FeatureTemplate, Token
-from mbparse.learner import PAD, Instance, TiePolicy
+from mbparse.learner import PAD, Instance, InstanceBase, TiePolicy
 from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
 from mbparse.schemes import (
     ChunkSpan,
@@ -316,6 +316,18 @@ def decoded_labels(base) -> list[str]:
 def decoded_instances(base) -> list[Instance]:
     """The ``Instance`` rows of an ``InstanceBase``, in their stored order."""
     return list(map(Instance, decoded_rows(base), decoded_labels(base)))
+
+
+def xor_rows(rng: np.random.Generator, num_random_features: int) -> InstanceBase:
+    """One exclusive-or round's 400 rows, spelled as "0"/"1" strings and
+    coded by ``InstanceBase.from_columns``: 100 copies of each pattern in
+    turn, each followed by ``num_random_features`` uniform random bits."""
+    patterns = np.array([[0, 0, 0], [0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    symbols = np.array(["0", "1"])
+    rows = np.repeat(patterns, 100, axis=0)
+    bits = rng.integers(0, 2, size=(len(rows), num_random_features))
+    features = symbols[np.hstack([rows[:, :2], bits])]
+    return InstanceBase.from_columns(features.T.tolist(), symbols[rows[:, 2]].tolist())
 
 
 def entropy(counts: Mapping[str, float]) -> float:

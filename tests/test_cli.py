@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -242,6 +243,38 @@ class TestTypedAndParsers:
         ) == 0
         assert "NP" in capsys.readouterr().out
 
+    def test_n_phase_types_with_path_characters(self, tmp_path, capsys):
+        # an n-phase chunker names one set of headers per chunk type; "A/B"
+        # and "A%2FB" must stay in the bundle directory and apart
+        rename = {"NP": "A/B", "VP": "A%2FB"}
+        tr_s, tr_g = typed_chunk_corpus(50, seed=43)
+        te_s, te_g = typed_chunk_corpus(15, seed=44)
+        for path, sentences, gold in (("train.txt", tr_s, tr_g), ("gold.txt", te_s, te_g)):
+            gold = [[replace(sp, type=rename.get(sp.type, sp.type)) for sp in g] for g in gold]
+            dump_chunk_file(tmp_path / path, sentences, gold, typed=True)
+        assert run_command(
+            ["train", "--task", "typed-chunk", "--train", str(tmp_path / "train.txt"),
+             "--model", str(tmp_path / "m"), "--workers", "1",
+             "--set", "chunker.type_strategy=n_phase"]
+        ) == 0
+        names = [p.name for p in (tmp_path / "m").iterdir() if p.is_file()]
+        assert len(names) == len(list((tmp_path / "m").iterdir()))
+        assert any(n.startswith("per_type.A%2FB.") for n in names)
+        assert any(n.startswith("per_type.A%252FB.") for n in names)
+        assert run_command(
+            ["chunk-typed", "--model", str(tmp_path / "m"),
+             "--input", str(tmp_path / "gold.txt"),
+             "--output", str(tmp_path / "out.txt"), "--workers", "1"]
+        ) == 0
+        assert run_command(
+            ["evaluate", "--found", str(tmp_path / "out.txt"),
+             "--gold", str(tmp_path / "gold.txt"), "--per-type"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "A/B" in out and "A%2FB" in out
+        found = (tmp_path / "out.txt").read_text(encoding="utf-8")
+        assert "I-A/B" in found and "I-A%2FB" in found
+
     def test_parse_flow(self, tmp_path):
         tr_s, tr_g = parse_corpus(50, seed=45)
         te_s, te_g = parse_corpus(10, seed=46)
@@ -435,11 +468,14 @@ class TestErrors:
 
 
 def _main_exit(argv, monkeypatch, capsys):
-    """Exit status and standard-error lines of ``main`` run on ``argv``."""
+    """Exit status and standard-error lines of ``main`` run on ``argv``,
+    which must fail before it writes anything to standard output."""
     monkeypatch.setattr(sys, "argv", ["mbparse", *argv])
     with pytest.raises(SystemExit) as err:
         main()
-    return err.value.code, capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return err.value.code, captured.err.splitlines()
 
 
 class TestStrictValues:
@@ -468,6 +504,11 @@ class TestStrictValues:
             (["chunk", "--set", "run.workers=0"], "run.workers"),
             (["train", "--task", "np-chunk", "--workers", "-1"], "--workers"),
             (["xor-experiment", "--extra", "5..2"], "--extra"),
+            (["xor-experiment", "--extra=-1..1"], "--extra"),
+            (["xor-experiment", "--extra", "2,-1"], "--extra"),
+            (["xor-experiment", "--runs", "0"], "--runs"),
+            (["xor-experiment", "--runs", "-3"], "--runs"),
+            (["xor-experiment", "--k", "0"], "--k"),
         ],
     )
     def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):
@@ -480,7 +521,8 @@ class TestStrictValues:
                  "chunk": ["--model", str(tmp_path / "m"), "--input", str(corpus),
                            "--output", str(tmp_path / "out.txt")],
                  "xor-experiment": ["--runs", "1"]}
-        code, lines = _main_exit(argv + paths[argv[0]], monkeypatch, capsys)
+        # the flags under test come last, so that they win over the defaults
+        code, lines = _main_exit([argv[0], *paths[argv[0]], *argv[1:]], monkeypatch, capsys)
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert name in lines[0]
