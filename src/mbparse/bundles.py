@@ -1,24 +1,28 @@
-"""Saving and loading composite models as a directory of model files.
+"""Saving and loading composite models as a bundle: a directory that holds
+one JSON ``manifest`` and one array file, ``arrays.npy``.
 
-A bundle directory holds one ``manifest``, one model header per component
-and one array file, ``arrays.npy``, that the headers slice (see
-``learner``), all at its top level.  The manifest is JSON (format 4): one
-walker writes the composite's dataclasses into it, each as an object of its
-``"class"`` and its fields that are not None.  A dict is an object, a list
-or tuple an array, a template or an enum its text, and a model the name of
-its header, built from the field names and keys on the way to it
-(``streams.IOB1.pass1_model.model``), a key's ``%`` and path separators
-percent-encoded (type ``A/B``: ``per_type.A%2FB.streams...``).  A load
-reads each value back as its field's annotation says, so a reloaded bundle
-is what training built.
+The manifest is JSON (format 5).  One walker writes the composite's
+dataclasses into it, each as an object of its ``"class"`` and its fields
+that are not None.  A dict is an object, a list or tuple an array, a
+template or an enum its text, and a model an object of its settings,
+weights and class counts that names each of its code columns as a
+``[span, table index]`` pair (see ``learner``): an ``offset,length`` slice
+of ``arrays.npy`` and a place in the manifest's top-level ``"symbols"``, an
+array that holds each distinct symbol table once as a list of strings.  A
+load reads each value back as its field's annotation says, so a reloaded
+bundle is what training built; a model's fault is one ``DomainError`` that
+names its place in the manifest, the field names and keys that lead to it
+(``streams.IOB1.pass1_model``).
 Bundles of an earlier format (1: models as text; 2: one ``.npy`` file per
-array; 3: an INI manifest) no longer load: retrain them.
+array; 3: an INI manifest; 4: a text header per model) no longer load:
+retrain them.
 
-The components of a composite are trained on the same tokens, so their
-headers repeat columns.  A ``save_*`` call stores each distinct array once
-in the bundle's array file, which it writes whole; a ``load_*`` call reads
-that file's header once and each distinct array in it once, through one
-cache that it hands ``learner.load_model``.
+The components of a composite are trained on the same tokens, so they
+repeat columns and symbol tables.  A ``save_*`` call stores each distinct
+one once, through one ``learner.BundleStore``, and writes the array file
+whole; a ``load_*`` call parses the manifest once, decodes each symbol
+table once and reads each distinct column once, through one
+``learner.BundleReader`` that holds the array file open for the load.
 """
 
 import dataclasses
@@ -29,24 +33,16 @@ from enum import Enum
 
 from .errors import DomainError
 from .features import FeatureTemplate, format_template, parse_template
-from .learner import ArrayFile, Model, load_model, save_model
+from .learner import BundleReader, BundleStore, Model, json_value, load_model, save_model
 from .pipeline import Chunker, ClauseBracketer, FullParser, NpParser, TypedChunker
 
-_FORMAT = 4
+_FORMAT = 5
 
 
-# a key's characters percent-encoded in a header's file name, so that a
-# chunk type such as ``A/B`` names no directory
-_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in ("%", "/", os.sep, os.altsep) if c})
-
-
-def _dump(value, path, name: str, arrays: ArrayFile):
-    """``value`` as JSON data.  A model in it is saved to the header named
-    ``name``, the field names and keys (``_ESCAPES`` encoded) that lead to
-    it, each with a dot."""
+def _dump(value, store: BundleStore):
+    """``value`` as JSON data, its models' columns and tables put in ``store``."""
     if isinstance(value, Model):
-        save_model(value, os.path.join(path, name + "model"), arrays)
-        return name + "model"
+        return save_model(value, store)
     if isinstance(value, FeatureTemplate):
         return format_template(value)
     if isinstance(value, Enum):
@@ -54,56 +50,44 @@ def _dump(value, path, name: str, arrays: ArrayFile):
     if dataclasses.is_dataclass(value):
         items = ((f.name, getattr(value, f.name)) for f in dataclasses.fields(value))
         return {"class": type(value).__name__,
-                **{k: _dump(v, path, f"{name}{k}.", arrays) for k, v in items if v is not None}}
+                **{k: _dump(v, store) for k, v in items if v is not None}}
     if isinstance(value, dict):
-        items = ((k.value if isinstance(k, Enum) else k, v) for k, v in value.items())
-        return {k: _dump(v, path, f"{name}{k.translate(_ESCAPES)}.", arrays) for k, v in items}
+        return {k.value if isinstance(k, Enum) else k: _dump(v, store) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_dump(v, path, f"{name}{i}.", arrays) for i, v in enumerate(value)]
+        return [_dump(v, store) for v in value]
     return value
 
 
-_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "a number",
-               float: "a number", bool: "a boolean", type(None): "null"}
-
-
-def _expect(data, kind: type):
-    if not isinstance(data, kind):
-        raise ValueError(f"expected {_JSON_NAMES[kind]}, got {_JSON_NAMES[type(data)]}")
-    return data
-
-
-def _load(kind, data, path, cache: dict):
-    """The value of annotation ``kind`` that the JSON ``data`` holds."""
+def _load(kind, data, place: str, arrays: BundleReader):
+    """The value of annotation ``kind`` that the JSON ``data`` holds; ``place``
+    is the field names and keys that lead to it, each followed by a dot."""
     if kind is Model:
-        name = _expect(data, str)
-        if os.path.basename(name) != name or not name.endswith(".model"):
-            raise ValueError(f"bad model file name {name!r}")
-        return load_model(os.path.join(path, name), cache)
+        return load_model(data, place[:-1], arrays)
     if kind is FeatureTemplate:
-        return parse_template(_expect(data, str))
+        return parse_template(json_value(data, str))
     if isinstance(kind, type) and issubclass(kind, Enum):
-        return kind(_expect(data, str))
+        return kind(json_value(data, str))
     origin, args = getattr(kind, "__origin__", None), getattr(kind, "__args__", ())
     if origin is dict:
-        return {_load(args[0], k, path, cache): _load(args[1], v, path, cache)
-                for k, v in _expect(data, dict).items()}
+        return {_load(args[0], k, place, arrays): _load(args[1], v, f"{place}{k}.", arrays)
+                for k, v in json_value(data, dict).items()}
     if origin in (list, tuple):
-        return origin(_load(args[0], v, path, cache) for v in _expect(data, list))
+        return origin(_load(args[0], v, f"{place}{i}.", arrays)
+                      for i, v in enumerate(json_value(data, list)))
     if isinstance(kind, types.UnionType):  # an optional value, or one of some classes
         options = [a for a in args if a is not type(None)]
         if len(options) == 1:
-            return _load(options[0], data, path, cache)
+            return _load(options[0], data, place, arrays)
     elif not dataclasses.is_dataclass(kind):
-        return _expect(data, kind)
+        return json_value(data, kind)
     else:
         options = [kind]
-    name = _expect(_expect(data, dict)["class"], str)
+    name = json_value(json_value(data, dict)["class"], str)
     cls = next((c for c in options if c.__name__ == name), None)
     if cls is None:
         raise ValueError(f"a {name!r} where a {' or '.join(c.__name__ for c in options)} belongs")
     return cls(**{
-        f.name: _load(f.type, data[f.name], path, cache)
+        f.name: _load(f.type, data[f.name], f"{place}{f.name}.", arrays)
         for f in dataclasses.fields(cls)
         if f.name in data or f.default is dataclasses.MISSING
     })
@@ -111,12 +95,11 @@ def _load(kind, data, path, cache: dict):
 
 def _save_bundle(composite, path) -> None:
     os.makedirs(path, exist_ok=True)
-    arrays = ArrayFile("arrays.npy")
-    manifest = {"format": _FORMAT, **_dump(composite, path, "", arrays)}
-    arrays.write(path)
+    store = BundleStore()
+    manifest = {"format": _FORMAT, **_dump(composite, store), "symbols": store.symbols}
+    store.write(os.path.join(path, "arrays.npy"))
     with open(os.path.join(path, "manifest"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1)
-        fh.write("\n")
+        fh.write(json.dumps(manifest, separators=(",", ":")) + "\n")
 
 
 def _load_bundle(kind, path):
@@ -131,12 +114,17 @@ def _load_bundle(kind, path):
         manifest = None
     if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
         raise DomainError(f"{path}: unsupported bundle format")
+    array_file = os.path.join(path, "arrays.npy")
     try:
-        return _load(kind, manifest, path, {})
+        symbols = json_value(manifest["symbols"], list)
+        with open(array_file, "rb") as fh:
+            return _load(kind, manifest, "", BundleReader(path, symbols, fh))
+    except FileNotFoundError:
+        raise DomainError(f"{array_file}: no such array file") from None
     except KeyError as exc:
         raise DomainError(f"{path}: manifest lacks {exc}") from None
     except ValueError as exc:
-        if str(exc).startswith(os.path.join(path, "")):  # names a file of the bundle
+        if str(exc).startswith(str(path)):  # names the bundle or its array file
             raise
         raise DomainError(f"{path}: malformed bundle: {exc}") from None
 

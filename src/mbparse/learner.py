@@ -18,16 +18,16 @@ Queries come as feature tuples or as ``FeatureColumns``, whose distinct
 values are translated into the model's codes; symbols are strings only
 there and when a model is decoded.
 
-A saved model is a text header (config, the weights' reprs, the class
-counts in code order, where its columns lie and the name of its array file)
-plus that file beside it: one 1-D little-endian int32 ``.npy`` array that
-holds each column's codes and each symbol table (its count, each symbol's
-length and every code point, so that any string round-trips).  A header
-gives each as an ``offset,length`` slice of the file.  A save writes each
-distinct array once, so the models of a bundle share one file and the
-columns they have in common.  A load reads and checks the file's ``.npy``
-header once (dtype, shape, file size), then each distinct slice once into
-an array of its own; it checks each slice's bounds, each distinct column's
+A saved model is an object of its bundle's JSON manifest (see ``bundles``):
+config, weights, the class counts in code order, and each column as an
+``offset,length`` slice of the bundle's one 1-D little-endian int32 ``.npy``
+array file plus the index of its symbol table, a list of strings in the
+manifest.  A save stores each distinct column and table once, found by
+identity before by value, so the models of a bundle share one file and the
+columns and tables they have in common.  A load opens the file once, reads
+and checks its ``.npy`` header (dtype, shape, file size), decodes each table
+once, then reads each distinct column once through that handle into an
+array of its own; it checks each slice's bounds, each distinct column's
 code range and the class counts, and codes nothing again.  The whole file
 is never in memory, and the models of one load share each symbol table,
 code column and label array.
@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tokenize
 from dataclasses import dataclass
 from enum import Enum
@@ -534,85 +535,99 @@ def classify(model: Model, query: Sequence[str]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Persistence: a text header per model, which slices one .npy array file.
+# Persistence: a model as an object of a bundle's JSON manifest, whose code
+# columns are slices of the bundle's one .npy array file.
 
-_FORMAT = "knn-model 3"
-_HEADER = (
-    "arity", "k", "tie-policy", "fallback", "weights", "classes", "labels", "columns", "arrays"
-)
 _INT32 = np.dtype("<i4")
 
+# a high surrogate right before a low one, which JSON reads back as one
+# character
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
-def _symbol_array(table: Mapping[str, int]) -> np.ndarray:
-    """A symbol table as int32: the symbol count, each symbol's length, then
-    every symbol's code points in code order, lone surrogates and NULs too."""
-    points = "".join(table).encode("utf-32-le", "surrogatepass")
-    head = np.array([len(table), *map(len, table)], dtype=_INT32)
-    return np.concatenate([head, np.frombuffer(points, dtype=_INT32)])
+_JSON_NAMES = {dict: "an object", list: "an array", str: "a string", int: "an integer",
+               float: "a real number", bool: "a boolean", type(None): "null"}
 
 
-class ArrayFile:
-    """The arrays of one save, bound for one 1-D little-endian int32 ``.npy``
-    file: each distinct one once, in the order first put, equal values being
-    the same array whatever their dtype.  It holds the arrays it is given,
+def json_value(data, kind: type):
+    """``data``, if it is a JSON value of type ``kind``: a boolean is no
+    integer here, and an integer no real number."""
+    if type(data) is not kind:
+        raise ValueError(f"expected {_JSON_NAMES[kind]}, got {_JSON_NAMES[type(data)]}")
+    return data
+
+
+class BundleStore:
+    """What one bundle save stores besides the manifest's own fields: each
+    distinct code column once, bound for one 1-D little-endian int32 ``.npy``
+    file, and each distinct symbol table once, for the manifest, each in the
+    order first put.  An array or table put again is found by identity;
+    arrays of equal values are one whatever their dtype, and tables of the
+    same symbols in the same order are one.  It holds the arrays it is given,
     not copies, until it writes them as int32 one at a time."""
 
-    def __init__(self, name: str):
-        self.name = name
+    def __init__(self):
         self.arrays: list[np.ndarray] = []  # each distinct array, in file order
         # hash of an array's int32 bytes -> (array, offset) of each put with it
         self.found: dict[int, list[tuple[np.ndarray, int]]] = {}
         self.size = 0
+        self.symbols: list[tuple[str, ...]] = []  # each distinct table's symbols
+        self.tables: dict[tuple[str, ...], int] = {}  # symbols -> index in ``symbols``
+        # id of each array or table put -> (it, its span or index); holding
+        # it keeps the id from passing to another object
+        self.known: dict[int, tuple[object, str | int]] = {}
 
     def put(self, array: np.ndarray) -> str:
         """Where the array's values lie in the file, as ``offset,length``."""
-        same = self.found.setdefault(hash(np.asarray(array, _INT32).tobytes()), [])
-        for stored, offset in same:
-            if np.array_equal(stored, array):
-                break
-        else:
-            offset = self.size
-            same.append((array, offset))
-            self.arrays.append(array)
-            self.size += len(array)
-        return f"{offset},{len(array)}"
+        if id(array) not in self.known:
+            same = self.found.setdefault(hash(np.asarray(array, _INT32).tobytes()), [])
+            offset = next((at for stored, at in same if np.array_equal(stored, array)), None)
+            if offset is None:
+                offset = self.size
+                same.append((array, offset))
+                self.arrays.append(array)
+                self.size += len(array)
+            self.known[id(array)] = array, f"{offset},{len(array)}"
+        return self.known[id(array)][1]
 
-    def write(self, directory) -> None:
+    def table(self, table: Mapping[str, int]) -> int:
+        """The index in ``symbols`` of the table's symbols, in code order."""
+        if id(table) not in self.known:
+            symbols = tuple(table)
+            index = self.tables.setdefault(symbols, len(self.symbols))
+            if index == len(self.symbols):
+                paired = _SURROGATE_PAIR.search("\x00".join(symbols))
+                if paired:
+                    raise DomainError(f"cannot save the surrogate pair {paired[0]!r} of a symbol")
+                self.symbols.append(symbols)
+            self.known[id(table)] = table, index
+        return self.known[id(table)][1]
+
+    def write(self, path) -> None:
         header = {"descr": _INT32.str, "fortran_order": False, "shape": (self.size,)}
-        with open(os.path.join(directory, self.name), "wb") as fh:
+        with open(path, "wb") as fh:
             np.lib.format.write_array_header_1_0(fh, header)
             for array in self.arrays:
                 fh.write(np.ascontiguousarray(array, _INT32))
 
 
-def save_model(model: Model, path, arrays: ArrayFile | None = None) -> None:
-    """Write the model's header to ``path`` and its arrays to ``arrays``,
-    the array file that one bundle save writes once its models are in.  A
-    model saved alone writes its own beside the header, named after it."""
-    alone = arrays is None
-    if alone:
-        arrays = ArrayFile(os.path.basename(path) + ".npy")
-
-    def column(table, codes) -> str:
-        return f"{arrays.put(codes)}:{arrays.put(_symbol_array(table))}"
-
+def save_model(model: Model, store: BundleStore) -> dict:
+    """The model as an object of a bundle's manifest; its code columns and
+    symbol tables go to ``store``, and the object names each column as its
+    ``[span, table index]``."""
     base = model.instances
-    lines = [
-        _FORMAT,
-        f"arity {model.arity}",
-        f"k {model.config.k}",
-        f"tie-policy {model.config.tie_policy.value}",
-        f"fallback {int(model.config.degenerate_weight_fallback)}",
-        "weights " + " ".join(repr(w) for w in model.weight_table.weights),
-        "classes " + " ".join(str(model.class_frequencies[c]) for c in base.classes),
-        "labels " + column(base.classes, base.label_codes),
-        "columns " + " ".join(map(column, base.codes, base.columns)),
-        f"arrays {arrays.name}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if alone:
-        arrays.write(os.path.dirname(path))
+
+    def column(table, codes) -> list:
+        return [store.put(codes), store.table(table)]
+
+    return {
+        "k": model.config.k,
+        "tie_policy": model.config.tie_policy.value,
+        "fallback": model.config.degenerate_weight_fallback,
+        "weights": list(model.weight_table.weights),
+        "counts": [model.class_frequencies[c] for c in base.classes],
+        "labels": column(base.classes, base.label_codes),
+        "columns": list(map(column, base.codes, base.columns)),
+    }
 
 
 # readers of the .npy header versions that numpy writes
@@ -622,144 +637,134 @@ _NPY_HEADERS = {
 }
 
 
-def _array_file(path: str, cache: dict) -> tuple[int, int]:
-    """Where the values of the array file ``path`` begin and how many it
-    holds: its ``.npy`` header, read and checked once per cache."""
-    if path not in cache:
+class BundleReader:
+    """What one bundle load reads besides the manifest's own fields: each
+    symbol table of the manifest's ``symbols``, decoded once, and the
+    bundle's array file through ``fh``, a handle open for the load, its
+    ``.npy`` header read and checked (dtype, shape, file size) once.  Each
+    distinct column, a ``[span, table index]`` pair, is read through that
+    handle and its codes checked against the table once, so models that name
+    the same column or table share one array or dict.  The whole file is
+    never in memory.  A fault is a ``DomainError`` that names the bundle."""
+
+    def __init__(self, bundle, symbols: list, fh):
+        self.bundle, self.path, self.fh = bundle, fh.name, fh
+        self.tables = [self._table(i, s) for i, s in enumerate(symbols)]
+        self.columns: dict[tuple[str, int], tuple[dict[str, int], np.ndarray]] = {}
         try:
-            with open(path, "rb") as fh:
-                read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
-                if read_header is None:
-                    raise ValueError("unsupported .npy version")
-                shape, _, dtype = read_header(fh)
-                start, size = fh.tell(), os.fstat(fh.fileno()).st_size
-        except FileNotFoundError:
-            raise DomainError(f"{path}: no such array file") from None
+            read_header = _NPY_HEADERS.get(np.lib.format.read_magic(fh))
+            if read_header is None:
+                raise ValueError("unsupported .npy version")
+            shape, _, dtype = read_header(fh)
         # what numpy's header reader raises on a damaged header
         except (ValueError, EOFError, OverflowError, MemoryError, tokenize.TokenError) as exc:
-            raise DomainError(f"{path}: unreadable array: {' '.join(str(exc).split())}") from None
-        if dtype != _INT32 or len(shape) != 1:
-            raise DomainError(f"{path}: not a 1-D little-endian int32 array")
-        if size != start + _INT32.itemsize * shape[0]:
-            raise DomainError(f"{path}: holds {size - start} bytes for {shape[0]} values")
-        cache[path] = start, shape[0]
-    return cache[path]
-
-
-def _span(path, span: str, arrays: str, cache: dict) -> tuple[int, int]:
-    """The byte position and the count of the values that ``offset,length``
-    of the header in ``path`` names in the array file ``arrays``."""
-    start, size = _array_file(arrays, cache)
-    offset, _, length = span.partition(",")
-    try:
-        begin, end = int(offset), int(offset) + int(length)
-    except ValueError:
-        raise DomainError(f"{path}: {span!r} is not an offset,length pair") from None
-    if not 0 <= begin <= end <= size:
-        raise DomainError(f"{path}: values {span} lie outside the {size} values of {arrays}")
-    return start + _INT32.itemsize * begin, end - begin
-
-
-def _read(arrays: str, position: int, count: int) -> np.ndarray:
-    """``count`` values of the array file ``arrays`` from byte ``position``."""
-    out = np.empty(count, _INT32)
-    with open(arrays, "rb") as fh:
-        fh.seek(position)
-        if fh.readinto(out) != out.nbytes:
-            raise DomainError(f"{arrays}: unreadable array: ends early")
-    return out
-
-
-def _symbols(path, span: str, arrays: str, cache: dict) -> dict[str, int]:
-    """The symbol table (see ``_symbol_array``) at ``span``, decoded once
-    per cache."""
-    if (arrays, "symbols", span) not in cache:
-        array = _read(arrays, *_span(path, span, arrays, cache))
-        count = int(array[0]) if len(array) else -1
-        lengths, points = array[1 : count + 1], array[count + 1 :]
-        if count < 0 or len(lengths) < count or lengths.sum() != len(points) or (
-            min(lengths.min(initial=0), points.min(initial=0)) < 0
-            or points.max(initial=0) > 0x10FFFF
-        ):
-            raise DomainError(f"{arrays}: values {span} are not a symbol table")
-        text = points.tobytes().decode("utf-32-le", "surrogatepass")
-        ends = np.cumsum(lengths).tolist()
-        table = {text[a:b]: code for code, (a, b) in enumerate(zip([0, *ends], ends))}
-        if len(table) != count:
-            raise DomainError(f"{arrays}: symbol table {span} repeats a symbol")
-        cache[arrays, "symbols", span] = table
-    return cache[arrays, "symbols", span]
-
-
-def _column(path, entry: str, arrays: str, cache: dict) -> tuple[dict[str, int], np.ndarray]:
-    """The symbol table and codes that a ``codes:symbols`` entry of the
-    header in ``path`` names, read and each code checked against the table
-    once per cache: every model of a load that names the entry shares both.
-    The codes are checked as int32 and kept in the table's ``code_dtype``."""
-    if (arrays, entry) not in cache:
-        codes, _, symbols = entry.partition(":")
-        position, count = _span(path, codes, arrays, cache)
-        table = _symbols(path, symbols, arrays, cache)
-        column = _read(arrays, position, count)
-        if count and (column.min() < 0 or column.max() >= len(table)):
             raise DomainError(
-                f"{arrays}: column {entry} holds a code out of range of its symbol table"
+                f"{self.path}: unreadable array: {' '.join(str(exc).split())}"
+            ) from None
+        if dtype != _INT32 or len(shape) != 1:
+            raise DomainError(f"{self.path}: not a 1-D little-endian int32 array")
+        self.start, self.size = fh.tell(), shape[0]
+        size = os.fstat(fh.fileno()).st_size
+        if size != self.start + _INT32.itemsize * self.size:
+            raise DomainError(
+                f"{self.path}: holds {size - self.start} bytes for {self.size} values"
             )
-        cache[arrays, entry] = table, column.astype(code_dtype(len(table)), copy=False)
-    return cache[arrays, entry]
+
+    def fault(self, place: str, what: str) -> DomainError:
+        return DomainError(f"{self.bundle}: {place}: {what}")
+
+    def _table(self, index: int, symbols) -> dict[str, int]:
+        place = f"symbols.{index}"
+        if type(symbols) is not list:
+            raise self.fault(place, "is not an array of symbols")
+        if not {*map(type, symbols)} <= {str}:
+            raise self.fault(place, "holds a symbol that is not a string")
+        table = dict(zip(symbols, range(len(symbols))))
+        if len(table) != len(symbols):
+            raise self.fault(place, "repeats a symbol")
+        return table
+
+    def column(self, place: str, entry) -> tuple[dict[str, int], np.ndarray]:
+        """The symbol table and codes that a model at ``place`` names as the
+        ``[span, table index]`` pair ``entry``.  The codes are checked as
+        int32 and kept in the table's ``code_dtype``."""
+        if type(entry) is not list or len(entry) != 2 or (
+            type(entry[0]) is not str or type(entry[1]) is not int
+        ):
+            raise self.fault(place, f"column {entry!r} is not a [span, table index] pair")
+        span, index = key = tuple(entry)
+        if key not in self.columns:
+            if not 0 <= index < len(self.tables):
+                raise self.fault(place, f"names symbol table {index} of {len(self.tables)}")
+            table = self.tables[index]
+            codes = self._read(place, span)
+            if len(codes) and (codes.min() < 0 or codes.max() >= len(table)):
+                raise self.fault(
+                    place, f"column {span} of {self.path} holds a code out of range of its "
+                    "symbol table"
+                )
+            self.columns[key] = table, codes.astype(code_dtype(len(table)), copy=False)
+        return self.columns[key]
+
+    def _read(self, place: str, span: str) -> np.ndarray:
+        """The values at ``span``, an ``offset,length`` pair, read through
+        the open file into an array of their own."""
+        offset, _, length = span.partition(",")
+        try:
+            begin, end = int(offset), int(offset) + int(length)
+        except ValueError:
+            raise self.fault(place, f"{span!r} is not an offset,length pair") from None
+        if not 0 <= begin <= end <= self.size:
+            raise self.fault(
+                place, f"values {span} lie outside the {self.size} values of {self.path}"
+            )
+        out = np.empty(end - begin, _INT32)
+        self.fh.seek(self.start + _INT32.itemsize * begin)
+        if self.fh.readinto(out) != out.nbytes:
+            raise DomainError(f"{self.path}: unreadable array: ends early")
+        return out
 
 
-def load_model(path, cache: dict | None = None) -> Model:
-    """Read a model that ``save_model`` wrote.  ``cache`` holds what one
-    bundle load has read so far: each array file, and each symbol table and
-    checked column in it, so models that name the same values share them."""
-    cache = {} if cache is None else cache
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    if lines[0] != _FORMAT or len(lines) != len(_HEADER) + 2 or lines[-1]:
-        raise DomainError(f"{path}: not a {_FORMAT!r} header of {len(_HEADER)} fields")
-    header: dict[str, str] = {}
-    for key, line in zip(_HEADER, lines[1:]):
-        got, _, rest = line.partition(" ")
-        if got != key:
-            raise DomainError(f"{path}: expected header field {key!r}, got {got!r}")
-        header[key] = rest
-
+def load_model(data, place: str, arrays: BundleReader) -> Model:
+    """The model that ``save_model`` wrote as ``data``, the object at
+    ``place`` in the manifest, its columns read through ``arrays``."""
     try:
-        arity = int(header["arity"])
+        json_value(data, dict)
         config = LearnerConfig(
-            k=int(header["k"]),
-            tie_policy=TiePolicy(header["tie-policy"]),
-            degenerate_weight_fallback=bool(int(header["fallback"])),
+            k=json_value(data["k"], int),
+            tie_policy=TiePolicy(json_value(data["tie_policy"], str)),
+            degenerate_weight_fallback=json_value(data["fallback"], bool),
         )
-        weights = tuple(float(w) for w in header["weights"].split())
-        counts = [int(c) for c in header["classes"].split()]
-    except ValueError as exc:
-        raise DomainError(f"{path}: bad header value: {exc}") from None
-    entries = header["columns"].split()
-    if arity < 1:
-        raise DomainError(f"{path}: instance needs at least one feature")
-    if len(weights) != arity or len(entries) != arity:
-        raise DomainError(f"{path}: weights or columns do not match arity")
+        weights = tuple(json_value(w, float) for w in json_value(data["weights"], list))
+        counts = [json_value(c, int) for c in json_value(data["counts"], list)]
+        entries, labels = json_value(data["columns"], list), data["labels"]
+    except KeyError as exc:
+        raise arrays.fault(place, f"lacks {exc}") from None
+    except ValueError as exc:  # a LearnerConfig's DomainError too
+        raise arrays.fault(place, f"bad value: {exc}") from None
+    if not entries:
+        raise arrays.fault(place, "instance needs at least one feature")
+    if len(weights) != len(entries):
+        raise arrays.fault(
+            place, f"weights and columns differ in number: {len(weights)} and {len(entries)}"
+        )
     if not all(math.isfinite(w) for w in weights):
-        raise DomainError(f"{path}: weights must be finite")
+        raise arrays.fault(place, "weights must be finite")
     if any(w < 0 for w in weights):
-        raise DomainError(f"{path}: weights must not be negative")
+        raise arrays.fault(place, "weights must not be negative")
 
-    name = header["arrays"]
-    if os.path.basename(name) != name or not name.endswith(".npy"):
-        raise DomainError(f"{path}: array file {name!r} is not a .npy file beside it")
-    arrays = os.path.join(os.path.dirname(path), name)
-    classes, label_codes = _column(path, header["labels"], arrays, cache)
+    classes, label_codes = arrays.column(place, labels)
     n = len(label_codes)
     if not n:
-        raise DomainError(f"{path}: model stores no instances")
+        raise arrays.fault(place, "model stores no instances")
     if np.bincount(label_codes, minlength=len(classes)).tolist() != counts:
-        raise DomainError(f"{path}: class frequencies do not match the instance labels")
-    codes, columns = zip(*(_column(path, entry, arrays, cache) for entry in entries))
-    for entry, column in zip(entries, columns):
+        raise arrays.fault(place, "class frequencies do not match the instance labels")
+    codes, columns = zip(*(arrays.column(place, entry) for entry in entries))
+    for (span, _), column in zip(entries, columns):
         if len(column) != n:
-            raise DomainError(f"{path}: column {entry} holds {len(column)} codes for {n} instances")
+            raise arrays.fault(
+                place, f"column {span} holds {len(column)} codes for {n} instances"
+            )
     return Model(
         instances=InstanceBase(codes, columns, n, classes, label_codes),
         weight_table=WeightTable(weights),  # stored weights include any fallback

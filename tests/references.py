@@ -10,15 +10,16 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from mbparse import bundles
 from mbparse.corpus import DEFAULT_COLUMNS, column_index
 from mbparse.errors import CorpusError, DomainError
 from mbparse.features import CodedCorpus, FeatureTemplate, Token
-from mbparse.learner import PAD, Instance, InstanceBase, TiePolicy
+from mbparse.learner import PAD, Instance, InstanceBase, Model, TiePolicy
 from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
 from mbparse.schemes import (
     ChunkSpan,
@@ -376,6 +377,33 @@ def model_parts(model):
         model.config,
         list(model.class_frequencies.items()),
     )
+
+
+# A composite of nothing but models, so that a test can save models in a
+# bundle of their own, where they are ``models.0``, ``models.1``, ...  Made
+# by ``make_dataclass`` so that its field's annotation is a type the bundle
+# walker reads, not the string that this module's annotations import makes.
+Models = make_dataclass("Models", [("models", list[Model])])
+
+
+def save_models(models: Sequence[Model], path) -> None:
+    bundles._save_bundle(Models(list(models)), path)
+
+
+def load_models(path) -> list[Model]:
+    return bundles._load_bundle(Models, path).models
+
+
+def model_objects(manifest, place=""):
+    """(place, object) of each model object in a bundle manifest's data,
+    in the walker's order: the objects with ``"columns"``."""
+    if isinstance(manifest, dict) and "columns" in manifest:
+        yield place[:-1], manifest
+    elif isinstance(manifest, (dict, list)):
+        items = manifest.items() if isinstance(manifest, dict) else enumerate(manifest)
+        for key, value in items:
+            if place or key != "symbols":  # the top-level tables
+                yield from model_objects(value, f"{place}{key}.")
 
 
 def dense_winner_ids(model, queries, block=512):

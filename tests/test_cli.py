@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from mbparse.synth import (
     parse_corpus,
     typed_chunk_corpus,
 )
+from references import model_objects
 
 
 def dump_chunk_file(path, sentences, gold, typed=False):
@@ -244,9 +246,10 @@ class TestTypedAndParsers:
         assert "NP" in capsys.readouterr().out
 
     def test_n_phase_types_with_path_characters(self, tmp_path, capsys):
-        # an n-phase chunker names one set of headers per chunk type; "A/B"
-        # and "A%2FB" must stay in the bundle directory and apart
-        rename = {"NP": "A/B", "VP": "A%2FB"}
+        # an n-phase chunker keeps one chunker per chunk type, keyed by the
+        # type in the manifest; "A/B", "A%2FB" and ".." must stay apart and
+        # name no file
+        rename = {"NP": "A/B", "VP": "A%2FB", "PP": ".."}
         tr_s, tr_g = typed_chunk_corpus(50, seed=43)
         te_s, te_g = typed_chunk_corpus(15, seed=44)
         for path, sentences, gold in (("train.txt", tr_s, tr_g), ("gold.txt", te_s, te_g)):
@@ -257,10 +260,9 @@ class TestTypedAndParsers:
              "--model", str(tmp_path / "m"), "--workers", "1",
              "--set", "chunker.type_strategy=n_phase"]
         ) == 0
-        names = [p.name for p in (tmp_path / "m").iterdir() if p.is_file()]
-        assert len(names) == len(list((tmp_path / "m").iterdir()))
-        assert any(n.startswith("per_type.A%2FB.") for n in names)
-        assert any(n.startswith("per_type.A%252FB.") for n in names)
+        assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["arrays.npy", "manifest"]
+        manifest = json.loads((tmp_path / "m" / "manifest").read_text(encoding="utf-8"))
+        assert set(rename.values()) <= set(manifest["per_type"])
         assert run_command(
             ["chunk-typed", "--model", str(tmp_path / "m"),
              "--input", str(tmp_path / "gold.txt"),
@@ -271,9 +273,9 @@ class TestTypedAndParsers:
              "--gold", str(tmp_path / "gold.txt"), "--per-type"]
         ) == 0
         out = capsys.readouterr().out
-        assert "A/B" in out and "A%2FB" in out
+        assert all(t in out for t in rename.values())
         found = (tmp_path / "out.txt").read_text(encoding="utf-8")
-        assert "I-A/B" in found and "I-A%2FB" in found
+        assert all(f"I-{t}" in found for t in rename.values())
 
     def test_parse_flow(self, tmp_path):
         tr_s, tr_g = parse_corpus(50, seed=45)
@@ -578,13 +580,13 @@ def test_parsers_honour_learner_section(task, generate, tmp_path):
          "--model", str(tmp_path / "m"), "--workers", "1",
          "--set", "learner.tie_policy=lexicographic", "--set", "learner.fallback=false"]
     ) == 0
-    models = sorted((tmp_path / "m").glob("*.model"))
-    assert any(p.name.startswith("level") for p in models)
-    for path in models:
-        header = path.read_text(encoding="utf-8").splitlines()[:5]
-        assert "tie-policy lexicographic" in header, path.name
-        assert "fallback 0" in header, path.name
-        assert ("k 1" if path.name.startswith("level") else "k 3") in header, path.name
+    manifest = json.loads((tmp_path / "m" / "manifest").read_text(encoding="utf-8"))
+    models = list(model_objects(manifest))
+    assert any(place.startswith("levels.") for place, _ in models)
+    for place, model in models:
+        assert model["tie_policy"] == "lexicographic", place
+        assert model["fallback"] is False, place
+        assert model["k"] == (1 if place.startswith("levels.") else 3), place
 
 
 @pytest.fixture(scope="module")
@@ -599,11 +601,6 @@ def small_bundle(tmp_path_factory):
     return d
 
 
-def _edit_line(path, prefix, replacement):
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(replacement if l.startswith(prefix) else l for l in lines) + "\n")
-
-
 def _edited(change):
     """Damage that changes the manifest's data, then writes it out."""
     def damage(manifest):
@@ -612,8 +609,10 @@ def _edited(change):
     return damage
 
 
-def _pass1_model(name):
-    return _edited(lambda m: m["streams"]["IOB1"].update(pass1_model=name))
+def _pass1_model(value):
+    """Damage that puts ``value``, no model object, where the IOB1 stream's
+    first-pass model belongs."""
+    return _edited(lambda m: m["streams"]["IOB1"].update(pass1_model=value))
 
 
 # Damage to a chunker bundle's JSON manifest: each must end the load in one
@@ -635,7 +634,43 @@ MANIFEST_DAMAGE = {
         lambda m: m["streams"]["O"].pop("pass2_template")),
     "template that does not parse": _edited(
         lambda m: m["streams"]["O"].update(pass1_template="w[0..")),
-    "nested too deeply": lambda m: '{"format": 4, "streams": ' + "[" * 10**5 + "]" * 10**5 + "}",
+    "nested too deeply": lambda m: '{"format": 5, "streams": ' + "[" * 10**5 + "]" * 10**5 + "}",
+}
+
+
+def _labels_table(change):
+    """Damage to the symbol table of a model's labels."""
+    return lambda model, symbols: change(symbols[model["labels"][1]])
+
+
+def _set(field, index, value):
+    """Damage that sets item ``index`` of a model's ``field``."""
+    return lambda model, symbols: model[field].__setitem__(index, value)
+
+
+# Damage to the IOB1 stream's first-pass model object and the symbol tables
+# it names: each must end the load in one error line that names the model
+# or the table.
+MODEL_DAMAGE = {
+    "arity -arity two": lambda model, symbols: model["columns"].pop(),
+    "k -k three": lambda model, symbols: model.update(k="three"),
+    "fallback -fallback yes": lambda model, symbols: model.update(fallback="yes"),
+    "tie-policy -tie-policy coin_flip": lambda model, symbols: model.update(
+        tie_policy="coin_flip"),
+    "weights -weights 0.5 heavy": _set("weights", 1, "heavy"),
+    "classes -classes B\tmany": lambda model, symbols: model.update(counts=["B\tmany"]),
+    "k true": lambda model, symbols: model.update(k=True),
+    "k 1.5": lambda model, symbols: model.update(k=1.5),
+    "weight NaN": _set("weights", 0, float("nan")),
+    "weight Infinity": _set("weights", 0, float("inf")),
+    "symbol not a string": _labels_table(lambda table: table.__setitem__(0, 7)),
+    "repeated symbol": _labels_table(lambda table: table.__setitem__(1, table[0])),
+    "negative table index": _set("labels", 1, -1),
+    "table index out of range": lambda model, symbols: model["labels"].__setitem__(
+        1, len(symbols)),
+    "table index not an integer": _set("labels", 1, "0"),
+    "span not offset,length": _set("labels", 0, "3"),
+    "column not a pair": lambda model, symbols: model["columns"][0].append(0),
 }
 
 
@@ -656,23 +691,16 @@ class TestBadBundles:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         return lines[0]
 
-    @pytest.mark.parametrize(
-        "prefix, replacement",
-        [
-            ("arity ", "arity two"),
-            ("k ", "k three"),
-            ("fallback ", "fallback yes"),
-            ("tie-policy ", "tie-policy coin_flip"),
-            ("weights ", "weights 0.5 heavy"),
-            ("classes ", "classes B\tmany"),
-        ],
-    )
-    def test_bad_model_header(self, small_bundle, tmp_path, monkeypatch, capsys,
-                              prefix, replacement):
+    @pytest.mark.parametrize("case", list(MODEL_DAMAGE))
+    def test_bad_model_header(self, small_bundle, tmp_path, monkeypatch, capsys, case):
         bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
         shutil.copy(small_bundle / "train.txt", tmp_path / "train.txt")
-        _edit_line(bundle / "streams.IOB1.pass1_model.model", prefix, replacement)
-        self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
+        manifest = json.loads((bundle / "manifest").read_text())
+        MODEL_DAMAGE[case](manifest["streams"]["IOB1"]["pass1_model"], manifest["symbols"])
+        (bundle / "manifest").write_text(json.dumps(manifest))
+        line = self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
+        place = r"(streams\.IOB1\.pass1_model|symbols\.\d+)"  # the model or a table of it
+        assert re.match(rf"error: {re.escape(str(bundle))}: {place}: ", line), line
 
     @pytest.mark.parametrize("case", list(MANIFEST_DAMAGE))
     def test_bad_manifest(self, small_bundle, tmp_path, monkeypatch, capsys, case):

@@ -1,9 +1,9 @@
 """Randomly damaged inputs end cleanly through ``main``'s error mapping.
 
 Each example copies a small trained bundle, its input corpus and a config
-file, damages one of them (any file of the bundle: the manifest, a model
-header or its ``.npy`` array file; the manifest alone; the corpus or the config)
-and runs the command that reads it.  The damage is one of:
+file, damages one of them (either file of the bundle: the manifest or its
+``.npy`` array file; the manifest alone; the corpus or the config) and runs
+the command that reads it.  The damage is one of:
 truncation, deleting or duplicating a line, swapping two bytes, inserting a
 byte that is not UTF-8, or setting one field to an empty, huge or negative
 value.  The run must end with exit status 1 or 2 and exactly one line on
@@ -13,9 +13,10 @@ error, or with one ``warning:`` line (say, a config left with an even
 number of representations).
 
 Targeted cases damage the bundle's one array file (a wrong dtype or shape,
-a code out of range, a pickled or missing file) or a header's slices of it
-and its name; each ends with exit status 1 and one ``error:`` line naming
-the file at fault.  A stored code equal to its table size, the code of an
+a code out of range, a pickled, missing, misplaced or non-``.npy`` file) or
+a model object's slices of it, weights, class counts or ``k``; each ends
+with exit status 1 and one ``error:`` line naming the file or model at
+fault.  A stored code equal to its table size, the code of an
 unseen query value, ends the same way at the uint8 and uint16 limits.
 A bracket column that does not parse ends in one ``i/o error:`` line naming
 the corpus file and the line of the offending cell.
@@ -23,6 +24,7 @@ the corpus file and the line of the offending cell.
 
 import contextlib
 import io
+import json
 import re
 import shutil
 import sys
@@ -41,7 +43,7 @@ from mbparse.corpus import write_corpus
 from mbparse.schemes import ChunkSpan, Scheme, encode
 from mbparse.synth import np_chunk_corpus
 
-HEADER = "streams.IOB1.pass1_model.model"  # the IOB1 stream's first-pass model
+MODEL = "streams.IOB1.pass1_model"  # the IOB1 stream's first-pass model
 
 CONFIG = """[run]
 workers = 1
@@ -182,26 +184,42 @@ def edited_run(originals, tmp_path, name, line, text):
     return run_on_copy(originals, tmp_path, name, edit)
 
 
+def iob1_model(manifest: dict) -> dict:
+    """The IOB1 stream's first-pass model object in a manifest's data."""
+    return manifest["streams"]["IOB1"]["pass1_model"]
+
+
+def model_run(originals, tmp_path, change):
+    """``run_on_copy`` with ``change`` applied to the manifest's data."""
+
+    def edit(data):
+        manifest = json.loads(data)
+        change(manifest)
+        return json.dumps(manifest).encode("utf-8")
+
+    return run_on_copy(originals, tmp_path, "model/manifest", edit)
+
+
 def test_label_missing_from_class_line_is_one_error_line(originals, tmp_path):
-    # a class the counts line lacks, at the same total, once ended in a
-    # KeyError traceback when the index was built
-    counts = (originals / "model" / HEADER).read_text().split("\n")[6].split()[1:]
-    moved = [int(counts[0]) + int(counts[-1])] + counts[1:-1]
-    code, lines = edited_run(originals, tmp_path, f"model/{HEADER}", 6,
-                             "classes " + " ".join(map(str, moved)))
+    # a class the counts lack, at the same total, once ended in a KeyError
+    # traceback when the index was built
+    def move(manifest):
+        counts = iob1_model(manifest)["counts"]
+        counts[:] = [counts[0] + counts[-1]] + counts[1:-1]
+
+    code, lines = model_run(originals, tmp_path, move)
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert lines[0].endswith(f"{HEADER}: class frequencies do not match the instance labels")
+    assert lines[0].endswith(f"{MODEL}: class frequencies do not match the instance labels")
 
 
 def test_negative_weight_in_model_file_is_one_error_line(originals, tmp_path):
     # a negative weight once loaded, and made a mismatch bring an instance nearer
-    weights = (originals / "model" / HEADER).read_text().split("\n")[5]
-    code, lines = edited_run(originals, tmp_path, f"model/{HEADER}", 5,
-                             "weights -5.0 " + weights.split(" ", 2)[2])
+    code, lines = model_run(originals, tmp_path,
+                            lambda m: iob1_model(m)["weights"].__setitem__(0, -5.0))
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert lines[0].endswith(f"{HEADER}: weights must not be negative")
+    assert lines[0].endswith(f"{MODEL}: weights must not be negative")
 
 
 def test_unparsable_config_is_one_error_line(originals, tmp_path):
@@ -213,7 +231,7 @@ def test_unparsable_config_is_one_error_line(originals, tmp_path):
 
 def test_huge_k_in_model_file_still_tags(originals, tmp_path):
     # one selection pass per k once ran until k, whatever the distances
-    code, lines = edited_run(originals, tmp_path, f"model/{HEADER}", 2, "k " + "9" * 30)
+    code, lines = model_run(originals, tmp_path, lambda m: iob1_model(m).update(k=int("9" * 30)))
     assert (code, lines) == (0, [])
 
 
@@ -253,56 +271,65 @@ ARRAY_DAMAGE = {
 }
 
 
-def iob1_header(originals) -> list[str]:
-    """The lines of the IOB1 stream's first-pass header; line 8 is its columns."""
-    return (originals / "model" / HEADER).read_text().split("\n")
+def first_column(originals) -> list:
+    """The IOB1 stream's first-pass model's first feature column, as its
+    ``[span, table index]`` pair."""
+    return iob1_model(json.loads((originals / "model" / "manifest").read_text()))["columns"][0]
 
 
 @pytest.mark.parametrize("case", list(ARRAY_DAMAGE))
 def test_damaged_array_file_is_one_error_line_naming_it(originals, tmp_path, case):
-    first_codes = iob1_header(originals)[8].split()[1]  # offset,length:...
-    damage = partial(ARRAY_DAMAGE[case], at=int(first_codes.split(",")[0]))
+    span = first_column(originals)[0]  # offset,length
+    damage = partial(ARRAY_DAMAGE[case], at=int(span.split(",")[0]))
     code, lines = run_on_copy(originals, tmp_path, "model/arrays.npy", damage)
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
     assert str(tmp_path / "model" / "arrays.npy") in lines[0], lines
 
 
-def slice_damage(which: int, change):
-    """Header damage to the codes (0) or symbols (1) slice of the first
-    feature column: ``change(offset, length)`` gives the new slice."""
-    def damage(header):
-        columns = header[8].split()
-        slices = columns[1].split(":")
-        slices[which] = change(*slices[which].split(","))
-        columns[1] = ":".join(slices)
-        return 8, " ".join(columns)
+def span_damage(change):
+    """Damage to the span of the first feature column of the IOB1 stream's
+    first-pass model: ``change(offset, length)`` gives the new span."""
+    def damage(manifest):
+        column = iob1_model(manifest)["columns"][0]
+        column[0] = change(*column[0].split(","))
     return damage
 
 
-# Damage to the IOB1 stream's first-pass header: (line number and new text, the
-# file the error line must name).
+def misplaced(tmp_path, data):
+    """Damage that moves the array file out of the bundle, beside it."""
+    (tmp_path / "arrays.npy").write_bytes(data)
+
+
+# Damage to the IOB1 stream's first-pass model object or to the bundle's
+# array file: (the file damaged, its damage, the text the error line must
+# hold: the model's place or the array file).
 HEADER_DAMAGE = {
-    "negative offset": (slice_damage(0, lambda off, n: f"-1,{n}"), HEADER),
-    "negative length": (slice_damage(1, lambda off, n: f"{off},-1"), HEADER),
-    "offset not an integer": (slice_damage(0, lambda off, n: f"x,{n}"), HEADER),
-    "length not an integer": (slice_damage(1, lambda off, n: f"{off},1.5"), HEADER),
-    "no length": (slice_damage(0, lambda off, n: off), HEADER),
-    "past the end": (slice_damage(0, lambda off, n: f"{off},{2**40}"), HEADER),
-    "missing array file": (lambda header: (9, "arrays other.npy"), "other.npy"),
-    "array file elsewhere": (lambda header: (9, "arrays ../model/arrays.npy"), HEADER),
-    "array file not .npy": (lambda header: (9, "arrays arrays"), HEADER),
+    "negative offset": ("manifest", span_damage(lambda off, n: f"-1,{n}"), MODEL),
+    "negative length": ("manifest", span_damage(lambda off, n: f"{off},-1"), MODEL),
+    "offset not an integer": ("manifest", span_damage(lambda off, n: f"x,{n}"), MODEL),
+    "length not an integer": ("manifest", span_damage(lambda off, n: f"{off},1.5"), MODEL),
+    "no length": ("manifest", span_damage(lambda off, n: off), MODEL),
+    "past the end": ("manifest", span_damage(lambda off, n: f"{off},{2**40}"), MODEL),
+    "missing array file": ("arrays.npy", lambda data, tmp_path: None, "arrays.npy"),
+    "array file elsewhere": ("arrays.npy", lambda data, tmp_path: misplaced(tmp_path, data),
+                             "arrays.npy"),
+    "array file not .npy": ("arrays.npy", lambda data, tmp_path: b"0,1,2\n", "arrays.npy"),
 }
 
 
 @pytest.mark.parametrize("case", list(HEADER_DAMAGE))
 def test_damaged_header_entry_is_one_error_line_naming_the_file(originals, tmp_path, case):
-    damage, at_fault = HEADER_DAMAGE[case]
-    line, text = damage(iob1_header(originals))
-    code, lines = edited_run(originals, tmp_path, f"model/{HEADER}", line, text)
+    name, damage, at_fault = HEADER_DAMAGE[case]
+    if name == "manifest":
+        code, lines = model_run(originals, tmp_path, damage)
+    else:
+        code, lines = run_on_copy(originals, tmp_path, f"model/{name}",
+                                  partial(damage, tmp_path=tmp_path))
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
-    assert str(tmp_path / "model" / at_fault) in lines[0], lines
+    assert lines[0].startswith(f"error: {tmp_path / 'model'}"), lines
+    assert at_fault in lines[0], lines
 
 
 @pytest.mark.parametrize("symbols", [255, 256])
@@ -322,9 +349,10 @@ def test_code_equal_to_table_size_is_one_error_line(tmp_path, symbols):
     assert run_command(["train", "--task", "np-chunk", "--train", str(tmp_path / "train.txt"),
                         "--model", str(model), "--workers", "1"]) == 0
     arrays = np.load(model / "arrays.npy")
-    entries = (model / HEADER).read_text().split("\n")[8].split()[1:]
-    codes_at = [int(e.split(":")[0].split(",")[0]) for e in entries]
-    sizes = [int(arrays[int(e.split(":")[1].split(",")[0])]) for e in entries]
+    manifest = json.loads((model / "manifest").read_text())
+    entries = iob1_model(manifest)["columns"]
+    codes_at = [int(span.split(",")[0]) for span, _ in entries]
+    sizes = [len(manifest["symbols"][table]) for _, table in entries]
     at = codes_at[sizes.index(symbols)]
     column = load_chunker(model).streams[Scheme.IOB1].pass1_model.instances.columns[
         sizes.index(symbols)

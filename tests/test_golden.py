@@ -22,11 +22,11 @@ from mbparse.synth import (
     typed_chunk_corpus,
 )
 
-# bundle format 4: a JSON manifest, and model headers slicing one int32 .npy
-# array file
+# bundle format 5: a JSON manifest that holds the models and their symbol
+# tables, and one int32 .npy array file of code columns
 BUNDLE_DIGESTS = {
-    "np-chunk": "5b48fd7333b8c5b8f309d78caaa4076c3929e844d5a44e3cdb3f3dd30726c6b1",
-    "full-parse": "0cf8df0e4f4863e8d98ff22a9e44e1049cc4305c0f5f22090c0b10fc7f4e05a8",
+    "np-chunk": "8d0852aca8639d4e91c1b1433e233e98cd990bedb109facca7ad8a8183914678",
+    "full-parse": "f8d38398bfd1fbc335ba7af462931b7d2a68f53257b832e759b66727e7418853",
 }
 # ``chunk`` and ``parse`` outputs of the bundles above on 20 held-out sentences
 TAG_DIGESTS = {
@@ -37,13 +37,13 @@ TAG_DIGESTS = {
 # bracketer and the noun-phrase parser, trained on 80 seeded sentences
 MORE_BUNDLE_DIGESTS = {
     ("typed-chunk", "single_phase"):
-        "a6418e339525f05d928fe44fcd32b917074573133fd4d1e73146b1db38b21dcd",
+        "574f4c7411ecc75d454f6d044c2c01d8c1c4d7f21ed81473cb9fbfe447683e0d",
     ("typed-chunk", "double_phase"):
-        "d56696ce29dfd3193e4a1739a67138c256f14c903db5811cb5cfa0f5bbebe42d",
+        "03888a2593e97443c5790485049a4123496edf14534ba9f42c6b2e148877a3bf",
     ("typed-chunk", "n_phase"):
-        "3b0d2b19736c82605a5d7cd5999f77db14df6622a163aee91ba51fd467c8630c",
-    ("clauses", None): "90d094dc6ce2b75cb6cbc59f7b4950cb4fdf1abf1d28a5b58481af99328c119a",
-    ("np-parse", None): "fd589f3fd536a52c4bc402ee601ba94f5d6e2f24c07ea98414b82645cc91ab0d",
+        "52564173b4f944ae90cef265aec42c540f4574ca50ddc59d3ff38122a562c24d",
+    ("clauses", None): "23f8a1b22cce6b8cce97fce72b76bb1c4175a418e5cf7ce7a3ae256887e9c35d",
+    ("np-parse", None): "d220b733b2adf46e8a8a662a8ea3cd8734dd5754d7f133d586c4d2b14795f164",
 }
 # outputs of the tag command of each bundle above on 20 held-out sentences
 MORE_TAG_DIGESTS = {

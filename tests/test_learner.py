@@ -1,6 +1,7 @@
+import json
 import math
-import os
 import random
+import re
 import string
 import tempfile
 from collections import Counter
@@ -23,11 +24,9 @@ from mbparse.learner import (
     code_dtype,
     classify_labels,
     gain_ratio_weights,
-    load_model,
-    save_model,
     train,
 )
-from references import decoded_instances, dense_classify, entropy
+from references import decoded_instances, dense_classify, entropy, load_models, save_models
 
 
 def uniform_model(instances, k=1, tie=TiePolicy.GLOBAL_CLASS_FREQUENCY):
@@ -421,6 +420,27 @@ def test_feature_permutation_invariance(data):
     )
 
 
+def round_trip(model, path):
+    """The model after a save into a bundle of its own at ``path`` and a load."""
+    save_models([model], path)
+    return load_models(path)[0]
+
+
+# Damage to a saved model's object in its bundle's manifest: its
+# columns, k, tie policy, fallback, weights or class counts.
+MODEL_DAMAGE = {
+    "arity-two": lambda m: m["columns"].pop(),
+    "k-three": lambda m: m.update(k="three"),
+    "k-0": lambda m: m.update(k=0),
+    "tie-policy-coin_flip": lambda m: m.update(tie_policy="coin_flip"),
+    "fallback-yes": lambda m: m.update(fallback="yes"),
+    "weights-0.5 heavy": lambda m: m["weights"].__setitem__(-1, "heavy"),
+    "weights-0.5 nan": lambda m: m["weights"].__setitem__(-1, math.nan),
+    "weights-inf 0.5": lambda m: m["weights"].__setitem__(0, math.inf),
+    "classes-X\tmany": lambda m: m.update(counts=["X\tmany"]),
+}
+
+
 class TestPersistence:
     def test_round_trip_behavior(self, tmp_path):
         rng = random.Random(11)
@@ -429,9 +449,7 @@ class TestPersistence:
             for _ in range(25)
         ]
         model = train(data, LearnerConfig(k=2))
-        path = tmp_path / "m.model"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = round_trip(model, tmp_path)
         assert decoded_instances(loaded.instances) == decoded_instances(model.instances)
         assert loaded.weight_table.weights == model.weight_table.weights
         assert loaded.config == model.config
@@ -442,14 +460,12 @@ class TestPersistence:
     def test_symbols_with_escapes(self, tmp_path):
         data = [
             Instance(("has\ttab", "has\nnewline"), "back\\slash"),
-            Instance(("arity 3", "weights 1.0"), "classes L"),  # header look-alikes
+            Instance(('"quoted"', "weights 1.0"), "classes L"),
             Instance(("plain", "x"), "L"),
             Instance(("y\rz", "\x0bv\x0c"), "A\u2028"),  # breaks str.splitlines knows
         ]
         model = train(data, LearnerConfig(k=1))
-        path = tmp_path / "weird.model"
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = round_trip(model, tmp_path)
         assert decoded_instances(loaded.instances) == decoded_instances(model.instances)
         assert loaded.class_frequencies == model.class_frequencies
 
@@ -457,56 +473,36 @@ class TestPersistence:
         data = [Instance(("a", "a"), "X"), Instance(("a", "a"), "Y")]
         model = train(data, LearnerConfig(k=1))
         assert model.weight_table.weights == (1.0, 1.0)  # fallback applied
-        path = tmp_path / "fb.model"
-        save_model(model, path)
-        assert load_model(path).weight_table.weights == (1.0, 1.0)
+        assert round_trip(model, tmp_path).weight_table.weights == (1.0, 1.0)
 
     def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.model"
-        path.write_text("not a model\n")
+        save_models([train([Instance(("a",), "X")])], tmp_path)
+        (tmp_path / "manifest").write_text("not a model\n")
         with pytest.raises(DomainError):
-            load_model(path)
+            load_models(tmp_path)
 
     def test_rejects_bad_frequencies(self, tmp_path):
         data = [Instance(("a",), "X")]
-        model = train(data, LearnerConfig(k=1))
-        path = tmp_path / "m.model"
-        save_model(model, path)
-        text = path.read_text().replace("classes 1", "classes 2")
-        path.write_text(text)
-        with pytest.raises(DomainError):
-            load_model(path)
+        save_models([train(data, LearnerConfig(k=1))], tmp_path)
+        text = (tmp_path / "manifest").read_text().replace('"counts":[1]', '"counts":[2]')
+        (tmp_path / "manifest").write_text(text)
+        with pytest.raises(DomainError, match="class frequencies do not match"):
+            load_models(tmp_path)
 
     def test_loaded_table_carries_stored_weights_only(self, tmp_path):
         data = [Instance(("a", "b"), "X"), Instance(("a", "c"), "Y")]
         model = train(data, LearnerConfig(k=1))
-        path = tmp_path / "m.model"
-        save_model(model, path)
-        assert load_model(path).weight_table == WeightTable(model.weight_table.weights)
+        assert round_trip(model, tmp_path).weight_table == WeightTable(model.weight_table.weights)
 
-    @pytest.mark.parametrize(
-        "field, bad",
-        [
-            ("arity", "two"),
-            ("k", "three"),
-            ("k", "0"),
-            ("tie-policy", "coin_flip"),
-            ("fallback", "yes"),
-            ("weights", "0.5 heavy"),
-            ("weights", "0.5 nan"),
-            ("weights", "inf 0.5"),
-            ("classes", "X\tmany"),
-        ],
-    )
-    def test_bad_header_value_is_domain_error(self, tmp_path, field, bad):
+    @pytest.mark.parametrize("case", list(MODEL_DAMAGE))
+    def test_bad_header_value_is_domain_error(self, tmp_path, case):
         model = train([Instance(("a", "b"), "X")], LearnerConfig(k=1))
-        path = tmp_path / "m.model"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        lines = [f"{field} {bad}" if l.split(" ", 1)[0] == field else l for l in lines]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(DomainError):
-            load_model(path)
+        save_models([model], tmp_path)
+        manifest = json.loads((tmp_path / "manifest").read_text())
+        MODEL_DAMAGE[case](manifest["models"][0])
+        (tmp_path / "manifest").write_text(json.dumps(manifest))
+        with pytest.raises(DomainError, match=f"^{re.escape(str(tmp_path))}: models.0: "):
+            load_models(tmp_path)
 
 
 # Backslash, tab, newline, and every other character that str.splitlines
@@ -525,9 +521,7 @@ SYMBOL_ALPHABET = "ab\\tn\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 def test_any_symbol_survives_save_and_load(rows):
     model = train([Instance((a, b), label) for a, b, label in rows], LearnerConfig(k=1))
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "m.model")
-        save_model(model, path)
-        loaded = load_model(path)
+        loaded = round_trip(model, tmp)
     assert decoded_instances(loaded.instances) == decoded_instances(model.instances)
     assert loaded.class_frequencies == model.class_frequencies
 

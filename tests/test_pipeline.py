@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tempfile
 import types
 import typing
@@ -71,6 +72,7 @@ from references import (
     OracleStream,
     corpus_sections,
     corpus_tokens,
+    model_objects,
     model_parts,
     parse_full_levels,
     stratify_levels,
@@ -851,32 +853,39 @@ def test_saved_bundle_tags_like_the_trained_one(kind, seed):
 
 @pytest.mark.parametrize("kind", list(_BUNDLE_KINDS))
 def test_bundle_load_shares_columns_like_solo_loads(kind, tmp_path, monkeypatch):
-    """Every model a ``load_*`` call reaches, each of its files read once per
-    load, equals ``load_model`` of its header alone, and tags the same."""
+    """Every model a ``load_*`` call reaches, each of its columns read once
+    per load, equals ``load_model`` of its object alone, with an array file
+    reader of its own, and tags the same."""
     generate, fit, tag, save, load, cells = _BUNDLE_KINDS[kind]
     save(fit(*generate(20, 5)), tmp_path)
+    manifest = json.loads((tmp_path / "manifest").read_text(encoding="utf-8"))
+    symbols = manifest["symbols"]
+
+    def alone(data, place):
+        with open(tmp_path / "arrays.npy", "rb") as fh:
+            return learner.load_model(data, place, learner.BundleReader(tmp_path, symbols, fh))
+
     loads = []
 
-    def recording(path, cache=None):
-        model = learner.load_model(path, cache)
-        loads.append((path, model))
+    def recording(data, place, arrays):
+        model = learner.load_model(data, place, arrays)
+        loads.append((place, data, model))
         return model
 
     monkeypatch.setattr(bundles, "load_model", recording)
     shared = load(tmp_path)
-    files = sorted(Path(path).name for path, _ in loads)
-    assert files == sorted(p.name for p in tmp_path.glob("*.model"))
-    for path, model in loads:
-        assert model_parts(model) == model_parts(learner.load_model(path))
-    tables = [table for _, model in loads for table in model.instances.codes]
+    assert [place for place, _, _ in loads] == [place for place, _ in model_objects(manifest)]
+    for place, data, model in loads:
+        assert model_parts(model) == model_parts(alone(data, place))
+    tables = [table for _, _, model in loads for table in model.instances.codes]
     assert len({id(table) for table in tables}) < len(tables)  # some column is shared
 
-    monkeypatch.setattr(bundles, "load_model", lambda path, cache=None: learner.load_model(path))
-    alone = load(tmp_path)
+    monkeypatch.setattr(bundles, "load_model", lambda data, place, arrays: alone(data, place))
+    solo = load(tmp_path)
     test_sentences = generate(8, 6)[0]
     rendered = [
         [cells(out, sentence) for sentence, out in zip(test_sentences, tag(test_sentences, m))]
-        for m in (shared, alone)
+        for m in (shared, solo)
     ]
     assert rendered[0] == rendered[1]
 
