@@ -34,9 +34,12 @@ from .corpus import (
 )
 from .errors import ConfigError, CorpusError, DomainError
 from .evaluate import EvalConfig, bootstrap, format_report, report_lines, score
-from .features import CodedCorpus, CodedTags, format_template, parse_template, select_features
+from .features import CodedCorpus, format_template, parse_template, select_features
+from .folds import CrossValidation, LeakMode, build_fold_plan
 from .learner import LearnerConfig, Model, TiePolicy, classify_labels, train as train_model
 from .pipeline import (
+    DEFAULT_PASS1,
+    DEFAULT_PASS2,
     PipelineConfig,
     TypeStrategy,
     chunk_np,
@@ -44,12 +47,10 @@ from .pipeline import (
     identify_clauses,
     parse_full,
     parse_np,
-    tag_sentences,
     train_chunker,
     train_clause_bracketer,
     train_full_parser,
     train_np_parser,
-    train_tagger,
     train_typed_chunker,
 )
 from .schemes import Scheme, SpanArrays, decode_tags, tag_codes
@@ -162,7 +163,7 @@ def _load_cfg(args) -> cfgmod.Config:
 
 def _learner_config(cfg) -> LearnerConfig:
     return LearnerConfig(
-        k=cfgmod.get_int(cfg, "learner", "k", 3),
+        k=cfgmod.get_int(cfg, "learner", "k", 3, minimum=1),
         tie_policy=cfgmod.to_enum(
             TiePolicy,
             cfgmod.get(cfg, "learner", "tie_policy", "global_class_frequency"),
@@ -191,26 +192,16 @@ def _pipeline_config(cfg) -> PipelineConfig:
     default_type = cfgmod.get(cfg, "chunker", "default_type")
     if default_type:
         kwargs["default_type"] = default_type
-    pass1 = dict(PipelineConfig().pass1_templates)
-    pass2 = dict(PipelineConfig().pass2_templates)
-    changed = False
-    for scheme in Scheme:
-        if scheme is Scheme.OC:
-            continue
-        t1 = cfgmod.get(cfg, "chunker", f"pass1.{scheme.value}")
-        t2 = cfgmod.get(cfg, "chunker", f"pass2.{scheme.value}")
-        if t1:
-            pass1[scheme] = parse_template(t1)
-            changed = True
-        if t2:
-            pass2[scheme] = parse_template(t2)
-            changed = True
-    if changed:
-        kwargs["pass1_templates"] = pass1
-        kwargs["pass2_templates"] = pass2
-    kwargs["k_parse"] = cfgmod.get_int(cfg, "parser", "k", 1)
-    kwargs["max_parse_levels"] = cfgmod.get_int(cfg, "parser", "max_levels", 19)
-    kwargs["np_parse_levels"] = cfgmod.get_int(cfg, "parser", "np_levels", 6)
+    for name, defaults in (("pass1", DEFAULT_PASS1), ("pass2", DEFAULT_PASS2)):
+        templates = kwargs[f"{name}_templates"] = dict(defaults)
+        for scheme in defaults:
+            raw = cfgmod.get(cfg, "chunker", f"{name}.{scheme.value}")
+            if raw:
+                templates[scheme] = parse_template(raw)
+    kwargs["k_parse"] = cfgmod.get_int(cfg, "parser", "k", 1, minimum=1)
+    # 0 levels: the base chunker only
+    kwargs["max_parse_levels"] = cfgmod.get_int(cfg, "parser", "max_levels", 19, minimum=0)
+    kwargs["np_parse_levels"] = cfgmod.get_int(cfg, "parser", "np_levels", 6, minimum=0)
     level_t = cfgmod.get(cfg, "parser", "level_template")
     if level_t:
         kwargs["level_template"] = parse_template(level_t)
@@ -255,10 +246,7 @@ def _workers(args, cfg) -> int:
     """``--workers``, or where it is 0 (unset) ``run.workers``, or all cores."""
     if args.workers < 0:
         raise ConfigError(f"--workers must be at least 0, got {args.workers}")
-    workers = args.workers or cfgmod.get_int(cfg, "run", "workers", os.cpu_count() or 1)
-    if workers < 1:
-        raise ConfigError(f"run.workers must be at least 1, got {workers}")
-    return workers
+    return args.workers or cfgmod.get_int(cfg, "run", "workers", os.cpu_count() or 1, minimum=1)
 
 
 _block_tagger = None  # (tag, bundle), set in each forked worker by _map_blocks
@@ -419,31 +407,19 @@ def _cmd_select(args, cfg) -> int:
     scheme = Scheme(args.scheme)
     lcfg = _learner_config(cfg)
     econf = _eval_config(cfg)
-    # each fold's sentence lists are coded once, for every candidate template
-    splits = []
-    for f in range(folds):
-        train_idx = [i for i in range(len(sentences)) if i % folds != f]
-        test_idx = [i for i in range(len(sentences)) if i % folds == f]
-        train_corpus = sentences.take(train_idx)
-        train_spans = SpanArrays.of([gold[i] for i in train_idx], train_corpus.lengths)
-        splits.append((
-            train_corpus,
-            CodedTags(*tag_codes(train_spans, scheme, typed=False)),
-            sentences.take(test_idx),
-            [gold[i] for i in test_idx],
-        ))
+    # sentence i is in section i % folds; each fold is cut once, for every template
+    sections = [range(f, len(sentences), folds) for f in range(folds)]
+    plan = build_fold_plan(folds, LeakMode.GOLD_IN_TRAIN)
+    cv = CrossValidation(sentences, gold, scheme, sections, plan)
+    held_out = [([sentences.lengths[i] for i in s], [gold[i] for i in s]) for s in sections]
 
     def evaluate(template) -> float:
         if template.arity == 0:
             return 0.0
-        total_f = 0.0
-        for train_corpus, train_tags, test_corpus, test_gold in splits:
-            model = train_tagger(template, train_corpus, train_tags, lcfg)
-            found_tags = tag_sentences(model, template, test_corpus)
-            found = [t for tags in found_tags for t in tags]
-            found = decode_tags(found, test_corpus.lengths, scheme).lists()
-            total_f += score(found, test_gold, econf).f
-        return total_f / folds
+        results = cv.run(template, lcfg)
+        found = ([t for tags in results[f].tags for t in tags] for f in range(folds))
+        return sum(score(decode_tags(tags, lengths, scheme).lists(), test_gold, econf).f
+                   for tags, (lengths, test_gold) in zip(found, held_out)) / folds
 
     report = select_features(candidates, evaluate, beam=args.beam)
     print(f"best set: {format_template(report.best_set) or '(empty)'}")

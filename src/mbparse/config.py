@@ -8,8 +8,8 @@ from typing import Mapping
 from .errors import ConfigError
 
 # Known keys per section, each one read by the command line.  Unknown
-# sections or keys are rejected so that a typo cannot silently fall back to a
-# default.
+# sections or keys, and empty values, are rejected so that a typo cannot
+# silently fall back to a default.
 SCHEMA: dict[str, set[str]] = {
     "run": {"workers"},
     "learner": {"k", "tie_policy", "fallback"},
@@ -57,7 +57,11 @@ def validate_config(cfg: Config) -> None:
         if section not in SCHEMA and not values:
             problems.append(f"unknown section [{section}]")
         known = SCHEMA.get(section, ())
-        problems.extend(f"unknown key {section}.{key}" for key in values if key not in known)
+        for key, value in values.items():
+            if key not in known:
+                problems.append(f"unknown key {section}.{key}")
+            elif not value.strip():
+                problems.append(f"empty value of {section}.{key}")
     if problems:
         raise ConfigError("invalid configuration: " + ", ".join(problems))
 
@@ -78,14 +82,17 @@ def get(cfg: Config, section: str, key: str, default: str | None = None) -> str 
     return cfg.get(section, {}).get(key, default)
 
 
-def get_int(cfg: Config, section: str, key: str, default: int) -> int:
+def get_int(cfg: Config, section: str, key: str, default: int, minimum: int | None = None) -> int:
     raw = get(cfg, section, key)
     if raw is None:
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{section}.{key} must be at least {minimum}, got {value}")
+    return value
 
 
 def get_float(cfg: Config, section: str, key: str, default: float) -> float:

@@ -21,8 +21,8 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise DomainError("beta must be > 0")
+        if not 0 < self.beta < math.inf:
+            raise DomainError(f"beta must be a finite number above 0, got {self.beta}")
         if not 0 < self.tail < 0.5:
             raise DomainError("tail must lie strictly between 0 and 0.5")
         if self.bootstrap_samples < 1:

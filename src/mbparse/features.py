@@ -399,7 +399,10 @@ def select_features(
 ) -> SelectionReport:
     """Search feature subsets by adding *and* removing one feature at a time,
     keeping the ``beam`` best templates ever evaluated as the frontier.  Stops
-    when a full expansion round fails to improve the best score strictly.
+    when a full expansion round fails to improve a best score above 0
+    strictly; while the best score is 0 (as when every one-feature template
+    ties the empty set), the search goes on from the frontier until a round
+    finds no set it has not evaluated.
     """
     if beam < 1:
         raise DomainError("beam must be >= 1")
@@ -439,9 +442,10 @@ def select_features(
         for atoms in new_sets:
             score_of(atoms)
         top = ranked(seen)[0]
-        if seen[top] <= best_score:
+        if seen[top] > best_score:
+            best_atoms, best_score = top, seen[top]
+        elif best_score > 0:
             break
-        best_atoms, best_score = top, seen[top]
         frontier = ranked(seen)[:beam]
 
     return SelectionReport(

@@ -1,4 +1,4 @@
-"""Leak-free training-data construction for cascaded cross-validation.
+"""Leak-free cross-validation for one- and two-phase taggers.
 
 A two-phase learner tags its own training corpus in phase one and consumes
 those tags as context features in phase two.  Done naively in n-fold
@@ -12,13 +12,17 @@ through the phase-one predictions.  Two preventions are supported:
 
 Every produced tag carries the set of sections whose gold annotations
 influenced it, so leak-freedom is a checkable assertion, not a convention.
+
+``CrossValidation`` runs both ``run_two_phase_cv`` and, one pass under
+GOLD_IN_TRAIN per candidate template, the command line's ``select-features``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Mapping, Sequence
 
 from .errors import DomainError
 from .features import CodedCorpus, CodedTags, FeatureTemplate, Token
@@ -49,8 +53,9 @@ class FoldPlan:
 
 
 def build_fold_plan(n: int, leak_mode: LeakMode) -> FoldPlan:
-    if n < 3:
-        raise DomainError(f"need at least 3 sections, got {n}")
+    """One fold per section; NESTED_CV needs 3, so that each inner fold has 2."""
+    if n < (least := 3 if leak_mode is LeakMode.NESTED_CV else 2):
+        raise DomainError(f"need at least {least} sections, got {n}")
     folds = []
     sections = tuple(range(n))
     for x in sections:
@@ -77,14 +82,11 @@ def assert_leak_free(plan: FoldPlan) -> None:
     for fold in plan.folds:
         closure = training_gold_closure(plan, fold)
         if fold.test_section in closure:
-            raise AssertionError(
-                f"section {fold.test_section} leaks into its own training data"
-            )
+            raise AssertionError(f"section {fold.test_section} leaks into its own training data")
 
 
 # ---------------------------------------------------------------------------
-# Executable check: run a real two-phase learner over sections, tracking the
-# provenance of every derived tag.
+# The runner: real learners over the sections, with each tag's provenance.
 
 
 @dataclass(frozen=True)
@@ -93,61 +95,69 @@ class SectionResult:
     provenance: frozenset[int]  # sections whose gold shaped these predictions
 
 
-def run_two_phase_cv(
-    sections: Sequence[Sequence[list[Token]]],
-    gold: Sequence[Sequence[list[ChunkSpan]]],
-    scheme: Scheme,
-    pass1_template: FeatureTemplate,
-    pass2_template: FeatureTemplate,
-    learner_config: LearnerConfig,
-    plan: FoldPlan,
-) -> dict[int, SectionResult]:
-    """Tag every section with a two-phase learner trained per the fold plan.
+@dataclass
+class CrossValidation:
+    """Cross-validation per ``plan`` over one coded corpus, cut into
+    ``sections`` of sentence indices, with ``scheme`` tags of each
+    sentence's ``gold`` spans as labels.  The sentences of a set of sections
+    are cut (``CodedCorpus.take``, in corpus order) and tagged once, and
+    every ``run`` reuses them and their columns."""
 
-    Raises AssertionError if any produced tag's provenance includes its own
-    section; returns per-section predictions with provenance.
-    """
+    corpus: CodedCorpus
+    gold: Sequence[list[ChunkSpan]]
+    scheme: Scheme
+    sections: Sequence[Sequence[int]]
+    plan: FoldPlan
+    _cuts: dict = field(default_factory=dict, repr=False)
+
+    def _cut(self, key: tuple[int, ...]) -> tuple[CodedCorpus, CodedTags]:
+        if key not in self._cuts:
+            rows = sorted(i for s in key for i in self.sections[s])
+            part = self.corpus.take(rows)
+            spans = SpanArrays.of([self.gold[i] for i in rows], part.lengths)
+            self._cuts[key] = part, CodedTags(*tag_codes(spans, self.scheme, typed=False))
+        return self._cuts[key]
+
+    def run(self, pass1_template: FeatureTemplate, learner_config: LearnerConfig,
+            pass2_template: FeatureTemplate | None = None) -> dict[int, SectionResult]:
+        """Each section's tags from one pass, or with ``pass2_template`` two,
+        the second reading the first's tags as chunk context, and their
+        provenance; AssertionError if that includes the section itself."""
+        results: dict[int, SectionResult] = {}
+        for fold in self.plan.folds:
+            x = fold.test_section
+            train, train_tags = self._cut(fold.phase1_train)  # both passes train on them
+            model1 = train_tagger(pass1_template, train, train_tags, learner_config)
+            provenance = set(fold.phase1_train)
+            test = self._cut((x,))[0]
+            tags = tag_sentences(model1, pass1_template, test)
+            if pass2_template is not None:
+                context = train_tags  # phase-2 training context: gold, or inner folds' tags
+                if self.plan.leak_mode is LeakMode.NESTED_CV:
+                    context = []
+                    for y in fold.phase1_train:
+                        inner = train_tagger(pass1_template, *self._cut(fold.inner[y]),
+                                             learner_config)
+                        context.extend(tag_sentences(inner, pass1_template, self._cut((y,))[0]))
+                        provenance.update(fold.inner[y])
+                model2 = train_tagger(pass2_template, train, train_tags, learner_config, context)
+                tags = tag_sentences(model2, pass2_template, test, tags)
+            if x in provenance:
+                raise AssertionError(f"gold tags of section {x} leaked into its training")
+            results[x] = SectionResult(tuple(map(tuple, tags)), frozenset(provenance))
+        return results
+
+
+def run_two_phase_cv(sections: Sequence[Sequence[list[Token]]],
+                     gold: Sequence[Sequence[list[ChunkSpan]]], scheme: Scheme,
+                     pass1_template: FeatureTemplate, pass2_template: FeatureTemplate,
+                     learner_config: LearnerConfig, plan: FoldPlan) -> dict[int, SectionResult]:
+    """``CrossValidation.run`` in two passes over ``sections`` of sentences,
+    coded once."""
     if plan.n != len(sections) or plan.n != len(gold):
         raise DomainError("plan size does not match section count")
-
-    def concat(idx: Iterable[int]):
-        """The sections' sentences as one coded corpus, and their tags."""
-        sents, spans = [], []
-        for s in idx:
-            sents.extend(sections[s])
-            spans.extend(gold[s])
-        corpus = CodedCorpus(sents)
-        tags = tag_codes(SpanArrays.of(spans, corpus.lengths), scheme, typed=False)
-        return corpus, CodedTags(*tags)
-
-    results: dict[int, SectionResult] = {}
-    for fold in plan.folds:
-        x = fold.test_section
-        p1_sents, p1_tags = concat(fold.phase1_train)  # both passes train on them
-        model1 = train_tagger(pass1_template, p1_sents, p1_tags, learner_config)
-        model1_prov = frozenset(fold.phase1_train)
-
-        # context tags of the phase-2 training rows
-        train_prov: set[int] = set(fold.phase1_train)
-        if plan.leak_mode is LeakMode.GOLD_IN_TRAIN:
-            context = p1_tags
-        else:
-            context = []
-            for y in fold.phase1_train:
-                inner_model = train_tagger(
-                    pass1_template, *concat(fold.inner[y]), learner_config
-                )
-                context.extend(tag_sentences(inner_model, pass1_template, sections[y]))
-                train_prov.update(fold.inner[y])
-        model2 = train_tagger(
-            pass2_template, p1_sents, p1_tags, learner_config, context=context
-        )
-
-        test = CodedCorpus(sections[x])  # both passes tag it
-        test_ctx = tag_sentences(model1, pass1_template, test)
-        tags = tag_sentences(model2, pass2_template, test, test_ctx)
-        provenance = frozenset(train_prov) | model1_prov
-        if x in provenance:
-            raise AssertionError(f"gold tags of section {x} leaked into its training")
-        results[x] = SectionResult(tags=tuple(map(tuple, tags)), provenance=provenance)
-    return results
+    ends = list(accumulate(map(len, sections), initial=0))
+    corpus = CodedCorpus([s for section in sections for s in section])
+    spans = [s for section in gold for s in section]
+    cv = CrossValidation(corpus, spans, scheme, list(map(range, ends, ends[1:])), plan)
+    return cv.run(pass1_template, learner_config, pass2_template)

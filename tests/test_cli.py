@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import mbparse
-from mbparse import cli, config as cfgmod, features
+from mbparse import bundles, cli, config as cfgmod, features, folds
 from mbparse.cli import main, run_command
 from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
 from mbparse.errors import ConfigError
@@ -374,6 +374,32 @@ class TestSelectFeaturesCommand:
         out = capsys.readouterr().out
         assert "best set:" in out and "templates evaluated:" in out
 
+    # k=1 holds the output from before select-features ran its folds through
+    # folds.CrossValidation; at k=3 the search used to stop at the empty set
+    # (score 0.00 after 7 templates), where every one-feature template ties it
+    @pytest.mark.parametrize("k, expected", [
+        (1, ["best set: w[-1..1] p[-1..0]", "score: 90.56", "templates evaluated: 56"]),
+        (3, ["best set: w[-1..1] p[-1..1]", "score: 82.99", "templates evaluated: 54"]),
+    ])
+    def test_pinned_output(self, k, expected, tmp_path, monkeypatch, capsys):
+        tr_s, tr_g = np_chunk_corpus(40, seed=50)
+        dump_chunk_file(tmp_path / "train.txt", tr_s, tr_g)
+        runs = []
+        run = folds.CrossValidation.run
+
+        def recording(cv, *args, **kwargs):
+            runs.append(cv)
+            return run(cv, *args, **kwargs)
+
+        monkeypatch.setattr(folds.CrossValidation, "run", recording)
+        assert run_command(
+            ["select-features", "--train", str(tmp_path / "train.txt"),
+             "--candidates", "w[-1..1] p[-1..1]", "--folds", "3", "--set", f"learner.k={k}"]
+        ) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        # one run over the same folds per template but the empty one
+        assert len(runs) == int(expected[2].split()[-1]) - 1 and len(set(map(id, runs))) == 1
+
     def test_more_folds_than_sentences_is_one_error_line(self, tmp_path, monkeypatch, capsys):
         # a fold with no test sentence would add an F of 0 to the average
         tr_s, tr_g = np_chunk_corpus(3, seed=50)
@@ -511,6 +537,24 @@ class TestStrictValues:
             (["xor-experiment", "--runs", "0"], "--runs"),
             (["xor-experiment", "--runs", "-3"], "--runs"),
             (["xor-experiment", "--k", "0"], "--k"),
+            (["evaluate", "--set", "eval.beta=nan"], "beta"),
+            (["evaluate", "--set", "eval.beta=inf"], "beta"),
+            (["bootstrap", "--set", "eval.beta=nan"], "beta"),
+            (["bootstrap", "--set", "eval.beta=-inf"], "beta"),
+            (["train", "--task", "np-parse", "--set", "parser.np_levels=-2"],
+             "parser.np_levels"),
+            (["train", "--task", "full-parse", "--set", "parser.max_levels=-1"],
+             "parser.max_levels"),
+            (["train", "--task", "np-chunk", "--set", "chunker.representations="],
+             "chunker.representations"),
+            (["train", "--task", "np-chunk", "--set", "chunker.pass2.IOB1= "],
+             "chunker.pass2.IOB1"),
+            (["train", "--task", "typed-chunk", "--set", "chunker.default_type="],
+             "chunker.default_type"),
+            (["train", "--task", "full-parse", "--set", "parser.level_template="],
+             "parser.level_template"),
+            (["train", "--task", "np-chunk", "--set", "learner.k=0"], "learner.k"),
+            (["train", "--task", "full-parse", "--set", "parser.k=0"], "parser.k"),
         ],
     )
     def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):
@@ -528,6 +572,29 @@ class TestStrictValues:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert name in lines[0]
+
+    def test_empty_value_in_a_config_file_is_one_error_line(self, tmp_path, monkeypatch,
+                                                             capsys):
+        (tmp_path / "run.ini").write_text("[chunker]\nrepresentations =\n")
+        code, lines = _main_exit(
+            ["train", "--task", "np-chunk", "--config", str(tmp_path / "run.ini"),
+             "--train", str(tmp_path / "c.txt"), "--model", str(tmp_path / "m")],
+            monkeypatch, capsys,
+        )
+        assert code == 1
+        assert lines == ["error: invalid configuration: empty value of chunker.representations"]
+
+    @pytest.mark.parametrize("task, key", [("np-parse", "parser.np_levels"),
+                                           ("full-parse", "parser.max_levels")])
+    def test_zero_levels_train_the_base_chunker_only(self, task, key, tmp_path, capsys):
+        make = nested_np_corpus if task == "np-parse" else parse_corpus
+        dump_tree_file(tmp_path / "train.txt", *make(20, seed=54))
+        assert run_command(
+            ["train", "--task", task, "--train", str(tmp_path / "train.txt"),
+             "--model", str(tmp_path / "m"), "--set", f"{key}=0"]
+        ) == 0
+        load = bundles.load_np_parser if task == "np-parse" else bundles.load_full_parser
+        assert load(tmp_path / "m").levels == []
 
     def test_non_utf8_corpus_is_io_error(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "bad.txt"

@@ -337,6 +337,14 @@ class TestSelectFeatures:
         # one sweep: empty plus its two expansions
         assert len(report.score_history) == 3
 
+    def test_search_goes_on_while_the_best_score_is_zero(self):
+        # every one-feature set ties the empty set at 0, as at k=3 on a small corpus
+        pair = frozenset({("w", 0), ("p", 0)})
+        report = select_features(
+            [("w", 0), ("p", 0), ("p", 1)], lambda t: float(t.atoms() == pair), beam=2
+        )
+        assert report.best_set.atoms() == pair and report.best_score == 1.0
+
     def test_empty_candidates(self):
         report = select_features([], lambda t: 1.0, beam=1)
         assert report.best_set == FeatureTemplate()

@@ -701,6 +701,13 @@ class TestFoldPlans:
         with pytest.raises(DomainError):
             build_fold_plan(2, LeakMode.NESTED_CV)
 
+    def test_two_sections_gold_in_train(self):
+        plan = build_fold_plan(2, LeakMode.GOLD_IN_TRAIN)
+        assert [fold.phase1_train for fold in plan.folds] == [(1,), (0,)]
+        assert_leak_free(plan)
+        with pytest.raises(DomainError):
+            build_fold_plan(1, LeakMode.GOLD_IN_TRAIN)
+
     def test_closure_excludes_test_section(self):
         for mode in LeakMode:
             plan = build_fold_plan(5, mode)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mbparse import bundles
+from mbparse import bundles, config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PACKAGE = README.parent / "src" / "mbparse"
@@ -55,3 +55,8 @@ def test_readme_lists_every_module():
 
 def test_readme_names_the_bundle_format():
     assert f"JSON `manifest` (format {bundles._FORMAT})" in README.read_text(encoding="utf-8")
+
+
+def test_readme_counts_the_config_keys():
+    keys = sum(len(keys) for keys in config.SCHEMA.values())
+    assert f"These are the {keys} accepted keys" in README.read_text(encoding="utf-8")

@@ -335,3 +335,28 @@ def test_two_phase_cv_matches_reference(mode, monkeypatch):
     monkeypatch.setattr(pipeline, "train", recording)
     assert run_two_phase_cv(*args) == expected
     assert datasets == expected_sets
+
+
+@pytest.mark.parametrize("mode", list(LeakMode))
+def test_two_phase_cv_codes_its_sections_once(mode, monkeypatch):
+    """Every fold, inner fold and test section is cut from one coding."""
+    secs = corpus_sections(4, 5, seed=71)
+    codings = []
+    init = CodedCorpus.__init__
+
+    def recording(self, sentences=None, lengths=None, cells=None, channels=None):
+        if sentences is not None or cells is not None:
+            codings.append(len(sentences if sentences is not None else lengths))
+        init(self, sentences, lengths, cells, channels)
+
+    monkeypatch.setattr(CodedCorpus, "__init__", recording)
+    run_two_phase_cv(
+        [s for s, _ in secs],
+        [g for _, g in secs],
+        Scheme.IOB1,
+        parse_template("w[-1..1] p[-1..1]"),
+        parse_template("w[0] p[-1..1] c[-1,1]"),
+        LearnerConfig(k=3),
+        build_fold_plan(4, mode),
+    )
+    assert codings == [sum(len(s) for s, _ in secs)]
