@@ -459,11 +459,9 @@ def _cmd_combine(args, cfg) -> int:
             weights = fit_weights(tuning, method)
         voted = vote_sequence(SystemOutputs(systems=flat), weights, method)
 
-    # attach to the first input's first two columns, sentence by sentence
-    file = per_system[0][0]
-    cells = list(zip(file.cells[0], file.cells[1], voted))
-    out = [cells[a:b] for a, b in file.bounds]
-    write_corpus(out, args.output, columns=("word", "pos", "chunk"))
+    # attach to the first input's words and POS tags
+    rows = _sentence_rows(per_system[0][0], [voted])
+    write_corpus(rows, args.output, columns=("word", "pos", "chunk"))
     return 0
 
 

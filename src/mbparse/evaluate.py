@@ -21,20 +21,25 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.beta < math.inf:
-            raise DomainError(f"beta must be a finite number above 0, got {self.beta}")
+        # F's numerator, (beta^2 + 1) * precision * recall, overflows past
+        # beta 1.3e152 with both at 100%
+        if not 0 < self.beta <= 1e150:
+            raise DomainError(f"beta must be a number above 0 and at most 1e150, got {self.beta}")
         if not 0 < self.tail < 0.5:
             raise DomainError("tail must lie strictly between 0 and 0.5")
         if self.bootstrap_samples < 1:
             raise DomainError("bootstrap_samples must be >= 1")
 
 
-def f_beta(precision: float, recall: float, beta: float = 1.0) -> float:
-    """Weighted harmonic combination; precision and recall as percentages."""
-    denom = beta * beta * precision + recall
-    if denom == 0:
-        return 0.0
-    return (beta * beta + 1) * precision * recall / denom
+def f_beta(precision, recall, beta: float = 1.0):
+    """Weighted harmonic combination, 0 where precision and recall are;
+    both as percentages, or as arrays of them for an array of scores."""
+    precision, recall = np.asarray(precision, dtype=float), np.asarray(recall, dtype=float)
+    beta2 = beta * beta
+    denom = beta2 * precision + recall
+    f = np.divide((beta2 + 1) * precision * recall, denom,
+                  out=np.zeros(denom.shape), where=denom > 0)
+    return f if f.ndim else float(f)
 
 
 @dataclass
@@ -129,14 +134,10 @@ def bootstrap(
         f, c, g, _ = _sentence_counts(list(fs), list(gs))
         counts[i] = (f, c, g)
 
-    beta2 = config.beta * config.beta
     def f_of(sums: np.ndarray) -> np.ndarray:
-        f, c, g = sums[..., 0], sums[..., 1], sums[..., 2]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p = np.where(f > 0, 100.0 * c / np.maximum(f, 1), 0.0)
-            r = np.where(g > 0, 100.0 * c / np.maximum(g, 1), 0.0)
-            denom = beta2 * p + r
-            return np.where(denom > 0, (beta2 + 1) * p * r / np.maximum(denom, 1e-300), 0.0)
+        # a count of 0 found (or gold) spans has 0 correct: precision (recall) 0
+        p, r = (100.0 * sums[..., 1] / np.maximum(sums[..., i], 1) for i in (0, 2))
+        return f_beta(p, r, config.beta)
 
     point = float(f_of(counts.sum(axis=0)))
 

@@ -2,10 +2,10 @@
 
 The two-pass multi-representation chunker follows a fixed recipe: tag each
 configured representation twice (the second pass sees the first pass's tags
-as context), convert every output to open- and close-bracket streams, vote
-the open streams and the close streams separately, and repair the winners
-into a span set.  Parsers repeat chunking on head-compressed sentences,
-one bracket-predictor pair per nesting level.
+as context), read every output's open and close brackets, vote the opens
+and the closes separately, and repair the winners into a span set.  Parsers
+repeat chunking on head-compressed sentences, one bracket-predictor pair
+per nesting level.
 
 Every template model is trained by ``train_tagger`` and applied by
 ``tag_sentences``, on coded feature columns (``features.extract``).  Every
@@ -16,9 +16,9 @@ taggers, a bracket level's open and close models) builds one
 chunk-tag column is coded once and shared.  Chunker trainers take gold spans
 per sentence or as ``schemes.SpanArrays`` and turn them into arrays once;
 each stream's gold tags come coded from ``schemes.tag_codes`` and serve as
-its labels and as its second pass's context.  Tag time decodes each
-representation's output once, with one ``schemes.convert_tags`` of the
-whole batch into open and close bracket streams.
+its labels and as its second pass's context.  Tag time decodes each IOB
+or IOE output once, with one ``schemes.decode_tags`` of the whole batch,
+and reads its brackets from the spans' types at their starts and ends.
 
 Compressed sentences are one ``features.View`` of the whole corpus: index
 arrays of each view token's head row and POS code, and each row's view
@@ -69,7 +69,6 @@ from .schemes import (
     balance_brackets,
     balance_clauses,
     clause_spans,
-    convert_tags,
     decode_tags,
     mark_type,
     tag_codes,
@@ -280,58 +279,57 @@ def train_chunker(
     return Chunker(streams, config.representations, config.default_type)
 
 
-def _brackets(chunker: Chunker, sentences) -> list[tuple[list, list]]:
-    """Per representation: (open tags, close tags) per sentence.  Every
-    stream the representations need is tagged once, all from one coded
-    corpus of ``sentences``; an IOB or IOE stream is decoded once, and both
-    bracket streams are written from its spans."""
-    reps = chunker.representations
+def _marks(tags: Sequence[str], default_type: str) -> list[str | None]:
+    return [mark_type(t, default_type) for t in tags]
+
+
+def _brackets(chunker: Chunker, corpus: CodedCorpus) -> list[tuple[list, list]]:
+    """Per representation: every row's open mark and close mark, a chunk
+    type or None.  Every stream the representations need is tagged once;
+    an IOB or IOE stream is decoded once, and its marks are the types of
+    its spans at their starts and ends."""
+    reps, typ = chunker.representations, chunker.default_type
     needed = dict.fromkeys(s for rep in reps for s in _streams_for(rep))
-    corpus = CodedCorpus.of(sentences)
-    tags = {scheme: chunker.streams[scheme].tag_corpus(corpus) for scheme in needed}
+    tags = {scheme: [t for s in chunker.streams[scheme].tag_corpus(corpus) for t in s]
+            for scheme in needed}
     brackets = []
     for rep in reps:
         if rep is Scheme.OC:
-            brackets.append((tags[Scheme.O], tags[Scheme.C]))
+            brackets.append((_marks(tags[Scheme.O], typ), _marks(tags[Scheme.C], typ)))
             continue
-        pairs = convert_tags(tags[rep], rep, Scheme.OC, chunker.default_type)
-        brackets.append(([[o for o, _ in s] for s in pairs], [[c for _, c in s] for s in pairs]))
+        spans = decode_tags(tags[rep], corpus.lengths, rep, typ)
+        opens, closes = [None] * len(tags[rep]), [None] * len(tags[rep])
+        for a, b, t in zip(*(c.tolist() for c in (spans.starts, spans.ends, spans.type_codes))):
+            opens[a] = closes[b] = spans.types[t]
+        brackets.append((opens, closes))
     return brackets
 
 
-def _balance(default_type: str, opens, closes) -> list[ChunkSpan]:
-    return balance_brackets(
-        [mark_type(t, default_type) for t in opens],
-        [mark_type(t, default_type) for t in closes],
-    )
+def _repaired(lengths: Sequence[int], opens, closes) -> list[list[ChunkSpan]]:
+    """``balance_brackets`` of each sentence's rows of the marks."""
+    ends = np.cumsum(lengths, dtype=np.intp).tolist()
+    return [balance_brackets(opens[a:b], closes[a:b]) for a, b in zip([0] + ends, ends)]
 
 
-def _voted_spans(default_type: str, brackets) -> list[list[ChunkSpan]]:
-    """Vote the representations' open streams and close streams separately,
-    then repair each sentence's winners into a span set."""
-    combined = []
-    for si in range(len(brackets[0][0])):
-        voted_o = [majority_vote(v) for v in zip(*(opens[si] for opens, _ in brackets))]
-        voted_c = [majority_vote(v) for v in zip(*(closes[si] for _, closes in brackets))]
-        combined.append(_balance(default_type, voted_o, voted_c))
-    return combined
+def _voted(brackets) -> tuple[list, list]:
+    """Every row's majority open mark and majority close mark."""
+    return tuple([majority_vote(v) for v in zip(*side)] for side in zip(*brackets))
 
 
 def chunk_corpus_detail(chunker: Chunker, sentences: Sequence[Sentence]):
     """Combined spans plus each representation's own spans (for comparison):
-    its bracket streams repaired, which gives back the spans of its tags."""
-    typ = chunker.default_type
-    brackets = _brackets(chunker, sentences)
-    individual = {
-        rep: [_balance(typ, o, c) for o, c in zip(*streams)]
-        for rep, streams in zip(chunker.representations, brackets)
-    }
-    return _voted_spans(typ, brackets), individual
+    the repair of its marks, which gives back the spans of its tags."""
+    corpus = CodedCorpus.of(sentences)
+    brackets = _brackets(chunker, corpus)
+    reps, lengths = chunker.representations, corpus.lengths
+    individual = {rep: _repaired(lengths, *marks) for rep, marks in zip(reps, brackets)}
+    return _repaired(lengths, *_voted(brackets)), individual
 
 
 def chunk_np(sentences: Sequence[Sentence], chunker: Chunker):
     """Noun-phrase chunk spans per sentence via the five-step voting recipe."""
-    return _voted_spans(chunker.default_type, _brackets(chunker, sentences))
+    corpus = CodedCorpus.of(sentences)
+    return _repaired(corpus.lengths, *_voted(_brackets(chunker, corpus)))
 
 
 # ---------------------------------------------------------------------------
@@ -487,8 +485,8 @@ class ClauseBracketer:
         """The last original position of each view token tagged ")"."""
         corpus = CodedCorpus.of(sentences)
         view = _chunk_view(corpus)
-        columns, _ = extract(self.close_template, corpus.compressed(view))
-        labels = np.array(classify_labels(self.close_model, columns), dtype=object)
+        tags = tag_sentences(self.close_model, self.close_template, corpus.compressed(view))
+        labels = np.array([t for sentence in tags for t in sentence], dtype=object)
         rows = np.searchsorted(view.orig2cur, np.flatnonzero(labels == ")"), side="right") - 1
         ends = np.cumsum(corpus.lengths, dtype=np.intp)
         bounds = np.searchsorted(rows, np.concatenate(([0], ends))).tolist()
@@ -553,13 +551,7 @@ class BracketLevel:
         tokens = corpus.compressed(view).take(sentences)
         otags = tag_sentences(self.open_model, self.template, tokens)
         ctags = tag_sentences(self.close_model, self.template, tokens)
-        return [
-            (
-                [mark_type(t, self.default_type) for t in o],
-                [mark_type(t, self.default_type) for t in c],
-            )
-            for o, c in zip(otags, ctags)
-        ]
+        return [tuple(_marks(t, self.default_type) for t in pair) for pair in zip(otags, ctags)]
 
 
 def _run_cascade(

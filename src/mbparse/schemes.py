@@ -13,10 +13,10 @@ representation.  Typed tags carry a "-TYPE" suffix ("B-NP", "(-VP").
 Decoders are permissive: any tag sequence decodes to some valid span set.
 
 The codec works on a whole corpus at once, in numpy: ``decode_tags`` reads
-the spans of every sentence's tags into ``SpanArrays``, ``tag_codes`` writes
-the tags of any scheme from them, coded in order of first occurrence, and
-``convert_tags`` does both.  ``encode``, ``decode`` and ``convert`` are the
-same codec over a corpus of one sentence.
+the spans of every sentence's tags into ``SpanArrays``, and ``tag_codes``
+writes the tags of any scheme from them, coded in order of first occurrence
+(the chunker reads its brackets from decoded spans).  ``encode``, ``decode``
+and ``convert`` are the same codec over a corpus of one sentence.
 """
 
 from __future__ import annotations
@@ -142,17 +142,17 @@ _KINDS = {Scheme.O: (".", "("), Scheme.C: (".", ")")}  # others: O, I, B, E
 def tag_codes(spans: SpanArrays, scheme: Scheme, typed=True) -> tuple[dict[str, int], np.ndarray]:
     """Every row's tag under ``scheme`` (any but O+C), coded: a dict from
     each tag to its code, in order of first occurrence, and the rows' codes
-    in the ``code_dtype`` of that table.  ``typed`` (one flag, or one per
-    sentence) keeps type suffixes.  The tags are those of ``encode``."""
+    in the ``code_dtype`` of that table.  ``typed`` keeps type suffixes.
+    The tags are those of ``encode``."""
     st, en, ty = spans.starts, spans.ends, spans.type_codes
     n, ntypes = int(spans.lengths.sum()), len(spans.types)
-    typed = np.broadcast_to(np.asarray(typed, dtype=bool), spans.lengths.shape)
     edges = np.zeros(n + 1, dtype=np.intp)
     edges[st] += 1
     edges[en + 1] -= 1
     inside = np.cumsum(edges[:n]) > 0
     row_type = np.full(n, ntypes)
-    row_type[inside] = np.repeat(np.where(typed[spans.sentence], ty, ntypes), en - st + 1)
+    if typed:
+        row_type[inside] = np.repeat(ty, en - st + 1)
     kind = np.zeros(n, dtype=np.intp)
     if scheme in _KINDS:
         kind[st if scheme is Scheme.O else en] = 1
@@ -162,7 +162,7 @@ def tag_codes(spans: SpanArrays, scheme: Scheme, typed=True) -> tuple[dict[str, 
         adjacent = np.flatnonzero(
             (st[1:] == en[:-1] + 1)
             & (spans.sentence[1:] == spans.sentence[:-1])
-            & (~typed[spans.sentence[1:]] | (ty[1:] == ty[:-1]))
+            & ((ty[1:] == ty[:-1]) | (not typed))
         )
         # IOB1 marks the later chunk of each adjacent pair, IOE1 the earlier
         marked = {Scheme.IOB1: st[adjacent + 1], Scheme.IOB2: st,
@@ -213,17 +213,18 @@ def decode_tags(
     return SpanArrays(lengths, sentence, starts, last, typ[starts], types)
 
 
-def _tag_lists(spans: SpanArrays, scheme: Scheme, typed) -> list:
-    if scheme is Scheme.OC:
-        return list(zip(_tag_lists(spans, Scheme.O, typed), _tag_lists(spans, Scheme.C, typed)))
-    table, codes = tag_codes(spans, scheme, typed)
-    return list(map(list(table).__getitem__, codes.tolist()))
-
-
 def encode(spans: Iterable[ChunkSpan], scheme: Scheme, length: int, typed: bool = True):
-    """Tag sequence for a flat span set.  With ``typed`` off, type suffixes are
-    dropped (single-chunk-type corpora)."""
-    return _tag_lists(SpanArrays.of([spans], [length]), scheme, typed)
+    """Tag sequence for a flat span set, (open, close) pairs under O+C.  With
+    ``typed`` off, type suffixes are dropped (single-chunk-type corpora)."""
+    arrays = SpanArrays.of([spans], [length])
+
+    def tags(stream):
+        table, codes = tag_codes(arrays, stream, typed)
+        return list(map(list(table).__getitem__, codes.tolist()))
+
+    if scheme is Scheme.OC:
+        return list(zip(tags(Scheme.O), tags(Scheme.C)))
+    return tags(scheme)
 
 
 def decode(tags: Sequence, scheme: Scheme, default_type: str = "NP") -> list[ChunkSpan]:
@@ -247,27 +248,13 @@ def mark_type(tag: str, default_type: str) -> str | None:
     return None
 
 
-def convert_tags(
-    tags: Sequence[Sequence[str]], src: Scheme, dst: Scheme, default_type: str = "NP"
-) -> list[list[str]]:
-    """``convert`` of each sentence's tags, with one decoding and one
-    encoding of them all."""
-    flat = [t for sentence in tags for t in sentence]
-    suffixed = {t: bool(split_tag(t)[1]) for t in set(flat)}
-    typed = [any(map(suffixed.__getitem__, sentence)) for sentence in tags]
-    flat = _tag_lists(decode_tags(flat, list(map(len, tags)), src, default_type), dst, typed)
-    ends = np.cumsum([len(t) for t in tags], dtype=np.intp).tolist()
-    return [flat[a:b] for a, b in zip([0] + ends[:-1], ends)]
-
-
 def convert(tags: Sequence, src: Scheme, dst: Scheme, default_type: str = "NP"):
     """Re-encode a tag sequence; equals encode(decode(tags)).  Whether the
     output carries type suffixes follows the input."""
     if src in (Scheme.O, Scheme.C):
         raise DomainError(f"cannot convert from a lone {src.value} stream")
-    if src is not Scheme.OC:
-        return convert_tags([tags], src, dst, default_type)[0]
-    typed = any(split_tag(t)[1] for pair in tags for t in pair)
+    flat = [t for pair in tags for t in pair] if src is Scheme.OC else tags
+    typed = any(split_tag(t)[1] for t in flat)
     return encode(decode(tags, src, default_type), dst, len(tags), typed=typed)
 
 

@@ -362,6 +362,29 @@ class TestCombineCommand:
         )
         assert "F 100.00" in capsys.readouterr().out  # each error outvoted 2:1
 
+    def test_words_and_pos_by_role(self, tmp_path):
+        rows = [[("NN", "a", "B-NP"), ("VB", "b", "O")], [("DT", "c", "I-NP")]]
+        for k in range(3):
+            write_corpus(rows, tmp_path / f"sys{k}.txt", columns=("pos", "word", "chunk"))
+        assert run_command(
+            ["combine", "--method", "majority",
+             "--inputs", *(str(tmp_path / f"sys{k}.txt") for k in range(3)),
+             "--output", str(tmp_path / "voted.txt")]
+        ) == 0
+        assert (tmp_path / "voted.txt").read_text().splitlines() == [
+            "#columns: word pos chunk", "a\tNN\tB-NP", "b\tVB\tO", "", "c\tDT\tI-NP",
+        ]
+
+    def test_without_a_word_column_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        for k in range(3):
+            write_corpus([[("NN", "B-NP")]], tmp_path / f"sys{k}.txt", columns=("pos", "chunk"))
+        code, lines = _main_exit(
+            ["combine", "--method", "majority",
+             "--inputs", *(str(tmp_path / f"sys{k}.txt") for k in range(3)),
+             "--output", str(tmp_path / "voted.txt")], monkeypatch, capsys)
+        assert code == 1
+        assert lines == ["error: corpus has no 'word' column (has ['pos', 'chunk'])"]
+
 
 class TestSelectFeaturesCommand:
     def test_runs_and_reports(self, tmp_path, capsys):
@@ -555,6 +578,8 @@ class TestStrictValues:
              "parser.level_template"),
             (["train", "--task", "np-chunk", "--set", "learner.k=0"], "learner.k"),
             (["train", "--task", "full-parse", "--set", "parser.k=0"], "parser.k"),
+            (["evaluate", "--set", "eval.beta=1e200"], "beta"),
+            (["bootstrap", "--set", "eval.beta=1e200"], "beta"),
         ],
     )
     def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):

@@ -151,6 +151,27 @@ class TestChunkNp:
         assert len(calls) == 8
         assert set(calls) == {sum(len(s) for s in te_s)}
 
+    def test_brackets_read_from_spans(self, monkeypatch):
+        tr_s, tr_g = np_chunk_corpus(30, seed=6)
+        chunker = train_chunker(tr_s, tr_g)
+        calls = []
+
+        def recorder(name):
+            original = getattr(pipeline, name)
+
+            def recording(*args, **kwargs):
+                calls.append((name, [a for a in args if isinstance(a, Scheme)]))
+                return original(*args, **kwargs)
+
+            return recording
+
+        for name in ("decode_tags", "tag_codes"):
+            monkeypatch.setattr(pipeline, name, recorder(name))
+        te_s, _ = np_chunk_corpus(5, seed=7)
+        chunk_np(te_s, chunker)
+        # one decoding per IOB or IOE representation; O+C needs none
+        assert calls == [("decode_tags", [Scheme.IOB1]), ("decode_tags", [Scheme.IOE2])]
+
 
 def tag_twice_detail(chunker, sentences):
     """Reference: the chunker as it was before tagging each stream once.  It

@@ -1,10 +1,12 @@
-"""Every ```python block of the README runs as written, and its list of
-modules names every module of the package.
+"""Every ```python block of the README runs as written, its list of
+modules names every module of the package, and every `module.name` it
+gives of a package module exists there.
 
 Where every ``print`` line of a block ends in a one-word comment, such as
 ``print(classify(model, query))   # V``, the block must print those words.
 """
 
+import importlib
 import re
 from pathlib import Path
 
@@ -60,3 +62,13 @@ def test_readme_names_the_bundle_format():
 def test_readme_counts_the_config_keys():
     keys = sum(len(keys) for keys in config.SCHEMA.values())
     assert f"These are the {keys} accepted keys" in README.read_text(encoding="utf-8")
+
+
+def test_readme_module_names_exist():
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    named = re.findall(r"`(\w+)\.(\w+)`", README.read_text(encoding="utf-8"))
+    named = [(module, name) for module, name in named if module in modules]
+    assert named
+    missing = [f"{module}.{name}" for module, name in named
+               if not hasattr(importlib.import_module(f"mbparse.{module}"), name)]
+    assert missing == []

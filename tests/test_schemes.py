@@ -15,7 +15,6 @@ from mbparse.schemes import (
     balance_clauses,
     clause_spans,
     convert,
-    convert_tags,
     decode,
     decode_tags,
     encode,
@@ -339,17 +338,16 @@ def test_decode_tags_matches_reference(tags, default_type):
 
 @settings(max_examples=150, deadline=None)
 @given(tags=tag_corpora(), default_type=st.sampled_from(["NP", "CH"]))
-def test_convert_tags_matches_reference(tags, default_type):
+def test_convert_matches_reference(tags, default_type):
     for src in IO_SCHEMES:
         for dst in ALL_STREAMS + [Scheme.OC]:
             expected = [convert_sentence(t, src, dst, default_type) for t in tags]
-            assert convert_tags(tags, src, dst, default_type) == expected
             assert [convert(t, src, dst, default_type) for t in tags] == expected
 
 
 @settings(max_examples=300, deadline=None)
-@given(corpus=span_corpora(), data=st.data())
-def test_tag_codes_match_reference(corpus, data):
+@given(corpus=span_corpora())
+def test_tag_codes_match_reference(corpus):
     lengths, spans = corpus
     expected = _outcome(
         lambda: [encode_sentence(g, Scheme.IOB1, n) for g, n in zip(spans, lengths)])
@@ -360,18 +358,16 @@ def test_tag_codes_match_reference(corpus, data):
         return
     arrays = arrays[1]
     assert arrays.lists() == [sorted(g) for g in spans]
-    per_sentence = data.draw(st.lists(st.booleans(), min_size=len(lengths),
-                                      max_size=len(lengths)))
-    for typed in (False, True, per_sentence):
-        flags = typed if isinstance(typed, list) else [typed] * len(lengths)
+    for typed in (False, True):
         for scheme in ALL_STREAMS:
-            tags = [t for g, n, f in zip(spans, lengths, flags)
-                    for t in encode_sentence(g, scheme, n, typed=f)]
+            tags = [t for g, n in zip(spans, lengths)
+                    for t in encode_sentence(g, scheme, n, typed=typed)]
             classes, codes = tag_codes(arrays, scheme, typed)
             expected_classes, expected_codes = code_column(tags)
             assert list(classes.items()) == list(expected_classes.items())
             assert codes.dtype == expected_codes.dtype
             assert codes.tolist() == expected_codes.tolist()
-        for g, n, f in zip(spans, lengths, flags):
+        for g, n in zip(spans, lengths):
             for scheme in ALL_STREAMS + [Scheme.OC]:
-                assert encode(g, scheme, n, typed=f) == encode_sentence(g, scheme, n, typed=f)
+                expected = encode_sentence(g, scheme, n, typed=typed)
+                assert encode(g, scheme, n, typed=typed) == expected
