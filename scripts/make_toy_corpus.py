@@ -14,7 +14,7 @@ without licensed treebank data:
 import argparse
 import os
 
-from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
+from mbparse.corpus import encode_bracket_column, write_corpus
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import (
     clause_corpus,
@@ -65,10 +65,10 @@ def main():
         write_corpus(chunk_rows(s, g, True), path(f"typed.{part}"),
                      columns=("word", "pos", "chunk"))
 
-        s, chunks, forests = clause_corpus(size, seed=seed)
+        s, chunks, clauses = clause_corpus(size, seed=seed)
         clause_rows = [
-            rows(sent, [t.chunk_tag for t in sent], encode_clause_column(forest, len(sent)))
-            for sent, forest in zip(s, forests)
+            rows(sent, [t.chunk_tag for t in sent], encode_bracket_column(c, len(sent)))
+            for sent, c in zip(s, clauses)
         ]
         write_corpus(clause_rows, path(f"clauses.{part}"),
                      columns=("word", "pos", "chunk", "clause"))

@@ -28,7 +28,6 @@ from . import corpus
 from .corpus import (
     bracket_spans,
     encode_bracket_column,
-    encode_clause_column,
     token_cells,
     write_corpus,
 )
@@ -346,9 +345,9 @@ def _cmd_chunk(args, cfg, typed: bool) -> int:
 def _cmd_clauses(args, cfg) -> int:
     file, sentences = _read_tokens(args.input, with_chunks=True)
     bracketer = bundles.load_clause_bracketer(args.model)
-    forests = _map_blocks(identify_clauses, bracketer, sentences, args.workers)
+    clauses = _map_blocks(identify_clauses, bracketer, sentences, args.workers)
     chunks = [tag or "O" for tag in sentences.tags("c")]
-    cells = [c for f, n in zip(forests, file.lengths) for c in encode_clause_column(f, n)]
+    cells = [c for s, n in zip(clauses, file.lengths) for c in encode_bracket_column(s, n)]
     rows = _sentence_rows(file, [chunks, cells])
     write_corpus(rows, args.output, columns=("word", "pos", "chunk", "clause"))
     return 0

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import CorpusError, DomainError
 from .features import ranges
 from .learner import PAD, code_column
-from .schemes import ChunkSpan, ClauseNode, SpanArrays, clause_spans
+from .schemes import ChunkSpan, SpanArrays
 
 DEFAULT_COLUMNS = ("word", "pos", "chunk")
 
@@ -271,8 +271,3 @@ def decode_brackets(
 def bracket_spans(file: ColumnFile, role: str) -> SpanArrays:
     """The spans of a file's bracket column ``role``, by ``decode_brackets``."""
     return decode_brackets(file.column(role), file.lengths, file.lines, file.path)
-
-
-def encode_clause_column(forest: Sequence[ClauseNode], length: int) -> list[str]:
-    spans = [ChunkSpan(s, e, "S") for s, e in clause_spans(forest)]
-    return encode_bracket_column(spans, length)

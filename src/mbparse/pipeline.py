@@ -28,7 +28,10 @@ advance every sentence's view with one ``features.compress_mapped`` call
 per level.  Gold trees come as ``SpanArrays`` (``corpus.decode_brackets``
 reads a bracket column into them), and ``tree_levels`` gives each span its
 cascade level, all in numpy; a level's open and close tags come from
-``schemes.tag_codes`` over the spans in view positions.
+``schemes.tag_codes`` over the spans in view positions.  Clauses are "S"
+spans per sentence or ``SpanArrays`` as well: the clause bracketer's open
+and close labels are untyped O and C tags from ``schemes.tag_codes``, and
+``identify_clauses`` returns sorted "S" spans per sentence.
 """
 
 import warnings
@@ -63,12 +66,10 @@ from .learner import (
 )
 from .schemes import (
     ChunkSpan,
-    ClauseNode,
     Scheme,
     SpanArrays,
     balance_brackets,
     balance_clauses,
-    clause_spans,
     decode_tags,
     mark_type,
     tag_codes,
@@ -122,6 +123,8 @@ class PipelineConfig:
     )
 
     def __post_init__(self):
+        if Scheme.O in self.representations or Scheme.C in self.representations:
+            raise ConfigError("O or C alone does not determine spans; use O+C")
         if len(self.representations) % 2 == 0:
             warnings.warn(  # at the caller of the generated __init__
                 "even number of representations; majority voting prefers odd",
@@ -496,35 +499,32 @@ class ClauseBracketer:
 
 def train_clause_bracketer(
     sentences: Sequence[Sentence],
-    forests: Sequence[Sequence[ClauseNode]] | SpanArrays,
+    clauses: Sequence[Iterable[ChunkSpan]] | SpanArrays,
     learner_config: LearnerConfig | None = None,
 ) -> ClauseBracketer:
     """Open taggers on the rows where clauses start, and a close tagger on
-    the view tokens where they end, of one clause forest per sentence or
-    of ``SpanArrays`` of the clauses."""
+    the view tokens where they end, of the clauses (``ChunkSpan``s per
+    sentence or ``SpanArrays``)."""
     learner_config = learner_config or LearnerConfig()
     corpus = CodedCorpus.of(sentences)
-    if not isinstance(forests, SpanArrays):
-        forests = [[ChunkSpan(a, b, "S") for a, b in clause_spans(f)] for f in forests]
-    clauses = SpanArrays.of(forests, corpus.lengths, nested=True)
-    opened = np.zeros(len(corpus.rows), dtype=bool)
-    opened[clauses.starts] = True
-    open_tags = CodedTags(*code_column(np.where(opened, "(", ".").tolist()))  # for all three
+    clauses = SpanArrays.of(clauses, corpus.lengths, nested=True)
+    open_tags = CodedTags(*tag_codes(clauses, Scheme.O, typed=False))  # for all three
     open_models = tuple(
         train_tagger(template, corpus, open_tags, learner_config)
         for template in CLAUSE_OPEN_TEMPLATES
     )
     view = _chunk_view(corpus)
-    closed = np.zeros(len(view.heads), dtype=bool)
-    closed[view.orig2cur[clauses.ends]] = True
-    close_tags = CodedTags(*code_column(np.where(closed, ")", ".").tolist()))
+    at = replace(clauses, lengths=view.lengths, starts=view.orig2cur[clauses.starts],
+                 ends=view.orig2cur[clauses.ends])
+    close_tags = CodedTags(*tag_codes(at, Scheme.C, typed=False))
     close_model = train_tagger(CLAUSE_CLOSE_TEMPLATE, corpus.compressed(view), close_tags,
                                learner_config)
     return ClauseBracketer(open_models, close_model)
 
 
-def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[ClauseNode]]:
-    """Predict open/close positions per token, then repair them into forests."""
+def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[ChunkSpan]]:
+    """Predict open/close positions per token, then repair them into sorted
+    "S" spans per sentence."""
     corpus = CodedCorpus.of(sentences)
     opens = bracketer.predict_opens(corpus)
     closes = bracketer.predict_closes(corpus)

@@ -17,6 +17,10 @@ the spans of every sentence's tags into ``SpanArrays``, and ``tag_codes``
 writes the tags of any scheme from them, coded in order of first occurrence
 (the chunker reads its brackets from decoded spans).  ``encode``, ``decode``
 and ``convert`` are the same codec over a corpus of one sentence.
+
+Nested structures are spans too: ``balance_clauses`` repairs predicted
+clause bracket positions into sorted, properly nested ``ChunkSpan``s of
+type "S", as ``balance_brackets`` repairs mark streams into flat spans.
 """
 
 from __future__ import annotations
@@ -52,16 +56,6 @@ class ChunkSpan:
     def __post_init__(self):
         if self.start < 0 or self.end < self.start:
             raise DomainError(f"bad span ({self.start}, {self.end})")
-
-
-@dataclass(frozen=True)
-class ClauseNode:
-    start: int
-    end: int
-    children: tuple["ClauseNode", ...] = ()
-
-    def span(self) -> tuple[int, int]:
-        return (self.start, self.end)
 
 
 def _tag(kind: str, typ: str | None) -> str:
@@ -286,8 +280,9 @@ def balance_brackets(opens: Sequence[str | None], closes: Sequence[str | None]) 
 
 def balance_clauses(
     opens: Iterable[int], closes: Iterable[int], length: int
-) -> list[ClauseNode]:
-    """Build a properly nested clause forest from predicted bracket positions.
+) -> list[ChunkSpan]:
+    """Repair predicted bracket positions into properly nested clauses,
+    sorted ``ChunkSpan``s of type "S".
 
     One clause starts per distinct open position.  Closes pop the innermost
     open clause; duplicate closes at one position pop successively.  A close
@@ -306,7 +301,7 @@ def balance_clauses(
         close_counts[i] = close_counts.get(i, 0) + 1
 
     stack: list[int] = []
-    built: list[tuple[int, int]] = []
+    built: list[ChunkSpan] = []
     for i in range(length):
         if i in open_set:
             stack.append(i)
@@ -315,50 +310,13 @@ def balance_clauses(
                 continue
             if stack[-1] == 0 and i != length - 1:
                 continue
-            built.append((stack.pop(), i))
+            built.append(ChunkSpan(stack.pop(), i, "S"))
 
     while stack:
         start = stack.pop()  # innermost first
         end = length - 2 if length >= 2 else length - 1
-        if end < start or any(start < s <= end < e for s, e in built):
+        if end < start or any(start < s.start <= end < s.end for s in built):
             end = length - 1
-        built.append((start, end))
+        built.append(ChunkSpan(start, end, "S"))
 
-    return _nest(built)
-
-
-def _nest(spans: list[tuple[int, int]]) -> list[ClauseNode]:
-    """Assemble (start, end) pairs, assumed non-crossing, into a forest."""
-    ordered = sorted(spans, key=lambda p: (p[0], -p[1]))
-    roots: list[ClauseNode] = []
-    path: list[tuple[tuple[int, int], list]] = []  # (span, children accumulator)
-    for span in ordered:
-        while path and not (path[-1][0][0] <= span[0] and span[1] <= path[-1][0][1]):
-            _finish(path, roots)
-        path.append((span, []))
-    while path:
-        _finish(path, roots)
-    return roots
-
-
-def _finish(path, roots):
-    (start, end), children = path.pop()
-    node = ClauseNode(start, end, tuple(children))
-    if path:
-        path[-1][1].append(node)
-    else:
-        roots.append(node)
-
-
-def clause_spans(forest: Iterable[ClauseNode]) -> list[tuple[int, int]]:
-    """All (start, end) pairs of a clause forest, depth-first."""
-    out = []
-
-    def walk(node: ClauseNode):
-        out.append((node.start, node.end))
-        for child in node.children:
-            walk(child)
-
-    for root in forest:
-        walk(root)
-    return sorted(out)
+    return sorted(built)

@@ -3,8 +3,9 @@
 The licensed treebank corpora cannot ship with the code, so tests and demos
 use small generated corpora instead: flat noun-phrase chunking data, typed
 chunk data, nested noun phrases, full bracketings with clauses, and clause
-data with chunk annotations.  POS tags can carry tagger-style noise so that
-learners make representation-dependent errors.
+data with chunk annotations, whose clauses are sorted "S" spans.  POS tags
+can carry tagger-style noise so that learners make representation-dependent
+errors.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from .features import Token
-from .schemes import ChunkSpan, _nest
-from .schemes import Scheme, encode
+from .schemes import ChunkSpan, Scheme, encode
 
 _DT = ["the", "a", "this", "each", "its"]
 _JJ = ["big", "old", "new", "red", "early", "foreign", "late", "strong"]
@@ -273,9 +273,9 @@ def parse_corpus(n_sentences: int, seed: int, embed: float = 0.6):
 
 def clause_corpus(n_sentences: int, seed: int, embed: float = 0.7):
     """Clause data: sentences whose tokens carry typed chunk tags, the chunk
-    span sets, and the gold clause forests."""
+    span sets, and the gold clauses as sorted "S" spans."""
     sentences, gold = parse_corpus(n_sentences, seed, embed)
-    out_sents, out_chunks, out_forests = [], [], []
+    out_sents, out_chunks, out_clauses = [], [], []
     for tokens, spans in zip(sentences, gold):
         leaves = sorted(
             s
@@ -289,7 +289,6 @@ def clause_corpus(n_sentences: int, seed: int, embed: float = 0.7):
             [replace(tok, chunk_tag=tag) for tok, tag in zip(tokens, tags)]
         )
         out_chunks.append(leaves)
-        clauses = [(s.start, s.end) for s in spans if s.type == "S"]
-        out_forests.append(_nest(clauses))
-    return out_sents, out_chunks, out_forests
+        out_clauses.append([s for s in spans if s.type == "S"])
+    return out_sents, out_chunks, out_clauses
 

@@ -23,11 +23,8 @@ from mbparse.learner import PAD, Instance, InstanceBase, Model, TiePolicy
 from mbparse.pipeline import _run_cascade, _wrap_roots, chunk_typed
 from mbparse.schemes import (
     ChunkSpan,
-    ClauseNode,
     Scheme,
-    _nest,
     balance_brackets,
-    clause_spans,
     encode,
     mark_type,
     split_tag,
@@ -287,12 +284,6 @@ def decode_bracket_column(cells: Sequence[str], lines=None, path=None) -> list[C
     if stack:
         raise error(f"unclosed {stack[-1][1]!r} bracket in column", stack[-1][0])
     return sorted(spans)
-
-
-def decode_clause_column(cells: Sequence[str], lines=None, path=None) -> list[ClauseNode]:
-    """One sentence's clause column as a clause forest."""
-    spans = decode_bracket_column(cells, lines, path)
-    return _nest([(s.start, s.end) for s in spans])
 
 
 # ---------------------------------------------------------------------------
@@ -660,13 +651,13 @@ class OracleStream:
 class OracleClauseBracketer:
     """Replays gold clause bracket positions (closes keep multiplicity)."""
 
-    forests: Sequence[Sequence[ClauseNode]]
+    clauses: Sequence[Sequence[ChunkSpan]]
 
     def predict_opens(self, sentences):
-        return [sorted({s for s, _ in clause_spans(f)}) for f in self.forests]
+        return [sorted({s.start for s in c}) for c in self.clauses]
 
     def predict_closes(self, sentences):
-        return [sorted(e for _, e in clause_spans(f)) for f in self.forests]
+        return [sorted(s.end for s in c) for c in self.clauses]
 
 
 @dataclass

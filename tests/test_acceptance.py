@@ -36,7 +36,6 @@ from mbparse.schemes import (
     Scheme,
     balance_brackets,
     balance_clauses,
-    clause_spans,
     convert,
     decode,
     encode,
@@ -341,9 +340,9 @@ def test_balancing():
         failures.append(f"nesting repair produced {got}")
 
     # four nested clauses recovered from oracle bracket positions
-    forest = balance_clauses({0, 3, 5, 7}, [4, 11, 11, 12], 13)
-    if clause_spans(forest) != [(0, 12), (3, 4), (5, 11), (7, 11)]:
-        failures.append(f"four-clause sentence gave {clause_spans(forest)}")
+    pairs = [(s.start, s.end) for s in balance_clauses({0, 3, 5, 7}, [4, 11, 11, 12], 13)]
+    if pairs != [(0, 12), (3, 4), (5, 11), (7, 11)]:
+        failures.append(f"four-clause sentence gave {pairs}")
 
     rng = random.Random(5)
     cases = 100_000
@@ -352,8 +351,7 @@ def test_balancing():
         n = rng.randint(1, 12)
         opens = {rng.randrange(n) for _ in range(rng.randint(0, 4))}
         closes = [rng.randrange(n) for _ in range(rng.randint(0, 6))]
-        forest = balance_clauses(opens, closes, n)
-        spans = clause_spans(forest)
+        spans = [(s.start, s.end) for s in balance_clauses(opens, closes, n)]
         ok = all(0 <= s <= e < n and s in opens for s, e in spans)
         for a in spans:
             for b in spans:

@@ -13,7 +13,7 @@ import pytest
 import mbparse
 from mbparse import bundles, cli, config as cfgmod, features, folds
 from mbparse.cli import main, run_command
-from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
+from mbparse.corpus import encode_bracket_column, write_corpus
 from mbparse.errors import ConfigError
 from mbparse.evaluate import score
 from mbparse.learner import Model, _ModelIndex
@@ -156,7 +156,7 @@ class TestChunkFlow:
 def dump_clause_file(path, sentences, forests):
     rows = []
     for s, f in zip(sentences, forests):
-        cells = encode_clause_column(f, len(s))
+        cells = encode_bracket_column(f, len(s))
         rows.append([(t.word, t.pos, t.chunk_tag, c) for t, c in zip(s, cells)])
     write_corpus(rows, path, columns=("word", "pos", "chunk", "clause"))
 
@@ -580,6 +580,10 @@ class TestStrictValues:
             (["train", "--task", "full-parse", "--set", "parser.k=0"], "parser.k"),
             (["evaluate", "--set", "eval.beta=1e200"], "beta"),
             (["bootstrap", "--set", "eval.beta=1e200"], "beta"),
+            (["train", "--task", "np-chunk", "--set", "chunker.representations=O"], "O+C"),
+            (["train", "--task", "np-chunk", "--set", "chunker.representations=C"], "O+C"),
+            (["train", "--task", "np-chunk", "--set", "chunker.representations=IOB1 O C"],
+             "O+C"),
         ],
     )
     def test_bad_value_is_one_error_line(self, argv, name, tmp_path, monkeypatch, capsys):
@@ -597,6 +601,20 @@ class TestStrictValues:
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert name in lines[0]
+
+    @pytest.mark.parametrize("reps", ["O", "C", "IOB1 O C"])
+    def test_lone_open_or_close_stream_saves_no_bundle(self, reps, tmp_path, monkeypatch,
+                                                       capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_text("a\tNN\tB-NP\n")
+        code, lines = _main_exit(
+            ["train", "--task", "np-chunk", "--train", str(corpus), "--model",
+             str(tmp_path / "m"), "--set", f"chunker.representations={reps}"],
+            monkeypatch, capsys,
+        )
+        assert code == 1
+        assert lines == ["error: O or C alone does not determine spans; use O+C"]
+        assert not (tmp_path / "m").exists()
 
     def test_empty_value_in_a_config_file_is_one_error_line(self, tmp_path, monkeypatch,
                                                              capsys):

@@ -16,15 +16,14 @@ from mbparse.corpus import (
     column_index,
     decode_brackets,
     encode_bracket_column,
-    encode_clause_column,
     read_corpus,
     token_cells,
     write_corpus,
 )
 from mbparse.errors import ConfigError, CorpusError, DomainError
 from mbparse.features import CodedCorpus, Token
-from mbparse.schemes import ChunkSpan, ClauseNode, clause_spans
-from references import corpus_tokens, decode_clause_column, read_corpus_rows, to_tokens
+from mbparse.schemes import ChunkSpan
+from references import corpus_tokens, decode_bracket_column, read_corpus_rows, to_tokens
 
 TWO_SENTENCES = [
     [("In", "IN", "O"), ("early", "JJ", "I"), ("trading", "NN", "I")],
@@ -121,11 +120,10 @@ class TestBracketColumns:
             decode_brackets(["no-star"], [1])
 
     def test_clause_column(self):
-        forest = [ClauseNode(0, 3, (ClauseNode(1, 2),))]
-        cells = encode_clause_column(forest, 4)
+        clauses = [ChunkSpan(0, 3, "S"), ChunkSpan(1, 2, "S")]
+        cells = encode_bracket_column(clauses, 4)
         assert cells == ["(S*", "(S*", "*S)", "*S)"]
-        decoded = decode_clause_column(cells)
-        assert clause_spans(decoded) == [(0, 3), (1, 2)]
+        assert decode_bracket_column(cells) == clauses
 
 
 CONFIG_TEXT = """\

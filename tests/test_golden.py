@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from mbparse.cli import run_command
-from mbparse.corpus import encode_bracket_column, encode_clause_column, write_corpus
+from mbparse.corpus import encode_bracket_column, write_corpus
 from mbparse.schemes import Scheme, encode
 from mbparse.synth import (
     clause_corpus,
@@ -84,7 +84,7 @@ def write_train_corpus(task: str, path: Path, n: int = 80, seed: int = 1) -> Non
     elif task == "clauses":
         sentences, _, forests = clause_corpus(n, seed=seed)
         for s, forest in zip(sentences, forests):
-            cells = encode_clause_column(forest, len(s))
+            cells = encode_bracket_column(forest, len(s))
             rows.append([(t.word, t.pos, t.chunk_tag, c) for t, c in zip(s, cells)])
         write_corpus(rows, path, columns=("word", "pos", "chunk", "clause"))
     else:

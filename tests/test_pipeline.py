@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from mbparse import bundles, features, learner, pipeline
 from mbparse.combine import majority_vote
-from mbparse.corpus import encode_bracket_column, encode_clause_column
+from mbparse.corpus import encode_bracket_column
 from mbparse.errors import ConfigError, DomainError
 from mbparse.evaluate import score
 from mbparse.features import CodedCorpus, Token, parse_template
@@ -49,11 +49,9 @@ from mbparse.pipeline import (
 )
 from mbparse.schemes import (
     ChunkSpan,
-    ClauseNode,
     Scheme,
     SpanArrays,
     balance_brackets,
-    clause_spans,
     convert,
     decode,
     encode,
@@ -328,12 +326,10 @@ COACH_CLAUSES = [(0, 12), (3, 4), (5, 11), (7, 11)]
 
 class TestClauses:
     def test_oracle_reconstructs_nested_clauses(self):
-        from mbparse.schemes import _nest
-
-        forest = _nest(COACH_CLAUSES)
-        bracketer = OracleClauseBracketer([forest])
+        clauses = [ChunkSpan(s, e, "S") for s, e in COACH_CLAUSES]
+        bracketer = OracleClauseBracketer([clauses])
         out = identify_clauses([COACH], bracketer)
-        assert clause_spans(out[0]) == sorted(COACH_CLAUSES)
+        assert out[0] == sorted(clauses)
 
     def test_silent_predictors_give_empty_forests(self):
         class Silent:
@@ -355,7 +351,7 @@ class TestClauses:
                 return [[] for _ in corpus_tokens(sentences)]
 
         out = identify_clauses([COACH], OpenOnly())
-        assert clause_spans(out[0]) == [(0, len(COACH) - 2)]
+        assert out[0] == [ChunkSpan(0, len(COACH) - 2, "S")]
 
     def test_chunk_annotations_required(self):
         sents, _, forests = clause_corpus(5, seed=10)
@@ -369,21 +365,15 @@ class TestClauses:
         close maps back to the chunk's last original position."""
         sent = [Token("he", "PRP", "B-NP"), Token("saw", "VBD", "B-VP"),
                 Token("the", "DT", "B-NP"), Token("man", "NN", "I-NP")]
-        bracketer = train_clause_bracketer([sent], [[ClauseNode(0, 3)]], LearnerConfig(k=1))
+        bracketer = train_clause_bracketer([sent], [[ChunkSpan(0, 3, "S")]], LearnerConfig(k=1))
         assert bracketer.predict_closes([sent]) == [[3]]
 
     def test_trained_bracketer_finds_clauses(self):
         tr = clause_corpus(100, seed=11)
         te = clause_corpus(40, seed=12)
         bracketer = train_clause_bracketer(tr[0], tr[2])
-        forests = identify_clauses(te[0], bracketer)
-        found = [
-            [ChunkSpan(s, e, "S") for s, e in clause_spans(f)] for f in forests
-        ]
-        gold = [
-            [ChunkSpan(s, e, "S") for s, e in clause_spans(f)] for f in te[2]
-        ]
-        assert score(found, gold).f > 45.0
+        found = identify_clauses(te[0], bracketer)
+        assert score(found, te[2]).f > 45.0
 
 
 MONEY = [
@@ -790,7 +780,7 @@ class TestBundles:
         te = clause_corpus(8, seed=29)
         a = identify_clauses(te[0], loaded)
         b = identify_clauses(te[0], bracketer)
-        assert [clause_spans(x) for x in a] == [clause_spans(x) for x in b]
+        assert a == b
 
     def test_parser_round_trips(self, tmp_path):
         from mbparse.bundles import (
@@ -846,7 +836,7 @@ _BUNDLE_KINDS = {
     "clauses": (lambda n, seed: clause_corpus(n, seed)[::2], train_clause_bracketer,
                 identify_clauses, bundles.save_clause_bracketer,
                 bundles.load_clause_bracketer,
-                lambda out, s: encode_clause_column(out, len(s))),
+                lambda out, s: encode_bracket_column(out, len(s))),
     "np-parser": (nested_np_corpus, train_np_parser, parse_np, bundles.save_np_parser,
                   bundles.load_np_parser,
                   lambda out, s: encode_bracket_column(out, len(s))),

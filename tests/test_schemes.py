@@ -8,12 +8,10 @@ from mbparse.errors import DomainError
 from mbparse.learner import code_column
 from mbparse.schemes import (
     ChunkSpan,
-    ClauseNode,
     Scheme,
     SpanArrays,
     balance_brackets,
     balance_clauses,
-    clause_spans,
     convert,
     decode,
     decode_tags,
@@ -206,21 +204,26 @@ class TestBalanceBrackets:
         assert len(spans) <= min(n_opens, n_closes)
 
 
+def clause_pairs(spans):
+    """The (start, end) pairs of clause spans, in their order."""
+    return [(s.start, s.end) for s in spans]
+
+
 class TestBalanceClauses:
     def test_empty(self):
         assert balance_clauses([], [], 5) == []
 
     def test_nested_pair(self):
         forest = balance_clauses({0, 2}, {4}, 7)
-        assert clause_spans(forest) == [(0, 5), (2, 4)]
+        assert clause_pairs(forest) == [(0, 5), (2, 4)]
 
     def test_rule4_then_rule5(self):
         forest = balance_clauses({0}, {1}, 6)
-        assert clause_spans(forest) == [(0, 4)]
+        assert clause_pairs(forest) == [(0, 4)]
 
     def test_open_only(self):
         forest = balance_clauses({0}, [], 9)
-        assert clause_spans(forest) == [(0, 7)]
+        assert clause_pairs(forest) == [(0, 7)]
 
     def test_close_without_open_ignored(self):
         assert balance_clauses([], {3}, 6) == []
@@ -229,20 +232,20 @@ class TestBalanceClauses:
         # Coach them in handling complaints so that they can resolve
         # problems immediately .
         forest = balance_clauses({0, 3, 5, 7}, [4, 11, 11, 12], 13)
-        assert clause_spans(forest) == [(0, 12), (3, 4), (5, 11), (7, 11)]
+        assert clause_pairs(forest) == [(0, 12), (3, 4), (5, 11), (7, 11)]
 
     def test_duplicate_opens_collapse(self):
         forest = balance_clauses([2, 2, 2], [5], 8)
-        assert clause_spans(forest) == [(2, 5)]
+        assert clause_pairs(forest) == [(2, 5)]
 
     def test_rule5_crossing_repair(self):
         # inner clause closed at the final token forces the outer to the end
         forest = balance_clauses({0, 3}, {6}, 7)
-        assert clause_spans(forest) == [(0, 6), (3, 6)]
+        assert clause_pairs(forest) == [(0, 6), (3, 6)]
 
     def test_single_token_sentence(self):
         forest = balance_clauses({0}, [], 1)
-        assert clause_spans(forest) == [(0, 0)]
+        assert clause_pairs(forest) == [(0, 0)]
 
     def test_out_of_range(self):
         with pytest.raises(DomainError):
@@ -252,7 +255,7 @@ class TestBalanceClauses:
 
 
 def assert_proper_forest(forest, length, open_positions):
-    spans = clause_spans(forest)
+    spans = clause_pairs(forest)
     for s, e in spans:
         assert 0 <= s <= e < length
         assert s in open_positions
@@ -274,11 +277,35 @@ def test_balance_clauses_always_properly_nested(length, data):
     assert_proper_forest(forest, length, opens)
 
 
-class TestClauseNode:
-    def test_children_tuple(self):
-        inner = ClauseNode(2, 4)
-        outer = ClauseNode(0, 5, (inner,))
-        assert outer.children[0].span() == (2, 4)
+@st.composite
+def clause_sets(draw):
+    """A sentence length and properly nested "S" spans over it in which no
+    two spans share a start or an end, and a span that starts at token 0
+    ends at the last token: what one open and one close label per token
+    can express.  Drawn pairs are kept in order when they fit the ones
+    kept before."""
+    length = draw(st.integers(1, 14))
+    position = st.integers(0, length - 1)
+    spans = []
+    for a, b in draw(st.lists(st.tuples(position, position), max_size=10)):
+        start, end = sorted((a, b))
+        if start == 0:
+            end = length - 1
+        if all(start != t.start and end != t.end and (
+            end < t.start or t.end < start  # disjoint
+            or start < t.start and t.end < end or t.start < start and end < t.end  # nested
+        ) for t in spans):
+            spans.append(ChunkSpan(start, end, "S"))
+    return length, sorted(spans)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clause_sets())
+def test_balance_clauses_round_trips_nested_clauses(drawn):
+    length, spans = drawn
+    starts = {s.start for s in spans}
+    ends = [s.end for s in spans]
+    assert balance_clauses(starts, ends, length) == spans
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-from mbparse.schemes import Scheme, clause_spans, decode
+from mbparse.schemes import Scheme, decode
 from mbparse.synth import (
     clause_corpus,
     nested_np_corpus,
@@ -93,8 +93,8 @@ def test_clause_corpus_alignment():
     for sent, spans, forest in zip(sentences, chunks, forests):
         tags = [t.chunk_tag for t in sent]
         assert decode(tags, Scheme.IOB1) == sorted(spans)
-        for start, end in clause_spans(forest):
-            assert 0 <= start <= end < len(sent)
+        for span in forest:
+            assert 0 <= span.start <= span.end < len(sent)
 
 
 def test_sections_differ():

@@ -24,7 +24,7 @@ from mbparse.pipeline import (
     train_two_pass_stream,
     tree_levels,
 )
-from mbparse.schemes import Scheme, SpanArrays, clause_spans, encode
+from mbparse.schemes import Scheme, SpanArrays, encode
 from mbparse.synth import (
     clause_corpus,
     nested_np_corpus,
@@ -70,7 +70,7 @@ def two_pass_reference(sentences, gold, scheme, pass1_template, pass2_template, 
 def clause_reference(sentences, forests):
     """Instances of the three open models and the close model, as
     ``train_clause_bracketer`` built them by hand."""
-    open_sets = [{s for s, _ in clause_spans(f)} for f in forests]
+    open_sets = [{s.start for s in f} for f in forests]
     opens = [
         tuple(
             Instance(extract_token(s, i, template), "(" if i in open_sets[si] else ".")
@@ -81,7 +81,7 @@ def clause_reference(sentences, forests):
     ]
     close_inst = []
     for si, s in enumerate(sentences):
-        ends = {e for _, e in clause_spans(forests[si])}
+        ends = {s.end for s in forests[si]}
         chunks = decode_sentence([t.chunk_tag for t in s], Scheme.IOB1)
         compressed, origins = compress_mapped(s, chunks)
         for i in range(len(compressed)):
