@@ -1,7 +1,7 @@
 """Saving and loading composite models as a bundle: a directory that holds
 one JSON ``manifest`` and one array file, ``arrays.npy``.
 
-The manifest is JSON (format 5).  One walker writes the composite's
+The manifest is JSON (format 6).  One walker writes the composite's
 dataclasses into it, each as an object of its ``"class"`` and its fields
 that are not None.  A dict is an object, a list or tuple an array, a
 template or an enum its text, and a model an object of its settings,
@@ -10,11 +10,14 @@ weights and class counts that names each of its code columns as a
 of ``arrays.npy`` and a place in the manifest's top-level ``"symbols"``, an
 array that holds each distinct symbol table once as a list of strings.  A
 load reads each value back as its field's annotation says, so a reloaded
-bundle is what training built; a model's fault is one ``DomainError`` that
-names its place in the manifest, the field names and keys that lead to it
-(``streams.IOB1.pass1_model``).
+bundle is what training built; a model's fault, or parts of a composite
+that do not fit (a ``pipeline.Tagger``'s template and model of two
+arities), is one ``DomainError`` that names its place in the manifest, the
+field names and keys that lead to it (``streams.IOB1.pass1.model``; the
+top level is ``manifest``).
 Bundles of an earlier format (1: models as text; 2: one ``.npy`` file per
-array; 3: an INI manifest; 4: a text header per model) no longer load:
+array; 3: an INI manifest; 4: a text header per model; 5: templates and
+models in parallel fields, n-phase type order in a list) no longer load:
 retrain them.
 
 The components of a composite are trained on the same tokens, so they
@@ -36,7 +39,7 @@ from .features import FeatureTemplate, format_template, parse_template
 from .learner import BundleReader, BundleStore, Model, json_value, load_model, save_model
 from .pipeline import Chunker, ClauseBracketer, FullParser, NpParser, TypedChunker
 
-_FORMAT = 5
+_FORMAT = 6
 
 
 def _dump(value, store: BundleStore):
@@ -86,11 +89,15 @@ def _load(kind, data, place: str, arrays: BundleReader):
     cls = next((c for c in options if c.__name__ == name), None)
     if cls is None:
         raise ValueError(f"a {name!r} where a {' or '.join(c.__name__ for c in options)} belongs")
-    return cls(**{
+    values = {
         f.name: _load(f.type, data[f.name], f"{place}{f.name}.", arrays)
         for f in dataclasses.fields(cls)
         if f.name in data or f.default is dataclasses.MISSING
-    })
+    }
+    try:
+        return cls(**values)
+    except DomainError as exc:  # parts that do not fit one another
+        raise arrays.fault(place[:-1] or "manifest", str(exc)) from None
 
 
 def _save_bundle(composite, path) -> None:

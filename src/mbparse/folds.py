@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 from .errors import DomainError
 from .features import CodedCorpus, CodedTags, FeatureTemplate, Token
 from .learner import LearnerConfig
-from .pipeline import tag_sentences, train_tagger
+from .pipeline import train_tagger
 from .schemes import ChunkSpan, Scheme, SpanArrays, tag_codes
 
 
@@ -127,10 +127,10 @@ class CrossValidation:
         for fold in self.plan.folds:
             x = fold.test_section
             train, train_tags = self._cut(fold.phase1_train)  # both passes train on them
-            model1 = train_tagger(pass1_template, train, train_tags, learner_config)
+            pass1 = train_tagger(pass1_template, train, train_tags, learner_config)
             provenance = set(fold.phase1_train)
             test = self._cut((x,))[0]
-            tags = tag_sentences(model1, pass1_template, test)
+            tags = pass1.tag(test)
             if pass2_template is not None:
                 context = train_tags  # phase-2 training context: gold, or inner folds' tags
                 if self.plan.leak_mode is LeakMode.NESTED_CV:
@@ -138,10 +138,10 @@ class CrossValidation:
                     for y in fold.phase1_train:
                         inner = train_tagger(pass1_template, *self._cut(fold.inner[y]),
                                              learner_config)
-                        context.extend(tag_sentences(inner, pass1_template, self._cut((y,))[0]))
+                        context.extend(inner.tag(self._cut((y,))[0]))
                         provenance.update(fold.inner[y])
-                model2 = train_tagger(pass2_template, train, train_tags, learner_config, context)
-                tags = tag_sentences(model2, pass2_template, test, tags)
+                pass2 = train_tagger(pass2_template, train, train_tags, learner_config, context)
+                tags = pass2.tag(test, tags)
             if x in provenance:
                 raise AssertionError(f"gold tags of section {x} leaked into its training")
             results[x] = SectionResult(tuple(map(tuple, tags)), frozenset(provenance))

@@ -7,8 +7,9 @@ and the closes separately, and repair the winners into a span set.  Parsers
 repeat chunking on head-compressed sentences, one bracket-predictor pair
 per nesting level.
 
-Every template model is trained by ``train_tagger`` and applied by
-``tag_sentences``, on coded feature columns (``features.extract``).  Every
+Every template model is trained by ``train_tagger`` into a ``Tagger``, the
+template and its model side by side, which refuses a model of another arity
+and tags on coded feature columns (``features.extract``).  Every
 path that applies several templates to one sentence list (a chunker's
 streams and passes, the typed strategies, the clause bracketer's open
 taggers, a bracket level's open and close models) builds one
@@ -116,15 +117,14 @@ class PipelineConfig:
     k_parse: int = 1
     max_parse_levels: int = 19
     np_parse_levels: int = 6
-    typed: bool = False
     default_type: str = "NP"
     level_template: FeatureTemplate = field(
         default_factory=lambda: parse_template("w[-2..2] p[-2..2]")
     )
 
     def __post_init__(self):
-        if Scheme.O in self.representations or Scheme.C in self.representations:
-            raise ConfigError("O or C alone does not determine spans; use O+C")
+        for rep in self.representations:
+            _streams_for(rep)
         if len(self.representations) % 2 == 0:
             warnings.warn(  # at the caller of the generated __init__
                 "even number of representations; majority voting prefers odd",
@@ -133,6 +133,8 @@ class PipelineConfig:
 
 
 def _streams_for(rep: Scheme) -> tuple[Scheme, ...]:
+    if rep in (Scheme.O, Scheme.C):
+        raise ConfigError("O or C alone does not determine spans; use O+C")
     return (Scheme.O, Scheme.C) if rep is Scheme.OC else (rep,)
 
 
@@ -140,19 +142,27 @@ def _streams_for(rep: Scheme) -> tuple[Scheme, ...]:
 # Two-pass per-representation taggers.
 
 
-def tag_sentences(
-    model: Model,
-    template: FeatureTemplate,
-    sentences: Sequence[Sentence],
-    context: Sequence[Sequence[str]] | None = None,
-) -> list[list[str]]:
-    """One label per token, from a single batched classification of all
-    sentences.  ``context`` gives per-sentence chunk tags that the template's
-    chunk channel reads in place of the tokens' own; raises ``DomainError``
-    when it does not line up with the tokens."""
-    columns, bounds = extract(template, sentences, context)
-    labels = classify_labels(model, columns)
-    return [labels[a:b] for a, b in bounds]
+@dataclass(frozen=True)
+class Tagger:
+    """A feature template and the model trained on its features."""
+
+    template: FeatureTemplate
+    model: Model
+
+    def __post_init__(self):
+        if self.template.arity != self.model.arity:
+            raise DomainError(f"template arity {self.template.arity} does not match "
+                              f"model arity {self.model.arity}")
+
+    def tag(self, sentences: Sequence[Sentence],
+            context: Sequence[Sequence[str]] | None = None) -> list[list[str]]:
+        """One label per token, from a single batched classification of all
+        sentences.  ``context`` gives per-sentence chunk tags that the
+        template's chunk channel reads in place of the tokens' own; raises
+        ``DomainError`` when it does not line up with the tokens."""
+        columns, bounds = extract(self.template, sentences, context)
+        labels = classify_labels(self.model, columns)
+        return [labels[a:b] for a, b in bounds]
 
 
 def train_tagger(
@@ -161,13 +171,13 @@ def train_tagger(
     tags: Sequence[Sequence[str]],
     learner_config: LearnerConfig,
     context: Sequence[Sequence[str]] | None = None,
-) -> Model:
-    """The training twin of ``tag_sentences``: one instance per token, with
-    the features ``tag_sentences`` would extract and that token's entry in
-    ``tags`` (per sentence, or ``CodedTags``) as its label.  Raises
-    ``DomainError`` when ``tags`` or ``context`` does not line up with the
-    tokens.  ``CodedTags`` become read-only, so that the models trained on
-    them may share them."""
+) -> Tagger:
+    """The training twin of ``Tagger.tag``: one instance per token, with
+    the features ``tag`` would extract and that token's entry in ``tags``
+    (per sentence, or ``CodedTags``) as its label.  Raises ``DomainError``
+    when ``tags`` or ``context`` does not line up with the tokens.
+    ``CodedTags`` become read-only, so that the models trained on them may
+    share them."""
     sentences = CodedCorpus.of(sentences)
     columns, _ = extract(template, sentences, context)
     coded = isinstance(tags, CodedTags)
@@ -178,7 +188,7 @@ def train_tagger(
     labels = tags if coded else CodedTags(*code_column([label for t in tags for label in t]))
     labels.codes.flags.writeable = False
     base = InstanceBase(columns.codes, columns.columns, columns.rows, *labels)
-    return train(base, learner_config)
+    return Tagger(template, train(base, learner_config))
 
 
 @dataclass
@@ -187,20 +197,12 @@ class TwoPassStream:
     and an optional second pass that also sees the first pass's output."""
 
     scheme: Scheme
-    pass1_template: FeatureTemplate
-    pass1_model: Model
-    pass2_template: FeatureTemplate | None = None
-    pass2_model: Model | None = None
-
-    def __post_init__(self):
-        if (self.pass2_template is None) != (self.pass2_model is None):
-            raise DomainError("a second pass needs both a template and a model")
+    pass1: Tagger
+    pass2: Tagger | None = None
 
     def tag_corpus(self, sentences: Sequence[Sentence]) -> list[list[str]]:
-        tags = tag_sentences(self.pass1_model, self.pass1_template, sentences)
-        if self.pass2_model is None:
-            return tags
-        return tag_sentences(self.pass2_model, self.pass2_template, sentences, tags)
+        tags = self.pass1.tag(sentences)
+        return tags if self.pass2 is None else self.pass2.tag(sentences, tags)
 
 
 def train_two_pass_stream(
@@ -218,17 +220,11 @@ def train_two_pass_stream(
     corpus = CodedCorpus.of(sentences)
     spans = SpanArrays.of(gold, corpus.lengths)
     labels = CodedTags(*tag_codes(spans, scheme, typed))
-    model1 = train_tagger(pass1_template, corpus, labels, learner_config)
-    model2 = None
+    pass1 = train_tagger(pass1_template, corpus, labels, learner_config)
+    pass2 = None
     if pass2_template is not None and pass2_template.chunks:
-        model2 = train_tagger(pass2_template, corpus, labels, learner_config, labels)
-    return TwoPassStream(
-        scheme=scheme,
-        pass1_template=pass1_template,
-        pass1_model=model1,
-        pass2_template=pass2_template if model2 is not None else None,
-        pass2_model=model2,
-    )
+        pass2 = train_tagger(pass2_template, corpus, labels, learner_config, labels)
+    return TwoPassStream(scheme, pass1, pass2)
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +254,7 @@ def train_chunker(
     gold: Sequence[Iterable[ChunkSpan]] | SpanArrays,
     config: PipelineConfig | None = None,
     learner_config: LearnerConfig | None = None,
+    typed: bool = False,
 ) -> Chunker:
     """One two-pass stream per scheme the representations need, all trained
     on one coded corpus of ``sentences`` and one array form of ``gold``."""
@@ -265,20 +262,12 @@ def train_chunker(
     learner_config = learner_config or LearnerConfig()
     corpus = CodedCorpus.of(sentences)
     gold = SpanArrays.of(gold, corpus.lengths)
-    streams: dict[Scheme, TwoPassStream] = {}
-    for rep in config.representations:
-        for scheme in _streams_for(rep):
-            if scheme in streams:
-                continue
-            streams[scheme] = train_two_pass_stream(
-                corpus,
-                gold,
-                scheme,
-                config.pass1_templates[scheme],
-                config.pass2_templates.get(scheme),
-                learner_config,
-                typed=config.typed,
-            )
+    schemes = dict.fromkeys(s for rep in config.representations for s in _streams_for(rep))
+    streams = {
+        scheme: train_two_pass_stream(corpus, gold, scheme, config.pass1_templates[scheme],
+                                      config.pass2_templates.get(scheme), learner_config, typed)
+        for scheme in schemes
+    }
     return Chunker(streams, config.representations, config.default_type)
 
 
@@ -347,13 +336,17 @@ class SinglePhaseChunker:
 @dataclass
 class DoublePhaseChunker:
     boundary: Chunker  # untyped
-    type_model: Model
+    type_model: Model  # reads the 4 columns of _type_features
+
+    def __post_init__(self):
+        if self.type_model.arity != 4:
+            raise DomainError(f"type model arity {self.type_model.arity} does not match "
+                              "the 4 type features")
 
 
 @dataclass
 class NPhaseChunker:
-    per_type: dict[str, Chunker]
-    type_order: tuple[str, ...]  # descending training frequency
+    per_type: dict[str, Chunker]  # descending training frequency: the first type wins
 
 
 TypedChunker = SinglePhaseChunker | DoublePhaseChunker | NPhaseChunker
@@ -387,11 +380,10 @@ def train_typed_chunker(
     gold = SpanArrays.of(gold, sentences.lengths)
 
     if strategy is TypeStrategy.SINGLE_PHASE:
-        cfg = replace(config, typed=True)
-        return SinglePhaseChunker(train_chunker(sentences, gold, cfg, learner_config))
+        return SinglePhaseChunker(train_chunker(sentences, gold, config, learner_config, True))
 
     if strategy is TypeStrategy.DOUBLE_PHASE:
-        cfg = replace(config, typed=False, default_type="CH")
+        cfg = replace(config, default_type="CH")
         boundary = train_chunker(sentences, gold, cfg, learner_config)
         columns = _type_features(sentences, gold)
         labels = code_column([gold.types[t] for t in gold.type_codes.tolist()])
@@ -402,13 +394,12 @@ def train_typed_chunker(
     # N-phase: one boundary chunker per chunk type.
     counts = np.bincount(gold.type_codes, minlength=len(gold.types)).tolist()
     freq = {typ: count for typ, count in zip(gold.types, counts) if count}
-    order = tuple(sorted(freq, key=lambda t: (-freq[t], t)))
     per_type: dict[str, Chunker] = {}
-    for typ in order:
-        cfg = replace(config, typed=False, default_type=typ)
+    for typ in sorted(freq, key=lambda t: (-freq[t], t)):
+        cfg = replace(config, default_type=typ)
         filtered = gold.where(gold.type_codes == gold.types.index(typ))
         per_type[typ] = train_chunker(sentences, filtered, cfg, learner_config)
-    return NPhaseChunker(per_type=per_type, type_order=order)
+    return NPhaseChunker(per_type)
 
 
 def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
@@ -426,13 +417,13 @@ def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
         return replace(boundaries, type_codes=codes, types=types).lists()
 
     # N-phase: run every per-type chunker, then settle token conflicts in
-    # favor of the type more frequent in training.
-    found = {typ: chunk_np(sentences, ch) for typ, ch in chunker.per_type.items()}
+    # favor of the type first in ``per_type``, the more frequent in training.
+    found = [chunk_np(sentences, ch) for ch in chunker.per_type.values()]
     out = []
     for si in range(len(sentences)):
         taken: list[ChunkSpan] = []
-        for typ in chunker.type_order:
-            for span in found[typ][si]:
+        for spans in found:
+            for span in spans[si]:
                 if not any(
                     span.start <= t.end and t.start <= span.end for t in taken
                 ):
@@ -468,27 +459,21 @@ class ClauseBracketer:
     """Open brackets from a majority of three taggers over the raw tokens;
     close brackets from one tagger over the chunk-compressed sentence."""
 
-    open_models: tuple[Model, ...]
-    close_model: Model
-    open_templates: tuple[FeatureTemplate, ...] = CLAUSE_OPEN_TEMPLATES
-    close_template: FeatureTemplate = CLAUSE_CLOSE_TEMPLATE
+    opens: tuple[Tagger, ...]
+    close: Tagger
 
     def predict_opens(self, sentences: Sequence[Sentence]) -> list[list[int]]:
         corpus = CodedCorpus.of(sentences)
-        per_model = [
-            tag_sentences(model, template, corpus)
-            for model, template in zip(self.open_models, self.open_templates)
-        ]
         return [
             [i for i, votes in enumerate(zip(*per_sentence)) if majority_vote(votes) == "("]
-            for per_sentence in zip(*per_model)
+            for per_sentence in zip(*(tagger.tag(corpus) for tagger in self.opens))
         ]
 
     def predict_closes(self, sentences: Sequence[Sentence]) -> list[list[int]]:
         """The last original position of each view token tagged ")"."""
         corpus = CodedCorpus.of(sentences)
         view = _chunk_view(corpus)
-        tags = tag_sentences(self.close_model, self.close_template, corpus.compressed(view))
+        tags = self.close.tag(corpus.compressed(view))
         labels = np.array([t for sentence in tags for t in sentence], dtype=object)
         rows = np.searchsorted(view.orig2cur, np.flatnonzero(labels == ")"), side="right") - 1
         ends = np.cumsum(corpus.lengths, dtype=np.intp)
@@ -509,7 +494,7 @@ def train_clause_bracketer(
     corpus = CodedCorpus.of(sentences)
     clauses = SpanArrays.of(clauses, corpus.lengths, nested=True)
     open_tags = CodedTags(*tag_codes(clauses, Scheme.O, typed=False))  # for all three
-    open_models = tuple(
+    opens = tuple(
         train_tagger(template, corpus, open_tags, learner_config)
         for template in CLAUSE_OPEN_TEMPLATES
     )
@@ -517,9 +502,9 @@ def train_clause_bracketer(
     at = replace(clauses, lengths=view.lengths, starts=view.orig2cur[clauses.starts],
                  ends=view.orig2cur[clauses.ends])
     close_tags = CodedTags(*tag_codes(at, Scheme.C, typed=False))
-    close_model = train_tagger(CLAUSE_CLOSE_TEMPLATE, corpus.compressed(view), close_tags,
-                               learner_config)
-    return ClauseBracketer(open_models, close_model)
+    close = train_tagger(CLAUSE_CLOSE_TEMPLATE, corpus.compressed(view), close_tags,
+                         learner_config)
+    return ClauseBracketer(opens, close)
 
 
 def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[ChunkSpan]]:
@@ -537,20 +522,22 @@ def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[Chun
 
 @dataclass
 class BracketLevel:
-    """Open/close mark predictors for one nesting level; both read the
-    feature columns of one coded corpus per batch."""
+    """Open/close mark predictors for one nesting level: two models of one
+    template, which read the feature columns of one coded corpus per batch."""
 
     template: FeatureTemplate
     open_model: Model
     close_model: Model
     default_type: str = "NP"
 
+    def __post_init__(self):  # refuses a model that does not fit the template
+        self._taggers = [Tagger(self.template, m) for m in (self.open_model, self.close_model)]
+
     def predict(self, corpus: CodedCorpus, view: View, sentences: np.ndarray):
         """Open and close marks of the view tokens of each sentence at
         ``sentences``, indices into ``corpus`` and ``view``."""
         tokens = corpus.compressed(view).take(sentences)
-        otags = tag_sentences(self.open_model, self.template, tokens)
-        ctags = tag_sentences(self.close_model, self.template, tokens)
+        otags, ctags = (tagger.tag(tokens) for tagger in self._taggers)
         return [tuple(_marks(t, self.default_type) for t in pair) for pair in zip(otags, ctags)]
 
 
@@ -685,8 +672,8 @@ def train_bracket_level(
                  ends=view.orig2cur[spans.ends])
     tokens = corpus.compressed(view)  # both models' columns
     open_model, close_model = (
-        train_tagger(template, tokens, CodedTags(*tag_codes(at, scheme, typed)), learner_config)
-        for scheme in (Scheme.O, Scheme.C)
+        train_tagger(template, tokens, CodedTags(*tag_codes(at, s, typed)), learner_config).model
+        for s in (Scheme.O, Scheme.C)
     )
     return BracketLevel(template, open_model, close_model, default_type)
 
@@ -723,7 +710,7 @@ def train_np_parser(
     corpus = CodedCorpus.of(sentences)
     tree, level = tree_levels(SpanArrays.of(gold, corpus.lengths, nested=True))
     base_gold = tree.where(level == 0)
-    base = train_chunker(corpus, base_gold, replace(config, typed=False), learner_config)
+    base = train_chunker(corpus, base_gold, config, learner_config)
     levels = _train_levels(
         corpus, tree, level, config, learner_config, config.np_parse_levels, typed=False
     )

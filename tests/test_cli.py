@@ -722,7 +722,7 @@ def _edited(change):
 def _pass1_model(value):
     """Damage that puts ``value``, no model object, where the IOB1 stream's
     first-pass model belongs."""
-    return _edited(lambda m: m["streams"]["IOB1"].update(pass1_model=value))
+    return _edited(lambda m: m["streams"]["IOB1"]["pass1"].update(model=value))
 
 
 # Damage to a chunker bundle's JSON manifest: each must end the load in one
@@ -741,10 +741,10 @@ MANIFEST_DAMAGE = {
     "model name not text": _pass1_model(3),
     "no representations": _edited(lambda m: m.update(representations=[])),
     "second pass without its template": _edited(
-        lambda m: m["streams"]["O"].pop("pass2_template")),
+        lambda m: m["streams"]["O"]["pass2"].pop("template")),
     "template that does not parse": _edited(
-        lambda m: m["streams"]["O"].update(pass1_template="w[0..")),
-    "nested too deeply": lambda m: '{"format": 5, "streams": ' + "[" * 10**5 + "]" * 10**5 + "}",
+        lambda m: m["streams"]["O"]["pass1"].update(template="w[0..")),
+    "nested too deeply": lambda m: '{"format": 6, "streams": ' + "[" * 10**5 + "]" * 10**5 + "}",
 }
 
 
@@ -806,10 +806,10 @@ class TestBadBundles:
         bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
         shutil.copy(small_bundle / "train.txt", tmp_path / "train.txt")
         manifest = json.loads((bundle / "manifest").read_text())
-        MODEL_DAMAGE[case](manifest["streams"]["IOB1"]["pass1_model"], manifest["symbols"])
+        MODEL_DAMAGE[case](manifest["streams"]["IOB1"]["pass1"]["model"], manifest["symbols"])
         (bundle / "manifest").write_text(json.dumps(manifest))
         line = self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
-        place = r"(streams\.IOB1\.pass1_model|symbols\.\d+)"  # the model or a table of it
+        place = r"(streams\.IOB1\.pass1\.model|symbols\.\d+)"  # the model or a table of it
         assert re.match(rf"error: {re.escape(str(bundle))}: {place}: ", line), line
 
     @pytest.mark.parametrize("case", list(MANIFEST_DAMAGE))
@@ -820,6 +820,58 @@ class TestBadBundles:
         (bundle / "manifest").write_text(MANIFEST_DAMAGE[case](manifest))
         line = self._chunk_exit(bundle, tmp_path, monkeypatch, capsys)
         assert line.startswith(f"error: {bundle}: "), line
+
+
+def _narrowed(*keys):
+    """Damage that puts the 3-feature template ``w[-1..1]`` at ``keys``."""
+    def change(m):
+        for key in keys[:-1]:
+            m = m[key]
+        m[keys[-1]] = "w[-1..1]"
+    return _edited(change)
+
+
+def _type_model_of_three_columns(manifest):
+    for field in ("columns", "weights"):
+        manifest["type_model"][field].pop()
+    return json.dumps(manifest)
+
+
+# Composites whose parts do not fit one another, per tag command: each must
+# end the load in one error line that names the bundle and the part's place.
+MISFIT_DAMAGE = {
+    "opens template of another arity": (
+        "clauses", _narrowed("opens", 1, "template"),
+        "opens.1: template arity 3 does not match model arity 5"),
+    "narrowed close template": (
+        "clauses", _narrowed("close", "template"),
+        "close: template arity 3 does not match model arity 14"),
+    "narrowed pass1 template": (
+        "chunk", _narrowed("streams", "IOB1", "pass1", "template"),
+        "streams.IOB1.pass1: template arity 3 does not match model arity 11"),
+    "lone O representation": (
+        "chunk", _edited(lambda m: m.update(representations=["O"])),
+        "manifest: O or C alone does not determine spans; use O+C"),
+    "type model of three columns": (
+        "chunk-typed", _type_model_of_three_columns,
+        "manifest: type model arity 3 does not match the 4 type features"),
+    "narrowed level template": (
+        "parse", _narrowed("levels", 0, "template"),
+        "levels.0: template arity 3 does not match model arity 10"),
+}
+
+
+@pytest.mark.parametrize("case", list(MISFIT_DAMAGE))
+def test_misfit_parts_are_one_error_line_at_load(case, tag_bundles, tmp_path, monkeypatch,
+                                                 capsys):
+    command, damage, line = MISFIT_DAMAGE[case]
+    model, corpus = tag_bundles[command]
+    bundle = shutil.copytree(model, tmp_path / "model")
+    (bundle / "manifest").write_text(damage(json.loads((bundle / "manifest").read_text())))
+    code, lines = _main_exit(
+        [command, "--model", str(bundle), "--input", str(corpus),
+         "--output", str(tmp_path / "out.txt"), "--workers", "1"], monkeypatch, capsys)
+    assert (code, lines) == (1, [f"error: {bundle}: {line}"])
 
 
 def _child_env():
@@ -868,13 +920,17 @@ def test_warning_made_an_error_is_one_error_line(toy, tmp_path):
     ]
 
 
-@pytest.mark.parametrize("old", ["1", "2", "3"])
+@pytest.mark.parametrize("old", ["1", "2", "3", "5"])
 def test_old_bundle_format_is_one_error_line(old, small_bundle, tmp_path, capsys, monkeypatch):
     # bundles saved before the models stored codes (1), before a bundle
-    # stored its arrays in one file (2), or with an INI manifest (3), must be
-    # retrained
+    # stored its arrays in one file (2), with an INI manifest (3), or with
+    # templates and models in parallel fields (5), must be retrained
     bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
-    (bundle / "manifest").write_text(f"[bundle]\nformat = {old}\nkind = chunker\n")
+    if old == "5":
+        manifest = json.loads((bundle / "manifest").read_text())
+        (bundle / "manifest").write_text(json.dumps({**manifest, "format": 5}))
+    else:
+        (bundle / "manifest").write_text(f"[bundle]\nformat = {old}\nkind = chunker\n")
     monkeypatch.setattr(
         sys, "argv",
         ["mbparse", "chunk", "--model", str(bundle), "--input",

@@ -43,7 +43,7 @@ from mbparse.corpus import write_corpus
 from mbparse.schemes import ChunkSpan, Scheme, encode
 from mbparse.synth import np_chunk_corpus
 
-MODEL = "streams.IOB1.pass1_model"  # the IOB1 stream's first-pass model
+MODEL = "streams.IOB1.pass1.model"  # the IOB1 stream's first-pass model
 
 CONFIG = """[run]
 workers = 1
@@ -186,7 +186,7 @@ def edited_run(originals, tmp_path, name, line, text):
 
 def iob1_model(manifest: dict) -> dict:
     """The IOB1 stream's first-pass model object in a manifest's data."""
-    return manifest["streams"]["IOB1"]["pass1_model"]
+    return manifest["streams"]["IOB1"]["pass1"]["model"]
 
 
 def model_run(originals, tmp_path, change):
@@ -354,7 +354,7 @@ def test_code_equal_to_table_size_is_one_error_line(tmp_path, symbols):
     codes_at = [int(span.split(",")[0]) for span, _ in entries]
     sizes = [len(manifest["symbols"][table]) for _, table in entries]
     at = codes_at[sizes.index(symbols)]
-    column = load_chunker(model).streams[Scheme.IOB1].pass1_model.instances.columns[
+    column = load_chunker(model).streams[Scheme.IOB1].pass1.model.instances.columns[
         sizes.index(symbols)
     ]
     assert column.dtype == (np.uint8 if symbols == 255 else np.uint16)

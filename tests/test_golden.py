@@ -22,11 +22,12 @@ from mbparse.synth import (
     typed_chunk_corpus,
 )
 
-# bundle format 5: a JSON manifest that holds the models and their symbol
-# tables, and one int32 .npy array file of code columns
+# bundle format 6: a JSON manifest that holds the models and their symbol
+# tables, each template beside its model, and one int32 .npy array file of
+# code columns
 BUNDLE_DIGESTS = {
-    "np-chunk": "8d0852aca8639d4e91c1b1433e233e98cd990bedb109facca7ad8a8183914678",
-    "full-parse": "f8d38398bfd1fbc335ba7af462931b7d2a68f53257b832e759b66727e7418853",
+    "np-chunk": "dc5fbeec316bc764bc933f2438178b4475d79ac451a88a9e5cd8c74c0e64f74e",
+    "full-parse": "a11b3e95604f954d8de2d5689d18ed9fd03418a721e563e9bcc1c1e8e585dc38",
 }
 # ``chunk`` and ``parse`` outputs of the bundles above on 20 held-out sentences
 TAG_DIGESTS = {
@@ -35,15 +36,16 @@ TAG_DIGESTS = {
 }
 # bundles of the typed chunker (under each type strategy), the clause
 # bracketer and the noun-phrase parser, trained on 80 seeded sentences
+# (format 6, as above)
 MORE_BUNDLE_DIGESTS = {
     ("typed-chunk", "single_phase"):
-        "574f4c7411ecc75d454f6d044c2c01d8c1c4d7f21ed81473cb9fbfe447683e0d",
+        "776775e664ccacb88e665f7accec45eaa926818f1d8de8208325750831b3ac93",
     ("typed-chunk", "double_phase"):
-        "03888a2593e97443c5790485049a4123496edf14534ba9f42c6b2e148877a3bf",
+        "6c7e9c5cf71a1594e688fe115fa528b7da5d284595cd552e46420ac4be1c8804",
     ("typed-chunk", "n_phase"):
-        "52564173b4f944ae90cef265aec42c540f4574ca50ddc59d3ff38122a562c24d",
-    ("clauses", None): "23f8a1b22cce6b8cce97fce72b76bb1c4175a418e5cf7ce7a3ae256887e9c35d",
-    ("np-parse", None): "d220b733b2adf46e8a8a662a8ea3cd8734dd5754d7f133d586c4d2b14795f164",
+        "f032f0a50ebe1ba6ad54709f9c071c13205e697de87fc17d165a0f12b8077ae6",
+    ("clauses", None): "b41ff3e9f4f6fd6eedcb79d141ad3aca1e6a1aaf000c1bab619ddd483fab0b99",
+    ("np-parse", None): "d22ba31419d50a5d7c4cc679f3c5c3c3e9727bee579456b5ce6597723ee9dcbe",
 }
 # outputs of the tag command of each bundle above on 20 held-out sentences
 MORE_TAG_DIGESTS = {

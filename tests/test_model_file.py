@@ -251,12 +251,12 @@ def test_bundle_models_share_columns_and_label_arrays(tmp_path, monkeypatch):
         loads = recording_loads(monkeypatch)
         if name == "chunker":
             streams = load_chunker(tmp_path / name).streams.values()
-            models = [m for s in streams for m in (s.pass1_model, s.pass2_model)]
+            models = [t.model for s in streams for t in (s.pass1, s.pass2)]
             assert len(models) == 8
             assert len({id(m.instances.label_codes) for m in models}) == 4
             for stream in streams:
-                assert (stream.pass1_model.instances.label_codes
-                        is stream.pass2_model.instances.label_codes)
+                assert (stream.pass1.model.instances.label_codes
+                        is stream.pass2.model.instances.label_codes)
         else:
             levels = load_full_parser(tmp_path / name).levels
             assert levels

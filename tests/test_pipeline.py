@@ -3,6 +3,7 @@ import json
 import tempfile
 import types
 import typing
+from collections import Counter
 from enum import Enum
 from pathlib import Path
 
@@ -26,12 +27,15 @@ from mbparse.folds import (
 )
 from mbparse.learner import LearnerConfig
 from mbparse.pipeline import (
+    BracketLevel,
     Chunker,
+    DoublePhaseChunker,
     FullParser,
     NPhaseChunker,
     NpParser,
     PipelineConfig,
     SinglePhaseChunker,
+    Tagger,
     TypeStrategy,
     chunk_corpus_detail,
     chunk_np,
@@ -39,11 +43,11 @@ from mbparse.pipeline import (
     identify_clauses,
     parse_full,
     parse_np,
-    tag_sentences,
     train_chunker,
     train_clause_bracketer,
     train_full_parser,
     train_np_parser,
+    train_tagger,
     train_typed_chunker,
     tree_levels,
 )
@@ -108,6 +112,16 @@ class TestChunkNp:
         chunker = oracle_chunker(gold)
         with pytest.raises(ConfigError):
             chunk_np(sents, Chunker(streams={}, representations=chunker.representations))
+
+    @pytest.mark.parametrize("rep", [Scheme.O, Scheme.C])
+    def test_lone_open_or_close_representation(self, rep):
+        """One refusal serves a configuration and a chunker built of parts."""
+        gold = np_chunk_corpus(3, seed=2)[1]
+        streams = {s: OracleStream(s, gold) for s in (Scheme.O, Scheme.C)}
+        for build in (lambda: PipelineConfig(representations=(rep,)),
+                      lambda: Chunker(streams, (rep,))):
+            with pytest.raises(ConfigError, match="O or C alone does not determine spans"):
+                build()
 
     def test_trained_chunker_reasonable_and_flat(self):
         tr_s, tr_g = np_chunk_corpus(80, seed=3)
@@ -287,7 +301,7 @@ class TestChunkTyped:
         tr_s, tr_g = typed_chunk_corpus(60, seed=9)
         te_s, te_g = typed_chunk_corpus(20, seed=82)
         chunker = train_typed_chunker(tr_s, tr_g, TypeStrategy.N_PHASE)
-        assert chunker.type_order[0] == "NP"  # most frequent type first
+        assert next(iter(chunker.per_type)) == "NP"  # most frequent type first
         out = chunk_typed(te_s, chunker)
         assert score(out, te_g).f > 60.0
 
@@ -296,11 +310,10 @@ class TestChunkTyped:
         np_gold = [[ChunkSpan(0, 1, "NP")]]
         vp_gold = [[ChunkSpan(1, 2, "VP")]]
         chunker = NPhaseChunker(
-            per_type={
+            per_type={  # NP first: more frequent in training
                 "NP": oracle_chunker(np_gold, default_type="NP"),
                 "VP": oracle_chunker(vp_gold, default_type="VP"),
             },
-            type_order=("NP", "VP"),  # NP more frequent in training
         )
         out = chunk_typed(sents, chunker)
         assert out == [[ChunkSpan(0, 1, "NP")]]
@@ -474,8 +487,8 @@ def predict_per_model(level, corpus, view, sentences):
     once for each of its two models."""
     views = view_sentences(corpus, view)
     tokens = [views[si][0] for si in sentences.tolist()]
-    otags = tag_sentences(level.open_model, level.template, tokens)
-    ctags = tag_sentences(level.close_model, level.template, tokens)
+    otags = Tagger(level.template, level.open_model).tag(tokens)
+    ctags = Tagger(level.template, level.close_model).tag(tokens)
     return [
         (
             [mark_type(t, level.default_type) for t in o],
@@ -548,20 +561,17 @@ class TestOneCodedCorpus:
         coded = self.channel_codings(monkeypatch)
         chunker = train_chunker(sentences, gold)
         streams = chunker.streams.values()
-        with_context = sum(1 for st in streams if st.pass2_model is not None)
+        with_context = sum(1 for st in streams if st.pass2 is not None)
         assert with_context == 4
         self.assert_words_and_pos_coded_once(coded, sentences)
         assert len(coded) == 2 + with_context  # each pass-2 context, once
         shared = {}
         for st in streams:
             # each scheme's tags are coded once, for both passes
-            assert st.pass2_model.instances.label_codes is st.pass1_model.instances.label_codes
-            assert not st.pass1_model.instances.label_codes.flags.writeable
-            for model, template in (
-                (st.pass1_model, st.pass1_template),
-                (st.pass2_model, st.pass2_template),
-            ):
-                for atom, column in model_columns(model, template).items():
+            assert st.pass2.model.instances.label_codes is st.pass1.model.instances.label_codes
+            assert not st.pass1.model.instances.label_codes.flags.writeable
+            for tagger in (st.pass1, st.pass2):
+                for atom, column in model_columns(tagger.model, tagger.template).items():
                     assert not column.flags.writeable
                     if atom[0] != "c":
                         assert shared.setdefault(atom, column) is column
@@ -590,13 +600,42 @@ class TestOneCodedCorpus:
         bracketer = train_clause_bracketer(sentences, forests)
         assert len(coded) == 3  # w, p, c once; the close view's w and p come coded
         shared = {}
-        for model, template in zip(bracketer.open_models, bracketer.open_templates):
-            assert model.instances.label_codes is bracketer.open_models[0].instances.label_codes
-            for atom, column in model_columns(model, template).items():
+        labels = bracketer.opens[0].model.instances.label_codes
+        for tagger in bracketer.opens:
+            assert tagger.model.instances.label_codes is labels
+            for atom, column in model_columns(tagger.model, tagger.template).items():
                 assert shared.setdefault(atom, column) is column
         coded.clear()
         bracketer.predict_opens(sentences)
         assert len(coded) == 3
+
+
+def model_of(template: str):
+    """A model of ``template``'s features, trained on a few sentences."""
+    sents, gold = np_chunk_corpus(5, seed=61)
+    tags = [encode(g, Scheme.IOB1, len(s)) for s, g in zip(sents, gold)]
+    return train_tagger(parse_template(template), sents, tags, LearnerConfig(k=1)).model
+
+
+class TestParts:
+    """A template and a model that differ in arity are refused when they are
+    put together, not when a query reaches the model."""
+
+    def test_tagger(self):
+        model = model_of("w[-1..1]")
+        assert Tagger(parse_template("p[-2,0,2]"), model).model is model
+        with pytest.raises(DomainError, match="^template arity 2 does not match model arity 3$"):
+            Tagger(parse_template("w[0..1]"), model)
+
+    def test_bracket_level_fits_both_models(self):
+        fits, wide = model_of("w[-1..1]"), model_of("w[-2..2]")
+        for open_model, close_model in ((fits, wide), (wide, fits)):
+            with pytest.raises(DomainError, match="template arity 3 does not match model arity 5"):
+                BracketLevel(parse_template("w[-1..1]"), open_model, close_model)
+
+    def test_double_phase_type_model_reads_four_columns(self):
+        with pytest.raises(DomainError, match="type model arity 3 does not match the 4 type"):
+            DoublePhaseChunker(oracle_chunker([]), model_of("w[-1..1]"))
 
 
 class TestBracketLevel:
@@ -769,6 +808,32 @@ class TestBundles:
             loaded = load_typed_chunker(path)
             te_s, _ = typed_chunk_corpus(8, seed=27)
             assert chunk_typed(te_s, loaded) == chunk_typed(te_s, chunker)
+
+    def test_n_phase_order_survives_and_decides_overlaps(self, tmp_path):
+        """``per_type``'s order is the only type order: a save and a load
+        keep it, and of overlapping spans the type first in it wins."""
+        tr_s, tr_g = typed_chunk_corpus(40, seed=26)
+        trained = train_typed_chunker(tr_s, tr_g, TypeStrategy.N_PHASE)
+        counts = Counter(span.type for spans in tr_g for span in spans)
+        assert list(trained.per_type) == sorted(counts, key=lambda t: (-counts[t], t))
+        bundles.save_typed_chunker(trained, tmp_path / "trained")
+        loaded = bundles.load_typed_chunker(tmp_path / "trained")
+        assert list(loaded.per_type) == list(trained.per_type)
+
+        te_s, _ = typed_chunk_corpus(8, seed=27)
+        np_chunker = loaded.per_type["NP"]
+        found = chunk_np(te_s, np_chunker)
+        assert any(found)
+        for order in (("A", "B"), ("B", "A")):  # one chunker's spans under two types
+            twin = NPhaseChunker({t: dataclasses.replace(np_chunker, default_type=t)
+                                  for t in order})
+            bundles.save_typed_chunker(twin, tmp_path / "".join(order))
+            twin = bundles.load_typed_chunker(tmp_path / "".join(order))
+            assert list(twin.per_type) == list(order)
+            assert chunk_typed(te_s, twin) == [
+                [dataclasses.replace(span, type=order[0]) for span in spans]
+                for spans in found
+            ]
 
     def test_clause_round_trip(self, tmp_path):
         from mbparse.bundles import load_clause_bracketer, save_clause_bracketer

@@ -18,7 +18,7 @@ from mbparse.pipeline import (
     DEFAULT_PASS1,
     DEFAULT_PASS2,
     PipelineConfig,
-    tag_sentences,
+    Tagger,
     train_clause_bracketer,
     train_tagger,
     train_two_pass_stream,
@@ -165,12 +165,12 @@ def two_phase_cv_reference(sections, gold, scheme, t1, t2, learner_config, plan)
                 ]
             else:
                 inner_model = train_recorded(pass1_instances(*concat(fold.inner[y])))
-                ctx = tag_sentences(inner_model, t1, sections[y])
+                ctx = Tagger(t1, inner_model).tag(sections[y])
                 train_prov.update(fold.inner[y])
             inst2.extend(pass2_instances(sections[y], gold[y], ctx))
         model2 = train_recorded(inst2)
-        test_ctx = tag_sentences(model1, t1, sections[x])
-        tags = tag_sentences(model2, t2, sections[x], test_ctx)
+        test_ctx = Tagger(t1, model1).tag(sections[x])
+        tags = Tagger(t2, model2).tag(sections[x], test_ctx)
         provenance = frozenset(train_prov) | frozenset(fold.phase1_train)
         results[x] = folds.SectionResult(tags=tuple(map(tuple, tags)), provenance=provenance)
     return results, datasets
@@ -226,9 +226,9 @@ class TestContextMismatch:
             train_tagger(self.template, self.sents, self.tags, LCFG, context=edit(self.tags))
 
     def test_tag_sentences(self, edit):
-        model = train_tagger(self.template, self.sents, self.tags, LCFG, context=self.tags)
+        tagger = train_tagger(self.template, self.sents, self.tags, LCFG, context=self.tags)
         with pytest.raises(DomainError, match="context does not line up"):
-            tag_sentences(model, self.template, self.sents, edit(self.tags))
+            tagger.tag(self.sents, edit(self.tags))
 
 
 @pytest.mark.parametrize(
@@ -249,16 +249,16 @@ def test_two_pass_stream_matches_reference(corpus, scheme, typed):
     inst1, inst2 = two_pass_reference(
         sents, gold, scheme, DEFAULT_PASS1[scheme], DEFAULT_PASS2[scheme], typed
     )
-    assert decoded_instances(stream.pass1_model.instances) == list(inst1)
-    assert decoded_instances(stream.pass2_model.instances) == list(inst2)
+    assert decoded_instances(stream.pass1.model.instances) == list(inst1)
+    assert decoded_instances(stream.pass2.model.instances) == list(inst2)
 
 
 def test_clause_bracketer_matches_reference():
     sents, _, forests = clause_corpus(30, seed=68)
     bracketer = train_clause_bracketer(sents, forests, LCFG)
     opens, close = clause_reference(sents, forests)
-    assert [tuple(decoded_instances(m.instances)) for m in bracketer.open_models] == opens
-    assert tuple(decoded_instances(bracketer.close_model.instances)) == close
+    assert [tuple(decoded_instances(t.model.instances)) for t in bracketer.opens] == opens
+    assert tuple(decoded_instances(bracketer.close.model.instances)) == close
 
 
 @pytest.mark.parametrize(
