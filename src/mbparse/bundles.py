@@ -1,24 +1,24 @@
 """Saving and loading composite models as a bundle: a directory that holds
 one JSON ``manifest`` and one array file, ``arrays.npy``.
 
-The manifest is JSON (format 6).  One walker writes the composite's
+The manifest is JSON (format 7).  One walker writes the composite's
 dataclasses into it, each as an object of its ``"class"`` and its fields
-that are not None.  A dict is an object, a list or tuple an array, a
-template or an enum its text, and a model an object of its settings,
-weights and class counts that names each of its code columns as a
-``[span, table index]`` pair (see ``learner``): an ``offset,length`` slice
-of ``arrays.npy`` and a place in the manifest's top-level ``"symbols"``, an
-array that holds each distinct symbol table once as a list of strings.  A
-load reads each value back as its field's annotation says, so a reloaded
-bundle is what training built; a model's fault, or parts of a composite
-that do not fit (a ``pipeline.Tagger``'s template and model of two
-arities), is one ``DomainError`` that names its place in the manifest, the
-field names and keys that lead to it (``streams.IOB1.pass1.model``; the
-top level is ``manifest``).
-Bundles of an earlier format (1: models as text; 2: one ``.npy`` file per
-array; 3: an INI manifest; 4: a text header per model; 5: templates and
-models in parallel fields, n-phase type order in a list) no longer load:
-retrain them.
+that are not None: its ``pipeline.Tagger``s and the settings that tagging
+reads.  A dict is an object, a list or tuple an array, a template or an
+enum its text, and a model an object of its settings, weights and class
+counts that names each of its code columns as a ``[span, table index]``
+pair (see ``learner``): an ``offset,length`` slice of ``arrays.npy`` and a
+place in the manifest's top-level ``"symbols"``, an array that holds each
+distinct symbol table once as a list of strings.  A load reads each value
+back as its field's annotation says, so a reloaded bundle is what training
+built.  A key that is neither ``"class"`` nor a field (nor ``"format"`` or
+``"symbols"`` at the top), a model's fault, or parts that do not fit (a
+``Tagger``'s template and model of two arities) is one ``DomainError`` that
+names its place, the field names and keys that lead to it
+(``streams.IOB1.pass1``; the top is ``manifest``).  Earlier formats (1:
+models as text; 2: a ``.npy`` file per array; 3: an INI manifest; 4: a text
+header per model; 5: parallel template and model fields; 6: fields that
+tagging never read) no longer load: retrain them.
 
 The components of a composite are trained on the same tokens, so they
 repeat columns and symbol tables.  A ``save_*`` call stores each distinct
@@ -39,7 +39,7 @@ from .features import FeatureTemplate, format_template, parse_template
 from .learner import BundleReader, BundleStore, Model, json_value, load_model, save_model
 from .pipeline import Chunker, ClauseBracketer, FullParser, NpParser, TypedChunker
 
-_FORMAT = 6
+_FORMAT = 7
 
 
 def _dump(value, store: BundleStore):
@@ -89,6 +89,9 @@ def _load(kind, data, place: str, arrays: BundleReader):
     cls = next((c for c in options if c.__name__ == name), None)
     if cls is None:
         raise ValueError(f"a {name!r} where a {' or '.join(c.__name__ for c in options)} belongs")
+    unread = data.keys() - {"class", *(f.name for f in dataclasses.fields(cls))}
+    if unread:
+        raise arrays.fault(place[:-1] or "manifest", f"{name} has no field {min(unread)!r}")
     values = {
         f.name: _load(f.type, data[f.name], f"{place}{f.name}.", arrays)
         for f in dataclasses.fields(cls)
@@ -119,11 +122,11 @@ def _load_bundle(kind, path):
             manifest = json.load(fh)
     except (ValueError, RecursionError):  # an INI manifest of format 1-3, or damage
         manifest = None
-    if not isinstance(manifest, dict) or manifest.get("format") != _FORMAT:
+    if not isinstance(manifest, dict) or manifest.pop("format", None) != _FORMAT:
         raise DomainError(f"{path}: unsupported bundle format")
     array_file = os.path.join(path, "arrays.npy")
     try:
-        symbols = json_value(manifest["symbols"], list)
+        symbols = json_value(manifest.pop("symbols"), list)
         with open(array_file, "rb") as fh:
             return _load(kind, manifest, "", BundleReader(path, symbols, fh))
     except FileNotFoundError:

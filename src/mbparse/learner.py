@@ -742,6 +742,9 @@ def load_model(data, place: str, arrays: BundleReader) -> Model:
         raise arrays.fault(place, f"lacks {exc}") from None
     except ValueError as exc:  # a LearnerConfig's DomainError too
         raise arrays.fault(place, f"bad value: {exc}") from None
+    unread = data.keys() - {"k", "tie_policy", "fallback", "weights", "counts", "labels", "columns"}
+    if unread:
+        raise arrays.fault(place, f"Model has no field {min(unread)!r}")
     if not entries:
         raise arrays.fault(place, "instance needs at least one feature")
     if len(weights) != len(entries):

@@ -12,7 +12,7 @@ template and its model side by side, which refuses a model of another arity
 and tags on coded feature columns (``features.extract``).  Every
 path that applies several templates to one sentence list (a chunker's
 streams and passes, the typed strategies, the clause bracketer's open
-taggers, a bracket level's open and close models) builds one
+taggers, a bracket level's open and close taggers) builds one
 ``features.CodedCorpus`` of it and passes that down, so each word, POS and
 chunk-tag column is coded once and shared.  Chunker trainers take gold spans
 per sentence or as ``schemes.SpanArrays`` and turn them into arrays once;
@@ -196,7 +196,6 @@ class TwoPassStream:
     """One data representation's tagger: a first pass over words and POS tags
     and an optional second pass that also sees the first pass's output."""
 
-    scheme: Scheme
     pass1: Tagger
     pass2: Tagger | None = None
 
@@ -224,7 +223,7 @@ def train_two_pass_stream(
     pass2 = None
     if pass2_template is not None and pass2_template.chunks:
         pass2 = train_tagger(pass2_template, corpus, labels, learner_config, labels)
-    return TwoPassStream(scheme, pass1, pass2)
+    return TwoPassStream(pass1, pass2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +233,8 @@ def train_two_pass_stream(
 @dataclass
 class Chunker:
     """Per-stream taggers plus the settings that combine them: the
-    representations to vote and the type of an untyped bracket."""
+    representations to vote, one stream per scheme they need, and the type
+    of an untyped bracket."""
 
     streams: dict[Scheme, TwoPassStream]
     representations: tuple[Scheme, ...]
@@ -243,10 +243,12 @@ class Chunker:
     def __post_init__(self):
         if not self.representations:
             raise ConfigError("need at least one representation")
-        for rep in self.representations:
-            for scheme in _streams_for(rep):
-                if scheme not in self.streams:
-                    raise ConfigError(f"no model for configured representation {scheme.value}")
+        voted = dict.fromkeys(s for rep in self.representations for s in _streams_for(rep))
+        for scheme in [*voted, *self.streams]:
+            if scheme not in self.streams:
+                raise ConfigError(f"no model for configured representation {scheme.value}")
+            if scheme not in voted:
+                raise DomainError(f"stream {scheme.value} is not voted")
 
 
 def train_chunker(
@@ -281,9 +283,8 @@ def _brackets(chunker: Chunker, corpus: CodedCorpus) -> list[tuple[list, list]]:
     an IOB or IOE stream is decoded once, and its marks are the types of
     its spans at their starts and ends."""
     reps, typ = chunker.representations, chunker.default_type
-    needed = dict.fromkeys(s for rep in reps for s in _streams_for(rep))
-    tags = {scheme: [t for s in chunker.streams[scheme].tag_corpus(corpus) for t in s]
-            for scheme in needed}
+    tags = {scheme: [t for s in stream.tag_corpus(corpus) for t in s]
+            for scheme, stream in chunker.streams.items()}
     brackets = []
     for rep in reps:
         if rep is Scheme.OC:
@@ -329,11 +330,6 @@ def chunk_np(sentences: Sequence[Sentence], chunker: Chunker):
 
 
 @dataclass
-class SinglePhaseChunker:
-    chunker: Chunker  # trained on typed tags
-
-
-@dataclass
 class DoublePhaseChunker:
     boundary: Chunker  # untyped
     type_model: Model  # reads the 4 columns of _type_features
@@ -346,10 +342,10 @@ class DoublePhaseChunker:
 
 @dataclass
 class NPhaseChunker:
-    per_type: dict[str, Chunker]  # descending training frequency: the first type wins
+    chunkers: list[Chunker]  # one per default_type, most frequent first: it wins
 
 
-TypedChunker = SinglePhaseChunker | DoublePhaseChunker | NPhaseChunker
+TypedChunker = Chunker | DoublePhaseChunker | NPhaseChunker  # single-phase: a Chunker
 
 
 def _type_features(corpus: CodedCorpus, chunks: SpanArrays) -> FeatureColumns:
@@ -380,7 +376,7 @@ def train_typed_chunker(
     gold = SpanArrays.of(gold, sentences.lengths)
 
     if strategy is TypeStrategy.SINGLE_PHASE:
-        return SinglePhaseChunker(train_chunker(sentences, gold, config, learner_config, True))
+        return train_chunker(sentences, gold, config, learner_config, True)
 
     if strategy is TypeStrategy.DOUBLE_PHASE:
         cfg = replace(config, default_type="CH")
@@ -394,19 +390,18 @@ def train_typed_chunker(
     # N-phase: one boundary chunker per chunk type.
     counts = np.bincount(gold.type_codes, minlength=len(gold.types)).tolist()
     freq = {typ: count for typ, count in zip(gold.types, counts) if count}
-    per_type: dict[str, Chunker] = {}
-    for typ in sorted(freq, key=lambda t: (-freq[t], t)):
-        cfg = replace(config, default_type=typ)
-        filtered = gold.where(gold.type_codes == gold.types.index(typ))
-        per_type[typ] = train_chunker(sentences, filtered, cfg, learner_config)
-    return NPhaseChunker(per_type)
+    return NPhaseChunker([
+        train_chunker(sentences, gold.where(gold.type_codes == gold.types.index(typ)),
+                      replace(config, default_type=typ), learner_config)
+        for typ in sorted(freq, key=lambda t: (-freq[t], t))
+    ])
 
 
 def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
     """Typed chunk spans per sentence, per the chunker's strategy."""
     sentences = CodedCorpus.of(sentences)  # every strategy's chunkers read it
-    if isinstance(chunker, SinglePhaseChunker):
-        return chunk_np(sentences, chunker.chunker)
+    if isinstance(chunker, Chunker):  # single-phase
+        return chunk_np(sentences, chunker)
 
     if isinstance(chunker, DoublePhaseChunker):
         boundaries = SpanArrays.of(chunk_np(sentences, chunker.boundary), sentences.lengths)
@@ -417,16 +412,14 @@ def chunk_typed(sentences: Sequence[Sentence], chunker: TypedChunker):
         return replace(boundaries, type_codes=codes, types=types).lists()
 
     # N-phase: run every per-type chunker, then settle token conflicts in
-    # favor of the type first in ``per_type``, the more frequent in training.
-    found = [chunk_np(sentences, ch) for ch in chunker.per_type.values()]
+    # favor of the chunker first in ``chunkers``, the more frequent in training.
+    found = [chunk_np(sentences, ch) for ch in chunker.chunkers]
     out = []
     for si in range(len(sentences)):
         taken: list[ChunkSpan] = []
         for spans in found:
             for span in spans[si]:
-                if not any(
-                    span.start <= t.end and t.start <= span.end for t in taken
-                ):
+                if not any(span.start <= t.end and t.start <= span.end for t in taken):
                     taken.append(span)
         out.append(sorted(taken))
     return out
@@ -461,6 +454,10 @@ class ClauseBracketer:
 
     opens: tuple[Tagger, ...]
     close: Tagger
+
+    def __post_init__(self):
+        if len(self.opens) != 3:
+            raise DomainError(f"{len(self.opens)} open taggers; the open vote takes 3")
 
     def predict_opens(self, sentences: Sequence[Sentence]) -> list[list[int]]:
         corpus = CodedCorpus.of(sentences)
@@ -522,22 +519,18 @@ def identify_clauses(sentences: Sequence[Sentence], bracketer) -> list[list[Chun
 
 @dataclass
 class BracketLevel:
-    """Open/close mark predictors for one nesting level: two models of one
-    template, which read the feature columns of one coded corpus per batch."""
+    """Open/close mark taggers for one nesting level, which read one coded
+    corpus per batch."""
 
-    template: FeatureTemplate
-    open_model: Model
-    close_model: Model
+    open: Tagger
+    close: Tagger
     default_type: str = "NP"
-
-    def __post_init__(self):  # refuses a model that does not fit the template
-        self._taggers = [Tagger(self.template, m) for m in (self.open_model, self.close_model)]
 
     def predict(self, corpus: CodedCorpus, view: View, sentences: np.ndarray):
         """Open and close marks of the view tokens of each sentence at
         ``sentences``, indices into ``corpus`` and ``view``."""
         tokens = corpus.compressed(view).take(sentences)
-        otags, ctags = (tagger.tag(tokens) for tagger in self._taggers)
+        otags, ctags = self.open.tag(tokens), self.close.tag(tokens)
         return [tuple(_marks(t, self.default_type) for t in pair) for pair in zip(otags, ctags)]
 
 
@@ -670,12 +663,11 @@ def train_bracket_level(
     compressed by the gold structure below that level."""
     at = replace(spans, lengths=view.lengths, starts=view.orig2cur[spans.starts],
                  ends=view.orig2cur[spans.ends])
-    tokens = corpus.compressed(view)  # both models' columns
-    open_model, close_model = (
-        train_tagger(template, tokens, CodedTags(*tag_codes(at, s, typed)), learner_config).model
+    tokens = corpus.compressed(view)  # both taggers' columns
+    return BracketLevel(*(
+        train_tagger(template, tokens, CodedTags(*tag_codes(at, s, typed)), learner_config)
         for s in (Scheme.O, Scheme.C)
-    )
-    return BracketLevel(template, open_model, close_model, default_type)
+    ), default_type)
 
 
 def _train_levels(corpus, tree, levels, config, learner_config, count, typed):

@@ -246,7 +246,7 @@ class TestTypedAndParsers:
         assert "NP" in capsys.readouterr().out
 
     def test_n_phase_types_with_path_characters(self, tmp_path, capsys):
-        # an n-phase chunker keeps one chunker per chunk type, keyed by the
+        # an n-phase chunker keeps one chunker per chunk type, its default
         # type in the manifest; "A/B", "A%2FB" and ".." must stay apart and
         # name no file
         rename = {"NP": "A/B", "VP": "A%2FB", "PP": ".."}
@@ -262,7 +262,7 @@ class TestTypedAndParsers:
         ) == 0
         assert sorted(p.name for p in (tmp_path / "m").iterdir()) == ["arrays.npy", "manifest"]
         manifest = json.loads((tmp_path / "m" / "manifest").read_text(encoding="utf-8"))
-        assert set(rename.values()) <= set(manifest["per_type"])
+        assert set(rename.values()) <= {c["default_type"] for c in manifest["chunkers"]}
         assert run_command(
             ["chunk-typed", "--model", str(tmp_path / "m"),
              "--input", str(tmp_path / "gold.txt"),
@@ -744,7 +744,7 @@ MANIFEST_DAMAGE = {
         lambda m: m["streams"]["O"]["pass2"].pop("template")),
     "template that does not parse": _edited(
         lambda m: m["streams"]["O"]["pass1"].update(template="w[0..")),
-    "nested too deeply": lambda m: '{"format": 6, "streams": ' + "[" * 10**5 + "]" * 10**5 + "}",
+    "nested too deeply": lambda m: '{"format": 7, "streams": ' + "[" * 10**5 + "]" * 10**5 + "}",
 }
 
 
@@ -837,8 +837,34 @@ def _type_model_of_three_columns(manifest):
     return json.dumps(manifest)
 
 
-# Composites whose parts do not fit one another, per tag command: each must
-# end the load in one error line that names the bundle and the part's place.
+def _level_of_format_6(m):
+    """The first cascade level as format 6 kept it: one template beside two
+    bare models."""
+    level = m["levels"][0]
+    m["levels"][0] = {"class": "BracketLevel", "template": level["open"]["template"],
+                      "open_model": level["open"]["model"],
+                      "close_model": level["close"]["model"],
+                      "default_type": level["default_type"]}
+
+
+def _chunkers_by_type(m):
+    """The double-phase bundle's boundary chunker as an n-phase chunker's
+    one chunker, keyed by its type as format 6 kept them."""
+    boundary = m.pop("boundary")
+    m.pop("type_model")
+    m.update({"class": "NPhaseChunker", "per_type": {boundary["default_type"]: boundary}})
+
+
+def _single_phase_of_format_6(m):
+    """The typed chunker in the wrapper that format 6 kept a single-phase
+    chunker in."""
+    chunker = {key: m.pop(key) for key in list(m) if key not in ("format", "symbols")}
+    m.update({"class": "SinglePhaseChunker", "chunker": chunker})
+
+
+# Composites whose parts do not fit one another, or that hold a key that a
+# load does not read, per tag command: each must end the load in one error
+# line that names the bundle and the part's place.
 MISFIT_DAMAGE = {
     "opens template of another arity": (
         "clauses", _narrowed("opens", 1, "template"),
@@ -856,8 +882,42 @@ MISFIT_DAMAGE = {
         "chunk-typed", _type_model_of_three_columns,
         "manifest: type model arity 3 does not match the 4 type features"),
     "narrowed level template": (
-        "parse", _narrowed("levels", 0, "template"),
-        "levels.0: template arity 3 does not match model arity 10"),
+        "parse", _narrowed("levels", 0, "open", "template"),
+        "levels.0.open: template arity 3 does not match model arity 10"),
+    "stream scheme": (
+        "chunk", _edited(lambda m: m["streams"]["IOB1"].update(scheme="IOE2")),
+        "streams.IOB1: TwoPassStream has no field 'scheme'"),
+    "second pass renamed": (
+        "chunk", _edited(lambda m: m["streams"]["IOB1"].update(
+            pass_2=m["streams"]["IOB1"].pop("pass2"))),
+        "streams.IOB1: TwoPassStream has no field 'pass_2'"),
+    "stream that is not voted": (
+        "chunk", _edited(lambda m: m["streams"].update(IOB2=m["streams"]["IOB1"])),
+        "manifest: stream IOB2 is not voted"),
+    "junk in a model object": (
+        "chunk", _edited(lambda m: m["streams"]["IOB1"]["pass1"]["model"].update(junk=1)),
+        "streams.IOB1.pass1.model: Model has no field 'junk'"),
+    "junk at the manifest top": (
+        "chunk", _edited(lambda m: m.update(junk=1)), "manifest: Chunker has no field 'junk'"),
+    "n-phase chunkers keyed by type": (
+        "chunk-typed", _edited(_chunkers_by_type),
+        "manifest: NPhaseChunker has no field 'per_type'"),
+    "single-phase wrapper": (
+        "chunk-typed", _edited(_single_phase_of_format_6),
+        "malformed bundle: a 'SinglePhaseChunker' where a Chunker or DoublePhaseChunker "
+        "or NPhaseChunker belongs"),
+    "two open taggers": (
+        "clauses", _edited(lambda m: m["opens"].pop()),
+        "manifest: 2 open taggers; the open vote takes 3"),
+    "four open taggers": (
+        "clauses", _edited(lambda m: m["opens"].append(m["opens"][0])),
+        "manifest: 4 open taggers; the open vote takes 3"),
+    "junk in a cascade level": (
+        "parse", _edited(lambda m: m["levels"][0].update(junk=1)),
+        "levels.0: BracketLevel has no field 'junk'"),
+    "level template beside bare models": (
+        "parse", _edited(_level_of_format_6),
+        "levels.0: BracketLevel has no field 'close_model'"),
 }
 
 
@@ -920,15 +980,16 @@ def test_warning_made_an_error_is_one_error_line(toy, tmp_path):
     ]
 
 
-@pytest.mark.parametrize("old", ["1", "2", "3", "5"])
+@pytest.mark.parametrize("old", ["1", "2", "3", "5", "6"])
 def test_old_bundle_format_is_one_error_line(old, small_bundle, tmp_path, capsys, monkeypatch):
     # bundles saved before the models stored codes (1), before a bundle
-    # stored its arrays in one file (2), with an INI manifest (3), or with
-    # templates and models in parallel fields (5), must be retrained
+    # stored its arrays in one file (2), with an INI manifest (3), with
+    # templates and models in parallel fields (5), or with fields that
+    # tagging never read (6), must be retrained
     bundle = shutil.copytree(small_bundle / "model", tmp_path / "model")
-    if old == "5":
+    if old in ("5", "6"):
         manifest = json.loads((bundle / "manifest").read_text())
-        (bundle / "manifest").write_text(json.dumps({**manifest, "format": 5}))
+        (bundle / "manifest").write_text(json.dumps({**manifest, "format": int(old)}))
     else:
         (bundle / "manifest").write_text(f"[bundle]\nformat = {old}\nkind = chunker\n")
     monkeypatch.setattr(

@@ -22,12 +22,12 @@ from mbparse.synth import (
     typed_chunk_corpus,
 )
 
-# bundle format 6: a JSON manifest that holds the models and their symbol
-# tables, each template beside its model, and one int32 .npy array file of
-# code columns
+# bundle format 7: a JSON manifest that holds the models and their symbol
+# tables, each template beside its model and no field that tagging does not
+# read, and one int32 .npy array file of code columns
 BUNDLE_DIGESTS = {
-    "np-chunk": "dc5fbeec316bc764bc933f2438178b4475d79ac451a88a9e5cd8c74c0e64f74e",
-    "full-parse": "a11b3e95604f954d8de2d5689d18ed9fd03418a721e563e9bcc1c1e8e585dc38",
+    "np-chunk": "309dd2614497e1a3379c59c7ef796199439d576a9db1e6588b272a173bc3b557",
+    "full-parse": "f82b8fffc083da84c5e1cda386f279e2ad57c9d9427bb1b8bbb10855746608fc",
 }
 # ``chunk`` and ``parse`` outputs of the bundles above on 20 held-out sentences
 TAG_DIGESTS = {
@@ -36,16 +36,16 @@ TAG_DIGESTS = {
 }
 # bundles of the typed chunker (under each type strategy), the clause
 # bracketer and the noun-phrase parser, trained on 80 seeded sentences
-# (format 6, as above)
+# (format 7, as above)
 MORE_BUNDLE_DIGESTS = {
     ("typed-chunk", "single_phase"):
-        "776775e664ccacb88e665f7accec45eaa926818f1d8de8208325750831b3ac93",
+        "95396b166b2159a7839ad5acf6e30788320bd66c031b639825741ff9125c5b06",
     ("typed-chunk", "double_phase"):
-        "6c7e9c5cf71a1594e688fe115fa528b7da5d284595cd552e46420ac4be1c8804",
+        "c4899bbb77ddd34444c995f4e110cddfdfdc03cc8c25686e52c48cc43024d53f",
     ("typed-chunk", "n_phase"):
-        "f032f0a50ebe1ba6ad54709f9c071c13205e697de87fc17d165a0f12b8077ae6",
-    ("clauses", None): "b41ff3e9f4f6fd6eedcb79d141ad3aca1e6a1aaf000c1bab619ddd483fab0b99",
-    ("np-parse", None): "d22ba31419d50a5d7c4cc679f3c5c3c3e9727bee579456b5ce6597723ee9dcbe",
+        "9ae551487ff7b344263f08ad4b813b53427f3b58e4c01adc207fdaf3ab31aca1",
+    ("clauses", None): "7a55648d9ae33b5a7d7942170d6bc9ede3fbd1b2658de2b36b5af238d688137a",
+    ("np-parse", None): "e7a29e66b402e39be98c590e065656693f6377ad0dbf5dc8c37b549799510648",
 }
 # outputs of the tag command of each bundle above on 20 held-out sentences
 MORE_TAG_DIGESTS = {

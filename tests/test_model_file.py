@@ -261,8 +261,8 @@ def test_bundle_models_share_columns_and_label_arrays(tmp_path, monkeypatch):
             levels = load_full_parser(tmp_path / name).levels
             assert levels
             for level in levels:
-                pairs = zip(level.open_model.instances.columns,
-                            level.close_model.instances.columns)
+                pairs = zip(level.open.model.instances.columns,
+                            level.close.model.instances.columns)
                 assert all(a is b for a, b in pairs)
         arrays, tables = {}, {}  # column -> ids of the objects models hold for it
         for _, data, model in loads:

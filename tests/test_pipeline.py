@@ -34,7 +34,6 @@ from mbparse.pipeline import (
     NPhaseChunker,
     NpParser,
     PipelineConfig,
-    SinglePhaseChunker,
     Tagger,
     TypeStrategy,
     chunk_corpus_detail,
@@ -286,7 +285,7 @@ class TestChunkTyped:
 
     def test_oracle_single_phase_reproduces_gold(self):
         sents, gold = typed_chunk_corpus(15, seed=7)
-        chunker = SinglePhaseChunker(oracle_chunker(gold, typed=True))
+        chunker = oracle_chunker(gold, typed=True)
         out = chunk_typed(sents, chunker)
         assert [sorted(o) for o in out] == [sorted(g) for g in gold]
 
@@ -301,7 +300,7 @@ class TestChunkTyped:
         tr_s, tr_g = typed_chunk_corpus(60, seed=9)
         te_s, te_g = typed_chunk_corpus(20, seed=82)
         chunker = train_typed_chunker(tr_s, tr_g, TypeStrategy.N_PHASE)
-        assert next(iter(chunker.per_type)) == "NP"  # most frequent type first
+        assert chunker.chunkers[0].default_type == "NP"  # most frequent type first
         out = chunk_typed(te_s, chunker)
         assert score(out, te_g).f > 60.0
 
@@ -309,12 +308,10 @@ class TestChunkTyped:
         sents = [[Token("a", "A"), Token("b", "B"), Token("c", "C")]]
         np_gold = [[ChunkSpan(0, 1, "NP")]]
         vp_gold = [[ChunkSpan(1, 2, "VP")]]
-        chunker = NPhaseChunker(
-            per_type={  # NP first: more frequent in training
-                "NP": oracle_chunker(np_gold, default_type="NP"),
-                "VP": oracle_chunker(vp_gold, default_type="VP"),
-            },
-        )
+        chunker = NPhaseChunker([  # NP first: more frequent in training
+            oracle_chunker(np_gold, default_type="NP"),
+            oracle_chunker(vp_gold, default_type="VP"),
+        ])
         out = chunk_typed(sents, chunker)
         assert out == [[ChunkSpan(0, 1, "NP")]]
 
@@ -442,7 +439,7 @@ class TestParseNp:
 class TestParseFull:
     def test_flat_corpus_is_base_plus_wrap(self):
         sents, gold = typed_chunk_corpus(10, seed=17)
-        base = SinglePhaseChunker(oracle_chunker(gold, typed=True))
+        base = oracle_chunker(gold, typed=True)
         parser = FullParser(base=base, levels=[])
         out = parse_full(sents, parser)
         expected = [
@@ -473,22 +470,18 @@ class TestParseFull:
 
     def test_oracle_full_recovery(self):
         sents, gold = parse_corpus(20, seed=22)
-        base = SinglePhaseChunker(
-            oracle_chunker([leaves_of(g) for g in gold], typed=True)
-        )
+        base = oracle_chunker([leaves_of(g) for g in gold], typed=True)
         parser = FullParser(base=base, levels=[OracleBracketLevel(gold)] * 8)
         out = parse_full(sents, parser)
         assert [sorted(set(o)) for o in out] == [sorted(set(g)) for g in gold]
 
 
 def predict_per_model(level, corpus, view, sentences):
-    """Reference: ``BracketLevel.predict`` as it was with a template per
-    model and a batch of token lists, extracting every token's features
-    once for each of its two models."""
+    """Reference: ``BracketLevel.predict`` on a batch of token lists,
+    extracting every token's features once for each of its two taggers."""
     views = view_sentences(corpus, view)
     tokens = [views[si][0] for si in sentences.tolist()]
-    otags = Tagger(level.template, level.open_model).tag(tokens)
-    ctags = Tagger(level.template, level.close_model).tag(tokens)
+    otags, ctags = level.open.tag(tokens), level.close.tag(tokens)
     return [
         (
             [mark_type(t, level.default_type) for t in o],
@@ -631,7 +624,8 @@ class TestParts:
         fits, wide = model_of("w[-1..1]"), model_of("w[-2..2]")
         for open_model, close_model in ((fits, wide), (wide, fits)):
             with pytest.raises(DomainError, match="template arity 3 does not match model arity 5"):
-                BracketLevel(parse_template("w[-1..1]"), open_model, close_model)
+                BracketLevel(*(Tagger(parse_template("w[-1..1]"), model)
+                               for model in (open_model, close_model)))
 
     def test_double_phase_type_model_reads_four_columns(self):
         with pytest.raises(DomainError, match="type model arity 3 does not match the 4 type"):
@@ -672,9 +666,9 @@ class TestBracketLevel:
             read.clear()
             lm.predict(*batch)
             assert not coded
-            assert len(recoded) == lm.template.arity
+            assert len(recoded) == lm.open.template.arity
             opens, closes = read
-            assert len(opens.columns) == len(closes.columns) == lm.template.arity
+            assert len(opens.columns) == len(closes.columns) == lm.open.template.arity
             assert all(a is b for a, b in zip(opens.columns, closes.columns))
 
 
@@ -810,26 +804,27 @@ class TestBundles:
             assert chunk_typed(te_s, loaded) == chunk_typed(te_s, chunker)
 
     def test_n_phase_order_survives_and_decides_overlaps(self, tmp_path):
-        """``per_type``'s order is the only type order: a save and a load
-        keep it, and of overlapping spans the type first in it wins."""
+        """The order of ``chunkers`` is the only type order: a save and a
+        load keep it, and of overlapping spans the type first in it wins."""
         tr_s, tr_g = typed_chunk_corpus(40, seed=26)
         trained = train_typed_chunker(tr_s, tr_g, TypeStrategy.N_PHASE)
+        types = [chunker.default_type for chunker in trained.chunkers]
         counts = Counter(span.type for spans in tr_g for span in spans)
-        assert list(trained.per_type) == sorted(counts, key=lambda t: (-counts[t], t))
+        assert types == sorted(counts, key=lambda t: (-counts[t], t))
         bundles.save_typed_chunker(trained, tmp_path / "trained")
         loaded = bundles.load_typed_chunker(tmp_path / "trained")
-        assert list(loaded.per_type) == list(trained.per_type)
+        assert [chunker.default_type for chunker in loaded.chunkers] == types
 
         te_s, _ = typed_chunk_corpus(8, seed=27)
-        np_chunker = loaded.per_type["NP"]
+        np_chunker = loaded.chunkers[types.index("NP")]
         found = chunk_np(te_s, np_chunker)
         assert any(found)
         for order in (("A", "B"), ("B", "A")):  # one chunker's spans under two types
-            twin = NPhaseChunker({t: dataclasses.replace(np_chunker, default_type=t)
-                                  for t in order})
+            twin = NPhaseChunker([dataclasses.replace(np_chunker, default_type=t)
+                                  for t in order])
             bundles.save_typed_chunker(twin, tmp_path / "".join(order))
             twin = bundles.load_typed_chunker(tmp_path / "".join(order))
-            assert list(twin.per_type) == list(order)
+            assert [chunker.default_type for chunker in twin.chunkers] == list(order)
             assert chunk_typed(te_s, twin) == [
                 [dataclasses.replace(span, type=order[0]) for span in spans]
                 for spans in found
@@ -995,6 +990,49 @@ def test_loaded_bundle_equals_the_trained_composite(kind, tmp_path):
     trained = fit(*generate(20, 9))
     save(trained, tmp_path)
     assert _plain(load(tmp_path)) == _plain(trained)
+
+
+def _manifest_objects(data, place=""):
+    """The place, as a load names it, of every JSON object in a manifest's
+    data but the symbol tables, the top one first."""
+    if isinstance(data, dict):
+        yield place[:-1] or "manifest"
+    items = data.items() if isinstance(data, dict) else enumerate(data)
+    for key, value in items:
+        if isinstance(value, (dict, list)) and (place or key != "symbols"):
+            yield from _manifest_objects(value, f"{place}{key}.")
+
+
+def _object_at(data, place):
+    for key in place.split(".") if place != "manifest" else ():
+        data = data[int(key) if isinstance(data, list) else key]
+    return data
+
+
+@pytest.mark.parametrize("kind", list(_BUNDLE_KINDS))
+def test_every_manifest_object_refuses_a_key_it_does_not_read(kind, tmp_path):
+    """A key put into any one object of a manifest makes the load one
+    ``DomainError`` that names the object's place: a field that no class or
+    model has, or, in a chunker's ``streams``, a scheme that it does not
+    vote (named at the chunker)."""
+    generate, fit, tag, save, load, cells = _BUNDLE_KINDS[kind]
+    save(fit(*generate(20, 9)), tmp_path)
+    text = (tmp_path / "manifest").read_text(encoding="utf-8")
+    places = list(_manifest_objects(json.loads(text)))
+    assert len(places) > 8
+    for place in places:
+        manifest = json.loads(text)
+        target = _object_at(manifest, place)
+        if "class" in target or "columns" in target:
+            target["junk"] = 0
+            what = f"{target.get('class', 'Model')} has no field 'junk'"
+        else:  # a chunker's streams, keyed by scheme
+            target["IOB2"] = next(iter(target.values()))
+            place, what = place.rpartition(".")[0] or "manifest", "stream IOB2 is not voted"
+        (tmp_path / "manifest").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(DomainError) as err:
+            load(tmp_path)
+        assert str(err.value) == f"{tmp_path}: {place}: {what}"
 
 
 def _assert_walker_reads(kind):

@@ -279,7 +279,7 @@ def test_bracket_levels_match_reference(corpus, typed):
     assert len(levels) == top
     for level, lm in enumerate(levels, 1):
         expected = bracket_level_reference(sents, stratified, level, template, typed)
-        got = (lm.open_model.instances, lm.close_model.instances)
+        got = (lm.open.model.instances, lm.close.model.instances)
         assert tuple(tuple(decoded_instances(base)) for base in got) == expected
 
 
