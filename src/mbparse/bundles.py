@@ -12,9 +12,11 @@ place in the manifest's top-level ``"symbols"``, an array that holds each
 distinct symbol table once as a list of strings.  A load reads each value
 back as its field's annotation says, so a reloaded bundle is what training
 built.  A key that is neither ``"class"`` nor a field (nor ``"format"`` or
-``"symbols"`` at the top), a model's fault, or parts that do not fit (a
-``Tagger``'s template and model of two arities) is one ``DomainError`` that
-names its place, the field names and keys that lead to it
+``"symbols"`` at the top), a value that does not read as its annotation (a
+JSON type, enum value, class or template that does not belong, or a field
+that it lacks), a model's fault, or parts that do not fit (a ``Tagger``'s
+template and model of two arities) is one ``BundleFault`` that names its
+place, the field names and keys that lead to it
 (``streams.IOB1.pass1``; the top is ``manifest``).  Earlier formats (1:
 models as text; 2: a ``.npy`` file per array; 3: an INI manifest; 4: a text
 header per model; 5: parallel template and model fields; 6: fields that
@@ -34,7 +36,7 @@ import os
 import types
 from enum import Enum
 
-from .errors import DomainError
+from .errors import BundleFault, DomainError
 from .features import FeatureTemplate, format_template, parse_template
 from .learner import BundleReader, BundleStore, Model, json_value, load_model, save_model
 from .pipeline import Chunker, ClauseBracketer, FullParser, NpParser, TypedChunker
@@ -63,7 +65,22 @@ def _dump(value, store: BundleStore):
 
 def _load(kind, data, place: str, arrays: BundleReader):
     """The value of annotation ``kind`` that the JSON ``data`` holds; ``place``
-    is the field names and keys that lead to it, each followed by a dot."""
+    is the field names and keys that lead to it, each followed by a dot.  A
+    value that does not read as ``kind`` (a JSON type, enum value, class or
+    template that does not belong, a field it lacks, or parts that do not
+    fit one another) is a fault at ``place``."""
+    try:
+        return _read(kind, data, place, arrays)
+    except BundleFault:  # placed further in
+        raise
+    except KeyError as exc:
+        raise arrays.fault(place[:-1] or "manifest", f"lacks {exc}") from None
+    except ValueError as exc:
+        raise arrays.fault(place[:-1] or "manifest", str(exc)) from None
+
+
+def _read(kind, data, place: str, arrays: BundleReader):
+    """``_load`` without placing its own faults."""
     if kind is Model:
         return load_model(data, place[:-1], arrays)
     if kind is FeatureTemplate:
@@ -91,16 +108,13 @@ def _load(kind, data, place: str, arrays: BundleReader):
         raise ValueError(f"a {name!r} where a {' or '.join(c.__name__ for c in options)} belongs")
     unread = data.keys() - {"class", *(f.name for f in dataclasses.fields(cls))}
     if unread:
-        raise arrays.fault(place[:-1] or "manifest", f"{name} has no field {min(unread)!r}")
+        raise ValueError(f"{name} has no field {min(unread)!r}")
     values = {
         f.name: _load(f.type, data[f.name], f"{place}{f.name}.", arrays)
         for f in dataclasses.fields(cls)
         if f.name in data or f.default is dataclasses.MISSING
     }
-    try:
-        return cls(**values)
-    except DomainError as exc:  # parts that do not fit one another
-        raise arrays.fault(place[:-1] or "manifest", str(exc)) from None
+    return cls(**values)
 
 
 def _save_bundle(composite, path) -> None:

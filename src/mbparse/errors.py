@@ -5,6 +5,11 @@ class DomainError(ValueError):
     """A caller violated an operation's contract (bad arity, empty data, ...)."""
 
 
+class BundleFault(DomainError):
+    """A model bundle's fault, its message naming the bundle and the place
+    in the manifest at fault."""
+
+
 class ConfigError(DomainError):
     """A configuration file or option is invalid."""
 

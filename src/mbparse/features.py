@@ -179,8 +179,10 @@ class CodedCorpus:
     (PAD first) and its codes, laid end to end with ``MAX_OFFSET`` PAD cells
     around each sentence; a missing chunk tag is PAD.  Each (channel,
     offset) column is recoded once, on first use, and every later template
-    gets the same code table and read-only array.  Build one per corpus
-    that several templates read, and let it go with that corpus.
+    gets the same code table and read-only array, and the models trained
+    on the corpus share ``weight_memo``, so each column's weights are worked
+    out once.  Build one per corpus that several templates read, and let it
+    go with that corpus.
     """
 
     def __init__(self, sentences=None, lengths=None, cells=None, channels=None):
@@ -210,6 +212,9 @@ class CodedCorpus:
             c: self._laid_out(*coded) for c, coded in channels.items()
         }
         self._columns: dict[Atom, tuple[dict[str, int], np.ndarray]] = {}
+        # what the models trained on this corpus share of their feature
+        # weights' work: the memo of ``learner.gain_ratio_weights``
+        self.weight_memo: dict = {}
 
     @staticmethod
     def of(sentences: Sequence[Sequence[Token]]) -> "CodedCorpus":

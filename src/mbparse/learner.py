@@ -12,11 +12,15 @@ code array per feature, which the models built from one coded corpus
 ``InstanceBase`` as it is, or codes a sequence of ``Instance`` once,
 checking their arity on the way; the gain-ratio weights are tabulated from
 the codes (value and (value, class) counts), with every entropy summing its
-terms in the order a walk down the rows would.  ``classify_labels`` is the
-one batch entry point, and ``classify`` labels a single query through it.
-Queries come as feature tuples or as ``FeatureColumns``, whose distinct
-values are translated into the model's codes; symbols are strings only
-there and when a model is decoded.
+terms in the order a walk down the rows would.  That order is looked up
+only for a column with a value of three or more classes, as two terms sum
+alike in either order.  The weights are worked out per composite, not per
+model: the models trained on one coded corpus share one memo, so each
+column's value entropy and each (column, labels) weight is computed once.
+``classify_labels`` is the one batch entry point, and ``classify`` labels
+a single query through it.  Queries come as feature tuples or as
+``FeatureColumns``, whose distinct values are translated into the model's
+codes; symbols are strings only there and when a model is decoded.
 
 A saved model is an object of its bundle's JSON manifest (see ``bundles``):
 config, weights, the class counts in code order, and each column as an
@@ -70,7 +74,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import BundleFault, DomainError
 
 # Reserved out-of-vocabulary symbol for positions outside a sentence.
 PAD = "__"
@@ -246,55 +250,86 @@ def _instance_base(dataset: InstanceBase | Sequence[Instance]) -> InstanceBase:
     return dataset
 
 
-def gain_ratio_weights(dataset: InstanceBase | Sequence[Instance]) -> WeightTable:
+def gain_ratio_weights(
+    dataset: InstanceBase | Sequence[Instance], memo: dict | None = None
+) -> WeightTable:
     """Information gain of each feature about the class, normalized by the
     feature's own value entropy.  Constant features get weight 0.
 
-    Counts come from the codes.  Values are coded in order of first
-    occurrence (as ``FeatureColumns`` requires), and each value's classes
-    are taken in order of the first occurrence of the (value, class) pair,
-    so every entropy sums its terms in the order a walk down the rows meets
-    them and the weights equal those of that walk to the last bit.  The
-    (value, class) pairs are counted in a dense table when it has at most n
-    cells, and sorted out with ``np.unique`` only when it would be larger.
+    A weight depends on the column's codes and the label codes alone, so
+    ``memo`` carries work from one call to the next: each column's value
+    counts and entropy, found by the column array's identity, and each
+    (column, labels) weight, by both arrays' identities.  It holds the
+    arrays, so that their ids pass to no other array; they must not change
+    while it lives.  The models of one composite share one (see
+    ``pipeline.train_tagger``), so a column that several of them read is
+    tabulated once.  Without one, every column is tabulated afresh.
     """
     base = _instance_base(dataset)
-    n = len(base)
-    n_labels = len(base.classes)
-    y = base.label_codes.astype(np.int64)
-    h_class = _entropy(np.bincount(y).tolist(), n)
+    memo = {} if memo is None else memo
+    labels = base.label_codes
+    y = labels.astype(np.int64)
+    class_counts = np.bincount(y).tolist()
+    h_class = _entropy(class_counts, len(y))
     weights = []
     for column in base.columns:
-        value_counts = np.bincount(column).tolist()
-        h_value = _entropy(value_counts, n)
-        if h_value == 0.0:
-            weights.append(0.0)  # constant feature carries no information
-            continue
-        keys = column * np.int64(n_labels) + y
-        cells = len(value_counts) * n_labels
-        if cells <= n:
-            counts = np.bincount(keys, minlength=cells)
-            pairs = np.flatnonzero(counts)
+        if (id(column), id(labels)) not in memo:
+            if id(column) not in memo:
+                value_counts = np.bincount(column).tolist()
+                memo[id(column)] = column, value_counts, _entropy(value_counts, len(y))
+            _, value_counts, h_value = memo[id(column)]
+            weight = 0.0  # a constant feature carries no information
+            if h_value != 0.0:
+                expected = _expected_class_entropy(column, value_counts, y, len(class_counts))
+                weight = max(0.0, (h_class - expected) / h_value)
+            memo[id(column), id(labels)] = labels, weight
+        weights.append(memo[id(column), id(labels)][1])
+    return WeightTable(tuple(weights))
+
+
+def _expected_class_entropy(column, value_counts: list, y: np.ndarray, n_labels: int) -> float:
+    """The class entropy of each value of ``column``, weighted by the
+    value's share of the rows, summed in value code order.
+
+    Counts come from the codes.  Values are coded in order of first
+    occurrence (as ``FeatureColumns`` requires), and a value's classes are
+    summed in order of the first occurrence of the (value, class) pair, so
+    every entropy sums its terms in the order a walk down the rows meets
+    them and equals that walk's to the last bit.  That order is looked up
+    only when some value has three or more classes: two terms give the same
+    sum in either order.  The (value, class) pairs are counted in a dense
+    table when it has at most n cells, and sorted out with ``np.unique``
+    only when it would be larger.
+    """
+    n = len(y)
+    keys = column * np.int64(n_labels) + y
+    cells = len(value_counts) * n_labels
+    if cells <= n:
+        counts = np.bincount(keys, minlength=cells)
+        pairs = np.flatnonzero(counts)
+        counts, first = counts[pairs], None
+    else:
+        pairs, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    values = pairs // n_labels
+    # each value's class counts are a run, values in code order
+    classes = np.bincount(values, minlength=len(value_counts))
+    if (classes > 2).any():  # the runs go in first-occurrence order
+        if first is None:
             first = np.full(cells, n)
             np.minimum.at(first, keys, np.arange(n))
-            first, counts = first[pairs], counts[pairs]
-        else:
-            pairs, first, counts = np.unique(keys, return_index=True, return_counts=True)
-        values = pairs // n_labels
-        counts = counts[np.lexsort((first, values))].tolist()
-        # each value's class counts are a run, values in code order; a value
-        # seen with one class has class entropy 0 and adds nothing
-        classes = np.bincount(values)
-        ends = np.cumsum(classes)
-        mixed = np.flatnonzero(classes > 1)
-        expected = 0.0
-        for v, a, b in zip(
-            mixed.tolist(), (ends - classes)[mixed].tolist(), ends[mixed].tolist()
-        ):
-            nv = value_counts[v]
-            expected += (nv / n) * _entropy(counts[a:b], nv)
-        weights.append(max(0.0, (h_class - expected) / h_value))
-    return WeightTable(tuple(weights))
+            first = first[pairs]
+        counts = counts[np.lexsort((first, values))]
+    counts = counts.tolist()
+    expected, a = 0.0, 0
+    for nv, k in zip(value_counts, classes.tolist()):
+        if k > 1:  # a value seen with one class has class entropy 0
+            h = 0.0
+            for c in counts[a:a + k]:
+                p = c / nv
+                h -= p * math.log2(p)
+            expected += (nv / n) * h
+        a += k
+    return expected
 
 
 @dataclass(frozen=True)
@@ -399,9 +434,12 @@ def _encode_queries(
 
 
 def train(
-    dataset: InstanceBase | Sequence[Instance], config: LearnerConfig | None = None
+    dataset: InstanceBase | Sequence[Instance],
+    config: LearnerConfig | None = None,
+    memo: dict | None = None,
 ) -> Model:
-    """Store the dataset and compute its feature weights.
+    """Store the dataset and compute its feature weights, sharing ``memo``
+    with the models trained before it (see ``gain_ratio_weights``).
 
     A sequence of ``Instance`` is coded into an ``InstanceBase`` once; an
     ``InstanceBase`` is stored as it is.  With ``degenerate_weight_fallback``
@@ -411,7 +449,7 @@ def train(
     if config is None:
         config = LearnerConfig()
     base = _instance_base(dataset)
-    table = gain_ratio_weights(base)
+    table = gain_ratio_weights(base, memo)
     if config.degenerate_weight_fallback and all(
         w < DEGENERATE_WEIGHT_EPS for w in table.weights
     ):
@@ -670,8 +708,8 @@ class BundleReader:
                 f"{self.path}: holds {size - self.start} bytes for {self.size} values"
             )
 
-    def fault(self, place: str, what: str) -> DomainError:
-        return DomainError(f"{self.bundle}: {place}: {what}")
+    def fault(self, place: str, what: str) -> BundleFault:
+        return BundleFault(f"{self.bundle}: {place}: {what}")
 
     def _table(self, index: int, symbols) -> dict[str, int]:
         place = f"symbols.{index}"

@@ -14,12 +14,14 @@ path that applies several templates to one sentence list (a chunker's
 streams and passes, the typed strategies, the clause bracketer's open
 taggers, a bracket level's open and close taggers) builds one
 ``features.CodedCorpus`` of it and passes that down, so each word, POS and
-chunk-tag column is coded once and shared.  Chunker trainers take gold spans
-per sentence or as ``schemes.SpanArrays`` and turn them into arrays once;
-each stream's gold tags come coded from ``schemes.tag_codes`` and serve as
-its labels and as its second pass's context.  Tag time decodes each IOB
-or IOE output once, with one ``schemes.decode_tags`` of the whole batch,
-and reads its brackets from the spans' types at their starts and ends.
+chunk-tag column is coded once and shared, and its gain-ratio work is done
+once for all the models that read it (``CodedCorpus.weight_memo``).
+Chunker trainers take gold spans per sentence or as ``schemes.SpanArrays``
+and turn them into arrays once; each stream's gold tags come coded from
+``schemes.tag_codes`` and serve as its labels and as its second pass's
+context.  Tag time decodes each IOB or IOE output once, with one
+``schemes.decode_tags`` of the whole batch, and reads its brackets from
+the spans' types at their starts and ends.
 
 Compressed sentences are one ``features.View`` of the whole corpus: index
 arrays of each view token's head row and POS code, and each row's view
@@ -188,7 +190,7 @@ def train_tagger(
     labels = tags if coded else CodedTags(*code_column([label for t in tags for label in t]))
     labels.codes.flags.writeable = False
     base = InstanceBase(columns.codes, columns.columns, columns.rows, *labels)
-    return Tagger(template, train(base, learner_config))
+    return Tagger(template, train(base, learner_config, sentences.weight_memo))
 
 
 @dataclass

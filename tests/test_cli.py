@@ -862,9 +862,10 @@ def _single_phase_of_format_6(m):
     m.update({"class": "SinglePhaseChunker", "chunker": chunker})
 
 
-# Composites whose parts do not fit one another, or that hold a key that a
-# load does not read, per tag command: each must end the load in one error
-# line that names the bundle and the part's place.
+# Composites whose parts do not fit one another, that hold a key that a load
+# does not read, or a value that does not read as its field, per tag command:
+# each must end the load in one error line that names the bundle and the
+# part's place.
 MISFIT_DAMAGE = {
     "opens template of another arity": (
         "clauses", _narrowed("opens", 1, "template"),
@@ -904,7 +905,7 @@ MISFIT_DAMAGE = {
         "manifest: NPhaseChunker has no field 'per_type'"),
     "single-phase wrapper": (
         "chunk-typed", _edited(_single_phase_of_format_6),
-        "malformed bundle: a 'SinglePhaseChunker' where a Chunker or DoublePhaseChunker "
+        "manifest: a 'SinglePhaseChunker' where a Chunker or DoublePhaseChunker "
         "or NPhaseChunker belongs"),
     "two open taggers": (
         "clauses", _edited(lambda m: m["opens"].pop()),
@@ -918,6 +919,18 @@ MISFIT_DAMAGE = {
     "level template beside bare models": (
         "parse", _edited(_level_of_format_6),
         "levels.0: BracketLevel has no field 'close_model'"),
+    "stream key that is no scheme": (
+        "chunk", _edited(lambda m: m["streams"].update(junk=m["streams"]["IOB1"])),
+        "streams: 'junk' is not a valid Scheme"),
+    "representation that is no scheme": (
+        "chunk", _edited(lambda m: m.update(representations=["IOB7"])),
+        "representations.0: 'IOB7' is not a valid Scheme"),
+    "template that is no string": (
+        "chunk", _edited(lambda m: m["streams"]["IOB1"]["pass1"].update(template=7)),
+        "streams.IOB1.pass1.template: expected a string, got an integer"),
+    "tagger that lacks its model": (
+        "chunk", _edited(lambda m: m["streams"]["IOB1"]["pass1"].pop("model")),
+        "streams.IOB1.pass1: lacks 'model'"),
 }
 
 

@@ -23,6 +23,7 @@ from mbparse.learner import (
     classify,
     code_dtype,
     classify_labels,
+    code_column,
     gain_ratio_weights,
     train,
 )
@@ -213,6 +214,75 @@ def test_gain_ratio_bit_identical_to_row_order_reference(data):
     weights = row_order_gain_ratio(dataset)[0]
     assert gain_ratio_weights(dataset).weights == weights
     assert gain_ratio_weights(InstanceBase.from_rows(dataset)).weights == weights
+
+
+def _bits(weights):
+    return [w.hex() for w in weights]
+
+
+def _check_shared_weights(columns, label_sets, picks):
+    """Train one model per (label set, column indices) pick over the same
+    coded column and label arrays, with one memo, and check every weight bit
+    for bit against the row-order reference and a call without a memo."""
+    coded = [code_column(c) for c in columns]
+    labels = [code_column(c) for c in label_sets]
+    memo = {}
+    for which, chosen in picks:
+        base = InstanceBase(tuple(coded[i][0] for i in chosen),
+                            tuple(coded[i][1] for i in chosen), len(label_sets[which]),
+                            *labels[which])
+        model = train(base, LearnerConfig(degenerate_weight_fallback=False), memo)
+        rows = [Instance(tuple(columns[i][r] for i in chosen), label)
+                for r, label in enumerate(label_sets[which])]
+        assert _bits(model.weight_table.weights) == _bits(row_order_gain_ratio(rows)[0])
+        assert _bits(model.weight_table.weights) == _bits(gain_ratio_weights(base).weights)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_weights_shared_through_a_memo_match_the_reference(data):
+    n = data.draw(st.integers(1, 60))
+    # a one-symbol alphabet gives a constant column or a single-class label
+    # set; few or many values put a column's (value, class) table on either
+    # side of the n cells that are counted densely
+    columns = data.draw(st.lists(
+        st.sampled_from(["a", "ab", "abcde", string.ascii_letters]).flatmap(
+            lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)),
+        min_size=1, max_size=4))
+    label_sets = data.draw(st.lists(
+        st.sampled_from(["s", "st", "stuvwxyz"]).flatmap(
+            lambda alphabet: st.lists(st.sampled_from(alphabet), min_size=n, max_size=n)),
+        min_size=2, max_size=3))
+    every = list(range(len(columns)))
+    # the first two label sets each read every column; further models pick
+    # columns in any order, some over a label set read before
+    picks = [(0, every), (1, every)] + data.draw(st.lists(st.tuples(
+        st.integers(0, len(label_sets) - 1),
+        st.lists(st.sampled_from(every), min_size=1, max_size=5)), max_size=3))
+    for labels in label_sets:
+        event(f"{len(set(labels))} classes")
+        for column in columns:
+            if len(set(column)) == 1:
+                event("constant column")
+            else:
+                dense = len(set(column)) * len(set(labels)) <= n
+                event("dense table" if dense else "sorted table")
+            per_value = {}
+            for value, label in zip(column, labels):
+                per_value.setdefault(value, set()).add(label)
+            if any(len(classes) > 2 for classes in per_value.values()):
+                event("a value of three or more classes")
+    _check_shared_weights(columns, label_sets, picks)
+
+
+def test_three_class_value_sums_its_terms_in_first_occurrence_order():
+    # value "b" meets classes x, y, z in that order down the rows, but they
+    # are coded x, z, y: summed in code order, the weight is 3 units in the
+    # last place too large (0x1.08c253ef24c06p-1)
+    column, labels = list("babbbbb"), list("xzxyxzy")
+    assert _bits(row_order_gain_ratio(
+        [Instance((v,), c) for v, c in zip(column, labels)])[0]) == ["0x1.08c253ef24c03p-1"]
+    _check_shared_weights([column], [labels, labels], [(0, [0]), (1, [0])])
 
 
 class TestTrain:

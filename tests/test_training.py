@@ -3,15 +3,18 @@ hand-rolled instance loops they replaced.  The loops are kept here as the
 reference: every trained model must hold exactly the instances, in the same
 order, that the loop would have built."""
 
+import dataclasses
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from mbparse import folds, pipeline
+from mbparse import folds, learner, pipeline
 from mbparse.errors import DomainError
 from mbparse.features import CodedCorpus, parse_template
 from mbparse.folds import LeakMode, build_fold_plan, run_two_phase_cv
-from mbparse.learner import Instance, LearnerConfig, TiePolicy, train
+from mbparse.learner import Instance, LearnerConfig, Model, TiePolicy, train
 from mbparse.pipeline import (
     CLAUSE_CLOSE_TEMPLATE,
     CLAUSE_OPEN_TEMPLATES,
@@ -328,9 +331,9 @@ def test_two_phase_cv_matches_reference(mode, monkeypatch):
 
     datasets = []
 
-    def recording(dataset, config=None):
+    def recording(dataset, config=None, memo=None):
         datasets.append(tuple(decoded_instances(dataset)))
-        return train(dataset, config)
+        return train(dataset, config, memo)
 
     monkeypatch.setattr(pipeline, "train", recording)
     assert run_two_phase_cv(*args) == expected
@@ -360,3 +363,55 @@ def test_two_phase_cv_codes_its_sections_once(mode, monkeypatch):
         build_fold_plan(4, mode),
     )
     assert codings == [sum(len(s) for s, _ in secs)]
+
+
+def _models(value) -> list[Model]:
+    """Every model of a composite."""
+    if isinstance(value, Model):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif not isinstance(value, list):
+        return []
+    return [m for v in value for m in _models(v)]
+
+
+def _check_weight_work_once(train_composite, monkeypatch):
+    """Train a composite, counting the value entropies (one ``_entropy``
+    per column, besides each model's class entropy) and (value, class)
+    tabulations (one ``_expected_class_entropy`` per (column, labels) pair
+    whose column is not constant) that its weights take; each distinct
+    array or pair of arrays that its models hold must be worked on once."""
+    calls = Counter()
+    for name in ("_entropy", "_expected_class_entropy"):
+        def counted(*args, work=getattr(learner, name), name=name):
+            calls[name] += 1
+            return work(*args)
+        monkeypatch.setattr(learner, name, counted)
+    composite = train_composite()
+    models = _models(composite)
+    columns = {id(c) for m in models for c in m.instances.columns}
+    pairs = {(id(c), id(m.instances.label_codes))
+             for m in models for c in m.instances.columns if np.any(c != c[0])}
+    assert sum(m.arity for m in models) > len(pairs) > len(columns)  # the models share
+    assert calls == {"_entropy": len(columns) + len(models),
+                     "_expected_class_entropy": len(pairs)}
+    return composite
+
+
+def test_a_chunker_works_out_each_weight_once(monkeypatch):
+    sents, gold = np_chunk_corpus(60, seed=73)
+    chunker = _check_weight_work_once(lambda: pipeline.train_chunker(sents, gold), monkeypatch)
+    assert len(_models(chunker)) == 8
+
+
+def test_a_full_parser_shares_each_level_columns_value_entropies(monkeypatch):
+    sents, gold = parse_corpus(40, seed=74)
+    parser = _check_weight_work_once(lambda: pipeline.train_full_parser(sents, gold),
+                                     monkeypatch)
+    assert len(parser.levels) > 1
+    for level in parser.levels:  # so the count above took each column's once
+        opens, closes = (t.model.instances.columns for t in (level.open, level.close))
+        assert all(a is b for a, b in zip(opens, closes, strict=True))
